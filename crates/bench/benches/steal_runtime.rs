@@ -8,8 +8,8 @@ use gpusim::{catalog, SimDevice, WorkProfile};
 use std::hint::black_box;
 use std::sync::Arc;
 use vsched::{
-    drain_deques, proportional_split, schedule_trace_faulty, ChunkDeque, StealConfig, Strategy,
-    WarmupConfig,
+    drain_deques, proportional_split, schedule_trace_with, ChunkDeque, ReplayOptions, StealConfig,
+    Strategy, WarmupConfig,
 };
 use vstrace::Trace;
 
@@ -65,7 +65,7 @@ fn faulty_replay(c: &mut Criterion) {
     group.sample_size(20);
     let (cpu, gpus) = hertz();
     let trace: Vec<u64> = std::iter::repeat_n(16 * 1024, 24).collect();
-    let onset = WarmupConfig::default().iterations + 2;
+    let phases = [(WarmupConfig::default().iterations + 2, vec![1.0, 4.0])];
     let strategies = [
         ("percent_frozen", Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() }),
         ("work_steal", Strategy::WorkSteal { warmup: WarmupConfig::default(), divisor: 2 }),
@@ -73,15 +73,13 @@ fn faulty_replay(c: &mut Criterion) {
     for (label, strat) in strategies {
         group.bench_function(BenchmarkId::new("straggler_4x", label), |b| {
             b.iter(|| {
-                black_box(schedule_trace_faulty(
+                black_box(schedule_trace_with(
                     &cpu,
                     &gpus,
                     &trace,
-                    PAIRS,
+                    WorkProfile::pairs(PAIRS),
                     strat,
-                    &[1.0, 4.0],
-                    onset,
-                    &Trace::disabled(),
+                    ReplayOptions { phases: &phases, ..Default::default() },
                 ))
             })
         });

@@ -16,7 +16,8 @@
 //!
 //! Defaults to `BENCH_sched.json` in the current directory.
 
-use vsched::{schedule_trace_drift, Strategy, WarmupConfig};
+use gpusim::WorkProfile;
+use vsched::{schedule_trace_with, ReplayOptions, Strategy, WarmupConfig};
 use vscreen::platform;
 use vstrace::{Event, Trace};
 
@@ -38,15 +39,13 @@ fn run(strategy: Strategy, phases: &[(usize, Vec<f64>)]) -> (f64, usize) {
     let node = platform::hertz();
     let trace: Vec<u64> = std::iter::repeat_n(ITEMS_PER_GENERATION, GENERATIONS).collect();
     let events = Trace::new();
-    let makespan = schedule_trace_drift(
+    let makespan = schedule_trace_with(
         node.cpu(),
         node.gpus(),
         &trace,
-        PAIRS,
+        WorkProfile::pairs(PAIRS),
         strategy,
-        phases,
-        &events,
-        None,
+        ReplayOptions { phases, events: events.clone(), ..Default::default() },
     )
     .makespan;
     let steals = events

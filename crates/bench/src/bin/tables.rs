@@ -145,7 +145,8 @@ fn ablation() {
 /// Execution timelines: why the heterogeneous algorithm wins on Hertz —
 /// the homogeneous split leaves the K40c idle while the GTX 580 finishes.
 fn timeline() {
-    use vsched::schedule_trace_timeline;
+    use gpusim::{Timeline, WorkProfile};
+    use vsched::{schedule_trace_with, ReplayOptions};
     let node = platform::hertz();
     let n_spots = vscreen::experiment::spot_count(Dataset::TwoBsm);
     let pairs = (Dataset::TwoBsm.ligand_atoms() * Dataset::TwoBsm.receptor_atoms()) as u64;
@@ -154,7 +155,15 @@ fn timeline() {
         Strategy::HomogeneousSplit,
         Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
     ] {
-        let (report, tl) = schedule_trace_timeline(node.cpu(), node.gpus(), &trace, pairs, strat);
+        let tl = Timeline::new();
+        let report = schedule_trace_with(
+            node.cpu(),
+            node.gpus(),
+            &trace,
+            WorkProfile::pairs(pairs),
+            strat,
+            ReplayOptions { timeline: Some(&tl), ..Default::default() },
+        );
         println!("{} (makespan {:.4}s):", report.strategy_label, report.makespan);
         print!("{}", tl.render(64));
         println!();

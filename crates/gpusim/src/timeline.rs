@@ -3,8 +3,8 @@
 //! The schedulers in `vsched` are judged by makespans, but *why* a schedule
 //! is slow (idle gaps, imbalance, launch storms) is easiest to see on a
 //! timeline. [`Timeline`] collects per-device execution segments and
-//! renders an ASCII Gantt chart; `vsched::schedule_trace` callers can
-//! record into one via [`Timeline::record`].
+//! renders an ASCII Gantt chart; `vsched` replays and evaluators record
+//! into one via [`Timeline::record`].
 //!
 //! Busy/idle accounting goes through one shared segment-merging pass
 //! ([`Timeline::device_stats`]) that [`Timeline::idle_time`],

@@ -1,94 +1,49 @@
-//! The real-compute batch evaluator: a thin strategy facade over the
-//! unified node runtime ([`crate::runtime::NodeRuntime`]).
+//! The real-compute batch evaluator: plan each batch with the strategy
+//! [`Policy`], then dispatch the claims to the node runtime's workers
+//! (DESIGN.md §10).
 //!
-//! [`DeviceEvaluator`] owns the *policy*: resolving a [`Strategy`] into
-//! per-batch device shares (running the paper's warm-up and Equation 1
-//! where the strategy calls for it) and the associated trace bookkeeping
-//! (`WarmupSample`, `PartitionDecision`, `BatchScored`). All *mechanism* —
-//! persistent per-device worker threads, virtual-time accounting, the
-//! work-stealing deque drain — lives in the runtime, which every execution
-//! path on a node shares (DESIGN.md §10).
+//! [`DeviceEvaluator`] adds nothing to either half. All *policy* — the
+//! paper's warm-up and Equation 1, greedy chunks, the work-stealing drain,
+//! the oracle feedback, virtual-time accounting and the scheduling trace
+//! events — is [`Policy::plan`], the same step the analytic replay runs.
+//! All *mechanism* — persistent per-device worker threads scoring the
+//! claimed ranges — is [`NodeRuntime::dispatch`].
 //!
 //! # Determinism
 //!
-//! Device shares are disjoint index ranges scored serially per worker with
-//! the same kernel as [`vsscore::Scorer::score_batch`], so scores are
+//! Claims are disjoint index ranges scored serially per worker with the
+//! same kernel as [`vsscore::Scorer::score_batch`], so scores are
 //! bit-identical to the serial CPU path for every strategy — including
 //! work stealing, where chunk migration changes *which device is charged*,
 //! never the numeric result — for whichever kernel the scorer is
 //! configured with (DESIGN §7 per-kernel bit-identity).
 
-use crate::oracle::{CostOracle, OracleConfig};
-use crate::partition::proportional_split;
-use crate::runtime::{work_profile, NodeRuntime, StealConfig, StealStats};
+use crate::oracle::CostOracle;
+use crate::policy::Policy;
+use crate::runtime::{work_profile, NodeRuntime, StealStats};
 use crate::strategy::Strategy;
-use gpusim::SimDevice;
+use gpusim::{SimDevice, WorkProfile};
 use metaheur::BatchEvaluator;
 use std::sync::Arc;
 use vsmol::Conformation;
 use vsscore::Scorer;
-use vstrace::{Event, Trace, BATCH_TRACK};
-
-/// How the dynamic (self-scheduling) mode sizes its greedy chunks.
-enum DynamicChunking {
-    /// [`Strategy::DynamicQueue`]: fixed chunk size per grab.
-    Fixed(u64),
-    /// [`Strategy::GuidedQueue`]: chunk shrinks with the remaining work,
-    /// `remaining / (divisor × n_devices)`, floored at 1.
-    Guided { divisor: u64 },
-}
-
-/// What the warm-up resolves into once Equation 1 has its measurements.
-enum AfterWarmup {
-    /// Freeze the weights as a static proportional split.
-    Static,
-    /// Seed the work-stealing deques with the weights every batch.
-    Steal { divisor: u64 },
-    /// Feed the measurements to the learned cost oracle as the cold-start
-    /// prior and re-seed the deques from its fits every batch.
-    Oracle { divisor: u64 },
-}
-
-enum Mode {
-    /// Fixed proportional weights.
-    Static(Vec<f64>),
-    /// The paper's warm-up phase in progress: the next `left` batches run
-    /// under the equal split while per-device times (and, for the oracle,
-    /// executed work units) accumulate; Equation 1 then fixes the weights
-    /// and `then` decides what they seed.
-    WarmingUp { left: usize, times: Vec<f64>, units: Vec<f64>, then: AfterWarmup },
-    /// Greedy self-scheduling by virtual clock.
-    Dynamic(DynamicChunking),
-    /// The runtime's work-stealing drain, seeded by Equation 1 weights.
-    Steal { weights: Vec<f64>, cfg: StealConfig },
-    /// The learned-oracle drain (DESIGN.md §15): deques are re-seeded from
-    /// the oracle's current fits before every batch, and every device's
-    /// `(units, seconds)` outcome is fed back as an observation.
-    Oracle { oracle: CostOracle, cfg: StealConfig },
-}
+use vstrace::{Trace, BATCH_TRACK};
 
 /// A [`BatchEvaluator`] that executes scoring on a set of simulated devices.
 ///
-/// Construction resolves the strategy (running the warm-up for the
-/// heterogeneous strategies — its cost lands on the device clocks, as in
-/// the paper) and spawns the runtime's persistent per-device worker
-/// threads. Each `evaluate` call then routes the batch through the
-/// runtime: one contiguous share per device for the split strategies, or
-/// the seeded-deque work-stealing drain for [`Strategy::WorkSteal`].
+/// Construction spawns the runtime's persistent per-device worker threads.
+/// Each `evaluate` call plans the batch under the strategy — the first
+/// `warmup` batches of the heterogeneous strategies run under the equal
+/// split while being timed, their cost landing on the device clocks as in
+/// the paper — and scores the resulting claims on the workers.
 pub struct DeviceEvaluator {
     runtime: NodeRuntime,
-    mode: Mode,
-    warmup_done: u32,
-    steal_stats: StealStats,
+    policy: Policy,
+    profile: WorkProfile,
 }
 
 impl DeviceEvaluator {
     /// Build an evaluator over `devices` using `strategy` to assign work.
-    ///
-    /// For [`Strategy::HeterogeneousSplit`] and [`Strategy::WorkSteal`],
-    /// the first `warmup.iterations` batches of real work execute under
-    /// the equal split while being timed (the paper's warm-up phase,
-    /// §3.3); Equation 1 then fixes the weights for the rest of the run.
     ///
     /// # Panics
     /// Panics if `devices` is empty or the strategy is [`Strategy::CpuOnly`]
@@ -98,48 +53,10 @@ impl DeviceEvaluator {
         scorer: Arc<Scorer>,
         strategy: Strategy,
     ) -> DeviceEvaluator {
-        let n = devices.len();
-        let mode = match strategy {
-            Strategy::CpuOnly => panic!("use CpuEvaluator for the CPU-only baseline"),
-            Strategy::DynamicQueue { chunk } => Mode::Dynamic(DynamicChunking::Fixed(chunk.max(1))),
-            Strategy::GuidedQueue { divisor } => {
-                Mode::Dynamic(DynamicChunking::Guided { divisor: divisor.max(1) })
-            }
-            Strategy::HomogeneousSplit => Mode::Static(vec![1.0; n]),
-            Strategy::HeterogeneousSplit { warmup } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Static,
-            },
-            // The adaptive ablation re-measures continuously; in the
-            // real-compute executor it starts like the heterogeneous
-            // warm-up and then keeps the latest window's weights.
-            Strategy::AdaptiveSplit { warmup, .. } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Static,
-            },
-            Strategy::WorkSteal { warmup, divisor } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Steal { divisor: divisor.max(1) },
-            },
-            Strategy::Oracle { warmup, divisor } => Mode::WarmingUp {
-                left: warmup.iterations.max(1),
-                times: vec![0.0; n],
-                units: vec![0.0; n],
-                then: AfterWarmup::Oracle { divisor: divisor.max(1) },
-            },
-        };
-        DeviceEvaluator {
-            runtime: NodeRuntime::new(devices, scorer),
-            mode,
-            warmup_done: 0,
-            steal_stats: StealStats::default(),
-        }
+        let policy = Policy::new(strategy, devices.len());
+        assert!(!policy.cpu_only(), "use CpuEvaluator for the CPU-only baseline");
+        let profile = work_profile(&scorer);
+        DeviceEvaluator { runtime: NodeRuntime::new(devices, scorer), policy, profile }
     }
 
     /// Record every device execution into `timeline` (Gantt introspection
@@ -168,29 +85,22 @@ impl DeviceEvaluator {
         self.runtime.makespan()
     }
 
-    /// Static or deque-seed weights in use (empty while warming up or in
-    /// dynamic mode).
+    /// Static or deque-seed weights in use (empty while warming up or
+    /// under the self-scheduling strategies).
     pub fn weights(&self) -> &[f64] {
-        match &self.mode {
-            Mode::Static(w) => w,
-            Mode::Steal { weights, .. } => weights,
-            _ => &[],
-        }
+        self.policy.weights()
     }
 
     /// Cumulative work-stealing statistics (all zeros unless the strategy
     /// is [`Strategy::WorkSteal`] or [`Strategy::Oracle`]).
     pub fn steal_stats(&self) -> StealStats {
-        self.steal_stats
+        self.policy.steal_stats()
     }
 
     /// The learned cost oracle, once [`Strategy::Oracle`] finished its
     /// warm-up (`None` before that or under any other strategy).
     pub fn oracle(&self) -> Option<&CostOracle> {
-        match &self.mode {
-            Mode::Oracle { oracle, .. } => Some(oracle),
-            _ => None,
-        }
+        self.policy.oracle()
     }
 
     /// Test hook: every worker panics on the next `evaluate` call, which
@@ -199,48 +109,6 @@ impl DeviceEvaluator {
     fn induce_worker_panic(&mut self) {
         self.runtime.panic_next = true;
     }
-
-    /// Per-device shares for the split modes (everything except `Steal`).
-    fn shares_for(&self, items: u64) -> Vec<u64> {
-        let devices = self.runtime.devices();
-        match &self.mode {
-            Mode::Steal { .. } | Mode::Oracle { .. } => {
-                unreachable!("deque-seeded modes do not use contiguous shares")
-            }
-            Mode::Static(w) => proportional_split(items, w),
-            Mode::WarmingUp { .. } => proportional_split(items, &vec![1.0; devices.len()]),
-            Mode::Dynamic(chunking) => {
-                // Greedy chunking by current virtual clock, coalesced into
-                // one contiguous share per device to keep host scoring
-                // cache-friendly. Chunk sizing honors the strategy's
-                // parameters: a fixed grab for DynamicQueue, a
-                // remaining-proportional grab for GuidedQueue.
-                let n = devices.len() as u64;
-                let profile = work_profile(self.runtime.scorer());
-                let mut clocks: Vec<f64> = devices.iter().map(|d| d.clock()).collect();
-                let mut shares = vec![0u64; devices.len()];
-                let mut remaining = items;
-                while remaining > 0 {
-                    let take = match *chunking {
-                        DynamicChunking::Fixed(chunk) => chunk.min(remaining),
-                        DynamicChunking::Guided { divisor } => {
-                            (remaining / (divisor * n)).max(1).min(remaining)
-                        }
-                    };
-                    remaining -= take;
-                    let (idx, _) = clocks
-                        .iter()
-                        .enumerate()
-                        // PANICS: clocks are finite (never NaN) and there is at least one device.
-                        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .expect("non-empty");
-                    shares[idx] += take;
-                    clocks[idx] += devices[idx].estimate(&profile.batch(take));
-                }
-                shares
-            }
-        }
-    }
 }
 
 impl BatchEvaluator for DeviceEvaluator {
@@ -248,130 +116,16 @@ impl BatchEvaluator for DeviceEvaluator {
         if confs.is_empty() {
             return;
         }
-        let clocks_before: Vec<f64> = self.runtime.devices().iter().map(|d| d.clock()).collect();
-        let items_before: Vec<u64> =
-            self.runtime.devices().iter().map(|d| d.stats().items).collect();
-        let profile = work_profile(self.runtime.scorer());
-        let trace = self.runtime.trace().clone();
-
-        // Resolve the deque-seeded modes' weights up front (the oracle
-        // re-queries its fits before *every* batch — that is the point).
-        let seed = match &mut self.mode {
-            Mode::Steal { weights, cfg } => Some((weights.clone(), *cfg)),
-            Mode::Oracle { oracle, cfg } => {
-                let n = clocks_before.len();
-                let weights = oracle.seed_weights(profile.class).unwrap_or_else(|| vec![1.0; n]);
-                if trace.is_enabled() {
-                    trace.emit(Event::Counter {
-                        name: "oracle_reseed",
-                        value: oracle.reseeds() as f64,
-                    });
-                }
-                Some((weights, *cfg))
-            }
-            _ => None,
-        };
-        if let Some((weights, cfg)) = seed {
-            let stats = self.runtime.run_steal(confs, &weights, &cfg);
-            self.steal_stats.merge(stats);
-        } else {
-            let shares = self.shares_for(confs.len() as u64);
-            self.runtime.run_shares(confs, &shares);
-        }
-
-        if trace.is_enabled() {
-            let vt_start = clocks_before.iter().copied().fold(f64::INFINITY, f64::min);
-            // For the dense kernels `units_per_item` *is* the pair count;
-            // grid/cell-list batches report their own regime's unit so the
-            // trace matches what the cost model actually charged.
-            trace.emit(Event::BatchScored {
-                device: BATCH_TRACK,
-                items: confs.len() as u64,
-                pairs_per_item: work_profile(self.runtime.scorer()).units_per_item,
-                vt_start,
-                vt_end: self.runtime.makespan(),
-            });
-        }
-
-        // Oracle feedback: every device's `(units, virtual seconds)` for
-        // this batch becomes an observation, refining the fits the *next*
-        // batch's seed will query.
-        if let Mode::Oracle { oracle, .. } = &mut self.mode {
-            let devices = self.runtime.devices();
-            for (i, d) in devices.iter().enumerate() {
-                let di = d.stats().items - items_before[i];
-                let dt = d.clock() - clocks_before[i];
-                if di > 0 && dt > 0.0 {
-                    let u =
-                        oracle.observe(i, profile.class, (di * profile.units_per_item) as f64, dt);
-                    if trace.is_enabled() {
-                        trace.emit(Event::ModelUpdated {
-                            device: d.id() as u32,
-                            class: profile.class.ordinal(),
-                            predicted: u.predicted,
-                            observed: u.observed,
-                            residual: u.residual,
-                            refit: u.refit,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Warm-up bookkeeping: accumulate measured per-device times (and
-        // executed units, for the oracle prior) and hand the Equation 1
-        // weights to the follow-on mode once enough iterations ran.
-        if let Mode::WarmingUp { left, times, units, then } = &mut self.mode {
-            let devices = self.runtime.devices();
-            for (i, d) in devices.iter().enumerate() {
-                let dt = d.clock() - clocks_before[i];
-                times[i] += dt;
-                units[i] += ((d.stats().items - items_before[i]) * profile.units_per_item) as f64;
-                if trace.is_enabled() {
-                    trace.emit(Event::WarmupSample {
-                        device: d.id() as u32,
-                        iteration: self.warmup_done,
-                        seconds: dt,
-                    });
-                }
-            }
-            self.warmup_done += 1;
-            *left -= 1;
-            if *left == 0 {
-                let weights = if times.iter().all(|&t| t > 0.0) {
-                    crate::warmup::shares_from_times(times)
-                } else {
-                    vec![1.0; devices.len()]
-                };
-                if trace.is_enabled() {
-                    let total: f64 = weights.iter().sum();
-                    for (d, &w) in devices.iter().zip(&weights) {
-                        trace.emit(Event::PartitionDecision {
-                            device: d.id() as u32,
-                            share: if total > 0.0 { w / total } else { 0.0 },
-                            weight: w,
-                        });
-                    }
-                }
-                self.mode = match then {
-                    AfterWarmup::Static => Mode::Static(weights),
-                    AfterWarmup::Steal { divisor } => Mode::Steal {
-                        weights,
-                        cfg: StealConfig { divisor: *divisor, min_chunk: 0 },
-                    },
-                    AfterWarmup::Oracle { divisor } => {
-                        let mut oracle = CostOracle::new(devices.len(), OracleConfig::default());
-                        if times.iter().all(|&t| t > 0.0) && units.iter().all(|&u| u > 0.0) {
-                            oracle.observe_warmup(profile.class, times, units);
-                        }
-                        Mode::Oracle {
-                            oracle,
-                            cfg: StealConfig { divisor: *divisor, min_chunk: 0 },
-                        }
-                    }
-                };
-            }
-        }
+        let rt = &self.runtime;
+        let claims = self.policy.plan(
+            rt.devices(),
+            confs.len() as u64,
+            self.profile,
+            None,
+            rt.timeline(),
+            rt.trace(),
+        );
+        self.runtime.dispatch(confs, claims);
     }
 
     fn pairs_per_eval(&self) -> u64 {
@@ -400,6 +154,7 @@ mod tests {
     use vsmath::{RigidTransform, RngStream};
     use vsmol::synth;
     use vsscore::{Exec, ScoreBatch};
+    use vstrace::Event;
 
     fn scorer() -> Arc<Scorer> {
         let rec = synth::synth_receptor("r", 400, 1);
@@ -938,6 +693,8 @@ mod tests {
 #[cfg(all(test, feature = "vscheck-model"))]
 mod model_tests {
     use super::*;
+    use crate::policy::seed_deques;
+    use crate::runtime::{drain_deques, StealConfig};
     use gpusim::catalog;
     use vscheck::{explore, Config};
     use vsmath::{RigidTransform, RngStream};
@@ -1033,7 +790,15 @@ mod model_tests {
         let report = explore(Config::with_bound(1), move || {
             let mut rt = NodeRuntime::new(two_devices(), Arc::clone(&sc));
             let mut c = base.clone();
-            rt.run_steal(&mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 1 });
+            let (claims, _) = drain_deques(
+                rt.devices(),
+                &seed_deques(c.len() as u64, &[1.0, 1.0]),
+                &StealConfig { divisor: 2, min_chunk: 1 },
+                work_profile(&sc),
+                None,
+                &Trace::disabled(),
+            );
+            rt.dispatch(&mut c, &claims);
             for (got, want) in c.iter().zip(&want) {
                 assert_eq!(got.score.to_bits(), want.to_bits());
             }

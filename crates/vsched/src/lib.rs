@@ -13,24 +13,28 @@
 //!   the *heterogeneous algorithm*);
 //! - [`strategy`] — the scheduling strategies the experiments compare:
 //!   CPU-only (OpenMP baseline), homogeneous split, heterogeneous split,
-//!   dynamic work queue;
-//! - [`replay`] — schedule a recorded metaheuristic batch trace onto a
+//!   fixed-chunk and guided work queues, work stealing, learned oracle;
+//! - [`policy`] — the one interpreter of those strategies (DESIGN.md
+//!   §10): [`Policy::plan`] turns the next batch into per-device claims,
+//!   charges them to the virtual clocks and keeps the warm-up / Equation 1
+//!   / oracle state. Everything below either replays a plan or dispatches
+//!   it;
+//! - [`replay`] — plan a recorded metaheuristic batch trace onto a
 //!   simulated node and report per-device virtual times and makespan (the
-//!   mechanism behind Tables 6–9);
-//! - [`runtime`] — the unified node runtime (DESIGN.md §10): one
-//!   *persistent* host worker thread per device (the paper's
-//!   one-OpenMP-thread-per-GPU structure; workers are spawned once, fed
-//!   disjoint index ranges per batch, and joined on drop), with both a
-//!   contiguous-shares path and a work-stealing drain over per-device
-//!   [`deque`]s seeded by Equation 1 weights;
+//!   mechanism behind Tables 6–9), optionally with fault phases, an event
+//!   sink, a shared oracle and a timeline ([`ReplayOptions`]);
+//! - [`runtime`] — the node runtime: one *persistent* host worker thread
+//!   per device (the paper's one-OpenMP-thread-per-GPU structure; workers
+//!   are spawned once, fed the planned claims per batch, and joined on
+//!   drop), plus the work-stealing drain over per-device [`deque`]s that
+//!   the policy's deque modes claim from;
 //! - [`oracle`] — the online learned cost model (DESIGN.md §15):
 //!   per-(device, kernel-class) exponentially-decayed throughput fits that
 //!   turn the one-shot Equation 1 warm-up into a cold-start prior and
 //!   re-price devices from live batch telemetry, with drift detection;
 //! - [`executor`] — the real-compute path: a
-//!   [`metaheur::BatchEvaluator`] facade over the runtime that resolves a
-//!   [`Strategy`] into per-batch shares or deque seeds and keeps the
-//!   warm-up / trace bookkeeping;
+//!   [`metaheur::BatchEvaluator`] that plans each batch with the policy
+//!   and dispatches the claims to the runtime's workers;
 //! - [`spec`] — [`spec::EvaluatorSpec`], the single declarative factory
 //!   for scoring backends (serial CPU / pooled CPU / device-scheduled),
 //!   replacing per-call-site constructor picking;
@@ -46,6 +50,7 @@ pub mod deque;
 pub mod executor;
 pub mod oracle;
 pub mod partition;
+pub mod policy;
 pub mod replay;
 pub mod runtime;
 pub mod spec;
@@ -57,10 +62,8 @@ pub use deque::ChunkDeque;
 pub use executor::DeviceEvaluator;
 pub use oracle::{CostOracle, FitSnapshot, ModelUpdate, OracleConfig, SharedOracle};
 pub use partition::{equal_split, proportional_split};
-pub use replay::{
-    schedule_trace, schedule_trace_drift, schedule_trace_faulty, schedule_trace_timeline,
-    ScheduleReport,
-};
+pub use policy::Policy;
+pub use replay::{schedule_trace, schedule_trace_with, ReplayOptions, ScheduleReport};
 pub use runtime::{drain_deques, work_profile, Claim, NodeRuntime, StealConfig, StealStats};
 pub use spec::EvaluatorSpec;
 pub use strategy::Strategy;

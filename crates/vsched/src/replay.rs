@@ -8,21 +8,22 @@
 //! and then replay the same workload under every scheduling strategy to
 //! obtain virtual execution times — the mechanism behind Tables 6–9.
 //!
-//! Replay semantics follow the paper's execution model: devices run
-//! *independent* executions of their conformation shares (§3.3 "Parallel
-//! runs do not incur any communication overhead"), so there is no
+//! The replay interprets no strategy itself: it is one loop over the batch
+//! trace calling [`Policy::plan`] — the very step the real-compute
+//! [`crate::DeviceEvaluator`] dispatches from — and keeping only the device
+//! clocks it charged. Replay semantics follow the paper's execution model:
+//! devices run *independent* executions of their conformation shares (§3.3
+//! "Parallel runs do not incur any communication overhead"), so there is no
 //! cross-device synchronization until the final reduction; the slowest
 //! device determines overall time.
 
-use crate::deque::ChunkDeque;
-use crate::oracle::{CostOracle, OracleConfig};
-use crate::partition::proportional_split;
-use crate::runtime::{drain_deques, StealConfig};
+use crate::oracle::CostOracle;
+use crate::policy::Policy;
 use crate::strategy::Strategy;
-use gpusim::{EnergyModel, KernelClass, SimDevice, WorkBatch, WorkProfile};
+use gpusim::{EnergyModel, SimDevice, Timeline, WorkProfile};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use vstrace::{Event, Trace};
+use vstrace::Trace;
 
 /// Outcome of replaying one workload under one strategy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,7 +34,8 @@ pub struct ScheduleReport {
     pub device_times: Vec<f64>,
     /// Overall execution time: the slowest device's clock.
     pub makespan: f64,
-    /// Normalized static shares used (None for CPU-only / dynamic).
+    /// Normalized static / deque-seed shares in force at the end of the
+    /// run (None for CPU-only and the self-scheduling queues).
     pub shares: Option<Vec<f64>>,
     /// Total conformations scheduled.
     pub total_items: u64,
@@ -43,7 +45,37 @@ pub struct ScheduleReport {
     pub energy_joules: f64,
 }
 
-/// Replay `trace` (batch sizes, in order) under `strategy`.
+/// Everything a replay can be asked for beyond the plain schedule. The
+/// default is a healthy, silent, self-contained run.
+#[derive(Default)]
+pub struct ReplayOptions<'a> {
+    /// Degradation phases: before batch `phases[k].0` executes, every
+    /// GPU's slowdown is set to the matching factor in `phases[k].1`
+    /// (1.0 restores nominal speed, see [`SimDevice::set_slowdown`]). One
+    /// phase is a device that throttles mid-run *after* the warm-up froze
+    /// its Equation 1 weight — the scenario work stealing exists to heal;
+    /// slow-then-recover drift is two.
+    pub phases: &'a [(usize, Vec<f64>)],
+    /// Sink for the scheduling events of [`Policy::plan`]: `DeviceBusy`
+    /// per launch, `BatchScored` per batch, `WarmupSample` /
+    /// `PartitionDecision` from the warm-up and the deque seeds,
+    /// [`vstrace::Event::JobMigrated`] per steal, `ModelUpdated` and the
+    /// `oracle_reseed` counter under [`Strategy::Oracle`].
+    pub events: Trace,
+    /// For [`Strategy::Oracle`]: learned state carried across calls (the
+    /// campaign service's cross-tenant warm start). A warm oracle skips
+    /// the warm-up phase entirely and seeds from its fits at batch 0, and
+    /// every observation made here updates the caller's model. `None` is
+    /// a self-contained run on a fresh cold-start oracle. Other strategies
+    /// ignore the field.
+    pub oracle: Option<&'a mut CostOracle>,
+    /// Record every launch as a Gantt segment.
+    pub timeline: Option<&'a Timeline>,
+}
+
+/// Replay `trace` (batch sizes, in order) under `strategy`, scoring in the
+/// dense pair-sweep regime at `pairs_per_item` pair interactions per
+/// conformation: [`schedule_trace_with`] at its default options.
 ///
 /// Device clocks are reset first, so the report's `makespan` is the full
 /// cost of this workload, including the heterogeneous strategy's warm-up.
@@ -74,361 +106,26 @@ pub fn schedule_trace(
     pairs_per_item: u64,
     strategy: Strategy,
 ) -> ScheduleReport {
-    cpu.reset();
-    for g in gpus {
-        g.reset();
-    }
-    let total_items: u64 = trace.iter().sum();
-
-    match strategy {
-        Strategy::CpuOnly => {
-            for &items in trace {
-                cpu.execute(&WorkBatch::conformations(items, pairs_per_item));
-            }
-            ScheduleReport {
-                strategy_label: strategy.label().into(),
-                device_names: vec![cpu.spec().name.clone()],
-                device_times: vec![cpu.clock()],
-                makespan: cpu.clock(),
-                shares: None,
-                total_items,
-                energy_joules: config_energy(cpu, gpus, cpu.clock()),
-            }
-        }
-        Strategy::HomogeneousSplit => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let weights = vec![1.0; gpus.len()];
-            for &items in trace {
-                execute_split(gpus, items, &weights, pairs_per_item);
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::HeterogeneousSplit { warmup } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            // Warm-up phase (§3.3): the first few iterations of the actual
-            // run execute under the equal split while their per-device
-            // times are measured; Equation 1 then fixes the proportional
-            // split for the remainder. The warm-up work counts toward the
-            // job — it is the start of the real execution.
-            let warm_iters = warmup.iterations.min(trace.len());
-            let equal = vec![1.0; gpus.len()];
-            let mut measured = vec![0.0f64; gpus.len()];
-            for &items in &trace[..warm_iters] {
-                let shares = proportional_split(items, &equal);
-                for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-                    if share > 0 {
-                        *t += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                    }
-                }
-            }
-            let weights = if measured.iter().all(|&t| t > 0.0) {
-                crate::warmup::shares_from_times(&measured)
-            } else {
-                equal
-            };
-            for &items in &trace[warm_iters..] {
-                execute_split(gpus, items, &weights, pairs_per_item);
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::AdaptiveSplit { rebalance_every, .. } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let every = rebalance_every.max(1);
-            let mut weights = vec![1.0; gpus.len()];
-            let mut window_items = vec![0u64; gpus.len()];
-            let mut window_times = vec![0.0f64; gpus.len()];
-            let mut in_window = 0usize;
-            for &items in trace {
-                let shares = proportional_split(items, &weights);
-                for ((g, &share), (wi, wt)) in gpus
-                    .iter()
-                    .zip(&shares)
-                    .zip(window_items.iter_mut().zip(window_times.iter_mut()))
-                {
-                    if share > 0 {
-                        *wt += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                        *wi += share;
-                    }
-                }
-                in_window += 1;
-                if in_window >= every {
-                    // Re-estimate weights from the window's measured
-                    // throughputs (items per second).
-                    if window_times.iter().all(|&t| t > 0.0) {
-                        weights = window_items
-                            .iter()
-                            .zip(&window_times)
-                            .map(|(&i, &t)| i as f64 / t)
-                            .collect();
-                    }
-                    window_items.iter_mut().for_each(|x| *x = 0);
-                    window_times.iter_mut().for_each(|x| *x = 0.0);
-                    in_window = 0;
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::DynamicQueue { chunk } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let chunk = chunk.max(1);
-            for &items in trace {
-                let mut remaining = items;
-                while remaining > 0 {
-                    let take = chunk.min(remaining);
-                    remaining -= take;
-                    // Self-scheduling: the device that is free first takes
-                    // the next chunk.
-                    let g = gpus
-                        .iter()
-                        // PANICS: inputs are non-empty by caller contract and scores/clocks are finite.
-                        .min_by(|a, b| a.clock().partial_cmp(&b.clock()).unwrap())
-                        .expect("non-empty");
-                    g.execute(&WorkBatch::conformations(take, pairs_per_item));
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, None, total_items)
-        }
-        Strategy::GuidedQueue { divisor } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let k = divisor.max(1);
-            let n = gpus.len() as u64;
-            for &items in trace {
-                let mut remaining = items;
-                while remaining > 0 {
-                    // GSS chunk: a 1/(k·n) share of what's left, so chunks
-                    // start large (occupancy) and shrink toward the tail
-                    // (balance).
-                    let take = (remaining / (k * n)).max(1).min(remaining);
-                    remaining -= take;
-                    let g = gpus
-                        .iter()
-                        // PANICS: inputs are non-empty by caller contract and scores/clocks are finite.
-                        .min_by(|a, b| a.clock().partial_cmp(&b.clock()).unwrap())
-                        .expect("non-empty");
-                    g.execute(&WorkBatch::conformations(take, pairs_per_item));
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, None, total_items)
-        }
-        Strategy::WorkSteal { warmup, divisor } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            // Same warm-up as the heterogeneous algorithm; the Equation 1
-            // weights then seed per-device deques every batch instead of
-            // freezing a split — the runtime's drain resolves claims and
-            // steals in virtual-time order (DESIGN.md §10).
-            let warm_iters = warmup.iterations.min(trace.len());
-            let equal = vec![1.0; gpus.len()];
-            let mut measured = vec![0.0f64; gpus.len()];
-            for &items in &trace[..warm_iters] {
-                let shares = proportional_split(items, &equal);
-                for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-                    if share > 0 {
-                        *t += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                    }
-                }
-            }
-            let weights = if measured.iter().all(|&t| t > 0.0) {
-                crate::warmup::shares_from_times(&measured)
-            } else {
-                equal
-            };
-            let cfg = StealConfig { divisor: divisor.max(1), min_chunk: 0 };
-            let silent = Trace::disabled();
-            for &items in &trace[warm_iters..] {
-                let deques = seed_deques(items, &weights);
-                drain_deques(
-                    gpus,
-                    &deques,
-                    &cfg,
-                    WorkProfile::pairs(pairs_per_item),
-                    None,
-                    &silent,
-                );
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        Strategy::Oracle { .. } => {
-            // The oracle path is the drift engine with no faults: warm-up
-            // becomes the cold-start prior, every batch re-seeds from the
-            // current fits and feeds its outcome back.
-            schedule_trace_drift(
-                cpu,
-                gpus,
-                trace,
-                pairs_per_item,
-                strategy,
-                &[],
-                &Trace::disabled(),
-                None,
-            )
-        }
-    }
+    let profile = WorkProfile::pairs(pairs_per_item);
+    schedule_trace_with(cpu, gpus, trace, profile, strategy, ReplayOptions::default())
 }
 
-/// Contiguous per-device deques proportional to `weights` (the
-/// work-stealing replay's per-batch seeding step).
-fn seed_deques(items: u64, weights: &[f64]) -> Vec<ChunkDeque> {
-    let shares = proportional_split(items, weights);
-    let mut deques = Vec::with_capacity(shares.len());
-    let mut offset = 0u32;
-    for &share in &shares {
-        let hi = offset + share as u32;
-        deques.push(ChunkDeque::new(offset, hi));
-        offset = hi;
-    }
-    deques
-}
-
-fn execute_split(gpus: &[Arc<SimDevice>], items: u64, weights: &[f64], pairs_per_item: u64) {
-    let shares = proportional_split(items, weights);
-    for (g, &share) in gpus.iter().zip(&shares) {
-        if share > 0 {
-            g.execute(&WorkBatch::conformations(share, pairs_per_item));
-        }
-    }
-}
-
-/// Replay a trace under a *static* split while recording an execution
-/// timeline (Gantt view) — the introspection companion to
-/// [`schedule_trace`]. Supports the CPU-only, homogeneous and
-/// heterogeneous strategies; the heterogeneous warm-up phase is recorded
-/// too.
-pub fn schedule_trace_timeline(
-    cpu: &Arc<SimDevice>,
-    gpus: &[Arc<SimDevice>],
-    trace: &[u64],
-    pairs_per_item: u64,
-    strategy: Strategy,
-) -> (ScheduleReport, gpusim::Timeline) {
-    cpu.reset();
-    for g in gpus {
-        g.reset();
-    }
-    let tl = gpusim::Timeline::new();
-    let total_items: u64 = trace.iter().sum();
-
-    let report = match strategy {
-        Strategy::CpuOnly => {
-            for &items in trace {
-                tl.record(cpu, &WorkBatch::conformations(items, pairs_per_item));
-            }
-            ScheduleReport {
-                strategy_label: strategy.label().into(),
-                device_names: vec![cpu.spec().name.clone()],
-                device_times: vec![cpu.clock()],
-                makespan: cpu.clock(),
-                shares: None,
-                total_items,
-                energy_joules: config_energy(cpu, gpus, cpu.clock()),
-            }
-        }
-        Strategy::HomogeneousSplit | Strategy::HeterogeneousSplit { .. } => {
-            assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-            let (warm_iters, mut weights) = match strategy {
-                Strategy::HeterogeneousSplit { warmup } => {
-                    (warmup.iterations.min(trace.len()), vec![1.0; gpus.len()])
-                }
-                _ => (0, vec![1.0; gpus.len()]),
-            };
-            let mut measured = vec![0.0f64; gpus.len()];
-            for (bi, &items) in trace.iter().enumerate() {
-                if bi == warm_iters && warm_iters > 0 && measured.iter().all(|&t| t > 0.0) {
-                    weights = crate::warmup::shares_from_times(&measured);
-                }
-                let shares = proportional_split(items, &weights);
-                for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-                    if share > 0 {
-                        let dt = tl.record(g, &WorkBatch::conformations(share, pairs_per_item));
-                        if bi < warm_iters {
-                            *t += dt;
-                        }
-                    }
-                }
-            }
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        _ => panic!("timeline replay supports CpuOnly / Homogeneous / Heterogeneous"),
-    };
-    (report, tl)
-}
-
-/// Replay `trace` under `strategy` with a mid-run degradation: at batch
-/// index `onset_batch` (before it executes), each GPU's future work is
-/// slowed by the matching factor in `gpu_slowdowns` (1.0 = healthy; see
-/// [`gpusim::SimDevice::set_slowdown`]). This is the virtual-time model of
-/// a device that throttles or degrades *after* the warm-up froze its
-/// Equation 1 weight — the scenario work stealing exists to heal.
-///
-/// Steals and device activity are emitted to `events`
-/// ([`vstrace::Event::JobMigrated`] per steal under
-/// [`Strategy::WorkSteal`]); pass [`Trace::disabled`] when only the report
-/// matters.
+/// Replay `trace` under `strategy` in the cost regime of `profile`, with
+/// the fault phases, event sink, shared oracle and timeline of `opts`.
 ///
 /// # Panics
-/// Panics if `gpu_slowdowns.len() != gpus.len()`, on
-/// [`Strategy::AdaptiveSplit`] (re-measuring mid-run is the ablation this
-/// harness deliberately excludes so onset semantics stay comparable), or
-/// if a GPU strategy is given no GPUs.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_trace_faulty(
+/// Panics if any phase's factor list length differs from `gpus.len()`, if
+/// a GPU strategy is given no GPUs, or if a passed-in oracle was built for
+/// a different device count.
+pub fn schedule_trace_with(
     cpu: &Arc<SimDevice>,
     gpus: &[Arc<SimDevice>],
     trace: &[u64],
-    pairs_per_item: u64,
+    profile: WorkProfile,
     strategy: Strategy,
-    gpu_slowdowns: &[f64],
-    onset_batch: usize,
-    events: &Trace,
+    opts: ReplayOptions<'_>,
 ) -> ScheduleReport {
-    assert_eq!(gpu_slowdowns.len(), gpus.len(), "one slowdown factor per GPU");
-    schedule_trace_drift(
-        cpu,
-        gpus,
-        trace,
-        pairs_per_item,
-        strategy,
-        &[(onset_batch, gpu_slowdowns.to_vec())],
-        events,
-        None,
-    )
-}
-
-/// Replay `trace` under `strategy` through a sequence of degradation
-/// *phases*: before batch `phases[k].0` executes, every GPU's slowdown is
-/// set to the matching factor in `phases[k].1` (1.0 restores nominal
-/// speed, so a slow-then-recover drift scenario is two phases). This
-/// generalizes [`schedule_trace_faulty`] — a single phase *is* that
-/// function — and is the harness behind the `sched_snapshot` drift
-/// scenarios.
-///
-/// For [`Strategy::Oracle`], `oracle` optionally carries learned state
-/// across calls (the campaign service's cross-tenant warm start): a warm
-/// oracle skips the warm-up phase entirely and seeds from its fits at
-/// batch 0, and every observation made here updates the caller's model.
-/// Pass `None` for a self-contained run (fresh cold-start oracle). Other
-/// strategies ignore the parameter.
-///
-/// Emits the same events as [`schedule_trace_faulty`] plus
-/// [`Event::ModelUpdated`] per oracle observation and an `oracle_reseed`
-/// counter per seed query.
-///
-/// # Panics
-/// Panics if any phase's factor list length differs from `gpus.len()`, on
-/// [`Strategy::AdaptiveSplit`] (re-measuring mid-run is the ablation this
-/// harness deliberately excludes so onset semantics stay comparable), if a
-/// GPU strategy is given no GPUs, or if a passed-in oracle was built for a
-/// different device count.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_trace_drift(
-    cpu: &Arc<SimDevice>,
-    gpus: &[Arc<SimDevice>],
-    trace: &[u64],
-    pairs_per_item: u64,
-    strategy: Strategy,
-    phases: &[(usize, Vec<f64>)],
-    events: &Trace,
-    oracle: Option<&mut CostOracle>,
-) -> ScheduleReport {
+    let ReplayOptions { phases, events, mut oracle, timeline } = opts;
     for (_, factors) in phases {
         assert_eq!(factors.len(), gpus.len(), "one slowdown factor per GPU per phase");
     }
@@ -436,300 +133,43 @@ pub fn schedule_trace_drift(
     for g in gpus {
         g.reset(); // also restores nominal slowdown from any prior replay
     }
-    let total_items: u64 = trace.iter().sum();
-    let n = gpus.len();
-
-    // Replay scores in the dense pair-sweep regime; the oracle keys its
-    // fits by kernel class, so this is the class every observation lands in.
-    const CLASS: KernelClass = KernelClass::PairSweep;
-
-    // Resolve the oracle for Strategy::Oracle: the caller's (shared,
-    // cross-campaign) model when given, else a fresh cold-start one.
-    let mut local_oracle = None;
-    let mut oracle = match (matches!(strategy, Strategy::Oracle { .. }), oracle) {
-        (false, _) => None,
-        (true, Some(o)) => {
-            assert_eq!(o.n_devices(), n, "oracle device count must match the GPUs");
-            Some(o)
-        }
-        (true, None) => {
-            Some(local_oracle.insert(CostOracle::new(n.max(1), OracleConfig::default())))
-        }
-    };
-
-    /// Incremental per-strategy state, advanced one batch at a time so the
-    /// fault onset lands exactly where the caller asked.
-    enum St {
-        Cpu,
-        /// Static splits: equal from the start, or equal-while-warming
-        /// then frozen Equation 1 weights.
-        Split {
-            warm_left: usize,
-            measured: Vec<f64>,
-            weights: Vec<f64>,
-        },
-        /// Work stealing: same warm-up, then per-batch seeded deque drain.
-        Steal {
-            warm_left: usize,
-            measured: Vec<f64>,
-            weights: Vec<f64>,
-            cfg: StealConfig,
-        },
-        /// The learned oracle: warm-up measurements (times and executed
-        /// units) become the cold-start prior, then every batch re-seeds
-        /// the deques from the current fits and feeds its outcome back.
-        Oracle {
-            warm_left: usize,
-            measured: Vec<f64>,
-            units: Vec<f64>,
-            last_weights: Vec<f64>,
-            cfg: StealConfig,
-        },
-        /// Self-scheduling: fixed chunks (`Some`) or guided (`None`).
-        Greedy {
-            fixed: Option<u64>,
-            divisor: u64,
-        },
-    }
-
-    let mut st = match strategy {
-        Strategy::CpuOnly => St::Cpu,
-        Strategy::HomogeneousSplit => {
-            St::Split { warm_left: 0, measured: Vec::new(), weights: vec![1.0; n] }
-        }
-        Strategy::HeterogeneousSplit { warmup } => St::Split {
-            warm_left: warmup.iterations.max(1),
-            measured: vec![0.0; n],
-            weights: vec![1.0; n],
-        },
-        Strategy::WorkSteal { warmup, divisor } => St::Steal {
-            warm_left: warmup.iterations.max(1),
-            measured: vec![0.0; n],
-            weights: vec![1.0; n],
-            cfg: StealConfig { divisor: divisor.max(1), min_chunk: 0 },
-        },
-        Strategy::Oracle { warmup, divisor } => St::Oracle {
-            // A warm oracle (prior or full fits from an earlier campaign)
-            // skips the warm-up: its knowledge replaces the measurements.
-            warm_left: match &oracle {
-                // PANICS: the oracle option was just populated for Strategy::Oracle above.
-                Some(o) if o.is_warm(CLASS) => 0,
-                _ => warmup.iterations.max(1),
-            },
-            measured: vec![0.0; n],
-            units: vec![0.0; n],
-            last_weights: vec![1.0; n],
-            cfg: StealConfig { divisor: divisor.max(1), min_chunk: 0 },
-        },
-        Strategy::DynamicQueue { chunk } => St::Greedy { fixed: Some(chunk.max(1)), divisor: 1 },
-        Strategy::GuidedQueue { divisor } => St::Greedy { fixed: None, divisor: divisor.max(1) },
-        Strategy::AdaptiveSplit { .. } => {
-            panic!("faulty replay excludes the adaptive ablation (it re-measures mid-run)")
-        }
-    };
-    if !matches!(st, St::Cpu) {
-        assert!(!gpus.is_empty(), "GPU strategies need GPUs");
-    }
-
-    // Equal-split warm-up batch shared by the Split and Steal states.
-    let warm_batch = |items: u64, measured: &mut [f64]| {
-        let shares = proportional_split(items, &vec![1.0; n]);
-        for ((g, &share), t) in gpus.iter().zip(&shares).zip(measured.iter_mut()) {
-            if share > 0 {
-                *t += g.execute(&WorkBatch::conformations(share, pairs_per_item));
-            }
-        }
-    };
+    let mut policy = Policy::new(strategy, gpus.len());
+    let lanes = if policy.cpu_only() { std::slice::from_ref(cpu) } else { gpus };
 
     for (bi, &items) in trace.iter().enumerate() {
-        for (onset, factors) in phases {
-            if *onset == bi {
-                for (g, &f) in gpus.iter().zip(factors) {
-                    if f != 1.0 || g.slowdown() != 1.0 {
-                        g.set_slowdown(f);
-                    }
-                }
+        for (_, factors) in phases.iter().filter(|(onset, _)| *onset == bi) {
+            for (g, &f) in gpus.iter().zip(factors) {
+                g.set_slowdown(f);
             }
         }
-        match &mut st {
-            St::Cpu => {
-                cpu.execute(&WorkBatch::conformations(items, pairs_per_item));
-            }
-            St::Split { warm_left, measured, weights } => {
-                if *warm_left > 0 {
-                    warm_batch(items, measured);
-                    *warm_left -= 1;
-                    if *warm_left == 0 && measured.iter().all(|&t| t > 0.0) {
-                        *weights = crate::warmup::shares_from_times(measured);
-                    }
-                } else {
-                    execute_split(gpus, items, weights, pairs_per_item);
-                }
-            }
-            St::Steal { warm_left, measured, weights, cfg } => {
-                if *warm_left > 0 {
-                    warm_batch(items, measured);
-                    *warm_left -= 1;
-                    if *warm_left == 0 && measured.iter().all(|&t| t > 0.0) {
-                        *weights = crate::warmup::shares_from_times(measured);
-                    }
-                } else {
-                    let deques = seed_deques(items, weights);
-                    drain_deques(
-                        gpus,
-                        &deques,
-                        cfg,
-                        WorkProfile::pairs(pairs_per_item),
-                        None,
-                        events,
-                    );
-                }
-            }
-            St::Oracle { warm_left, measured, units, last_weights, cfg } => {
-                // PANICS: the oracle option is always populated for Strategy::Oracle.
-                let oracle = oracle.as_mut().expect("oracle state for Strategy::Oracle");
-                if *warm_left > 0 {
-                    let shares = proportional_split(items, &vec![1.0; n]);
-                    for (i, (g, &share)) in gpus.iter().zip(&shares).enumerate() {
-                        if share > 0 {
-                            measured[i] +=
-                                g.execute(&WorkBatch::conformations(share, pairs_per_item));
-                            units[i] += (share * pairs_per_item) as f64;
-                        }
-                    }
-                    *warm_left -= 1;
-                    if *warm_left == 0
-                        && measured.iter().all(|&t| t > 0.0)
-                        && units.iter().all(|&u| u > 0.0)
-                    {
-                        oracle.observe_warmup(CLASS, measured, units);
-                    }
-                } else {
-                    let weights = oracle.seed_weights(CLASS).unwrap_or_else(|| vec![1.0; n]);
-                    if events.is_enabled() {
-                        events.emit(Event::Counter {
-                            name: "oracle_reseed",
-                            value: oracle.reseeds() as f64,
-                        });
-                    }
-                    let clocks_before: Vec<f64> = gpus.iter().map(|g| g.clock()).collect();
-                    let deques = seed_deques(items, &weights);
-                    let (claims, _) = drain_deques(
-                        gpus,
-                        &deques,
-                        cfg,
-                        WorkProfile::pairs(pairs_per_item),
-                        None,
-                        events,
-                    );
-                    let mut items_per = vec![0u64; n];
-                    for c in &claims {
-                        items_per[c.device] += u64::from(c.hi - c.lo);
-                    }
-                    for (i, g) in gpus.iter().enumerate() {
-                        let dt = g.clock() - clocks_before[i];
-                        if items_per[i] > 0 && dt > 0.0 {
-                            let u = oracle.observe(
-                                i,
-                                CLASS,
-                                (items_per[i] * pairs_per_item) as f64,
-                                dt,
-                            );
-                            if events.is_enabled() {
-                                events.emit(Event::ModelUpdated {
-                                    device: g.id() as u32,
-                                    class: CLASS.ordinal(),
-                                    predicted: u.predicted,
-                                    observed: u.observed,
-                                    residual: u.residual,
-                                    refit: u.refit,
-                                });
-                            }
-                        }
-                    }
-                    *last_weights = weights;
-                }
-            }
-            St::Greedy { fixed, divisor } => {
-                let mut remaining = items;
-                while remaining > 0 {
-                    let take = match fixed {
-                        Some(chunk) => (*chunk).min(remaining),
-                        None => (remaining / (*divisor * n as u64)).max(1).min(remaining),
-                    };
-                    remaining -= take;
-                    let g = gpus
-                        .iter()
-                        // PANICS: gpus is non-empty for GPU strategies and clocks are finite.
-                        .min_by(|a, b| a.clock().partial_cmp(&b.clock()).unwrap())
-                        .expect("non-empty");
-                    g.execute(&WorkBatch::conformations(take, pairs_per_item));
-                }
-            }
-        }
+        policy.plan(lanes, items, profile, oracle.as_deref_mut(), timeline, &events);
     }
 
-    match st {
-        St::Cpu => ScheduleReport {
-            strategy_label: strategy.label().into(),
-            device_names: vec![cpu.spec().name.clone()],
-            device_times: vec![cpu.clock()],
-            makespan: cpu.clock(),
-            shares: None,
-            total_items,
-            energy_joules: config_energy(cpu, gpus, cpu.clock()),
-        },
-        St::Split { weights, .. } | St::Steal { weights, .. } => {
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&weights)), total_items)
-        }
-        St::Oracle { last_weights, .. } => {
-            finish_gpu_report(strategy, cpu, gpus, Some(normalize(&last_weights)), total_items)
-        }
-        St::Greedy { .. } => finish_gpu_report(strategy, cpu, gpus, None, total_items),
-    }
-}
-
-fn normalize(w: &[f64]) -> Vec<f64> {
-    let s: f64 = w.iter().sum();
-    w.iter().map(|x| x / s).collect()
-}
-
-fn finish_gpu_report(
-    strategy: Strategy,
-    cpu: &Arc<SimDevice>,
-    gpus: &[Arc<SimDevice>],
-    shares: Option<Vec<f64>>,
-    total_items: u64,
-) -> ScheduleReport {
-    let device_times: Vec<f64> = gpus.iter().map(|g| g.clock()).collect();
+    let device_times: Vec<f64> = lanes.iter().map(|d| d.clock()).collect();
     let makespan = device_times.iter().cloned().fold(0.0, f64::max);
+    // Whole-configuration energy: CPU plus every listed GPU, powered for
+    // the full makespan.
+    let model = EnergyModel::default();
+    let energy_joules =
+        std::iter::once(cpu).chain(gpus).map(|d| model.device_energy(d, makespan).joules).sum();
     ScheduleReport {
         strategy_label: strategy.label().into(),
-        device_names: gpus.iter().map(|g| g.spec().name.clone()).collect(),
+        device_names: lanes.iter().map(|d| d.spec().name.clone()).collect(),
         device_times,
         makespan,
-        shares,
-        total_items,
-        energy_joules: config_energy(cpu, gpus, makespan),
+        shares: policy.shares(),
+        total_items: trace.iter().sum(),
+        energy_joules,
     }
-}
-
-/// Whole-configuration energy: CPU plus every listed GPU, powered for the
-/// full makespan.
-fn config_energy(cpu: &Arc<SimDevice>, gpus: &[Arc<SimDevice>], makespan: f64) -> f64 {
-    let model = EnergyModel::default();
-    let mut e = model.device_energy(cpu, makespan).joules;
-    for g in gpus {
-        e += model.device_energy(g, makespan).joules;
-    }
-    e
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::OracleConfig;
     use crate::warmup::WarmupConfig;
-    use gpusim::catalog;
+    use gpusim::{catalog, KernelClass};
+    use vstrace::Event;
 
     const PAIRS: u64 = 45 * 3264;
 
@@ -741,6 +181,29 @@ mod tests {
                 Arc::new(SimDevice::new(2, catalog::geforce_gtx_580())),
             ],
         )
+    }
+
+    /// `schedule_trace_with` in the 2BSM pair-sweep regime.
+    fn replay(
+        node: &(Arc<SimDevice>, Vec<Arc<SimDevice>>),
+        trace: &[u64],
+        strategy: Strategy,
+        opts: ReplayOptions<'_>,
+    ) -> ScheduleReport {
+        schedule_trace_with(&node.0, &node.1, trace, WorkProfile::pairs(PAIRS), strategy, opts)
+    }
+
+    /// Every GPU strategy the crate has.
+    fn gpu_strategies() -> [Strategy; 7] {
+        [
+            Strategy::HomogeneousSplit,
+            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
+            Strategy::DynamicQueue { chunk: 64 },
+            Strategy::DynamicQueue { chunk: 512 },
+            Strategy::GuidedQueue { divisor: 2 },
+            worksteal(),
+            oracle(),
+        ]
     }
 
     /// A plausible M1-like trace: init + 32 generations of 64×32 spots —
@@ -883,45 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_heterogeneous_on_stable_devices() {
-        // With device speeds constant, re-measuring converges to the same
-        // split as the one-shot warm-up; makespans agree within a few %.
-        let (cpu, gpus) = hertz();
-        let t_het = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
-        )
-        .makespan;
-        let t_ad = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::AdaptiveSplit { warmup: WarmupConfig::default(), rebalance_every: 4 },
-        )
-        .makespan;
-        let ratio = t_ad / t_het;
-        assert!((0.9..1.1).contains(&ratio), "adaptive {t_ad} vs het {t_het}");
-    }
-
-    #[test]
-    fn adaptive_shares_favor_fast_device() {
-        let (cpu, gpus) = hertz();
-        let r = schedule_trace(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::AdaptiveSplit { warmup: WarmupConfig::default(), rebalance_every: 4 },
-        );
-        let s = r.shares.unwrap();
-        assert!(s[0] > s[1], "K40c share must dominate after re-measurement: {s:?}");
-    }
-
-    #[test]
     fn energy_reported_and_sane() {
         let (cpu, gpus) = hertz();
         let r_cpu = schedule_trace(&cpu, &gpus, &trace(), PAIRS, Strategy::CpuOnly);
@@ -998,14 +422,41 @@ mod tests {
 
     #[test]
     fn timeline_replay_matches_plain_replay() {
-        let (cpu, gpus) = hertz();
-        let strat = Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() };
-        let plain = schedule_trace(&cpu, &gpus, &trace(), PAIRS, strat).makespan;
-        let (report, tl) = super::schedule_trace_timeline(&cpu, &gpus, &trace(), PAIRS, strat);
-        assert!((report.makespan - plain).abs() < 1e-12 * plain, "{} vs {plain}", report.makespan);
-        assert!((tl.makespan() - report.makespan).abs() < 1e-12 * plain);
-        // One segment per (batch, device).
-        assert_eq!(tl.segments().len(), trace().len() * 2);
+        // A timeline only records: for every strategy the clocks equal the
+        // timeline-less replay bit-for-bit, and the recorded segments sum
+        // to each device's busy time (one segment per launch).
+        let node = hertz();
+        let strategies = std::iter::once(Strategy::CpuOnly).chain(gpu_strategies());
+        for strat in strategies {
+            let plain = replay(&node, &trace(), strat, ReplayOptions::default());
+            let tl = Timeline::new();
+            let timed = replay(
+                &node,
+                &trace(),
+                strat,
+                ReplayOptions { timeline: Some(&tl), ..Default::default() },
+            );
+            let label = strat.label();
+            let bits = |r: &ScheduleReport| -> Vec<u64> {
+                r.device_times.iter().map(|t| t.to_bits()).collect()
+            };
+            assert_eq!(bits(&timed), bits(&plain), "{label}: clocks moved under a timeline");
+            assert_eq!(tl.makespan().to_bits(), timed.makespan.to_bits(), "{label}");
+            let segments = tl.segments();
+            for dev in std::iter::once(&node.0).chain(&node.1) {
+                let mine = segments.iter().filter(|s| s.device == dev.id());
+                let (launches, busy) =
+                    mine.fold((0, 0.0), |(n, busy), s| (n + 1, busy + (s.end - s.start)));
+                let stats = dev.stats();
+                assert_eq!(launches, stats.batches, "{label}: one segment per launch");
+                assert!(
+                    (busy - stats.busy_s).abs() <= 1e-12 * stats.busy_s.max(1.0),
+                    "{label}: {} segments sum to {busy}, busy {}",
+                    dev.name(),
+                    stats.busy_s
+                );
+            }
+        }
     }
 
     #[test]
@@ -1013,12 +464,14 @@ mod tests {
         // Under the homogeneous split, the K40c idles while the GTX 580
         // finishes — visible as idle time on device 0.
         let (cpu, gpus) = hertz();
-        let (_, tl) = super::schedule_trace_timeline(
+        let tl = Timeline::new();
+        schedule_trace_with(
             &cpu,
             &gpus,
             &trace(),
-            PAIRS,
+            WorkProfile::pairs(PAIRS),
             Strategy::HomogeneousSplit,
+            ReplayOptions { timeline: Some(&tl), ..Default::default() },
         );
         let idle_k40 = tl.idle_time(gpus[0].id());
         let idle_580 = tl.idle_time(gpus[1].id());
@@ -1026,19 +479,6 @@ mod tests {
         assert!(idle_k40 / tl.makespan() > 0.3, "imbalance should be large");
         let chart = tl.render(60);
         assert!(chart.contains("K40c") && chart.contains('#'));
-    }
-
-    #[test]
-    #[should_panic]
-    fn timeline_rejects_dynamic_strategy() {
-        let (cpu, gpus) = hertz();
-        super::schedule_trace_timeline(
-            &cpu,
-            &gpus,
-            &[64],
-            PAIRS,
-            Strategy::DynamicQueue { chunk: 8 },
-        );
     }
 
     #[test]
@@ -1104,31 +544,20 @@ mod tests {
 
     #[test]
     fn faulty_replay_with_no_faults_matches_plain_replay() {
-        let (cpu, gpus) = hertz();
-        for strat in [
-            Strategy::HomogeneousSplit,
-            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
-            worksteal(),
-            Strategy::GuidedQueue { divisor: 2 },
-        ] {
-            let plain = schedule_trace(&cpu, &gpus, &trace(), PAIRS, strat).makespan;
-            let faulty = schedule_trace_faulty(
-                &cpu,
-                &gpus,
+        // A phase of all-1.0 factors is not a fault: every strategy stays
+        // bit-identical to the phase-less replay.
+        let node = hertz();
+        let healthy = [(0, vec![1.0, 1.0])];
+        for strat in gpu_strategies() {
+            let plain = schedule_trace(&node.0, &node.1, &trace(), PAIRS, strat).makespan;
+            let phased = replay(
+                &node,
                 &trace(),
-                PAIRS,
                 strat,
-                &[1.0, 1.0],
-                0,
-                &Trace::disabled(),
+                ReplayOptions { phases: &healthy, ..Default::default() },
             )
             .makespan;
-            assert_eq!(
-                faulty.to_bits(),
-                plain.to_bits(),
-                "{}: healthy faulty replay must be bit-identical",
-                strat.label()
-            );
+            assert_eq!(phased.to_bits(), plain.to_bits(), "{}", strat.label());
         }
     }
 
@@ -1137,79 +566,51 @@ mod tests {
         // Acceptance: a GPU that degrades 4x after the warm-up froze its
         // weight strands its seeded share; the runtime's steals must beat
         // the frozen Percent split by >= 1.3x on makespan.
-        let (cpu, gpus) = hertz();
-        let onset = WarmupConfig::default().iterations + 2;
-        let faults = [1.0, 4.0];
-        let t_frozen = schedule_trace_faulty(
-            &cpu,
-            &gpus,
-            &big_trace(),
-            PAIRS,
-            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
-            &faults,
-            onset,
-            &Trace::disabled(),
-        )
-        .makespan;
-        let t_steal = schedule_trace_faulty(
-            &cpu,
-            &gpus,
-            &big_trace(),
-            PAIRS,
-            worksteal(),
-            &faults,
-            onset,
-            &Trace::disabled(),
-        )
-        .makespan;
+        let node = hertz();
+        let phases = [(WarmupConfig::default().iterations + 2, vec![1.0, 4.0])];
+        let run = |strategy| {
+            replay(
+                &node,
+                &big_trace(),
+                strategy,
+                ReplayOptions { phases: &phases, ..Default::default() },
+            )
+            .makespan
+        };
+        let t_frozen = run(Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() });
+        let t_steal = run(worksteal());
         let gain = t_frozen / t_steal;
         assert!(gain >= 1.3, "steal gain only {gain}: {t_steal} vs frozen {t_frozen}");
     }
 
     #[test]
     fn faulty_work_steal_emits_job_migrations() {
-        let (cpu, gpus) = hertz();
+        let node = hertz();
         let events = Trace::new();
-        let onset = WarmupConfig::default().iterations;
-        schedule_trace_faulty(
-            &cpu,
-            &gpus,
+        let phases = [(WarmupConfig::default().iterations, vec![1.0, 4.0])];
+        replay(
+            &node,
             &big_trace(),
-            PAIRS,
             worksteal(),
-            &[1.0, 4.0],
-            onset,
-            &events,
+            ReplayOptions { phases: &phases, events: events.clone(), ..Default::default() },
         );
         let data = events.snapshot();
         let migrations =
-            data.events().filter(|s| matches!(s.event, vstrace::Event::JobMigrated { .. })).count();
+            data.events().filter(|s| matches!(s.event, Event::JobMigrated { .. })).count();
         assert!(migrations > 0, "straggler replay must record steals");
     }
 
     #[test]
     fn faulty_replay_straggler_slower_than_healthy() {
-        let (cpu, gpus) = hertz();
-        let healthy = schedule_trace_faulty(
-            &cpu,
-            &gpus,
+        let node = hertz();
+        let healthy =
+            schedule_trace(&node.0, &node.1, &trace(), PAIRS, Strategy::HomogeneousSplit).makespan;
+        let phases = [(0, vec![1.0, 3.0])];
+        let degraded = replay(
+            &node,
             &trace(),
-            PAIRS,
             Strategy::HomogeneousSplit,
-            &[1.0, 1.0],
-            0,
-            &Trace::disabled(),
-        )
-        .makespan;
-        let degraded = schedule_trace_faulty(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            Strategy::HomogeneousSplit,
-            &[1.0, 3.0],
-            0,
-            &Trace::disabled(),
+            ReplayOptions { phases: &phases, ..Default::default() },
         )
         .makespan;
         assert!(degraded > healthy * 2.0, "3x straggler must dominate: {degraded} vs {healthy}");
@@ -1239,25 +640,11 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits(), "oracle replay must be bit-identical per input");
     }
 
-    #[test]
-    fn drift_with_no_phases_matches_plain_replay() {
-        let (cpu, gpus) = hertz();
-        for strat in [worksteal(), Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() }]
-        {
-            let plain = schedule_trace(&cpu, &gpus, &trace(), PAIRS, strat).makespan;
-            let drift = schedule_trace_drift(
-                &cpu,
-                &gpus,
-                &trace(),
-                PAIRS,
-                strat,
-                &[],
-                &Trace::disabled(),
-                None,
-            )
-            .makespan;
-            assert_eq!(drift.to_bits(), plain.to_bits(), "{}", strat.label());
-        }
+    /// The `sched_snapshot` drift scenario: 4x slowdown after the warm-up,
+    /// recovery 8 batches later.
+    fn drift_phases() -> [(usize, Vec<f64>); 2] {
+        let onset = WarmupConfig::default().iterations + 2;
+        [(onset, vec![1.0, 4.0]), (onset + 8, vec![1.0, 1.0])]
     }
 
     #[test]
@@ -1266,32 +653,19 @@ mod tests {
         // split pays the straggler twice (too much work while slow, too
         // little after recovery); the oracle re-fits within a few batches
         // on both transitions.
-        let (cpu, gpus) = hertz();
-        let onset = WarmupConfig::default().iterations + 2;
-        let recover = onset + 8;
-        let phases = [(onset, vec![1.0, 4.0]), (recover, vec![1.0, 1.0])];
-        let t_frozen = schedule_trace_drift(
-            &cpu,
-            &gpus,
-            &big_trace(),
-            PAIRS,
-            Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() },
-            &phases,
-            &Trace::disabled(),
-            None,
-        )
-        .makespan;
-        let t_oracle = schedule_trace_drift(
-            &cpu,
-            &gpus,
-            &big_trace(),
-            PAIRS,
-            oracle(),
-            &phases,
-            &Trace::disabled(),
-            None,
-        )
-        .makespan;
+        let node = hertz();
+        let phases = drift_phases();
+        let run = |strategy| {
+            replay(
+                &node,
+                &big_trace(),
+                strategy,
+                ReplayOptions { phases: &phases, ..Default::default() },
+            )
+            .makespan
+        };
+        let t_frozen = run(Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() });
+        let t_oracle = run(oracle());
         assert!(
             t_oracle < t_frozen,
             "oracle {t_oracle} must strictly beat frozen Percent {t_frozen} under drift"
@@ -1302,20 +676,15 @@ mod tests {
     fn drift_scenario_oracle_steals_less_than_worksteal() {
         // Pure work stealing heals drift by migrating chunks every batch;
         // the oracle re-prices the seed so most of that traffic vanishes.
-        let (cpu, gpus) = hertz();
-        let onset = WarmupConfig::default().iterations + 2;
-        let phases = [(onset, vec![1.0, 4.0]), (onset + 8, vec![1.0, 1.0])];
+        let node = hertz();
+        let phases = drift_phases();
         let count_migrations = |strategy: Strategy| {
             let events = Trace::new();
-            let t = schedule_trace_drift(
-                &cpu,
-                &gpus,
+            let t = replay(
+                &node,
                 &big_trace(),
-                PAIRS,
                 strategy,
-                &phases,
-                &events,
-                None,
+                ReplayOptions { phases: &phases, events: events.clone(), ..Default::default() },
             )
             .makespan;
             let steals = events
@@ -1344,44 +713,21 @@ mod tests {
         // oracle skips the equal-split warm-up entirely and seeds from the
         // fits at batch 0 — and re-running from a cloned oracle is
         // bit-identical (fits consume only virtual-time measurements).
-        let (cpu, gpus) = hertz();
-        let mut shared = CostOracle::new(gpus.len(), OracleConfig::default());
-        let cold = schedule_trace_drift(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            oracle(),
-            &[],
-            &Trace::disabled(),
-            Some(&mut shared),
-        )
-        .makespan;
+        let node = hertz();
+        let mut shared = CostOracle::new(node.1.len(), OracleConfig::default());
+        let run = |o: &mut CostOracle| {
+            replay(
+                &node,
+                &trace(),
+                oracle(),
+                ReplayOptions { oracle: Some(o), ..Default::default() },
+            )
+            .makespan
+        };
+        let cold = run(&mut shared);
         assert!(shared.is_warm(KernelClass::PairSweep));
-        let mut warm_a = shared.clone();
-        let mut warm_b = shared.clone();
-        let warm1 = schedule_trace_drift(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            oracle(),
-            &[],
-            &Trace::disabled(),
-            Some(&mut warm_a),
-        )
-        .makespan;
-        let warm2 = schedule_trace_drift(
-            &cpu,
-            &gpus,
-            &trace(),
-            PAIRS,
-            oracle(),
-            &[],
-            &Trace::disabled(),
-            Some(&mut warm_b),
-        )
-        .makespan;
+        let warm1 = run(&mut shared.clone());
+        let warm2 = run(&mut shared.clone());
         assert_eq!(warm1.to_bits(), warm2.to_bits(), "warm replays must be bit-identical");
         assert!(
             warm1 < cold,
@@ -1390,18 +736,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn faulty_replay_rejects_adaptive() {
-        let (cpu, gpus) = hertz();
-        schedule_trace_faulty(
-            &cpu,
-            &gpus,
-            &[64],
-            PAIRS,
-            Strategy::AdaptiveSplit { warmup: WarmupConfig::default(), rebalance_every: 4 },
-            &[1.0, 1.0],
-            0,
-            &Trace::disabled(),
-        );
+    fn zero_warmup_iterations_time_one_batch() {
+        // Edge rule: `iterations: 0` is one timed batch, not "never leave
+        // the equal split" — so it is exactly `iterations: 1`.
+        let node = hertz();
+        for with in [
+            |warmup| Strategy::HeterogeneousSplit { warmup },
+            |warmup| Strategy::WorkSteal { warmup, divisor: 2 },
+            |warmup| Strategy::Oracle { warmup, divisor: 2 },
+        ] {
+            let run = |iterations| {
+                let warmup = WarmupConfig { iterations, ..Default::default() };
+                schedule_trace(&node.0, &node.1, &trace(), PAIRS, with(warmup))
+            };
+            let (zero, one) = (run(0), run(1));
+            assert_eq!(zero.makespan.to_bits(), one.makespan.to_bits(), "{}", zero.strategy_label);
+            let hom = schedule_trace(&node.0, &node.1, &trace(), PAIRS, Strategy::HomogeneousSplit);
+            assert!(
+                zero.makespan < hom.makespan,
+                "{}: stuck on the equal split",
+                zero.strategy_label
+            );
+        }
+    }
+
+    #[test]
+    fn trace_shorter_than_warmup_reports_measured_shares() {
+        // Edge rule: a run that ends inside the warm-up ran every batch
+        // under the equal split, but reports Equation 1 over what the
+        // warm-up had measured when the trace ended.
+        let node = hertz();
+        let short = [2048u64; 3];
+        let hom = schedule_trace(&node.0, &node.1, &short, PAIRS, Strategy::HomogeneousSplit);
+        for strat in [Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() }, worksteal()]
+        {
+            let r = schedule_trace(&node.0, &node.1, &short, PAIRS, strat);
+            assert_eq!(r.makespan.to_bits(), hom.makespan.to_bits(), "{}", r.strategy_label);
+            let want = crate::warmup::shares_from_times(&r.device_times);
+            let total: f64 = want.iter().sum();
+            let want: Vec<f64> = want.iter().map(|w| w / total).collect();
+            assert_eq!(r.shares, Some(want), "{}", r.strategy_label);
+        }
     }
 }

@@ -1,38 +1,40 @@
 //! The unified heterogeneous node runtime: every execution path on a node
-//! — static Percent splits, warm-up batches, and the work-stealing mode —
-//! funnels through one [`NodeRuntime`] that owns the persistent per-device
-//! worker threads and the virtual-time accounting.
+//! — static Percent splits, warm-up batches, self-scheduled chunks and the
+//! work-stealing mode — funnels through one [`NodeRuntime`] that owns the
+//! persistent per-device worker threads.
 //!
 //! # Architecture
 //!
 //! The runtime separates *scheduling* (which device claims which chunk,
 //! decided in virtual time) from *scoring* (the real numeric computation):
 //!
-//! 1. **Claiming** runs on the submitting thread. For the work-stealing
-//!    mode, per-device [`ChunkDeque`]s are seeded with contiguous index
-//!    ranges proportional to the Equation 1 warm-up weights; the drain
-//!    loop then repeatedly lets the device with the *smallest virtual
-//!    clock* claim next (ties broken by device index): it pops a
-//!    guided-size chunk from the front of its own deque
+//! 1. **Claiming** runs on the submitting thread, in
+//!    [`crate::policy::Policy::plan`]: it resolves the strategy into
+//!    [`Claim`]s and charges each one to the claiming device's clock as it
+//!    is made. For the work-stealing modes the claims come from
+//!    [`drain_deques`]: per-device [`ChunkDeque`]s are seeded with
+//!    contiguous index ranges proportional to the Equation 1 warm-up
+//!    weights; the drain loop then repeatedly lets the device with the
+//!    *smallest virtual clock* claim next (ties broken by device index): it
+//!    pops a guided-size chunk from the front of its own deque
 //!    (`remaining / divisor`, floor-clamped — see [`StealConfig`]), or, if
 //!    its deque is empty, steals half the tail of the most-loaded victim's
-//!    deque, emitting a [`vstrace::Event::JobMigrated`] per steal. Each
-//!    claim advances the claiming device's clock by the cost model's
-//!    estimate immediately, so the entire claim order is a deterministic
-//!    function of (batch, weights, cost model, active slowdowns).
-//! 2. **Scoring** runs on one long-lived worker thread per device. Workers
-//!    receive the claimed ranges and score them with the real
-//!    Lennard-Jones kernels; because all ranges are disjoint and each
-//!    conformation's score is independent, results are bit-identical to
-//!    the serial path no matter which device claimed what.
+//!    deque, emitting a [`vstrace::Event::JobMigrated`] per steal. So the
+//!    entire claim order is a deterministic function of (batch, weights,
+//!    cost model, active slowdowns).
+//! 2. **Scoring** runs on one long-lived worker thread per device.
+//!    [`NodeRuntime::dispatch`] hands the workers the claimed ranges and
+//!    they score them with the real Lennard-Jones kernels; because all
+//!    ranges are disjoint and each conformation's score is independent,
+//!    results are bit-identical to the serial path no matter which device
+//!    claimed what.
 //!
 //! The deque itself is linearizable under true concurrency (model-checked
-//! in [`crate::deque`]); the runtime drives it from one thread only so
+//! in [`crate::deque`]); the drain drives it from one thread only so
 //! that virtual-time claim ordering — and therefore makespans and traces —
 //! are exactly reproducible (DESIGN.md §10 determinism contract).
 
 use crate::deque::ChunkDeque;
-use crate::partition::proportional_split;
 use crate::sync::thread::{Builder, JoinHandle};
 use crate::sync::{Condvar, Mutex};
 use gpusim::{KernelClass, SimDevice, Timeline, WorkProfile};
@@ -90,6 +92,12 @@ pub struct Claim {
     pub stolen_from: Option<usize>,
 }
 
+impl Claim {
+    pub fn items(&self) -> u64 {
+        u64::from(self.hi - self.lo)
+    }
+}
+
 /// The chunk an owner claims from its own deque: guided self-scheduling
 /// (`len / divisor`), clamped below by `floor`, merging short tails
 /// (`len < 2 × floor`) into one claim so the last launch still saturates
@@ -125,11 +133,26 @@ pub fn work_profile(scorer: &Scorer) -> WorkProfile {
     WorkProfile::new(scorer.work_units_per_eval(), class)
 }
 
+/// The device that is free first: smallest virtual clock, ties to the
+/// lowest index.
+pub(crate) fn earliest(devices: &[Arc<SimDevice>]) -> usize {
+    let mut who = 0usize;
+    let mut best = f64::INFINITY;
+    for (i, d) in devices.iter().enumerate() {
+        let c = d.clock();
+        if c < best {
+            best = c;
+            who = i;
+        }
+    }
+    who
+}
+
 /// Charge one claimed chunk to `dev`'s virtual clock (through the
 /// timeline when one is attached, so Gantt segments are recorded) and
 /// emit the `DeviceBusy` trace event when tracing without a timeline —
 /// an attached *traced* timeline emits `DeviceBusy` itself.
-fn charge(
+pub(crate) fn charge(
     dev: &SimDevice,
     items: u64,
     profile: WorkProfile,
@@ -137,33 +160,32 @@ fn charge(
     trace: &Trace,
 ) {
     let batch = profile.batch(items);
-    let vt_start = dev.clock();
     match timeline {
         Some(tl) => {
             tl.record(dev, &batch);
         }
+        None if trace.is_enabled() => {
+            let vt_start = dev.clock();
+            dev.execute(&batch);
+            let (kernel_s, transfer_s) = dev.time_breakdown(&batch);
+            trace.emit(Event::DeviceBusy {
+                device: dev.id() as u32,
+                vt_start,
+                vt_end: dev.clock(),
+                kernel_s,
+                transfer_s,
+                items,
+            });
+        }
         None => {
             dev.execute(&batch);
-            if trace.is_enabled() {
-                let (kernel_s, transfer_s) = dev.time_breakdown(&batch);
-                trace.emit(Event::DeviceBusy {
-                    device: dev.id() as u32,
-                    vt_start,
-                    vt_end: dev.clock(),
-                    kernel_s,
-                    transfer_s,
-                    items,
-                });
-            }
         }
     }
 }
 
 /// Drain seeded per-device deques in virtual-time order, charging every
-/// claim to the claiming device's clock as it happens. This is the shared
-/// scheduling core: the real-compute [`NodeRuntime`] feeds the resulting
-/// claims to its workers, and the analytic replay
-/// ([`crate::replay::schedule_trace`]) uses the clocks alone.
+/// claim to the claiming device's clock as it happens — the claim source
+/// of the work-stealing modes of [`crate::policy::Policy::plan`].
 ///
 /// # Panics
 /// Panics if `devices` and `deques` lengths differ or are empty.
@@ -179,21 +201,9 @@ pub fn drain_deques(
     assert!(!devices.is_empty(), "drain needs devices");
     let mut claims = Vec::new();
     let mut stats = StealStats::default();
-    loop {
-        if deques.iter().all(ChunkDeque::is_empty) {
-            break;
-        }
-        // Claimant: smallest virtual clock, ties to the lowest device
-        // index. Devices with empty deques stay eligible — they steal.
-        let mut who = 0usize;
-        let mut best = f64::INFINITY;
-        for (i, d) in devices.iter().enumerate() {
-            let c = d.clock();
-            if c < best {
-                best = c;
-                who = i;
-            }
-        }
+    while !deques.iter().all(ChunkDeque::is_empty) {
+        // Devices with empty deques stay eligible — they steal.
+        let who = earliest(devices);
         let floor = floor_for(&devices[who], cfg);
         let own_len = deques[who].len();
         let claim =
@@ -221,7 +231,7 @@ pub fn drain_deques(
                 })
             };
         let Some(claim) = claim else { continue };
-        let items = u64::from(claim.hi - claim.lo);
+        let items = claim.items();
         stats.chunks += 1;
         if let Some(victim) = claim.stolen_from {
             stats.steals += 1;
@@ -256,7 +266,8 @@ struct RtJob {
 // SAFETY: the pointer is only dereferenced between job publication and the
 // completion signal, during which the submitting thread is blocked in
 // `dispatch` keeping the `&mut [Conformation]` borrow alive; per-device
-// jobs cover disjoint ranges of that slice.
+// jobs cover disjoint in-bounds ranges of that slice (`dispatch` asserts
+// both before publishing).
 unsafe impl Send for RtJob {}
 
 struct RtState {
@@ -276,11 +287,11 @@ struct RtShared {
     done_cv: Condvar,
 }
 
-/// The per-node execution core: persistent per-device scoring workers plus
-/// the virtual-time claim engine. [`crate::DeviceEvaluator`] is a thin
-/// facade over this type; it owns strategy bookkeeping (warm-up, Equation
-/// 1 weights) and delegates every batch here via [`NodeRuntime::run_shares`]
-/// (static splits) or [`NodeRuntime::run_steal`] (work stealing).
+/// The per-node execution core: the node's devices and one persistent
+/// scoring worker per device. It interprets no strategy —
+/// [`crate::DeviceEvaluator`] plans each batch with its
+/// [`crate::policy::Policy`] and hands the resulting claims to
+/// [`NodeRuntime::dispatch`].
 pub struct NodeRuntime {
     devices: Vec<Arc<SimDevice>>,
     scorer: Arc<Scorer>,
@@ -288,6 +299,8 @@ pub struct NodeRuntime {
     trace: Trace,
     shared: Arc<RtShared>,
     workers: Vec<JoinHandle<()>>,
+    /// Scratch for [`NodeRuntime::dispatch`]'s disjointness check.
+    sorted: Vec<(u32, u32)>,
     /// Test hook: every worker panics on the next dispatch.
     #[cfg(test)]
     pub(crate) panic_next: bool,
@@ -329,6 +342,7 @@ impl NodeRuntime {
             trace: Trace::disabled(),
             shared,
             workers,
+            sorted: Vec::new(),
             #[cfg(test)]
             panic_next: false,
         }
@@ -350,6 +364,10 @@ impl NodeRuntime {
 
     pub fn trace(&self) -> &Trace {
         &self.trace
+    }
+
+    pub fn timeline(&self) -> Option<&Timeline> {
+        self.timeline.as_deref()
     }
 
     pub fn devices(&self) -> &[Arc<SimDevice>] {
@@ -385,80 +403,35 @@ impl NodeRuntime {
         }
     }
 
-    /// Execute `confs` with one contiguous chunk per device, sized by
-    /// `shares` (which must sum to `confs.len()`). Virtual time is charged
-    /// per device up front; scoring runs on the persistent workers.
-    pub fn run_shares(&mut self, confs: &mut [Conformation], shares: &[u64]) {
-        assert_eq!(shares.len(), self.devices.len(), "one share per device");
-        let profile = work_profile(&self.scorer);
-        let mut ranges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.devices.len()];
-        let mut offset = 0u32;
-        for (i, &share) in shares.iter().enumerate() {
-            if share > 0 {
-                let hi = offset + share as u32;
-                ranges[i].push((offset, hi));
-                offset = hi;
-                charge(&self.devices[i], share, profile, self.timeline.as_deref(), &self.trace);
-            }
+    /// Score the claimed ranges of `confs` on the claiming devices'
+    /// workers and block until every worker checked in; re-raises any
+    /// worker panic on the calling thread. Virtual time is not touched:
+    /// the claims were charged when [`crate::policy::Policy::plan`] made
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if a claim names a device the node does not have, reaches
+    /// past `confs`, or overlaps another claim.
+    pub fn dispatch(&mut self, confs: &mut [Conformation], claims: &[Claim]) {
+        // The workers alias `confs` through a raw pointer, so disjoint
+        // in-bounds ranges are a soundness condition, not a courtesy.
+        self.sorted.clear();
+        self.sorted.extend(claims.iter().map(|c| (c.lo, c.hi)));
+        self.sorted.sort_unstable();
+        let mut end = 0u32;
+        for &(lo, hi) in &self.sorted {
+            assert!(end <= lo && lo <= hi, "claims must be disjoint ranges: {claims:?}");
+            end = hi;
         }
-        debug_assert_eq!(offset as usize, confs.len(), "shares must cover the batch");
-        self.dispatch(confs, ranges);
-    }
-
-    /// Execute `confs` through the work-stealing drain: deques seeded
-    /// proportionally to `weights`, claims and steals resolved in virtual
-    /// time, scoring dispatched to the workers. Returns the drain's
-    /// statistics.
-    pub fn run_steal(
-        &mut self,
-        confs: &mut [Conformation],
-        weights: &[f64],
-        cfg: &StealConfig,
-    ) -> StealStats {
-        let n = self.devices.len();
-        assert_eq!(weights.len(), n, "one weight per device");
-        let items = confs.len() as u64;
-        let shares = proportional_split(items, weights);
-        let mut deques = Vec::with_capacity(n);
-        let mut offset = 0u32;
-        for (i, &share) in shares.iter().enumerate() {
-            let hi = offset + share as u32;
-            deques.push(ChunkDeque::new(offset, hi));
-            if self.trace.is_enabled() {
-                self.trace.emit(Event::PartitionDecision {
-                    device: self.devices[i].id() as u32,
-                    share: share as f64 / items.max(1) as f64,
-                    weight: weights[i],
-                });
-            }
-            offset = hi;
-        }
-        let (claims, stats) = drain_deques(
-            &self.devices,
-            &deques,
-            cfg,
-            work_profile(&self.scorer),
-            self.timeline.as_deref(),
-            &self.trace,
-        );
-        let mut ranges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for c in &claims {
+        assert!(end as usize <= confs.len(), "claims reach past the batch: {claims:?}");
+        let mut ranges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.workers.len()];
+        for c in claims {
             ranges[c.device].push((c.lo, c.hi));
         }
-        self.dispatch(confs, ranges);
-        stats
-    }
-
-    /// Publish one job per worker and block until every worker checked in;
-    /// re-raises any worker panic on the calling thread.
-    fn dispatch(&mut self, confs: &mut [Conformation], ranges: Vec<Vec<(u32, u32)>>) {
         {
             // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
             let mut st = self.shared.state.lock().expect("runtime mutex poisoned");
             for (slot, ranges) in st.jobs.iter_mut().zip(ranges) {
-                debug_assert!(ranges
-                    .iter()
-                    .all(|&(lo, hi)| lo <= hi && hi as usize <= confs.len()));
                 *slot = Some(RtJob {
                     confs: confs.as_mut_ptr(),
                     len: confs.len(),
@@ -593,6 +566,26 @@ mod tests {
             .collect()
     }
 
+    /// Seed deques by `weights`, drain them, and score the claims.
+    fn steal(
+        rt: &mut NodeRuntime,
+        confs: &mut [Conformation],
+        weights: &[f64],
+        cfg: &StealConfig,
+    ) -> StealStats {
+        let deques = crate::policy::seed_deques(confs.len() as u64, weights);
+        let (claims, stats) = drain_deques(
+            rt.devices(),
+            &deques,
+            cfg,
+            work_profile(rt.scorer()),
+            rt.timeline(),
+            rt.trace(),
+        );
+        rt.dispatch(confs, &claims);
+        stats
+    }
+
     fn serial_scores(sc: &Scorer, confs: &[Conformation]) -> Vec<f64> {
         let mut b = confs.to_vec();
         let mut scratch = vsscore::PoseScratch::new();
@@ -706,11 +699,26 @@ mod tests {
         let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         let mut c = confs(50, 3);
         let want = serial_scores(&sc, &c);
-        rt.run_shares(&mut c, &[30, 20]);
+        let shares = [
+            Claim { device: 0, lo: 0, hi: 30, stolen_from: None },
+            Claim { device: 1, lo: 30, hi: 50, stolen_from: None },
+        ];
+        rt.dispatch(&mut c, &shares);
         for (got, want) in c.iter().zip(&want) {
             assert_eq!(got.score.to_bits(), want.to_bits());
         }
-        assert!(rt.makespan() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "disjoint")]
+    fn dispatch_rejects_overlapping_claims() {
+        let mut rt = NodeRuntime::new(hertz_devices(), scorer());
+        let mut c = confs(8, 3);
+        let overlapping = [
+            Claim { device: 0, lo: 0, hi: 5, stolen_from: None },
+            Claim { device: 1, lo: 4, hi: 8, stolen_from: None },
+        ];
+        rt.dispatch(&mut c, &overlapping);
     }
 
     #[test]
@@ -722,7 +730,7 @@ mod tests {
         rt.devices()[1].set_slowdown(6.0);
         let mut c = confs(257, 7);
         let want = serial_scores(&sc, &c);
-        let stats = rt.run_steal(&mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 8 });
+        let stats = steal(&mut rt, &mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 8 });
         assert!(stats.chunks >= 2);
         assert!(stats.steals > 0, "expected steals with a 6x straggler: {stats:?}");
         for (i, (got, want)) in c.iter().zip(&want).enumerate() {
@@ -735,7 +743,7 @@ mod tests {
         let sc = scorer();
         let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         let mut c = confs(64, 9);
-        let stats = rt.run_steal(&mut c, &[0.0, 1.0], &StealConfig { divisor: 2, min_chunk: 4 });
+        let stats = steal(&mut rt, &mut c, &[0.0, 1.0], &StealConfig { divisor: 2, min_chunk: 4 });
         assert!(c.iter().all(|x| x.is_scored()));
         // Device 0 starts empty; anything it executed was stolen.
         let d0 = rt.devices()[0].stats().items;
@@ -749,7 +757,7 @@ mod tests {
         let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         rt.set_timeline(Arc::clone(&tl));
         let mut c = confs(120, 4);
-        let stats = rt.run_steal(&mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 16 });
+        let stats = steal(&mut rt, &mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 16 });
         assert_eq!(tl.segments().len() as u64, stats.chunks, "one Gantt segment per claim");
         let recorded: u64 = tl.segments().iter().map(|s| s.items).sum();
         assert_eq!(recorded, 120);

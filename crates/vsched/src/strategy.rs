@@ -1,9 +1,7 @@
 //! Scheduling strategies compared in the paper's evaluation.
 
-use crate::warmup::{shares_from_times, warmup_times, WarmupConfig};
-use gpusim::{SimDevice, WorkProfile};
+use crate::warmup::WarmupConfig;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How conformations are assigned to devices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -20,11 +18,6 @@ pub enum Strategy {
     /// whichever device has the earliest virtual clock (ablation beyond
     /// the paper's static splits).
     DynamicQueue { chunk: u64 },
-    /// Adaptive split (ablation beyond the paper): like the heterogeneous
-    /// algorithm, but the Equation 1 weights are re-measured from the last
-    /// window every `rebalance_every` batches — robust to devices whose
-    /// speed changes mid-run (thermal throttling, contention).
-    AdaptiveSplit { warmup: WarmupConfig, rebalance_every: usize },
     /// Guided self-scheduling (Polychronopoulos & Kuck): dynamic chunks of
     /// `remaining / (k × devices)` — large early chunks keep occupancy
     /// high, shrinking tail chunks balance the finish. The classic answer
@@ -56,47 +49,42 @@ impl Strategy {
             Strategy::HomogeneousSplit => "Homogeneous computation",
             Strategy::HeterogeneousSplit { .. } => "Heterogeneous computation",
             Strategy::DynamicQueue { .. } => "Dynamic queue",
-            Strategy::AdaptiveSplit { .. } => "Adaptive split",
             Strategy::GuidedQueue { .. } => "Guided self-scheduling",
             Strategy::WorkSteal { .. } => "Work stealing",
             Strategy::Oracle { .. } => "Learned oracle",
         }
     }
 
-    /// Compute per-device weights for the static strategies. For the
-    /// heterogeneous strategy this *runs the warm-up* (charging its cost to
-    /// the device clocks) in the given cost regime
-    /// ([`crate::runtime::work_profile`] maps a scorer to its profile).
-    /// Returns `None` for strategies that do not use static weights
-    /// (CPU-only, dynamic).
-    pub fn device_weights(
-        &self,
-        devices: &[Arc<SimDevice>],
-        profile: WorkProfile,
-    ) -> Option<Vec<f64>> {
+    /// The warm-up the strategy starts with, if it has one: the batches
+    /// that run under the equal split while Equation 1 is measured
+    /// ([`WarmupConfig::batches`] of them).
+    pub fn warmup(&self) -> Option<WarmupConfig> {
         match self {
+            Strategy::HeterogeneousSplit { warmup }
+            | Strategy::WorkSteal { warmup, .. }
+            | Strategy::Oracle { warmup, .. } => Some(*warmup),
             Strategy::CpuOnly
+            | Strategy::HomogeneousSplit
             | Strategy::DynamicQueue { .. }
-            | Strategy::AdaptiveSplit { .. }
-            | Strategy::GuidedQueue { .. }
-            // Work stealing and the oracle derive their seed weights inside
-            // the executor / replay (per-batch deque seeds queried from the
-            // warm-up or the live fits, not a fixed split).
-            | Strategy::WorkSteal { .. }
-            | Strategy::Oracle { .. } => None,
-            Strategy::HomogeneousSplit => Some(vec![1.0; devices.len()]),
-            Strategy::HeterogeneousSplit { warmup } => {
-                let times = warmup_times(devices, profile, *warmup);
-                Some(shares_from_times(&times))
-            }
+            | Strategy::GuidedQueue { .. } => None,
         }
+    }
+
+    /// Whether the strategy consults a [`crate::CostOracle`], so a caller
+    /// may share one across runs ([`crate::ReplayOptions::oracle`]) and
+    /// must not memoize its schedules.
+    pub fn learns(&self) -> bool {
+        matches!(self, Strategy::Oracle { .. })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::catalog;
+    use crate::policy::Policy;
+    use gpusim::{catalog, SimDevice, WorkProfile};
+    use std::sync::Arc;
+    use vstrace::Trace;
 
     fn hertz_gpus() -> Vec<Arc<SimDevice>> {
         vec![
@@ -116,19 +104,39 @@ mod tests {
     }
 
     #[test]
+    fn warmup_only_where_equation_1_is_measured() {
+        let warmup = WarmupConfig { iterations: 3, ..Default::default() };
+        assert_eq!(Strategy::HeterogeneousSplit { warmup }.warmup(), Some(warmup));
+        assert_eq!(Strategy::WorkSteal { warmup, divisor: 2 }.warmup(), Some(warmup));
+        assert_eq!(Strategy::Oracle { warmup, divisor: 2 }.warmup(), Some(warmup));
+        for s in [
+            Strategy::CpuOnly,
+            Strategy::HomogeneousSplit,
+            Strategy::DynamicQueue { chunk: 32 },
+            Strategy::GuidedQueue { divisor: 2 },
+        ] {
+            assert_eq!(s.warmup(), None, "{}", s.label());
+        }
+    }
+
+    #[test]
     fn homogeneous_weights_are_equal() {
-        let w = Strategy::HomogeneousSplit
-            .device_weights(&hertz_gpus(), WorkProfile::pairs(1000))
-            .unwrap();
-        assert_eq!(w, vec![1.0, 1.0]);
+        let policy = Policy::new(Strategy::HomogeneousSplit, 2);
+        assert_eq!(policy.weights(), [1.0, 1.0]);
+        assert_eq!(policy.shares(), Some(vec![0.5, 0.5]));
     }
 
     #[test]
     fn heterogeneous_weights_favor_fast_device() {
         let devs = hertz_gpus();
-        let w = Strategy::HeterogeneousSplit { warmup: WarmupConfig::default() }
-            .device_weights(&devs, WorkProfile::pairs(45 * 3264))
-            .unwrap();
+        let warmup = WarmupConfig::default();
+        let mut policy = Policy::new(Strategy::HeterogeneousSplit { warmup }, devs.len());
+        assert!(policy.weights().is_empty(), "no weights until Equation 1 has measurements");
+        for _ in 0..warmup.iterations {
+            let profile = WorkProfile::pairs(45 * 3264);
+            policy.plan(&devs, 128, profile, None, None, &Trace::disabled());
+        }
+        let w = policy.weights();
         assert!(w[0] > w[1], "K40c should get the larger share: {w:?}");
         // Warm-up charged.
         assert!(devs[0].clock() > 0.0 && devs[1].clock() > 0.0);
@@ -136,10 +144,8 @@ mod tests {
 
     #[test]
     fn cpu_and_dynamic_have_no_static_weights() {
-        let devs = hertz_gpus();
-        assert!(Strategy::CpuOnly.device_weights(&devs, WorkProfile::pairs(10)).is_none());
-        assert!(Strategy::DynamicQueue { chunk: 32 }
-            .device_weights(&devs, WorkProfile::pairs(10))
-            .is_none());
+        assert!(Policy::new(Strategy::CpuOnly, 2).shares().is_none());
+        let dynamic = Policy::new(Strategy::DynamicQueue { chunk: 32 }, 2);
+        assert!(dynamic.weights().is_empty() && dynamic.shares().is_none());
     }
 }

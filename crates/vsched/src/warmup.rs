@@ -36,6 +36,12 @@ use std::sync::Arc;
 
 /// Warm-up parameters. The paper uses five to ten iterations of the
 /// metaheuristic over a small set of candidate solutions.
+///
+/// Two edge rules hold wherever a strategy warms up (replay and live
+/// executor alike, [`crate::policy::Policy`]): `iterations: 0` still times
+/// one batch ([`Self::batches`]) — Equation 1 needs a measurement — and a
+/// run that ends inside the warm-up reports Equation 1 shares over
+/// whatever had been measured by then.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WarmupConfig {
     /// Metaheuristic iterations to time (paper: 5–10).
@@ -53,6 +59,12 @@ impl Default for WarmupConfig {
 }
 
 impl WarmupConfig {
+    /// How many batches of the run execute under the equal split while
+    /// being timed: `iterations`, but never fewer than one.
+    pub fn batches(self) -> usize {
+        self.iterations.max(1)
+    }
+
     /// Items per warm-up iteration for `class`. Cheap-per-pose regimes
     /// need more poses for the device clocks to move past transfer noise:
     /// grid interpolation costs ~3 flops per pose-atom versus a full

@@ -1,0 +1,175 @@
+//! Differential test of the two execution substrates (ROADMAP item 4's
+//! gate): the real-compute [`DeviceEvaluator`] and the analytic replay run
+//! the same [`vsched::Policy`], so for every GPU strategy — healthy or
+//! with a device slowing 4x mid-run — they must agree on every virtual
+//! number bit-for-bit: per-device clocks, kernel launches, steals, and
+//! oracle re-seeds.
+
+use gpusim::{catalog, SimDevice, SimNode};
+use metaheur::BatchEvaluator;
+use std::sync::Arc;
+use vsched::{
+    schedule_trace_with, work_profile, CostOracle, DeviceEvaluator, OracleConfig, ReplayOptions,
+    Strategy, WarmupConfig,
+};
+use vsmath::{RigidTransform, RngStream};
+use vsmol::{synth, Conformation};
+use vsscore::Scorer;
+use vstrace::{Event, Trace};
+
+/// The device sets of `vscreen::platform::{hertz, jupiter}` (that crate
+/// sits above this one).
+fn nodes() -> [SimNode; 2] {
+    let fermi = catalog::geforce_gtx_590;
+    [
+        SimNode::new(
+            "Hertz",
+            catalog::xeon_e3_1220(),
+            vec![catalog::tesla_k40c(), catalog::geforce_gtx_580()],
+        ),
+        SimNode::new(
+            "Jupiter",
+            catalog::xeon_e5_2620_dual(),
+            vec![
+                fermi(),
+                fermi(),
+                fermi(),
+                fermi(),
+                catalog::tesla_c2075(),
+                catalog::tesla_c2075(),
+            ],
+        ),
+    ]
+}
+
+fn strategies() -> [Strategy; 7] {
+    let warmup = WarmupConfig { iterations: 3, ..Default::default() };
+    [
+        Strategy::HomogeneousSplit,
+        Strategy::HeterogeneousSplit { warmup },
+        Strategy::DynamicQueue { chunk: 64 },
+        Strategy::DynamicQueue { chunk: 512 },
+        Strategy::GuidedQueue { divisor: 2 },
+        Strategy::WorkSteal { warmup, divisor: 2 },
+        Strategy::Oracle { warmup, divisor: 2 },
+    ]
+}
+
+/// Batch sizes on both sides of the GPUs' occupancy floors, so the deque
+/// modes see whole-share claims, guided chunks and steals.
+const BATCHES: [usize; 10] = [2048, 777, 4096, 8192, 2048, 16_384, 100, 8192, 4096, 2048];
+
+/// Virtual outcome of one run: per-device clock bits and launch counts,
+/// steals, oracle re-seeds.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    clocks: Vec<u64>,
+    launches: Vec<u64>,
+    steals: u64,
+    reseeds: u64,
+}
+
+fn outcome(devices: &[Arc<SimDevice>], steals: u64, reseeds: u64) -> Outcome {
+    Outcome {
+        clocks: devices.iter().map(|d| d.clock().to_bits()).collect(),
+        launches: devices.iter().map(|d| d.stats().batches).collect(),
+        steals,
+        reseeds,
+    }
+}
+
+/// Real scoring through the evaluator; the last GPU slows 4x before batch
+/// `slow_at`.
+fn live(
+    node: &SimNode,
+    scorer: &Arc<Scorer>,
+    strategy: Strategy,
+    slow_at: Option<usize>,
+) -> Outcome {
+    let gpus = node.gpus();
+    for g in gpus {
+        g.reset();
+    }
+    let mut ev = DeviceEvaluator::new(gpus.to_vec(), Arc::clone(scorer), strategy);
+    let mut rng = RngStream::from_seed(2016);
+    for (bi, &n) in BATCHES.iter().enumerate() {
+        if slow_at == Some(bi) {
+            gpus[gpus.len() - 1].set_slowdown(4.0);
+        }
+        let mut confs: Vec<Conformation> = (0..n)
+            .map(|_| Conformation::new(RigidTransform::new(rng.rotation(), rng.in_ball(25.0)), 0))
+            .collect();
+        ev.evaluate(&mut confs);
+        assert!(confs.iter().all(Conformation::is_scored), "{}: unscored", strategy.label());
+    }
+    outcome(gpus, ev.steal_stats().steals, ev.oracle().map_or(0, CostOracle::reseeds))
+}
+
+/// The same batch sizes, cost regime and fault through the replay.
+fn replayed(
+    node: &SimNode,
+    scorer: &Scorer,
+    strategy: Strategy,
+    slow_at: Option<usize>,
+) -> Outcome {
+    let gpus = node.gpus();
+    let mut factors = vec![1.0; gpus.len()];
+    factors[gpus.len() - 1] = 4.0;
+    let phases: Vec<(usize, Vec<f64>)> = slow_at.map(|k| (k, factors)).into_iter().collect();
+    let trace: Vec<u64> = BATCHES.iter().map(|&n| n as u64).collect();
+    let events = Trace::new();
+    let mut oracle = CostOracle::new(gpus.len(), OracleConfig::default());
+    schedule_trace_with(
+        node.cpu(),
+        gpus,
+        &trace,
+        work_profile(scorer),
+        strategy,
+        ReplayOptions {
+            phases: &phases,
+            events: events.clone(),
+            oracle: Some(&mut oracle),
+            timeline: None,
+        },
+    );
+    let steals = events
+        .snapshot()
+        .payloads()
+        .into_iter()
+        .filter(|e| matches!(e, Event::JobMigrated { .. }))
+        .count();
+    outcome(gpus, steals as u64, oracle.reseeds())
+}
+
+#[test]
+fn live_and_replayed_virtual_numbers_are_bit_equal() {
+    // A tiny complex keeps host scoring cheap; the schedule depends only
+    // on batch sizes and the per-conformation unit count.
+    let receptor = synth::synth_receptor("r", 24, 1);
+    let ligand = synth::synth_ligand("l", 4, 2);
+    let scorer = Arc::new(Scorer::new(&receptor, &ligand, Default::default()));
+    let mut total_steals = 0;
+    for node in nodes() {
+        for strategy in strategies() {
+            for slow_at in [None, Some(5)] {
+                let on_devices = live(&node, &scorer, strategy, slow_at);
+                let on_paper = replayed(&node, &scorer, strategy, slow_at);
+                assert_eq!(
+                    on_devices,
+                    on_paper,
+                    "{} on {}, slowdown at {slow_at:?}: live (left) vs replay (right)",
+                    strategy.label(),
+                    node.name()
+                );
+                total_steals += on_devices.steals;
+                if strategy == (Strategy::DynamicQueue { chunk: 64 }) {
+                    // One launch per chunk on both substrates, not one
+                    // coalesced launch per device per batch.
+                    let chunks: u64 = BATCHES.iter().map(|&n| n.div_ceil(64) as u64).sum();
+                    assert_eq!(on_devices.launches.iter().sum::<u64>(), chunks);
+                }
+            }
+        }
+    }
+    assert!(total_steals > 0, "the slowed runs must exercise the steal path");
+}

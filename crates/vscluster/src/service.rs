@@ -35,10 +35,10 @@ use crate::crossdock::ReceptorTarget;
 use crate::faults::FaultPlan;
 use crate::library::LigandJob;
 use crate::net::NetModel;
-use gpusim::SimNode;
+use gpusim::{SimNode, WorkProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vsched::{schedule_trace, schedule_trace_drift, schedule_trace_faulty, SharedOracle, Strategy};
+use vsched::{schedule_trace, schedule_trace_with, ReplayOptions, SharedOracle, Strategy};
 use vscreen::trace::synthetic_trace;
 use vstrace::{Event, Trace};
 
@@ -76,7 +76,7 @@ pub enum CampaignKind {
         dynamic: bool,
         /// `Some(g)`: each degraded node's fault lives inside the node —
         /// GPU lane `g` slows after warm-up — and costs come from the
-        /// intra-node faulty replay ([`vsched::schedule_trace_faulty`]).
+        /// intra-node faulty replay ([`vsched::ReplayOptions::phases`]).
         gpu_victim: Option<usize>,
     },
     /// Every (ligand, receptor) pair of an L×R selectivity matrix.
@@ -1125,7 +1125,7 @@ impl Service {
     /// Healthy compute cost of `jb` on node `ni` (or the node-0 baseline
     /// spec when `ni == BASELINE_NODE`), memoized.
     fn nominal_cost(&mut self, ni: usize, jb: &QueuedJob, strategy: Strategy) -> f64 {
-        if matches!(strategy, Strategy::Oracle { .. }) {
+        if strategy.learns() {
             // The learned split depends on the shared oracle's current
             // fits, so it cannot be memoized; a planning peek runs on a
             // clone and ingests nothing.
@@ -1164,19 +1164,15 @@ impl Service {
         let pairs = jb.job.pairs_per_eval(jb.receptor_atoms);
         let shared =
             self.oracles.entry(ni).or_insert_with(|| SharedOracle::new(node.gpus().len())).clone();
-        let emit = ingest && self.trace.is_enabled();
-        let silent = Trace::disabled();
-        let events = if emit { &self.trace } else { &silent };
+        let events = if ingest { self.trace.clone() } else { Trace::disabled() };
         let replay = |oracle: &mut vsched::CostOracle| {
-            schedule_trace_drift(
+            schedule_trace_with(
                 node.cpu(),
                 node.gpus(),
                 &batches,
-                pairs,
+                WorkProfile::pairs(pairs),
                 strategy,
-                phases,
-                events,
-                Some(oracle),
+                ReplayOptions { phases, events, oracle: Some(oracle), timeline: None },
             )
             .makespan
         };
@@ -1203,12 +1199,16 @@ impl Service {
             }
             _ => (1.0, None),
         };
-        if let Strategy::Oracle { warmup, .. } = strategy {
+        // A degraded GPU keeps its nominal speed through the warm-up (its
+        // Eq. 1 weight or oracle prior is measured healthy) and slows at
+        // this batch.
+        let onset = strategy.warmup().map_or(0, |w| w.batches());
+        if strategy.learns() {
             // Actual executions feed the node's shared oracle (ingest =
             // true), so the next campaign on this node starts warm. The
             // fault context becomes a drift phase: a victim lane slows
-            // after warm-up (its prior was measured healthy); a uniform
-            // fault slows every GPU from the first batch.
+            // after warm-up; a uniform fault slows every GPU from the
+            // first batch.
             let n_gpus = if ni < self.nodes.len() {
                 self.nodes[ni].node.gpus().len()
             } else {
@@ -1222,7 +1222,7 @@ impl Service {
                     Some(g) => {
                         let mut slowdowns = vec![1.0; n_gpus];
                         slowdowns[g] = factor;
-                        vec![(warmup.iterations, slowdowns)]
+                        vec![(onset, slowdowns)]
                     }
                 }
             };
@@ -1248,26 +1248,17 @@ impl Service {
                 let pairs = jb.job.pairs_per_eval(jb.receptor_atoms);
                 let mut slowdowns = vec![1.0; node.gpus().len()];
                 slowdowns[g] = factor;
-                // A degraded GPU keeps its nominal speed through the
-                // warm-up (its Eq. 1 weight is measured healthy) and slows
-                // at this batch.
-                let onset = match strategy {
-                    Strategy::HeterogeneousSplit { warmup }
-                    | Strategy::AdaptiveSplit { warmup, .. }
-                    | Strategy::WorkSteal { warmup, .. } => warmup.iterations,
-                    _ => 0,
-                };
-                let silent = Trace::disabled();
-                let events = if emit { &self.trace } else { &silent };
-                let c = schedule_trace_faulty(
+                let c = schedule_trace_with(
                     node.cpu(),
                     node.gpus(),
                     &batches,
-                    pairs,
+                    WorkProfile::pairs(pairs),
                     strategy,
-                    &slowdowns,
-                    onset,
-                    events,
+                    ReplayOptions {
+                        phases: &[(onset, slowdowns)],
+                        events: self.trace.clone(),
+                        ..Default::default()
+                    },
                 )
                 .makespan;
                 if !emit {

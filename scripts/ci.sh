@@ -9,6 +9,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench tests (the benchmark's own suite; breaks when the library surface it path-depends on does)"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -30,6 +33,17 @@ elif [ "$covered" -gt "$baseline" ]; then
   # Coverage may only grow: ratchet the checked-in baseline forward.
   echo "$covered" > scripts/xlint_coverage_baseline
   echo "xlint: model coverage grew to $covered modules (baseline ratcheted)"
+fi
+# Waivers (`// PANICS:`, `// DETERMINISM:`, ...) ratchet the other way:
+# the count may only fall.
+waivers=$(grep -o '"waivers": [0-9]*' target/XLINT_REPORT.json | grep -o '[0-9]*$')
+waiver_baseline=$(cat scripts/xlint_waiver_baseline)
+if [ "$waivers" -gt "$waiver_baseline" ]; then
+  echo "xlint: waivers rose: $waivers > baseline $waiver_baseline (fix the site instead of waiving it)" >&2
+  exit 1
+elif [ "$waivers" -lt "$waiver_baseline" ]; then
+  echo "$waivers" > scripts/xlint_waiver_baseline
+  echo "xlint: waivers fell to $waivers (baseline ratcheted)"
 fi
 
 echo "==> vscheck + xlint self-tests (seeded mutations + replay on both checkers)"

@@ -85,13 +85,22 @@ fn lamarckian_improves_real_docking() {
 
 #[test]
 fn energy_and_timeline_cohere_with_times() {
-    use vsched::{schedule_trace, schedule_trace_timeline};
+    use gpusim::{Timeline, WorkProfile};
+    use vsched::{schedule_trace, schedule_trace_with, ReplayOptions};
     let node = platform::hertz();
     let trace: Vec<u64> = std::iter::repeat_n(64 * 32, 20).collect();
     let pairs = 45 * 3264;
     let strat = Strategy::HomogeneousSplit;
     let plain = schedule_trace(node.cpu(), node.gpus(), &trace, pairs, strat);
-    let (tl_report, tl) = schedule_trace_timeline(node.cpu(), node.gpus(), &trace, pairs, strat);
+    let tl = Timeline::new();
+    let tl_report = schedule_trace_with(
+        node.cpu(),
+        node.gpus(),
+        &trace,
+        WorkProfile::pairs(pairs),
+        strat,
+        ReplayOptions { timeline: Some(&tl), ..Default::default() },
+    );
     assert!((plain.makespan - tl_report.makespan).abs() < 1e-12);
     assert!((plain.energy_joules - tl_report.energy_joules).abs() < 1e-9);
     // Timeline idle + busy = makespan per device.

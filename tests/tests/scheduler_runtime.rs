@@ -3,6 +3,8 @@
 //! and the determinism contract checked with real scoring compute through
 //! the full `VirtualScreen` pipeline.
 
+use gpusim::WorkProfile;
+use vsched::{schedule_trace_with, ReplayOptions};
 use vscreen::prelude::*;
 use vstrace::{Event, Trace};
 
@@ -29,18 +31,15 @@ fn percent_split() -> Strategy {
 #[test]
 fn straggler_makespan_recovers_by_at_least_1_3x() {
     let node = platform::hertz();
-    let onset = WarmupConfig::default().iterations + 2;
-    let faults = [1.0, 4.0];
+    let phases = [(WarmupConfig::default().iterations + 2, vec![1.0, 4.0])];
     let run = |strategy| {
-        vsched::schedule_trace_faulty(
+        schedule_trace_with(
             node.cpu(),
             node.gpus(),
             &big_trace(),
-            PAIRS,
+            WorkProfile::pairs(PAIRS),
             strategy,
-            &faults,
-            onset,
-            &Trace::disabled(),
+            ReplayOptions { phases: &phases, ..Default::default() },
         )
         .makespan
     };
@@ -56,19 +55,8 @@ fn straggler_makespan_recovers_by_at_least_1_3x() {
 #[test]
 fn healthy_makespan_within_five_percent_of_percent_split() {
     let node = platform::hertz();
-    let healthy = [1.0, 1.0];
     let run = |strategy| {
-        vsched::schedule_trace_faulty(
-            node.cpu(),
-            node.gpus(),
-            &big_trace(),
-            PAIRS,
-            strategy,
-            &healthy,
-            0,
-            &Trace::disabled(),
-        )
-        .makespan
+        vsched::schedule_trace(node.cpu(), node.gpus(), &big_trace(), PAIRS, strategy).makespan
     };
     let split = run(percent_split());
     let stealing = run(worksteal());
@@ -83,15 +71,14 @@ fn healthy_makespan_within_five_percent_of_percent_split() {
 fn steals_surface_as_job_migrated_events() {
     let node = platform::hertz();
     let events = Trace::new();
-    vsched::schedule_trace_faulty(
+    let phases = [(WarmupConfig::default().iterations, vec![1.0, 4.0])];
+    schedule_trace_with(
         node.cpu(),
         node.gpus(),
         &big_trace(),
-        PAIRS,
+        WorkProfile::pairs(PAIRS),
         worksteal(),
-        &[1.0, 4.0],
-        WarmupConfig::default().iterations,
-        &events,
+        ReplayOptions { phases: &phases, events: events.clone(), ..Default::default() },
     );
     let ids: Vec<u32> = node.gpus().iter().map(|g| g.id() as u32).collect();
     let steals: Vec<(u32, u32)> = events
