@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use vsmath::RngStream;
-use vsmol::{synth, LjTable};
+use vsmol::{synth, Element, LjTable};
 use vsscore::lj::{lj_naive, lj_tiled, Frame, PairTable};
 use vsscore::run::{fused_run, lj_run, RunFrame};
 use vsscore::scorer::{Kernel, ScorerOptions, ScoringModel};
@@ -160,16 +160,31 @@ fn grid_potential_tradeoff(c: &mut Criterion) {
         vsscore::GridOptions { spacing: 1.0, ..Default::default() },
     );
     group.bench_function("grid_interpolated_per_pose", |b| b.iter(|| black_box(grid.score(&pose))));
-    group.bench_function("grid_build_300atom_receptor", |b| {
-        let small_rec = synth::synth_receptor("r", 300, 5);
-        b.iter(|| {
-            black_box(vsscore::GridScorer::new(
-                &small_rec,
-                &lig,
-                vsscore::GridOptions { spacing: 1.5, ..Default::default() },
-            ))
-        })
-    });
+    // Cold builds: the slab cache is emptied before every request, so a
+    // cell times one slab per ligand element over the 300-atom receptor.
+    // The one- and five-element cells give the fixed cost of a build and
+    // the cost of each further slab.
+    let small_rec = synth::synth_receptor("r", 300, 5);
+    let opts = vsscore::GridOptions { spacing: 1.5, ..Default::default() };
+    let of_elements = |elements: &[Element]| {
+        let atoms = elements.iter().enumerate();
+        let atoms = atoms.map(|(i, &e)| vsmol::Atom::new(vsmath::Vec3::X * (1.5 * i as f64), e));
+        vsmol::Molecule::new("by-element", atoms.collect())
+    };
+    let one = of_elements(&[Element::C]);
+    let five = of_elements(&[Element::C, Element::N, Element::O, Element::S, Element::Cl]);
+    for (cell, ligand) in [
+        ("grid_build_300atom_receptor", &lig),
+        ("grid_build_300atom_receptor_1_element", &one),
+        ("grid_build_300atom_receptor_5_elements", &five),
+    ] {
+        group.bench_function(cell, |b| {
+            b.iter(|| {
+                vsscore::grid_cache_clear();
+                black_box(vsscore::GridScorer::new(&small_rec, ligand, opts))
+            })
+        });
+    }
     group.finish();
 }
 

@@ -13,7 +13,8 @@ use gpusim::SimNode;
 use metaheur::MetaheuristicParams;
 use serde::{Deserialize, Serialize};
 use vsched::Strategy;
-use vsmol::Molecule;
+use vsmol::conformation::score_cmp;
+use vsmol::{surface, Conformation, Molecule, SurfaceOptions};
 
 /// One ligand's entry in the final ranking.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -61,27 +62,31 @@ pub fn screen_library(
 ) -> LibraryRanking {
     assert!(!ligands.is_empty(), "empty ligand library");
 
-    let mut hits = Vec::with_capacity(ligands.len());
+    let spots =
+        surface::detect_spots(receptor, &SurfaceOptions { max_spots, ..Default::default() });
+    let mut ranked: Vec<(Conformation, LibraryHit)> = Vec::with_capacity(ligands.len());
     let mut virtual_time = 0.0;
     let mut evaluations = 0;
     for (i, lig) in ligands.iter().enumerate() {
         let screen = VirtualScreen::from_molecules(receptor.clone(), lig.clone())
-            .max_spots(max_spots)
+            .spots(spots.clone())
             .seed(seed.wrapping_add(i as u64))
             .build();
         let out: ScreenOutcome = screen.run(RunSpec::on_node(params, node, strategy));
         virtual_time += out.virtual_time;
         evaluations += out.evaluations;
-        hits.push(LibraryHit {
+        let hit = LibraryHit {
             ligand_index: i,
             ligand_name: lig.name.clone(),
             best_score: out.best.score,
             best_spot: out.best.spot_id,
             evaluations: out.evaluations,
-        });
+        };
+        ranked.push((out.best, hit));
     }
-    // PANICS: hit scores come out of the scorer, which never emits NaN.
-    hits.sort_by(|a, b| a.best_score.partial_cmp(&b.best_score).expect("finite scores"));
+    // A NaN best score (nothing evaluated) ranks last instead of panicking.
+    ranked.sort_by(|a, b| score_cmp(&a.0, &b.0));
+    let hits = ranked.into_iter().map(|(_, hit)| hit).collect();
     LibraryRanking { hits, virtual_time, evaluations }
 }
 
@@ -119,6 +124,27 @@ mod tests {
         assert_eq!(idx, vec![0, 1, 2, 3]);
         assert!(r.virtual_time > 0.0);
         assert_eq!(r.evaluations, r.hits.iter().map(|h| h.evaluations).sum::<u64>());
+    }
+
+    #[test]
+    fn detecting_spots_once_changes_no_result() {
+        // The loop used to detect the receptor's spots again for every
+        // ligand; screens that do so must still agree with it bit for bit.
+        let rec = synth::synth_receptor("r", 400, 5);
+        let ligands = ligand_set(3);
+        let node = platform::hertz();
+        let params = metaheur::m1(0.03);
+        let r = screen_library(&rec, &ligands, &params, &node, Strategy::HomogeneousSplit, 2, 13);
+        for hit in &r.hits {
+            let i = hit.ligand_index;
+            let own = VirtualScreen::from_molecules(rec.clone(), ligands[i].clone())
+                .max_spots(2)
+                .seed(13 + i as u64)
+                .build()
+                .run(RunSpec::on_node(&params, &node, Strategy::HomogeneousSplit));
+            assert_eq!(hit.best_score.to_bits(), own.best.score.to_bits(), "ligand {i}");
+            assert_eq!((hit.best_spot, hit.evaluations), (own.best.spot_id, own.evaluations));
+        }
     }
 
     #[test]

@@ -105,6 +105,7 @@ pub struct VirtualScreenBuilder {
     receptor: Molecule,
     ligand: Molecule,
     surface: SurfaceOptions,
+    spots: Option<Vec<Spot>>,
     scorer_opts: ScorerOptions,
     seed: u64,
 }
@@ -248,6 +249,7 @@ impl VirtualScreenBuilder {
             receptor,
             ligand,
             surface: SurfaceOptions::default(),
+            spots: None,
             scorer_opts: ScorerOptions::default(),
             seed: 0xD0C5,
         }
@@ -265,6 +267,15 @@ impl VirtualScreenBuilder {
         self
     }
 
+    /// Use spots already detected on this receptor instead of detecting
+    /// them in [`VirtualScreenBuilder::build`]: spots belong to the
+    /// receptor, so a caller screening many ligands against it detects
+    /// once. The surface options are then unused.
+    pub fn spots(mut self, spots: Vec<Spot>) -> Self {
+        self.spots = Some(spots);
+        self
+    }
+
     /// Replace the scoring options (model/kernel).
     pub fn scorer_options(mut self, opts: ScorerOptions) -> Self {
         self.scorer_opts = opts;
@@ -277,12 +288,13 @@ impl VirtualScreenBuilder {
         self
     }
 
-    /// Detect spots and prepare the scorer.
+    /// Detect spots (unless given) and prepare the scorer.
     ///
     /// # Panics
     /// Panics if no spots are found (e.g. a degenerate receptor).
     pub fn build(self) -> VirtualScreen {
-        let spots = surface::detect_spots(&self.receptor, &self.surface);
+        let spots =
+            self.spots.unwrap_or_else(|| surface::detect_spots(&self.receptor, &self.surface));
         assert!(!spots.is_empty(), "no surface spots detected on {}", self.receptor.name);
         let scorer = Arc::new(Scorer::new(&self.receptor, &self.ligand, self.scorer_opts));
         VirtualScreen {

@@ -82,6 +82,15 @@ impl SpatialGrid {
         &self.points
     }
 
+    /// Point indices in cell order (the CSR `entries`): ascending cell
+    /// index, input order within a cell. [`SpatialGrid::for_each_within`]
+    /// visits the points it reports in exactly this relative order, so a
+    /// caller that walks this slice and filters by distance reproduces the
+    /// order in which any one query point would have met its neighbours.
+    pub fn cell_order(&self) -> &[u32] {
+        &self.entries
+    }
+
     /// Invoke `f(index, point, dist_sq)` for every stored point within
     /// `radius` of `q`.
     pub fn for_each_within<F: FnMut(usize, Vec3, f64)>(&self, q: Vec3, radius: f64, mut f: F) {
@@ -220,6 +229,26 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "query {q:?} r={r}");
+        }
+    }
+
+    #[test]
+    fn cell_order_is_the_order_queries_report_in() {
+        let mut rng = RngStream::from_seed(41);
+        let points: Vec<Vec3> = (0..300).map(|_| rng.in_ball(15.0)).collect();
+        let g = SpatialGrid::build(&points, 4.0);
+        let mut sorted: Vec<u32> = g.cell_order().to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..300).collect::<Vec<u32>>(), "a permutation of the input");
+        for _ in 0..20 {
+            let (q, r) = (rng.in_ball(18.0), rng.uniform_range(1.0, 9.0));
+            let want: Vec<usize> = g
+                .cell_order()
+                .iter()
+                .map(|&i| i as usize)
+                .filter(|&i| points[i].dist_sq(q) <= r * r)
+                .collect();
+            assert_eq!(g.within(q, r), want, "query {q:?} r={r}");
         }
     }
 

@@ -10,25 +10,35 @@
 //!
 //! Layout and kernel shape:
 //!
-//! - [`GridField`] holds every per-type LJ(+H-bond) grid in **one flat SoA
-//!   slab** `lj[slot * n_nodes + node]`, plus an optional electrostatic
-//!   grid storing potential *per unit charge* (the ligand charge multiplies
-//!   in at interpolation time). Node potentials are clamped at
-//!   [`MAX_NODE_POTENTIAL`] like AutoDock's maps.
+//! - Grid work is done at **slab** grain: one slab is one *channel* over
+//!   one receptor's node lattice — the LJ(+H-bond) potential felt by one
+//!   ligand element, or the electrostatic potential per unit charge that
+//!   every ligand shares (the ligand charge multiplies in at interpolation
+//!   time). LJ node potentials are clamped at [`MAX_NODE_POTENTIAL`] like
+//!   AutoDock's maps. A [`GridField`] is the list of slabs one ligand
+//!   needs, plus the lattice geometry.
+//! - Slabs are cached process-wide per (receptor content, build options,
+//!   channel) under a byte budget, so a library whose ligands draw on five
+//!   elements builds five slabs however the elements combine. A request
+//!   builds every slab it is missing in one pass over the receptor.
+//! - The build is node-major: every lattice node gathers the receptor atoms
+//!   within the cutoff through a [`vsmath::SpatialGrid`] and adds each
+//!   one's term to every slab being built. A slab's sums never read another
+//!   slab, so one built alone holds the same bits as one built in a set.
 //! - [`GridScorer`] interpolates 8 ligand atoms per step with explicit
 //!   [`vsmath::F32x8`] lanes; [`GridScorer::score_scalar`] replays the same
 //!   IEEE operations lane by lane and is **bit-identical** (tested), so the
 //!   wide path is a pure speedup, never a numerics fork.
-//! - Builds are cached per (receptor content, ligand element set, options)
-//!   in a small keyed store so repeated screens of the same complex skip
-//!   the upfront cost; [`GridScorer::new_traced`] records a
-//!   [`vstrace::Event::GridBuilt`] with build time and memory.
+//! - [`GridScorer::new_traced`] records a [`vstrace::Event::GridBuilt`]
+//!   with this scorer's slab memory, the seconds spent building and
+//!   whether anything had to be built.
 
 use crate::coulomb::COULOMB_K;
 use crate::hbond::{hbond_pair, is_hbond_capable_idx};
 use crate::lj::{lj_pair, Frame, PairTable, MIN_DIST_SQ};
+use std::collections::BTreeMap;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use vsmath::{Aabb, F32x8, RigidTransform, SpatialGrid, Vec3};
 use vsmol::{Element, LjTable, Molecule};
 
@@ -79,31 +89,163 @@ impl GridOptions {
 /// grid maps clamp identically.
 pub const MAX_NODE_POTENTIAL: f32 = 1.0e4;
 
-/// What one grid build cost, for the `GridBuilt` trace event and reports.
+/// What one scorer's grids are and what its request cost, for the
+/// `GridBuilt` trace event and reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridBuildStats {
     /// Nodes per grid.
     pub nodes: u64,
-    /// Grid count: one per ligand element type present, plus the
-    /// electrostatic grid when enabled.
+    /// This scorer's slabs: one per ligand element type present, plus the
+    /// electrostatic slab when enabled.
     pub grids: u32,
-    /// Total grid memory, bytes.
+    /// Memory of this scorer's slabs, bytes (slabs are shared, so scorers'
+    /// figures do not add up to the cache's).
     pub bytes: u64,
-    /// Seconds the build took on the caller-supplied clock — the trace
-    /// epoch for [`GridScorer::new_traced`], a constant `0.0` untraced.
-    /// Excluded from the determinism contract, like `Stamped::mono_ns`.
+    /// Seconds this request spent building on the caller-supplied clock —
+    /// the trace epoch for [`GridScorer::new_traced`], a constant `0.0`
+    /// untraced or when nothing was built. Excluded from the determinism
+    /// contract, like `Stamped::mono_ns`.
     pub build_seconds: f64,
-    /// Whether this scorer reused a cached field instead of building.
+    /// Slabs built for this request; the rest came from the cache.
+    pub built: u32,
+    /// No slab was built for this request: every one came from the cache.
     pub cached: bool,
 }
 
-/// Cache key: receptor content hash + ligand element-type bitmask + the
-/// exact build options (floats compared by bit pattern).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GridKey {
+/// The unit of grid work and of caching: one potential over the lattice.
+/// Ordered LJ channels by element index, then electrostatics — the order
+/// of a [`GridField`]'s slabs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Channel {
+    /// LJ(+H-bond) potential felt by a ligand atom of this `Element::index()`.
+    Lj(u8),
+    /// Electrostatic potential per unit charge.
+    Elec,
+}
+
+/// One channel's node values, `dims[0] * dims[1] * dims[2]` of them, x
+/// fastest. Immutable once built; alive as long as any scorer or the cache
+/// holds it.
+type Slab = Arc<[f32]>;
+
+/// The node lattice of one (receptor, options) pair: every channel over
+/// that pair shares it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Geometry {
+    origin: Vec3,
+    spacing: f64,
+    dims: [usize; 3],
+}
+
+impl Geometry {
+    fn of(receptor: &Molecule, opts: GridOptions) -> Geometry {
+        let bb = Aabb::from_points(receptor.positions()).inflated(opts.margin);
+        let extent = bb.extent();
+        let dims = [
+            (extent.x / opts.spacing).ceil() as usize + 1,
+            (extent.y / opts.spacing).ceil() as usize + 1,
+            (extent.z / opts.spacing).ceil() as usize + 1,
+        ];
+        Geometry { origin: bb.min, spacing: opts.spacing, dims }
+    }
+
+    fn nodes(&self) -> usize {
+        self.dims[0] * self.dims[1] * self.dims[2]
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Build.
+// ---------------------------------------------------------------------------
+
+/// Build `channels` (in [`Channel`] order, which is the order of the slabs)
+/// over one receptor in a single node-major pass. Cost: `nodes ×
+/// atoms-within-cutoff × channels`. A slab's node sums read nothing of the
+/// other slabs, so it comes out the same bits whichever channels are built
+/// beside it.
+fn build_slabs(
+    receptor: &Molecule,
+    geom: Geometry,
+    opts: GridOptions,
+    channels: &[Channel],
+) -> Vec<Slab> {
+    debug_assert!(channels.is_sorted(), "channels out of order: {channels:?}");
+    let lj_elems: Vec<u8> = channels
+        .iter()
+        .filter_map(|c| match c {
+            Channel::Lj(e) => Some(*e),
+            Channel::Elec => None,
+        })
+        .collect();
+
+    let rec_grid = SpatialGrid::build(receptor.positions(), opts.cutoff);
+    let table = PairTable::new(&LjTable::standard());
+    let rec_elem: Vec<u8> = receptor.elements().iter().map(|e| e.index() as u8).collect();
+    let rec_charge = receptor.charges();
+
+    // Per (receptor element, LJ channel) pair parameters, hoisted out of
+    // the node loop: LJ (σ², 4ε) plus the H-bond capability gate.
+    let pair_params: Vec<Vec<(f64, f64, bool)>> = (0..Element::COUNT as u8)
+        .map(|re| {
+            lj_elems
+                .iter()
+                .map(|&le| {
+                    let (s2, e4) = table.lookup(le, re);
+                    let hb = opts.hbond_epsilon.is_some()
+                        && is_hbond_capable_idx(le)
+                        && is_hbond_capable_idx(re);
+                    (s2, e4, hb)
+                })
+                .collect()
+        })
+        .collect();
+    let hb_eps = opts.hbond_epsilon.unwrap_or(0.0);
+    let dielectric = opts.dielectric.unwrap_or(0.0);
+
+    let mut slabs: Vec<Slab> =
+        channels.iter().map(|_| std::iter::repeat_n(0f32, geom.nodes()).collect()).collect();
+    // The slabs were made on the line above: unique, so this never copies.
+    let mut out: Vec<&mut [f32]> = slabs.iter_mut().map(Arc::make_mut).collect();
+    // The LJ slabs, then the electrostatic one if it is being built.
+    let (lj, elec) = out.split_at_mut(lj_elems.len());
+    for iz in 0..geom.dims[2] {
+        for iy in 0..geom.dims[1] {
+            for ix in 0..geom.dims[0] {
+                let node = (iz * geom.dims[1] + iy) * geom.dims[0] + ix;
+                let p = geom.origin + Vec3::new(ix as f64, iy as f64, iz as f64) * geom.spacing;
+                rec_grid.for_each_within(p, opts.cutoff, |j, _, r_sq| {
+                    let params = &pair_params[rec_elem[j] as usize];
+                    for (slab, &(s2, e4, hb)) in lj.iter_mut().zip(params) {
+                        let mut v = lj_pair(s2, e4, r_sq);
+                        if hb {
+                            v += hbond_pair(hb_eps, r_sq);
+                        }
+                        slab[node] += v as f32;
+                    }
+                    if let Some(slab) = elec.first_mut() {
+                        let r2 = r_sq.max(MIN_DIST_SQ);
+                        slab[node] += (COULOMB_K * rec_charge[j] / (dielectric * r2)) as f32;
+                    }
+                });
+                for slab in lj.iter_mut() {
+                    slab[node] = slab[node].min(MAX_NODE_POTENTIAL);
+                }
+            }
+        }
+    }
+    slabs
+}
+
+// ---------------------------------------------------------------------------
+// Cache.
+// ---------------------------------------------------------------------------
+
+/// What slabs of one cache entry have in common: receptor content hash and
+/// atom count, and the exact build options (floats by bit pattern).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct FieldKey {
     receptor: u64,
     rec_atoms: u64,
-    elems: u32,
     opts: [u64; 7],
 }
 
@@ -114,227 +256,256 @@ fn fnv1a_u64(mut h: u64, w: u64) -> u64 {
     h
 }
 
-fn receptor_hash(m: &Molecule) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in m.positions() {
-        h = fnv1a_u64(h, p.x.to_bits());
-        h = fnv1a_u64(h, p.y.to_bits());
-        h = fnv1a_u64(h, p.z.to_bits());
+impl FieldKey {
+    fn of(receptor: &Molecule, o: GridOptions) -> FieldKey {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in receptor.positions() {
+            h = fnv1a_u64(h, p.x.to_bits());
+            h = fnv1a_u64(h, p.y.to_bits());
+            h = fnv1a_u64(h, p.z.to_bits());
+        }
+        for e in receptor.elements() {
+            h = fnv1a_u64(h, e.index() as u64);
+        }
+        for q in receptor.charges() {
+            h = fnv1a_u64(h, q.to_bits());
+        }
+        FieldKey {
+            receptor: h,
+            rec_atoms: receptor.len() as u64,
+            opts: [
+                o.spacing.to_bits(),
+                o.margin.to_bits(),
+                o.cutoff.to_bits(),
+                o.dielectric.is_some() as u64,
+                o.dielectric.unwrap_or(0.0).to_bits(),
+                o.hbond_epsilon.is_some() as u64,
+                o.hbond_epsilon.unwrap_or(0.0).to_bits(),
+            ],
+        }
     }
-    for e in m.elements() {
-        h = fnv1a_u64(h, e.index() as u64);
-    }
-    for q in m.charges() {
-        h = fnv1a_u64(h, q.to_bits());
-    }
-    h
 }
 
-fn options_key(o: GridOptions) -> [u64; 7] {
-    [
-        o.spacing.to_bits(),
-        o.margin.to_bits(),
-        o.cutoff.to_bits(),
-        o.dielectric.is_some() as u64,
-        o.dielectric.unwrap_or(0.0).to_bits(),
-        o.hbond_epsilon.is_some() as u64,
-        o.hbond_epsilon.unwrap_or(0.0).to_bits(),
-    ]
+/// Counters of the process-wide slab cache ([`grid_cache_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GridCacheStats {
+    /// Slabs resident.
+    pub entries: usize,
+    /// Their memory, bytes.
+    pub bytes: u64,
+    /// Requests (one per scorer built) that found every slab resident.
+    pub hits: u64,
+    /// Requests that had to build at least one slab.
+    pub misses: u64,
+    /// Slabs dropped from the cache to stay within the byte budget.
+    pub evictions: u64,
+    /// Slabs built.
+    pub channels_built: u64,
 }
 
-/// The immutable build product: per-type potential grids over one receptor.
-/// Shared (`Arc`) between every [`GridScorer`] whose (receptor, ligand
-/// element set, options) triple matches.
-#[derive(Debug)]
+/// Resident slabs may total this much before the least recently used
+/// receptor's are dropped: room for one AutoDock-pitch (0.375 Å) field
+/// over the larger Table 5 receptor (2BXG: four slabs of 47 MB) beside a
+/// library's worth of coarse ones.
+const GRID_CACHE_BUDGET_BYTES: u64 = 256 << 20;
+
+fn slab_bytes(slab: &Slab) -> u64 {
+    std::mem::size_of_val::<[f32]>(slab) as u64
+}
+
+/// The slabs of one (receptor, options) pair.
+#[derive(Default)]
+struct Resident {
+    slabs: BTreeMap<Channel, Slab>,
+    /// [`CacheState::tick`] of the last request that touched it.
+    last_used: u64,
+}
+
+#[derive(Default)]
+struct CacheState {
+    fields: BTreeMap<FieldKey, Resident>,
+    tick: u64,
+    stats: GridCacheStats,
+}
+
+/// A byte-budgeted store of slabs, evicting whole receptors least recently
+/// used first. Slabs a scorer holds stay alive through their `Arc` after
+/// eviction. The lock is held for map operations only, never across a
+/// build: two requests for one cold slab both build it and the later
+/// publisher adopts the earlier one's copy. The process has one
+/// ([`grid_cache`]); tests make their own.
+struct SlabCache {
+    budget: u64,
+    state: Mutex<CacheState>,
+}
+
+impl SlabCache {
+    fn new(budget: u64) -> SlabCache {
+        SlabCache { budget, state: Mutex::default() }
+    }
+
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        // PANICS: no code panics while holding this lock; poisoning would be a bug here, not a build failure.
+        self.state.lock().expect("grid cache poisoned")
+    }
+
+    /// The resident slabs among `channels`, marking the receptor used and
+    /// counting the request as a hit (all resident) or a miss.
+    fn lookup(&self, key: &FieldKey, channels: &[Channel]) -> Vec<Option<Slab>> {
+        let mut st = self.state();
+        st.tick += 1;
+        let tick = st.tick;
+        let found: Vec<Option<Slab>> = match st.fields.get_mut(key) {
+            Some(resident) => {
+                resident.last_used = tick;
+                channels.iter().map(|c| resident.slabs.get(c).cloned()).collect()
+            }
+            None => vec![None; channels.len()],
+        };
+        if found.iter().all(Option::is_some) {
+            st.stats.hits += 1;
+        } else {
+            st.stats.misses += 1;
+        }
+        found
+    }
+
+    /// Make freshly built slabs resident and hand back, in order, the
+    /// resident slab of each of their channels — the one just built, or the
+    /// copy a racing request published first. Then evict other receptors,
+    /// least recently used first, until the budget holds (`key`'s own slabs
+    /// always stay).
+    fn publish(&self, key: FieldKey, built: Vec<(Channel, Slab)>) -> Vec<Slab> {
+        let mut st = self.state();
+        st.tick += 1;
+        let tick = st.tick;
+        st.stats.channels_built += built.len() as u64;
+        let resident = st.fields.entry(key).or_default();
+        resident.last_used = tick;
+        let (mut added, mut bytes) = (0, 0);
+        let mut kept = Vec::with_capacity(built.len());
+        for (channel, slab) in built {
+            let slot = resident.slabs.entry(channel).or_insert_with(|| {
+                added += 1;
+                bytes += slab_bytes(&slab);
+                slab
+            });
+            kept.push(Arc::clone(slot));
+        }
+        st.stats.entries += added;
+        st.stats.bytes += bytes;
+        while st.stats.bytes > self.budget {
+            let others = st.fields.iter().filter(|(k, _)| **k != key);
+            let Some((&victim, _)) = others.min_by_key(|(_, r)| r.last_used) else { break };
+            let gone = st.fields.remove(&victim).unwrap_or_default();
+            st.stats.entries -= gone.slabs.len();
+            st.stats.bytes -= gone.slabs.values().map(slab_bytes).sum::<u64>();
+            st.stats.evictions += gone.slabs.len() as u64;
+        }
+        kept
+    }
+
+    /// One request: the slab of every channel, in `channels` order, the
+    /// missing ones built in a single pass. Returns how many were built and
+    /// the seconds `clock` saw that take.
+    fn slabs(
+        &self,
+        receptor: &Molecule,
+        opts: GridOptions,
+        channels: &[Channel],
+        clock: &dyn Fn() -> f64,
+    ) -> (Vec<Slab>, usize, f64) {
+        let key = FieldKey::of(receptor, opts);
+        let mut found = self.lookup(&key, channels);
+        let missing: Vec<Channel> =
+            channels.iter().zip(&found).filter(|(_, s)| s.is_none()).map(|(c, _)| *c).collect();
+        let mut seconds = 0.0;
+        if !missing.is_empty() {
+            let t0 = clock();
+            let fresh = build_slabs(receptor, Geometry::of(receptor, opts), opts, &missing);
+            seconds = clock() - t0;
+            let kept = self.publish(key, missing.iter().copied().zip(fresh).collect());
+            for (slot, slab) in found.iter_mut().filter(|s| s.is_none()).zip(kept) {
+                *slot = Some(slab);
+            }
+        }
+        (found.into_iter().flatten().collect(), missing.len(), seconds)
+    }
+
+    fn stats(&self) -> GridCacheStats {
+        self.state().stats
+    }
+
+    fn clear(&self) {
+        let mut st = self.state();
+        st.fields.clear();
+        st.stats.entries = 0;
+        st.stats.bytes = 0;
+    }
+}
+
+fn grid_cache() -> &'static SlabCache {
+    static CACHE: OnceLock<SlabCache> = OnceLock::new();
+    CACHE.get_or_init(|| SlabCache::new(GRID_CACHE_BUDGET_BYTES))
+}
+
+/// Counters of the process-wide slab cache since the process started
+/// (`entries` and `bytes` are what is resident now).
+pub fn grid_cache_stats() -> GridCacheStats {
+    grid_cache().stats()
+}
+
+/// Drop every resident slab from the process-wide cache; the next request
+/// for any of them builds again. Slabs that scorers hold stay valid, and
+/// the cumulative counters keep counting.
+pub fn grid_cache_clear() {
+    grid_cache().clear()
+}
+
+// ---------------------------------------------------------------------------
+// Field and interpolation.
+// ---------------------------------------------------------------------------
+
+/// The grids one ligand scores against: lattice geometry plus its slabs —
+/// one per ligand element present and, when enabled, the electrostatic
+/// one — each possibly shared with other scorers and with the cache.
+#[derive(Debug, Clone)]
 pub struct GridField {
-    origin: Vec3,
-    spacing: f64,
-    dims: [usize; 3],
-    n_nodes: usize,
-    /// Flat SoA slab: `lj[slot * n_nodes + node]` — type-major so one
-    /// type's grid is contiguous and a pose's gathers stay in one slab.
-    lj: Vec<f32>,
-    /// Electrostatic potential per unit charge (empty when disabled).
-    elec: Vec<f32>,
-    /// Slot per `Element::index()`, `usize::MAX` when absent.
-    type_slot: [usize; Element::COUNT],
-    n_slots: usize,
+    geom: Geometry,
     opts: GridOptions,
-    /// Build time in caller-clock seconds (reporting only; `0.0` for the
-    /// untraced path).
-    build_seconds: f64,
+    /// LJ(+H-bond) slabs, ascending element index.
+    lj: Vec<Slab>,
+    /// Electrostatic potential per unit charge.
+    elec: Option<Slab>,
 }
 
 impl GridField {
-    /// Build the field for one receptor and a ligand element-type bitmask
-    /// (bit `Element::index()`). Cost: `nodes × avg-neighbors × types`.
-    /// `clock` supplies seconds for the build-time stat — callers pass
-    /// [`vstrace::Trace::now_s`] (or a constant) so this crate never reads
-    /// the OS clock itself.
-    fn build(
-        receptor: &Molecule,
-        elem_mask: u32,
-        opts: GridOptions,
-        clock: &dyn Fn() -> f64,
-    ) -> GridField {
-        assert!(opts.spacing > 0.0, "spacing must be positive");
-        assert!(opts.cutoff > 0.0, "cutoff must be positive");
-        let t0 = clock();
-
-        // Slots in ascending element-index order (deterministic for a mask).
-        let mut type_slot = [usize::MAX; Element::COUNT];
-        let mut slot_elem: Vec<u8> = Vec::new();
-        for (idx, slot) in type_slot.iter_mut().enumerate() {
-            if elem_mask & (1 << idx) != 0 {
-                *slot = slot_elem.len();
-                slot_elem.push(idx as u8);
-            }
-        }
-        let n_slots = slot_elem.len();
-
-        let bb = Aabb::from_points(receptor.positions()).inflated(opts.margin);
-        let extent = bb.extent();
-        let dims = [
-            (extent.x / opts.spacing).ceil() as usize + 1,
-            (extent.y / opts.spacing).ceil() as usize + 1,
-            (extent.z / opts.spacing).ceil() as usize + 1,
-        ];
-        let n_nodes = dims[0] * dims[1] * dims[2];
-
-        let rec_grid = SpatialGrid::build(receptor.positions(), opts.cutoff);
-        let table = PairTable::new(&LjTable::standard());
-        let rec_elem: Vec<u8> = receptor.elements().iter().map(|e| e.index() as u8).collect();
-        let rec_charge = receptor.charges();
-
-        // Per (receptor element, ligand slot) pair parameters, hoisted out
-        // of the node loop: LJ (σ², 4ε) plus the H-bond capability gate.
-        let pair_params: Vec<Vec<(f64, f64, bool)>> = (0..Element::COUNT as u8)
-            .map(|re| {
-                slot_elem
-                    .iter()
-                    .map(|&le| {
-                        let (s2, e4) = table.lookup(le, re);
-                        let hb = opts.hbond_epsilon.is_some()
-                            && is_hbond_capable_idx(le)
-                            && is_hbond_capable_idx(re);
-                        (s2, e4, hb)
-                    })
-                    .collect()
-            })
-            .collect();
-        let hb_eps = opts.hbond_epsilon.unwrap_or(0.0);
-
-        let mut lj = vec![0f32; n_slots * n_nodes];
-        let mut elec = if opts.dielectric.is_some() { vec![0f32; n_nodes] } else { Vec::new() };
-
-        for iz in 0..dims[2] {
-            for iy in 0..dims[1] {
-                for ix in 0..dims[0] {
-                    let node = (iz * dims[1] + iy) * dims[0] + ix;
-                    let p = bb.min + Vec3::new(ix as f64, iy as f64, iz as f64) * opts.spacing;
-                    rec_grid.for_each_within(p, opts.cutoff, |j, _, r_sq| {
-                        let params = &pair_params[rec_elem[j] as usize];
-                        for (t, &(s2, e4, hb)) in params.iter().enumerate() {
-                            let mut v = lj_pair(s2, e4, r_sq);
-                            if hb {
-                                v += hbond_pair(hb_eps, r_sq);
-                            }
-                            lj[t * n_nodes + node] += v as f32;
-                        }
-                        if let Some(eps) = opts.dielectric {
-                            let r2 = r_sq.max(MIN_DIST_SQ);
-                            elec[node] += (COULOMB_K * rec_charge[j] / (eps * r2)) as f32;
-                        }
-                    });
-                    for t in 0..n_slots {
-                        let v = &mut lj[t * n_nodes + node];
-                        *v = v.min(MAX_NODE_POTENTIAL);
-                    }
-                }
-            }
-        }
-
-        GridField {
-            origin: bb.min,
-            spacing: opts.spacing,
-            dims,
-            n_nodes,
-            lj,
-            elec,
-            type_slot,
-            n_slots,
-            opts,
-            build_seconds: clock() - t0,
-        }
+    fn slabs(&self) -> impl Iterator<Item = &Slab> {
+        self.lj.iter().chain(&self.elec)
     }
 
-    /// Grid memory footprint in bytes.
+    /// Memory of this field's slabs in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        (self.lj.len() + self.elec.len()) * std::mem::size_of::<f32>()
+        self.slabs().map(slab_bytes).sum::<u64>() as usize
     }
 
     /// Nodes per grid.
     pub fn nodes(&self) -> usize {
-        self.n_nodes
+        self.geom.nodes()
     }
 
     /// Grid count (per-type LJ grids + electrostatic grid when present).
     pub fn grid_count(&self) -> u32 {
-        self.n_slots as u32 + u32::from(!self.elec.is_empty())
+        self.slabs().count() as u32
     }
-}
-
-const GRID_CACHE_CAP: usize = 4;
-
-type GridCache = Mutex<Vec<(GridKey, Arc<GridField>)>>;
-
-fn grid_cache() -> &'static GridCache {
-    static CACHE: OnceLock<GridCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Look up or build the field for a key. Builds happen *outside* the lock
-/// so two threads building different receptors don't serialize; a losing
-/// racer adopts the winner's field.
-fn cached_field(
-    receptor: &Molecule,
-    elem_mask: u32,
-    opts: GridOptions,
-    clock: &dyn Fn() -> f64,
-) -> (Arc<GridField>, bool) {
-    let key = GridKey {
-        receptor: receptor_hash(receptor),
-        rec_atoms: receptor.len() as u64,
-        elems: elem_mask,
-        opts: options_key(opts),
-    };
-    {
-        // PANICS: mutex poisoning means a build already panicked; propagate.
-        let cache = grid_cache().lock().expect("grid cache poisoned");
-        if let Some((_, f)) = cache.iter().find(|(k, _)| *k == key) {
-            return (f.clone(), true);
-        }
-    }
-    let built = Arc::new(GridField::build(receptor, elem_mask, opts, clock));
-    // PANICS: mutex poisoning means a build already panicked; propagate.
-    let mut cache = grid_cache().lock().expect("grid cache poisoned");
-    if let Some((_, f)) = cache.iter().find(|(k, _)| *k == key) {
-        return (f.clone(), true);
-    }
-    if cache.len() == GRID_CACHE_CAP {
-        cache.remove(0);
-    }
-    cache.push((key, built.clone()));
-    (built, false)
 }
 
 /// Per-chunk interpolation inputs for up to 8 ligand atoms: base node
-/// index, per-slot LJ slab index, fractional weights, charge, and a 0/1
-/// lane mask (trailing lanes of a short final chunk score 0).
-#[derive(Default)]
-struct Chunk {
+/// index, the atom's LJ slab, fractional weights, charge, and a 0/1 lane
+/// mask (trailing lanes of a short final chunk score 0).
+struct Chunk<'a> {
     base: [usize; 8],
-    lj_idx: [usize; 8],
+    lj: [&'a [f32]; 8],
     fx: [f32; 8],
     fy: [f32; 8],
     fz: [f32; 8],
@@ -342,36 +513,32 @@ struct Chunk {
     mask: [f32; 8],
 }
 
-/// `out[l] = f[idx[l] + off]` — a gather at a fixed corner offset.
-#[inline]
-fn gather_off(f: &[f32], idx: &[usize; 8], off: usize) -> F32x8 {
-    let mut a = [0f32; 8];
-    for l in 0..8 {
-        a[l] = f[idx[l] + off];
-    }
-    F32x8::from_array(a)
-}
-
-/// Wide trilinear interpolation: 8 corner gathers weighted and summed in a
-/// fixed order (000, 100, 010, 110, 001, 101, 011, 111). The scalar twin
-/// [`trilerp_lane`] replays the same order per lane — keep them in sync.
-#[inline]
-fn trilerp_wide(
-    f: &[f32],
+/// Wide trilinear interpolation: the 8 corners of each lane's cell,
+/// gathered from the slab `slab` names for that lane (one per lane for
+/// the LJ term, the same one for electrostatics), then weighted and summed
+/// in a fixed order (000, 100, 010, 110, 001, 101, 011, 111). The scalar
+/// twin [`trilerp_lane`] replays the same order per lane — keep them in
+/// sync.
+#[inline(always)]
+fn trilerp_wide<'a>(
+    slab: impl Fn(usize) -> &'a [f32],
     idx: &[usize; 8],
-    ox: usize,
-    oy: usize,
-    oz: usize,
+    [ox, oy, oz]: [usize; 3],
     w: &[F32x8; 8],
 ) -> F32x8 {
-    let mut v = gather_off(f, idx, 0) * w[0];
-    v = v + gather_off(f, idx, ox) * w[1];
-    v = v + gather_off(f, idx, oy) * w[2];
-    v = v + gather_off(f, idx, ox + oy) * w[3];
-    v = v + gather_off(f, idx, oz) * w[4];
-    v = v + gather_off(f, idx, ox + oz) * w[5];
-    v = v + gather_off(f, idx, oy + oz) * w[6];
-    v = v + gather_off(f, idx, ox + oy + oz) * w[7];
+    let offsets = [0, ox, oy, ox + oy, oz, ox + oz, oy + oz, ox + oy + oz];
+    // Lane-major gather: a lane's slab is looked up once for its 8 corners.
+    let mut corners = [[0f32; 8]; 8];
+    for l in 0..8 {
+        let cell = &slab(l)[idx[l]..];
+        for (corner, &off) in corners.iter_mut().zip(&offsets) {
+            corner[l] = cell[off];
+        }
+    }
+    let mut v = F32x8::from_array(corners[0]) * w[0];
+    for c in 1..8 {
+        v = v + F32x8::from_array(corners[c]) * w[c];
+    }
     v
 }
 
@@ -389,29 +556,31 @@ fn trilerp_lane(f: &[f32], i: usize, ox: usize, oy: usize, oz: usize, w: &[f32; 
     v
 }
 
-/// A ligand bound to a (possibly shared) [`GridField`]: scores poses by
-/// trilinear interpolation, `O(ligand_atoms)` per pose.
+/// A ligand bound to its [`GridField`]: scores poses by trilinear
+/// interpolation, `O(ligand_atoms)` per pose.
 #[derive(Debug, Clone)]
 pub struct GridScorer {
-    field: Arc<GridField>,
+    field: GridField,
     lig_local: Vec<Vec3>,
-    /// Precomputed LJ slab offset (`slot * n_nodes`) per ligand atom.
+    /// Index into `field.lj` per ligand atom.
     lig_slab: Vec<usize>,
     lig_charge: Vec<f32>,
     stats: GridBuildStats,
 }
 
 impl GridScorer {
-    /// Build (or fetch from the keyed cache) the grids for a
-    /// receptor/ligand pair. Cost on a cache miss:
-    /// `nodes × avg-neighbors × ligand-element-types`, paid once.
+    /// Fetch from the slab cache, building what is missing, the grids for a
+    /// receptor/ligand pair. Cost of a slab that has to be built:
+    /// `nodes × receptor atoms within the cutoff`, paid once per
+    /// (receptor, options, ligand element).
     pub fn new(receptor: &Molecule, ligand: &Molecule, opts: GridOptions) -> GridScorer {
         // Untraced builds report 0.0 build seconds rather than read the
         // OS clock; [`GridScorer::new_traced`] threads the trace epoch in.
-        GridScorer::new_with_clock(receptor, ligand, opts, &|| 0.0)
+        GridScorer::new_in(grid_cache(), receptor, ligand, opts, &|| 0.0)
     }
 
-    fn new_with_clock(
+    fn new_in(
+        cache: &SlabCache,
         receptor: &Molecule,
         ligand: &Molecule,
         opts: GridOptions,
@@ -420,33 +589,53 @@ impl GridScorer {
         assert!(opts.spacing > 0.0, "spacing must be positive");
         assert!(opts.cutoff > 0.0, "cutoff must be positive");
         let lig = ligand.centered();
-        let mut elem_mask = 0u32;
-        for &e in lig.elements() {
-            elem_mask |= 1 << e.index();
+        // Channels in `Channel` order: LJ by ascending element index, then
+        // electrostatics. `slot[e]` is where element `e`'s slab will sit.
+        let mut present = [false; Element::COUNT];
+        for e in lig.elements() {
+            present[e.index()] = true;
         }
-        let (field, cached) = cached_field(receptor, elem_mask, opts, clock);
+        let mut slot = [usize::MAX; Element::COUNT];
+        let mut channels = Vec::new();
+        for idx in (0..Element::COUNT).filter(|&idx| present[idx]) {
+            slot[idx] = channels.len();
+            channels.push(Channel::Lj(idx as u8));
+        }
+        if opts.dielectric.is_some() {
+            channels.push(Channel::Elec);
+        }
+        let (mut lj, built, build_seconds) = cache.slabs(receptor, opts, &channels, clock);
+        let elec = if opts.dielectric.is_some() { lj.pop() } else { None };
+        let field = GridField { geom: Geometry::of(receptor, opts), opts, lj, elec };
         let stats = GridBuildStats {
-            nodes: field.n_nodes as u64,
+            nodes: field.nodes() as u64,
             grids: field.grid_count(),
             bytes: field.footprint_bytes() as u64,
-            build_seconds: field.build_seconds,
-            cached,
+            build_seconds,
+            built: built as u32,
+            cached: built == 0,
         };
-        let lig_slab: Vec<usize> =
-            lig.elements().iter().map(|e| field.type_slot[e.index()] * field.n_nodes).collect();
-        let lig_charge: Vec<f32> = lig.charges().iter().map(|&q| q as f32).collect();
-        GridScorer { field, lig_local: lig.positions().to_vec(), lig_slab, lig_charge, stats }
+        GridScorer {
+            field,
+            lig_local: lig.positions().to_vec(),
+            lig_slab: lig.elements().iter().map(|e| slot[e.index()]).collect(),
+            lig_charge: lig.charges().iter().map(|&q| q as f32).collect(),
+            stats,
+        }
     }
 
     /// [`GridScorer::new`] plus a [`vstrace::Event::GridBuilt`] record of
-    /// what the build cost (or that the cache was hit).
+    /// what this scorer's grids are and what the request cost: `grids` and
+    /// `bytes` are this scorer's slabs, `build_s` the seconds spent
+    /// building, `cached` that nothing had to be built. A request that
+    /// built also leaves a `grid_slabs_built` counter with how many.
     pub fn new_traced(
         receptor: &Molecule,
         ligand: &Molecule,
         opts: GridOptions,
         trace: &vstrace::Trace,
     ) -> GridScorer {
-        let scorer = GridScorer::new_with_clock(receptor, ligand, opts, &|| trace.now_s());
+        let scorer = GridScorer::new_in(grid_cache(), receptor, ligand, opts, &|| trace.now_s());
         let s = scorer.stats;
         trace.emit(vstrace::Event::GridBuilt {
             nodes: s.nodes,
@@ -455,6 +644,12 @@ impl GridScorer {
             build_s: s.build_seconds,
             cached: s.cached,
         });
+        if s.built > 0 {
+            trace.emit(vstrace::Event::Counter {
+                name: "grid_slabs_built",
+                value: f64::from(s.built),
+            });
+        }
         scorer
     }
 
@@ -466,19 +661,21 @@ impl GridScorer {
         self.lig_local.len()
     }
 
-    /// Grid memory footprint in bytes.
+    /// Memory of this scorer's slabs in bytes.
     pub fn footprint_bytes(&self) -> usize {
         self.field.footprint_bytes()
     }
 
-    /// Build cost and cache status for this scorer's field.
+    /// What this scorer's grids are and what its request cost.
     pub fn build_stats(&self) -> GridBuildStats {
         self.stats
     }
 
-    /// Whether two scorers share one cached [`GridField`] allocation.
-    pub fn shares_field_with(&self, other: &GridScorer) -> bool {
-        Arc::ptr_eq(&self.field, &other.field)
+    /// Whether every slab the two scorers have in common by position is one
+    /// shared allocation (same receptor, options and element set).
+    pub fn shares_slabs_with(&self, other: &GridScorer) -> bool {
+        self.field.grid_count() == other.field.grid_count()
+            && self.field.slabs().zip(other.field.slabs()).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// Fill one 8-atom chunk's interpolation inputs. Positions outside the
@@ -486,28 +683,34 @@ impl GridScorer {
     /// ~0 anyway, given the build cutoff). Shared verbatim by the wide and
     /// scalar paths so they interpolate the exact same corners and weights.
     #[inline]
-    fn prep_chunk(&self, pos: &dyn Fn(usize) -> Vec3, a0: usize) -> Chunk {
-        let f = &*self.field;
+    fn prep_chunk(&self, pos: &dyn Fn(usize) -> Vec3, a0: usize) -> Chunk<'_> {
+        let g = &self.field.geom;
         let n = self.lig_local.len();
         let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
-        let mut c = Chunk::default();
-        for l in 0..F32x8::LANES {
+        // Lanes past the last atom keep mask 0.0 and gather node 0 of the
+        // first slab, which exists: a ligand has at least one atom.
+        let mut c = Chunk {
+            base: [0; 8],
+            lj: [&self.field.lj[0]; 8],
+            fx: [0.0; 8],
+            fy: [0.0; 8],
+            fz: [0.0; 8],
+            q: [0.0; 8],
+            mask: [0.0; 8],
+        };
+        for l in 0..F32x8::LANES.min(n - a0) {
             let a = a0 + l;
-            if a >= n {
-                continue; // mask stays 0.0; index 0 gathers are in-bounds
-            }
             c.mask[l] = 1.0;
-            let g = (pos(a) - f.origin) / f.spacing;
-            let gx = clampf(g.x, f.dims[0]);
-            let gy = clampf(g.y, f.dims[1]);
-            let gz = clampf(g.z, f.dims[2]);
+            let p = (pos(a) - g.origin) / g.spacing;
+            let gx = clampf(p.x, g.dims[0]);
+            let gy = clampf(p.y, g.dims[1]);
+            let gz = clampf(p.z, g.dims[2]);
             let (x0, y0, z0) = (gx as usize, gy as usize, gz as usize);
             c.fx[l] = (gx - x0 as f64) as f32;
             c.fy[l] = (gy - y0 as f64) as f32;
             c.fz[l] = (gz - z0 as f64) as f32;
-            let base = (z0 * f.dims[1] + y0) * f.dims[0] + x0;
-            c.base[l] = base;
-            c.lj_idx[l] = self.lig_slab[a] + base;
+            c.base[l] = (z0 * g.dims[1] + y0) * g.dims[0] + x0;
+            c.lj[l] = &self.field.lj[self.lig_slab[a]];
             c.q[l] = self.lig_charge[a];
         }
         c
@@ -515,9 +718,9 @@ impl GridScorer {
 
     /// Wide-lane scoring core: 8 atoms per step through [`F32x8`].
     fn score_wide_with(&self, pos: &dyn Fn(usize) -> Vec3) -> f64 {
-        let f = &*self.field;
+        let f = &self.field;
         let n = self.lig_local.len();
-        let (ox, oy, oz) = (1usize, f.dims[0], f.dims[0] * f.dims[1]);
+        let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
         let one = F32x8::splat(1.0);
         let mut total = 0.0f64;
         let mut a0 = 0;
@@ -536,9 +739,9 @@ impl GridScorer {
                 (wx0 * fy) * fz,
                 (fx * fy) * fz,
             ];
-            let mut contrib = trilerp_wide(&f.lj, &c.lj_idx, ox, oy, oz, &w);
-            if !f.elec.is_empty() {
-                let e = trilerp_wide(&f.elec, &c.base, ox, oy, oz, &w);
+            let mut contrib = trilerp_wide(|l| c.lj[l], &c.base, [ox, oy, oz], &w);
+            if let Some(elec) = &f.elec {
+                let e = trilerp_wide(|_| elec, &c.base, [ox, oy, oz], &w);
                 contrib = contrib + F32x8::from_array(c.q) * e;
             }
             total += (contrib * F32x8::from_array(c.mask)).horizontal_sum() as f64;
@@ -550,9 +753,9 @@ impl GridScorer {
     /// Scalar fallback: replays the wide path's per-lane IEEE operations in
     /// the same order, so results are bit-identical (tested below).
     fn score_scalar_with(&self, pos: &dyn Fn(usize) -> Vec3) -> f64 {
-        let f = &*self.field;
+        let f = &self.field;
         let n = self.lig_local.len();
-        let (ox, oy, oz) = (1usize, f.dims[0], f.dims[0] * f.dims[1]);
+        let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
         let mut total = 0.0f64;
         let mut a0 = 0;
         while a0 < n {
@@ -571,9 +774,9 @@ impl GridScorer {
                     (wx0 * fy) * fz,
                     (fx * fy) * fz,
                 ];
-                let mut contrib = trilerp_lane(&f.lj, c.lj_idx[l], ox, oy, oz, &w);
-                if !f.elec.is_empty() {
-                    contrib += c.q[l] * trilerp_lane(&f.elec, c.base[l], ox, oy, oz, &w);
+                let mut contrib = trilerp_lane(c.lj[l], c.base[l], ox, oy, oz, &w);
+                if let Some(elec) = &f.elec {
+                    contrib += c.q[l] * trilerp_lane(elec, c.base[l], ox, oy, oz, &w);
                 }
                 *lane = contrib * c.mask[l];
             }
@@ -861,12 +1064,13 @@ mod tests {
         let opts = GridOptions { spacing: 0.9, ..Default::default() };
         let a = GridScorer::new(&rec, &lig, opts);
         let b = GridScorer::new(&rec, &lig, opts);
-        assert!(b.shares_field_with(&a), "second build must hit the cache");
+        assert!(b.shares_slabs_with(&a), "second request must hit the cache");
         assert!(b.build_stats().cached, "cache hit must be visible in stats");
         assert_eq!(a.build_stats().bytes, b.build_stats().bytes);
         // A different pitch is a different key.
         let c = GridScorer::new(&rec, &lig, GridOptions { spacing: 1.1, ..Default::default() });
-        assert!(!c.shares_field_with(&a));
+        assert!(!c.shares_slabs_with(&a));
+        assert!(grid_cache_stats().channels_built >= 2 * u64::from(a.build_stats().grids));
     }
 
     #[test]
@@ -883,11 +1087,33 @@ mod tests {
             .filter(|e| matches!(e, vstrace::Event::GridBuilt { .. }))
             .collect();
         assert_eq!(built.len(), 1);
-        if let vstrace::Event::GridBuilt { nodes, grids, bytes, .. } = built[0] {
+        if let vstrace::Event::GridBuilt { nodes, grids, bytes, cached, .. } = built[0] {
             assert_eq!(nodes, g.build_stats().nodes);
             assert_eq!(grids, g.build_stats().grids);
             assert_eq!(bytes, g.build_stats().bytes);
+            assert!(!cached, "a first request builds");
         }
+        let slabs_built = |t: &vstrace::Trace| -> Vec<f64> {
+            t.snapshot()
+                .payloads()
+                .into_iter()
+                .filter_map(|e| match e {
+                    vstrace::Event::Counter { name: "grid_slabs_built", value } => Some(value),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(slabs_built(&trace), [f64::from(g.build_stats().grids)]);
+        // The same request again builds nothing and says so.
+        let again = vstrace::Trace::new();
+        let h = GridScorer::new_traced(&rec, &lig, opts, &again);
+        assert!(h.build_stats().cached && h.build_stats().build_seconds == 0.0);
+        assert!(slabs_built(&again).is_empty());
+        assert!(again
+            .snapshot()
+            .payloads()
+            .into_iter()
+            .any(|e| matches!(e, vstrace::Event::GridBuilt { cached: true, .. })));
     }
 
     #[test]
@@ -896,5 +1122,375 @@ mod tests {
         let rec = synth::synth_receptor("r", 50, 1);
         let lig = synth::synth_ligand("l", 5, 2);
         GridScorer::new(&rec, &lig, GridOptions { spacing: 0.0, ..Default::default() });
+    }
+
+    // -- build equivalence ---------------------------------------------------
+
+    /// Node indices of one axis that can lie in `[lo, hi]`. One node of
+    /// slack on either side absorbs the rounding of the division; the exact
+    /// distance test decides membership.
+    fn span(geom: &Geometry, axis: usize, lo: f64, hi: f64) -> std::ops::Range<usize> {
+        let o = geom.origin[axis];
+        // Float-to-int casts saturate: below the lattice is 0.
+        let first = ((lo - o) / geom.spacing).floor().max(0.0) as usize;
+        let last = ((hi - o) / geom.spacing).ceil().max(-1.0) + 1.0;
+        first..(last as usize).min(geom.dims[axis])
+    }
+
+    /// The same slabs by an independent, atom-major route — and the build
+    /// ROADMAP item 1(b) wants to put in [`build_slabs`]'s place (about half
+    /// the time: no distance test misses). Each receptor atom, in the cell
+    /// order of the `SpatialGrid` the gather queries, adds into the nodes of
+    /// its cutoff sphere. `d²` is `Vec3::dist_sq(atom, node)` spelled out —
+    /// `(dx² + dy²) + dz²` against the same node coordinates — and a node
+    /// takes an atom exactly when `d² <= cutoff²`, so it receives the terms
+    /// the gather gives it, in the order the gather meets them: every `f32`
+    /// sum must come out the same. One division per slot, as there: a
+    /// shared reciprocal would round differently.
+    fn scatter_slabs(
+        receptor: &Molecule,
+        geom: Geometry,
+        opts: GridOptions,
+        channels: &[Channel],
+    ) -> Vec<Vec<f32>> {
+        let table = PairTable::new(&LjTable::standard());
+        // Node coordinates per axis, by the gather's expression.
+        let axis = |a: usize| -> Vec<f64> {
+            (0..geom.dims[a]).map(|i| geom.origin[a] + i as f64 * geom.spacing).collect()
+        };
+        let (nx, ny, nz) = (axis(0), axis(1), axis(2));
+        let r2 = opts.cutoff * opts.cutoff;
+        let hb_eps = opts.hbond_epsilon.unwrap_or(0.0);
+        let mut slabs = vec![vec![0f32; geom.nodes()]; channels.len()];
+        let cells = SpatialGrid::build(receptor.positions(), opts.cutoff);
+        for &j in cells.cell_order() {
+            let j = j as usize;
+            let (p, re) = (receptor.positions()[j], receptor.elements()[j].index() as u8);
+            let kq = COULOMB_K * receptor.charges()[j];
+            let ys = span(&geom, 1, p.y - opts.cutoff, p.y + opts.cutoff);
+            for iz in span(&geom, 2, p.z - opts.cutoff, p.z + opts.cutoff) {
+                let dz = p.z - nz[iz];
+                let dz2 = dz * dz;
+                for iy in ys.clone() {
+                    let dy = p.y - ny[iy];
+                    let dy2 = dy * dy;
+                    // Rounding is monotone, so d² >= dy² + dz² as computed:
+                    // a row beyond the cutoff holds no node within it.
+                    let room = r2 - (dy2 + dz2);
+                    if room < 0.0 {
+                        continue;
+                    }
+                    let half = room.sqrt();
+                    let row = (iz * geom.dims[1] + iy) * geom.dims[0];
+                    for ix in span(&geom, 0, p.x - half, p.x + half) {
+                        let dx = p.x - nx[ix];
+                        let d2 = dx * dx + dy2 + dz2;
+                        if d2 > r2 {
+                            continue;
+                        }
+                        for (c, slab) in channels.iter().zip(slabs.iter_mut()) {
+                            slab[row + ix] += match *c {
+                                Channel::Lj(le) => {
+                                    let (s2, e4) = table.lookup(le, re);
+                                    let mut v = lj_pair(s2, e4, d2);
+                                    if opts.hbond_epsilon.is_some()
+                                        && is_hbond_capable_idx(le)
+                                        && is_hbond_capable_idx(re)
+                                    {
+                                        v += hbond_pair(hb_eps, d2);
+                                    }
+                                    v as f32
+                                }
+                                Channel::Elec => {
+                                    let eps = opts.dielectric.expect("Elec needs a dielectric");
+                                    (kq / (eps * d2.max(MIN_DIST_SQ))) as f32
+                                }
+                            };
+                        }
+                    }
+                }
+            }
+        }
+        for (c, slab) in channels.iter().zip(slabs.iter_mut()) {
+            if matches!(c, Channel::Lj(_)) {
+                slab.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
+            }
+        }
+        slabs
+    }
+
+    fn lj_channels(elements: &[Element]) -> Vec<Channel> {
+        let mut c: Vec<Channel> = elements.iter().map(|e| Channel::Lj(e.index() as u8)).collect();
+        c.sort();
+        c
+    }
+
+    /// LJ only; LJ + electrostatics; the full model with H-bond.
+    fn model_variants(base: GridOptions, elements: &[Element]) -> Vec<(GridOptions, Vec<Channel>)> {
+        let lj = lj_channels(elements);
+        let with_elec: Vec<Channel> = lj.iter().copied().chain([Channel::Elec]).collect();
+        vec![
+            (base, lj),
+            (GridOptions { dielectric: Some(4.0), ..base }, with_elec.clone()),
+            (GridOptions { dielectric: Some(4.0), hbond_epsilon: Some(1.0), ..base }, with_elec),
+        ]
+    }
+
+    fn assert_same_bits<A: AsRef<[f32]>, B: AsRef<[f32]>>(got: &[A], want: &[B], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: slab count");
+        for (s, (g, w)) in got.iter().zip(want).enumerate() {
+            let (g, w) = (g.as_ref(), w.as_ref());
+            assert_eq!(g.len(), w.len(), "{what}: slab {s} length");
+            if let Some(node) = (0..g.len()).find(|&i| g[i].to_bits() != w[i].to_bits()) {
+                panic!("{what}: slab {s} node {node}: {} != {}", g[node], w[node]);
+            }
+        }
+    }
+
+    /// Every model variant of `base` over `receptor`: the build against
+    /// the atom-major route.
+    fn check_against_scatter(receptor: &Molecule, base: GridOptions) {
+        for (opts, channels) in model_variants(base, &[Element::C, Element::N, Element::O]) {
+            let geom = Geometry::of(receptor, opts);
+            let got = build_slabs(receptor, geom, opts, &channels);
+            assert!(got.iter().any(|slab| slab.iter().any(|v| *v != 0.0)), "build is all zero");
+            let want = scatter_slabs(receptor, geom, opts, &channels);
+            assert_same_bits(&got, &want, &format!("{} atoms, {opts:?}", receptor.len()));
+        }
+    }
+
+    #[test]
+    fn build_equals_atom_major_scatter_bit_for_bit() {
+        let coarse = GridOptions { spacing: 1.5, ..Default::default() };
+        for atoms in [1, 50, 300] {
+            let rec = synth::synth_receptor("equiv", atoms, 31 + atoms as u64);
+            check_against_scatter(&rec, coarse);
+        }
+        // All atoms at z = 0: the spatial grid has a single cell along z,
+        // and a 2 Å margin leaves the lattice four z-planes.
+        let mut rng = RngStream::from_seed(57);
+        let atoms = (0..40)
+            .map(|i| {
+                let p =
+                    Vec3::new(rng.uniform_range(-15.0, 15.0), rng.uniform_range(-15.0, 15.0), 0.0);
+                let e = [Element::C, Element::N, Element::O, Element::S][i % 4];
+                vsmol::Atom::with_charge(p, e, rng.uniform_range(-0.5, 0.5))
+            })
+            .collect();
+        let flat = Molecule::new("flat", atoms);
+        let thin = GridOptions { margin: 2.0, ..coarse };
+        assert_eq!(Geometry::of(&flat, thin).dims[2], 4);
+        check_against_scatter(&flat, thin);
+        check_against_scatter(&flat, coarse);
+    }
+
+    #[test]
+    fn a_slab_built_alone_equals_the_same_slab_built_in_a_set() {
+        let rec = synth::synth_receptor("alone", 200, 91);
+        let opts = GridOptions {
+            spacing: 1.5,
+            dielectric: Some(4.0),
+            hbond_epsilon: Some(1.0),
+            ..Default::default()
+        };
+        let geom = Geometry::of(&rec, opts);
+        let mut set = lj_channels(&[Element::C, Element::N, Element::O, Element::S, Element::Cl]);
+        set.push(Channel::Elec);
+        let together = build_slabs(&rec, geom, opts, &set);
+        for (channel, slab) in set.iter().zip(&together) {
+            let alone = build_slabs(&rec, geom, opts, &[*channel]);
+            assert_same_bits(&alone, std::slice::from_ref(slab), &format!("{channel:?}"));
+        }
+    }
+
+    #[test]
+    #[ignore = "run in release mode: builds both Table 5 receptors twice"]
+    fn table5_receptors_build_equals_scatter() {
+        for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
+            let rec = dataset.receptor();
+            let opts = GridOptions {
+                dielectric: Some(4.0),
+                hbond_epsilon: Some(1.0),
+                ..Default::default()
+            };
+            let mut channels = lj_channels(&[Element::C, Element::N, Element::O, Element::S]);
+            channels.push(Channel::Elec);
+            let geom = Geometry::of(&rec, opts);
+            let got = build_slabs(&rec, geom, opts, &channels);
+            let want = scatter_slabs(&rec, geom, opts, &channels);
+            assert_same_bits(&got, &want, &format!("{dataset:?}"));
+        }
+    }
+
+    // -- cache behaviour -----------------------------------------------------
+
+    /// A ligand with exactly these elements, one atom each, then carbons.
+    fn ligand_of(elements: &[Element], atoms: usize, seed: u64) -> Molecule {
+        let shape = synth::synth_ligand("l", atoms.max(elements.len()), seed);
+        let recolored = shape
+            .atoms()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let e = elements.get(i).copied().unwrap_or(elements[0]);
+                vsmol::Atom::with_charge(a.position, e, a.charge)
+            })
+            .collect();
+        Molecule::new("l", recolored)
+    }
+
+    fn score_bits(g: &GridScorer, seed: u64) -> Vec<u64> {
+        surface_poses(8, seed).iter().map(|p| g.score(p).to_bits()).collect()
+    }
+
+    const NO_CLOCK: &dyn Fn() -> f64 = &|| 0.0;
+    const ROOMY: u64 = 1 << 30;
+
+    #[test]
+    fn each_element_is_built_once_however_ligands_combine_them() {
+        use Element::{C, N, O};
+        let rec = synth::synth_receptor("r", 150, 61);
+        let opts = GridOptions { spacing: 1.2, ..Default::default() };
+        let cache = SlabCache::new(ROOMY);
+        let sets: [&[Element]; 4] = [&[C], &[C, N], &[C, N, O], &[C, N, O]];
+        let mut scorers = Vec::new();
+        for (i, set) in sets.iter().enumerate() {
+            let lig = ligand_of(set, 9, 70 + i as u64);
+            let g = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+            assert_eq!(g.build_stats().cached, i == 3, "request {i}");
+            assert_eq!(g.build_stats().grids as usize, set.len());
+            // The same ligand over a cache of its own: all its slabs built
+            // together, none adopted.
+            let fresh = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
+            assert!(!fresh.build_stats().cached);
+            assert_eq!(score_bits(&g, 5), score_bits(&fresh, 5), "request {i}");
+            scorers.push(g);
+        }
+        let st = cache.stats();
+        assert_eq!((st.channels_built, st.entries, st.misses, st.hits), (3, 3, 3, 1));
+        assert_eq!(st.bytes, 3 * scorers[0].build_stats().bytes);
+        assert!(scorers[3].shares_slabs_with(&scorers[2]));
+        assert!(Arc::ptr_eq(&scorers[0].field.lj[0], &scorers[3].field.lj[0]), "one carbon slab");
+    }
+
+    #[test]
+    fn different_build_options_share_nothing() {
+        let rec = synth::synth_receptor("r", 120, 62);
+        let lig = ligand_of(&[Element::C, Element::N], 8, 63);
+        let base = GridOptions { spacing: 1.3, ..Default::default() };
+        let cache = SlabCache::new(ROOMY);
+        let variants = [
+            base,
+            GridOptions { spacing: 1.4, ..base },
+            GridOptions { dielectric: Some(4.0), ..base },
+            GridOptions { hbond_epsilon: Some(1.0), ..base },
+            GridOptions { hbond_epsilon: Some(2.0), ..base },
+        ];
+        let scorers: Vec<GridScorer> =
+            variants.iter().map(|&o| GridScorer::new_in(&cache, &rec, &lig, o, NO_CLOCK)).collect();
+        for (i, a) in scorers.iter().enumerate() {
+            assert!(!a.build_stats().cached, "variant {i}");
+            for b in &scorers[i + 1..] {
+                let shared = a.field.slabs().any(|s| b.field.slabs().any(|t| Arc::ptr_eq(s, t)));
+                assert!(!shared, "variant {i} shares a slab with a later one");
+            }
+        }
+        // 2 LJ slabs each, plus the electrostatic one of the third.
+        assert_eq!(cache.stats().channels_built, 11);
+        assert_eq!(cache.stats().entries, 11);
+    }
+
+    #[test]
+    fn two_threads_on_one_cold_key_end_up_sharing_one_arc() {
+        let rec = synth::synth_receptor("r", 150, 64);
+        let lig = ligand_of(&[Element::C, Element::O], 8, 65);
+        let opts = GridOptions { spacing: 1.2, dielectric: Some(4.0), ..Default::default() };
+        let cache = SlabCache::new(ROOMY);
+        let gate = std::sync::Barrier::new(2);
+        let request = || {
+            gate.wait();
+            GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(request);
+            (request(), other.join().expect("requesting thread panicked"))
+        });
+        assert!(a.shares_slabs_with(&b), "the later publisher adopts the earlier one's slabs");
+        assert_eq!(score_bits(&a, 6), score_bits(&b, 6));
+        let st = cache.stats();
+        assert_eq!((st.entries, st.bytes), (3, a.build_stats().bytes), "one copy resident");
+        assert!((3..=6).contains(&st.channels_built), "{st:?}");
+        assert_eq!(st.hits + st.misses, 2);
+    }
+
+    #[test]
+    fn over_budget_evicts_the_least_recently_used_receptor() {
+        let lig = ligand_of(&[Element::C, Element::N], 8, 66);
+        let opts = GridOptions { spacing: 1.5, ..Default::default() };
+        let recs: Vec<Molecule> =
+            (0..3).map(|i| synth::synth_receptor("r", 100 + 10 * i, 67 + i as u64)).collect();
+        let field_bytes = |r: &Molecule| 2 * 4 * Geometry::of(r, opts).nodes() as u64;
+        // Room for any two of the three receptors, not for all of them.
+        let cache = SlabCache::new(field_bytes(&recs[2]) * 2);
+        let request = |r: &Molecule| GridScorer::new_in(&cache, r, &lig, opts, NO_CLOCK);
+
+        let a = request(&recs[0]);
+        let before = score_bits(&a, 7);
+        let _b = request(&recs[1]);
+        assert!(request(&recs[0]).build_stats().cached, "A is resident and now the fresher one");
+        let _c = request(&recs[2]);
+        let st = cache.stats();
+        assert_eq!((st.evictions, st.entries), (2, 4), "B's two slabs go");
+        assert_eq!(st.bytes, field_bytes(&recs[0]) + field_bytes(&recs[2]));
+        assert!(request(&recs[0]).build_stats().cached, "A survived");
+        assert!(!request(&recs[1]).build_stats().cached, "B was evicted");
+
+        // That rebuild of B pushed out C, then a rebuild of C pushes out A:
+        // the scorer over A's evicted slabs still holds and scores them.
+        let _ = request(&recs[2]);
+        assert!(!request(&recs[0]).shares_slabs_with(&a), "A was rebuilt meanwhile");
+        assert_eq!(score_bits(&a, 7), before);
+    }
+
+    #[test]
+    fn a_field_larger_than_the_budget_is_still_served() {
+        let rec = synth::synth_receptor("r", 80, 68);
+        let lig = ligand_of(&[Element::C], 6, 69);
+        let cache = SlabCache::new(16);
+        let opts = GridOptions { spacing: 1.5, ..Default::default() };
+        let g = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+        assert!(g.score(&surface_poses(1, 3)[0]).is_finite());
+        assert_eq!(cache.stats().entries, 1, "nothing else to evict: the requester's slabs stay");
+    }
+
+    #[test]
+    fn footprint_counts_only_the_scorers_own_slabs() {
+        use Element::{C, N, O};
+        let rec = synth::synth_receptor("r", 120, 71);
+        let opts = GridOptions { spacing: 1.3, dielectric: Some(4.0), ..Default::default() };
+        let cache = SlabCache::new(ROOMY);
+        let wide = GridScorer::new_in(&cache, &rec, &ligand_of(&[C, N, O], 9, 72), opts, NO_CLOCK);
+        let narrow = GridScorer::new_in(&cache, &rec, &ligand_of(&[C], 9, 73), opts, NO_CLOCK);
+        let slab = 4 * Geometry::of(&rec, opts).nodes();
+        assert_eq!(wide.footprint_bytes(), 4 * slab, "C, N, O and electrostatics");
+        assert_eq!(narrow.footprint_bytes(), 2 * slab, "C and electrostatics");
+        let s = narrow.build_stats();
+        assert_eq!((s.grids, s.bytes, s.cached), (2, 2 * slab as u64, true));
+        assert_eq!(cache.stats().bytes, 4 * slab as u64);
+    }
+
+    #[test]
+    fn clearing_the_cache_forces_a_rebuild_and_keeps_counters() {
+        let rec = synth::synth_receptor("r", 90, 74);
+        let lig = ligand_of(&[Element::C], 6, 75);
+        let opts = GridOptions { spacing: 1.5, ..Default::default() };
+        let cache = SlabCache::new(ROOMY);
+        let a = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+        cache.clear();
+        assert_eq!((cache.stats().entries, cache.stats().bytes), (0, 0));
+        let b = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+        assert!(!b.build_stats().cached && !b.shares_slabs_with(&a));
+        assert_eq!(score_bits(&a, 8), score_bits(&b, 8));
+        assert_eq!((cache.stats().channels_built, cache.stats().misses), (2, 2));
     }
 }

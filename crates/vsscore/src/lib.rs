@@ -45,7 +45,8 @@ pub(crate) mod sync;
 
 pub use forces::RigidGradient;
 pub use grid_potential::{
-    exact_cutoff_score, GridBuildStats, GridField, GridOptions, GridScorer, MAX_NODE_POTENTIAL,
+    exact_cutoff_score, grid_cache_clear, grid_cache_stats, GridBuildStats, GridCacheStats,
+    GridField, GridOptions, GridScorer, MAX_NODE_POTENTIAL,
 };
 pub use pool::{shared_pool, CpuPool};
 pub use run::RunFrame;

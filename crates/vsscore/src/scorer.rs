@@ -95,7 +95,7 @@ pub enum Kernel {
     /// ([`crate::grid_potential::GridScorer`]): trilinear interpolation at
     /// `spacing` Å pitch, `O(ligand_atoms)` per pose and independent of
     /// receptor size. Grid-resolution error applies (DESIGN §11 budget);
-    /// builds are cached per (receptor, ligand element set, options).
+    /// grids are cached per (receptor, options, ligand element).
     Grid { spacing: f64 },
 }
 
@@ -153,8 +153,8 @@ pub struct Scorer {
     /// kernels ([`Kernel::Run`] / [`Kernel::Fused`]).
     rec_runs: Option<RunFrame>,
     rec_grid: Option<SpatialGrid>,
-    /// Potential-grid interpolator, built (or fetched from the keyed build
-    /// cache) for [`Kernel::Grid`].
+    /// Potential-grid interpolator over slabs fetched from (or built into)
+    /// the process-wide slab cache, for [`Kernel::Grid`].
     grid: Option<crate::grid_potential::GridScorer>,
     /// Per-receptor-atom H-bond capability (original atom order), so the
     /// cell-list path gates pairs with one indexed bit instead of an
@@ -921,6 +921,32 @@ mod tests {
         let pooled = batch_scores(&s, &poses, Exec::Pool(4));
         assert_eq!(serial, pooled);
         assert_eq!(serial[0].to_bits(), s.score(&poses[0]).to_bits());
+    }
+
+    #[test]
+    fn two_threads_building_one_grid_scorer_share_its_slabs() {
+        // Both miss the process-wide slab cache and build outside its
+        // lock: neither may block the other, and whoever publishes second
+        // must adopt the first's slabs rather than keep a copy of its own.
+        let rec = synth::synth_receptor("two-thread-grid", 180, 41);
+        let lig = synth::synth_ligand("l", 11, 42);
+        let opts = ScorerOptions {
+            model: ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 },
+            kernel: Kernel::Grid { spacing: 1.1 },
+        };
+        let gate = std::sync::Barrier::new(2);
+        let build = || {
+            gate.wait();
+            Scorer::new(&rec, &lig, opts)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(build);
+            (build(), other.join().expect("building thread panicked"))
+        });
+        let (ga, gb) = (a.grid.as_ref().expect("grid kernel"), b.grid.as_ref().expect("grid"));
+        assert!(ga.shares_slabs_with(gb), "one slab per channel, shared");
+        let pose = RigidTransform::from_translation(Vec3::new(13.0, 2.0, -1.0));
+        assert_eq!(a.score(&pose).to_bits(), b.score(&pose).to_bits());
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub enum Event {
     PartitionDecision { device: u32, share: f64, weight: f64 },
     /// A metaheuristic generation finished.
     GenerationDone { generation: u32, best_score: f64, evaluations: u64 },
-    /// A receptor potential-grid field was built (or fetched from the
-    /// keyed build cache). `build_s` is wall-clock and — like
+    /// A scorer's potential grids were requested from the slab cache:
+    /// `grids` slabs of `nodes` nodes, `bytes` in all, are what that scorer
+    /// holds; `cached` says no slab had to be built for it, `build_s` is
+    /// the wall-clock spent building the ones that had to be and — like
     /// [`Stamped::mono_ns`] — excluded from the determinism contract.
     GridBuilt { nodes: u64, grids: u32, bytes: u64, build_s: f64, cached: bool },
     /// A cluster job ran on a different node than the static plan intended.

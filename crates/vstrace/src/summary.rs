@@ -62,6 +62,7 @@ pub fn text_summary(data: &TraceData) -> String {
     let mut requeued = 0u64;
     let mut grid_builds = 0u64;
     let mut grid_cached = 0u64;
+    let mut grid_slabs = 0u64;
     let mut grid_build_s = 0.0f64;
     let mut grid_bytes = 0u64;
     let mut model: BTreeMap<(u32, u32), ModelAgg> = BTreeMap::new();
@@ -128,14 +129,12 @@ pub fn text_summary(data: &TraceData) -> String {
                 // The oracle emits its cumulative re-seed count; keep the max.
                 reseeds = reseeds.max(value as u64);
             }
+            Event::Counter { name: "grid_slabs_built", value } => grid_slabs += value as u64,
             Event::GridBuilt { bytes, build_s, cached, .. } => {
                 grid_builds += 1;
-                if cached {
-                    grid_cached += 1;
-                } else {
-                    grid_build_s += build_s;
-                    grid_bytes = grid_bytes.max(bytes);
-                }
+                grid_cached += u64::from(cached);
+                grid_build_s += build_s;
+                grid_bytes = grid_bytes.max(bytes);
             }
             _ => {}
         }
@@ -227,7 +226,7 @@ pub fn text_summary(data: &TraceData) -> String {
         let _ = writeln!(
             out,
             "potential grids: {grid_builds} requests ({grid_cached} cache hits), \
-             {grid_build_s:.3} s building, {:.1} MiB largest field",
+             {grid_slabs} slabs built in {grid_build_s:.3} s, {:.1} MiB largest field",
             grid_bytes as f64 / (1024.0 * 1024.0)
         );
     }
@@ -384,6 +383,25 @@ mod tests {
         // One drift refit recorded.
         let line = s.lines().find(|l| l.contains("pair-sweep")).unwrap();
         assert!(line.contains('1'), "{line}");
+    }
+
+    #[test]
+    fn grid_line_counts_requests_hits_and_slabs_built() {
+        let t = Trace::new();
+        let mib = 1 << 20;
+        // Three scorers over one receptor: C+N built, C+N+O builds only O,
+        // C+N again builds nothing.
+        for (grids, built, build_s) in [(2u32, 2.0, 0.25), (3, 1.0, 0.125), (2, 0.0, 0.0)] {
+            let (bytes, cached) = (u64::from(grids) * mib, built == 0.0);
+            t.emit(Event::GridBuilt { nodes: 1 << 18, grids, bytes, build_s, cached });
+            if !cached {
+                t.emit(Event::Counter { name: "grid_slabs_built", value: built });
+            }
+        }
+        let s = text_summary(&t.snapshot());
+        let want = "potential grids: 3 requests (1 cache hits), 3 slabs built in 0.375 s, \
+                    3.0 MiB largest field";
+        assert!(s.contains(want), "{s}");
     }
 
     #[test]

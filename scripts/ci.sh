@@ -73,6 +73,15 @@ scripts/steal_report.sh
 
 echo "==> grid report (potential-grid accuracy + speedup gates)"
 scripts/grid_report.sh
+# The grids behind those scores must not move when their construction
+# or caching does: everything but the timing fields of the report is
+# compared with the copy recorded before grids were cached slab by slab.
+sed -E 's/, "grid_poses_per_sec": .* \}/ }/' target/BENCH_grid.json \
+  | diff -u scripts/grid_accuracy.expected - \
+  || { echo "grid_accuracy: scores differ from scripts/grid_accuracy.expected" >&2; exit 1; }
+
+echo "==> grid build equivalence on the Table 5 receptors (release mode; bit-for-bit against the atom-major route)"
+cargo test --release -q -p vsscore --lib -- --ignored table5_receptors_build_equals_scatter
 
 echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop)"
 scripts/pipeline_report.sh
