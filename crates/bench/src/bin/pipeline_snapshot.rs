@@ -3,9 +3,9 @@
 //! on the Hertz node's GPUs under dynamic distribution, written as
 //! `BENCH_pipeline.json`.
 //!
-//! Both modes share one [`HostCosts`] model, so the comparison isolates
-//! exactly what the pipeline changes: whether host variation/selection
-//! overlaps device scoring or serializes with it. Virtual times are
+//! Both modes charge one host cost model (`metaheur::HostCosts`), so the
+//! comparison isolates exactly what the pipeline changes: whether host
+//! variation/selection overlaps device scoring or serializes with it. Virtual times are
 //! deterministic, so the snapshot doubles as a regression gate — the best
 //! pipelined depth must cut the device idle fraction by at least 25%
 //! relative to lockstep without regressing the makespan, and every mode
@@ -16,7 +16,7 @@
 //!
 //! Defaults to `BENCH_pipeline.json` in the current directory.
 
-use metaheur::{run_exec_cfg, EngineExec, HostCosts, PipelineConfig};
+use metaheur::{run_exec, EngineExec};
 use std::sync::Arc;
 use vsched::{DeviceEvaluator, Strategy};
 use vscreen::platform;
@@ -46,8 +46,7 @@ fn run_mode(screen: &vscreen::VirtualScreen, label: &str, exec: EngineExec) -> M
     let trace = Trace::new();
     let mut ev =
         DeviceEvaluator::new(devices.clone(), screen.scorer(), strategy).with_trace(trace.clone());
-    let cfg = PipelineConfig { costs: HostCosts::default(), ..PipelineConfig::default() };
-    let run = run_exec_cfg(&params, screen.spots(), &mut ev, SEED, &[], &trace, exec, &cfg);
+    let run = run_exec(&params, screen.spots(), &mut ev, SEED, &[], &trace, exec);
     let makespan = ev.makespan();
 
     // steal_report-style cross-check: the trace's per-device busy + idle

@@ -12,8 +12,6 @@ use vstrace::Trace;
 enum Backend<'a> {
     /// Host CPU threads, no virtual timing — the quality-measurement path.
     Cpu { threads: usize },
-    /// Precomputed-potential-grid scoring on the host.
-    Grid { opts: vsscore::GridOptions },
     /// A simulated heterogeneous node under a scheduling strategy
     /// (§3.2–3.3).
     Node { node: &'a SimNode, strategy: Strategy },
@@ -45,11 +43,6 @@ impl<'a> RunSpec<'a> {
         RunSpec { params, backend: Backend::Cpu { threads }, trace: Trace::disabled(), exec: None }
     }
 
-    /// Run against an AutoDock-style precomputed potential grid.
-    pub fn gridded(params: &'a MetaheuristicParams, opts: vsscore::GridOptions) -> RunSpec<'a> {
-        RunSpec { params, backend: Backend::Grid { opts }, trace: Trace::disabled(), exec: None }
-    }
-
     /// Run on a simulated node under `strategy`; the outcome carries the
     /// modeled makespan. Under [`Strategy::WorkSteal`] the host CPU joins
     /// the GPUs in the runtime's steal pool.
@@ -77,12 +70,14 @@ impl<'a> RunSpec<'a> {
 
     /// Select the engine execution mode (DESIGN.md §12).
     ///
-    /// Without this call the run uses the classic generational loop with no
-    /// host-side cost model — exactly the pre-pipeline behavior, bit for
-    /// bit, virtual time included. With [`EngineExec::Lockstep`] the same
-    /// trajectory is charged host variation/selection costs so it compares
-    /// honestly against [`EngineExec::Pipelined`], which overlaps variation
-    /// with scoring through the stage pipeline ([`metaheur::pipeline`]).
+    /// Without this call the run uses the lockstep loop with no host-side
+    /// cost model and free-running device clocks — exactly the pre-pipeline
+    /// behavior, bit for bit, virtual time included. With
+    /// [`EngineExec::Lockstep`] the same loop is charged host
+    /// variation/selection costs so it compares honestly against
+    /// [`EngineExec::Pipelined`], which overlaps variation with scoring
+    /// through the stage ring ([`metaheur::pipeline`]). The search is the
+    /// same in all three.
     pub fn exec(mut self, exec: EngineExec) -> Self {
         self.exec = Some(exec);
         self
@@ -144,11 +139,12 @@ impl VirtualScreen {
     }
 
     /// Run a metaheuristic as described by `spec` — the single entry point
-    /// for every backend: host CPU threads, the precomputed-grid scorer,
-    /// or a simulated node under a scheduling strategy (all through the
-    /// unified node runtime, DESIGN.md §10). Attach a [`vstrace::Trace`]
-    /// with [`RunSpec::traced`] for structured observability on any
-    /// backend.
+    /// for every backend: host CPU threads or a simulated node under a
+    /// scheduling strategy (all through the unified node runtime,
+    /// DESIGN.md §10), with whichever kernel the screen's
+    /// [`ScorerOptions`] selected — the `O(ligand)` potential grid
+    /// (`Kernel::Grid`) included. Attach a [`vstrace::Trace`] with
+    /// [`RunSpec::traced`] for structured observability on any backend.
     pub fn run(&self, spec: RunSpec<'_>) -> ScreenOutcome {
         let trace = spec.trace;
         let exec = spec.exec;
@@ -156,19 +152,6 @@ impl VirtualScreen {
             Backend::Cpu { threads } => {
                 let _screen = trace.span("screen");
                 let mut ev = EvaluatorSpec::PooledCpu { threads }.build(self.scorer.clone());
-                let run = run_engine(spec.params, &self.spots, &mut ev, self.seed, &trace, exec);
-                ScreenOutcome::from_run(run, f64::NAN)
-            }
-            Backend::Grid { opts } => {
-                // AutoDock-style precomputed potential grid
-                // ([`vsscore::GridScorer`]) instead of exact pair scoring:
-                // `O(ligand)` per evaluation after a one-time grid build —
-                // the classic speed/accuracy trade-off. Final poses should
-                // be re-scored exactly (e.g. via [`VirtualScreen::scorer`]).
-                let _screen = trace.span("screen");
-                let grid =
-                    vsscore::GridScorer::new_traced(&self.receptor, &self.ligand, opts, &trace);
-                let mut ev = metaheur::GridEvaluator::new(grid);
                 let run = run_engine(spec.params, &self.spots, &mut ev, self.seed, &trace, exec);
                 ScreenOutcome::from_run(run, f64::NAN)
             }
@@ -347,10 +330,10 @@ impl ScreenOutcome {
     }
 }
 
-/// Dispatch to the classic loop (no exec mode requested — the historical
-/// behavior, untouched) or to the mode-aware entry point
+/// Dispatch to the uncharged lockstep loop (no exec mode requested — the
+/// historical behavior) or to the mode-aware entry point
 /// ([`metaheur::run_exec`]), which charges host costs under `Lockstep` and
-/// runs the stage pipeline under `Pipelined`.
+/// runs the stage ring under `Pipelined`.
 fn run_engine<E: BatchEvaluator + Send>(
     params: &MetaheuristicParams,
     spots: &[vsmol::Spot],
@@ -403,6 +386,16 @@ mod tests {
 
     fn quick_screen() -> VirtualScreen {
         VirtualScreen::builder(Dataset::TwoBsm).max_spots(3).seed(7).build()
+    }
+
+    /// [`quick_screen`] scored through the potential grid.
+    fn grid_screen() -> VirtualScreen {
+        let kernel = vsscore::Kernel::Grid { spacing: 0.75 };
+        VirtualScreen::builder(Dataset::TwoBsm)
+            .max_spots(3)
+            .seed(7)
+            .scorer_options(ScorerOptions { kernel, ..Default::default() })
+            .build()
     }
 
     #[test]
@@ -557,10 +550,7 @@ mod tests {
         let s = quick_screen();
         let p = metaheur::m1(0.05);
         let exact = s.run(RunSpec::cpu(&p, 4));
-        let gridded = s.run(RunSpec::gridded(
-            &p,
-            vsscore::GridOptions { spacing: 0.75, ..Default::default() },
-        ));
+        let gridded = grid_screen().run(RunSpec::cpu(&p, 4));
         assert!(exact.best.score < 0.0);
         assert!(gridded.best.score < 0.0, "gridded search found no binding");
         // Re-score the gridded winner exactly: still a genuine binding.
@@ -631,10 +621,7 @@ mod tests {
         let exec = EngineExec::Pipelined { depth: 2 };
         let cpu = s.run(RunSpec::cpu(&p, 2).exec(exec));
         assert!(cpu.best.is_scored());
-        let grid = s.run(
-            RunSpec::gridded(&p, vsscore::GridOptions { spacing: 0.75, ..Default::default() })
-                .exec(exec),
-        );
+        let grid = grid_screen().run(RunSpec::cpu(&p, 2).exec(exec));
         assert!(grid.best.is_scored());
         let node = platform::hertz();
         let cpu_node = s.run(RunSpec::on_node(&p, &node, Strategy::CpuOnly).exec(exec));

@@ -1,15 +1,31 @@
 //! The Algorithm 1 engine: one independent population per spot, with all
 //! scoring requests batched across spots.
+//!
+//! The template's control flow is written once, as a per-spot state
+//! machine (DESIGN.md §12). A [`SpotToken`] carries one spot's population,
+//! RNG stream and current [`Phase`]; [`build`] does the phase's variation,
+//! [`score`] submits the batches of many tokens as one, and
+//! [`Driver::handle`] does the phase's selection and picks the next phase.
+//! Two schedulers step the tokens: the lockstep loop at the bottom of this
+//! module (every live token through each lap together, on the calling
+//! thread — [`run`], [`run_seeded`], [`run_traced`]) and the stage ring in
+//! [`crate::pipeline`]. A spot's trajectory does not depend on which.
 
+use crate::diversity::translation_diversity;
 use crate::evaluator::BatchEvaluator;
 use crate::params::{
     improved_count, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy,
 };
+use std::borrow::BorrowMut;
 use vsmath::RngStream;
 use vsmol::{conformation::score_cmp, Conformation, Spot};
-use vstrace::{Event, Trace};
+use vstrace::{Event, SpanGuard, Trace};
 
 /// Outcome of one metaheuristic execution.
+///
+/// Every field but `batch_trace` is the same whichever scheduler ran the
+/// search ([`run`], [`EngineExec::Lockstep`](crate::pipeline::EngineExec) or
+/// `Pipelined` at any depth), for every [`EndCondition`].
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Best conformation found anywhere on the surface.
@@ -18,23 +34,28 @@ pub struct RunResult {
     pub best_per_spot: Vec<Conformation>,
     /// Total scoring evaluations performed.
     pub evaluations: u64,
-    /// Generations actually run (≤ the configured maximum; 0 for M4).
+    /// Generations actually run: the count of the spot that ran longest
+    /// (≤ the configured maximum; 0 for M4).
     pub generations_run: usize,
     /// Items per scoring batch, in submission order. This is the workload
     /// trace the device schedulers in `vsched` partition and replay.
     ///
-    /// Submission order is part of the contract: under
-    /// [`EngineExec::Lockstep`](crate::pipeline::EngineExec) batches appear
-    /// in the engine's program order (initialize, then per generation:
-    /// offspring, then one batch per improve step). Under
+    /// Submission order is part of the contract, and the one thing the
+    /// scheduler decides. The lockstep loop ([`run`] and
+    /// [`EngineExec::Lockstep`](crate::pipeline::EngineExec)) submits in
+    /// program order — initialize, then per generation: offspring, then one
+    /// batch per improve step (two per Lamarckian step), each spanning every
+    /// spot still running. Under
     /// [`EngineExec::Pipelined`](crate::pipeline::EngineExec) batches appear
-    /// in evaluator-flush order — coalesced across spots at different
+    /// in evaluator-submission order — coalesced across spots at different
     /// generations — which is deterministic for a fixed seed, spot set and
-    /// pipeline config, but is a *different* order than lockstep.
-    /// `vsched::replay` consumers must not assume the two orders match;
-    /// only the multiset sum (`evaluations`) is mode-invariant.
+    /// depth, but is a *different* order. `vsched::replay` consumers must
+    /// not assume the two orders match; only the sum (`evaluations`) is
+    /// scheduler-invariant.
     pub batch_trace: Vec<u64>,
-    /// Global best score after initialization and after each generation.
+    /// Global best score after initialization and after each generation
+    /// (`generations_run + 1` entries; a spot that stopped earlier keeps
+    /// contributing its final best).
     pub best_history: Vec<f64>,
     /// Mean per-spot translation diversity (Å) after initialization and
     /// after each generation — the premature-convergence diagnostic
@@ -68,7 +89,7 @@ pub fn run<E: BatchEvaluator>(
     evaluator: &mut E,
     seed: u64,
 ) -> RunResult {
-    run_seeded(params, spots, evaluator, seed, &[])
+    run_lockstep(params, spots, evaluator, seed, &[], &Trace::disabled())
 }
 
 /// Like [`run`], but injects already-scored `seed_confs` into the initial
@@ -82,7 +103,7 @@ pub fn run_seeded<E: BatchEvaluator>(
     seed: u64,
     seed_confs: &[Conformation],
 ) -> RunResult {
-    run_seeded_traced(params, spots, evaluator, seed, seed_confs, &Trace::disabled())
+    run_lockstep(params, spots, evaluator, seed, seed_confs, &Trace::disabled())
 }
 
 /// Like [`run`], but with a [`vstrace::Trace`] attached: the engine opens
@@ -97,119 +118,21 @@ pub fn run_traced<E: BatchEvaluator>(
     seed: u64,
     trace: &Trace,
 ) -> RunResult {
-    run_seeded_traced(params, spots, evaluator, seed, &[], trace)
-}
-
-/// The fully general entry point: warm-start seeds *and* trace
-/// instrumentation. [`run`], [`run_seeded`] and [`run_traced`] all delegate
-/// here.
-pub fn run_seeded_traced<E: BatchEvaluator>(
-    params: &MetaheuristicParams,
-    spots: &[Spot],
-    evaluator: &mut E,
-    seed: u64,
-    seed_confs: &[Conformation],
-    trace: &Trace,
-) -> RunResult {
-    // PANICS: invalid parameters are a caller programming error; fail fast.
-    params.validate().expect("invalid metaheuristic parameters");
-    assert!(!spots.is_empty(), "need at least one spot");
-
-    let mut state = Engine {
-        params,
-        spots,
-        rngs: spots.iter().map(|s| RngStream::derive(seed, s.id as u64 + 1)).collect(),
-        populations: Vec::new(),
-        evaluations: 0,
-        batch_trace: Vec::new(),
-        trace: trace.clone(),
-    };
-
-    {
-        let _span = trace.span("initialize");
-        state.initialize(evaluator);
-    }
-    state.inject_seeds(spots, seed_confs);
-    let mut best_history = vec![state.global_best().score];
-    let mut diversity_history = vec![state.mean_diversity()];
-
-    let mut generations_run = 0;
-    if params.single_pass {
-        // M4: one Improve pass over the large initial set; no Select /
-        // Combine / Include loop.
-        let _span = trace.span("improve");
-        state.improve_populations(evaluator);
-        diversity_history.push(state.mean_diversity());
-    } else {
-        let max_gens = params.end.max_generations();
-        let mut stale = 0usize;
-        let mut best_so_far = state.global_best().score;
-        for generation in 0..max_gens {
-            {
-                let _span = trace.span("generation");
-                state.generation(evaluator);
-            }
-            generations_run += 1;
-            let now_best = state.global_best().score;
-            trace.emit(Event::GenerationDone {
-                generation: generation as u32,
-                best_score: now_best,
-                evaluations: state.evaluations,
-            });
-            best_history.push(now_best);
-            diversity_history.push(state.mean_diversity());
-            if let EndCondition::Convergence { patience, .. } = params.end {
-                if now_best < best_so_far - 1e-12 {
-                    best_so_far = now_best;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= patience {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    let best_per_spot: Vec<Conformation> = state.populations.iter().map(|pop| pop[0]).collect();
-    // PANICS: non-empty by caller contract.
-    let best = *best_per_spot.iter().min_by(|a, b| score_cmp(a, b)).expect("non-empty spots");
-
-    RunResult {
-        best,
-        best_per_spot,
-        evaluations: state.evaluations,
-        generations_run,
-        batch_trace: state.batch_trace,
-        best_history,
-        diversity_history,
-    }
+    run_lockstep(params, spots, evaluator, seed, &[], trace)
 }
 
 // ---------------------------------------------------------------------------
 // Per-spot operators.
 //
-// The lockstep engine below and the pipelined engine in [`crate::pipeline`]
-// must produce bit-identical per-spot trajectories, so every operation that
-// draws from a spot's RNG stream lives here as a free function over one
-// spot's state. Both engines call these in the same per-spot order; only
-// the batching across spots differs.
+// Everything that draws from a spot's RNG stream lives here as a free
+// function over one spot's state, called from [`build`] and
+// [`Driver::handle`] only — so the draws a spot makes, and their order, are
+// the same under every scheduler.
 // ---------------------------------------------------------------------------
-
-/// `Initialize` for one spot: `population_per_spot` random conformations
-/// (unscored, in draw order).
-pub(crate) fn seed_spot(
-    params: &MetaheuristicParams,
-    spot: &Spot,
-    rng: &mut RngStream,
-) -> Vec<Conformation> {
-    (0..params.population_per_spot).map(|_| Conformation::random_at(spot, rng)).collect()
-}
 
 /// Two parents from one spot's (sorted) population per the selection
 /// strategy.
-pub(crate) fn pick_parents(
+fn pick_parents(
     params: &MetaheuristicParams,
     pop: &[Conformation],
     rng: &mut RngStream,
@@ -239,7 +162,7 @@ pub(crate) fn pick_parents(
 
 /// `Select` + `Combine` for one spot: `offspring_per_spot` children
 /// (unscored, in draw order).
-pub(crate) fn breed_spot(
+fn breed_spot(
     params: &MetaheuristicParams,
     spot: &Spot,
     pop: &[Conformation],
@@ -259,7 +182,7 @@ pub(crate) fn breed_spot(
 
 /// One local-search step's proposals for one spot: a perturbation of each
 /// of the `k` best group members (unscored, in element order).
-pub(crate) fn propose_spot(
+fn propose_spot(
     params: &MetaheuristicParams,
     spot: &Spot,
     group: &[Conformation],
@@ -275,7 +198,7 @@ pub(crate) fn propose_spot(
 
 /// Accept scored proposals into one spot's group per the hill-climb or
 /// simulated-annealing rule at local-search step `step`.
-pub(crate) fn accept_spot(
+fn accept_spot(
     params: &MetaheuristicParams,
     step: usize,
     group: &mut [Conformation],
@@ -305,7 +228,7 @@ pub(crate) fn accept_spot(
 
 /// One Lamarckian step's trial points for one spot: along the gradient
 /// when available, stochastic perturbation otherwise.
-pub(crate) fn lamarckian_trials(
+fn lamarckian_trials(
     params: &MetaheuristicParams,
     spot: &Spot,
     current: &[Conformation],
@@ -341,21 +264,9 @@ pub(crate) fn lamarckian_trials(
     }
 }
 
-/// `Include` for one spot: merge the offspring group into the population
-/// and keep the best `population_per_spot`.
-pub(crate) fn include_spot(p: usize, pop: &mut Vec<Conformation>, group: Vec<Conformation>) {
-    pop.extend(group);
-    pop.sort_by(score_cmp);
-    pop.truncate(p);
-}
-
 /// Inject already-scored warm-start seeds addressed to `spot` into its
 /// population (each replaces the worst member if it improves on it).
-pub(crate) fn inject_seeds_spot(
-    spot: &Spot,
-    pop: &mut [Conformation],
-    seed_confs: &[Conformation],
-) {
+fn inject_seeds_spot(spot: &Spot, pop: &mut [Conformation], seed_confs: &[Conformation]) {
     for c in seed_confs {
         if !c.is_scored() || c.spot_id != spot.id {
             continue;
@@ -368,234 +279,483 @@ pub(crate) fn inject_seeds_spot(
     }
 }
 
-struct Engine<'a> {
-    params: &'a MetaheuristicParams,
-    spots: &'a [Spot],
-    rngs: Vec<RngStream>,
-    /// One population per spot, kept sorted by ascending score.
-    populations: Vec<Vec<Conformation>>,
-    evaluations: u64,
-    batch_trace: Vec<u64>,
-    trace: Trace,
+// ---------------------------------------------------------------------------
+// The per-spot state machine.
+// ---------------------------------------------------------------------------
+
+/// What a token's next lap does. Every lap except the farewell
+/// [`Phase::Retire`] lap carries a batch to score, so a scheduler's scoring
+/// step sees a continuous stream of work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// `Initialize`: the initial population batch.
+    Seed,
+    /// `Select` + `Combine`: the offspring batch.
+    Breed,
+    /// One local-search step's perturbation proposals.
+    Propose,
+    /// Lamarckian step, first half: the improving elements go out for a
+    /// gradient batch.
+    LamGather,
+    /// Lamarckian step, second half: gradient-directed trial moves.
+    LamPropose,
+    /// Farewell lap: no batch; [`Driver::handle`] harvests the final
+    /// population (the ring's evaluator also counts live tokens by it).
+    Retire,
 }
 
-impl Engine<'_> {
-    fn evaluate_batch<E: BatchEvaluator>(&mut self, evaluator: &mut E, confs: &mut [Conformation]) {
-        if confs.is_empty() {
-            return;
-        }
-        evaluator.evaluate(confs);
-        self.evaluations += confs.len() as u64;
-        self.batch_trace.push(confs.len() as u64);
-    }
+/// One surface spot's whole search state.
+pub(crate) struct SpotToken {
+    pub(crate) si: usize,
+    pub(crate) phase: Phase,
+    rng: RngStream,
+    /// Population, sorted by ascending score.
+    pop: Vec<Conformation>,
+    /// Offspring group being improved this generation (M4: the population).
+    group: Vec<Conformation>,
+    /// Lamarckian: freshly scored originals from the gather half-step.
+    saved: Vec<Conformation>,
+    /// Lamarckian: gradients for `saved` (None → stochastic fallback).
+    grads: Option<Vec<vsscore::RigidGradient>>,
+    /// This lap's scoring payload.
+    pub(crate) batch: Vec<Conformation>,
+    /// This lap's batch wants gradients (Lamarckian gather).
+    wants_grads: bool,
+    /// Improving elements per group this generation.
+    k: usize,
+    /// Local-search step within the current improve pass.
+    step: usize,
+    /// Generations completed.
+    gen: usize,
+    stale: usize,
+    best_so_far: f64,
+    /// Scheduler's: set on tokens the ring admits after its initial wave.
+    pub(crate) fresh: bool,
+    /// Scheduler's: virtual time at which this token's current contents
+    /// are ready (the ring's host↔device overlap accounting; [`score`]
+    /// stores the batch's completion time here).
+    pub(crate) ready_vt: f64,
+}
 
-    /// Like [`Engine::evaluate_batch`] but also asks for gradients (one
-    /// batch of evaluations either way).
-    fn evaluate_batch_gradients<E: BatchEvaluator>(
-        &mut self,
-        evaluator: &mut E,
-        confs: &mut [Conformation],
-    ) -> Option<Vec<vsscore::RigidGradient>> {
-        if confs.is_empty() {
-            return Some(Vec::new());
-        }
-        let grads = evaluator.evaluate_with_gradients(confs);
-        if grads.is_none() {
-            // Fallback path still needs the scores.
-            evaluator.evaluate(confs);
-        }
-        self.evaluations += confs.len() as u64;
-        self.batch_trace.push(confs.len() as u64);
-        grads
-    }
-
-    /// `Initialize(S)`: random conformations at every spot, scored in one
-    /// batch.
-    fn initialize<E: BatchEvaluator>(&mut self, evaluator: &mut E) {
-        let p = self.params.population_per_spot;
-        let mut flat: Vec<Conformation> = Vec::with_capacity(p * self.spots.len());
-        for (si, spot) in self.spots.iter().enumerate() {
-            flat.extend(seed_spot(self.params, spot, &mut self.rngs[si]));
-        }
-        self.evaluate_batch(evaluator, &mut flat);
-        self.populations = flat.chunks(p).map(|c| c.to_vec()).collect();
-        for pop in &mut self.populations {
-            pop.sort_by(score_cmp);
+impl SpotToken {
+    pub(crate) fn new(si: usize, spot: &Spot, seed: u64) -> SpotToken {
+        SpotToken {
+            si,
+            phase: Phase::Seed,
+            rng: RngStream::derive(seed, spot.id as u64 + 1),
+            pop: Vec::new(),
+            group: Vec::new(),
+            saved: Vec::new(),
+            grads: None,
+            batch: Vec::new(),
+            wants_grads: false,
+            k: 0,
+            step: 0,
+            gen: 0,
+            stale: 0,
+            best_so_far: f64::INFINITY,
+            fresh: false,
+            ready_vt: 0.0,
         }
     }
+}
 
-    /// Replace the worst member of each targeted spot's population with a
-    /// shared (already-scored) conformation.
-    fn inject_seeds(&mut self, spots: &[Spot], seed_confs: &[Conformation]) {
-        for c in seed_confs {
-            if !c.is_scored() {
-                continue;
+/// Variation: build the batch `tok`'s current phase wants scored (unscored
+/// conformations in draw order; the gather half-step re-submits scored
+/// ones).
+pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotToken) {
+    tok.wants_grads = tok.phase == Phase::LamGather;
+    tok.batch = match tok.phase {
+        Phase::Seed => (0..params.population_per_spot)
+            .map(|_| Conformation::random_at(spot, &mut tok.rng))
+            .collect(),
+        Phase::Breed => breed_spot(params, spot, &tok.pop, &mut tok.rng),
+        Phase::Propose => propose_spot(params, spot, &tok.group, tok.k, &mut tok.rng),
+        Phase::LamGather => tok.group[..tok.group.len().min(tok.k)].to_vec(),
+        Phase::LamPropose => {
+            lamarckian_trials(params, spot, &tok.saved, tok.grads.as_deref(), &mut tok.rng)
+        }
+        Phase::Retire => Vec::new(),
+    };
+}
+
+/// Score what `toks` carry: one coalesced submission for the plain batches
+/// and one for the gradient batches, each one entry of `batch_trace`.
+///
+/// `at` is the scheduler's clock: given the time the latest contributor was
+/// ready it returns when the submission leaves the host, and the batch goes
+/// through [`BatchEvaluator::evaluate_after`]; `None` means an unclocked
+/// plain [`BatchEvaluator::evaluate`], device clocks running free. Every
+/// contributor's `ready_vt` becomes the completion time.
+pub(crate) fn score<E: BatchEvaluator, T: BorrowMut<SpotToken>>(
+    evaluator: &mut E,
+    toks: &mut [T],
+    batch_trace: &mut Vec<u64>,
+    mut at: impl FnMut(f64) -> Option<f64>,
+) {
+    for grad_class in [false, true] {
+        let member = |t: &SpotToken| t.wants_grads == grad_class && !t.batch.is_empty();
+        let mut flat: Vec<Conformation> = Vec::new();
+        let mut release = 0.0f64;
+        for tok in toks.iter().map(|t| -> &SpotToken { t.borrow() }).filter(|t| member(t)) {
+            flat.extend_from_slice(&tok.batch);
+            release = release.max(tok.ready_vt);
+        }
+        if flat.is_empty() {
+            continue;
+        }
+        let when = at(release);
+        let grads = if grad_class { evaluator.evaluate_with_gradients(&mut flat) } else { None };
+        let completion = match (&grads, when) {
+            // Host-evaluated gradients carry the scores: nothing is released
+            // to a device.
+            (Some(_), _) => when.unwrap_or(0.0),
+            // A plain batch — or the gradient fallback, which still needs
+            // the scores (one batch in the accounting either way).
+            (None, Some(t)) => evaluator.evaluate_after(&mut flat, t),
+            (None, None) => {
+                evaluator.evaluate(&mut flat);
+                0.0
             }
-            if let Some(si) = spots.iter().position(|s| s.id == c.spot_id) {
-                let pop = &mut self.populations[si];
-                let last = pop.len() - 1;
-                if c.score < pop[last].score {
-                    pop[last] = *c;
-                    pop.sort_by(score_cmp);
+        };
+        batch_trace.push(flat.len() as u64);
+        let mut off = 0;
+        for tok in
+            toks.iter_mut().map(|t| -> &mut SpotToken { t.borrow_mut() }).filter(|t| member(t))
+        {
+            let end = off + tok.batch.len();
+            tok.batch.copy_from_slice(&flat[off..end]);
+            if grad_class {
+                tok.grads = grads.as_ref().map(|gs| gs[off..end].to_vec());
+            }
+            tok.ready_vt = completion;
+            off = end;
+        }
+    }
+}
+
+/// Selection, the end condition and the run's records: the half of the
+/// state machine that consumes scored batches.
+pub(crate) struct Driver<'a> {
+    params: &'a MetaheuristicParams,
+    spots: &'a [Spot],
+    seed_confs: &'a [Conformation],
+    trace: &'a Trace,
+    /// Local-search steps per improve pass, and the phase a step starts at.
+    improve_steps: usize,
+    improve_first: Phase,
+    /// Per-spot best score after init and after each generation.
+    hist: Vec<Vec<f64>>,
+    /// Per-spot translation diversity at the same checkpoints.
+    div: Vec<Vec<f64>>,
+    /// Per-spot cumulative evaluations at the same checkpoints.
+    evals: Vec<Vec<u64>>,
+    evals_cum: Vec<u64>,
+    /// `completed[j]` = spots that have finished generation `j` (1-based;
+    /// index 0, initialization, is unused), `retired_at[j]` = those for
+    /// which it was the last. Both grow with the longest-running spot.
+    completed: Vec<usize>,
+    retired_at: Vec<usize>,
+    /// Next generation to announce with `GenerationDone`, and the spots
+    /// that retired before it.
+    next_gd: usize,
+    retired_earlier: usize,
+    pops: Vec<Option<Vec<Conformation>>>,
+    /// Spots whose final population has been handed in.
+    pub(crate) harvested: usize,
+}
+
+/// Checkpoint `j` of one spot's record; a retired spot's last checkpoint
+/// carries forward.
+fn at<T: Copy>(record: &[T], j: usize) -> T {
+    record[j.min(record.len() - 1)]
+}
+
+impl<'a> Driver<'a> {
+    pub(crate) fn new(
+        params: &'a MetaheuristicParams,
+        spots: &'a [Spot],
+        seed_confs: &'a [Conformation],
+        trace: &'a Trace,
+    ) -> Driver<'a> {
+        // PANICS: invalid parameters are a caller programming error; fail fast.
+        params.validate().expect("invalid metaheuristic parameters");
+        assert!(!spots.is_empty(), "need at least one spot");
+        let (improve_steps, improve_first) = match params.improve {
+            ImproveStrategy::None => (0, Phase::Retire), // never entered: zero steps
+            ImproveStrategy::HillClimb { steps }
+            | ImproveStrategy::SimulatedAnnealing { steps, .. } => (steps, Phase::Propose),
+            ImproveStrategy::Lamarckian { steps, .. } => (steps, Phase::LamGather),
+        };
+        let n = spots.len();
+        Driver {
+            params,
+            spots,
+            seed_confs,
+            trace,
+            improve_steps,
+            improve_first,
+            hist: vec![Vec::new(); n],
+            div: vec![Vec::new(); n],
+            evals: vec![Vec::new(); n],
+            evals_cum: vec![0; n],
+            completed: vec![0],
+            retired_at: vec![0],
+            next_gd: 1,
+            retired_earlier: 0,
+            pops: (0..n).map(|_| None).collect(),
+            harvested: 0,
+        }
+    }
+
+    /// Selection: consume `tok`'s scored batch as its phase prescribes and
+    /// set the phase of its next lap. A token arriving at
+    /// [`Phase::Retire`] hands in its population and is done.
+    pub(crate) fn handle(&mut self, tok: &mut SpotToken) {
+        let scored = std::mem::take(&mut tok.batch);
+        self.evals_cum[tok.si] += scored.len() as u64;
+        match tok.phase {
+            Phase::Seed => {
+                tok.pop = scored;
+                tok.pop.sort_by(score_cmp);
+                inject_seeds_spot(&self.spots[tok.si], &mut tok.pop, self.seed_confs);
+                tok.best_so_far = tok.pop[0].score;
+                self.checkpoint(tok.si, &tok.pop);
+                if self.params.single_pass {
+                    // M4: one Improve pass over the large initial set; no
+                    // Select / Combine / Include loop.
+                    if self.begin_improve(tok, self.params.population_per_spot) {
+                        tok.group = std::mem::take(&mut tok.pop);
+                    } else {
+                        // Improve is a no-op; the run still records a second
+                        // (unchanged) diversity checkpoint.
+                        let d = self.div[tok.si][0];
+                        self.div[tok.si].push(d);
+                        tok.phase = Phase::Retire;
+                    }
+                } else {
+                    let none = self.params.end.max_generations() == 0;
+                    tok.phase = if none { Phase::Retire } else { Phase::Breed };
                 }
             }
-        }
-    }
-
-    /// One full Select → Combine → Improve → Include generation.
-    fn generation<E: BatchEvaluator>(&mut self, evaluator: &mut E) {
-        // Select + Combine, per spot, into one flat offspring batch.
-        let o = self.params.offspring_per_spot;
-        let mut offspring: Vec<Conformation> = Vec::with_capacity(o * self.spots.len());
-        for si in 0..self.spots.len() {
-            offspring.extend(breed_spot(
-                self.params,
-                &self.spots[si],
-                &self.populations[si],
-                &mut self.rngs[si],
-            ));
-        }
-        self.evaluate_batch(evaluator, &mut offspring);
-
-        // Improve the best fraction of each spot's offspring.
-        let mut groups: Vec<Vec<Conformation>> = offspring.chunks(o).map(|c| c.to_vec()).collect();
-        for g in &mut groups {
-            g.sort_by(score_cmp);
-        }
-        let k = improved_count(o, self.params.improve_fraction);
-        if k > 0 && self.params.improve.evals_per_element() > 0 {
-            let _span = self.trace.span("improve");
-            self.local_search(evaluator, &mut groups, k);
-        }
-
-        // Include: merge offspring and keep the best `population_per_spot`.
-        let p = self.params.population_per_spot;
-        for (pop, group) in self.populations.iter_mut().zip(groups) {
-            include_spot(p, pop, group);
-        }
-    }
-
-    /// `Improve` over the whole populations (M4 single-pass mode).
-    fn improve_populations<E: BatchEvaluator>(&mut self, evaluator: &mut E) {
-        let k = improved_count(self.params.population_per_spot, self.params.improve_fraction);
-        if k == 0 || self.params.improve.evals_per_element() == 0 {
-            return;
-        }
-        let mut groups = std::mem::take(&mut self.populations);
-        self.local_search(evaluator, &mut groups, k);
-        for pop in &mut groups {
-            pop.sort_by(score_cmp);
-        }
-        self.populations = groups;
-    }
-
-    /// Batched local search: improve the best `k` elements of each group in
-    /// lockstep; each step scores one perturbation per improving element
-    /// across all spots in a single batch.
-    fn local_search<E: BatchEvaluator>(
-        &mut self,
-        evaluator: &mut E,
-        groups: &mut [Vec<Conformation>],
-        k: usize,
-    ) {
-        if let ImproveStrategy::Lamarckian { steps, .. } = self.params.improve {
-            self.lamarckian_search(evaluator, groups, k, steps);
-            return;
-        }
-        let steps = self.params.improve.evals_per_element();
-
-        for step in 0..steps {
-            // Propose one perturbation per improving element.
-            let mut proposals: Vec<Conformation> = Vec::new();
-            for (si, group) in groups.iter().enumerate() {
-                proposals.extend(propose_spot(
-                    self.params,
-                    &self.spots[si],
-                    group,
-                    k,
-                    &mut self.rngs[si],
-                ));
+            Phase::Breed => {
+                tok.group = scored;
+                tok.group.sort_by(score_cmp);
+                // Improve the best fraction of the spot's offspring.
+                if !self.begin_improve(tok, self.params.offspring_per_spot) {
+                    self.include_and_advance(tok);
+                }
             }
-            self.evaluate_batch(evaluator, &mut proposals);
-
-            // Accept per hill-climb or SA rule, spot by spot in slot order.
-            let mut off = 0;
-            for (si, group) in groups.iter_mut().enumerate() {
-                let n = group.len().min(k);
-                accept_spot(self.params, step, group, &proposals[off..off + n], &mut self.rngs[si]);
-                off += n;
+            Phase::Propose => {
+                accept_spot(self.params, tok.step, &mut tok.group, &scored, &mut tok.rng);
+                self.end_step(tok);
             }
-        }
-    }
-
-    /// Lamarckian descent: each step evaluates gradients at the current
-    /// points, takes one force/torque-directed trial move per element, and
-    /// keeps improvements (acquired traits are written back into the
-    /// genotype — the defining Lamarckian property).
-    fn lamarckian_search<E: BatchEvaluator>(
-        &mut self,
-        evaluator: &mut E,
-        groups: &mut [Vec<Conformation>],
-        k: usize,
-        steps: usize,
-    ) {
-        for _ in 0..steps {
-            // Gather the improving elements across all spots.
-            let mut current: Vec<Conformation> = Vec::new();
-            let mut counts: Vec<usize> = Vec::with_capacity(groups.len());
-            for group in groups.iter() {
-                let n = group.len().min(k);
-                current.extend_from_slice(&group[..n]);
-                counts.push(n);
+            Phase::LamGather => {
+                tok.saved = scored;
+                tok.phase = Phase::LamPropose;
             }
-            let grads = self.evaluate_batch_gradients(evaluator, &mut current);
-
-            // Trial points: along the gradient when available, stochastic
-            // perturbation otherwise.
-            let mut proposals: Vec<Conformation> = Vec::with_capacity(current.len());
-            let mut off = 0;
-            for (si, &n) in counts.iter().enumerate() {
-                proposals.extend(lamarckian_trials(
-                    self.params,
-                    &self.spots[si],
-                    &current[off..off + n],
-                    grads.as_ref().map(|gs| &gs[off..off + n]),
-                    &mut self.rngs[si],
-                ));
-                off += n;
-            }
-            self.evaluate_batch(evaluator, &mut proposals);
-            let mut off = 0;
-            for (si, &n) in counts.iter().enumerate() {
-                for ei in 0..n {
+            Phase::LamPropose => {
+                for ((dst, &cand), &cur) in tok.group.iter_mut().zip(&scored).zip(&tok.saved) {
                     // The gathered copy carries the freshly evaluated score
-                    // of the original; keep whichever is better.
-                    let (cand, cur) = (proposals[off + ei], current[off + ei]);
-                    groups[si][ei] = if cand.score < cur.score { cand } else { cur };
+                    // of the original; keep whichever is better (acquired
+                    // traits are written back into the genotype — the
+                    // defining Lamarckian property).
+                    *dst = if cand.score < cur.score { cand } else { cur };
                 }
-                off += n;
+                tok.saved.clear();
+                tok.grads = None;
+                self.end_step(tok);
+            }
+            Phase::Retire => {
+                self.pops[tok.si] = Some(std::mem::take(&mut tok.pop));
+                self.harvested += 1;
             }
         }
     }
 
-    /// Mean translation diversity across the per-spot populations.
-    fn mean_diversity(&self) -> f64 {
-        if self.populations.is_empty() {
-            return 0.0;
+    /// Start an improve pass over the best elements of a group of `n`, if
+    /// the parameters improve anything at all.
+    fn begin_improve(&self, tok: &mut SpotToken, n: usize) -> bool {
+        tok.k = improved_count(n, self.params.improve_fraction);
+        tok.step = 0;
+        let improving = tok.k > 0 && self.improve_steps > 0;
+        if improving {
+            tok.phase = self.improve_first;
         }
-        self.populations.iter().map(|p| crate::diversity::translation_diversity(p)).sum::<f64>()
-            / self.populations.len() as f64
+        improving
     }
 
-    fn global_best(&self) -> Conformation {
-        *self
-            .populations
-            .iter()
-            .map(|p| &p[0])
-            .min_by(|a, b| score_cmp(a, b))
-            // PANICS: non-empty by caller contract.
-            .expect("non-empty populations")
+    /// One local-search step is done: take the next, or fold the group
+    /// back and decide what happens after the improve pass.
+    fn end_step(&mut self, tok: &mut SpotToken) {
+        tok.step += 1;
+        if tok.step < self.improve_steps {
+            tok.phase = self.improve_first;
+        } else if self.params.single_pass {
+            tok.pop = std::mem::take(&mut tok.group);
+            tok.pop.sort_by(score_cmp);
+            self.div[tok.si].push(translation_diversity(&tok.pop));
+            tok.phase = Phase::Retire;
+        } else {
+            self.include_and_advance(tok);
+        }
     }
+
+    /// `Include`: merge the offspring group into the population and keep
+    /// the best `population_per_spot`; record the generation checkpoint;
+    /// then either retire the spot (end condition met) or start its next
+    /// generation.
+    fn include_and_advance(&mut self, tok: &mut SpotToken) {
+        tok.pop.append(&mut tok.group);
+        tok.pop.sort_by(score_cmp);
+        tok.pop.truncate(self.params.population_per_spot);
+        tok.gen += 1;
+        self.checkpoint(tok.si, &tok.pop);
+        if self.completed.len() <= tok.gen {
+            self.completed.resize(tok.gen + 1, 0);
+            self.retired_at.resize(tok.gen + 1, 0);
+        }
+        self.completed[tok.gen] += 1;
+        // The end condition is per spot under every scheduler: spots are
+        // independent searches, and a global staleness check would need the
+        // barrier the ring exists to remove.
+        let done = match self.params.end {
+            EndCondition::Generations(g) => tok.gen >= g,
+            EndCondition::Convergence { patience, max } => {
+                let now_best = tok.pop[0].score;
+                if now_best < tok.best_so_far - 1e-12 {
+                    tok.best_so_far = now_best;
+                    tok.stale = 0;
+                } else {
+                    tok.stale += 1;
+                }
+                tok.stale >= patience || tok.gen >= max
+            }
+        };
+        if done {
+            self.retired_at[tok.gen] += 1;
+        }
+        tok.phase = if done { Phase::Retire } else { Phase::Breed };
+    }
+
+    /// Global best as of checkpoint `j`.
+    fn best_at(&self, j: usize) -> f64 {
+        self.hist.iter().map(|h| at(h, j)).fold(f64::INFINITY, f64::min)
+    }
+
+    fn checkpoint(&mut self, si: usize, pop: &[Conformation]) {
+        self.hist[si].push(pop[0].score);
+        self.div[si].push(translation_diversity(pop));
+        self.evals[si].push(self.evals_cum[si]);
+    }
+
+    /// Emit `GenerationDone` for every generation that settled since the
+    /// last call — exactly when its slowest spot finishes it, with the
+    /// global best and cumulative evaluations as of that generation. A spot
+    /// that retired earlier counts as done with it (its last checkpoint
+    /// carries forward), so a run emits `generations_run` events in all.
+    /// Schedulers call this once selection for a lap is done (the lockstep
+    /// loop after closing the generation's span).
+    pub(crate) fn announce(&mut self) {
+        while self.next_gd < self.completed.len()
+            && self.completed[self.next_gd] + self.retired_earlier == self.spots.len()
+        {
+            let j = self.next_gd;
+            self.trace.emit(Event::GenerationDone {
+                generation: (j - 1) as u32,
+                best_score: self.best_at(j),
+                evaluations: self.evals.iter().map(|e| at(e, j)).sum(),
+            });
+            self.retired_earlier += self.retired_at[j];
+            self.next_gd += 1;
+        }
+    }
+
+    /// The run's report, assembled from the per-spot records (spots may
+    /// have retired at different generations under `Convergence`).
+    pub(crate) fn into_result(self, batch_trace: Vec<u64>) -> RunResult {
+        let best_per_spot: Vec<Conformation> = self
+            .pops
+            .iter()
+            // PANICS: only on an abnormal ring teardown (a stage panicked
+            // mid-run); the stage join has already surfaced that panic.
+            .map(|pop| pop.as_ref().expect("every spot retired")[0])
+            .collect();
+        // PANICS: non-empty by caller contract.
+        let best = *best_per_spot.iter().min_by(|a, b| score_cmp(a, b)).expect("non-empty spots");
+        let generations_run = self.completed.len() - 1;
+        let best_history: Vec<f64> = (0..=generations_run).map(|j| self.best_at(j)).collect();
+        let div_len = self.div.iter().map(Vec::len).max().unwrap_or(1);
+        let diversity_history: Vec<f64> = (0..div_len)
+            .map(|j| self.div.iter().map(|d| at(d, j)).sum::<f64>() / self.spots.len() as f64)
+            .collect();
+        RunResult {
+            best,
+            best_per_spot,
+            evaluations: batch_trace.iter().sum(),
+            generations_run,
+            batch_trace,
+            best_history,
+            diversity_history,
+        }
+    }
+}
+
+/// The lockstep scheduler: step every live token through each lap together
+/// on the calling thread, so each submission spans all running spots and
+/// `batch_trace` comes out in program order. It carries no cost model and
+/// lets device clocks run free (plain `evaluate`); wrapping the evaluator
+/// is what turns it into charged
+/// [`EngineExec::Lockstep`](crate::pipeline::EngineExec).
+pub(crate) fn run_lockstep<E: BatchEvaluator>(
+    params: &MetaheuristicParams,
+    spots: &[Spot],
+    evaluator: &mut E,
+    seed: u64,
+    seed_confs: &[Conformation],
+    trace: &Trace,
+) -> RunResult {
+    let mut driver = Driver::new(params, spots, seed_confs, trace);
+    let mut live: Vec<SpotToken> =
+        spots.iter().enumerate().map(|(si, spot)| SpotToken::new(si, spot, seed)).collect();
+    let mut batch_trace = Vec::new();
+    // Open `initialize` / `generation` ⊃ `improve` spans, innermost last.
+    let mut spans: Vec<SpanGuard> = Vec::new();
+    while let Some(first) = live.first() {
+        // Laps per generation depend on the parameters only, so the tokens
+        // never drift apart; retiring ones just leave the batches smaller.
+        let (phase, step) = (first.phase, first.step);
+        debug_assert!(live.iter().all(|t| (t.phase, t.step) == (phase, step)));
+        match phase {
+            Phase::Seed => spans.push(trace.span("initialize")),
+            Phase::Breed => spans.push(trace.span("generation")),
+            Phase::Propose | Phase::LamGather if step == 0 => spans.push(trace.span("improve")),
+            _ => {}
+        }
+        for tok in &mut live {
+            build(params, &spots[tok.si], tok);
+        }
+        score(evaluator, &mut live[..], &mut batch_trace, |_| None);
+        for tok in &mut live {
+            driver.handle(tok);
+        }
+        live.retain_mut(|tok| {
+            let retiring = tok.phase == Phase::Retire;
+            if retiring {
+                driver.handle(tok);
+            }
+            !retiring
+        });
+        // Initialization, a generation or the single improve pass is over
+        // when the survivors are about to breed (or nobody survives).
+        if phase == Phase::Seed || live.first().is_none_or(|t| t.phase == Phase::Breed) {
+            while let Some(innermost) = spans.pop() {
+                drop(innermost);
+            }
+            driver.announce();
+        }
+    }
+    driver.into_result(batch_trace)
 }
 
 #[cfg(test)]
@@ -774,6 +934,27 @@ mod tests {
         };
         let r = run(&p, &sp, &mut ev, 13);
         assert!(r.generations_run < 500, "never converged");
+
+        // Staleness is judged per spot: three spots may stop at three
+        // different generations, and the run is as long as the slowest.
+        let sp = spots(3);
+        let mut ev = evaluator_for(&sp);
+        let r = run(&p, &sp, &mut ev, 13);
+        assert!(r.generations_run < 500, "never converged");
+        assert_eq!(r.best_history.len(), r.generations_run + 1);
+        // Each spot alone stops where it stops in company.
+        let alone: Vec<usize> = sp
+            .iter()
+            .map(|s| run(&p, std::slice::from_ref(s), &mut evaluator_for(&sp), 13).generations_run)
+            .collect();
+        assert_eq!(r.generations_run, *alone.iter().max().unwrap());
+        assert!(alone.iter().any(|&g| g < r.generations_run), "spots stopped together: {alone:?}");
+        // Batches shrink as spots retire: generation `j`'s offspring batch
+        // spans the spots still running it.
+        for (j, &items) in r.batch_trace[1..].iter().enumerate() {
+            let running = alone.iter().filter(|&&g| g > j).count();
+            assert_eq!(items, 32 * running as u64, "generation {}", j + 1);
+        }
     }
 
     #[test]

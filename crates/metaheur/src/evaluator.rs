@@ -36,10 +36,10 @@ pub trait BatchEvaluator {
     /// Score a *streamed* batch that becomes ready at virtual time
     /// `release` (seconds on the evaluator's device clocks): the batch may
     /// not start executing before `release`, and the returned value is its
-    /// virtual completion time. This is how the pipelined engine
-    /// ([`crate::pipeline`]) threads host-side stage clocks through the
-    /// device scheduler so overlap (and the lack of it in lockstep mode)
-    /// shows up as measured device idle time.
+    /// virtual completion time. This is how [`crate::run_exec`] threads
+    /// host-side clocks (the ring's stages, or the charged lockstep loop)
+    /// through the device scheduler so overlap (and the lack of it in
+    /// lockstep mode) shows up as measured device idle time.
     ///
     /// Backends without a virtual clock just score and echo `release`;
     /// scores are identical to [`BatchEvaluator::evaluate`] either way.
@@ -194,33 +194,6 @@ impl BatchEvaluator for SyntheticEvaluator {
     }
 }
 
-/// Evaluator over a precomputed potential grid
-/// ([`vsscore::GridScorer`]) — `O(ligand)` scoring after a one-time build,
-/// the AutoDock-style speed/accuracy trade-off.
-pub struct GridEvaluator {
-    grid: vsscore::GridScorer,
-}
-
-impl GridEvaluator {
-    pub fn new(grid: vsscore::GridScorer) -> GridEvaluator {
-        GridEvaluator { grid }
-    }
-}
-
-impl BatchEvaluator for GridEvaluator {
-    fn evaluate(&mut self, confs: &mut [Conformation]) {
-        for c in confs.iter_mut() {
-            c.score = self.grid.score(&c.pose);
-        }
-    }
-
-    fn pairs_per_eval(&self) -> u64 {
-        // Interpolation cost is per ligand atom, not per pair; report the
-        // ligand atom count as the workload unit.
-        self.grid.ligand_atoms() as u64
-    }
-}
-
 /// A rugged multi-basin landscape: Gaussian wells of different depths and
 /// widths around each spot. Unlike [`SyntheticEvaluator`]'s single smooth
 /// basin, this one punishes pure exploitation — local search from the
@@ -360,11 +333,11 @@ mod tests {
             anchor_atom: 0,
         }];
         let params = crate::suite::m1(0.2);
-        let mut grid_ev = GridEvaluator::new(vsscore::GridScorer::new(
-            &rec,
-            &lig,
-            vsscore::GridOptions { spacing: 0.6, ..Default::default() },
-        ));
+        let grid_opts = vsscore::ScorerOptions {
+            kernel: vsscore::Kernel::Grid { spacing: 0.6 },
+            ..Default::default()
+        };
+        let mut grid_ev = CpuEvaluator::new(Scorer::new(&rec, &lig, grid_opts), Exec::Serial);
         let r_grid = crate::engine::run(&params, &spots, &mut grid_ev, 5);
         let mut exact_ev =
             CpuEvaluator::new(Scorer::new(&rec, &lig, Default::default()), Exec::Serial);

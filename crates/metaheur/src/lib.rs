@@ -30,6 +30,15 @@
 //! heterogeneous GPUs. Scoring goes through the [`evaluator::BatchEvaluator`]
 //! abstraction so the same engine runs against the real Lennard-Jones
 //! scorer, a multithreaded CPU pool, or a simulated device.
+//!
+//! The template is implemented once, as a per-spot state machine in
+//! [`engine`], and scheduled two ways (DESIGN.md §12): [`run`],
+//! [`run_seeded`] and [`run_traced`] step every spot in lockstep on the
+//! calling thread, uncharged; [`run_exec`] either charges that loop's host
+//! phases on the evaluator's virtual clocks ([`EngineExec::Lockstep`]) or
+//! runs the machine as a ring of stage threads that overlaps variation
+//! with scoring ([`EngineExec::Pipelined`]). Whichever runs, a spot's
+//! search is the same, bit for bit.
 #![forbid(unsafe_code)]
 
 pub mod diversity;
@@ -45,13 +54,11 @@ pub mod tuning;
 
 mod sync;
 
-pub use engine::{run, run_seeded, run_seeded_traced, run_traced, RunResult};
-pub use evaluator::{
-    BatchEvaluator, CpuEvaluator, GridEvaluator, RuggedEvaluator, SyntheticEvaluator,
-};
+pub use engine::{run, run_seeded, run_traced, RunResult};
+pub use evaluator::{BatchEvaluator, CpuEvaluator, RuggedEvaluator, SyntheticEvaluator};
 pub use hybrid::{run_memetic, MemeticParams};
 pub use params::{EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy};
-pub use pipeline::{run_exec, run_exec_cfg, run_pipelined, EngineExec, HostCosts, PipelineConfig};
+pub use pipeline::{run_exec, EngineExec, HostCosts};
 pub use pso::{run_pso, PsoParams};
 pub use suite::{m1, m2, m3, m4, paper_suite};
 pub use tabu::{run_tabu, run_tabu_from, TabuParams};

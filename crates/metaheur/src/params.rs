@@ -50,8 +50,13 @@ impl ImproveStrategy {
 pub enum EndCondition {
     /// Fixed number of generations.
     Generations(usize),
-    /// Stop when the global best has not improved for `patience`
-    /// consecutive generations, with a hard cap of `max` generations.
+    /// Stop each spot when *its* best has not improved (by more than
+    /// 1e-12) for `patience` consecutive generations, with a hard cap of
+    /// `max` generations. Spots are independent searches, so staleness is
+    /// judged per spot under every scheduler — a global check would need a
+    /// barrier across spots — and spots may stop at different generations:
+    /// `generations_run` is the slowest spot's count, and the histories
+    /// carry a stopped spot's last checkpoint forward.
     Convergence { patience: usize, max: usize },
 }
 

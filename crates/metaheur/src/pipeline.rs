@@ -1,12 +1,14 @@
-//! Pipelined generational engine: channel-connected stages that overlap
-//! variation with scoring (DESIGN.md §12).
+//! The engine's execution modes: the stage ring that overlaps variation
+//! with scoring, and the host cost model that makes it comparable with the
+//! lockstep loop (DESIGN.md §12).
 //!
-//! The lockstep engine in [`crate::engine`] alternates host phases
-//! (Select/Combine/Improve proposal construction) with device phases
-//! (batch scoring): while the host breeds generation N+1, every device
-//! sits idle, and while the devices score, the host waits. This module
-//! restructures the engine into a ring of four stages connected by
-//! bounded SPSC channels:
+//! The search itself — the per-spot state machine and its operators — lives
+//! in [`crate::engine`]. This module holds only what is about threads and
+//! virtual host time. The lockstep loop alternates host phases
+//! (Select/Combine/Improve proposal construction) with device phases (batch
+//! scoring): while the host breeds generation N+1, every device sits idle,
+//! and while the devices score, the host waits. The ring instead runs the
+//! same state machine as four stages connected by bounded SPSC channels:
 //!
 //! ```text
 //!   selector(driver) → seeder → breeder → evaluator → selector …
@@ -21,33 +23,28 @@
 //!
 //! # Determinism contract
 //!
-//! *Per-spot* trajectories are bit-identical to the lockstep engine: every
-//! RNG draw a spot makes happens in exactly the order the lockstep engine
-//! would make it (the two engines share the per-spot operators in
-//! [`crate::engine`]). Under [`EndCondition::Generations`] every spot runs
-//! the same number of generations in both modes, so `best`,
-//! `best_per_spot`, `best_history`, `diversity_history` and `evaluations`
-//! are bit-identical across modes. What *does* differ is batch
-//! composition: the evaluator coalesces batches across spots at different
-//! generations, so `batch_trace` is a different (but still deterministic)
-//! sequence — see [`RunResult::batch_trace`].
-//!
-//! Under [`EndCondition::Convergence`] the lockstep engine stops on
-//! *global* staleness while the pipelined engine retires each spot on its
-//! own staleness (a global check would reintroduce the barrier), so
-//! results agree only within search tolerance.
+//! A spot's trajectory is a function of the parameters, the seed and the
+//! scores alone: both schedulers run the one `build` / `handle` pair of
+//! [`crate::engine`], every RNG draw a spot makes happens in the same order,
+//! and the end condition is per spot ([`crate::EndCondition`]). So `best`,
+//! `best_per_spot`, `best_history`, `diversity_history`, `evaluations` and
+//! `generations_run` are bit-identical across modes and depths for every
+//! end condition. What *does* differ is batch composition: the evaluator
+//! stage coalesces batches across spots at different generations, so
+//! `batch_trace` is a different (but still deterministic) sequence — see
+//! [`RunResult::batch_trace`].
 //!
 //! # Learned-oracle re-seeding
 //!
 //! When the evaluator underneath is a `vsched` executor running
-//! `Strategy::Oracle`, every coalesced batch this engine submits flows
-//! through the same `evaluate_after` seam as the lockstep engine's
-//! generation batches. The executor re-queries its learned cost model for
-//! fresh deque seeds at each such call, so the pipelined engine re-seeds
-//! at (cross-spot) generation boundaries for free — no extra coupling
-//! between the variation stages and the scheduler is needed, and the
-//! determinism contract above is unchanged (the oracle consumes only
-//! virtual-time measurements).
+//! `Strategy::Oracle`, every coalesced batch the ring submits flows
+//! through the same `evaluate_after` seam as charged lockstep's generation
+//! batches. The executor re-queries its learned cost model for fresh deque
+//! seeds at each such call, so the ring re-seeds at (cross-spot)
+//! generation boundaries for free — no extra coupling between the
+//! variation stages and the scheduler is needed, and the determinism
+//! contract above is unchanged (the oracle consumes only virtual-time
+//! measurements).
 //!
 //! # Deadlock freedom
 //!
@@ -55,39 +52,43 @@
 //! tokens are admitted to the ring at once. A send-cycle deadlock needs
 //! every channel full plus one token held by each of the four blocked
 //! stages — `4·depth + 4` tokens, more than can exist. Retiring spots
-//! make one final farewell lap (phase [`Phase::Retire`]) so the evaluator
-//! can track the live-token count it needs for its flush rule; farewell
-//! tokens are replaced, not added, preserving the bound. The `model_*`
-//! tests exhaustively check the channel protocol under the `vscheck-model`
+//! make one final farewell lap (phase `Retire`) so the evaluator can track
+//! the live-token count it needs for its submission rule; farewell tokens
+//! are replaced, not added, preserving the bound. The `model_*` tests
+//! exhaustively check the channel protocol under the `vscheck-model`
 //! feature.
 
-use crate::engine::{
-    self, accept_spot, breed_spot, include_spot, inject_seeds_spot, lamarckian_trials,
-    propose_spot, seed_spot, RunResult,
-};
+use crate::engine::{self, Driver, Phase, RunResult, SpotToken};
 use crate::evaluator::BatchEvaluator;
-use crate::params::{improved_count, EndCondition, ImproveStrategy, MetaheuristicParams};
+use crate::params::MetaheuristicParams;
 use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use vsmath::RngStream;
-use vsmol::{conformation::score_cmp, Conformation, Spot};
+use vsmol::{Conformation, Spot};
 use vstrace::{Event, Trace};
 
 /// Execution mode for the generational engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineExec {
-    /// The classic engine: every scoring batch is a barrier between the
-    /// host's variation/selection work and the devices. Trajectories are
-    /// bit-identical to [`crate::run`] (Tables 6–9 reproduce exactly).
+    /// The lockstep loop with the host charged: every scoring batch is a
+    /// barrier between the host's variation/selection work and the
+    /// devices. The search, `batch_trace` included, is bit-identical to
+    /// [`crate::run`] (Tables 6–9 reproduce exactly).
     #[default]
     Lockstep,
-    /// The stage pipeline with channels of capacity `depth`. Overlaps
-    /// variation of one generation with scoring of another; per-spot
-    /// deterministic (see the module docs for the exact contract).
+    /// The stage ring with channels of capacity `depth`. Overlaps
+    /// variation of one generation with scoring of another; the search is
+    /// bit-identical to lockstep, only `batch_trace` differs (see the
+    /// module docs for the exact contract).
     Pipelined {
-        /// Bounded capacity of each stage channel (≥ 1).
+        /// Bounded capacity of each stage channel (≥ 1); at most `4·depth`
+        /// spot tokens circulate at once.
         depth: usize,
     },
+}
+
+impl EngineExec {
+    /// Channel depth of `"pipelined"` parsed without an explicit depth.
+    pub const DEFAULT_DEPTH: usize = 2;
 }
 
 impl std::str::FromStr for EngineExec {
@@ -98,7 +99,7 @@ impl std::str::FromStr for EngineExec {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "lockstep" => Ok(EngineExec::Lockstep),
-            "pipelined" => Ok(EngineExec::Pipelined { depth: PipelineConfig::DEFAULT_DEPTH }),
+            "pipelined" => Ok(EngineExec::Pipelined { depth: EngineExec::DEFAULT_DEPTH }),
             other => match other.strip_prefix("pipelined:") {
                 Some(d) => d
                     .parse::<usize>()
@@ -115,6 +116,8 @@ impl std::str::FromStr for EngineExec {
 /// the *same* per-conformation variation/selection work and per-batch
 /// submission overhead; they differ only in whether that host time
 /// serializes with device time (lockstep) or overlaps it (pipelined).
+/// [`run_exec`] always charges [`HostCosts::default`]: the model is a
+/// property of the host, not a caller's choice.
 #[derive(Debug, Clone, Copy)]
 pub struct HostCosts {
     /// Host seconds to construct one conformation (Select/Combine draw,
@@ -148,41 +151,11 @@ impl HostCosts {
     }
 }
 
-/// Tunables of the pipelined engine.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineConfig {
-    /// Bounded capacity of each stage channel; at most `4·depth` spot
-    /// tokens circulate at once.
-    pub depth: usize,
-    /// The evaluator coalesces per-spot batches until at least this many
-    /// conformations are pending (or every live token has arrived), then
-    /// submits them as one scoring batch — keeping device occupancy close
-    /// to the lockstep engine's spot-spanning batches.
-    pub coalesce_items: usize,
-    /// Host-side cost model shared by both execution modes.
-    pub costs: HostCosts,
-}
-
-impl PipelineConfig {
-    /// Default channel depth used by `EngineExec::Pipelined` when parsed
-    /// from `"pipelined"` without an explicit depth.
-    pub const DEFAULT_DEPTH: usize = 2;
-
-    /// A config with the given channel depth and default coalescing/costs.
-    pub fn with_depth(depth: usize) -> PipelineConfig {
-        PipelineConfig { depth: depth.max(1), ..PipelineConfig::default() }
-    }
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            depth: Self::DEFAULT_DEPTH,
-            coalesce_items: 512,
-            costs: HostCosts::default(),
-        }
-    }
-}
+/// The ring's evaluator coalesces per-spot batches until at least this
+/// many conformations are pending (or every live token has arrived), then
+/// submits them as one scoring batch — keeping device occupancy close to
+/// the lockstep loop's spot-spanning batches.
+const COALESCE_ITEMS: usize = 512;
 
 // ---------------------------------------------------------------------------
 // Bounded stage channel.
@@ -281,128 +254,13 @@ impl<T> Drop for CloseGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
-// Spot tokens.
+// Entry point and the lockstep cost decorator.
 // ---------------------------------------------------------------------------
 
-/// What the next lap around the ring does for this token. Every lap except
-/// the farewell [`Phase::Retire`] lap carries a batch to score, so the
-/// evaluator stage sees a continuous stream of work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Seeder builds the initial population batch.
-    Seed,
-    /// Breeder builds the offspring batch (Select + Combine).
-    Breed,
-    /// Breeder builds one local-search step's perturbation proposals.
-    Propose,
-    /// Breeder copies the improving elements out for a gradient batch
-    /// (Lamarckian step, first half).
-    LamGather,
-    /// Breeder builds gradient-directed trial moves (Lamarckian step,
-    /// second half).
-    LamPropose,
-    /// Farewell lap: no batch; the evaluator decrements its live-token
-    /// count and the selector harvests the final population.
-    Retire,
-}
-
-/// One surface spot circulating through the ring.
-struct SpotToken {
-    si: usize,
-    phase: Phase,
-    /// Set on tokens admitted after the initial wave (the evaluator bumps
-    /// its live count on first sight).
-    fresh: bool,
-    rng: RngStream,
-    /// Sorted population (the lockstep engine's `populations[si]`).
-    pop: Vec<Conformation>,
-    /// Offspring group being improved this generation.
-    group: Vec<Conformation>,
-    /// Lamarckian: freshly scored originals from the gather half-step.
-    saved: Vec<Conformation>,
-    /// Lamarckian: gradients for `saved` (None → stochastic fallback).
-    grads: Option<Vec<vsscore::RigidGradient>>,
-    /// This lap's scoring payload.
-    batch: Vec<Conformation>,
-    /// This lap's batch wants gradients (Lamarckian gather).
-    wants_grads: bool,
-    /// Improving elements per group this generation.
-    k: usize,
-    /// Local-search step within the current improve phase.
-    step: usize,
-    /// Generations completed.
-    gen: usize,
-    stale: usize,
-    best_so_far: f64,
-    /// Virtual time at which this token's current contents are ready
-    /// (drives the host↔device overlap accounting).
-    ready_vt: f64,
-}
-
-impl SpotToken {
-    fn new(si: usize, spot: &Spot, seed: u64, fresh: bool) -> Box<SpotToken> {
-        Box::new(SpotToken {
-            si,
-            phase: Phase::Seed,
-            fresh,
-            rng: RngStream::derive(seed, spot.id as u64 + 1),
-            pop: Vec::new(),
-            group: Vec::new(),
-            saved: Vec::new(),
-            grads: None,
-            batch: Vec::new(),
-            wants_grads: false,
-            k: 0,
-            step: 0,
-            gen: 0,
-            stale: 0,
-            best_so_far: f64::INFINITY,
-            ready_vt: 0.0,
-        })
-    }
-}
-
-#[derive(Clone, Copy)]
-enum ImproveKind {
-    None,
-    Climb { steps: usize },
-    Lamarck { steps: usize },
-}
-
-fn improve_kind(params: &MetaheuristicParams) -> ImproveKind {
-    match params.improve {
-        ImproveStrategy::None => ImproveKind::None,
-        ImproveStrategy::HillClimb { steps } => ImproveKind::Climb { steps },
-        ImproveStrategy::SimulatedAnnealing { steps, .. } => ImproveKind::Climb { steps },
-        ImproveStrategy::Lamarckian { steps, .. } => ImproveKind::Lamarck { steps },
-    }
-}
-
-impl ImproveKind {
-    fn steps(self) -> usize {
-        match self {
-            ImproveKind::None => 0,
-            ImproveKind::Climb { steps } | ImproveKind::Lamarck { steps } => steps,
-        }
-    }
-
-    fn first_phase(self) -> Phase {
-        match self {
-            ImproveKind::None => Phase::Breed, // unreachable: gated on steps() > 0
-            ImproveKind::Climb { .. } => Phase::Propose,
-            ImproveKind::Lamarck { .. } => Phase::LamGather,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Entry points.
-// ---------------------------------------------------------------------------
-
-/// Run the generational engine in the chosen execution mode. Both arms
-/// charge the [`HostCosts`] model so their virtual-time traces compare
-/// honestly; `EngineExec::Lockstep` otherwise produces bit-identical
-/// results to [`crate::run_seeded_traced`].
+/// Run the generational engine in the chosen execution mode, with
+/// warm-start seeds and a trace. Both modes charge the [`HostCosts`] model
+/// on the evaluator's virtual clocks so their times compare honestly; the
+/// search is the one [`crate::run_seeded`] / [`crate::run_traced`] perform.
 pub fn run_exec<E: BatchEvaluator + Send>(
     params: &MetaheuristicParams,
     spots: &[Spot],
@@ -412,52 +270,28 @@ pub fn run_exec<E: BatchEvaluator + Send>(
     trace: &Trace,
     exec: EngineExec,
 ) -> RunResult {
-    run_exec_cfg(
-        params,
-        spots,
-        evaluator,
-        seed,
-        seed_confs,
-        trace,
-        exec,
-        &PipelineConfig::default(),
-    )
-}
-
-/// [`run_exec`] with explicit pipeline tunables (an explicit
-/// `EngineExec::Pipelined { depth }` overrides `cfg.depth`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_exec_cfg<E: BatchEvaluator + Send>(
-    params: &MetaheuristicParams,
-    spots: &[Spot],
-    evaluator: &mut E,
-    seed: u64,
-    seed_confs: &[Conformation],
-    trace: &Trace,
-    exec: EngineExec,
-    cfg: &PipelineConfig,
-) -> RunResult {
     match exec {
         EngineExec::Lockstep => {
             let mut staged = StagedHost {
                 inner: evaluator,
-                costs: cfg.costs,
+                costs: HostCosts::default(),
                 host_vt: 0.0,
                 last_completion: 0.0,
             };
-            engine::run_seeded_traced(params, spots, &mut staged, seed, seed_confs, trace)
+            engine::run_lockstep(params, spots, &mut staged, seed, seed_confs, trace)
         }
         EngineExec::Pipelined { depth } => {
-            let cfg = PipelineConfig { depth: depth.max(1), ..*cfg };
-            run_pipelined(params, spots, evaluator, seed, seed_confs, trace, &cfg)
+            run_ring(params, spots, evaluator, seed, seed_confs, trace, depth.max(1))
         }
     }
 }
 
-/// Wraps an evaluator so the lockstep engine's host phases are charged on
-/// the virtual-time axis: each batch submission is released only after
-/// the host has re-done selection on the previous results and bred the
-/// batch — exactly the serialization the pipeline removes.
+/// The whole difference between the classic run and charged lockstep: an
+/// evaluator decorator that puts the lockstep loop's host phases on the
+/// virtual-time axis. Each batch is released (`evaluate_after`, which
+/// barriers every device clock) only after the host has re-done selection
+/// on the previous results and bred the batch — exactly the serialization
+/// the ring removes.
 struct StagedHost<'e, E: ?Sized> {
     inner: &'e mut E,
     costs: HostCosts,
@@ -493,42 +327,52 @@ impl<E: BatchEvaluator + ?Sized> BatchEvaluator for StagedHost<'_, E> {
     }
 }
 
-/// Run the stage pipeline. See the module docs for topology, determinism
-/// and deadlock-freedom arguments.
-pub fn run_pipelined<E: BatchEvaluator + Send>(
+// ---------------------------------------------------------------------------
+// The ring.
+// ---------------------------------------------------------------------------
+
+type TokenChannel = Channel<Box<SpotToken>>;
+
+/// Run the stage ring. See the module docs for topology, determinism and
+/// deadlock-freedom arguments.
+fn run_ring<E: BatchEvaluator + Send>(
     params: &MetaheuristicParams,
     spots: &[Spot],
     evaluator: &mut E,
     seed: u64,
     seed_confs: &[Conformation],
     trace: &Trace,
-    cfg: &PipelineConfig,
+    depth: usize,
 ) -> RunResult {
-    // PANICS: invalid parameters are a caller programming error; fail fast.
-    params.validate().expect("invalid metaheuristic parameters");
-    assert!(!spots.is_empty(), "need at least one spot");
+    let costs = HostCosts::default();
+    let mut driver = Driver::new(params, spots, seed_confs, trace);
+    let wave = (4 * depth).min(spots.len());
 
-    let depth = cfg.depth.max(1);
-    let admit = 4 * depth;
-    let wave = admit.min(spots.len());
-    let costs = cfg.costs;
-    let coalesce = cfg.coalesce_items.max(1);
-
-    let c_seed: Channel<Box<SpotToken>> = Channel::new(depth, "seed", trace.clone());
-    let c_breed: Channel<Box<SpotToken>> = Channel::new(depth, "breed", trace.clone());
-    let c_eval: Channel<Box<SpotToken>> = Channel::new(depth, "score", trace.clone());
-    let c_out: Channel<Box<SpotToken>> = Channel::new(depth, "select", trace.clone());
+    let c_seed: TokenChannel = Channel::new(depth, "seed", trace.clone());
+    let c_breed: TokenChannel = Channel::new(depth, "breed", trace.clone());
+    let c_eval: TokenChannel = Channel::new(depth, "score", trace.clone());
+    let c_out: TokenChannel = Channel::new(depth, "select", trace.clone());
 
     // DETERMINISM: structured `thread::scope` — joins before returning, stage order is fixed by the channel graph, reviewed with the facade.
-    let (evaluations, batch_trace, driver) = std::thread::scope(|scope| {
+    let batch_trace = std::thread::scope(|scope| {
         let (cs, cb, ce, co) = (&c_seed, &c_breed, &c_eval, &c_out);
-        let seeder = scope.spawn(move || seeder_loop(params, spots, cs, cb, trace, costs));
-        let breeder = scope.spawn(move || breeder_loop(params, spots, cb, ce, trace, costs));
+        let per_conf_s = costs.variation_per_conf_s;
+        let seeder = scope.spawn(move || {
+            let builds = |phase| phase == Phase::Seed;
+            variation_stage("stage:seed", builds, params, spots, cs, cb, trace, per_conf_s)
+        });
+        let breeder = scope.spawn(move || {
+            let builds = |phase| !matches!(phase, Phase::Seed | Phase::Retire);
+            variation_stage("stage:breed", builds, params, spots, cb, ce, trace, per_conf_s)
+        });
         let ev = &mut *evaluator;
-        let scorer = scope.spawn(move || evaluator_loop(ev, ce, co, wave, coalesce, trace, costs));
+        let submit_s = costs.submit_per_batch_s;
+        let scorer = scope.spawn(move || evaluator_stage(ev, ce, co, wave, trace, submit_s));
 
-        let mut driver = Driver::new(params, spots, seed_confs, trace, costs);
-        driver.drive(seed, wave, &c_seed, &c_out);
+        {
+            let _span = trace.span("stage:select");
+            drive(&mut driver, spots, seed, wave, &c_seed, &c_out, costs.select_per_conf_s);
+        }
 
         // Shut the ring down: the close cascades seeder → breeder →
         // evaluator via each stage's exit path.
@@ -537,34 +381,34 @@ pub fn run_pipelined<E: BatchEvaluator + Send>(
         seeder.join().expect("seeder stage panicked");
         breeder.join().expect("breeder stage panicked");
         // PANICS: propagate a stage panic to the caller.
-        let (evaluations, batch_trace) = scorer.join().expect("evaluator stage panicked");
-        (evaluations, batch_trace, driver)
+        scorer.join().expect("evaluator stage panicked")
     });
 
-    driver.into_result(params, evaluations, batch_trace)
+    driver.into_result(batch_trace)
 }
 
-// ---------------------------------------------------------------------------
-// Stage loops.
-// ---------------------------------------------------------------------------
-
-fn seeder_loop(
+/// A variation stage: build the batch of every token whose phase is this
+/// stage's (`builds`), on the stage's own host clock, and pass every token
+/// on. The seeder and the breeder are this function over different phases.
+#[allow(clippy::too_many_arguments)]
+fn variation_stage(
+    name: &'static str,
+    builds: impl Fn(Phase) -> bool,
     params: &MetaheuristicParams,
     spots: &[Spot],
-    input: &Channel<Box<SpotToken>>,
-    output: &Channel<Box<SpotToken>>,
+    input: &TokenChannel,
+    output: &TokenChannel,
     trace: &Trace,
-    costs: HostCosts,
+    per_conf_s: f64,
 ) {
     let _close_in = CloseGuard(input);
     let _close_out = CloseGuard(output);
-    let _span = trace.span("stage:seed");
+    let _span = trace.span(name);
     let mut clock = 0.0f64;
     while let Some(mut tok) = input.recv() {
-        if tok.phase == Phase::Seed {
-            tok.batch = seed_spot(params, &spots[tok.si], &mut tok.rng);
-            tok.wants_grads = false;
-            clock = clock.max(tok.ready_vt) + tok.batch.len() as f64 * costs.variation_per_conf_s;
+        if builds(tok.phase) {
+            engine::build(params, &spots[tok.si], &mut tok);
+            clock = clock.max(tok.ready_vt) + tok.batch.len() as f64 * per_conf_s;
             tok.ready_vt = clock;
         }
         if output.send(tok).is_err() {
@@ -573,64 +417,17 @@ fn seeder_loop(
     }
 }
 
-fn breeder_loop(
-    params: &MetaheuristicParams,
-    spots: &[Spot],
-    input: &Channel<Box<SpotToken>>,
-    output: &Channel<Box<SpotToken>>,
-    trace: &Trace,
-    costs: HostCosts,
-) {
-    let _close_in = CloseGuard(input);
-    let _close_out = CloseGuard(output);
-    let _span = trace.span("stage:breed");
-    let mut clock = 0.0f64;
-    while let Some(mut tok) = input.recv() {
-        let spot = &spots[tok.si];
-        let built = match tok.phase {
-            Phase::Breed => {
-                tok.batch = breed_spot(params, spot, &tok.pop, &mut tok.rng);
-                tok.wants_grads = false;
-                true
-            }
-            Phase::Propose => {
-                tok.batch = propose_spot(params, spot, &tok.group, tok.k, &mut tok.rng);
-                tok.wants_grads = false;
-                true
-            }
-            Phase::LamGather => {
-                let n = tok.group.len().min(tok.k);
-                tok.batch = tok.group[..n].to_vec();
-                tok.wants_grads = true;
-                true
-            }
-            Phase::LamPropose => {
-                tok.batch =
-                    lamarckian_trials(params, spot, &tok.saved, tok.grads.as_deref(), &mut tok.rng);
-                tok.wants_grads = false;
-                true
-            }
-            Phase::Seed | Phase::Retire => false,
-        };
-        if built {
-            clock = clock.max(tok.ready_vt) + tok.batch.len() as f64 * costs.variation_per_conf_s;
-            tok.ready_vt = clock;
-        }
-        if output.send(tok).is_err() {
-            break;
-        }
-    }
-}
-
-fn evaluator_loop<E: BatchEvaluator>(
+/// The evaluator stage: coalesce arriving batches, submit them through
+/// [`engine::score`] on the stage's host clock, and forward the scored
+/// tokens in arrival order. Returns the run's `batch_trace`.
+fn evaluator_stage<E: BatchEvaluator>(
     evaluator: &mut E,
-    input: &Channel<Box<SpotToken>>,
-    output: &Channel<Box<SpotToken>>,
+    input: &TokenChannel,
+    output: &TokenChannel,
     initial_live: usize,
-    coalesce: usize,
     trace: &Trace,
-    costs: HostCosts,
-) -> (u64, Vec<u64>) {
+    submit_s: f64,
+) -> Vec<u64> {
     let _close_in = CloseGuard(input);
     let _close_out = CloseGuard(output);
     let _span = trace.span("stage:score");
@@ -638,10 +435,20 @@ fn evaluator_loop<E: BatchEvaluator>(
     let mut buf: Vec<Box<SpotToken>> = Vec::new();
     let mut pending_items = 0usize;
     let mut clock = 0.0f64;
-    let mut evaluations = 0u64;
     let mut batch_trace: Vec<u64> = Vec::new();
-    let mut alive = true;
+    // Score everything pending and forward it; false if the downstream
+    // channel closed.
+    let mut submit = |buf: &mut Vec<Box<SpotToken>>| {
+        engine::score(evaluator, &mut buf[..], &mut batch_trace, |release| {
+            // The submission leaves the host once the latest contributor is
+            // ready; scoring completes at the device's pace after that.
+            clock = clock.max(release) + submit_s;
+            Some(clock)
+        });
+        buf.drain(..).all(|tok| output.send(tok).is_ok())
+    };
 
+    let mut alive = true;
     while let Some(mut tok) = input.recv() {
         if tok.fresh {
             tok.fresh = false;
@@ -649,418 +456,77 @@ fn evaluator_loop<E: BatchEvaluator>(
         }
         if tok.phase == Phase::Retire {
             live -= 1;
-            if output.send(tok).is_err() {
-                alive = false;
-                break;
-            }
+            alive = output.send(tok).is_ok();
         } else {
             pending_items += tok.batch.len();
             buf.push(tok);
         }
-        // Flush when enough work is pending to keep the devices saturated,
+        // Submit when enough work is pending to keep the devices saturated,
         // or when every live token has arrived (waiting longer could not
         // grow the batch — and guarantees progress at any fleet size).
-        if !buf.is_empty() && (pending_items >= coalesce || buf.len() >= live) {
-            if !flush(
-                evaluator,
-                &mut buf,
-                &mut clock,
-                &mut evaluations,
-                &mut batch_trace,
-                output,
-                costs,
-            ) {
-                alive = false;
-                break;
-            }
+        if alive && !buf.is_empty() && (pending_items >= COALESCE_ITEMS || buf.len() >= live) {
+            alive = submit(&mut buf);
             pending_items = 0;
+        }
+        if !alive {
+            break;
         }
     }
     // Teardown: never lose a buffered batch (a stage upstream may have
     // closed early on a panic; the tokens still carry spot state).
     if alive && !buf.is_empty() {
-        flush(evaluator, &mut buf, &mut clock, &mut evaluations, &mut batch_trace, output, costs);
+        submit(&mut buf);
     }
-    (evaluations, batch_trace)
+    batch_trace
 }
 
-/// Score everything pending: one coalesced submission for the plain
-/// batches, one for the gradient batches, then forward every token in
-/// arrival order. Returns false if the downstream channel closed.
-// Tokens stay boxed: `buf` is a staging area for channel items and every
-// entry is forwarded into the boxed `output` channel untouched.
-#[allow(clippy::vec_box)]
-fn flush<E: BatchEvaluator>(
-    evaluator: &mut E,
-    buf: &mut Vec<Box<SpotToken>>,
-    clock: &mut f64,
-    evaluations: &mut u64,
-    batch_trace: &mut Vec<u64>,
-    output: &Channel<Box<SpotToken>>,
-    costs: HostCosts,
-) -> bool {
-    for grad_class in [false, true] {
-        let idxs: Vec<usize> = buf
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.wants_grads == grad_class && !t.batch.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        if idxs.is_empty() {
-            continue;
+/// The selector stage, on the calling thread: admit the initial wave, then
+/// hand every scored token to [`Driver::handle`] on the selector's own host
+/// clock and recirculate it, admitting the next spot for each one harvested
+/// — until every spot is in (or a stage dies, detected as a closed
+/// channel).
+fn drive(
+    driver: &mut Driver<'_>,
+    spots: &[Spot],
+    seed: u64,
+    wave: usize,
+    c_seed: &TokenChannel,
+    c_out: &TokenChannel,
+    select_per_conf_s: f64,
+) {
+    // Tokens admitted after the initial wave are `fresh`: the evaluator
+    // bumps its live count on first sight.
+    let admit = |si: usize, fresh: bool| {
+        let mut tok = Box::new(SpotToken::new(si, &spots[si], seed));
+        tok.fresh = fresh;
+        c_seed.send(tok).is_ok()
+    };
+    if !(0..wave).all(|si| admit(si, false)) {
+        return;
+    }
+    let mut next_spot = wave;
+    let mut clock = 0.0f64;
+    while driver.harvested < spots.len() {
+        let Some(mut tok) = c_out.recv() else { return };
+        let retiring = tok.phase == Phase::Retire;
+        if !retiring {
+            // Selection work on the scored batch happens on the selector's
+            // own clock, after the batch's scores are available.
+            clock = clock.max(tok.ready_vt) + tok.batch.len() as f64 * select_per_conf_s;
+            tok.ready_vt = clock;
         }
-        let mut flat: Vec<Conformation> = Vec::new();
-        let mut ranges: Vec<(usize, usize, usize)> = Vec::with_capacity(idxs.len());
-        let mut release = 0.0f64;
-        for &i in &idxs {
-            let start = flat.len();
-            flat.extend_from_slice(&buf[i].batch);
-            ranges.push((i, start, flat.len()));
-            release = release.max(buf[i].ready_vt);
-        }
-        // The submission leaves the host once the latest contributor is
-        // ready; scoring completes at the device's pace after that.
-        *clock = clock.max(release) + costs.submit_per_batch_s;
-        let completion = if grad_class {
-            match evaluator.evaluate_with_gradients(&mut flat) {
-                Some(gs) => {
-                    for &(i, s, e) in &ranges {
-                        buf[i].grads = Some(gs[s..e].to_vec());
-                    }
-                    *clock
-                }
-                None => {
-                    // Fallback path still needs the scores (same
-                    // accounting as the lockstep engine: one batch).
-                    for &(i, ..) in &ranges {
-                        buf[i].grads = None;
-                    }
-                    evaluator.evaluate_after(&mut flat, *clock)
-                }
-            }
+        driver.handle(&mut tok);
+        driver.announce();
+        let ring_open = if !retiring {
+            c_seed.send(tok).is_ok()
+        } else if next_spot < spots.len() {
+            next_spot += 1;
+            admit(next_spot - 1, true)
         } else {
-            evaluator.evaluate_after(&mut flat, *clock)
+            true
         };
-        *evaluations += flat.len() as u64;
-        batch_trace.push(flat.len() as u64);
-        for (i, s, e) in ranges {
-            buf[i].batch.copy_from_slice(&flat[s..e]);
-            buf[i].ready_vt = completion;
-        }
-    }
-    for tok in buf.drain(..) {
-        if output.send(tok).is_err() {
-            return false;
-        }
-    }
-    true
-}
-
-// ---------------------------------------------------------------------------
-// The selector/driver.
-// ---------------------------------------------------------------------------
-
-struct Driver<'a> {
-    params: &'a MetaheuristicParams,
-    spots: &'a [Spot],
-    seed_confs: &'a [Conformation],
-    trace: &'a Trace,
-    costs: HostCosts,
-    improve: ImproveKind,
-    max_gens: usize,
-    clock: f64,
-    /// Per-spot best score after init and after each generation.
-    hist: Vec<Vec<f64>>,
-    /// Per-spot translation diversity at the same checkpoints.
-    div: Vec<Vec<f64>>,
-    /// Per-spot cumulative evaluations at the same checkpoints.
-    evals: Vec<Vec<u64>>,
-    evals_cum: Vec<u64>,
-    /// `completed[j]` = spots that have finished generation `j` (1-based);
-    /// index 0 (initialization) starts complete.
-    completed: Vec<usize>,
-    next_gd: usize,
-    pops: Vec<Option<Vec<Conformation>>>,
-    harvested: usize,
-}
-
-enum Handled {
-    Recirculate,
-    Harvested,
-}
-
-impl<'a> Driver<'a> {
-    fn new(
-        params: &'a MetaheuristicParams,
-        spots: &'a [Spot],
-        seed_confs: &'a [Conformation],
-        trace: &'a Trace,
-        costs: HostCosts,
-    ) -> Driver<'a> {
-        let n = spots.len();
-        Driver {
-            params,
-            spots,
-            seed_confs,
-            trace,
-            costs,
-            improve: improve_kind(params),
-            max_gens: params.end.max_generations(),
-            clock: 0.0,
-            hist: vec![Vec::new(); n],
-            div: vec![Vec::new(); n],
-            evals: vec![Vec::new(); n],
-            evals_cum: vec![0; n],
-            completed: vec![n],
-            next_gd: 1,
-            pops: (0..n).map(|_| None).collect(),
-            harvested: 0,
-        }
-    }
-
-    /// Admit the initial wave, then process scored tokens until every spot
-    /// has been harvested (or a stage dies, detected as a closed channel).
-    fn drive(
-        &mut self,
-        seed: u64,
-        wave: usize,
-        c_seed: &Channel<Box<SpotToken>>,
-        c_out: &Channel<Box<SpotToken>>,
-    ) {
-        let _span = self.trace.span("stage:select");
-        let mut next_spot = wave;
-        for si in 0..wave {
-            if c_seed.send(SpotToken::new(si, &self.spots[si], seed, false)).is_err() {
-                return;
-            }
-        }
-        while self.harvested < self.spots.len() {
-            let Some(mut tok) = c_out.recv() else { return };
-            match self.handle(&mut tok) {
-                Handled::Recirculate => {
-                    if c_seed.send(tok).is_err() {
-                        return;
-                    }
-                }
-                Handled::Harvested => {
-                    if next_spot < self.spots.len() {
-                        let t = SpotToken::new(next_spot, &self.spots[next_spot], seed, true);
-                        next_spot += 1;
-                        if c_seed.send(t).is_err() {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn handle(&mut self, tok: &mut SpotToken) -> Handled {
-        if tok.phase == Phase::Retire {
-            self.pops[tok.si] = Some(std::mem::take(&mut tok.pop));
-            self.harvested += 1;
-            return Handled::Harvested;
-        }
-        // Selection work on the scored batch happens on the selector's
-        // own clock, after the batch's scores are available.
-        self.clock =
-            self.clock.max(tok.ready_vt) + tok.batch.len() as f64 * self.costs.select_per_conf_s;
-        tok.ready_vt = self.clock;
-        self.evals_cum[tok.si] += tok.batch.len() as u64;
-
-        match tok.phase {
-            Phase::Seed => {
-                let mut pop = std::mem::take(&mut tok.batch);
-                pop.sort_by(score_cmp);
-                inject_seeds_spot(&self.spots[tok.si], &mut pop, self.seed_confs);
-                tok.best_so_far = pop[0].score;
-                self.record_init(tok.si, &pop);
-                tok.pop = pop;
-                self.after_init(tok);
-            }
-            Phase::Breed => {
-                let mut group = std::mem::take(&mut tok.batch);
-                group.sort_by(score_cmp);
-                tok.group = group;
-                tok.k =
-                    improved_count(self.params.offspring_per_spot, self.params.improve_fraction);
-                if tok.k > 0 && self.improve.steps() > 0 {
-                    tok.step = 0;
-                    tok.phase = self.improve.first_phase();
-                } else {
-                    self.include_and_advance(tok);
-                }
-            }
-            Phase::Propose => {
-                let cands = std::mem::take(&mut tok.batch);
-                accept_spot(self.params, tok.step, &mut tok.group, &cands, &mut tok.rng);
-                tok.step += 1;
-                if tok.step < self.improve.steps() {
-                    tok.phase = Phase::Propose;
-                } else {
-                    self.end_improve(tok);
-                }
-            }
-            Phase::LamGather => {
-                tok.saved = std::mem::take(&mut tok.batch);
-                tok.phase = Phase::LamPropose;
-            }
-            Phase::LamPropose => {
-                let cands = std::mem::take(&mut tok.batch);
-                for ((dst, &cand), &cur) in tok.group.iter_mut().zip(&cands).zip(&tok.saved) {
-                    // The gathered copy carries the freshly evaluated score
-                    // of the original; keep whichever is better.
-                    *dst = if cand.score < cur.score { cand } else { cur };
-                }
-                tok.saved.clear();
-                tok.grads = None;
-                tok.step += 1;
-                if tok.step < self.improve.steps() {
-                    tok.phase = Phase::LamGather;
-                } else {
-                    self.end_improve(tok);
-                }
-            }
-            Phase::Retire => unreachable!("handled above"),
-        }
-        Handled::Recirculate
-    }
-
-    /// After the initial population is in place: branch into the M4
-    /// single-pass improve, straight retirement (zero generations), or the
-    /// generational loop.
-    fn after_init(&mut self, tok: &mut SpotToken) {
-        if self.params.single_pass {
-            let k = improved_count(self.params.population_per_spot, self.params.improve_fraction);
-            if k > 0 && self.improve.steps() > 0 {
-                tok.group = std::mem::take(&mut tok.pop);
-                tok.k = k;
-                tok.step = 0;
-                tok.phase = self.improve.first_phase();
-            } else {
-                // Improve is a no-op; the lockstep engine still records a
-                // second (unchanged) diversity checkpoint.
-                let d = self.div[tok.si][0];
-                self.div[tok.si].push(d);
-                tok.phase = Phase::Retire;
-            }
-        } else if self.max_gens == 0 {
-            tok.phase = Phase::Retire;
-        } else {
-            tok.phase = Phase::Breed;
-        }
-    }
-
-    /// The improve loop for this generation (or the M4 single pass) is
-    /// done: fold the group back and decide what happens next.
-    fn end_improve(&mut self, tok: &mut SpotToken) {
-        if self.params.single_pass {
-            let mut pop = std::mem::take(&mut tok.group);
-            pop.sort_by(score_cmp);
-            self.div[tok.si].push(crate::diversity::translation_diversity(&pop));
-            tok.pop = pop;
-            tok.phase = Phase::Retire;
-        } else {
-            self.include_and_advance(tok);
-        }
-    }
-
-    /// Include the offspring group into the population, record the
-    /// generation checkpoint, and either retire the spot (end condition
-    /// met) or start the next generation.
-    fn include_and_advance(&mut self, tok: &mut SpotToken) {
-        include_spot(self.params.population_per_spot, &mut tok.pop, std::mem::take(&mut tok.group));
-        tok.gen += 1;
-        self.record_gen(tok.si, tok.gen, tok.pop[0].score, &tok.pop);
-        let done = match self.params.end {
-            EndCondition::Generations(g) => tok.gen >= g,
-            EndCondition::Convergence { patience, max } => {
-                let now_best = tok.pop[0].score;
-                if now_best < tok.best_so_far - 1e-12 {
-                    tok.best_so_far = now_best;
-                    tok.stale = 0;
-                } else {
-                    tok.stale += 1;
-                }
-                tok.stale >= patience || tok.gen >= max
-            }
-        };
-        tok.phase = if done { Phase::Retire } else { Phase::Breed };
-    }
-
-    fn record_init(&mut self, si: usize, pop: &[Conformation]) {
-        self.hist[si].push(pop[0].score);
-        self.div[si].push(crate::diversity::translation_diversity(pop));
-        self.evals[si].push(self.evals_cum[si]);
-    }
-
-    fn record_gen(&mut self, si: usize, gen: usize, best: f64, pop: &[Conformation]) {
-        self.hist[si].push(best);
-        self.div[si].push(crate::diversity::translation_diversity(pop));
-        self.evals[si].push(self.evals_cum[si]);
-        if self.completed.len() <= gen {
-            self.completed.resize(gen + 1, 0);
-        }
-        self.completed[gen] += 1;
-        // Emit GenerationDone exactly when the slowest spot finishes a
-        // generation — same values the lockstep engine would report.
-        while self.next_gd < self.completed.len()
-            && self.completed[self.next_gd] == self.spots.len()
-        {
-            let j = self.next_gd;
-            let best = self.hist.iter().map(|h| h[j]).fold(f64::INFINITY, f64::min);
-            let evaluations = self.evals.iter().map(|e| e[j]).sum();
-            self.trace.emit(Event::GenerationDone {
-                generation: (j - 1) as u32,
-                best_score: best,
-                evaluations,
-            });
-            self.next_gd += 1;
-        }
-    }
-
-    /// Reconstruct the lockstep-shaped [`RunResult`] from the per-spot
-    /// records (spots may have retired at different generations under
-    /// `Convergence`; a retired spot's last checkpoint carries forward).
-    fn into_result(
-        mut self,
-        params: &MetaheuristicParams,
-        evaluations: u64,
-        batch_trace: Vec<u64>,
-    ) -> RunResult {
-        let pops: Vec<Vec<Conformation>> = self
-            .pops
-            .iter_mut()
-            // PANICS: only on an abnormal ring teardown (a stage panicked
-            // mid-run); the stage join has already surfaced that panic.
-            .map(|p| p.take().expect("pipeline retired every spot"))
-            .collect();
-        let best_per_spot: Vec<Conformation> = pops.iter().map(|pop| pop[0]).collect();
-        // PANICS: non-empty by caller contract.
-        let best = *best_per_spot.iter().min_by(|a, b| score_cmp(a, b)).expect("non-empty spots");
-
-        let generations_run = if params.single_pass {
-            0
-        } else {
-            self.hist.iter().map(|h| h.len() - 1).max().unwrap_or(0)
-        };
-        let at = |v: &Vec<f64>, j: usize| v[j.min(v.len() - 1)];
-        let best_history: Vec<f64> = (0..=generations_run)
-            .map(|j| self.hist.iter().map(|h| at(h, j)).fold(f64::INFINITY, f64::min))
-            .collect();
-        let div_len = self.div.iter().map(Vec::len).max().unwrap_or(1);
-        let diversity_history: Vec<f64> = (0..div_len)
-            .map(|j| self.div.iter().map(|d| at(d, j)).sum::<f64>() / self.spots.len() as f64)
-            .collect();
-
-        RunResult {
-            best,
-            best_per_spot,
-            evaluations,
-            generations_run,
-            batch_trace,
-            best_history,
-            diversity_history,
+        if !ring_open {
+            return;
         }
     }
 }
@@ -1069,7 +535,7 @@ impl<'a> Driver<'a> {
 mod tests {
     use super::*;
     use crate::evaluator::SyntheticEvaluator;
-    use crate::params::SelectStrategy;
+    use crate::params::{EndCondition, ImproveStrategy, SelectStrategy};
     use crate::{run, run_seeded};
     use vsmath::Vec3;
 
@@ -1127,15 +593,8 @@ mod tests {
 
     fn pipelined(params: &MetaheuristicParams, sp: &[Spot], seed: u64, depth: usize) -> RunResult {
         let mut ev = evaluator_for(sp);
-        run_pipelined(
-            params,
-            sp,
-            &mut ev,
-            seed,
-            &[],
-            &Trace::disabled(),
-            &PipelineConfig::with_depth(depth),
-        )
+        let exec = EngineExec::Pipelined { depth };
+        run_exec(params, sp, &mut ev, seed, &[], &Trace::disabled(), exec)
     }
 
     #[test]
@@ -1248,15 +707,8 @@ mod tests {
         let mut e1 = evaluator_for(&sp);
         let lock = run_seeded(&p, &sp, &mut e1, 31, &[seed_conf]);
         let mut e2 = evaluator_for(&sp);
-        let pipe = run_pipelined(
-            &p,
-            &sp,
-            &mut e2,
-            31,
-            &[seed_conf],
-            &Trace::disabled(),
-            &PipelineConfig::with_depth(2),
-        );
+        let exec = EngineExec::Pipelined { depth: 2 };
+        let pipe = run_exec(&p, &sp, &mut e2, 31, &[seed_conf], &Trace::disabled(), exec);
         assert_bit_identical(&lock, &pipe);
         assert_eq!(pipe.best.score, 0.0);
     }
@@ -1277,9 +729,10 @@ mod tests {
 
     #[test]
     fn pipelined_convergence_reaches_similar_best() {
-        // Per-spot vs global staleness: trajectories diverge, but both
-        // must converge on the synthetic landscape.
-        let sp = spots(2);
+        // The end condition is per spot under both schedulers, so a
+        // convergence-ended run is bit-identical too — spots stopping at
+        // different generations included.
+        let sp = spots(3);
         let p = MetaheuristicParams {
             end: EndCondition::Convergence { patience: 4, max: 60 },
             mutation_prob: 0.0,
@@ -1287,14 +740,10 @@ mod tests {
         };
         let mut ev = evaluator_for(&sp);
         let lock = run(&p, &sp, &mut ev, 13);
-        let pipe = pipelined(&p, &sp, 13, 2);
-        assert!(pipe.generations_run <= 60);
-        assert!(
-            (pipe.best.score - lock.best.score).abs() < 1.0,
-            "pipelined {} vs lockstep {}",
-            pipe.best.score,
-            lock.best.score
-        );
+        assert!(lock.generations_run < 60, "never converged");
+        for depth in [1, 2, 4] {
+            assert_bit_identical(&lock, &pipelined(&p, &sp, 13, depth));
+        }
     }
 
     #[test]
@@ -1338,7 +787,7 @@ mod tests {
         let p = ga(4);
         let trace = Trace::new();
         let mut ev = evaluator_for(&sp);
-        let r = run_pipelined(&p, &sp, &mut ev, 9, &[], &trace, &PipelineConfig::with_depth(2));
+        let r = run_exec(&p, &sp, &mut ev, 9, &[], &trace, EngineExec::Pipelined { depth: 2 });
         let data = trace.snapshot();
         let mut stages = std::collections::BTreeSet::new();
         let mut gen_done = 0;
@@ -1359,11 +808,49 @@ mod tests {
     }
 
     #[test]
+    fn generation_done_keeps_coming_after_a_spot_retires() {
+        // Under Convergence spots retire at different generations; a retired
+        // spot counts as done with every later one, so both schedulers emit
+        // one GenerationDone per generation the slowest spot ran, each with
+        // the carried-forward best and cumulative evaluations.
+        let sp = spots(3);
+        let p = MetaheuristicParams {
+            end: EndCondition::Convergence { patience: 3, max: 60 },
+            mutation_prob: 0.0,
+            ..ga(0)
+        };
+        let mut per_mode = Vec::new();
+        for exec in [EngineExec::Lockstep, EngineExec::Pipelined { depth: 2 }] {
+            let trace = Trace::new();
+            let mut ev = evaluator_for(&sp);
+            let r = run_exec(&p, &sp, &mut ev, 13, &[], &trace, exec);
+            let done: Vec<(u32, u64, u64)> = trace
+                .snapshot()
+                .events()
+                .filter_map(|s| match s.event {
+                    Event::GenerationDone { generation, best_score, evaluations } => {
+                        Some((generation, best_score.to_bits(), evaluations))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(done.len(), r.generations_run, "{exec:?}");
+            for (j, &(generation, best, _)) in done.iter().enumerate() {
+                assert_eq!(generation as usize, j, "{exec:?}");
+                assert_eq!(best, r.best_history[j + 1].to_bits(), "{exec:?}");
+            }
+            assert_eq!(done.last().unwrap().2, r.evaluations, "{exec:?}");
+            per_mode.push(done);
+        }
+        assert_eq!(per_mode[0], per_mode[1], "same events from both schedulers");
+    }
+
+    #[test]
     fn exec_mode_parses_from_cli_syntax() {
         assert_eq!("lockstep".parse::<EngineExec>().unwrap(), EngineExec::Lockstep);
         assert_eq!(
             "pipelined".parse::<EngineExec>().unwrap(),
-            EngineExec::Pipelined { depth: PipelineConfig::DEFAULT_DEPTH }
+            EngineExec::Pipelined { depth: EngineExec::DEFAULT_DEPTH }
         );
         assert_eq!(
             "pipelined:4".parse::<EngineExec>().unwrap(),

@@ -83,7 +83,7 @@ sed -E 's/, "grid_poses_per_sec": .* \}/ }/' target/BENCH_grid.json \
 echo "==> grid build equivalence on the Table 5 receptors (release mode; bit-for-bit against the atom-major route)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_receptors_build_equals_scatter
 
-echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop)"
+echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop and byte-equality with BENCH_pipeline.json)"
 scripts/pipeline_report.sh
 
 echo "==> campaign report (multi-tenant service under bursty traffic; gates latency, utilization, cache)"

@@ -4,8 +4,11 @@
 # depths 1/2/4 on the Hertz GPUs, which asserts bit-identical search
 # results, cross-checks trace busy/idle totals against the device clocks,
 # and gates a >= 25% relative device-idle drop with no makespan
-# regression), then sanity-checks the emitted JSON. Fails on malformed or
-# missing output.
+# regression), then sanity-checks the emitted JSON and compares it with the
+# checked-in BENCH_pipeline.json: every field is virtual time or a count,
+# so the file is byte-stable and any difference is a behaviour change of
+# the engine, the scheduler or the cost model. Fails on malformed, missing
+# or moved output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,5 +23,8 @@ grep -q '"bench": "pipeline"' "$OUT" || { echo "ERROR: $OUT is not a pipeline sn
 grep -q '"mode": "lockstep"' "$OUT" || { echo "ERROR: $OUT has no lockstep baseline" >&2; exit 1; }
 grep -q '"mode": "pipelined:4"' "$OUT" || { echo "ERROR: $OUT has no pipelined modes" >&2; exit 1; }
 grep -q '"idle_drop_rel"' "$OUT" || { echo "ERROR: $OUT has no idle-drop figure" >&2; exit 1; }
+
+diff -u BENCH_pipeline.json "$OUT" \
+  || { echo "ERROR: $OUT differs from the checked-in BENCH_pipeline.json (re-record it only with the reason in CHANGES.md)" >&2; exit 1; }
 
 echo "==> pipeline report OK: $OUT ($(wc -c < "$OUT") bytes)"

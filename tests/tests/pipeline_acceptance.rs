@@ -3,14 +3,14 @@
 //! The pipeline refactor must not move a single bit of the search: the
 //! golden values below were captured from the pre-pipeline engine on the
 //! Table 5 complexes (2BSM, 2BXG) under all four paper metaheuristics
-//! M1–M4, and both the legacy entry points and `run_exec(Lockstep)` are
+//! M1–M4, and both the classic entry points and `run_exec(Lockstep)` are
 //! pinned to them. `Pipelined` is then held to bit-identity with
 //! `Lockstep` at several channel depths, and a property test sweeps
-//! random configurations.
+//! random configurations, convergence-ended ones included.
 
 use metaheur::{
-    run_exec, run_pipelined, CpuEvaluator, EndCondition, EngineExec, ImproveStrategy,
-    MetaheuristicParams, PipelineConfig, RunResult, SelectStrategy, SyntheticEvaluator,
+    run_exec, BatchEvaluator, CpuEvaluator, EndCondition, EngineExec, ImproveStrategy,
+    MetaheuristicParams, RunResult, SelectStrategy, SyntheticEvaluator,
 };
 use proptest::prelude::*;
 use vsmath::Vec3;
@@ -67,6 +67,17 @@ fn check_against_golden(run: &RunResult, g: &Golden) {
         hist_last,
         "{tag}: final best-history entry moved"
     );
+}
+
+/// One uncharged, untraced, unseeded pipelined run.
+fn pipelined<E: BatchEvaluator + Send>(
+    params: &MetaheuristicParams,
+    spots: &[Spot],
+    ev: &mut E,
+    seed: u64,
+    depth: usize,
+) -> RunResult {
+    run_exec(params, spots, ev, seed, &[], &Trace::disabled(), EngineExec::Pipelined { depth })
 }
 
 fn dataset_goldens(dataset: Dataset) -> Vec<&'static Golden> {
@@ -127,15 +138,7 @@ fn pipelined_matches_lockstep_on_table5_complexes() {
             let lock = metaheur::run(&params, screen.spots(), &mut ev, ENGINE_SEED);
             for depth in [1, 4] {
                 let mut ev = serial_evaluator(&screen);
-                let piped = run_pipelined(
-                    &params,
-                    screen.spots(),
-                    &mut ev,
-                    ENGINE_SEED,
-                    &[],
-                    &Trace::disabled(),
-                    &PipelineConfig::with_depth(depth),
-                );
+                let piped = pipelined(&params, screen.spots(), &mut ev, ENGINE_SEED, depth);
                 let tag = format!("{}/{} depth {depth}", g.0, g.1);
                 assert_eq!(lock.best.score.to_bits(), piped.best.score.to_bits(), "{tag}");
                 assert_eq!(lock.best.pose, piped.best.pose, "{tag}");
@@ -171,7 +174,7 @@ fn sweep_evaluator(spots: &[Spot]) -> SyntheticEvaluator {
     SyntheticEvaluator::new(spots.iter().map(|s| s.center + Vec3::new(1.0, 0.5, 0.5)).collect())
 }
 
-fn sweep_params(pop: usize, gens: usize, improve: bool, end: EndCondition) -> MetaheuristicParams {
+fn sweep_params(pop: usize, improve: bool, end: EndCondition) -> MetaheuristicParams {
     MetaheuristicParams {
         name: "sweep".into(),
         population_per_spot: pop,
@@ -186,50 +189,58 @@ fn sweep_params(pop: usize, gens: usize, improve: bool, end: EndCondition) -> Me
         mutation_prob: 0.3,
         max_shift: 1.0,
         max_angle: 0.4,
-        end: end_or_gens(end, gens),
+        end,
         single_pass: false,
     }
 }
 
-fn end_or_gens(end: EndCondition, gens: usize) -> EndCondition {
-    match end {
-        EndCondition::Generations(_) => EndCondition::Generations(gens),
-        c => c,
-    }
+/// Either end condition: generation-bounded, or convergence with a cap.
+fn arb_end() -> impl Strategy<Value = EndCondition> {
+    prop_oneof![
+        (1usize..5).prop_map(EndCondition::Generations),
+        (1usize..4, 4usize..13)
+            .prop_map(|(patience, max)| EndCondition::Convergence { patience, max }),
+    ]
+}
+
+/// The scheduler-invariant fields of two runs agree bit for bit.
+fn prop_assert_same_search(lock: &RunResult, piped: &RunResult) -> Result<(), TestCaseError> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(lock.best.score.to_bits(), piped.best.score.to_bits());
+    prop_assert_eq!(lock.best.pose, piped.best.pose);
+    prop_assert_eq!(lock.evaluations, piped.evaluations);
+    prop_assert_eq!(lock.generations_run, piped.generations_run);
+    prop_assert_eq!(bits(&lock.best_history), bits(&piped.best_history));
+    prop_assert_eq!(bits(&lock.diversity_history), bits(&piped.diversity_history));
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For generation-bounded runs the pipeline is bit-identical to
-    /// lockstep whatever the population, spot count, depth, or seed.
+    /// The pipeline is bit-identical to lockstep whatever the population,
+    /// spot count, depth, seed or end condition.
     #[test]
     fn pipelined_is_bit_identical_for_generation_runs(
         seed in any::<u64>(),
         n_spots in 1usize..6,
         pop in 4usize..20,
-        gens in 1usize..5,
+        end in arb_end(),
         improve in any::<bool>(),
         depth in 1usize..5,
     ) {
         let sp = sweep_spots(n_spots);
-        let p = sweep_params(pop, gens, improve, EndCondition::Generations(0));
+        let p = sweep_params(pop, improve, end);
         let mut ev = sweep_evaluator(&sp);
         let lock = metaheur::run(&p, &sp, &mut ev, seed);
         let mut ev = sweep_evaluator(&sp);
-        let piped = run_pipelined(
-            &p, &sp, &mut ev, seed, &[], &Trace::disabled(),
-            &PipelineConfig::with_depth(depth),
-        );
-        prop_assert_eq!(lock.best.score.to_bits(), piped.best.score.to_bits());
-        prop_assert_eq!(lock.best.pose, piped.best.pose);
-        prop_assert_eq!(lock.evaluations, piped.evaluations);
-        prop_assert_eq!(lock.generations_run, piped.generations_run);
+        let piped = pipelined(&p, &sp, &mut ev, seed, depth);
+        prop_assert_same_search(&lock, &piped)?;
     }
 
-    /// Convergence-ended runs may stop each spot at a different staleness
-    /// point than the lockstep global check, but for a fixed seed the
-    /// pipeline must land within a small tolerance of the lockstep best.
+    /// Convergence-ended runs stop each spot on its own staleness under
+    /// both schedulers, so they too are bit-identical — and the per-spot
+    /// bests with them.
     #[test]
     fn pipelined_convergence_tracks_lockstep_best(
         seed in any::<u64>(),
@@ -237,22 +248,16 @@ proptest! {
         depth in 1usize..4,
     ) {
         let sp = sweep_spots(n_spots);
-        let p = sweep_params(
-            12, 0, false,
-            EndCondition::Convergence { patience: 3, max: 12 },
-        );
+        let p = sweep_params(12, false, EndCondition::Convergence { patience: 3, max: 12 });
         let mut ev = sweep_evaluator(&sp);
         let lock = metaheur::run(&p, &sp, &mut ev, seed);
         let mut ev = sweep_evaluator(&sp);
-        let piped = run_pipelined(
-            &p, &sp, &mut ev, seed, &[], &Trace::disabled(),
-            &PipelineConfig::with_depth(depth),
-        );
-        prop_assert!(
-            (lock.best.score - piped.best.score).abs() < 1.0,
-            "lockstep {} vs pipelined {}", lock.best.score, piped.best.score
-        );
-        prop_assert!(piped.evaluations > 0);
+        let piped = pipelined(&p, &sp, &mut ev, seed, depth);
+        prop_assert_same_search(&lock, &piped)?;
+        for (a, b) in lock.best_per_spot.iter().zip(&piped.best_per_spot) {
+            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+            prop_assert_eq!(a.pose, b.pose);
+        }
     }
 }
 
@@ -261,7 +266,7 @@ fn pipelined_respects_warm_start_seeds() {
     // Streamed admission must still inject warm-start conformations into
     // the right spot's initial population.
     let sp = sweep_spots(3);
-    let p = sweep_params(8, 3, false, EndCondition::Generations(0));
+    let p = sweep_params(8, false, EndCondition::Generations(3));
     let mut ev = sweep_evaluator(&sp);
     let seeds: Vec<_> = sp
         .iter()
@@ -269,15 +274,8 @@ fn pipelined_respects_warm_start_seeds() {
         .collect();
     let lock = metaheur::run_seeded(&p, &sp, &mut ev, 9, &seeds);
     let mut ev = sweep_evaluator(&sp);
-    let piped = run_pipelined(
-        &p,
-        &sp,
-        &mut ev,
-        9,
-        &seeds,
-        &Trace::disabled(),
-        &PipelineConfig::with_depth(2),
-    );
+    let exec = EngineExec::Pipelined { depth: 2 };
+    let piped = run_exec(&p, &sp, &mut ev, 9, &seeds, &Trace::disabled(), exec);
     assert_eq!(lock.best.score.to_bits(), piped.best.score.to_bits());
     assert_eq!(lock.evaluations, piped.evaluations);
 }
