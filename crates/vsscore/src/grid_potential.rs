@@ -21,10 +21,14 @@
 //!   channel) under a byte budget, so a library whose ligands draw on five
 //!   elements builds five slabs however the elements combine. A request
 //!   builds every slab it is missing in one pass over the receptor.
-//! - The build is node-major: every lattice node gathers the receptor atoms
-//!   within the cutoff through a [`vsmath::SpatialGrid`] and adds each
-//!   one's term to every slab being built. A slab's sums never read another
-//!   slab, so one built alone holds the same bits as one built in a set.
+//! - The build is atom-major: every receptor atom, taken in the cell order
+//!   of a [`vsmath::SpatialGrid`], adds its term into the lattice nodes of
+//!   its cutoff sphere, in every slab being built. A slab's sums never read
+//!   another slab, so one built alone holds the same bits as one built in
+//!   a set. A large build is cut into contiguous ranges of z-planes, one
+//!   per worker of the shared [`crate::pool::CpuPool`]; each range walks
+//!   all the atoms in that same order, so the bits do not depend on how
+//!   many ranges there are (DESIGN §11).
 //! - [`GridScorer`] interpolates 8 ligand atoms per step with explicit
 //!   [`vsmath::F32x8`] lanes; [`GridScorer::score_scalar`] replays the same
 //!   IEEE operations lane by lane and is **bit-identical** (tested), so the
@@ -36,6 +40,7 @@
 use crate::coulomb::COULOMB_K;
 use crate::hbond::{hbond_pair, is_hbond_capable_idx};
 use crate::lj::{lj_pair, Frame, PairTable, MIN_DIST_SQ};
+use crate::pool::{host_threads, shared_pool};
 use std::collections::BTreeMap;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -139,14 +144,21 @@ struct Geometry {
 
 impl Geometry {
     fn of(receptor: &Molecule, opts: GridOptions) -> Geometry {
-        let bb = Aabb::from_points(receptor.positions()).inflated(opts.margin);
+        let bb = Aabb::from_points(receptor.positions());
+        // No atoms, no box: the (all-zero) field of an empty receptor sits
+        // at the origin.
+        let bb = if bb.is_empty() { Aabb::new(Vec3::ZERO, Vec3::ZERO) } else { bb };
+        let bb = bb.inflated(opts.margin);
         let extent = bb.extent();
-        let dims = [
-            (extent.x / opts.spacing).ceil() as usize + 1,
-            (extent.y / opts.spacing).ceil() as usize + 1,
-            (extent.z / opts.spacing).ceil() as usize + 1,
-        ];
-        Geometry { origin: bb.min, spacing: opts.spacing, dims }
+        // Interpolation reads a cell, two nodes along every axis: a box
+        // with no extent (no margin around one atom, or a plane) still
+        // gets a lattice one cell thick.
+        let nodes = |extent: f64| ((extent / opts.spacing).ceil() as usize + 1).max(2);
+        Geometry {
+            origin: bb.min,
+            spacing: opts.spacing,
+            dims: [nodes(extent.x), nodes(extent.y), nodes(extent.z)],
+        }
     }
 
     fn nodes(&self) -> usize {
@@ -158,82 +170,238 @@ impl Geometry {
 // Build.
 // ---------------------------------------------------------------------------
 
+/// A build whose [`build_work`] reaches this is cut into one range of
+/// z-planes per host thread and run on the shared pool; a smaller one stays
+/// on the calling thread.
+///
+/// Derivation, on the reference 2-vCPU guest at the default pitch (17 157
+/// nodes per cutoff sphere): a build costs 6.4 ns per estimated term for
+/// its first slab — the distance work, paid once per atom and node — and
+/// about 1.5 ns for each further one, whatever the receptor (300, 3 264
+/// and 8 609 atoms measured alike). Workers parked on a condvar take up to
+/// tens of milliseconds there to be running on a core of their own, and
+/// until they are, a 40 ms build cut in two took 26 or 45 ms at random. So
+/// the cut has to wait for builds several times that long: 3e7 terms is
+/// 0.09 s (five slabs) to 0.19 s (one) on one thread. It falls between the
+/// requests of a library screen (300 atoms: 5.1e6 and 33 ms for the one
+/// slab a new ligand element needs, 2.6e7 and 73 ms for five at once) and
+/// the smallest request over a Table 5 receptor (one slab over 2BSM:
+/// 5.6e7, 0.36 s alone, 0.19 s on two workers).
+const POOLED_BUILD_WORK: f64 = 3.0e7;
+
+/// Pair terms a build adds up, near enough to choose how to run it: every
+/// atom reaches the nodes of one cutoff sphere (fewer where the lattice is
+/// smaller than the sphere or its edge clips it) in every slab.
+fn build_work(atoms: usize, geom: &Geometry, opts: GridOptions, slabs: usize) -> f64 {
+    let r = opts.cutoff / opts.spacing;
+    let sphere = (4.0 / 3.0 * std::f64::consts::PI * r * r * r).min(geom.nodes() as f64);
+    atoms as f64 * sphere * slabs as f64
+}
+
 /// Build `channels` (in [`Channel`] order, which is the order of the slabs)
-/// over one receptor in a single node-major pass. Cost: `nodes ×
-/// atoms-within-cutoff × channels`. A slab's node sums read nothing of the
+/// over one receptor in a single atom-major pass. Cost: `atoms × nodes
+/// within the cutoff × channels`. A slab's node sums read nothing of the
 /// other slabs, so it comes out the same bits whichever channels are built
-/// beside it.
+/// beside it — and whichever way the size of the request sends it.
 fn build_slabs(
     receptor: &Molecule,
     geom: Geometry,
     opts: GridOptions,
     channels: &[Channel],
 ) -> Vec<Slab> {
+    let wide = build_work(receptor.len(), &geom, opts, channels.len()) >= POOLED_BUILD_WORK;
+    build_slabs_in(receptor, geom, opts, channels, if wide { host_threads() } else { 1 })
+}
+
+/// [`build_slabs`] over `ranges` (at least one) contiguous ranges of
+/// z-planes, or as many as there are planes, if fewer: on the calling
+/// thread when that is one, else each on its own worker of the shared pool
+/// of `ranges` workers.
+fn build_slabs_in(
+    receptor: &Molecule,
+    geom: Geometry,
+    opts: GridOptions,
+    channels: &[Channel],
+    ranges: usize,
+) -> Vec<Slab> {
     debug_assert!(channels.is_sorted(), "channels out of order: {channels:?}");
-    let lj_elems: Vec<u8> = channels
-        .iter()
-        .filter_map(|c| match c {
-            Channel::Lj(e) => Some(*e),
-            Channel::Elec => None,
-        })
-        .collect();
-
-    let rec_grid = SpatialGrid::build(receptor.positions(), opts.cutoff);
-    let table = PairTable::new(&LjTable::standard());
-    let rec_elem: Vec<u8> = receptor.elements().iter().map(|e| e.index() as u8).collect();
-    let rec_charge = receptor.charges();
-
-    // Per (receptor element, LJ channel) pair parameters, hoisted out of
-    // the node loop: LJ (σ², 4ε) plus the H-bond capability gate.
-    let pair_params: Vec<Vec<(f64, f64, bool)>> = (0..Element::COUNT as u8)
-        .map(|re| {
-            lj_elems
-                .iter()
-                .map(|&le| {
-                    let (s2, e4) = table.lookup(le, re);
-                    let hb = opts.hbond_epsilon.is_some()
-                        && is_hbond_capable_idx(le)
-                        && is_hbond_capable_idx(re);
-                    (s2, e4, hb)
-                })
-                .collect()
-        })
-        .collect();
-    let hb_eps = opts.hbond_epsilon.unwrap_or(0.0);
-    let dielectric = opts.dielectric.unwrap_or(0.0);
-
+    let scatter = Scatter::new(receptor, geom, opts, channels);
     let mut slabs: Vec<Slab> =
         channels.iter().map(|_| std::iter::repeat_n(0f32, geom.nodes()).collect()).collect();
-    // The slabs were made on the line above: unique, so this never copies.
-    let mut out: Vec<&mut [f32]> = slabs.iter_mut().map(Arc::make_mut).collect();
-    // The LJ slabs, then the electrostatic one if it is being built.
-    let (lj, elec) = out.split_at_mut(lj_elems.len());
-    for iz in 0..geom.dims[2] {
-        for iy in 0..geom.dims[1] {
-            for ix in 0..geom.dims[0] {
-                let node = (iz * geom.dims[1] + iy) * geom.dims[0] + ix;
-                let p = geom.origin + Vec3::new(ix as f64, iy as f64, iz as f64) * geom.spacing;
-                rec_grid.for_each_within(p, opts.cutoff, |j, _, r_sq| {
-                    let params = &pair_params[rec_elem[j] as usize];
-                    for (slab, &(s2, e4, hb)) in lj.iter_mut().zip(params) {
-                        let mut v = lj_pair(s2, e4, r_sq);
-                        if hb {
-                            v += hbond_pair(hb_eps, r_sq);
+
+    // Cut every slab at the same planes; range k gets piece k of each.
+    let planes = geom.dims[2].div_ceil(ranges);
+    let mut parts: Vec<Planes<'_>> = (0..geom.dims[2])
+        .step_by(planes)
+        .map(|z| Planes { z: z..(z + planes).min(geom.dims[2]), slabs: Vec::new() })
+        .collect();
+    for slab in &mut slabs {
+        // The slabs were made a few lines up: unique, so this never copies.
+        let pieces = Arc::make_mut(slab).chunks_mut(planes * geom.dims[0] * geom.dims[1]);
+        for (part, piece) in parts.iter_mut().zip(pieces) {
+            part.slabs.push(piece);
+        }
+    }
+    match parts.as_mut_slice() {
+        [whole] => scatter.fill(whole),
+        many => shared_pool(ranges).for_each_mut(many, |part| scatter.fill(part)),
+    }
+    slabs
+}
+
+/// One range's share of a build: planes `z` of every slab being built.
+struct Planes<'a> {
+    z: std::ops::Range<usize>,
+    /// Planes `z` of each slab, in channel order.
+    slabs: Vec<&'a mut [f32]>,
+}
+
+/// What every range of one build reads: the lattice, and the receptor laid
+/// out for the walk.
+struct Scatter {
+    geom: Geometry,
+    cutoff: f64,
+    /// Node coordinates along each axis, `origin + i · spacing`.
+    axes: [Vec<f64>; 3],
+    /// Receptor atoms in [`SpatialGrid::cell_order`].
+    atoms: Vec<ScatterAtom>,
+    /// Per receptor element, per LJ channel: LJ (σ², 4ε) and whether the
+    /// pair also takes the H-bond term.
+    pair_params: Vec<Vec<(f64, f64, bool)>>,
+    hb_eps: f64,
+    dielectric: f64,
+}
+
+struct ScatterAtom {
+    p: Vec3,
+    elem: u8,
+    /// `COULOMB_K ·` charge.
+    kq: f64,
+}
+
+impl Scatter {
+    fn new(
+        receptor: &Molecule,
+        geom: Geometry,
+        opts: GridOptions,
+        channels: &[Channel],
+    ) -> Scatter {
+        let lj_elems = channels.iter().filter_map(|c| match c {
+            Channel::Lj(e) => Some(*e),
+            Channel::Elec => None,
+        });
+        let table = PairTable::new(&LjTable::standard());
+        let pair_params = (0..Element::COUNT as u8)
+            .map(|re| {
+                lj_elems
+                    .clone()
+                    .map(|le| {
+                        let (s2, e4) = table.lookup(le, re);
+                        let hb = opts.hbond_epsilon.is_some()
+                            && is_hbond_capable_idx(le)
+                            && is_hbond_capable_idx(re);
+                        (s2, e4, hb)
+                    })
+                    .collect()
+            })
+            .collect();
+        let cells = SpatialGrid::build(receptor.positions(), opts.cutoff);
+        let charges = receptor.charges();
+        let atoms = cells
+            .cell_order()
+            .iter()
+            .map(|&j| ScatterAtom {
+                p: receptor.positions()[j as usize],
+                elem: receptor.elements()[j as usize].index() as u8,
+                kq: COULOMB_K * charges[j as usize],
+            })
+            .collect();
+        let axis = |a: usize| -> Vec<f64> {
+            (0..geom.dims[a]).map(|i| geom.origin[a] + i as f64 * geom.spacing).collect()
+        };
+        Scatter {
+            geom,
+            cutoff: opts.cutoff,
+            axes: [axis(0), axis(1), axis(2)],
+            atoms,
+            pair_params,
+            hb_eps: opts.hbond_epsilon.unwrap_or(0.0),
+            dielectric: opts.dielectric.unwrap_or(0.0),
+        }
+    }
+
+    /// Node indices of one axis that can lie in `[lo, hi]`. One node of
+    /// slack on either side absorbs the rounding of the division; the exact
+    /// distance test decides membership.
+    fn span(&self, axis: usize, lo: f64, hi: f64) -> std::ops::Range<usize> {
+        let o = self.geom.origin[axis];
+        // Float-to-int casts saturate: below the lattice is 0.
+        let first = ((lo - o) / self.geom.spacing).floor().max(0.0) as usize;
+        let last = ((hi - o) / self.geom.spacing).ceil().max(-1.0) + 1.0;
+        first..(last as usize).min(self.geom.dims[axis])
+    }
+
+    /// Add every atom's terms into `part`'s planes, then clamp them.
+    ///
+    /// A node's `f32` sums must not depend on how the lattice was cut, and
+    /// must equal what a node-major gather through the same `SpatialGrid`
+    /// would add up (the tests keep one to compare with). Both hold because
+    /// a node takes its terms in cell order here and there: a query reports
+    /// its neighbours in the relative order of `cell_order`, and here every
+    /// range walks all of `cell_order`. The terms themselves are the same
+    /// numbers: `d²` is `Vec3::dist_sq(atom, node)` spelled out — `(dx² +
+    /// dy²) + dz²` against the same node coordinates — a node takes an atom
+    /// exactly when `d² <= cutoff²`, and each slot keeps its own division (a
+    /// shared reciprocal would round differently).
+    fn fill(&self, part: &mut Planes<'_>) {
+        let [nx, ny, nz] = &self.axes;
+        let dims = self.geom.dims;
+        let r2 = self.cutoff * self.cutoff;
+        // The LJ slabs, then the electrostatic one if it is being built.
+        let (lj, elec) = part.slabs.split_at_mut(self.pair_params[0].len());
+        for &ScatterAtom { p, elem, kq } in &self.atoms {
+            let params = &self.pair_params[elem as usize];
+            let zs = self.span(2, p.z - self.cutoff, p.z + self.cutoff);
+            let zs = zs.start.max(part.z.start)..zs.end.min(part.z.end);
+            let ys = self.span(1, p.y - self.cutoff, p.y + self.cutoff);
+            for iz in zs {
+                let dz = p.z - nz[iz];
+                let dz2 = dz * dz;
+                for iy in ys.clone() {
+                    let dy = p.y - ny[iy];
+                    let dy2 = dy * dy;
+                    // Rounding is monotone, so d² >= dy² + dz² as computed:
+                    // a row beyond the cutoff holds no node within it.
+                    let room = r2 - (dy2 + dz2);
+                    if room < 0.0 {
+                        continue;
+                    }
+                    let half = room.sqrt();
+                    let row = ((iz - part.z.start) * dims[1] + iy) * dims[0];
+                    for ix in self.span(0, p.x - half, p.x + half) {
+                        let dx = p.x - nx[ix];
+                        let d2 = dx * dx + dy2 + dz2;
+                        if d2 > r2 {
+                            continue;
                         }
-                        slab[node] += v as f32;
+                        for (slab, &(s2, e4, hb)) in lj.iter_mut().zip(params) {
+                            let mut v = lj_pair(s2, e4, d2);
+                            if hb {
+                                v += hbond_pair(self.hb_eps, d2);
+                            }
+                            slab[row + ix] += v as f32;
+                        }
+                        if let Some(slab) = elec.first_mut() {
+                            slab[row + ix] += (kq / (self.dielectric * d2.max(MIN_DIST_SQ))) as f32;
+                        }
                     }
-                    if let Some(slab) = elec.first_mut() {
-                        let r2 = r_sq.max(MIN_DIST_SQ);
-                        slab[node] += (COULOMB_K * rec_charge[j] / (dielectric * r2)) as f32;
-                    }
-                });
-                for slab in lj.iter_mut() {
-                    slab[node] = slab[node].min(MAX_NODE_POTENTIAL);
                 }
             }
         }
+        for slab in lj {
+            slab.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
+        }
     }
-    slabs
 }
 
 // ---------------------------------------------------------------------------
@@ -1126,88 +1294,51 @@ mod tests {
 
     // -- build equivalence ---------------------------------------------------
 
-    /// Node indices of one axis that can lie in `[lo, hi]`. One node of
-    /// slack on either side absorbs the rounding of the division; the exact
-    /// distance test decides membership.
-    fn span(geom: &Geometry, axis: usize, lo: f64, hi: f64) -> std::ops::Range<usize> {
-        let o = geom.origin[axis];
-        // Float-to-int casts saturate: below the lattice is 0.
-        let first = ((lo - o) / geom.spacing).floor().max(0.0) as usize;
-        let last = ((hi - o) / geom.spacing).ceil().max(-1.0) + 1.0;
-        first..(last as usize).min(geom.dims[axis])
-    }
-
-    /// The same slabs by an independent, atom-major route — and the build
-    /// ROADMAP item 1(b) wants to put in [`build_slabs`]'s place (about half
-    /// the time: no distance test misses). Each receptor atom, in the cell
-    /// order of the `SpatialGrid` the gather queries, adds into the nodes of
-    /// its cutoff sphere. `d²` is `Vec3::dist_sq(atom, node)` spelled out —
-    /// `(dx² + dy²) + dz²` against the same node coordinates — and a node
-    /// takes an atom exactly when `d² <= cutoff²`, so it receives the terms
-    /// the gather gives it, in the order the gather meets them: every `f32`
-    /// sum must come out the same. One division per slot, as there: a
-    /// shared reciprocal would round differently.
-    fn scatter_slabs(
+    /// The same slabs by an independent, node-major route, and the build
+    /// this module shipped before the atom-major one: every lattice node
+    /// gathers the receptor atoms within the cutoff through the
+    /// `SpatialGrid` whose cell order [`Scatter`] walks, and adds each
+    /// one's term to every slab. About twice the time — most distance
+    /// tests of a query's 27 cells miss.
+    fn gather_slabs(
         receptor: &Molecule,
         geom: Geometry,
         opts: GridOptions,
         channels: &[Channel],
     ) -> Vec<Vec<f32>> {
         let table = PairTable::new(&LjTable::standard());
-        // Node coordinates per axis, by the gather's expression.
-        let axis = |a: usize| -> Vec<f64> {
-            (0..geom.dims[a]).map(|i| geom.origin[a] + i as f64 * geom.spacing).collect()
-        };
-        let (nx, ny, nz) = (axis(0), axis(1), axis(2));
-        let r2 = opts.cutoff * opts.cutoff;
+        let rec_grid = SpatialGrid::build(receptor.positions(), opts.cutoff);
+        let rec_charge = receptor.charges();
         let hb_eps = opts.hbond_epsilon.unwrap_or(0.0);
         let mut slabs = vec![vec![0f32; geom.nodes()]; channels.len()];
-        let cells = SpatialGrid::build(receptor.positions(), opts.cutoff);
-        for &j in cells.cell_order() {
-            let j = j as usize;
-            let (p, re) = (receptor.positions()[j], receptor.elements()[j].index() as u8);
-            let kq = COULOMB_K * receptor.charges()[j];
-            let ys = span(&geom, 1, p.y - opts.cutoff, p.y + opts.cutoff);
-            for iz in span(&geom, 2, p.z - opts.cutoff, p.z + opts.cutoff) {
-                let dz = p.z - nz[iz];
-                let dz2 = dz * dz;
-                for iy in ys.clone() {
-                    let dy = p.y - ny[iy];
-                    let dy2 = dy * dy;
-                    // Rounding is monotone, so d² >= dy² + dz² as computed:
-                    // a row beyond the cutoff holds no node within it.
-                    let room = r2 - (dy2 + dz2);
-                    if room < 0.0 {
-                        continue;
-                    }
-                    let half = room.sqrt();
-                    let row = (iz * geom.dims[1] + iy) * geom.dims[0];
-                    for ix in span(&geom, 0, p.x - half, p.x + half) {
-                        let dx = p.x - nx[ix];
-                        let d2 = dx * dx + dy2 + dz2;
-                        if d2 > r2 {
-                            continue;
-                        }
+        for iz in 0..geom.dims[2] {
+            for iy in 0..geom.dims[1] {
+                for ix in 0..geom.dims[0] {
+                    let node = (iz * geom.dims[1] + iy) * geom.dims[0] + ix;
+                    let p = geom.origin + Vec3::new(ix as f64, iy as f64, iz as f64) * geom.spacing;
+                    rec_grid.for_each_within(p, opts.cutoff, |j, _, r_sq| {
+                        let re = receptor.elements()[j].index() as u8;
                         for (c, slab) in channels.iter().zip(slabs.iter_mut()) {
-                            slab[row + ix] += match *c {
+                            slab[node] += match *c {
                                 Channel::Lj(le) => {
                                     let (s2, e4) = table.lookup(le, re);
-                                    let mut v = lj_pair(s2, e4, d2);
+                                    let mut v = lj_pair(s2, e4, r_sq);
                                     if opts.hbond_epsilon.is_some()
                                         && is_hbond_capable_idx(le)
                                         && is_hbond_capable_idx(re)
                                     {
-                                        v += hbond_pair(hb_eps, d2);
+                                        v += hbond_pair(hb_eps, r_sq);
                                     }
                                     v as f32
                                 }
                                 Channel::Elec => {
                                     let eps = opts.dielectric.expect("Elec needs a dielectric");
-                                    (kq / (eps * d2.max(MIN_DIST_SQ))) as f32
+                                    let r2 = r_sq.max(MIN_DIST_SQ);
+                                    (COULOMB_K * rec_charge[j] / (eps * r2)) as f32
                                 }
                             };
                         }
-                    }
+                    });
                 }
             }
         }
@@ -1247,27 +1378,31 @@ mod tests {
         }
     }
 
-    /// Every model variant of `base` over `receptor`: the build against
-    /// the atom-major route.
-    fn check_against_scatter(receptor: &Molecule, base: GridOptions) {
+    /// Range counts the build is forced through whatever its size: one (the
+    /// calling thread), a few workers, and more than a thin lattice has
+    /// z-planes.
+    const RANGES: [usize; 5] = [1, 2, 3, 7, 64];
+
+    /// Every model variant of `base` over `receptor`: the build, as its
+    /// size routes it and cut into each of [`RANGES`], against the
+    /// node-major gather.
+    fn check_against_gather(receptor: &Molecule, base: GridOptions) {
         for (opts, channels) in model_variants(base, &[Element::C, Element::N, Element::O]) {
             let geom = Geometry::of(receptor, opts);
-            let got = build_slabs(receptor, geom, opts, &channels);
-            assert!(got.iter().any(|slab| slab.iter().any(|v| *v != 0.0)), "build is all zero");
-            let want = scatter_slabs(receptor, geom, opts, &channels);
-            assert_same_bits(&got, &want, &format!("{} atoms, {opts:?}", receptor.len()));
+            let what = format!("{} atoms, {opts:?}", receptor.len());
+            let want = gather_slabs(receptor, geom, opts, &channels);
+            assert!(want.iter().any(|slab| slab.iter().any(|v| *v != 0.0)), "{what}: all zero");
+            assert_same_bits(&build_slabs(receptor, geom, opts, &channels), &want, &what);
+            for ranges in RANGES {
+                let got = build_slabs_in(receptor, geom, opts, &channels, ranges);
+                assert_same_bits(&got, &want, &format!("{what}, {ranges} ranges"));
+            }
         }
     }
 
-    #[test]
-    fn build_equals_atom_major_scatter_bit_for_bit() {
-        let coarse = GridOptions { spacing: 1.5, ..Default::default() };
-        for atoms in [1, 50, 300] {
-            let rec = synth::synth_receptor("equiv", atoms, 31 + atoms as u64);
-            check_against_scatter(&rec, coarse);
-        }
-        // All atoms at z = 0: the spatial grid has a single cell along z,
-        // and a 2 Å margin leaves the lattice four z-planes.
+    /// Forty atoms in the plane z = 0: the spatial grid has a single cell
+    /// along z.
+    fn flat_receptor() -> Molecule {
         let mut rng = RngStream::from_seed(57);
         let atoms = (0..40)
             .map(|i| {
@@ -1277,11 +1412,23 @@ mod tests {
                 vsmol::Atom::with_charge(p, e, rng.uniform_range(-0.5, 0.5))
             })
             .collect();
-        let flat = Molecule::new("flat", atoms);
+        Molecule::new("flat", atoms)
+    }
+
+    #[test]
+    fn build_equals_atom_major_scatter_bit_for_bit() {
+        let coarse = GridOptions { spacing: 1.5, ..Default::default() };
+        for atoms in [1, 50, 300] {
+            let rec = synth::synth_receptor("equiv", atoms, 31 + atoms as u64);
+            check_against_gather(&rec, coarse);
+        }
+        // A 2 Å margin leaves the flat receptor's lattice four z-planes:
+        // fewer than most of `RANGES`.
+        let flat = flat_receptor();
         let thin = GridOptions { margin: 2.0, ..coarse };
         assert_eq!(Geometry::of(&flat, thin).dims[2], 4);
-        check_against_scatter(&flat, thin);
-        check_against_scatter(&flat, coarse);
+        check_against_gather(&flat, thin);
+        check_against_gather(&flat, coarse);
     }
 
     #[test]
@@ -1297,6 +1444,7 @@ mod tests {
         let mut set = lj_channels(&[Element::C, Element::N, Element::O, Element::S, Element::Cl]);
         set.push(Channel::Elec);
         let together = build_slabs(&rec, geom, opts, &set);
+        assert_same_bits(&together, &gather_slabs(&rec, geom, opts, &set), "the set");
         for (channel, slab) in set.iter().zip(&together) {
             let alone = build_slabs(&rec, geom, opts, &[*channel]);
             assert_same_bits(&alone, std::slice::from_ref(slab), &format!("{channel:?}"));
@@ -1304,10 +1452,79 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "run in release mode: builds both Table 5 receptors twice"]
-    fn table5_receptors_build_equals_scatter() {
-        for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
-            let rec = dataset.receptor();
+    fn the_size_of_a_build_decides_whether_it_goes_to_the_pool() {
+        let opts = GridOptions::default();
+        let work =
+            |rec: &Molecule, slabs| build_work(rec.len(), &Geometry::of(rec, opts), opts, slabs);
+        // A library screen's receptor: one slab per new element, and even
+        // all five elements of its ligands at once, stay on the caller.
+        let small = synth::synth_receptor("library-receptor", 300, 0x5E0C);
+        assert!(work(&small, 1) < POOLED_BUILD_WORK / 5.0, "{}", work(&small, 1));
+        assert!(work(&small, 5) < POOLED_BUILD_WORK, "{}", work(&small, 5));
+        // Docking against a Table 5 receptor goes wide.
+        let big = vsmol::Dataset::TwoBxg.receptor();
+        assert!(work(&big, 4) > 10.0 * POOLED_BUILD_WORK, "{}", work(&big, 4));
+        // A sphere larger than the lattice counts as the lattice.
+        let dot = synth::synth_receptor("dot", 1, 3);
+        let tight = GridOptions { margin: 1.0, ..opts };
+        let geom = Geometry::of(&dot, tight);
+        assert_eq!(build_work(1, &geom, tight, 2), 2.0 * geom.nodes() as f64);
+    }
+
+    #[test]
+    fn degenerate_receptors_build_a_lattice_that_scores() {
+        let lig = synth::synth_ligand("l", 9, 4);
+        let poses = surface_poses(4, 13);
+        let model = GridOptions { dielectric: Some(4.0), ..Default::default() };
+
+        // No atoms: a field of zeros around the origin.
+        let empty = Molecule::new("empty", Vec::new());
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &empty, &lig, model, NO_CLOCK);
+        assert!(Geometry::of(&empty, model).dims.iter().all(|&d| d >= 2));
+        assert!(g.field.slabs().all(|slab| slab.iter().all(|v| v.to_bits() == 0)));
+        for pose in &poses {
+            assert_eq!(g.score(pose).to_bits(), 0f64.to_bits());
+            assert_eq!(g.score_scalar(pose).to_bits(), 0f64.to_bits());
+        }
+
+        // No atoms and no margin, one atom and no margin: a box without
+        // extent still gets a cell to interpolate in.
+        let bare = GridOptions { margin: 0.0, ..model };
+        let one = synth::synth_receptor("one", 1, 5);
+        for rec in [&empty, &one] {
+            assert_eq!(Geometry::of(rec, bare).dims, [2, 2, 2]);
+            let g = GridScorer::new_in(&SlabCache::new(ROOMY), rec, &lig, bare, NO_CLOCK);
+            assert!(poses.iter().all(|p| g.score(p).is_finite()));
+        }
+        let at_the_atom = RigidTransform::from_translation(one.positions()[0]);
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &one, &lig, bare, NO_CLOCK);
+        assert!(g.score(&at_the_atom) > 0.0, "a ligand on top of the atom clashes");
+
+        // One atom, default margin: scored before, and by the same lattice.
+        let geom = Geometry::of(&one, model);
+        assert_eq!(geom.dims, [23, 23, 23]);
+        assert_eq!(geom.origin, one.positions()[0] - Vec3::splat(8.0));
+
+        // A plane of atoms with a margin below the pitch: two z-planes, cut
+        // into more ranges than that.
+        let flat = flat_receptor();
+        let thin = GridOptions { margin: 0.25, ..model };
+        let geom = Geometry::of(&flat, thin);
+        assert_eq!(geom.dims[2], 2);
+        let channels = [Channel::Lj(Element::C.index() as u8), Channel::Elec];
+        let want = gather_slabs(&flat, geom, thin, &channels);
+        for ranges in RANGES {
+            let got = build_slabs_in(&flat, geom, thin, &channels, ranges);
+            assert_same_bits(&got, &want, &format!("thin plane, {ranges} ranges"));
+        }
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &flat, &lig, thin, NO_CLOCK);
+        assert!(poses.iter().all(|p| g.score(p).is_finite()));
+    }
+
+    /// Both Table 5 receptors under the full model, as `dock --kernel grid`
+    /// builds them.
+    fn table5_builds() -> impl Iterator<Item = (String, Molecule, GridOptions, Vec<Channel>)> {
+        [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg].into_iter().map(|dataset| {
             let opts = GridOptions {
                 dielectric: Some(4.0),
                 hbond_epsilon: Some(1.0),
@@ -1315,10 +1532,31 @@ mod tests {
             };
             let mut channels = lj_channels(&[Element::C, Element::N, Element::O, Element::S]);
             channels.push(Channel::Elec);
+            (format!("{dataset:?}"), dataset.receptor(), opts, channels)
+        })
+    }
+
+    #[test]
+    #[ignore = "run in release mode: builds both Table 5 receptors twice"]
+    fn table5_receptors_build_equals_scatter() {
+        for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
+            assert!(build_work(rec.len(), &geom, opts, channels.len()) >= POOLED_BUILD_WORK);
             let got = build_slabs(&rec, geom, opts, &channels);
-            let want = scatter_slabs(&rec, geom, opts, &channels);
-            assert_same_bits(&got, &want, &format!("{dataset:?}"));
+            assert_same_bits(&got, &gather_slabs(&rec, geom, opts, &channels), &what);
+        }
+    }
+
+    #[test]
+    #[ignore = "run in release mode: builds both Table 5 receptors five times"]
+    fn table5_receptors_build_the_same_bits_on_any_worker_count() {
+        for (what, rec, opts, channels) in table5_builds() {
+            let geom = Geometry::of(&rec, opts);
+            let want = build_slabs_in(&rec, geom, opts, &channels, 1);
+            for ranges in &RANGES[1..] {
+                let got = build_slabs_in(&rec, geom, opts, &channels, *ranges);
+                assert_same_bits(&got, &want, &format!("{what}, {ranges} ranges"));
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! A persistent CPU worker pool for batch scoring.
+//! A persistent CPU worker pool for batch scoring and for building.
 //!
 //! The paper's CPU baseline ("OpenMP") keeps a thread team alive for the
 //! whole run; the previous implementation here spawned and joined fresh OS
@@ -8,6 +8,13 @@
 //! that it reuses across batches, so the steady-state batch path performs
 //! no thread creation and no per-pose allocation.
 //!
+//! The team takes two kinds of job. [`CpuPool::score_batch`] scores a batch
+//! of poses against one [`Scorer`]. [`CpuPool::for_each_mut`] runs a
+//! caller's closure once over every element of a `&mut [T]` — the potential
+//! grids are built through it, one range of lattice planes per item
+//! (`grid_potential`). Both are the same job underneath: a length, split
+//! into contiguous chunks, one per worker.
+//!
 //! # Determinism
 //!
 //! Work is split into the same contiguous chunks as the old
@@ -15,50 +22,57 @@
 //! every pose is scored by the identical serial kernel, so results are
 //! bit-identical to the serial [`Scorer::score_batch`] path regardless of
 //! worker count or interleaving — the schedule-invariance invariant
-//! (DESIGN §7).
+//! (DESIGN §7). `for_each_mut` promises the same as long as the body's
+//! effect on an item depends on that item alone: which worker runs an item,
+//! and when, is all that varies.
 //!
 //! # Safety model
 //!
-//! A submitted job carries raw pointers to the caller's pose/score slices.
-//! The pool's `State` has a single job slot, so submissions are serialized
-//! through a submitter mutex held for the entire `run_job` — concurrent
-//! callers (shared pools are handed to every evaluator with the same
-//! thread count) queue up rather than clobbering each other's job.
+//! A submitted job carries raw pointers to the caller's slices (and, for
+//! `for_each_mut`, to the caller's closure). The pool's `State` has a
+//! single job slot, so submissions are serialized through a submitter
+//! mutex held for the entire `run_job` — concurrent callers (shared pools
+//! are handed to every evaluator with the same thread count) queue up
+//! rather than clobbering each other's job, whatever the kinds.
 //! Submission blocks until every worker has signalled completion, so the
 //! borrows those pointers were derived from strictly outlive all worker
 //! access; workers only touch disjoint index ranges, so no two threads
-//! alias the same element.
+//! alias the same element. `for_each_mut` erases its item and closure
+//! types behind a monomorphized trampoline stored beside the pointers; its
+//! bounds (`T: Send`, `F: Sync`) are what moving `&mut T` to, and sharing
+//! `&F` with, the workers requires.
 //!
 //! # Panics
 //!
-//! Workers run each job body under `catch_unwind`: a panicking scorer
-//! cannot wedge the completion count. The panic is re-raised on the
-//! submitting thread ("scoring worker panicked"), and the pool remains
-//! usable for subsequent batches.
+//! Workers run each job body under `catch_unwind`: a panicking scorer or
+//! closure cannot wedge the completion count. The panic is re-raised on
+//! the submitting thread ("pool worker panicked"), and the pool remains
+//! usable for subsequent jobs. Items a panicking `for_each_mut` body did
+//! not reach are left as they were.
 
 use crate::scorer::{PoseScratch, ScoreBatch, Scorer};
 use crate::sync::thread::{Builder, JoinHandle};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use vsmath::RigidTransform;
 use vsmol::Conformation;
 
-/// What one batch submission asks the workers to do.
+/// What one submission asks the workers to do with their chunk of `0..len`.
 #[derive(Clone, Copy)]
 enum JobKind {
     /// Score `poses[i]` into `out[i]`.
-    Poses { poses: *const RigidTransform, out: *mut f64 },
+    Poses { scorer: *const Scorer, poses: *const RigidTransform, out: *mut f64 },
     /// Score `confs[i].pose` into `confs[i].score`.
-    Confs { confs: *mut Conformation },
-    /// Test-only: panic in every worker, to pin panic propagation.
-    #[cfg(test)]
-    Panic,
+    Confs { scorer: *const Scorer, confs: *mut Conformation },
+    /// `run(items, body, start, end)`: apply the closure behind `body` to
+    /// each of `items[start..end]`.
+    // SAFETY: `run` is only ever [`run_each`] at the item and closure types the two pointers beside it were erased from (`for_each_mut` is the one constructor).
+    Each { items: *mut (), body: *const (), run: unsafe fn(*mut (), *const (), usize, usize) },
 }
 
 #[derive(Clone, Copy)]
 struct Job {
-    scorer: *const Scorer,
     kind: JobKind,
     len: usize,
     /// Number of workers the length was chunked over.
@@ -68,8 +82,27 @@ struct Job {
 // SAFETY: the pointers are only dereferenced between job publication and
 // the completion signal, during which the submitting thread is blocked in
 // `run_job` keeping the underlying borrows alive; chunk ranges are
-// disjoint per worker.
+// disjoint per worker. The pointees may cross threads: a `Scorer` is
+// `Sync`, poses and conformations are plain data, and `for_each_mut`
+// bounds its items `Send` and its closure `Sync`.
 unsafe impl Send for Job {}
+
+/// The typed half of a [`JobKind::Each`] job.
+///
+/// # Safety
+/// `items` must point to at least `end` initialized `T`s that no other
+/// thread touches in `start..end` for the duration of the call, and `body`
+/// to a live `F`.
+unsafe fn run_each<T, F: Fn(&mut T)>(items: *mut (), body: *const (), start: usize, end: usize) {
+    // SAFETY: the caller's contract, verbatim.
+    let (items, body) = unsafe {
+        (
+            std::slice::from_raw_parts_mut(items.cast::<T>().add(start), end - start),
+            &*body.cast::<F>(),
+        )
+    };
+    items.iter_mut().for_each(body);
+}
 
 struct State {
     generation: u64,
@@ -87,7 +120,20 @@ struct Shared {
     done_cv: Condvar,
 }
 
-/// A fixed-size team of persistent scoring workers.
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // PANICS: job bodies run under `catch_unwind` outside this lock, so poisoning means the pool's own bookkeeping panicked; propagating that is deliberate.
+        self.state.lock().expect("pool mutex poisoned")
+    }
+}
+
+/// Park on `cv` until it is signalled, releasing the state meanwhile.
+fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    // PANICS: as for `Shared::lock`.
+    cv.wait(st).expect("pool mutex poisoned")
+}
+
+/// A fixed-size team of persistent workers.
 ///
 /// Dropping the pool shuts the workers down and joins them — no threads
 /// outlive the pool.
@@ -143,11 +189,29 @@ impl CpuPool {
         let len = input.len();
         let kind = match input {
             ScoreBatch::Poses { poses, out } => {
-                JobKind::Poses { poses: poses.as_ptr(), out: out.as_mut_ptr() }
+                JobKind::Poses { scorer, poses: poses.as_ptr(), out: out.as_mut_ptr() }
             }
-            ScoreBatch::Confs(confs) => JobKind::Confs { confs: confs.as_mut_ptr() },
+            ScoreBatch::Confs(confs) => JobKind::Confs { scorer, confs: confs.as_mut_ptr() },
         };
-        self.run_job(Job { scorer, kind, len, workers: self.workers.len() });
+        self.run_job(Job { kind, len, workers: self.workers.len() });
+    }
+
+    /// Call `body` once on every item, the items split into contiguous
+    /// chunks, one per worker, and return when all are done. Which thread
+    /// runs an item is the only thing the worker count decides: a body
+    /// whose effect on an item depends on that item alone gives the same
+    /// result on any pool. A panic in `body` is re-raised here once every
+    /// worker has stopped.
+    pub fn for_each_mut<T: Send, F: Fn(&mut T) + Sync>(&self, items: &mut [T], body: F) {
+        if items.is_empty() {
+            return;
+        }
+        let kind = JobKind::Each {
+            items: items.as_mut_ptr().cast(),
+            body: std::ptr::from_ref(&body).cast(),
+            run: run_each::<T, F>,
+        };
+        self.run_job(Job { kind, len: items.len(), workers: self.workers.len() });
     }
 
     /// Publish a job to every worker and block until all have finished.
@@ -162,8 +226,7 @@ impl CpuPool {
         // poison the pool for everyone after it.
         let _submitting = self.submit.lock().unwrap_or_else(|e| e.into_inner());
         {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = self.shared.state.lock().expect("pool mutex poisoned");
+            let mut st = self.shared.lock();
             st.job = Some(job);
             st.generation += 1;
             st.remaining = self.workers.len();
@@ -171,28 +234,22 @@ impl CpuPool {
         self.shared.work_cv.notify_all();
 
         let panicked = {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = self.shared.state.lock().expect("pool mutex poisoned");
+            let mut st = self.shared.lock();
             while st.remaining > 0 {
-                // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating is deliberate.
-                st = self.shared.done_cv.wait(st).expect("pool mutex poisoned");
+                st = wait(&self.shared.done_cv, st);
             }
             st.job = None;
             std::mem::take(&mut st.panicked)
         };
         if panicked {
-            panic!("scoring worker panicked");
+            panic!("pool worker panicked");
         }
     }
 }
 
 impl Drop for CpuPool {
     fn drop(&mut self) {
-        {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = self.shared.state.lock().expect("pool mutex poisoned");
-            st.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -205,8 +262,7 @@ fn worker_loop(shared: &Shared, index: usize) {
     let mut seen_generation = 0u64;
     loop {
         let job = {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = shared.state.lock().expect("pool mutex poisoned");
+            let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
@@ -216,8 +272,7 @@ fn worker_loop(shared: &Shared, index: usize) {
                     // PANICS: a generation bump always publishes a job; the model tests explore this exhaustively.
                     break st.job.expect("job published with generation bump");
                 }
-                // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating is deliberate.
-                st = shared.work_cv.wait(st).expect("pool mutex poisoned");
+                st = wait(&shared.work_cv, st);
             }
         };
 
@@ -231,34 +286,35 @@ fn worker_loop(shared: &Shared, index: usize) {
             let start = (index * chunk).min(job.len);
             let end = ((index + 1) * chunk).min(job.len);
             if start < end {
-                // SAFETY: see the module-level safety model; the submitting
-                // thread blocks until `remaining` hits zero, and [start, end)
-                // ranges are disjoint across workers.
-                let scorer = unsafe { &*job.scorer };
                 match job.kind {
-                    // SAFETY: [start, end) ⊆ [0, job.len) and chunk ranges
-                    // are disjoint per worker, so `poses`/`out` elements in
-                    // this range are accessed by this thread only; both
-                    // borrows outlive the job (submitter blocked).
-                    JobKind::Poses { poses, out } => unsafe {
+                    // SAFETY: see the module-level safety model — the
+                    // submitting thread blocks until `remaining` hits zero,
+                    // so the scorer and both slices outlive the job;
+                    // [start, end) ⊆ [0, job.len) and chunk ranges are
+                    // disjoint per worker, so `poses`/`out` elements in
+                    // this range are accessed by this thread only.
+                    JobKind::Poses { scorer, poses, out } => unsafe {
                         let poses = std::slice::from_raw_parts(poses.add(start), end - start);
                         let out = std::slice::from_raw_parts_mut(out.add(start), end - start);
-                        scorer.score_batch_serial(ScoreBatch::Poses { poses, out }, &mut scratch);
+                        let batch = ScoreBatch::Poses { poses, out };
+                        (&*scorer).score_batch_serial(batch, &mut scratch);
                     },
                     // SAFETY: same disjoint-chunk argument for the in-place
                     // conformation variant.
-                    JobKind::Confs { confs } => unsafe {
+                    JobKind::Confs { scorer, confs } => unsafe {
                         let confs = std::slice::from_raw_parts_mut(confs.add(start), end - start);
-                        scorer.score_batch_serial(ScoreBatch::Confs(confs), &mut scratch);
+                        (&*scorer).score_batch_serial(ScoreBatch::Confs(confs), &mut scratch);
                     },
-                    #[cfg(test)]
-                    JobKind::Panic => panic!("induced test panic"),
+                    // SAFETY: and for the caller's items; `run` is
+                    // `run_each` at the types `items` and `body` were
+                    // erased from in `for_each_mut`, which is still blocked
+                    // in `run_job` holding both borrows.
+                    JobKind::Each { items, body, run } => unsafe { run(items, body, start, end) },
                 }
             }
         }));
 
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let mut st = shared.state.lock().expect("pool mutex poisoned");
+        let mut st = shared.lock();
         if body.is_err() {
             st.panicked = true;
         }
@@ -267,6 +323,12 @@ fn worker_loop(shared: &Shared, index: usize) {
             shared.done_cv.notify_all();
         }
     }
+}
+
+/// How many workers a job that picks its own team (the potential grid
+/// build) should take on this host. Results never depend on it.
+pub(crate) fn host_threads() -> usize {
+    crate::sync::thread::available_parallelism()
 }
 
 /// Process-wide shared pools, one per distinct thread count.
@@ -278,15 +340,26 @@ fn worker_loop(shared: &Shared, index: usize) {
 /// Shared pools live for the process; ad-hoc pools from [`CpuPool::new`]
 /// join their workers on drop.
 pub fn shared_pool(threads: usize) -> Arc<CpuPool> {
+    let threads = threads.max(1);
+    if let Some(pool) = registry().get(&threads) {
+        return Arc::clone(pool);
+    }
+    // The team is spawned with the registry unlocked: the lock covers map
+    // operations only. Of two first callers racing here, the later adopts
+    // the earlier one's team and its own is joined as it drops.
+    let fresh = Arc::new(CpuPool::new(threads));
+    Arc::clone(registry().entry(threads).or_insert(fresh))
+}
+
+/// The shared pools by thread count, locked.
+fn registry() -> std::sync::MutexGuard<'static, BTreeMap<usize, Arc<CpuPool>>> {
     // The registry is process-global state that outlives any one vscheck
     // exploration, so it must never be scheduler-managed.
     // DETERMINISM: deliberately raw `std::sync::Mutex`, not the crate::sync facade (see above).
-    static POOLS: OnceLock<std::sync::Mutex<BTreeMap<usize, Arc<CpuPool>>>> = OnceLock::new();
-    let threads = threads.max(1);
-    let pools = POOLS.get_or_init(|| std::sync::Mutex::new(BTreeMap::new()));
+    static POOLS: std::sync::Mutex<BTreeMap<usize, Arc<CpuPool>>> =
+        std::sync::Mutex::new(BTreeMap::new());
     // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-    let mut map = pools.lock().expect("shared pool registry poisoned");
-    Arc::clone(map.entry(threads).or_insert_with(|| Arc::new(CpuPool::new(threads))))
+    POOLS.lock().expect("shared pool registry poisoned")
 }
 
 #[cfg(test)]
@@ -428,13 +501,43 @@ mod tests {
         let s = scorer();
         let pool = CpuPool::new(3);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_job(Job { scorer: &s, kind: JobKind::Panic, len: 3, workers: 3 });
+            pool.for_each_mut(&mut [0u8; 3], |_| panic!("induced test panic"));
         }));
         assert!(caught.is_err(), "worker panic must re-raise on the submitter");
         // The pool must stay fully usable: workers caught their panics and
         // the completion bookkeeping recovered.
         let ps = poses(19, 3);
         assert_eq!(pool_scores(&pool, &s, &ps), serial_scores(&s, &ps));
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_on_any_pool() {
+        for threads in [1, 2, 3, 7, 16] {
+            let pool = CpuPool::new(threads);
+            for len in [0, 1, 2, 5, 16, 41] {
+                // Each item carries a borrow, as the grid build's do.
+                let mut cells = vec![0u32; len];
+                let mut items: Vec<(usize, &mut u32)> = cells.iter_mut().enumerate().collect();
+                pool.for_each_mut(&mut items, |(i, cell)| **cell += 1 + *i as u32);
+                let want: Vec<u32> = (1..=len as u32).collect();
+                assert_eq!(cells, want, "threads={threads} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_panicking_item_leaves_the_other_chunks_done() {
+        let pool = CpuPool::new(4);
+        let mut items = [0u32, 0, 7, 0, 0, 0, 0, 0];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_mut(&mut items, |v| {
+                assert_ne!(*v, 7, "induced test panic");
+                *v += 1;
+            });
+        }));
+        assert!(caught.is_err());
+        // Worker 1 owns items 2..4 and stopped at the first; the rest ran.
+        assert_eq!(items, [1, 1, 7, 0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -561,6 +664,49 @@ mod model_tests {
     }
 
     #[test]
+    fn model_for_each_mut_visits_every_item_exactly_once() {
+        // Three items over two workers: chunks of two and one. No
+        // interleaving may skip an item, run one twice, or return to the
+        // submitter before the last one is done.
+        let report = explore(Config::with_bound(2), || {
+            let pool = CpuPool::new(2);
+            let mut items = [0u32; 3];
+            pool.for_each_mut(&mut items, |v| *v += 1);
+            assert_eq!(items, [1, 1, 1], "item skipped, repeated or still running");
+            drop(pool);
+        });
+        report.assert_passed();
+        assert!(report.complete, "bounded state space must be exhausted");
+    }
+
+    #[test]
+    fn model_score_batch_and_for_each_mut_are_serialized() {
+        // One submitter of each job kind on a shared pool: the single job
+        // slot must hold one of them at a time, so neither worker ever runs
+        // the other's chunk through the wrong pointers.
+        let s = tiny_scorer();
+        let ps = tiny_poses(2);
+        let want = serial(&s, &ps);
+        let report = explore(Config::with_bound(1), move || {
+            let pool = Arc::new(CpuPool::new(1));
+            let p2 = Arc::clone(&pool);
+            let other = vscheck::thread::spawn(move || {
+                let mut items = [10u32, 20];
+                p2.for_each_mut(&mut items, |v| *v += 1);
+                assert_eq!(items, [11, 21], "for_each_mut clobbered");
+            });
+            let mut out = vec![f64::NAN; ps.len()];
+            pool.score_batch(&s, ScoreBatch::Poses { poses: &ps, out: &mut out });
+            for (got, want) in out.iter().zip(&want) {
+                assert_eq!(got.to_bits(), want.to_bits(), "score_batch clobbered");
+            }
+            other.join().unwrap();
+        });
+        report.assert_passed();
+        assert!(report.complete);
+    }
+
+    #[test]
     fn model_worker_panic_reaches_submitter_and_pool_survives() {
         let s = tiny_scorer();
         let ps = tiny_poses(2);
@@ -568,7 +714,7 @@ mod model_tests {
         let report = explore(Config::with_bound(2), move || {
             let pool = CpuPool::new(1);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.run_job(Job { scorer: &*s, kind: JobKind::Panic, len: 1, workers: 1 });
+                pool.for_each_mut(&mut [0u8], |_| panic!("induced test panic"));
             }));
             assert!(caught.is_err(), "worker panic must re-raise on the submitter");
             // Completion bookkeeping must have recovered: the next batch

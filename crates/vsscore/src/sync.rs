@@ -8,13 +8,25 @@
 //! can exhaustively explore interleavings (see DESIGN.md §9).
 
 #[cfg(not(feature = "vscheck-model"))]
-pub(crate) use std::sync::{Condvar, Mutex};
+pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(feature = "vscheck-model")]
-pub(crate) use vscheck::sync::{Condvar, Mutex};
+pub(crate) use vscheck::sync::{Condvar, Mutex, MutexGuard};
 
 pub(crate) mod thread {
     #[cfg(not(feature = "vscheck-model"))]
     pub(crate) use std::thread::{Builder, JoinHandle};
     #[cfg(feature = "vscheck-model")]
     pub(crate) use vscheck::thread::{Builder, JoinHandle};
+
+    /// How many threads this host runs at once (1 when it will not say).
+    // DETERMINISM: sizes a worker team and nothing else — every pool job gives the same bits on any team (`pool` module docs).
+    #[cfg(not(feature = "vscheck-model"))]
+    pub(crate) fn available_parallelism() -> usize {
+        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+    }
+    /// A model run has no host: a fixed team keeps explorations repeatable.
+    #[cfg(feature = "vscheck-model")]
+    pub(crate) fn available_parallelism() -> usize {
+        2
+    }
 }
