@@ -18,7 +18,9 @@
 //!   kernels built on it: a gather-free LJ kernel and the **fused**
 //!   single-pass kernel ([`run::fused_run`], the default scoring path)
 //!   that accumulates LJ + Coulomb + run-gated H-bond in one receptor
-//!   sweep;
+//!   sweep — both four receptor atoms per step, the pair math written
+//!   once over a lane type (`f64`, portable `[f64; 4]`, 256-bit on AVX2
+//!   hosts) with the same bits from each;
 //! - [`coulomb`] — the electrostatic term (paper §2.1 names Coulomb as the
 //!   other relevant non-bonded potential; §6 lists richer scoring functions
 //!   as future work);

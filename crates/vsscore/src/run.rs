@@ -22,13 +22,38 @@
 //!   scatter) can map back to the original order.
 //!
 //! Inside one run the element is constant, so `(σ², 4ε)` hoist out of the
-//! inner loop as loop constants and the body becomes a pure FMA-able
-//! distance/energy computation over contiguous memory. The kernels
-//! restructure the sum into four independent lane accumulators
-//! ([`LANES`]) so LLVM can vectorize without reassociating a single serial
-//! dependency chain, and compose with the existing [`TILE`] cache
-//! blocking (tile *within* run) so a receptor block stays L1/L2-resident
-//! while every ligand atom consumes it.
+//! inner loop as loop constants and the body becomes a pure
+//! distance/energy computation over contiguous memory, composed with the
+//! existing [`TILE`] cache blocking (tile *within* run) so a receptor
+//! block stays L1/L2-resident while every ligand atom consumes it.
+//!
+//! # Lanes
+//!
+//! The pair math (`r² → clamp → 1/r² → LJ [+ Coulomb] [+ 10–12 H-bond]`)
+//! is written once, over a value type that offers exactly what it needs
+//! (the private `Lane` trait: broadcast, `+ − × ÷`, select-less-than; its
+//! four-wide refinement `Wide` adds the array conversions), and a span
+//! takes four receptor atoms per step in one `Wide` accumulator ([`LANES`]).
+//! It is instantiated three ways:
+//!
+//! - `f64` — the `len % 4` atoms of a span's scalar tail;
+//! - `F64x4`, a `[f64; 4]` with element-wise operators — portable; LLVM
+//!   packs it into whatever the target's baseline offers (two 128-bit
+//!   halves on x86-64), with no per-element bounds check left;
+//! - `avx2::Avx`, one 256-bit `__m256d` register, its operators the
+//!   `_mm256_{add,sub,mul,div}_pd` / `cmp` + `blendv` intrinsics, in a
+//!   sweep compiled under `#[target_feature(enable = "avx2")]`. It exists
+//!   only on x86-64 and runs only when the CPU reports `avx2`, asked once
+//!   per pose.
+//!
+//! Every lane operation in all three is a correctly rounded IEEE-754
+//! add, subtract, multiply or divide, or a compare-select — there is no
+//! fused multiply-add, no reciprocal estimate and no reassociation — and
+//! the order in which results are combined is fixed by the source (below),
+//! so the three give the same bits on every input, non-finite ones
+//! included. Which one runs depends on the host CPU; no result does.
+//! `run::tests` holds them to that by `to_bits`, the portable one
+//! instantiated directly so it is exercised on every host.
 //!
 //! # Kernels
 //!
@@ -43,20 +68,109 @@
 //!
 //! Each kernel's summation order is part of its definition (DESIGN §7):
 //! for the run kernels the canonical order is run-major, tile-minor,
-//! ligand-atom, then the four-lane accumulation of [`fused_span`]/
-//! [`lj_span`]. Every execution path (serial, `CpuPool`,
-//! `DeviceEvaluator`) runs this exact code, so scores are bit-identical
-//! across paths for a fixed kernel; *different* kernels agree within 1e-9
-//! relative (pinned by tests here and in `tests/props.rs`).
+//! ligand-atom, then within the span receptor atom `j` into lane
+//! `j % 4`, the tail after the last full four, and
+//! `(acc0 + acc1) + (acc2 + acc3) + tail`. Every execution path (serial,
+//! `CpuPool`, `DeviceEvaluator`) runs this exact code, so scores are
+//! bit-identical across paths — and across lane instantiations — for a
+//! fixed kernel; *different* kernels agree within 1e-9 relative (pinned by
+//! tests here and in `tests/props.rs`).
 
 use crate::coulomb::COULOMB_K;
 use crate::hbond::{is_hbond_capable_idx, HB_SIGMA};
-use crate::lj::{lj_pair, Frame, PairTable, MIN_DIST_SQ, TILE};
+use crate::lj::{Frame, PairTable, MIN_DIST_SQ, TILE};
+use std::ops::{Add, Div, Mul, Sub};
 use vsmol::Element;
 
-/// Independent accumulator lanes in the inner loops. Four f64 lanes cover
-/// an AVX2 register; on narrower ISAs the compiler splits them for free.
+/// Independent accumulator lanes in the inner loops: receptor atom `j` of
+/// a span goes to lane `j % LANES`. Four `f64` lanes fill one 256-bit
+/// register.
 pub const LANES: usize = 4;
+
+/// What the pair math needs of a value: correctly rounded IEEE `+ − × ÷`
+/// per lane, a broadcast and a compare-select. Nothing here fuses,
+/// estimates or reassociates, so every implementation gives each lane the
+/// bits the `f64` implementation gives that lane alone.
+trait Lane:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+{
+    /// Every lane set to `v`.
+    fn splat(v: f64) -> Self;
+    /// Lane by lane `if self < rhs { lt } else { ge }`; a NaN compares
+    /// false and takes `ge`.
+    fn select_lt(self, rhs: Self, lt: Self, ge: Self) -> Self;
+}
+
+impl Lane for f64 {
+    #[inline(always)]
+    fn splat(v: f64) -> f64 {
+        v
+    }
+    #[inline(always)]
+    fn select_lt(self, rhs: f64, lt: f64, ge: f64) -> f64 {
+        if self < rhs {
+            lt
+        } else {
+            ge
+        }
+    }
+}
+
+/// [`LANES`] lanes side by side: what [`span`] accumulates in.
+trait Wide: Lane {
+    fn from_array(lanes: [f64; LANES]) -> Self;
+    fn to_array(self) -> [f64; LANES];
+}
+
+/// The portable [`Wide`]: each operator is the `f64` one, spelled out lane
+/// by lane over a fixed-size array — no index can be out of bounds and no
+/// lane reads another — which LLVM turns into packed instructions of
+/// whatever width the target's baseline has (two 128-bit halves on
+/// x86-64; the same thing through `array::from_fn` packs fewer of them).
+#[derive(Clone, Copy)]
+struct F64x4([f64; LANES]);
+
+macro_rules! lanewise {
+    ($($op:ident $method:ident $sign:tt),*) => {$(
+        impl $op for F64x4 {
+            type Output = F64x4;
+            #[inline(always)]
+            fn $method(self, rhs: F64x4) -> F64x4 {
+                let (a, b) = (self.0, rhs.0);
+                F64x4([a[0] $sign b[0], a[1] $sign b[1], a[2] $sign b[2], a[3] $sign b[3]])
+            }
+        }
+    )*};
+}
+lanewise!(Add add +, Sub sub -, Mul mul *, Div div /);
+
+impl Lane for F64x4 {
+    #[inline(always)]
+    fn splat(v: f64) -> F64x4 {
+        F64x4([v; LANES])
+    }
+    #[inline(always)]
+    fn select_lt(self, rhs: F64x4, lt: F64x4, ge: F64x4) -> F64x4 {
+        let (a, b, lt, ge) = (self.0, rhs.0, lt.0, ge.0);
+        F64x4([
+            a[0].select_lt(b[0], lt[0], ge[0]),
+            a[1].select_lt(b[1], lt[1], ge[1]),
+            a[2].select_lt(b[2], lt[2], ge[2]),
+            a[3].select_lt(b[3], lt[3], ge[3]),
+        ])
+    }
+}
+
+impl Wide for F64x4 {
+    #[inline(always)]
+    fn from_array(lanes: [f64; LANES]) -> F64x4 {
+        F64x4(lanes)
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f64; LANES] {
+        self.0
+    }
+}
 
 /// One maximal span of same-element receptor atoms in a [`RunFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,40 +261,243 @@ impl RunFrame {
     }
 }
 
-/// LJ sum of one ligand atom against one contiguous same-element span,
-/// with `(σ², 4ε)` as loop constants and [`LANES`] independent
-/// accumulators. The lane split (element `j` goes to lane `j % LANES`,
-/// remainder into a scalar tail) is the canonical order for this kernel.
+/// The energy of one ligand-atom × receptor-atom pair, from the pair's
+/// clamped squared distance and the receptor atom's charge. Written over
+/// [`Lane`], so the four-lane body and the scalar tail of [`span`] are one
+/// formula.
+trait PairEnergy: Copy {
+    fn at<V: Lane>(self, r2: V, qj: V) -> V;
+}
+
+/// `4ε(q⁶ − q³)` from `q = σ²/r²`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn lj_span(lx: f64, ly: f64, lz: f64, s2: f64, e4: f64, xs: &[f64], ys: &[f64], zs: &[f64]) -> f64 {
-    let n = xs.len();
-    debug_assert!(ys.len() == n && zs.len() == n);
-    let mut acc = [0.0f64; LANES];
-    let mut j = 0;
-    while j + LANES <= n {
-        for l in 0..LANES {
-            let dx = lx - xs[j + l];
-            let dy = ly - ys[j + l];
-            let dz = lz - zs[j + l];
-            acc[l] += lj_pair(s2, e4, dx * dx + dy * dy + dz * dz);
+fn lj_from_q<V: Lane>(e4: f64, q: V) -> V {
+    let s6 = q * q * q;
+    V::splat(e4) * (s6 * s6 - s6)
+}
+
+/// [`lj_run`]'s pair: `q` by one division per pair, the operations of
+/// [`crate::lj::lj_pair`] with `(σ², 4ε)` as span constants.
+#[derive(Clone, Copy)]
+struct LjPair {
+    s2: f64,
+    e4: f64,
+}
+
+impl PairEnergy for LjPair {
+    #[inline(always)]
+    fn at<V: Lane>(self, r2: V, _qj: V) -> V {
+        lj_from_q(self.e4, V::splat(self.s2) / r2)
+    }
+}
+
+/// [`fused_run`]'s pair: LJ plus the statically gated Coulomb and 10–12
+/// H-bond terms off one reciprocal per pair. `ck` is the hoisted
+/// per-ligand-atom Coulomb constant `k·qᵢ/ε_scale`; `hb_eps` the H-bond
+/// well depth.
+#[derive(Clone, Copy)]
+struct FusedPair<const COUL: bool, const HB: bool> {
+    s2: f64,
+    e4: f64,
+    ck: f64,
+    hb_eps: f64,
+}
+
+impl<const COUL: bool, const HB: bool> PairEnergy for FusedPair<COUL, HB> {
+    #[inline(always)]
+    fn at<V: Lane>(self, r2: V, qj: V) -> V {
+        const HB2: f64 = HB_SIGMA * HB_SIGMA;
+        let inv = V::splat(1.0) / r2;
+        let mut e = lj_from_q(self.e4, V::splat(self.s2) * inv);
+        if COUL {
+            e = e + V::splat(self.ck) * qj * inv;
         }
-        j += LANES;
+        if HB {
+            let qh = V::splat(HB2) * inv;
+            let q5 = qh * qh * qh * qh * qh;
+            e = e + V::splat(self.hb_eps) * (V::splat(5.0) * q5 * qh - V::splat(6.0) * q5);
+        }
+        e
+    }
+}
+
+/// `energy` of the ligand atom at `at` against the receptor atoms in the
+/// lanes of `(x, y, z)` with charges `q`: `r²`, clamped at
+/// [`MIN_DIST_SQ`], then the pair formula.
+#[inline(always)]
+fn pair_energy<V: Lane, E: PairEnergy>(energy: E, at: [f64; 3], x: V, y: V, z: V, q: V) -> V {
+    let dx = V::splat(at[0]) - x;
+    let dy = V::splat(at[1]) - y;
+    let dz = V::splat(at[2]) - z;
+    let r_sq = dx * dx + dy * dy + dz * dz;
+    let floor = V::splat(MIN_DIST_SQ);
+    energy.at(r_sq.select_lt(floor, floor, r_sq), q)
+}
+
+/// One ligand atom against one contiguous same-element span — the
+/// canonical order of the run kernels: receptor atom `j` adds into lane
+/// `j % LANES` of one [`Wide`] accumulator, the `len % LANES` atoms left
+/// over into a scalar tail, and the span's sum is
+/// `(acc0 + acc1) + (acc2 + acc3) + tail`.
+#[inline(always)]
+fn span<W: Wide, E: PairEnergy>(
+    energy: E,
+    at: [f64; 3],
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qs: &[f64],
+) -> f64 {
+    // `zip` stops at the shortest column: unequal columns would drop pairs.
+    assert!(ys.len() == xs.len() && zs.len() == xs.len() && qs.len() == xs.len());
+    let (x4, x1) = xs.as_chunks::<LANES>();
+    let (y4, y1) = ys.as_chunks::<LANES>();
+    let (z4, z1) = zs.as_chunks::<LANES>();
+    let (q4, q1) = qs.as_chunks::<LANES>();
+    let mut acc = W::splat(0.0);
+    for (((x, y), z), q) in x4.iter().zip(y4).zip(z4).zip(q4) {
+        let (x, y, z, q) =
+            (W::from_array(*x), W::from_array(*y), W::from_array(*z), W::from_array(*q));
+        acc = acc + pair_energy(energy, at, x, y, z, q);
     }
     let mut tail = 0.0;
-    while j < n {
-        let dx = lx - xs[j];
-        let dy = ly - ys[j];
-        let dz = lz - zs[j];
-        tail += lj_pair(s2, e4, dx * dx + dy * dy + dz * dz);
-        j += 1;
+    for (((x, y), z), q) in x1.iter().zip(y1).zip(z1).zip(q1) {
+        tail += pair_energy(energy, at, *x, *y, *z, *q);
     }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+    let [a0, a1, a2, a3] = acc.to_array();
+    (a0 + a1) + (a2 + a3) + tail
+}
+
+/// Which run kernel to sweep a pose with, so both reach the lanes through
+/// one door ([`sweep_widest`]).
+#[derive(Debug, Clone, Copy)]
+enum Sweep {
+    Lj,
+    Fused { dielectric: Option<f64>, hbond_eps: Option<f64> },
+}
+
+/// `kernel` over the widest lanes the host has: 256-bit ones when the
+/// running x86-64 CPU reports `avx2` (asked once per pose), the portable
+/// [`F64x4`] otherwise and on every other architecture. The answer picks
+/// the instructions, never a bit of the result (module docs).
+fn sweep_widest(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `avx2`, the one feature the callee is compiled with, was
+        // just detected on the running CPU.
+        return unsafe { avx2::sweep(kernel, lig, rec, table) };
+    }
+    sweep::<F64x4>(kernel, lig, rec, table)
+}
+
+/// The 256-bit [`Wide`] and the sweep compiled for it — the only
+/// architecture-specific item; without it every target runs [`F64x4`].
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Frame, Lane, PairTable, RunFrame, Sweep, Wide, LANES};
+    use std::arch::x86_64::*;
+    use std::ops::{Add, Div, Mul, Sub};
+
+    /// One `ymm` register of four `f64` lanes. Private to this module, so
+    /// the only code that can name it is [`sweep`]: its methods run under
+    /// [`sweep`] or not at all.
+    #[derive(Clone, Copy)]
+    struct Avx(__m256d);
+
+    /// Rust refuses `#[target_feature]` on a safe trait method, so the
+    /// lane operations below cannot carry the attribute that would make
+    /// their intrinsics safe to call; each forwards through here instead.
+    macro_rules! avx {
+        ($intrinsic:expr) => {
+            // SAFETY: register-only AVX/SSE2 intrinsics whose sole
+            // requirement is the CPU feature. `Avx` is private to this
+            // module and `sweep` is its only user, and `sweep` is compiled
+            // with `avx2` — which implies `avx` — so reaching it at all
+            // was the caller's promise that the CPU has the feature.
+            unsafe { $intrinsic }
+        };
+    }
+
+    macro_rules! forward {
+        ($($op:ident $method:ident $intrinsic:ident),*) => {$(
+            impl $op for Avx {
+                type Output = Avx;
+                #[inline(always)]
+                fn $method(self, rhs: Avx) -> Avx {
+                    Avx(avx!($intrinsic(self.0, rhs.0)))
+                }
+            }
+        )*};
+    }
+    forward!(
+        Add add _mm256_add_pd,
+        Sub sub _mm256_sub_pd,
+        Mul mul _mm256_mul_pd,
+        Div div _mm256_div_pd
+    );
+
+    impl Lane for Avx {
+        #[inline(always)]
+        fn splat(v: f64) -> Avx {
+            Avx(avx!(_mm256_set1_pd(v)))
+        }
+        #[inline(always)]
+        fn select_lt(self, rhs: Avx, lt: Avx, ge: Avx) -> Avx {
+            // Ordered, quiet `<`: false on a NaN, like the scalar operator.
+            Avx(avx!(_mm256_blendv_pd(ge.0, lt.0, _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, rhs.0))))
+        }
+    }
+
+    impl Wide for Avx {
+        #[inline(always)]
+        fn from_array(a: [f64; LANES]) -> Avx {
+            // Lane 0 is the last argument; one unaligned 256-bit load.
+            Avx(avx!(_mm256_set_pd(a[3], a[2], a[1], a[0])))
+        }
+        #[inline(always)]
+        fn to_array(self) -> [f64; LANES] {
+            avx!({
+                let (lo, hi) = (_mm256_castpd256_pd128(self.0), _mm256_extractf128_pd::<1>(self.0));
+                [
+                    _mm_cvtsd_f64(lo),
+                    _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)),
+                    _mm_cvtsd_f64(hi),
+                    _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
+                ]
+            })
+        }
+    }
+
+    /// [`super::sweep`] over [`Avx`]: its `#[inline(always)]` body is
+    /// built here with 256-bit vectors enabled.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn sweep(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
+        super::sweep::<Avx>(kernel, lig, rec, table)
+    }
+}
+
+#[inline(always)]
+fn sweep<W: Wide>(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
+    match kernel {
+        Sweep::Lj => lj_impl::<W>(lig, rec, table),
+        // One statically gated body per scoring model.
+        Sweep::Fused { dielectric, hbond_eps } => match (dielectric, hbond_eps) {
+            (None, None) => fused_impl::<W, false, false>(lig, rec, table, 1.0, 0.0),
+            (Some(d), None) => fused_impl::<W, true, false>(lig, rec, table, d, 0.0),
+            (None, Some(e)) => fused_impl::<W, false, true>(lig, rec, table, 1.0, e),
+            (Some(d), Some(e)) => fused_impl::<W, true, true>(lig, rec, table, d, e),
+        },
+    }
 }
 
 /// Run-layout Lennard-Jones kernel: run-major, [`TILE`]-blocked within
 /// each run, `(σ², 4ε)` hoisted per (ligand atom × run).
 pub fn lj_run(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
+    sweep_widest(Sweep::Lj, lig, rec, table)
+}
+
+#[inline(always)]
+fn lj_impl<W: Wide>(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
     let rf = &rec.frame;
     let mut total = 0.0;
     for run in &rec.runs {
@@ -189,9 +506,11 @@ pub fn lj_run(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
         while start < run_end {
             let end = (start + TILE).min(run_end);
             let (xs, ys, zs) = (&rf.x[start..end], &rf.y[start..end], &rf.z[start..end]);
+            let qs = &rf.charge[start..end];
             for i in 0..lig.len() {
                 let (s2, e4) = table.lookup(lig.elem[i], run.elem);
-                total += lj_span(lig.x[i], lig.y[i], lig.z[i], s2, e4, xs, ys, zs);
+                let at = [lig.x[i], lig.y[i], lig.z[i]];
+                total += span::<W, _>(LjPair { s2, e4 }, at, xs, ys, zs, qs);
             }
             start = end;
         }
@@ -199,77 +518,8 @@ pub fn lj_run(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
     total
 }
 
-/// Fused span: one pass over a same-element receptor span accumulating LJ
-/// plus (statically gated) Coulomb and H-bond terms. One reciprocal per
-/// pair is shared by all three terms. `ck` is the hoisted per-ligand-atom
-/// Coulomb constant `k·qᵢ/ε_scale`; `hb_eps` the H-bond well depth.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fused_span<const COUL: bool, const HB: bool>(
-    lx: f64,
-    ly: f64,
-    lz: f64,
-    s2: f64,
-    e4: f64,
-    ck: f64,
-    hb_eps: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-) -> f64 {
-    const HB2: f64 = HB_SIGMA * HB_SIGMA;
-    let n = xs.len();
-    debug_assert!(ys.len() == n && zs.len() == n && qs.len() == n);
-    #[inline(always)]
-    fn pair<const COUL: bool, const HB: bool>(
-        r_sq: f64,
-        s2: f64,
-        e4: f64,
-        ck: f64,
-        hb_eps: f64,
-        qj: f64,
-    ) -> f64 {
-        let r2 = if r_sq < MIN_DIST_SQ { MIN_DIST_SQ } else { r_sq };
-        let inv = 1.0 / r2;
-        let q = s2 * inv;
-        let s6 = q * q * q;
-        let mut e = e4 * (s6 * s6 - s6);
-        if COUL {
-            e += ck * qj * inv;
-        }
-        if HB {
-            let qh = HB2 * inv;
-            let q5 = qh * qh * qh * qh * qh;
-            e += hb_eps * (5.0 * q5 * qh - 6.0 * q5);
-        }
-        e
-    }
-    let mut acc = [0.0f64; LANES];
-    let mut j = 0;
-    while j + LANES <= n {
-        for l in 0..LANES {
-            let dx = lx - xs[j + l];
-            let dy = ly - ys[j + l];
-            let dz = lz - zs[j + l];
-            let r_sq = dx * dx + dy * dy + dz * dz;
-            acc[l] += pair::<COUL, HB>(r_sq, s2, e4, ck, hb_eps, qs[j + l]);
-        }
-        j += LANES;
-    }
-    let mut tail = 0.0;
-    while j < n {
-        let dx = lx - xs[j];
-        let dy = ly - ys[j];
-        let dz = lz - zs[j];
-        let r_sq = dx * dx + dy * dy + dz * dz;
-        tail += pair::<COUL, HB>(r_sq, s2, e4, ck, hb_eps, qs[j]);
-        j += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-fn fused_impl<const COUL: bool, const HB: bool>(
+fn fused_impl<W: Wide, const COUL: bool, const HB: bool>(
     lig: &Frame,
     rec: &RunFrame,
     table: &PairTable,
@@ -294,11 +544,13 @@ fn fused_impl<const COUL: bool, const HB: bool>(
                 let le = lig.elem[i];
                 let (s2, e4) = table.lookup(le, run.elem);
                 let ck = if COUL { COULOMB_K * lig.charge[i] / dielectric } else { 0.0 };
-                let (lx, ly, lz) = (lig.x[i], lig.y[i], lig.z[i]);
+                let at = [lig.x[i], lig.y[i], lig.z[i]];
                 total += if run_capable && is_hbond_capable_idx(le) {
-                    fused_span::<COUL, true>(lx, ly, lz, s2, e4, ck, hb_eps, xs, ys, zs, qs)
+                    let pair = FusedPair::<COUL, true> { s2, e4, ck, hb_eps };
+                    span::<W, _>(pair, at, xs, ys, zs, qs)
                 } else {
-                    fused_span::<COUL, false>(lx, ly, lz, s2, e4, ck, 0.0, xs, ys, zs, qs)
+                    let pair = FusedPair::<COUL, false> { s2, e4, ck, hb_eps: 0.0 };
+                    span::<W, _>(pair, at, xs, ys, zs, qs)
                 };
             }
             start = end;
@@ -325,12 +577,8 @@ pub fn fused_run(
     if let Some(e) = hbond_eps {
         assert!(e >= 0.0, "well depth must be non-negative");
     }
-    match (dielectric, hbond_eps.filter(|&e| e > 0.0)) {
-        (None, None) => fused_impl::<false, false>(lig, rec, table, 1.0, 0.0),
-        (Some(d), None) => fused_impl::<true, false>(lig, rec, table, d, 0.0),
-        (None, Some(e)) => fused_impl::<false, true>(lig, rec, table, 1.0, e),
-        (Some(d), Some(e)) => fused_impl::<true, true>(lig, rec, table, d, e),
-    }
+    let hbond_eps = hbond_eps.filter(|&e| e > 0.0);
+    sweep_widest(Sweep::Fused { dielectric, hbond_eps }, lig, rec, table)
 }
 
 #[cfg(test)]
@@ -375,6 +623,186 @@ mod tests {
         let rec = synth::synth_receptor("r", n_rec, seed);
         let lig = synth::synth_ligand("l", n_lig, seed + 1);
         (Frame::from_molecule(&lig), Frame::from_molecule(&rec))
+    }
+
+    /// A ligand frame posed somewhere around a receptor of radius ~`reach`.
+    fn posed_ligand(lig: &vsmol::Molecule, rng: &mut RngStream, reach: f64) -> Frame {
+        let pose = vsmath::RigidTransform::new(rng.rotation(), rng.in_ball(reach));
+        Frame::from_molecule(&lig.centered().transformed(&pose))
+    }
+
+    /// Both run kernels under every model: LJ, and fused with each
+    /// `(COUL, HB)` gating.
+    const SWEEPS: [Sweep; 5] = [
+        Sweep::Lj,
+        Sweep::Fused { dielectric: None, hbond_eps: None },
+        Sweep::Fused { dielectric: Some(4.0), hbond_eps: None },
+        Sweep::Fused { dielectric: None, hbond_eps: Some(1.0) },
+        Sweep::Fused { dielectric: Some(4.0), hbond_eps: Some(1.0) },
+    ];
+
+    /// The canonical order (DESIGN §7) spelled out pair by pair over the
+    /// `f64` instantiation alone: run-major, tile-minor, ligand atom, lane
+    /// `j % LANES`, `(acc0 + acc1) + (acc2 + acc3) + tail`. Every wide
+    /// instantiation must reproduce it bit for bit.
+    fn scalar_lanes(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
+        fn at_atom<E: PairEnergy>(energy: E, at: [f64; 3], rf: &Frame, j: usize) -> f64 {
+            pair_energy(energy, at, rf.x[j], rf.y[j], rf.z[j], rf.charge[j])
+        }
+        let rf = rec.frame();
+        let mut total = 0.0;
+        for run in rec.runs() {
+            let run_end = run.start + run.len;
+            for start in (run.start..run_end).step_by(TILE) {
+                let n = TILE.min(run_end - start);
+                for i in 0..lig.len() {
+                    let at = [lig.x[i], lig.y[i], lig.z[i]];
+                    let (s2, e4) = table.lookup(lig.elem[i], run.elem);
+                    let capable =
+                        is_hbond_capable_idx(run.elem) && is_hbond_capable_idx(lig.elem[i]);
+                    let one = |j: usize| -> f64 {
+                        let Sweep::Fused { dielectric, hbond_eps } = kernel else {
+                            return at_atom(LjPair { s2, e4 }, at, rf, j);
+                        };
+                        let ck = dielectric.map_or(0.0, |d| COULOMB_K * lig.charge[i] / d);
+                        let hb_eps = hbond_eps.filter(|_| capable).unwrap_or(0.0);
+                        match (dielectric.is_some(), hb_eps > 0.0) {
+                            (false, false) => {
+                                at_atom(FusedPair::<false, false> { s2, e4, ck, hb_eps }, at, rf, j)
+                            }
+                            (true, false) => {
+                                at_atom(FusedPair::<true, false> { s2, e4, ck, hb_eps }, at, rf, j)
+                            }
+                            (false, true) => {
+                                at_atom(FusedPair::<false, true> { s2, e4, ck, hb_eps }, at, rf, j)
+                            }
+                            (true, true) => {
+                                at_atom(FusedPair::<true, true> { s2, e4, ck, hb_eps }, at, rf, j)
+                            }
+                        }
+                    };
+                    let mut acc = [0.0f64; LANES];
+                    let mut tail = 0.0;
+                    for j in 0..n {
+                        if j < n - n % LANES {
+                            acc[j % LANES] += one(start + j);
+                        } else {
+                            tail += one(start + j);
+                        }
+                    }
+                    total += (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail;
+                }
+            }
+        }
+        total
+    }
+
+    /// Scalar lanes, the portable [`F64x4`] (instantiated here, so it is
+    /// exercised on every host) and whatever [`sweep_widest`] picks on
+    /// this one must agree to the bit, for every kernel and model.
+    /// Returns the five scores.
+    fn assert_lane_paths_agree(lig: &Frame, rec: &RunFrame, what: &str) -> [f64; 5] {
+        let t = table();
+        SWEEPS.map(|kernel| {
+            let want = scalar_lanes(kernel, lig, rec, &t);
+            let portable = sweep::<F64x4>(kernel, lig, rec, &t);
+            let detected = sweep_widest(kernel, lig, rec, &t);
+            assert_eq!(portable.to_bits(), want.to_bits(), "{what}, {kernel:?}: portable lanes");
+            assert_eq!(detected.to_bits(), want.to_bits(), "{what}, {kernel:?}: detected lanes");
+            want
+        })
+    }
+
+    #[test]
+    fn lane_paths_agree_bit_for_bit_at_every_run_length() {
+        // N and O runs are H-bond capable, so the `HB` bodies run too.
+        let lig = synth::synth_ligand("l", 9, 13);
+        let mut rng = RngStream::from_seed(51);
+        let lens = (0..=9).chain([TILE - 1, TILE, TILE + 1, 2 * TILE + 7]);
+        for len in lens {
+            let spec = [(Element::N, len), (Element::C, 3), (Element::O, len / 2)];
+            let rec = RunFrame::from_frame(&frame_with_runs(&spec, 7 + len as u64));
+            let scores = assert_lane_paths_agree(
+                &posed_ligand(&lig, &mut rng, 12.0),
+                &rec,
+                &format!("len={len}"),
+            );
+            assert!(scores.iter().all(|s| s.is_finite()), "len={len}: {scores:?}");
+        }
+    }
+
+    #[test]
+    fn lane_paths_agree_inside_the_clamp_and_on_non_finite_coordinates() {
+        let lig_mol = synth::synth_ligand("l", 9, 13);
+        let spec = [(Element::N, 2 * LANES + 1), (Element::O, LANES - 1), (Element::C, TILE + 3)];
+        let rec_frame = frame_with_runs(&spec, 59);
+        let lig = posed_ligand(&lig_mol, &mut RngStream::from_seed(61), 12.0);
+        // Receptor atoms moved onto ligand atom 0: coincident, and closer
+        // than the `MIN_DIST_SQ` clamp — in the lanes and in the tail.
+        let mut clamped = rec_frame.clone();
+        for (k, off) in [(0, 0.0), (1, 0.3), (rec_frame.len() - 1, 0.0), (rec_frame.len() - 2, 0.4)]
+        {
+            (clamped.x[k], clamped.y[k], clamped.z[k]) = (lig.x[0] + off, lig.y[0], lig.z[0]);
+        }
+        let scores = assert_lane_paths_agree(&lig, &RunFrame::from_frame(&clamped), "clamped");
+        assert!(
+            scores.iter().all(|s| s.is_finite() && *s > 1e6),
+            "clash must dominate: {scores:?}"
+        );
+        // A non-finite coordinate gives the same non-finite answer on
+        // every path: NaN poisons the sum, an atom at ±∞ interacts with
+        // nothing.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for k in [0, LANES + 1, rec_frame.len() - 1] {
+                let mut rec = rec_frame.clone();
+                rec.y[k] = bad;
+                let scores = assert_lane_paths_agree(
+                    &lig,
+                    &RunFrame::from_frame(&rec),
+                    &format!("{bad} at {k}"),
+                );
+                assert!(
+                    scores.iter().all(|s| s.is_nan() == bad.is_nan()),
+                    "{bad} at {k}: {scores:?}"
+                );
+            }
+            let mut lig = lig.clone();
+            lig.z[3] = bad;
+            assert_lane_paths_agree(
+                &lig,
+                &RunFrame::from_frame(&rec_frame),
+                &format!("ligand at {bad}"),
+            );
+        }
+    }
+
+    #[test]
+    fn lane_paths_agree_on_a_thousand_random_frames() {
+        // The shapes of `run_and_fused_match_naive_on_random_frames`
+        // (tests/props.rs), seeded, compared by bits instead of 1e-9.
+        let mut rng = RngStream::from_seed(0x1a9e5);
+        for frame in 0..1000 {
+            let (n_rec, n_lig) = (1 + rng.index(399), 1 + rng.index(23));
+            let seed = rng.next_u64();
+            let rec = Frame::from_molecule(&synth::synth_receptor("r", n_rec, seed));
+            let lig = synth::synth_ligand("l", n_lig, seed ^ 0x9e37_79b9);
+            let lig = posed_ligand(&lig, &mut rng, 25.0);
+            assert_lane_paths_agree(&lig, &RunFrame::from_frame(&rec), &format!("frame {frame}"));
+        }
+    }
+
+    #[test]
+    #[ignore = "run in release mode: both Table 5 complexes, 64 poses, three lane paths"]
+    fn table5_complexes_score_the_same_bits_on_every_lane_path() {
+        for dataset in vsmol::Dataset::ALL {
+            let rec = RunFrame::from_frame(&Frame::from_molecule(&dataset.receptor()));
+            let lig = dataset.ligand();
+            let mut rng = RngStream::from_seed(64);
+            for pose in 0..64 {
+                let lig = posed_ligand(&lig, &mut rng, 30.0);
+                assert_lane_paths_agree(&lig, &rec, &format!("{dataset:?} pose {pose}"));
+            }
+        }
     }
 
     #[test]

@@ -99,13 +99,6 @@ pub enum Kernel {
     Grid { spacing: f64 },
 }
 
-impl Kernel {
-    /// Whether this kernel scores through the element-run receptor layout.
-    pub fn uses_run_layout(&self) -> bool {
-        matches!(self, Kernel::Run | Kernel::Fused)
-    }
-}
-
 /// Scorer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ScorerOptions {
@@ -149,13 +142,8 @@ impl PoseScratch {
 #[derive(Debug, Clone)]
 pub struct Scorer {
     rec_frame: Frame,
-    /// Element-run permutation of `rec_frame`, built once for the run
-    /// kernels ([`Kernel::Run`] / [`Kernel::Fused`]).
-    rec_runs: Option<RunFrame>,
-    rec_grid: Option<SpatialGrid>,
-    /// Potential-grid interpolator over slabs fetched from (or built into)
-    /// the process-wide slab cache, for [`Kernel::Grid`].
-    grid: Option<crate::grid_potential::GridScorer>,
+    /// What the selected kernel needs beyond `rec_frame`, built once.
+    kernel: KernelData,
     /// Per-receptor-atom H-bond capability (original atom order), so the
     /// cell-list path gates pairs with one indexed bit instead of an
     /// `Element::ALL` round-trip per visited pair.
@@ -173,6 +161,24 @@ pub struct Scorer {
     /// sound, because a clone carries identical ligand columns, so a
     /// scratch bound to either is bound to both.
     binding_id: u64,
+}
+
+/// The selected [`Kernel`] together with the receptor data it alone needs,
+/// so a kernel cannot be reached without its data.
+#[derive(Debug, Clone)]
+enum KernelData {
+    Naive,
+    Tiled,
+    /// The element-run permutation of the receptor frame.
+    Run(RunFrame),
+    Fused(RunFrame),
+    CellList {
+        cutoff: f64,
+        cells: SpatialGrid,
+    },
+    /// Interpolator over slabs fetched from (or built into) the
+    /// process-wide slab cache.
+    Grid(crate::grid_potential::GridScorer),
 }
 
 /// Source of [`Scorer::binding_id`]; `fetch_add` never hands out the same
@@ -206,14 +212,20 @@ impl Scorer {
         trace: Option<&vstrace::Trace>,
     ) -> Scorer {
         let lig = ligand.centered();
-        let rec_grid = match opts.kernel {
+        let lig_atoms = lig.positions().len();
+        let rec_frame = Frame::from_molecule(receptor);
+        let dense_pairs = crate::pairs_per_eval(lig_atoms, rec_frame.len());
+        let (kernel, units_per_eval) = match opts.kernel {
+            Kernel::Naive => (KernelData::Naive, dense_pairs),
+            Kernel::Tiled => (KernelData::Tiled, dense_pairs),
+            Kernel::Run => (KernelData::Run(RunFrame::from_frame(&rec_frame)), dense_pairs),
+            Kernel::Fused => (KernelData::Fused(RunFrame::from_frame(&rec_frame)), dense_pairs),
             Kernel::CellList { cutoff } => {
                 assert!(cutoff > 0.0, "cutoff must be positive");
-                Some(SpatialGrid::build(receptor.positions(), cutoff.max(1.0)))
+                let cells = SpatialGrid::build(receptor.positions(), cutoff.max(1.0));
+                let shell = mean_shell_occupancy(&cells, receptor.positions(), cutoff);
+                (KernelData::CellList { cutoff, cells }, lig_atoms as u64 * shell)
             }
-            _ => None,
-        };
-        let grid = match opts.kernel {
             Kernel::Grid { spacing } => {
                 let gopts = crate::grid_potential::GridOptions {
                     spacing,
@@ -221,34 +233,20 @@ impl Scorer {
                     hbond_epsilon: opts.model.hbond_epsilon(),
                     ..Default::default()
                 };
-                Some(match trace {
+                let grid = match trace {
                     Some(t) => {
                         crate::grid_potential::GridScorer::new_traced(receptor, ligand, gopts, t)
                     }
                     None => crate::grid_potential::GridScorer::new(receptor, ligand, gopts),
-                })
+                };
+                (KernelData::Grid(grid), lig_atoms as u64)
             }
-            _ => None,
         };
-        let rec_frame = Frame::from_molecule(receptor);
-        let rec_runs = opts.kernel.uses_run_layout().then(|| RunFrame::from_frame(&rec_frame));
         let rec_hb_capable: Vec<bool> =
             rec_frame.elem.iter().map(|&e| crate::hbond::is_hbond_capable_idx(e)).collect();
-        let lig_atoms = lig.positions().len();
-        let units_per_eval = match opts.kernel {
-            Kernel::Grid { .. } => lig_atoms as u64,
-            Kernel::CellList { cutoff } => {
-                // PANICS: the CellList arm above always builds the spatial grid.
-                let sg = rec_grid.as_ref().expect("cell-list kernel without spatial grid");
-                lig_atoms as u64 * mean_shell_occupancy(sg, receptor.positions(), cutoff)
-            }
-            _ => crate::pairs_per_eval(lig_atoms, rec_frame.len()),
-        };
         Scorer {
             rec_frame,
-            rec_runs,
-            rec_grid,
-            grid,
+            kernel,
             rec_hb_capable,
             lig_local: lig.positions().to_vec(),
             lig_elem: lig.elements().to_vec(),
@@ -332,53 +330,36 @@ impl Scorer {
     pub(crate) fn score_bound(&self, pose: &RigidTransform, scratch: &mut PoseScratch) -> f64 {
         let lig = &mut scratch.lig;
         pose.apply_all_soa(&self.lig_local, &mut lig.x, &mut lig.y, &mut lig.z);
-        match self.opts.kernel {
-            Kernel::CellList { cutoff } => self.score_cell_list(lig, cutoff),
-            Kernel::Grid { .. } => {
-                // PANICS: the constructor builds the interpolator whenever this kernel is selected; absence is an internal invariant breach.
-                let grid = self.grid.as_ref().expect("grid kernel without potential grid");
-                grid.score_frame_soa(&lig.x, &lig.y, &lig.z)
+        let (dielectric, hbond_eps) =
+            (self.opts.model.dielectric(), self.opts.model.hbond_epsilon());
+        // The multi-pass kernels: one LJ pass, then one pass per enabled
+        // model term over `rec` (`Run` streams the permuted frame in the
+        // extra passes — the memory its LJ pass touched).
+        let multi_pass = |lj: f64, rec: &Frame| {
+            let mut total = lj;
+            if let Some(dielectric) = dielectric {
+                total += coulomb_naive(lig, rec, dielectric);
             }
-            Kernel::Fused => {
-                // PANICS: the constructor builds the run frame whenever this kernel is selected; absence is an internal invariant breach.
-                let runs = self.rec_runs.as_ref().expect("fused kernel without run frame");
-                fused_run(
-                    lig,
-                    runs,
-                    &self.table,
-                    self.opts.model.dielectric(),
-                    self.opts.model.hbond_epsilon(),
-                )
+            if let Some(eps) = hbond_eps {
+                total += crate::hbond::hbond_naive(lig, rec, eps);
             }
-            kernel => {
-                // The multi-pass kernels: one LJ pass, then one pass per
-                // enabled model term. `Run` streams the permuted frame in
-                // the extra passes (same memory its LJ pass touched).
-                let (lj, rec) = match kernel {
-                    Kernel::Naive => (lj_naive(lig, &self.rec_frame, &self.table), &self.rec_frame),
-                    Kernel::Tiled => (lj_tiled(lig, &self.rec_frame, &self.table), &self.rec_frame),
-                    Kernel::Run => {
-                        // PANICS: the constructor builds the run frame whenever this kernel is selected; absence is an internal invariant breach.
-                        let runs = self.rec_runs.as_ref().expect("run kernel without run frame");
-                        (lj_run(lig, runs, &self.table), runs.frame())
-                    }
-                    Kernel::Fused | Kernel::CellList { .. } | Kernel::Grid { .. } => unreachable!(),
-                };
-                let mut total = lj;
-                if let Some(dielectric) = self.opts.model.dielectric() {
-                    total += coulomb_naive(lig, rec, dielectric);
-                }
-                if let Some(eps) = self.opts.model.hbond_epsilon() {
-                    total += crate::hbond::hbond_naive(lig, rec, eps);
-                }
-                total
+            total
+        };
+        match &self.kernel {
+            KernelData::Naive => {
+                multi_pass(lj_naive(lig, &self.rec_frame, &self.table), &self.rec_frame)
             }
+            KernelData::Tiled => {
+                multi_pass(lj_tiled(lig, &self.rec_frame, &self.table), &self.rec_frame)
+            }
+            KernelData::Run(runs) => multi_pass(lj_run(lig, runs, &self.table), runs.frame()),
+            KernelData::Fused(runs) => fused_run(lig, runs, &self.table, dielectric, hbond_eps),
+            KernelData::CellList { cutoff, cells } => self.score_cell_list(lig, cells, *cutoff),
+            KernelData::Grid(grid) => grid.score_frame_soa(&lig.x, &lig.y, &lig.z),
         }
     }
 
-    fn score_cell_list(&self, lig: &Frame, cutoff: f64) -> f64 {
-        // PANICS: the constructor builds the grid whenever this kernel is selected; absence is an internal invariant breach.
-        let grid = self.rec_grid.as_ref().expect("cell-list kernel without spatial grid");
+    fn score_cell_list(&self, lig: &Frame, grid: &SpatialGrid, cutoff: f64) -> f64 {
         let dielectric = self.opts.model.dielectric();
         let hbond_eps = self.opts.model.hbond_epsilon();
         let mut total = 0.0;
@@ -424,15 +405,15 @@ impl Scorer {
     ) -> (f64, crate::forces::RigidGradient) {
         let score = self.score_with(pose, scratch);
         let dielectric = self.opts.model.dielectric();
-        let grad = match &self.rec_runs {
-            Some(runs) => crate::forces::rigid_gradient_run(
+        let grad = match &self.kernel {
+            KernelData::Run(runs) | KernelData::Fused(runs) => crate::forces::rigid_gradient_run(
                 &scratch.lig,
                 runs,
                 &self.table,
                 pose.translation,
                 dielectric,
             ),
-            None => crate::forces::rigid_gradient(
+            _ => crate::forces::rigid_gradient(
                 &scratch.lig,
                 &self.rec_frame,
                 &self.table,
@@ -595,9 +576,6 @@ mod tests {
     #[test]
     fn fused_is_the_default_kernel() {
         assert_eq!(ScorerOptions::default().kernel, Kernel::Fused);
-        assert!(Kernel::Fused.uses_run_layout());
-        assert!(Kernel::Run.uses_run_layout());
-        assert!(!Kernel::Tiled.uses_run_layout());
     }
 
     #[test]
@@ -943,7 +921,9 @@ mod tests {
             let other = s.spawn(build);
             (build(), other.join().expect("building thread panicked"))
         });
-        let (ga, gb) = (a.grid.as_ref().expect("grid kernel"), b.grid.as_ref().expect("grid"));
+        let (KernelData::Grid(ga), KernelData::Grid(gb)) = (&a.kernel, &b.kernel) else {
+            panic!("grid kernel without its interpolator");
+        };
         assert!(ga.shares_slabs_with(gb), "one slab per channel, shared");
         let pose = RigidTransform::from_translation(Vec3::new(13.0, 2.0, -1.0));
         assert_eq!(a.score(&pose).to_bits(), b.score(&pose).to_bits());
