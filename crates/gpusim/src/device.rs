@@ -4,7 +4,7 @@ use crate::cost::{CostModel, WorkBatch};
 use crate::spec::DeviceSpec;
 use serde::{Deserialize, Serialize};
 // DETERMINISM: raw std mutex — gpusim state is host-side simulation bookkeeping outside the modeled sync surface (no facade in this crate).
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Cumulative execution statistics for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -66,12 +66,16 @@ impl SimDevice {
         &self.model
     }
 
+    fn state(&self) -> MutexGuard<'_, DeviceState> {
+        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
+        self.state.lock().expect("device state mutex poisoned")
+    }
+
     /// Execute a batch: advances the virtual clock and returns the modeled
     /// elapsed time in seconds.
     pub fn execute(&self, batch: &WorkBatch) -> f64 {
         let base = self.model.execution_time(&self.spec, batch);
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let mut st = self.state.lock().expect("device state mutex poisoned");
+        let mut st = self.state();
         let dt = base * st.slowdown;
         st.clock_s += dt;
         st.stats.batches += 1;
@@ -85,8 +89,7 @@ impl SimDevice {
     /// Always equals what [`SimDevice::execute`] would charge right now,
     /// including any active [`SimDevice::set_slowdown`] factor.
     pub fn estimate(&self, batch: &WorkBatch) -> f64 {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let slowdown = self.state.lock().expect("device state mutex poisoned").slowdown;
+        let slowdown = self.state().slowdown;
         self.model.execution_time(&self.spec, batch) * slowdown
     }
 
@@ -99,14 +102,12 @@ impl SimDevice {
     /// Panics if `factor` is not finite and strictly positive.
     pub fn set_slowdown(&self, factor: f64) {
         assert!(factor.is_finite() && factor > 0.0, "bad slowdown factor {factor}");
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        self.state.lock().expect("device state mutex poisoned").slowdown = factor;
+        self.state().slowdown = factor;
     }
 
     /// The active slowdown multiplier (1.0 = nominal).
     pub fn slowdown(&self) -> f64 {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        self.state.lock().expect("device state mutex poisoned").slowdown
+        self.state().slowdown
     }
 
     /// The `(kernel, PCIe transfer)` split of a batch's modeled time — see
@@ -114,8 +115,7 @@ impl SimDevice {
     /// next to every `DeviceBusy` event. Both components scale with the
     /// active slowdown factor, consistent with [`SimDevice::execute`].
     pub fn time_breakdown(&self, batch: &WorkBatch) -> (f64, f64) {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let slowdown = self.state.lock().expect("device state mutex poisoned").slowdown;
+        let slowdown = self.state().slowdown;
         let (kernel, transfer) = self.model.time_breakdown(&self.spec, batch);
         (kernel * slowdown, transfer * slowdown)
     }
@@ -127,14 +127,12 @@ impl SimDevice {
 
     /// Current virtual time, seconds.
     pub fn clock(&self) -> f64 {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        self.state.lock().expect("device state mutex poisoned").clock_s
+        self.state().clock_s
     }
 
     /// Advance the clock to at least `t` (idle wait / barrier sync).
     pub fn sync_to(&self, t: f64) {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let mut st = self.state.lock().expect("device state mutex poisoned");
+        let mut st = self.state();
         if t > st.clock_s {
             st.clock_s = t;
         }
@@ -144,25 +142,21 @@ impl SimDevice {
     /// device's controlling thread).
     pub fn advance(&self, dt: f64) {
         assert!(dt >= 0.0, "cannot advance clock backwards");
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        self.state.lock().expect("device state mutex poisoned").clock_s += dt;
+        self.state().clock_s += dt;
     }
 
     /// Reset clock and statistics (between experiments).
     pub fn reset(&self) {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        *self.state.lock().expect("device state mutex poisoned") = DeviceState::default();
+        *self.state() = DeviceState::default();
     }
 
     pub fn stats(&self) -> DeviceStats {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        self.state.lock().expect("device state mutex poisoned").stats
+        self.state().stats
     }
 
     /// Fraction of the device's virtual lifetime spent busy.
     pub fn utilization(&self) -> f64 {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let st = self.state.lock().expect("device state mutex poisoned");
+        let st = self.state();
         if st.clock_s <= 0.0 {
             0.0
         } else {

@@ -7,6 +7,7 @@
 //! `ε(r) = ε_scale · r`, giving pair energies `k·qᵢqⱼ / (ε_scale·r²)` —
 //! conveniently sqrt-free, like the LJ kernel.
 
+use crate::lanes::Lane;
 use crate::lj::{Frame, MIN_DIST_SQ};
 
 /// Coulomb constant in kcal·Å/(mol·e²).
@@ -21,6 +22,17 @@ pub const DEFAULT_DIELECTRIC: f64 = 4.0;
 pub fn coulomb_pair(qi: f64, qj: f64, r_sq: f64, dielectric_scale: f64) -> f64 {
     let r2 = if r_sq < MIN_DIST_SQ { MIN_DIST_SQ } else { r_sq };
     COULOMB_K * qi * qj / (dielectric_scale * r2)
+}
+
+/// Electrostatic potential per unit charge of a source with `kq = k·q`
+/// under the distance-dependent dielectric, at squared distance `r_sq`:
+/// `k·q / (ε_scale · max(r², MIN_DIST_SQ))` — what a potential grid stores.
+/// Written over [`Lane`] for the grid build. Its clamp is a `max`, which
+/// replaces a NaN distance by the floor where [`coulomb_pair`]'s keeps it.
+#[inline(always)]
+pub(crate) fn potential_at<V: Lane>(kq: f64, dielectric_scale: f64, r_sq: V) -> V {
+    let floor = V::splat(MIN_DIST_SQ);
+    V::splat(kq) / (V::splat(dielectric_scale) * floor.select_lt(r_sq, r_sq, floor))
 }
 
 /// All-pairs electrostatic energy between two frames.

@@ -29,6 +29,15 @@
 //!   per worker of the shared [`crate::pool::CpuPool`]; each range walks
 //!   all the atoms in that same order, so the bits do not depend on how
 //!   many ranges there are (DESIGN §11).
+//! - A row of nodes is taken four per step through the lane types of
+//!   `crate::lanes` — the distance, the keep mask `!(d² > cutoff²)`, every
+//!   slab's own `σ²/r²`, the `f64 → f32` narrowing and the `f32` add — and
+//!   its `len % 4` last nodes through the same step over `f64`. The pair
+//!   formulas are the ones [`crate::lj::lj_pair`] and
+//!   [`crate::hbond::hbond_pair`] instantiate, a lane outside the cutoff
+//!   stores back the cell it loaded, and every lane operation is correctly
+//!   rounded, so a slab holds the same bits whichever lanes the host has.
+//!   [`GridBuildStats::terms`] counts the kept lanes.
 //! - [`GridScorer`] interpolates 8 ligand atoms per step with explicit
 //!   [`vsmath::F32x8`] lanes; [`GridScorer::score_scalar`] replays the same
 //!   IEEE operations lane by lane and is **bit-identical** (tested), so the
@@ -37,9 +46,10 @@
 //!   with this scorer's slab memory, the seconds spent building and
 //!   whether anything had to be built.
 
-use crate::coulomb::COULOMB_K;
-use crate::hbond::{hbond_pair, is_hbond_capable_idx};
-use crate::lj::{lj_pair, Frame, PairTable, MIN_DIST_SQ};
+use crate::coulomb::{potential_at, COULOMB_K};
+use crate::hbond::{hbond_at, hbond_pair, is_hbond_capable_idx};
+use crate::lanes::{widest, Lane, Wide, WideFn, LANES};
+use crate::lj::{clamped, lj_at, Frame, PairTable};
 use crate::pool::{host_threads, shared_pool};
 use std::collections::BTreeMap;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
@@ -113,6 +123,11 @@ pub struct GridBuildStats {
     pub build_seconds: f64,
     /// Slabs built for this request; the rest came from the cache.
     pub built: u32,
+    /// Pair terms this request's build added up: one per receptor atom,
+    /// lattice node within the cutoff of it, and slab built — the exact
+    /// count of what [`build_work`] estimates. The same on every lane type
+    /// and however the build was cut; 0 when nothing was built.
+    pub terms: u64,
     /// No slab was built for this request: every one came from the cache.
     pub cached: bool,
 }
@@ -175,23 +190,30 @@ impl Geometry {
 /// on the calling thread.
 ///
 /// Derivation, on the reference 2-vCPU guest at the default pitch (17 157
-/// nodes per cutoff sphere): a build costs 6.4 ns per estimated term for
-/// its first slab — the distance work, paid once per atom and node — and
-/// about 1.5 ns for each further one, whatever the receptor (300, 3 264
-/// and 8 609 atoms measured alike). Workers parked on a condvar take up to
-/// tens of milliseconds there to be running on a core of their own, and
-/// until they are, a 40 ms build cut in two took 26 or 45 ms at random. So
-/// the cut has to wait for builds several times that long: 3e7 terms is
-/// 0.09 s (five slabs) to 0.19 s (one) on one thread. It falls between the
-/// requests of a library screen (300 atoms: 5.1e6 and 33 ms for the one
-/// slab a new ligand element needs, 2.6e7 and 73 ms for five at once) and
-/// the smallest request over a Table 5 receptor (one slab over 2BSM:
-/// 5.6e7, 0.36 s alone, 0.19 s on two workers).
-const POOLED_BUILD_WORK: f64 = 3.0e7;
+/// nodes per cutoff sphere; [`build_work`] is within 0.5% of the terms a
+/// build counts): a build costs 2.7 ns per term for its first slab — the
+/// row walk and the distance work, paid once per atom and node — and 0.8 ns
+/// for each further one, whatever the receptor (300, 3 264 and 8 609 atoms
+/// measured alike: 2.64–2.88 and 0.79–0.90). Two workers woken for a job
+/// land on two vCPUs or on one at random there and stay for tens of
+/// milliseconds, so a build cut in two takes half its time or all of it: a
+/// 34 ms one took 17–25 ms in one process and 35–39 ms in the next, and a
+/// 0.155 s one (one slab over 2BSM) 0.08 s with a third quartile of
+/// 0.155 s. The cut therefore waits for builds that outlast that: 7e7
+/// terms is 0.08 s (five slabs) to 0.19 s (one) on one thread — the times
+/// the line was first drawn at, when a term cost 2.3 times as much and the
+/// constant was 3e7. It falls between the requests of a library screen
+/// (300 atoms: 5.1e6 and 14 ms for the one slab a new ligand element needs,
+/// 2.6e7 and 30 ms for five at once) and those of docking a Table 5
+/// receptor with a ligand of more than one element (two slabs over 2BSM:
+/// 1.1e8, 0.19 s alone, 0.10 s on two workers; 2BXG's four: 5.9e8).
+const POOLED_BUILD_WORK: f64 = 7.0e7;
 
 /// Pair terms a build adds up, near enough to choose how to run it: every
 /// atom reaches the nodes of one cutoff sphere (fewer where the lattice is
-/// smaller than the sphere or its edge clips it) in every slab.
+/// smaller than the sphere or its edge clips it) in every slab. What a build
+/// counts ([`GridBuildStats::terms`]) is 0.1–0.5% less on the receptors the
+/// threshold was derived on.
 fn build_work(atoms: usize, geom: &Geometry, opts: GridOptions, slabs: usize) -> f64 {
     let r = opts.cutoff / opts.spacing;
     let sphere = (4.0 / 3.0 * std::f64::consts::PI * r * r * r).min(geom.nodes() as f64);
@@ -208,7 +230,7 @@ fn build_slabs(
     geom: Geometry,
     opts: GridOptions,
     channels: &[Channel],
-) -> Vec<Slab> {
+) -> (Vec<Slab>, u64) {
     let wide = build_work(receptor.len(), &geom, opts, channels.len()) >= POOLED_BUILD_WORK;
     build_slabs_in(receptor, geom, opts, channels, if wide { host_threads() } else { 1 })
 }
@@ -216,14 +238,14 @@ fn build_slabs(
 /// [`build_slabs`] over `ranges` (at least one) contiguous ranges of
 /// z-planes, or as many as there are planes, if fewer: on the calling
 /// thread when that is one, else each on its own worker of the shared pool
-/// of `ranges` workers.
+/// of `ranges` workers. Returns the slabs and the pair terms added to them.
 fn build_slabs_in(
     receptor: &Molecule,
     geom: Geometry,
     opts: GridOptions,
     channels: &[Channel],
     ranges: usize,
-) -> Vec<Slab> {
+) -> (Vec<Slab>, u64) {
     debug_assert!(channels.is_sorted(), "channels out of order: {channels:?}");
     let scatter = Scatter::new(receptor, geom, opts, channels);
     let mut slabs: Vec<Slab> =
@@ -233,7 +255,7 @@ fn build_slabs_in(
     let planes = geom.dims[2].div_ceil(ranges);
     let mut parts: Vec<Planes<'_>> = (0..geom.dims[2])
         .step_by(planes)
-        .map(|z| Planes { z: z..(z + planes).min(geom.dims[2]), slabs: Vec::new() })
+        .map(|z| Planes { z: z..(z + planes).min(geom.dims[2]), slabs: Vec::new(), terms: 0 })
         .collect();
     for slab in &mut slabs {
         // The slabs were made a few lines up: unique, so this never copies.
@@ -246,7 +268,8 @@ fn build_slabs_in(
         [whole] => scatter.fill(whole),
         many => shared_pool(ranges).for_each_mut(many, |part| scatter.fill(part)),
     }
-    slabs
+    let terms = parts.iter().map(|part| part.terms).sum();
+    (slabs, terms)
 }
 
 /// One range's share of a build: planes `z` of every slab being built.
@@ -254,6 +277,8 @@ struct Planes<'a> {
     z: std::ops::Range<usize>,
     /// Planes `z` of each slab, in channel order.
     slabs: Vec<&'a mut [f32]>,
+    /// Pair terms [`Scatter::fill`] added to them.
+    terms: u64,
 }
 
 /// What every range of one build reads: the lattice, and the receptor laid
@@ -338,29 +363,36 @@ impl Scatter {
         // Float-to-int casts saturate: below the lattice is 0.
         let first = ((lo - o) / self.geom.spacing).floor().max(0.0) as usize;
         let last = ((hi - o) / self.geom.spacing).ceil().max(-1.0) + 1.0;
-        first..(last as usize).min(self.geom.dims[axis])
+        let end = (last as usize).min(self.geom.dims[axis]);
+        // Wholly past the lattice: empty, and still a range to slice with.
+        first.min(end)..end
     }
 
-    /// Add every atom's terms into `part`'s planes, then clamp them.
-    ///
-    /// A node's `f32` sums must not depend on how the lattice was cut, and
-    /// must equal what a node-major gather through the same `SpatialGrid`
-    /// would add up (the tests keep one to compare with). Both hold because
-    /// a node takes its terms in cell order here and there: a query reports
-    /// its neighbours in the relative order of `cell_order`, and here every
-    /// range walks all of `cell_order`. The terms themselves are the same
-    /// numbers: `d²` is `Vec3::dist_sq(atom, node)` spelled out — `(dx² +
-    /// dy²) + dz²` against the same node coordinates — a node takes an atom
-    /// exactly when `d² <= cutoff²`, and each slot keeps its own division (a
-    /// shared reciprocal would round differently).
+    /// Add every atom's terms into `part`'s planes, then clamp them, over
+    /// the widest lanes the host has (asked once per call).
     fn fill(&self, part: &mut Planes<'_>) {
+        widest(RangeFill { scatter: self, part })
+    }
+
+    /// [`Scatter::fill`] over the lanes `W`.
+    ///
+    /// A node's `f32` sums must not depend on how the lattice was cut or on
+    /// the lane type, and must equal what a node-major gather through the
+    /// same `SpatialGrid` would add up (the tests keep one to compare with).
+    /// All three hold because a node takes its terms in cell order here and
+    /// there: a query reports its neighbours in the relative order of
+    /// `cell_order`, and here every range walks all of `cell_order`, a row
+    /// of nodes at a time, in whatever steps. The terms themselves are the
+    /// same numbers ([`Scatter::step`]).
+    #[inline(always)]
+    fn fill_in<W: Wide>(&self, part: &mut Planes<'_>) {
         let [nx, ny, nz] = &self.axes;
         let dims = self.geom.dims;
         let r2 = self.cutoff * self.cutoff;
-        // The LJ slabs, then the electrostatic one if it is being built.
-        let (lj, elec) = part.slabs.split_at_mut(self.pair_params[0].len());
-        for &ScatterAtom { p, elem, kq } in &self.atoms {
-            let params = &self.pair_params[elem as usize];
+        let mut nodes = 0;
+        for atom in &self.atoms {
+            let p = atom.p;
+            let hbond = self.pair_params[atom.elem as usize].iter().any(|&(_, _, hb)| hb);
             let zs = self.span(2, p.z - self.cutoff, p.z + self.cutoff);
             let zs = zs.start.max(part.z.start)..zs.end.min(part.z.end);
             let ys = self.span(1, p.y - self.cutoff, p.y + self.cutoff);
@@ -377,30 +409,115 @@ impl Scatter {
                         continue;
                     }
                     let half = room.sqrt();
-                    let row = ((iz - part.z.start) * dims[1] + iy) * dims[0];
-                    for ix in self.span(0, p.x - half, p.x + half) {
-                        let dx = p.x - nx[ix];
-                        let d2 = dx * dx + dy2 + dz2;
-                        if d2 > r2 {
-                            continue;
-                        }
-                        for (slab, &(s2, e4, hb)) in lj.iter_mut().zip(params) {
-                            let mut v = lj_pair(s2, e4, d2);
-                            if hb {
-                                v += hbond_pair(self.hb_eps, d2);
-                            }
-                            slab[row + ix] += v as f32;
-                        }
-                        if let Some(slab) = elec.first_mut() {
-                            slab[row + ix] += (kq / (self.dielectric * d2.max(MIN_DIST_SQ))) as f32;
-                        }
-                    }
+                    let xs = self.span(0, p.x - half, p.x + half);
+                    let at = ((iz - part.z.start) * dims[1] + iy) * dims[0] + xs.start;
+                    let row = Row { atom, dy2, dz2, r2, nodes: &nx[xs] };
+                    nodes += if hbond {
+                        self.add_row::<W, true>(row, &mut part.slabs, at)
+                    } else {
+                        self.add_row::<W, false>(row, &mut part.slabs, at)
+                    };
                 }
             }
         }
-        for slab in lj {
+        part.terms = nodes * part.slabs.len() as u64;
+        for slab in &mut part.slabs[..self.pair_params[0].len()] {
             slab.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
         }
+    }
+
+    /// Add `row`'s atom into its nodes, whose cells start at `at` in every
+    /// slab: [`LANES`] nodes per step over `W`, the `len % LANES` left over
+    /// one by one — the same step over `f64`. `HB` says whether any slab
+    /// takes the atom's H-bond term. Returns how many nodes took the atom.
+    #[inline(always)]
+    fn add_row<W: Wide, const HB: bool>(
+        &self,
+        row: Row<'_>,
+        slabs: &mut [&mut [f32]],
+        mut at: usize,
+    ) -> u64 {
+        let (x4, x1) = row.nodes.as_chunks::<LANES>();
+        let mut nodes = 0;
+        for x in x4 {
+            nodes += self.step::<W, HB>(row, W::from_array(*x), slabs, at);
+            at += LANES;
+        }
+        for x in x1 {
+            nodes += self.step::<f64, HB>(row, *x, slabs, at);
+            at += 1;
+        }
+        nodes
+    }
+
+    /// One step of [`Scatter::add_row`]: the nodes at `x`, one per lane.
+    ///
+    /// `d²` is `Vec3::dist_sq(atom, node)` spelled out — `(dx² + dy²) + dz²`
+    /// against the same node coordinates — and a node takes the atom exactly
+    /// when `!(d² > cutoff²)`, whatever the lanes beside it do: a lane
+    /// outside the cutoff stores back the cell it loaded. Each term is the
+    /// formula of the scalar pair function over the lanes, every slab's
+    /// `σ²/r²` by a division of its own (a reciprocal shared between slabs
+    /// would round differently), narrowed as `as f32` narrows.
+    #[inline(always)]
+    fn step<V: Lane, const HB: bool>(
+        &self,
+        row: Row<'_>,
+        x: V,
+        slabs: &mut [&mut [f32]],
+        at: usize,
+    ) -> u64 {
+        let atom = row.atom;
+        let dx = V::splat(atom.p.x) - x;
+        let d2 = dx * dx + V::splat(row.dy2) + V::splat(row.dz2);
+        let keep = d2.not_gt(V::splat(row.r2));
+        // The LJ slabs, then the electrostatic one if it is being built.
+        let params = &self.pair_params[atom.elem as usize];
+        let (lj, elec) = slabs.split_at_mut(params.len());
+        // One clamp serves LJ and H-bond; a NaN passes through it.
+        let r2 = clamped(d2);
+        // σ_hb and ε_hb belong to no element: every slab that takes the
+        // H-bond term of this pair takes this one.
+        let hbond = if HB { hbond_at(self.hb_eps, r2) } else { V::splat(0.0) };
+        for (slab, &(s2, e4, hb)) in lj.iter_mut().zip(params) {
+            let mut v = lj_at(s2, e4, r2);
+            if HB && hb {
+                v = v + hbond;
+            }
+            v.add_narrowed(keep, slab, at);
+        }
+        if let Some(slab) = elec.first_mut() {
+            // Its own clamp, which drops a NaN.
+            potential_at(atom.kq, self.dielectric, d2).add_narrowed(keep, slab, at);
+        }
+        u64::from(V::count(keep))
+    }
+}
+
+/// One atom against one row of lattice nodes.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    atom: &'a ScatterAtom,
+    /// The atom's squared y and z distances to the row.
+    dy2: f64,
+    dz2: f64,
+    /// The squared cutoff.
+    r2: f64,
+    /// x coordinates of the row's nodes that can lie within the cutoff.
+    nodes: &'a [f64],
+}
+
+/// One range's fill, for [`widest`] to pick the lanes of.
+struct RangeFill<'a, 'p> {
+    scatter: &'a Scatter,
+    part: &'a mut Planes<'p>,
+}
+
+impl WideFn for RangeFill<'_, '_> {
+    type Output = ();
+    #[inline(always)]
+    fn call<W: Wide>(self) {
+        self.scatter.fill_in::<W>(self.part)
     }
 }
 
@@ -574,30 +691,31 @@ impl SlabCache {
     }
 
     /// One request: the slab of every channel, in `channels` order, the
-    /// missing ones built in a single pass. Returns how many were built and
-    /// the seconds `clock` saw that take.
+    /// missing ones built in a single pass. Returns how many were built,
+    /// the seconds `clock` saw that take and the pair terms it added up.
     fn slabs(
         &self,
         receptor: &Molecule,
         opts: GridOptions,
         channels: &[Channel],
         clock: &dyn Fn() -> f64,
-    ) -> (Vec<Slab>, usize, f64) {
+    ) -> (Vec<Slab>, usize, f64, u64) {
         let key = FieldKey::of(receptor, opts);
         let mut found = self.lookup(&key, channels);
         let missing: Vec<Channel> =
             channels.iter().zip(&found).filter(|(_, s)| s.is_none()).map(|(c, _)| *c).collect();
-        let mut seconds = 0.0;
+        let (mut seconds, mut terms) = (0.0, 0);
         if !missing.is_empty() {
             let t0 = clock();
-            let fresh = build_slabs(receptor, Geometry::of(receptor, opts), opts, &missing);
-            seconds = clock() - t0;
+            let (fresh, added) =
+                build_slabs(receptor, Geometry::of(receptor, opts), opts, &missing);
+            (seconds, terms) = (clock() - t0, added);
             let kept = self.publish(key, missing.iter().copied().zip(fresh).collect());
             for (slot, slab) in found.iter_mut().filter(|s| s.is_none()).zip(kept) {
                 *slot = Some(slab);
             }
         }
-        (found.into_iter().flatten().collect(), missing.len(), seconds)
+        (found.into_iter().flatten().collect(), missing.len(), seconds, terms)
     }
 
     fn stats(&self) -> GridCacheStats {
@@ -772,7 +890,7 @@ impl GridScorer {
         if opts.dielectric.is_some() {
             channels.push(Channel::Elec);
         }
-        let (mut lj, built, build_seconds) = cache.slabs(receptor, opts, &channels, clock);
+        let (mut lj, built, build_seconds, terms) = cache.slabs(receptor, opts, &channels, clock);
         let elec = if opts.dielectric.is_some() { lj.pop() } else { None };
         let field = GridField { geom: Geometry::of(receptor, opts), opts, lj, elec };
         let stats = GridBuildStats {
@@ -781,6 +899,7 @@ impl GridScorer {
             bytes: field.footprint_bytes() as u64,
             build_seconds,
             built: built as u32,
+            terms,
             cached: built == 0,
         };
         GridScorer {
@@ -1028,6 +1147,8 @@ pub fn exact_cutoff_score(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::F64x4;
+    use crate::lj::{lj_pair, MIN_DIST_SQ};
     use vsmath::RngStream;
     use vsmol::synth;
 
@@ -1392,10 +1513,12 @@ mod tests {
             let what = format!("{} atoms, {opts:?}", receptor.len());
             let want = gather_slabs(receptor, geom, opts, &channels);
             assert!(want.iter().any(|slab| slab.iter().any(|v| *v != 0.0)), "{what}: all zero");
-            assert_same_bits(&build_slabs(receptor, geom, opts, &channels), &want, &what);
+            let (got, terms) = build_slabs(receptor, geom, opts, &channels);
+            assert_same_bits(&got, &want, &what);
             for ranges in RANGES {
-                let got = build_slabs_in(receptor, geom, opts, &channels, ranges);
+                let (got, cut) = build_slabs_in(receptor, geom, opts, &channels, ranges);
                 assert_same_bits(&got, &want, &format!("{what}, {ranges} ranges"));
+                assert_eq!(cut, terms, "{what}, {ranges} ranges: terms");
             }
         }
     }
@@ -1443,12 +1566,15 @@ mod tests {
         let geom = Geometry::of(&rec, opts);
         let mut set = lj_channels(&[Element::C, Element::N, Element::O, Element::S, Element::Cl]);
         set.push(Channel::Elec);
-        let together = build_slabs(&rec, geom, opts, &set);
+        let (together, terms) = build_slabs(&rec, geom, opts, &set);
         assert_same_bits(&together, &gather_slabs(&rec, geom, opts, &set), "the set");
+        let mut terms_alone = 0;
         for (channel, slab) in set.iter().zip(&together) {
-            let alone = build_slabs(&rec, geom, opts, &[*channel]);
+            let (alone, terms) = build_slabs(&rec, geom, opts, &[*channel]);
             assert_same_bits(&alone, std::slice::from_ref(slab), &format!("{channel:?}"));
+            terms_alone += terms;
         }
+        assert_eq!(terms, terms_alone, "a set adds up its slabs' terms");
     }
 
     #[test]
@@ -1456,19 +1582,54 @@ mod tests {
         let opts = GridOptions::default();
         let work =
             |rec: &Molecule, slabs| build_work(rec.len(), &Geometry::of(rec, opts), opts, slabs);
-        // A library screen's receptor: one slab per new element, and even
-        // all five elements of its ligands at once, stay on the caller.
+        // A library screen's receptor: one slab per new element (14 ms),
+        // and even all five elements of its ligands at once (30 ms), stay on
+        // the caller — cut in two they take half that or all of it at random.
         let small = synth::synth_receptor("library-receptor", 300, 0x5E0C);
-        assert!(work(&small, 1) < POOLED_BUILD_WORK / 5.0, "{}", work(&small, 1));
-        assert!(work(&small, 5) < POOLED_BUILD_WORK, "{}", work(&small, 5));
-        // Docking against a Table 5 receptor goes wide.
+        assert!(work(&small, 1) < POOLED_BUILD_WORK / 10.0, "{}", work(&small, 1));
+        assert!(work(&small, 5) < POOLED_BUILD_WORK / 2.0, "{}", work(&small, 5));
+        // So does the one request over a Table 5 receptor that is still in
+        // that regime at 2.7 ns a term: a single slab over the smaller one
+        // (0.155 s; it went wide when the same work took 0.36 s).
+        let bsm = vsmol::Dataset::TwoBsm.receptor();
+        assert!(work(&bsm, 1) < POOLED_BUILD_WORK, "{}", work(&bsm, 1));
+        // Two slabs there go wide (0.19 s alone), and docking against the
+        // larger one under the full model by a wide margin.
+        assert!(work(&bsm, 2) > POOLED_BUILD_WORK, "{}", work(&bsm, 2));
         let big = vsmol::Dataset::TwoBxg.receptor();
-        assert!(work(&big, 4) > 10.0 * POOLED_BUILD_WORK, "{}", work(&big, 4));
+        assert!(work(&big, 4) > 8.0 * POOLED_BUILD_WORK, "{}", work(&big, 4));
         // A sphere larger than the lattice counts as the lattice.
         let dot = synth::synth_receptor("dot", 1, 3);
         let tight = GridOptions { margin: 1.0, ..opts };
         let geom = Geometry::of(&dot, tight);
         assert_eq!(build_work(1, &geom, tight, 2), 2.0 * geom.nodes() as f64);
+    }
+
+    #[test]
+    fn build_work_estimates_the_terms_a_build_adds() {
+        // The threshold above is in estimated terms; its derivation is in
+        // nanoseconds per counted term. One slab each: both scale with the
+        // slab count exactly.
+        let opts = GridOptions::default();
+        let one = lj_channels(&[Element::C]);
+        let receptors = [
+            synth::synth_receptor("library-receptor", 300, 0x5E0C),
+            vsmol::Dataset::TwoBsm.receptor(),
+            vsmol::Dataset::TwoBxg.receptor(),
+        ];
+        for rec in receptors {
+            let geom = Geometry::of(&rec, opts);
+            let (_, terms) = build_slabs(&rec, geom, opts, &one);
+            let ratio = build_work(rec.len(), &geom, opts, 1) / terms as f64;
+            // Measured 1.0044, 1.0010 and 1.0018: a sphere of lattice nodes
+            // holds its volume's worth of them, and the lattice edge (8 Å of
+            // margin against a 12 Å cutoff) clips few spheres.
+            assert!(
+                (1.0..1.01).contains(&ratio),
+                "{} atoms: estimate / counted = {ratio}",
+                rec.len()
+            );
+        }
     }
 
     #[test]
@@ -1514,7 +1675,7 @@ mod tests {
         let channels = [Channel::Lj(Element::C.index() as u8), Channel::Elec];
         let want = gather_slabs(&flat, geom, thin, &channels);
         for ranges in RANGES {
-            let got = build_slabs_in(&flat, geom, thin, &channels, ranges);
+            let (got, _) = build_slabs_in(&flat, geom, thin, &channels, ranges);
             assert_same_bits(&got, &want, &format!("thin plane, {ranges} ranges"));
         }
         let g = GridScorer::new_in(&SlabCache::new(ROOMY), &flat, &lig, thin, NO_CLOCK);
@@ -1542,7 +1703,7 @@ mod tests {
         for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
             assert!(build_work(rec.len(), &geom, opts, channels.len()) >= POOLED_BUILD_WORK);
-            let got = build_slabs(&rec, geom, opts, &channels);
+            let (got, _) = build_slabs(&rec, geom, opts, &channels);
             assert_same_bits(&got, &gather_slabs(&rec, geom, opts, &channels), &what);
         }
     }
@@ -1552,11 +1713,287 @@ mod tests {
     fn table5_receptors_build_the_same_bits_on_any_worker_count() {
         for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
-            let want = build_slabs_in(&rec, geom, opts, &channels, 1);
+            let (want, terms) = build_slabs_in(&rec, geom, opts, &channels, 1);
             for ranges in &RANGES[1..] {
-                let got = build_slabs_in(&rec, geom, opts, &channels, *ranges);
+                let (got, cut) = build_slabs_in(&rec, geom, opts, &channels, *ranges);
                 assert_same_bits(&got, &want, &format!("{what}, {ranges} ranges"));
+                assert_eq!(cut, terms, "{what}, {ranges} ranges: terms");
             }
+        }
+    }
+
+    // -- lane paths ----------------------------------------------------------
+
+    /// One way of adding a build's atoms into a range's planes.
+    type Fill = fn(&Scatter, &mut Planes<'_>);
+
+    /// The fill this module shipped before the lanes, and their reference:
+    /// a row's nodes one at a time through the scalar pair functions, a node
+    /// outside the cutoff skipped, every slab with divisions of its own.
+    fn fill_node_by_node(scatter: &Scatter, part: &mut Planes<'_>) {
+        let [nx, ny, nz] = &scatter.axes;
+        let dims = scatter.geom.dims;
+        let r2 = scatter.cutoff * scatter.cutoff;
+        let (lj, elec) = part.slabs.split_at_mut(scatter.pair_params[0].len());
+        let mut terms = 0;
+        for &ScatterAtom { p, elem, kq } in &scatter.atoms {
+            let params = &scatter.pair_params[elem as usize];
+            let zs = scatter.span(2, p.z - scatter.cutoff, p.z + scatter.cutoff);
+            let zs = zs.start.max(part.z.start)..zs.end.min(part.z.end);
+            let ys = scatter.span(1, p.y - scatter.cutoff, p.y + scatter.cutoff);
+            for iz in zs {
+                let dz = p.z - nz[iz];
+                let dz2 = dz * dz;
+                for iy in ys.clone() {
+                    let dy = p.y - ny[iy];
+                    let dy2 = dy * dy;
+                    let room = r2 - (dy2 + dz2);
+                    if room < 0.0 {
+                        continue;
+                    }
+                    let half = room.sqrt();
+                    let row = ((iz - part.z.start) * dims[1] + iy) * dims[0];
+                    for ix in scatter.span(0, p.x - half, p.x + half) {
+                        let dx = p.x - nx[ix];
+                        let d2 = dx * dx + dy2 + dz2;
+                        if d2 > r2 {
+                            continue;
+                        }
+                        for (slab, &(s2, e4, hb)) in lj.iter_mut().zip(params) {
+                            let mut v = lj_pair(s2, e4, d2);
+                            if hb {
+                                v += hbond_pair(scatter.hb_eps, d2);
+                            }
+                            slab[row + ix] += v as f32;
+                            terms += 1;
+                        }
+                        if let Some(slab) = elec.first_mut() {
+                            let r2 = d2.max(MIN_DIST_SQ);
+                            slab[row + ix] += (kq / (scatter.dielectric * r2)) as f32;
+                            terms += 1;
+                        }
+                    }
+                }
+            }
+        }
+        part.terms = terms;
+        for slab in lj {
+            slab.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
+        }
+    }
+
+    /// The reference first; then the portable lanes, instantiated here so
+    /// that they run on every host, and whatever lanes this host has.
+    const LANE_PATHS: [(&str, Fill); 3] = [
+        ("node by node", fill_node_by_node),
+        ("portable lanes", |scatter, part| scatter.fill_in::<F64x4>(part)),
+        ("detected lanes", |scatter, part| scatter.fill(part)),
+    ];
+
+    /// `fill` over the whole lattice of `scatter`, into `slabs` slabs whose
+    /// every cell starts out as `seed`; the slabs and the terms counted.
+    fn filled(scatter: &Scatter, slabs: usize, seed: f32, fill: Fill) -> (Vec<Vec<f32>>, u64) {
+        let mut slabs = vec![vec![seed; scatter.geom.nodes()]; slabs];
+        let mut part = Planes {
+            z: 0..scatter.geom.dims[2],
+            slabs: slabs.iter_mut().map(Vec::as_mut_slice).collect(),
+            terms: 0,
+        };
+        fill(scatter, &mut part);
+        let terms = part.terms;
+        (slabs, terms)
+    }
+
+    /// Every lane path over `scatter` ends with the reference's bits in
+    /// every cell and counts the reference's terms; returns those.
+    fn assert_lane_paths_agree(
+        scatter: &Scatter,
+        slabs: usize,
+        seed: f32,
+        what: &str,
+    ) -> (Vec<Vec<f32>>, u64) {
+        let [(_, reference), lanes @ ..] = LANE_PATHS;
+        let want = filled(scatter, slabs, seed, reference);
+        for (path, fill) in lanes {
+            let (got, terms) = filled(scatter, slabs, seed, fill);
+            assert_same_bits(&got, &want.0, &format!("{what}: {path}"));
+            assert_eq!(terms, want.1, "{what}: {path}: terms");
+        }
+        want
+    }
+
+    #[test]
+    fn lane_paths_build_the_same_bits_on_rows_of_every_length() {
+        use Element::{C, N, O, S};
+        let mut rng = RngStream::from_seed(0x10e5);
+        for len in (0..=9).chain([11, 12, 13, 15, 16, 17, 31, 32, 33]) {
+            // A lattice `len` nodes long, and atoms around it and past both
+            // its ends: x-spans clipped by either edge, by both, by neither.
+            let geom = Geometry { origin: Vec3::ZERO, spacing: 1.0, dims: [len, 3, 2] };
+            let atoms = (0..12)
+                .map(|i| {
+                    let p = Vec3::new(
+                        rng.uniform_range(-3.0, len as f64 + 2.0),
+                        rng.uniform_range(-1.0, 3.0),
+                        rng.uniform_range(-1.0, 2.0),
+                    );
+                    vsmol::Atom::with_charge(p, [C, N, O, S][i % 4], rng.uniform_range(-0.5, 0.5))
+                })
+                .collect();
+            let rec = Molecule::new("row", atoms);
+            for cutoff in [2.5, 40.0] {
+                let base = GridOptions { spacing: 1.0, cutoff, ..Default::default() };
+                for (opts, channels) in model_variants(base, &[C, N, O]) {
+                    let scatter = Scatter::new(&rec, geom, opts, &channels);
+                    let what = format!("len {len}, {opts:?}");
+                    let (_, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
+                    if cutoff == 40.0 {
+                        // Every node takes every atom: rows of exactly `len`.
+                        assert_eq!(terms, (12 * geom.nodes() * channels.len()) as u64, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_paths_agree_inside_the_clamp_on_the_cutoff_edge_and_in_skipped_cells() {
+        let (c, o) = (Element::C.index() as u8, Element::O.index() as u8);
+        // Nodes at x = 0, 1, … 10; row 0 of plane 0 is the line y = z = 0.
+        let geom = Geometry { origin: Vec3::ZERO, spacing: 1.0, dims: [11, 2, 2] };
+        let opts = GridOptions {
+            spacing: 1.0,
+            cutoff: 3.0,
+            dielectric: Some(4.0),
+            hbond_epsilon: Some(1.0),
+            ..Default::default()
+        };
+        let channels = [Channel::Lj(c), Channel::Lj(o), Channel::Elec];
+        let kq = COULOMB_K * 0.5;
+        let untouched = (-0.0f32).to_bits();
+        let build = |x: f64| {
+            let atom = vsmol::Atom::with_charge(Vec3::new(x, 0.0, 0.0), Element::O, 0.5);
+            let scatter = Scatter::new(&Molecule::new("one", vec![atom]), geom, opts, &channels);
+            // Every cell starts as -0.0: a lane that adds a zero where it
+            // should skip shows as +0.0.
+            assert_lane_paths_agree(&scatter, channels.len(), -0.0, &format!("atom at {x}"))
+        };
+
+        // On node 5: d² = 0 there, raised to the clamp; nodes 2 and 8 sit at
+        // d² = cutoff² exactly and are kept, 1 and 9 are out.
+        let (slabs, terms) = build(5.0);
+        let [_, lj_o, elec] = &slabs[..] else { panic!("three slabs") };
+        assert_eq!(lj_o[5], MAX_NODE_POTENTIAL);
+        assert_eq!(elec[5].to_bits(), ((kq / (4.0 * MIN_DIST_SQ)) as f32).to_bits());
+        for node in [2, 8] {
+            assert_eq!(elec[node].to_bits(), ((kq / (4.0 * 9.0)) as f32).to_bits(), "node {node}");
+            assert_ne!(lj_o[node].to_bits(), untouched, "node {node}");
+        }
+        for slab in &slabs {
+            for node in [0, 1, 9, 10] {
+                assert_eq!(slab[node].to_bits(), untouched, "node {node}");
+            }
+        }
+        // The terms, counted the plain way.
+        let within = (0..geom.nodes())
+            .filter(|node| {
+                let (ix, iy, iz) = (node % 11, node / 11 % 2, node / 22);
+                let at = Vec3::new(ix as f64, iy as f64, iz as f64);
+                at.dist_sq(Vec3::new(5.0, 0.0, 0.0)) <= 9.0
+            })
+            .count();
+        assert_eq!(terms, 3 * within as u64);
+
+        // One ulp further from node 0 than the cutoff: node 0 is skipped,
+        // in a step whose other lanes are not; node 6, one ulp nearer, not.
+        let (slabs, _) = build(3.0f64.next_up());
+        for slab in &slabs {
+            assert_eq!(slab[0].to_bits(), untouched);
+            assert_ne!(slab[1].to_bits(), untouched);
+            assert_ne!(slab[6].to_bits(), untouched);
+            assert_eq!(slab[7].to_bits(), untouched);
+        }
+    }
+
+    #[test]
+    fn lane_paths_agree_on_non_finite_atoms() {
+        let rec = synth::synth_receptor("non-finite", 30, 17);
+        let opts = GridOptions {
+            spacing: 1.5,
+            dielectric: Some(4.0),
+            hbond_epsilon: Some(1.0),
+            ..Default::default()
+        };
+        let geom = Geometry::of(&rec, opts);
+        let mut channels = lj_channels(&[Element::C, Element::N, Element::O]);
+        channels.push(Channel::Elec);
+        let n = channels.len();
+        // `SpatialGrid` refuses a non-finite point, so no receptor gets this
+        // far with one: the atoms are spoiled after the layout.
+        let scatter = || Scatter::new(&rec, geom, opts, &channels);
+        let (clean, _) = filled(&scatter(), n, 0.0, fill_node_by_node);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for k in [0, 7, 29] {
+                // An atom that is nowhere reaches no node, on any path: the
+                // build without it.
+                let mut without = scatter();
+                without.atoms.remove(k);
+                let (want, want_terms) = filled(&without, n, 0.0, fill_node_by_node);
+                for axis in 0..3 {
+                    let mut spoiled = scatter();
+                    let p = &mut spoiled.atoms[k].p;
+                    *[&mut p.x, &mut p.y, &mut p.z][axis] = bad;
+                    let what = format!("atom {k}, axis {axis} at {bad}");
+                    let (got, terms) = assert_lane_paths_agree(&spoiled, n, 0.0, &what);
+                    assert_same_bits(&got, &want, &what);
+                    assert_eq!(terms, want_terms, "{what}");
+                }
+                // A non-finite charge spoils the electrostatic cells of the
+                // atom's sphere, the same ones on every path, and no other.
+                let mut spoiled = scatter();
+                spoiled.atoms[k].kq = bad;
+                let what = format!("atom {k}, charge {bad}");
+                let (got, _) = assert_lane_paths_agree(&spoiled, n, 0.0, &what);
+                assert_same_bits(&got[..n - 1], &clean[..n - 1], &what);
+                assert!(got[n - 1].iter().any(|v| !v.is_finite()), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_paths_agree_on_two_hundred_random_receptors() {
+        use Element::{C, N, O, S};
+        let mut rng = RngStream::from_seed(0x6a1d);
+        for case in 0..200 {
+            let rec = synth::synth_receptor("sweep", 1 + rng.index(24), rng.next_u64());
+            let base = GridOptions {
+                spacing: rng.uniform_range(0.7, 2.0),
+                margin: rng.uniform_range(0.5, 6.0),
+                cutoff: rng.uniform_range(2.0, 7.0),
+                ..Default::default()
+            };
+            let (opts, channels) = model_variants(base, &[C, N, O, S]).swap_remove(case % 3);
+            let geom = Geometry::of(&rec, opts);
+            let scatter = Scatter::new(&rec, geom, opts, &channels);
+            let what = format!("case {case}: {} atoms, {opts:?}", rec.len());
+            let (want, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
+            // The build proper, cut in three, is the same slabs and terms.
+            let (built, cut) = build_slabs_in(&rec, geom, opts, &channels, 3);
+            assert_same_bits(&built, &want, &what);
+            assert_eq!(cut, terms, "{what}");
+        }
+    }
+
+    #[test]
+    #[ignore = "run in release mode: fills both Table 5 receptors on three lane paths"]
+    fn table5_receptors_build_the_same_bits_on_every_lane_path() {
+        for (what, rec, opts, channels) in table5_builds() {
+            let geom = Geometry::of(&rec, opts);
+            let scatter = Scatter::new(&rec, geom, opts, &channels);
+            let (want, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
+            let (built, pooled) = build_slabs(&rec, geom, opts, &channels);
+            assert_same_bits(&built, &want, &format!("{what}, as built"));
+            assert_eq!(pooled, terms, "{what}, as built: terms");
         }
     }
 
@@ -1596,6 +2033,7 @@ mod tests {
             let lig = ligand_of(set, 9, 70 + i as u64);
             let g = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
             assert_eq!(g.build_stats().cached, i == 3, "request {i}");
+            assert_eq!(g.build_stats().terms == 0, i == 3, "a cached request adds nothing");
             assert_eq!(g.build_stats().grids as usize, set.len());
             // The same ligand over a cache of its own: all its slabs built
             // together, none adopted.
@@ -1603,6 +2041,9 @@ mod tests {
             assert!(!fresh.build_stats().cached);
             assert_eq!(score_bits(&g, 5), score_bits(&fresh, 5), "request {i}");
             scorers.push(g);
+            // One slab's terms for every slab built, alone or in a set.
+            let per_slab = scorers[0].build_stats().terms;
+            assert_eq!(fresh.build_stats().terms, set.len() as u64 * per_slab, "request {i}");
         }
         let st = cache.stats();
         assert_eq!((st.channels_built, st.entries, st.misses, st.hits), (3, 3, 3, 1));

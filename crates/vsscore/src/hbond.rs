@@ -13,7 +13,8 @@
 //! canonical N/O···N/O hydrogen-bond distance. The 10–12 form is the
 //! classic AutoDock/ECEPP hydrogen-bond function.
 
-use crate::lj::{Frame, MIN_DIST_SQ};
+use crate::lanes::Lane;
+use crate::lj::{clamped, Frame};
 use vsmol::Element;
 
 /// Equilibrium heavy-atom H-bond distance, Å.
@@ -37,14 +38,30 @@ pub fn is_hbond_capable_idx(elem: u8) -> bool {
     elem == Element::N.index() as u8 || elem == Element::O.index() as u8
 }
 
+/// `σ_hb²`.
+pub(crate) const HB_SIGMA_SQ: f64 = HB_SIGMA * HB_SIGMA;
+
+/// `ε_hb (5q⁶ − 6q⁵)` from `q = (σ_hb/r)²`.
+#[inline(always)]
+pub(crate) fn hbond_from_q<V: Lane>(epsilon: f64, q: V) -> V {
+    let q5 = q * q * q * q * q;
+    V::splat(epsilon) * (V::splat(5.0) * q5 * q - V::splat(6.0) * q5)
+}
+
+/// 10–12 pair energy for a well depth `epsilon` at the
+/// [`clamped`](crate::lj::clamped) squared distance `r2`, `q` by a division
+/// of its own. Written over [`Lane`]: [`hbond_pair`] and the grid build's
+/// lanes are this one formula.
+#[inline(always)]
+pub(crate) fn hbond_at<V: Lane>(epsilon: f64, r2: V) -> V {
+    hbond_from_q(epsilon, V::splat(HB_SIGMA_SQ) / r2)
+}
+
 /// 10–12 pair energy at squared distance `r_sq` (clamped like the LJ
 /// kernel), for a well depth `epsilon`.
 #[inline]
 pub fn hbond_pair(epsilon: f64, r_sq: f64) -> f64 {
-    let r2 = if r_sq < MIN_DIST_SQ { MIN_DIST_SQ } else { r_sq };
-    let q = HB_SIGMA * HB_SIGMA / r2; // (σ/r)²
-    let q5 = q * q * q * q * q;
-    epsilon * (5.0 * q5 * q - 6.0 * q5)
+    hbond_at(epsilon, clamped(r_sq))
 }
 
 /// All-pairs hydrogen-bond energy between two frames; only N/O pairs
@@ -76,6 +93,7 @@ pub fn hbond_naive(lig: &Frame, rec: &Frame, epsilon: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lj::MIN_DIST_SQ;
     use vsmath::Vec3;
 
     #[test]

@@ -19,8 +19,11 @@
 //!   single-pass kernel ([`run::fused_run`], the default scoring path)
 //!   that accumulates LJ + Coulomb + run-gated H-bond in one receptor
 //!   sweep — both four receptor atoms per step, the pair math written
-//!   once over a lane type (`f64`, portable `[f64; 4]`, 256-bit on AVX2
-//!   hosts) with the same bits from each;
+//!   once over a lane type (`lanes`, crate-private: `f64`, portable
+//!   `[f64; 4]`, 256-bit on AVX2 hosts) with the same bits from each;
+//! - [`grid_potential`] — precomputed potential grids scored by trilinear
+//!   interpolation, built atom-major four lattice nodes per step through
+//!   the same lane types;
 //! - [`coulomb`] — the electrostatic term (paper §2.1 names Coulomb as the
 //!   other relevant non-bonded potential; §6 lists richer scoring functions
 //!   as future work);
@@ -39,6 +42,7 @@ pub mod coulomb;
 pub mod forces;
 pub mod grid_potential;
 pub mod hbond;
+pub(crate) mod lanes;
 pub mod lj;
 pub mod pool;
 pub mod run;

@@ -28,6 +28,7 @@
 //! accumulator flushed into the running total, so each kernel's order is
 //! fixed and documented (the per-kernel bit-identity policy, DESIGN §7).
 
+use crate::lanes::Lane;
 use vsmath::Vec3;
 use vsmol::{Element, LjTable, Molecule};
 
@@ -128,13 +129,33 @@ impl PairTable {
     }
 }
 
+/// `r_sq` raised to [`MIN_DIST_SQ`], the clamp of every pair term; a NaN
+/// compares false and stays.
+#[inline(always)]
+pub(crate) fn clamped<V: Lane>(r_sq: V) -> V {
+    let floor = V::splat(MIN_DIST_SQ);
+    r_sq.select_lt(floor, floor, r_sq)
+}
+
+/// `4ε(q⁶ − q³)` from `q = σ²/r²`.
+#[inline(always)]
+pub(crate) fn lj_from_q<V: Lane>(four_eps: f64, q: V) -> V {
+    let s6 = q * q * q;
+    V::splat(four_eps) * (s6 * s6 - s6)
+}
+
+/// LJ pair energy from `(σ², 4ε)` at the [`clamped`] squared distance `r2`,
+/// `q` by a division of its own. Written over [`Lane`]: [`lj_pair`], the
+/// `Run` kernel's lanes and the grid build's are this one formula.
+#[inline(always)]
+pub(crate) fn lj_at<V: Lane>(sigma_sq: f64, four_eps: f64, r2: V) -> V {
+    lj_from_q(four_eps, V::splat(sigma_sq) / r2)
+}
+
 /// LJ pair energy from `(σ², 4ε)` at squared distance `r_sq` (clamped).
 #[inline(always)]
 pub fn lj_pair(sigma_sq: f64, four_eps: f64, r_sq: f64) -> f64 {
-    let r2 = if r_sq < MIN_DIST_SQ { MIN_DIST_SQ } else { r_sq };
-    let q = sigma_sq / r2;
-    let s6 = q * q * q;
-    four_eps * (s6 * s6 - s6)
+    lj_at(sigma_sq, four_eps, clamped(r_sq))
 }
 
 /// Naive all-pairs kernel: for each ligand atom, stream all receptor atoms.

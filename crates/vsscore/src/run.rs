@@ -30,30 +30,16 @@
 //! # Lanes
 //!
 //! The pair math (`r² → clamp → 1/r² → LJ [+ Coulomb] [+ 10–12 H-bond]`)
-//! is written once, over a value type that offers exactly what it needs
-//! (the private `Lane` trait: broadcast, `+ − × ÷`, select-less-than; its
-//! four-wide refinement `Wide` adds the array conversions), and a span
-//! takes four receptor atoms per step in one `Wide` accumulator ([`LANES`]).
-//! It is instantiated three ways:
-//!
-//! - `f64` — the `len % 4` atoms of a span's scalar tail;
-//! - `F64x4`, a `[f64; 4]` with element-wise operators — portable; LLVM
-//!   packs it into whatever the target's baseline offers (two 128-bit
-//!   halves on x86-64), with no per-element bounds check left;
-//! - `avx2::Avx`, one 256-bit `__m256d` register, its operators the
-//!   `_mm256_{add,sub,mul,div}_pd` / `cmp` + `blendv` intrinsics, in a
-//!   sweep compiled under `#[target_feature(enable = "avx2")]`. It exists
-//!   only on x86-64 and runs only when the CPU reports `avx2`, asked once
-//!   per pose.
-//!
-//! Every lane operation in all three is a correctly rounded IEEE-754
-//! add, subtract, multiply or divide, or a compare-select — there is no
-//! fused multiply-add, no reciprocal estimate and no reassociation — and
-//! the order in which results are combined is fixed by the source (below),
-//! so the three give the same bits on every input, non-finite ones
-//! included. Which one runs depends on the host CPU; no result does.
-//! `run::tests` holds them to that by `to_bits`, the portable one
-//! instantiated directly so it is exercised on every host.
+//! is written once over the lane types of `crate::lanes` (`f64` for the
+//! `len % 4` atoms of a span's tail; four wide the portable `F64x4`, or one
+//! 256-bit register when the CPU reports `avx2`, asked once per pose), and
+//! a span takes four receptor atoms per step in one `Wide` accumulator
+//! ([`LANES`]). Every lane operation is a correctly rounded IEEE operation
+//! or a compare-select and the order in which results are combined is fixed
+//! by the source (below), so every lane type gives the same bits on every
+//! input, non-finite ones included. `run::tests` holds them to that by
+//! `to_bits`, the portable one instantiated directly so it is exercised on
+//! every host.
 //!
 //! # Kernels
 //!
@@ -77,100 +63,14 @@
 //! tests here and in `tests/props.rs`).
 
 use crate::coulomb::COULOMB_K;
-use crate::hbond::{is_hbond_capable_idx, HB_SIGMA};
-use crate::lj::{Frame, PairTable, MIN_DIST_SQ, TILE};
-use std::ops::{Add, Div, Mul, Sub};
+use crate::hbond::{hbond_from_q, is_hbond_capable_idx, HB_SIGMA_SQ};
+use crate::lanes::{widest, Lane, Wide, WideFn};
+use crate::lj::{clamped, lj_at, lj_from_q, Frame, PairTable, TILE};
 use vsmol::Element;
 
 /// Independent accumulator lanes in the inner loops: receptor atom `j` of
-/// a span goes to lane `j % LANES`. Four `f64` lanes fill one 256-bit
-/// register.
-pub const LANES: usize = 4;
-
-/// What the pair math needs of a value: correctly rounded IEEE `+ − × ÷`
-/// per lane, a broadcast and a compare-select. Nothing here fuses,
-/// estimates or reassociates, so every implementation gives each lane the
-/// bits the `f64` implementation gives that lane alone.
-trait Lane:
-    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
-{
-    /// Every lane set to `v`.
-    fn splat(v: f64) -> Self;
-    /// Lane by lane `if self < rhs { lt } else { ge }`; a NaN compares
-    /// false and takes `ge`.
-    fn select_lt(self, rhs: Self, lt: Self, ge: Self) -> Self;
-}
-
-impl Lane for f64 {
-    #[inline(always)]
-    fn splat(v: f64) -> f64 {
-        v
-    }
-    #[inline(always)]
-    fn select_lt(self, rhs: f64, lt: f64, ge: f64) -> f64 {
-        if self < rhs {
-            lt
-        } else {
-            ge
-        }
-    }
-}
-
-/// [`LANES`] lanes side by side: what [`span`] accumulates in.
-trait Wide: Lane {
-    fn from_array(lanes: [f64; LANES]) -> Self;
-    fn to_array(self) -> [f64; LANES];
-}
-
-/// The portable [`Wide`]: each operator is the `f64` one, spelled out lane
-/// by lane over a fixed-size array — no index can be out of bounds and no
-/// lane reads another — which LLVM turns into packed instructions of
-/// whatever width the target's baseline has (two 128-bit halves on
-/// x86-64; the same thing through `array::from_fn` packs fewer of them).
-#[derive(Clone, Copy)]
-struct F64x4([f64; LANES]);
-
-macro_rules! lanewise {
-    ($($op:ident $method:ident $sign:tt),*) => {$(
-        impl $op for F64x4 {
-            type Output = F64x4;
-            #[inline(always)]
-            fn $method(self, rhs: F64x4) -> F64x4 {
-                let (a, b) = (self.0, rhs.0);
-                F64x4([a[0] $sign b[0], a[1] $sign b[1], a[2] $sign b[2], a[3] $sign b[3]])
-            }
-        }
-    )*};
-}
-lanewise!(Add add +, Sub sub -, Mul mul *, Div div /);
-
-impl Lane for F64x4 {
-    #[inline(always)]
-    fn splat(v: f64) -> F64x4 {
-        F64x4([v; LANES])
-    }
-    #[inline(always)]
-    fn select_lt(self, rhs: F64x4, lt: F64x4, ge: F64x4) -> F64x4 {
-        let (a, b, lt, ge) = (self.0, rhs.0, lt.0, ge.0);
-        F64x4([
-            a[0].select_lt(b[0], lt[0], ge[0]),
-            a[1].select_lt(b[1], lt[1], ge[1]),
-            a[2].select_lt(b[2], lt[2], ge[2]),
-            a[3].select_lt(b[3], lt[3], ge[3]),
-        ])
-    }
-}
-
-impl Wide for F64x4 {
-    #[inline(always)]
-    fn from_array(lanes: [f64; LANES]) -> F64x4 {
-        F64x4(lanes)
-    }
-    #[inline(always)]
-    fn to_array(self) -> [f64; LANES] {
-        self.0
-    }
-}
+/// a span goes to lane `j % LANES`.
+pub use crate::lanes::LANES;
 
 /// One maximal span of same-element receptor atoms in a [`RunFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,15 +169,8 @@ trait PairEnergy: Copy {
     fn at<V: Lane>(self, r2: V, qj: V) -> V;
 }
 
-/// `4ε(q⁶ − q³)` from `q = σ²/r²`.
-#[inline(always)]
-fn lj_from_q<V: Lane>(e4: f64, q: V) -> V {
-    let s6 = q * q * q;
-    V::splat(e4) * (s6 * s6 - s6)
-}
-
-/// [`lj_run`]'s pair: `q` by one division per pair, the operations of
-/// [`crate::lj::lj_pair`] with `(σ², 4ε)` as span constants.
+/// [`lj_run`]'s pair: `q` by one division per pair — [`lj_at`], the
+/// formula of [`crate::lj::lj_pair`], with `(σ², 4ε)` as span constants.
 #[derive(Clone, Copy)]
 struct LjPair {
     s2: f64,
@@ -287,7 +180,7 @@ struct LjPair {
 impl PairEnergy for LjPair {
     #[inline(always)]
     fn at<V: Lane>(self, r2: V, _qj: V) -> V {
-        lj_from_q(self.e4, V::splat(self.s2) / r2)
+        lj_at(self.s2, self.e4, r2)
     }
 }
 
@@ -306,16 +199,13 @@ struct FusedPair<const COUL: bool, const HB: bool> {
 impl<const COUL: bool, const HB: bool> PairEnergy for FusedPair<COUL, HB> {
     #[inline(always)]
     fn at<V: Lane>(self, r2: V, qj: V) -> V {
-        const HB2: f64 = HB_SIGMA * HB_SIGMA;
         let inv = V::splat(1.0) / r2;
         let mut e = lj_from_q(self.e4, V::splat(self.s2) * inv);
         if COUL {
             e = e + V::splat(self.ck) * qj * inv;
         }
         if HB {
-            let qh = V::splat(HB2) * inv;
-            let q5 = qh * qh * qh * qh * qh;
-            e = e + V::splat(self.hb_eps) * (V::splat(5.0) * q5 * qh - V::splat(6.0) * q5);
+            e = e + hbond_from_q(self.hb_eps, V::splat(HB_SIGMA_SQ) * inv);
         }
         e
     }
@@ -323,15 +213,13 @@ impl<const COUL: bool, const HB: bool> PairEnergy for FusedPair<COUL, HB> {
 
 /// `energy` of the ligand atom at `at` against the receptor atoms in the
 /// lanes of `(x, y, z)` with charges `q`: `r²`, clamped at
-/// [`MIN_DIST_SQ`], then the pair formula.
+/// [`crate::lj::MIN_DIST_SQ`], then the pair formula.
 #[inline(always)]
 fn pair_energy<V: Lane, E: PairEnergy>(energy: E, at: [f64; 3], x: V, y: V, z: V, q: V) -> V {
     let dx = V::splat(at[0]) - x;
     let dy = V::splat(at[1]) - y;
     let dz = V::splat(at[2]) - z;
-    let r_sq = dx * dx + dy * dy + dz * dz;
-    let floor = V::splat(MIN_DIST_SQ);
-    energy.at(r_sq.select_lt(floor, floor, r_sq), q)
+    energy.at(clamped(dx * dx + dy * dy + dz * dz), q)
 }
 
 /// One ligand atom against one contiguous same-element span — the
@@ -369,131 +257,44 @@ fn span<W: Wide, E: PairEnergy>(
 }
 
 /// Which run kernel to sweep a pose with, so both reach the lanes through
-/// one door ([`sweep_widest`]).
+/// one door ([`PoseSweep`]).
 #[derive(Debug, Clone, Copy)]
 enum Sweep {
     Lj,
     Fused { dielectric: Option<f64>, hbond_eps: Option<f64> },
 }
 
-/// `kernel` over the widest lanes the host has: 256-bit ones when the
-/// running x86-64 CPU reports `avx2` (asked once per pose), the portable
-/// [`F64x4`] otherwise and on every other architecture. The answer picks
-/// the instructions, never a bit of the result (module docs).
-fn sweep_widest(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `avx2`, the one feature the callee is compiled with, was
-        // just detected on the running CPU.
-        return unsafe { avx2::sweep(kernel, lig, rec, table) };
-    }
-    sweep::<F64x4>(kernel, lig, rec, table)
+/// One pose's sweep, for [`widest`] to pick the lanes of (once per pose).
+#[derive(Clone, Copy)]
+struct PoseSweep<'a> {
+    kernel: Sweep,
+    lig: &'a Frame,
+    rec: &'a RunFrame,
+    table: &'a PairTable,
 }
 
-/// The 256-bit [`Wide`] and the sweep compiled for it — the only
-/// architecture-specific item; without it every target runs [`F64x4`].
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{Frame, Lane, PairTable, RunFrame, Sweep, Wide, LANES};
-    use std::arch::x86_64::*;
-    use std::ops::{Add, Div, Mul, Sub};
-
-    /// One `ymm` register of four `f64` lanes. Private to this module, so
-    /// the only code that can name it is [`sweep`]: its methods run under
-    /// [`sweep`] or not at all.
-    #[derive(Clone, Copy)]
-    struct Avx(__m256d);
-
-    /// Rust refuses `#[target_feature]` on a safe trait method, so the
-    /// lane operations below cannot carry the attribute that would make
-    /// their intrinsics safe to call; each forwards through here instead.
-    macro_rules! avx {
-        ($intrinsic:expr) => {
-            // SAFETY: register-only AVX/SSE2 intrinsics whose sole
-            // requirement is the CPU feature. `Avx` is private to this
-            // module and `sweep` is its only user, and `sweep` is compiled
-            // with `avx2` — which implies `avx` — so reaching it at all
-            // was the caller's promise that the CPU has the feature.
-            unsafe { $intrinsic }
-        };
-    }
-
-    macro_rules! forward {
-        ($($op:ident $method:ident $intrinsic:ident),*) => {$(
-            impl $op for Avx {
-                type Output = Avx;
-                #[inline(always)]
-                fn $method(self, rhs: Avx) -> Avx {
-                    Avx(avx!($intrinsic(self.0, rhs.0)))
-                }
-            }
-        )*};
-    }
-    forward!(
-        Add add _mm256_add_pd,
-        Sub sub _mm256_sub_pd,
-        Mul mul _mm256_mul_pd,
-        Div div _mm256_div_pd
-    );
-
-    impl Lane for Avx {
-        #[inline(always)]
-        fn splat(v: f64) -> Avx {
-            Avx(avx!(_mm256_set1_pd(v)))
+impl WideFn for PoseSweep<'_> {
+    type Output = f64;
+    #[inline(always)]
+    fn call<W: Wide>(self) -> f64 {
+        let PoseSweep { kernel, lig, rec, table } = self;
+        match kernel {
+            Sweep::Lj => lj_impl::<W>(lig, rec, table),
+            // One statically gated body per scoring model.
+            Sweep::Fused { dielectric, hbond_eps } => match (dielectric, hbond_eps) {
+                (None, None) => fused_impl::<W, false, false>(lig, rec, table, 1.0, 0.0),
+                (Some(d), None) => fused_impl::<W, true, false>(lig, rec, table, d, 0.0),
+                (None, Some(e)) => fused_impl::<W, false, true>(lig, rec, table, 1.0, e),
+                (Some(d), Some(e)) => fused_impl::<W, true, true>(lig, rec, table, d, e),
+            },
         }
-        #[inline(always)]
-        fn select_lt(self, rhs: Avx, lt: Avx, ge: Avx) -> Avx {
-            // Ordered, quiet `<`: false on a NaN, like the scalar operator.
-            Avx(avx!(_mm256_blendv_pd(ge.0, lt.0, _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, rhs.0))))
-        }
-    }
-
-    impl Wide for Avx {
-        #[inline(always)]
-        fn from_array(a: [f64; LANES]) -> Avx {
-            // Lane 0 is the last argument; one unaligned 256-bit load.
-            Avx(avx!(_mm256_set_pd(a[3], a[2], a[1], a[0])))
-        }
-        #[inline(always)]
-        fn to_array(self) -> [f64; LANES] {
-            avx!({
-                let (lo, hi) = (_mm256_castpd256_pd128(self.0), _mm256_extractf128_pd::<1>(self.0));
-                [
-                    _mm_cvtsd_f64(lo),
-                    _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)),
-                    _mm_cvtsd_f64(hi),
-                    _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
-                ]
-            })
-        }
-    }
-
-    /// [`super::sweep`] over [`Avx`]: its `#[inline(always)]` body is
-    /// built here with 256-bit vectors enabled.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn sweep(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-        super::sweep::<Avx>(kernel, lig, rec, table)
-    }
-}
-
-#[inline(always)]
-fn sweep<W: Wide>(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-    match kernel {
-        Sweep::Lj => lj_impl::<W>(lig, rec, table),
-        // One statically gated body per scoring model.
-        Sweep::Fused { dielectric, hbond_eps } => match (dielectric, hbond_eps) {
-            (None, None) => fused_impl::<W, false, false>(lig, rec, table, 1.0, 0.0),
-            (Some(d), None) => fused_impl::<W, true, false>(lig, rec, table, d, 0.0),
-            (None, Some(e)) => fused_impl::<W, false, true>(lig, rec, table, 1.0, e),
-            (Some(d), Some(e)) => fused_impl::<W, true, true>(lig, rec, table, d, e),
-        },
     }
 }
 
 /// Run-layout Lennard-Jones kernel: run-major, [`TILE`]-blocked within
 /// each run, `(σ², 4ε)` hoisted per (ligand atom × run).
 pub fn lj_run(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-    sweep_widest(Sweep::Lj, lig, rec, table)
+    widest(PoseSweep { kernel: Sweep::Lj, lig, rec, table })
 }
 
 #[inline(always)]
@@ -578,7 +379,7 @@ pub fn fused_run(
         assert!(e >= 0.0, "well depth must be non-negative");
     }
     let hbond_eps = hbond_eps.filter(|&e| e > 0.0);
-    sweep_widest(Sweep::Fused { dielectric, hbond_eps }, lig, rec, table)
+    widest(PoseSweep { kernel: Sweep::Fused { dielectric, hbond_eps }, lig, rec, table })
 }
 
 #[cfg(test)]
@@ -586,6 +387,7 @@ mod tests {
     use super::*;
     use crate::coulomb::coulomb_naive;
     use crate::hbond::hbond_naive;
+    use crate::lanes::F64x4;
     use crate::lj::lj_naive;
     use vsmath::{RngStream, Vec3};
     use vsmol::{synth, LjTable};
@@ -698,15 +500,15 @@ mod tests {
     }
 
     /// Scalar lanes, the portable [`F64x4`] (instantiated here, so it is
-    /// exercised on every host) and whatever [`sweep_widest`] picks on
+    /// exercised on every host) and whatever [`widest`] picks on
     /// this one must agree to the bit, for every kernel and model.
     /// Returns the five scores.
     fn assert_lane_paths_agree(lig: &Frame, rec: &RunFrame, what: &str) -> [f64; 5] {
         let t = table();
         SWEEPS.map(|kernel| {
             let want = scalar_lanes(kernel, lig, rec, &t);
-            let portable = sweep::<F64x4>(kernel, lig, rec, &t);
-            let detected = sweep_widest(kernel, lig, rec, &t);
+            let pose = PoseSweep { kernel, lig, rec, table: &t };
+            let (portable, detected) = (pose.call::<F64x4>(), widest(pose));
             assert_eq!(portable.to_bits(), want.to_bits(), "{what}, {kernel:?}: portable lanes");
             assert_eq!(detected.to_bits(), want.to_bits(), "{what}, {kernel:?}: detected lanes");
             want
