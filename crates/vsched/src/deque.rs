@@ -20,9 +20,9 @@
 //! are the transferred data, carried by the CAS value, and the
 //! conformation slice the indices refer to is written only *after* all
 //! claims are handed to workers through a `Mutex`-protected job slot
-//! (`runtime::RtShared`), which provides the necessary happens-before
-//! edge. No payload is published through the deque word, so no
-//! acquire/release pairing is needed on it.
+//! (`vsscore::pool`'s, behind `runtime::dispatch`), which provides the
+//! necessary happens-before edge. No payload is published through the
+//! deque word, so no acquire/release pairing is needed on it.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 
@@ -249,9 +249,9 @@ mod tests {
 #[cfg(all(test, feature = "vscheck-model"))]
 mod model_tests {
     use super::*;
-    use crate::sync::thread::Builder;
     use crate::sync::Mutex;
     use std::sync::Arc;
+    use vscheck::thread::Builder;
     use vscheck::{explore, replay, Config};
 
     /// Run `claimers` threads against one deque of `n` items; each thread

@@ -1,45 +1,56 @@
 //! The real-compute batch evaluator: plan each batch with the strategy
-//! [`Policy`], then dispatch the claims to the node runtime's workers
-//! (DESIGN.md §10).
+//! [`Policy`], then dispatch the claims for scoring (DESIGN.md §10).
 //!
 //! [`DeviceEvaluator`] adds nothing to either half. All *policy* — the
 //! paper's warm-up and Equation 1, greedy chunks, the work-stealing drain,
 //! the oracle feedback, virtual-time accounting and the scheduling trace
 //! events — is [`Policy::plan`], the same step the analytic replay runs.
-//! All *mechanism* — persistent per-device worker threads scoring the
-//! claimed ranges — is [`NodeRuntime::dispatch`].
+//! All *mechanism* is `runtime::dispatch`: check the claims, then score
+//! them on `vsscore`'s shared worker pool — the one host worker team in
+//! the workspace, the same one [`metaheur::CpuEvaluator`] and the grid
+//! build use. The evaluator owns no threads.
 //!
 //! # Determinism
 //!
-//! Claims are disjoint index ranges scored serially per worker with the
-//! same kernel as [`vsscore::Scorer::score_batch`], so scores are
-//! bit-identical to the serial CPU path for every strategy — including
-//! work stealing, where chunk migration changes *which device is charged*,
-//! never the numeric result — for whichever kernel the scorer is
-//! configured with (DESIGN §7 per-kernel bit-identity).
+//! Claims are disjoint index ranges and every conformation is scored alone
+//! by the same serial kernel as [`vsscore::Scorer::score_batch`], so
+//! scores are bit-identical to the serial CPU path for every strategy —
+//! including work stealing, where chunk migration changes *which device is
+//! charged*, never the numeric result — for whichever kernel the scorer is
+//! configured with (DESIGN §7 per-kernel bit-identity). Which host thread
+//! scores a conformation has nothing to do with which device was charged
+//! for it.
 
 use crate::oracle::CostOracle;
 use crate::policy::Policy;
-use crate::runtime::{work_profile, NodeRuntime, StealStats};
+use crate::runtime::{dispatch, makespan, release_until, work_profile, Claim, StealStats};
 use crate::strategy::Strategy;
-use gpusim::{SimDevice, WorkProfile};
+use gpusim::{SimDevice, Timeline, WorkProfile};
 use metaheur::BatchEvaluator;
 use std::sync::Arc;
 use vsmol::Conformation;
-use vsscore::Scorer;
+use vsscore::{PoseScratch, Scorer};
 use vstrace::{Trace, BATCH_TRACK};
 
 /// A [`BatchEvaluator`] that executes scoring on a set of simulated devices.
 ///
-/// Construction spawns the runtime's persistent per-device worker threads.
 /// Each `evaluate` call plans the batch under the strategy — the first
 /// `warmup` batches of the heterogeneous strategies run under the equal
 /// split while being timed, their cost landing on the device clocks as in
-/// the paper — and scores the resulting claims on the workers.
+/// the paper — and scores the resulting claims on the shared host pool.
+/// Construction spawns nothing: the pool's team outlives every evaluator.
 pub struct DeviceEvaluator {
-    runtime: NodeRuntime,
+    devices: Vec<Arc<SimDevice>>,
+    scorer: Arc<Scorer>,
+    timeline: Option<Arc<Timeline>>,
+    trace: Trace,
     policy: Policy,
     profile: WorkProfile,
+    /// Host threads a batch is scored on: `min(devices, host threads)`,
+    /// read from the machine once, here.
+    threads: usize,
+    /// For the batches `dispatch` scores on the calling thread.
+    scratch: PoseScratch,
 }
 
 impl DeviceEvaluator {
@@ -55,14 +66,22 @@ impl DeviceEvaluator {
     ) -> DeviceEvaluator {
         let policy = Policy::new(strategy, devices.len());
         assert!(!policy.cpu_only(), "use CpuEvaluator for the CPU-only baseline");
-        let profile = work_profile(&scorer);
-        DeviceEvaluator { runtime: NodeRuntime::new(devices, scorer), policy, profile }
+        DeviceEvaluator {
+            threads: devices.len().min(vsscore::host_threads()),
+            profile: work_profile(&scorer),
+            devices,
+            scorer,
+            timeline: None,
+            trace: Trace::disabled(),
+            policy,
+            scratch: PoseScratch::new(),
+        }
     }
 
     /// Record every device execution into `timeline` (Gantt introspection
     /// of the real-compute path).
-    pub fn with_timeline(mut self, timeline: Arc<gpusim::Timeline>) -> Self {
-        self.runtime.set_timeline(timeline);
+    pub fn with_timeline(mut self, timeline: Arc<Timeline>) -> Self {
+        self.timeline = Some(timeline);
         self
     }
 
@@ -72,17 +91,20 @@ impl DeviceEvaluator {
     /// names.
     pub fn with_trace(mut self, trace: Trace) -> Self {
         trace.set_track_name(BATCH_TRACK, "batches");
-        self.runtime.set_trace(trace);
+        for dev in &self.devices {
+            trace.set_track_name(dev.id() as u32, dev.name());
+        }
+        self.trace = trace;
         self
     }
 
     pub fn devices(&self) -> &[Arc<SimDevice>] {
-        self.runtime.devices()
+        &self.devices
     }
 
     /// The overall virtual execution time so far (slowest device).
     pub fn makespan(&self) -> f64 {
-        self.runtime.makespan()
+        makespan(&self.devices)
     }
 
     /// Static or deque-seed weights in use (empty while warming up or
@@ -102,13 +124,6 @@ impl DeviceEvaluator {
     pub fn oracle(&self) -> Option<&CostOracle> {
         self.policy.oracle()
     }
-
-    /// Test hook: every worker panics on the next `evaluate` call, which
-    /// must re-raise on the submitter and leave the evaluator usable.
-    #[cfg(test)]
-    fn induce_worker_panic(&mut self) {
-        self.runtime.panic_next = true;
-    }
 }
 
 impl BatchEvaluator for DeviceEvaluator {
@@ -116,20 +131,27 @@ impl BatchEvaluator for DeviceEvaluator {
         if confs.is_empty() {
             return;
         }
-        let rt = &self.runtime;
         let claims = self.policy.plan(
-            rt.devices(),
+            &self.devices,
             confs.len() as u64,
             self.profile,
             None,
-            rt.timeline(),
-            rt.trace(),
+            self.timeline.as_deref(),
+            &self.trace,
         );
-        self.runtime.dispatch(confs, claims);
+        // `dispatch` asserts the claims disjoint and in bounds; covering
+        // as many items as the batch has, they tile it (what `plan`
+        // promises): every conformation is scored, once.
+        debug_assert_eq!(
+            claims.iter().map(Claim::items).sum::<u64>(),
+            confs.len() as u64,
+            "a plan's claims must tile the batch: {claims:?}"
+        );
+        dispatch(&self.scorer, self.devices.len(), self.threads, &mut self.scratch, confs, claims);
     }
 
     fn pairs_per_eval(&self) -> u64 {
-        self.runtime.scorer().pairs_per_eval()
+        self.scorer.pairs_per_eval()
     }
 
     /// Streamed-batch entry point for the pipelined engine: the batch was
@@ -139,9 +161,9 @@ impl BatchEvaluator for DeviceEvaluator {
     /// [`Self::evaluate`] would. Returns the node makespan, i.e. when the
     /// batch's scores are available to the selector stage.
     fn evaluate_after(&mut self, confs: &mut [Conformation], release: f64) -> f64 {
-        self.runtime.release_until(release);
+        release_until(&self.devices, &self.trace, release);
         self.evaluate(confs);
-        self.runtime.makespan()
+        self.makespan()
     }
 }
 
@@ -193,8 +215,8 @@ mod tests {
 
     #[test]
     fn repeated_evaluates_stay_bit_identical() {
-        // Persistent workers must be reusable: many evaluate calls on the
-        // same evaluator, every one bit-identical to the serial path.
+        // Many evaluate calls on the same evaluator, every one
+        // bit-identical to the serial path.
         let sc = scorer();
         let mut dev_eval =
             DeviceEvaluator::new(hertz_devices(), sc.clone(), Strategy::HomogeneousSplit);
@@ -252,23 +274,42 @@ mod tests {
 
     #[test]
     fn drop_joins_workers() {
-        // Worker threads must not outlive the evaluator. The runtime's
-        // workers own scorer clones; join-on-drop guarantees those clones
-        // are released by the time drop returns, and the runtime's device
-        // handles go with it.
+        // Nothing of the evaluator may outlive it. The pool's workers see
+        // the scorer only while a batch is being scored, so once drop
+        // returns the caller's handles are the only ones left.
         let devs = hertz_devices();
         let sc = scorer();
         {
             let mut ev = DeviceEvaluator::new(devs.clone(), sc.clone(), Strategy::HomogeneousSplit);
             let mut c = confs(16, 13);
             ev.evaluate(&mut c);
-            // Alive: our handle + the runtime's devices vec (workers are
-            // pure scorers and hold no device handles).
+            // Alive: our handle + the evaluator's.
             assert_eq!(Arc::strong_count(&devs[0]), 2);
+            assert_eq!(Arc::strong_count(&sc), 2);
         }
-        assert_eq!(Arc::strong_count(&devs[0]), 1, "drop must release the runtime's devices");
+        assert_eq!(Arc::strong_count(&devs[0]), 1, "drop must release the evaluator's devices");
         assert_eq!(Arc::strong_count(&devs[1]), 1);
-        assert_eq!(Arc::strong_count(&sc), 1, "drop must join all scoring workers");
+        assert_eq!(Arc::strong_count(&sc), 1, "no worker may keep the scorer");
+    }
+
+    #[test]
+    fn building_evaluators_spawns_no_threads() {
+        // A library screen builds one evaluator per ligand: all of them
+        // must score on the one shared team, which construction, use and
+        // drop leave as it was.
+        let sc = scorer();
+        let threads = 2.min(vsscore::host_threads());
+        let team = vsscore::shared_pool(threads);
+        for seed in 0..32 {
+            let mut ev =
+                DeviceEvaluator::new(hertz_devices(), sc.clone(), Strategy::HomogeneousSplit);
+            assert_eq!(ev.threads, threads);
+            let mut c = confs(8, seed);
+            ev.evaluate(&mut c);
+            assert!(c.iter().all(|x| x.is_scored()));
+        }
+        assert!(Arc::ptr_eq(&team, &vsscore::shared_pool(threads)));
+        assert_eq!(team.threads(), threads);
     }
 
     #[test]
@@ -618,28 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_propagates_and_evaluator_survives() {
-        let sc = scorer();
-        let mut ev = DeviceEvaluator::new(hertz_devices(), sc.clone(), Strategy::HomogeneousSplit);
-        ev.induce_worker_panic();
-        let mut c = confs(8, 31);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ev.evaluate(&mut c);
-        }));
-        assert!(caught.is_err(), "worker panic must re-raise on the submitter");
-        // The completion bookkeeping must have recovered: the next batch
-        // runs to completion and scores correctly.
-        let mut a = confs(12, 32);
-        let mut b = a.clone();
-        ev.evaluate(&mut a);
-        let mut scratch = vsscore::PoseScratch::new();
-        sc.score_batch(ScoreBatch::Confs(&mut b), &mut scratch, Exec::Serial);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn cpu_only_strategy_rejected() {
         DeviceEvaluator::new(hertz_devices(), scorer(), Strategy::CpuOnly);
@@ -677,168 +696,5 @@ mod tests {
             params.evals_per_spot(),
             "evaluation accounting must survive the device path"
         );
-    }
-}
-
-/// Exhaustive interleaving checks of the runtime's per-device job
-/// handoff, via the `vscheck` model checker (run with
-/// `cargo test -p vsched --features vscheck-model model_`).
-///
-/// Invariants (the PR 1 review caught a clobbered job slot and a deadlock
-/// on worker panic here by eyeball; these explore every interleaving
-/// within the preemption bound): every conformation scored exactly once
-/// with serial-identical results, `remaining` never underflows (underflow
-/// aborts a schedule as a debug panic), a worker panic re-raises on the
-/// submitter without wedging the handshake, and drop joins every worker.
-#[cfg(all(test, feature = "vscheck-model"))]
-mod model_tests {
-    use super::*;
-    use crate::policy::seed_deques;
-    use crate::runtime::{drain_deques, StealConfig};
-    use gpusim::catalog;
-    use vscheck::{explore, Config};
-    use vsmath::{RigidTransform, RngStream};
-    use vsmol::synth;
-    use vsscore::{Exec, ScoreBatch};
-
-    /// Tiny scorer: immutable after construction and free of facade sync
-    /// ops, so sharing one across schedules is deterministic.
-    fn tiny_scorer() -> Arc<Scorer> {
-        let rec = synth::synth_receptor("r", 30, 1);
-        let lig = synth::synth_ligand("l", 4, 1);
-        Arc::new(Scorer::new(&rec, &lig, Default::default()))
-    }
-
-    fn tiny_confs(n: usize) -> Vec<Conformation> {
-        let mut rng = RngStream::from_seed(23);
-        (0..n)
-            .map(|_| Conformation::new(RigidTransform::new(rng.rotation(), rng.in_ball(25.0)), 0))
-            .collect()
-    }
-
-    /// Devices are mutated per batch (virtual clocks), so they must be
-    /// fresh per schedule — construct them inside the closure.
-    fn two_devices() -> Vec<Arc<SimDevice>> {
-        vec![
-            Arc::new(SimDevice::new(0, catalog::tesla_k40c())),
-            Arc::new(SimDevice::new(1, catalog::geforce_gtx_580())),
-        ]
-    }
-
-    fn serial(s: &Scorer, confs: &[Conformation]) -> Vec<f64> {
-        let mut b = confs.to_vec();
-        let mut scratch = vsscore::PoseScratch::new();
-        s.score_batch(ScoreBatch::Confs(&mut b), &mut scratch, Exec::Serial);
-        b.iter().map(|c| c.score).collect()
-    }
-
-    #[test]
-    fn model_every_conformation_scored() {
-        let sc = tiny_scorer();
-        let base = tiny_confs(3);
-        let want = serial(&sc, &base);
-        let report = explore(Config::with_bound(2), move || {
-            let mut ev =
-                DeviceEvaluator::new(two_devices(), Arc::clone(&sc), Strategy::HomogeneousSplit);
-            let mut c = base.clone();
-            ev.evaluate(&mut c);
-            for (got, want) in c.iter().zip(&want) {
-                assert_eq!(
-                    got.score.to_bits(),
-                    want.to_bits(),
-                    "conformation left unscored or misscored"
-                );
-            }
-            drop(ev); // a lost shutdown wakeup would deadlock here
-        });
-        report.assert_passed();
-        assert!(report.complete, "bounded state space must be exhausted");
-    }
-
-    #[test]
-    fn model_back_to_back_batches_reuse_workers() {
-        // The generation handshake must hand each worker exactly its own
-        // share each round, even when a worker from round 1 has not parked
-        // yet when round 2 is published.
-        let sc = tiny_scorer();
-        let base = tiny_confs(2);
-        let want = serial(&sc, &base);
-        let report = explore(Config::with_bound(1), move || {
-            let mut ev =
-                DeviceEvaluator::new(two_devices(), Arc::clone(&sc), Strategy::HomogeneousSplit);
-            for _ in 0..2 {
-                let mut c = base.clone();
-                ev.evaluate(&mut c);
-                for (got, want) in c.iter().zip(&want) {
-                    assert_eq!(got.score.to_bits(), want.to_bits());
-                }
-            }
-        });
-        report.assert_passed();
-        assert!(report.complete);
-    }
-
-    #[test]
-    fn model_steal_mode_scores_exactly_once() {
-        // The work-stealing drain resolves claims on the submitter, so the
-        // worker handshake sees a list of disjoint ranges per device; the
-        // exactly-once property must survive every bounded interleaving of
-        // the dispatch/completion protocol.
-        let sc = tiny_scorer();
-        let base = tiny_confs(3);
-        let want = serial(&sc, &base);
-        let report = explore(Config::with_bound(1), move || {
-            let mut rt = NodeRuntime::new(two_devices(), Arc::clone(&sc));
-            let mut c = base.clone();
-            let (claims, _) = drain_deques(
-                rt.devices(),
-                &seed_deques(c.len() as u64, &[1.0, 1.0]),
-                &StealConfig { divisor: 2, min_chunk: 1 },
-                work_profile(&sc),
-                None,
-                &Trace::disabled(),
-            );
-            rt.dispatch(&mut c, &claims);
-            for (got, want) in c.iter().zip(&want) {
-                assert_eq!(got.score.to_bits(), want.to_bits());
-            }
-            drop(rt);
-        });
-        report.assert_passed();
-        assert!(report.complete);
-    }
-
-    #[test]
-    fn model_worker_panic_reaches_submitter_and_evaluator_survives() {
-        let sc = tiny_scorer();
-        let base = tiny_confs(2);
-        let want = serial(&sc, &base);
-        let report = explore(Config::with_bound(1), move || {
-            let mut ev =
-                DeviceEvaluator::new(two_devices(), Arc::clone(&sc), Strategy::HomogeneousSplit);
-            ev.induce_worker_panic();
-            let mut c = base.clone();
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ev.evaluate(&mut c);
-            }));
-            assert!(caught.is_err(), "worker panic must re-raise on the submitter");
-            let mut c = base.clone();
-            ev.evaluate(&mut c);
-            for (got, want) in c.iter().zip(&want) {
-                assert_eq!(got.score.to_bits(), want.to_bits());
-            }
-        });
-        report.assert_passed();
-        assert!(report.complete);
-    }
-
-    #[test]
-    fn model_idle_evaluator_drop_joins_cleanly() {
-        let report = explore(Config::with_bound(2), || {
-            let ev = DeviceEvaluator::new(two_devices(), tiny_scorer(), Strategy::HomogeneousSplit);
-            drop(ev);
-        });
-        report.assert_passed();
-        assert!(report.complete);
     }
 }

@@ -23,18 +23,20 @@
 //!   simulated node and report per-device virtual times and makespan (the
 //!   mechanism behind Tables 6–9), optionally with fault phases, an event
 //!   sink, a shared oracle and a timeline ([`ReplayOptions`]);
-//! - [`runtime`] — the node runtime: one *persistent* host worker thread
-//!   per device (the paper's one-OpenMP-thread-per-GPU structure; workers
-//!   are spawned once, fed the planned claims per batch, and joined on
-//!   drop), plus the work-stealing drain over per-device [`deque`]s that
-//!   the policy's deque modes claim from;
+//! - [`runtime`] — the node runtime: the claim type, the charge to a
+//!   device clock, the work-stealing drain over per-device [`deque`]s that
+//!   the policy's deque modes claim from, and the dispatch of a planned
+//!   batch — its claims checked, then scored on `vsscore`'s shared
+//!   persistent pool by `min(devices, host threads)` workers (the paper's
+//!   one-OpenMP-thread-per-GPU structure is the ceiling; a simulated
+//!   device is a clock, not a thread, so the crate starts none);
 //! - [`oracle`] — the online learned cost model (DESIGN.md §15):
 //!   per-(device, kernel-class) exponentially-decayed throughput fits that
 //!   turn the one-shot Equation 1 warm-up into a cold-start prior and
 //!   re-price devices from live batch telemetry, with drift detection;
 //! - [`executor`] — the real-compute path: a
 //!   [`metaheur::BatchEvaluator`] that plans each batch with the policy
-//!   and dispatches the claims to the runtime's workers;
+//!   and dispatches the claims for scoring;
 //! - [`spec`] — [`spec::EvaluatorSpec`], the single declarative factory
 //!   for scoring backends (serial CPU / pooled CPU / device-scheduled),
 //!   replacing per-call-site constructor picking;
@@ -43,7 +45,7 @@
 //!   (abstract §: "A cooperative scheduling of jobs optimizes the quality
 //!   of the solution and the overall performance").
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod cooperative;
 pub mod deque;
@@ -64,7 +66,7 @@ pub use oracle::{CostOracle, FitSnapshot, ModelUpdate, OracleConfig, SharedOracl
 pub use partition::{equal_split, proportional_split};
 pub use policy::Policy;
 pub use replay::{schedule_trace, schedule_trace_with, ReplayOptions, ScheduleReport};
-pub use runtime::{drain_deques, work_profile, Claim, NodeRuntime, StealConfig, StealStats};
+pub use runtime::{drain_deques, work_profile, Claim, StealConfig, StealStats};
 pub use spec::EvaluatorSpec;
 pub use strategy::Strategy;
 pub use warmup::{percent_factors, shares_from_times, warmup_times, WarmupConfig};

@@ -18,9 +18,11 @@
 //! Both execution substrates call the same step. The analytic replay
 //! ([`crate::replay::schedule_trace_with`]) keeps the clocks and drops the
 //! claims; the real-compute path ([`crate::DeviceEvaluator`]) hands the
-//! claims to [`crate::NodeRuntime::dispatch`] for scoring. A virtual-time
-//! number therefore cannot differ between the two — the differential test
-//! in `tests/substrates_agree.rs` pins clocks, launch counts, steals and
+//! claims to `runtime::dispatch` for scoring on the shared host pool — by
+//! then every claim is charged, so a claim's `device` says whose clock
+//! moved, not which host thread computes. A virtual-time number therefore
+//! cannot differ between the two — the differential test in
+//! `tests/substrates_agree.rs` pins clocks, launch counts, steals and
 //! oracle re-seeds bit-for-bit.
 //!
 //! # Measurements
@@ -32,7 +34,7 @@
 use crate::deque::ChunkDeque;
 use crate::oracle::{CostOracle, OracleConfig};
 use crate::partition::proportional_split;
-use crate::runtime::{charge, drain_deques, earliest, Claim, StealConfig, StealStats};
+use crate::runtime::{charge, drain_deques, earliest, makespan, Claim, StealConfig, StealStats};
 use crate::strategy::Strategy;
 use crate::warmup::shares_from_times;
 use gpusim::{SimDevice, Timeline, WorkProfile};
@@ -295,7 +297,7 @@ impl Policy {
                 items,
                 pairs_per_item: profile.units_per_item,
                 vt_start: self.before.iter().copied().fold(f64::INFINITY, f64::min),
-                vt_end: devices.iter().map(|d| d.clock()).fold(0.0, f64::max),
+                vt_end: makespan(devices),
             });
         }
         if !warming && !learn {

@@ -1,7 +1,8 @@
-//! The unified heterogeneous node runtime: every execution path on a node
-//! — static Percent splits, warm-up batches, self-scheduled chunks and the
-//! work-stealing mode — funnels through one [`NodeRuntime`] that owns the
-//! persistent per-device worker threads.
+//! The node runtime: what every execution path on a node — static Percent
+//! splits, warm-up batches, self-scheduled chunks and the work-stealing
+//! mode — shares below the strategy interpreter: the claim type, the
+//! charge to a device clock, the work-stealing drain, and `dispatch`,
+//! which scores a planned batch.
 //!
 //! # Architecture
 //!
@@ -22,25 +23,38 @@
 //!    deque, emitting a [`vstrace::Event::JobMigrated`] per steal. So the
 //!    entire claim order is a deterministic function of (batch, weights,
 //!    cost model, active slowdowns).
-//! 2. **Scoring** runs on one long-lived worker thread per device.
-//!    [`NodeRuntime::dispatch`] hands the workers the claimed ranges and
-//!    they score them with the real Lennard-Jones kernels; because all
-//!    ranges are disjoint and each conformation's score is independent,
-//!    results are bit-identical to the serial path no matter which device
-//!    claimed what.
+//! 2. **Scoring** runs on the workspace's one host worker team,
+//!    `vsscore`'s shared persistent pool. `dispatch` checks the claims,
+//!    joins adjacent ones into runs and submits each run as an
+//!    [`Exec::Pool`] job; the pool cuts a run evenly over its workers,
+//!    whoever was charged for which part of it. Each conformation is
+//!    scored alone by the serial kernel, so results are bit-identical to
+//!    the serial path no matter which device claimed what or which host
+//!    thread computed it.
+//!
+//! # Host threads are not devices
+//!
+//! A simulated device is a clock and a cost model; the scores are computed
+//! for real on host threads, and nothing observable depends on which. So
+//! the team's size follows from the host, not from the simulated node:
+//! `min(devices, vsscore::host_threads())` — never more threads than the
+//! node has devices (the paper's one-host-thread-per-GPU structure is the
+//! ceiling), never more than the host runs at once. The split of a batch
+//! over those threads is even: Equation 1's 58 : 42 split describes the
+//! simulated GPUs and would only unbalance identical host cores.
 //!
 //! The deque itself is linearizable under true concurrency (model-checked
 //! in [`crate::deque`]); the drain drives it from one thread only so
 //! that virtual-time claim ordering — and therefore makespans and traces —
-//! are exactly reproducible (DESIGN.md §10 determinism contract).
+//! are exactly reproducible (DESIGN.md §10 determinism contract). The
+//! pool's submit/park protocol is model-checked where it lives, in
+//! `vsscore::pool`.
 
 use crate::deque::ChunkDeque;
-use crate::sync::thread::{Builder, JoinHandle};
-use crate::sync::{Condvar, Mutex};
 use gpusim::{KernelClass, SimDevice, Timeline, WorkProfile};
 use std::sync::Arc;
 use vsmol::Conformation;
-use vsscore::{Exec, ScoreBatch, Scorer};
+use vsscore::{Exec, PoseScratch, ScoreBatch, Scorer};
 use vstrace::{Event, Trace};
 
 /// Chunk-sizing knobs for the work-stealing drain.
@@ -82,8 +96,11 @@ impl StealStats {
     }
 }
 
-/// One resolved claim from the drain: `device` scores `[lo, hi)`;
+/// One resolved claim of a plan: `device` is charged for `[lo, hi)`;
 /// `stolen_from` names the victim deque when the claim was a steal.
+/// `device` is who was *charged* in virtual time, not who computes:
+/// `dispatch` scores the range on whichever host threads the pool gives
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Claim {
     pub device: usize,
@@ -250,292 +267,72 @@ pub fn drain_deques(
     (claims, stats)
 }
 
-/// Work descriptor consumed by one runtime worker: the claimed index
-/// ranges of the caller's conformation batch.
-struct RtJob {
-    confs: *mut Conformation,
-    len: usize,
-    /// Disjoint half-open ranges into `confs`, in claim order.
-    ranges: Vec<(u32, u32)>,
-    /// Test hook: the worker panics instead of scoring, to pin panic
-    /// propagation through the completion handshake.
-    #[cfg(test)]
-    induce_panic: bool,
+/// The overall virtual execution time so far (slowest device).
+pub(crate) fn makespan(devices: &[Arc<SimDevice>]) -> f64 {
+    devices.iter().map(|d| d.clock()).fold(0.0, f64::max)
 }
 
-// SAFETY: the pointer is only dereferenced between job publication and the
-// completion signal, during which the submitting thread is blocked in
-// `dispatch` keeping the `&mut [Conformation]` borrow alive; per-device
-// jobs cover disjoint in-bounds ranges of that slice (`dispatch` asserts
-// both before publishing).
-unsafe impl Send for RtJob {}
-
-struct RtState {
-    generation: u64,
-    shutdown: bool,
-    jobs: Vec<Option<RtJob>>,
-    remaining: usize,
-    /// Set by any worker whose job body panicked; re-raised on the
-    /// submitter once all workers have checked in (a wedged `remaining`
-    /// would otherwise block the submitter forever).
-    panicked: bool,
-}
-
-struct RtShared {
-    state: Mutex<RtState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
-
-/// The per-node execution core: the node's devices and one persistent
-/// scoring worker per device. It interprets no strategy —
-/// [`crate::DeviceEvaluator`] plans each batch with its
-/// [`crate::policy::Policy`] and hands the resulting claims to
-/// [`NodeRuntime::dispatch`].
-pub struct NodeRuntime {
-    devices: Vec<Arc<SimDevice>>,
-    scorer: Arc<Scorer>,
-    timeline: Option<Arc<Timeline>>,
-    trace: Trace,
-    shared: Arc<RtShared>,
-    workers: Vec<JoinHandle<()>>,
-    /// Scratch for [`NodeRuntime::dispatch`]'s disjointness check.
-    sorted: Vec<(u32, u32)>,
-    /// Test hook: every worker panics on the next dispatch.
-    #[cfg(test)]
-    pub(crate) panic_next: bool,
-}
-
-impl NodeRuntime {
-    /// Spawn one persistent scoring worker per device.
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    pub fn new(devices: Vec<Arc<SimDevice>>, scorer: Arc<Scorer>) -> NodeRuntime {
-        assert!(!devices.is_empty(), "need at least one device");
-        let n = devices.len();
-        let shared = Arc::new(RtShared {
-            state: Mutex::new(RtState {
-                generation: 0,
-                shutdown: false,
-                jobs: (0..n).map(|_| None).collect(),
-                remaining: 0,
-                panicked: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let workers = (0..n)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                let scorer = Arc::clone(&scorer);
-                Builder::new()
-                    .name(format!("vsched-rt-{index}"))
-                    .spawn(move || runtime_worker(&shared, index, &scorer))
-                    .expect("failed to spawn runtime worker")
-            })
-            .collect();
-        NodeRuntime {
-            devices,
-            scorer,
-            timeline: None,
-            trace: Trace::disabled(),
-            shared,
-            workers,
-            sorted: Vec::new(),
-            #[cfg(test)]
-            panic_next: false,
-        }
-    }
-
-    /// Record every device execution into `timeline` (Gantt introspection).
-    pub fn set_timeline(&mut self, timeline: Arc<Timeline>) {
-        self.timeline = Some(timeline);
-    }
-
-    /// Emit structured `vstrace` events from here on; device track names
-    /// are registered from the catalog names.
-    pub fn set_trace(&mut self, trace: Trace) {
-        for dev in &self.devices {
-            trace.set_track_name(dev.id() as u32, dev.name());
-        }
-        self.trace = trace;
-    }
-
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_deref()
-    }
-
-    pub fn devices(&self) -> &[Arc<SimDevice>] {
-        &self.devices
-    }
-
-    pub fn scorer(&self) -> &Arc<Scorer> {
-        &self.scorer
-    }
-
-    /// The overall virtual execution time so far (slowest device).
-    pub fn makespan(&self) -> f64 {
-        self.devices.iter().map(|d| d.clock()).fold(0.0, f64::max)
-    }
-
-    /// Advance every device clock to at least `vt`, emitting a
-    /// `DeviceIdle` span for each device that was waiting. This is how a
-    /// streamed batch's host-side release time (the generational engine's
-    /// variation/selection work) charges the devices: a batch submitted at
-    /// `vt` cannot start before `vt`, and any gap since the device's last
-    /// work is genuine idleness the pipelined engine exists to remove.
-    pub fn release_until(&mut self, vt: f64) {
-        for dev in &self.devices {
-            let clock = dev.clock();
-            if clock < vt {
-                self.trace.emit(Event::DeviceIdle {
-                    device: dev.id() as u32,
-                    vt_start: clock,
-                    vt_end: vt,
-                });
-                dev.sync_to(vt);
-            }
-        }
-    }
-
-    /// Score the claimed ranges of `confs` on the claiming devices'
-    /// workers and block until every worker checked in; re-raises any
-    /// worker panic on the calling thread. Virtual time is not touched:
-    /// the claims were charged when [`crate::policy::Policy::plan`] made
-    /// them.
-    ///
-    /// # Panics
-    /// Panics if a claim names a device the node does not have, reaches
-    /// past `confs`, or overlaps another claim.
-    pub fn dispatch(&mut self, confs: &mut [Conformation], claims: &[Claim]) {
-        // The workers alias `confs` through a raw pointer, so disjoint
-        // in-bounds ranges are a soundness condition, not a courtesy.
-        self.sorted.clear();
-        self.sorted.extend(claims.iter().map(|c| (c.lo, c.hi)));
-        self.sorted.sort_unstable();
-        let mut end = 0u32;
-        for &(lo, hi) in &self.sorted {
-            assert!(end <= lo && lo <= hi, "claims must be disjoint ranges: {claims:?}");
-            end = hi;
-        }
-        assert!(end as usize <= confs.len(), "claims reach past the batch: {claims:?}");
-        let mut ranges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.workers.len()];
-        for c in claims {
-            ranges[c.device].push((c.lo, c.hi));
-        }
-        {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = self.shared.state.lock().expect("runtime mutex poisoned");
-            for (slot, ranges) in st.jobs.iter_mut().zip(ranges) {
-                *slot = Some(RtJob {
-                    confs: confs.as_mut_ptr(),
-                    len: confs.len(),
-                    ranges,
-                    #[cfg(test)]
-                    induce_panic: self.panic_next,
-                });
-            }
-            st.generation += 1;
-            st.remaining = self.workers.len();
-        }
-        self.shared.work_cv.notify_all();
-        #[cfg(test)]
-        {
-            self.panic_next = false;
-        }
-        let panicked = {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = self.shared.state.lock().expect("runtime mutex poisoned");
-            while st.remaining > 0 {
-                // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating is deliberate.
-                st = self.shared.done_cv.wait(st).expect("runtime mutex poisoned");
-            }
-            std::mem::take(&mut st.panicked)
-        };
-        if panicked {
-            panic!("device worker panicked");
+/// Advance every device clock to at least `vt`, emitting a `DeviceIdle`
+/// span for each device that was waiting. This is how a streamed batch's
+/// host-side release time (the generational engine's variation/selection
+/// work) charges the devices: a batch submitted at `vt` cannot start
+/// before `vt`, and any gap since the device's last work is genuine
+/// idleness the pipelined engine exists to remove.
+pub(crate) fn release_until(devices: &[Arc<SimDevice>], trace: &Trace, vt: f64) {
+    for dev in devices {
+        let clock = dev.clock();
+        if clock < vt {
+            trace.emit(Event::DeviceIdle { device: dev.id() as u32, vt_start: clock, vt_end: vt });
+            dev.sync_to(vt);
         }
     }
 }
 
-impl Drop for NodeRuntime {
-    fn drop(&mut self) {
-        {
-            // PANICS: lock poisoning means a worker already panicked; propagating from drop is deliberate.
-            let mut st = self.shared.state.lock().expect("runtime mutex poisoned");
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+/// Score the claimed ranges of `confs` and return when all are scored.
+/// Adjacent claims are joined into maximal runs — one run, the whole
+/// batch, for every plan [`crate::policy::Policy::plan`] makes — and each
+/// run is one [`Exec::Pool`]`(threads)` job on `vsscore`'s shared team,
+/// which cuts it evenly over its workers (`scratch` serves the batches
+/// that job runs on the calling thread: one conformation, or one host
+/// thread). A panic while scoring is re-raised here by the pool, which
+/// stays usable. Virtual time is not touched: the claims were charged
+/// when the plan made them, so who was charged and who computes are
+/// unrelated.
+///
+/// # Panics
+/// Panics if a claim overlaps another, reaches past `confs`, or names a
+/// device `>= devices`.
+pub(crate) fn dispatch(
+    scorer: &Scorer,
+    devices: usize,
+    threads: usize,
+    scratch: &mut PoseScratch,
+    confs: &mut [Conformation],
+    claims: &[Claim],
+) {
+    let mut runs: Vec<(u32, u32)> = claims.iter().map(|c| (c.lo, c.hi)).collect();
+    runs.sort_unstable();
+    let mut end = 0u32;
+    for &(lo, hi) in &runs {
+        assert!(end <= lo && lo <= hi, "claims must be disjoint ranges: {claims:?}");
+        end = hi;
     }
-}
-
-fn runtime_worker(shared: &RtShared, index: usize, scorer: &Scorer) {
-    let mut scratch = vsscore::PoseScratch::new();
-    let mut seen_generation = 0u64;
-    loop {
-        let job = {
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            let mut st = shared.state.lock().expect("runtime mutex poisoned");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen_generation {
-                    seen_generation = st.generation;
-                    break st.jobs[index].take();
-                }
-                // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-                st = shared.work_cv.wait(st).expect("runtime mutex poisoned");
-            }
-        };
-
-        // Run the claimed ranges under catch_unwind: a panicking scorer
-        // must still decrement `remaining` (otherwise the submitter blocks
-        // forever); the panic is recorded and re-raised on the submitter.
-        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(job) = &job {
-                #[cfg(test)]
-                {
-                    if job.induce_panic {
-                        panic!("induced device worker panic");
-                    }
-                }
-                if !job.ranges.is_empty() {
-                    // SAFETY: see the RtJob safety comment — the submitter
-                    // blocks in `dispatch` until every worker decrements
-                    // `remaining`, and jobs cover disjoint slice ranges.
-                    let confs = unsafe { std::slice::from_raw_parts_mut(job.confs, job.len) };
-                    for &(lo, hi) in &job.ranges {
-                        let chunk = &mut confs[lo as usize..hi as usize];
-                        if !chunk.is_empty() {
-                            scorer.score_batch(
-                                ScoreBatch::Confs(chunk),
-                                &mut scratch,
-                                Exec::Serial,
-                            );
-                        }
-                    }
-                }
-            }
-        }));
-
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let mut st = shared.state.lock().expect("runtime mutex poisoned");
-        if body.is_err() {
-            st.panicked = true;
+    assert!(end as usize <= confs.len(), "claims reach past the batch: {claims:?}");
+    assert!(
+        claims.iter().all(|c| c.device < devices),
+        "claim for a device the node does not have ({devices} devices): {claims:?}"
+    );
+    // A range that starts where the run before it ends extends that run.
+    runs.dedup_by(|next, run| {
+        let adjacent = run.1 == next.0;
+        if adjacent {
+            run.1 = next.1;
         }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done_cv.notify_all();
-        }
+        adjacent
+    });
+    for (lo, hi) in runs {
+        let run = &mut confs[lo as usize..hi as usize];
+        scorer.score_batch(ScoreBatch::Confs(run), scratch, Exec::Pool(threads));
     }
 }
 
@@ -566,23 +363,24 @@ mod tests {
             .collect()
     }
 
+    /// `dispatch` for a two-device node on two host threads.
+    fn score(sc: &Scorer, confs: &mut [Conformation], claims: &[Claim]) {
+        dispatch(sc, 2, 2, &mut PoseScratch::new(), confs, claims);
+    }
+
     /// Seed deques by `weights`, drain them, and score the claims.
     fn steal(
-        rt: &mut NodeRuntime,
+        devices: &[Arc<SimDevice>],
+        sc: &Scorer,
+        timeline: Option<&Timeline>,
         confs: &mut [Conformation],
         weights: &[f64],
         cfg: &StealConfig,
     ) -> StealStats {
         let deques = crate::policy::seed_deques(confs.len() as u64, weights);
-        let (claims, stats) = drain_deques(
-            rt.devices(),
-            &deques,
-            cfg,
-            work_profile(rt.scorer()),
-            rt.timeline(),
-            rt.trace(),
-        );
-        rt.dispatch(confs, &claims);
+        let (claims, stats) =
+            drain_deques(devices, &deques, cfg, work_profile(sc), timeline, &Trace::disabled());
+        score(sc, confs, &claims);
         stats
     }
 
@@ -696,14 +494,13 @@ mod tests {
     #[test]
     fn run_shares_scores_bit_identical_to_serial() {
         let sc = scorer();
-        let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
         let mut c = confs(50, 3);
         let want = serial_scores(&sc, &c);
         let shares = [
             Claim { device: 0, lo: 0, hi: 30, stolen_from: None },
             Claim { device: 1, lo: 30, hi: 50, stolen_from: None },
         ];
-        rt.dispatch(&mut c, &shares);
+        score(&sc, &mut c, &shares);
         for (got, want) in c.iter().zip(&want) {
             assert_eq!(got.score.to_bits(), want.to_bits());
         }
@@ -712,25 +509,62 @@ mod tests {
     #[test]
     #[should_panic(expected = "disjoint")]
     fn dispatch_rejects_overlapping_claims() {
-        let mut rt = NodeRuntime::new(hertz_devices(), scorer());
         let mut c = confs(8, 3);
         let overlapping = [
             Claim { device: 0, lo: 0, hi: 5, stolen_from: None },
             Claim { device: 1, lo: 4, hi: 8, stolen_from: None },
         ];
-        rt.dispatch(&mut c, &overlapping);
+        score(&scorer(), &mut c, &overlapping);
+    }
+
+    #[test]
+    #[should_panic(expected = "reach past the batch")]
+    fn dispatch_rejects_a_claim_past_the_batch() {
+        let mut c = confs(8, 3);
+        score(&scorer(), &mut c, &[Claim { device: 0, lo: 4, hi: 9, stolen_from: None }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device the node does not have")]
+    fn dispatch_rejects_a_claim_for_a_missing_device() {
+        let mut c = confs(8, 3);
+        score(&scorer(), &mut c, &[Claim { device: 2, lo: 0, hi: 8, stolen_from: None }]);
+    }
+
+    #[test]
+    fn dispatch_scores_only_what_was_claimed() {
+        // Runs are joined from the claims, not rounded up to the slice:
+        // what no claim covers keeps the NaN a fresh conformation carries.
+        let sc = scorer();
+        let mut c = confs(10, 5);
+        let want = serial_scores(&sc, &c);
+        // Out of order, two of them adjacent: [0,3) ∪ [5,8).
+        let claims = [
+            Claim { device: 1, lo: 5, hi: 8, stolen_from: None },
+            Claim { device: 0, lo: 0, hi: 2, stolen_from: None },
+            Claim { device: 1, lo: 2, hi: 3, stolen_from: Some(0) },
+        ];
+        score(&sc, &mut c, &claims);
+        for (i, (got, want)) in c.iter().zip(&want).enumerate() {
+            if matches!(i, 3 | 4 | 8 | 9) {
+                assert!(got.score.is_nan(), "conf {i} was scored without a claim");
+            } else {
+                assert_eq!(got.score.to_bits(), want.to_bits(), "conf {i}");
+            }
+        }
     }
 
     #[test]
     fn run_steal_scores_bit_identical_to_serial() {
         let sc = scorer();
-        let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
+        let devs = hertz_devices();
         // Small min_chunk forces many chunks and (with a straggler) steals
         // — the scores must not care.
-        rt.devices()[1].set_slowdown(6.0);
+        devs[1].set_slowdown(6.0);
         let mut c = confs(257, 7);
         let want = serial_scores(&sc, &c);
-        let stats = steal(&mut rt, &mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 8 });
+        let cfg = StealConfig { divisor: 2, min_chunk: 8 };
+        let stats = steal(&devs, &sc, None, &mut c, &[1.0, 1.0], &cfg);
         assert!(stats.chunks >= 2);
         assert!(stats.steals > 0, "expected steals with a 6x straggler: {stats:?}");
         for (i, (got, want)) in c.iter().zip(&want).enumerate() {
@@ -741,26 +575,27 @@ mod tests {
     #[test]
     fn zero_weight_device_is_seeded_empty_but_can_steal() {
         let sc = scorer();
-        let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
+        let devs = hertz_devices();
         let mut c = confs(64, 9);
-        let stats = steal(&mut rt, &mut c, &[0.0, 1.0], &StealConfig { divisor: 2, min_chunk: 4 });
+        let cfg = StealConfig { divisor: 2, min_chunk: 4 };
+        let stats = steal(&devs, &sc, None, &mut c, &[0.0, 1.0], &cfg);
         assert!(c.iter().all(|x| x.is_scored()));
         // Device 0 starts empty; anything it executed was stolen.
-        let d0 = rt.devices()[0].stats().items;
+        let d0 = devs[0].stats().items;
         assert!(stats.stolen_items >= d0, "{stats:?} vs device 0 items {d0}");
     }
 
     #[test]
     fn timeline_records_steal_claims() {
         let sc = scorer();
-        let tl = Arc::new(Timeline::new());
-        let mut rt = NodeRuntime::new(hertz_devices(), Arc::clone(&sc));
-        rt.set_timeline(Arc::clone(&tl));
+        let devs = hertz_devices();
+        let tl = Timeline::new();
         let mut c = confs(120, 4);
-        let stats = steal(&mut rt, &mut c, &[1.0, 1.0], &StealConfig { divisor: 2, min_chunk: 16 });
+        let cfg = StealConfig { divisor: 2, min_chunk: 16 };
+        let stats = steal(&devs, &sc, Some(&tl), &mut c, &[1.0, 1.0], &cfg);
         assert_eq!(tl.segments().len() as u64, stats.chunks, "one Gantt segment per claim");
         let recorded: u64 = tl.segments().iter().map(|s| s.items).sum();
         assert_eq!(recorded, 120);
-        assert!((tl.makespan() - rt.makespan()).abs() < 1e-15);
+        assert!((tl.makespan() - makespan(&devs)).abs() < 1e-15);
     }
 }

@@ -23,9 +23,9 @@ pub enum EvaluatorSpec {
     SerialCpu,
     /// The persistent shared CPU worker pool — the paper's OpenMP baseline.
     PooledCpu { threads: usize },
-    /// Batches partitioned across simulated devices by `strategy` and
-    /// computed on the persistent per-device workers
-    /// ([`crate::DeviceEvaluator`]).
+    /// Batches partitioned across simulated devices by `strategy` — who
+    /// is charged for what — and computed on the same shared pool, by
+    /// `min(devices, host threads)` workers ([`crate::DeviceEvaluator`]).
     Device { devices: Vec<Arc<SimDevice>>, strategy: Strategy },
 }
 

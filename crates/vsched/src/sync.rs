@@ -1,23 +1,19 @@
-//! Synchronization facade for the executor's concurrency core.
+//! Synchronization facade for the scheduler's concurrency cores.
 //!
 //! Normal builds re-export `std` types verbatim — a zero-cost pure alias,
-//! so the production executor is bit-for-bit the `std`-based
-//! implementation. Under the `vscheck-model` feature the same names
-//! resolve to the `vscheck` instrumented primitives, turning every sync
-//! operation in [`crate::executor`] into a scheduler choice point so the
-//! `model_*` tests can exhaustively explore interleavings (DESIGN.md §9).
+//! so production code is bit-for-bit the `std`-based implementation.
+//! Under the `vscheck-model` feature the same names resolve to the
+//! `vscheck` instrumented primitives, turning every sync operation in
+//! [`crate::deque`] and [`crate::oracle`] into a scheduler choice point so
+//! the `model_*` tests can exhaustively explore interleavings (DESIGN.md
+//! §9). There is no thread or condvar here: `vsched` starts no threads —
+//! batches are scored on `vsscore`'s pool, whose protocol is modelled in
+//! `vsscore::pool`.
 
 #[cfg(not(feature = "vscheck-model"))]
-pub(crate) use std::sync::{Condvar, Mutex};
+pub(crate) use std::sync::Mutex;
 #[cfg(feature = "vscheck-model")]
-pub(crate) use vscheck::sync::{Condvar, Mutex};
-
-pub(crate) mod thread {
-    #[cfg(not(feature = "vscheck-model"))]
-    pub(crate) use std::thread::{Builder, JoinHandle};
-    #[cfg(feature = "vscheck-model")]
-    pub(crate) use vscheck::thread::{Builder, JoinHandle};
-}
+pub(crate) use vscheck::sync::Mutex;
 
 pub(crate) mod atomic {
     #[cfg(not(feature = "vscheck-model"))]

@@ -3,7 +3,9 @@
 //! the same [`vsched::Policy`], so for every GPU strategy — healthy or
 //! with a device slowing 4x mid-run — they must agree on every virtual
 //! number bit-for-bit: per-device clocks, kernel launches, steals, and
-//! oracle re-seeds.
+//! oracle re-seeds. And whatever a plan looks like, the scores of the live
+//! path are the serial path's: every conformation of a batch is scored,
+//! bit-identically, at every batch size.
 
 use gpusim::{catalog, SimDevice, SimNode};
 use metaheur::BatchEvaluator;
@@ -14,7 +16,7 @@ use vsched::{
 };
 use vsmath::{RigidTransform, RngStream};
 use vsmol::{synth, Conformation};
-use vsscore::Scorer;
+use vsscore::{Exec, PoseScratch, ScoreBatch, Scorer};
 use vstrace::{Event, Trace};
 
 /// The device sets of `vscreen::platform::{hertz, jupiter}` (that crate
@@ -42,8 +44,8 @@ fn nodes() -> [SimNode; 2] {
     ]
 }
 
-fn strategies() -> [Strategy; 7] {
-    let warmup = WarmupConfig { iterations: 3, ..Default::default() };
+fn strategies(warmup_batches: usize) -> [Strategy; 7] {
+    let warmup = WarmupConfig { iterations: warmup_batches, ..Default::default() };
     [
         Strategy::HomogeneousSplit,
         Strategy::HeterogeneousSplit { warmup },
@@ -78,6 +80,14 @@ fn outcome(devices: &[Arc<SimDevice>], steals: u64, reseeds: u64) -> Outcome {
     }
 }
 
+/// `n` random poses, their scores the NaN `Conformation::new` leaves: the
+/// sentinel an item no claim reached would keep.
+fn unscored(rng: &mut RngStream, n: usize) -> Vec<Conformation> {
+    (0..n)
+        .map(|_| Conformation::new(RigidTransform::new(rng.rotation(), rng.in_ball(25.0)), 0))
+        .collect()
+}
+
 /// Real scoring through the evaluator; the last GPU slows 4x before batch
 /// `slow_at`.
 fn live(
@@ -96,9 +106,7 @@ fn live(
         if slow_at == Some(bi) {
             gpus[gpus.len() - 1].set_slowdown(4.0);
         }
-        let mut confs: Vec<Conformation> = (0..n)
-            .map(|_| Conformation::new(RigidTransform::new(rng.rotation(), rng.in_ball(25.0)), 0))
-            .collect();
+        let mut confs = unscored(&mut rng, n);
         ev.evaluate(&mut confs);
         assert!(confs.iter().all(Conformation::is_scored), "{}: unscored", strategy.label());
     }
@@ -150,7 +158,7 @@ fn live_and_replayed_virtual_numbers_are_bit_equal() {
     let scorer = Arc::new(Scorer::new(&receptor, &ligand, Default::default()));
     let mut total_steals = 0;
     for node in nodes() {
-        for strategy in strategies() {
+        for strategy in strategies(3) {
             for slow_at in [None, Some(5)] {
                 let on_devices = live(&node, &scorer, strategy, slow_at);
                 let on_paper = replayed(&node, &scorer, strategy, slow_at);
@@ -172,4 +180,42 @@ fn live_and_replayed_virtual_numbers_are_bit_equal() {
         }
     }
     assert!(total_steals > 0, "the slowed runs must exercise the steal path");
+}
+
+#[test]
+fn every_planned_batch_is_scored_exactly_like_serial() {
+    // The claims of a plan reach every conformation: two warm-up batches
+    // and a steady one per strategy, at sizes where a share is empty, a
+    // single item, or straddles a GPU's occupancy floor.
+    let receptor = synth::synth_receptor("r", 24, 1);
+    let ligand = synth::synth_ligand("l", 4, 2);
+    let scorer = Arc::new(Scorer::new(&receptor, &ligand, Default::default()));
+    let mut scratch = PoseScratch::new();
+    let mut rng = RngStream::from_seed(24);
+    for node in nodes() {
+        let gpus = node.gpus();
+        let floor = gpus[0].spec().saturation_items() as usize;
+        for strategy in strategies(2) {
+            for n in [1, 2, 3, floor - 1, floor, floor + 1, 4097] {
+                node.reset();
+                let mut ev = DeviceEvaluator::new(gpus.to_vec(), Arc::clone(&scorer), strategy);
+                for batch in 0..3 {
+                    let mut confs = unscored(&mut rng, n);
+                    let mut serial = confs.clone();
+                    scorer.score_batch(ScoreBatch::Confs(&mut serial), &mut scratch, Exec::Serial);
+                    ev.evaluate(&mut confs);
+                    for (i, (got, want)) in confs.iter().zip(&serial).enumerate() {
+                        assert!(!want.score.is_nan());
+                        assert_eq!(
+                            got.score.to_bits(),
+                            want.score.to_bits(),
+                            "{} on {}, batch {batch} of {n}: conformation {i}",
+                            strategy.label(),
+                            node.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -54,7 +54,7 @@ pub use grid_potential::{
     exact_cutoff_score, grid_cache_clear, grid_cache_stats, GridBuildStats, GridCacheStats,
     GridField, GridOptions, GridScorer, MAX_NODE_POTENTIAL,
 };
-pub use pool::{shared_pool, CpuPool};
+pub use pool::{host_threads, shared_pool, CpuPool};
 pub use run::RunFrame;
 pub use scorer::{Exec, Kernel, PoseScratch, ScoreBatch, Scorer, ScorerOptions, ScoringModel};
 

@@ -325,18 +325,25 @@ fn worker_loop(shared: &Shared, index: usize) {
     }
 }
 
-/// How many workers a job that picks its own team (the potential grid
-/// build) should take on this host. Results never depend on it.
-pub(crate) fn host_threads() -> usize {
+/// How many threads this host runs at once — the one place that asks the
+/// OS. A caller that picks its own team reads it here: the potential grid
+/// build takes this many workers, and `vsched`'s device dispatch never takes
+/// more. Results never depend on it.
+pub fn host_threads() -> usize {
     crate::sync::thread::available_parallelism()
 }
 
 /// Process-wide shared pools, one per distinct thread count.
 ///
-/// The [`crate::Exec::Pool`] policy of [`Scorer::score_batch`] and
-/// `metaheur::CpuEvaluator` route through these so that repeated
-/// evaluator construction (common in the experiment runners) still reuses
-/// one persistent thread team instead of growing a new one each time.
+/// Every host worker team in the workspace is one of these. The
+/// [`crate::Exec::Pool`] policy of [`Scorer::score_batch`] routes through
+/// them, and with it `metaheur::CpuEvaluator` and `vsched`'s device dispatch
+/// (`vsched::DeviceEvaluator` scores the claims of a planned batch as
+/// `Exec::Pool` jobs); the potential grid build submits its z-ranges to one
+/// through [`CpuPool::for_each_mut`]. Repeated evaluator construction
+/// (common in the experiment runners — one per ligand in a library screen)
+/// therefore reuses one persistent thread team instead of growing a new one
+/// each time.
 /// Shared pools live for the process; ad-hoc pools from [`CpuPool::new`]
 /// join their workers on drop.
 pub fn shared_pool(threads: usize) -> Arc<CpuPool> {

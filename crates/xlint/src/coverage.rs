@@ -7,8 +7,8 @@
 //! starting at every function whose name starts with `model_`; a module
 //! is covered when the walk reaches any function defined in it (or when
 //! it defines a model test itself). The resulting table is part of the
-//! report — CI persists it to `target/XLINT_REPORT.json` and refuses to
-//! let the covered count shrink.
+//! report — CI persists it to `target/XLINT_REPORT.json` and requires
+//! every module in it to be covered.
 
 use std::collections::BTreeMap;
 

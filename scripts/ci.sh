@@ -24,18 +24,19 @@ echo "==> xlint (static analysis: 8 rules on the token-tree lexer; DESIGN.md §1
 # archive; in --json mode stdout carries the same bytes the tool writes.
 mkdir -p target
 cargo run -q --release -p xlint -- --json . > target/XLINT_REPORT.json
+# Every module that imports a sync facade must be reached by a model test.
+# The gate is covered == total, not a recorded count: a change that deletes
+# a concurrency core shrinks both and passes; one that adds a core without
+# a model suite, or drops the suite of one that stays, does not.
 covered=$(grep -o '"covered": [0-9]*' target/XLINT_REPORT.json | grep -o '[0-9]*$')
-baseline=$(cat scripts/xlint_coverage_baseline)
-if [ "$covered" -lt "$baseline" ]; then
-  echo "xlint: model coverage regressed: $covered covered modules < baseline $baseline" >&2
+total=$(grep -o '"total": [0-9]*' target/XLINT_REPORT.json | grep -o '[0-9]*$')
+echo "xlint: model coverage $covered/$total modules"
+if [ "$covered" -ne "$total" ]; then
+  echo "xlint: $((total - covered)) facade-importing module(s) not reached by any model_* test" >&2
   exit 1
-elif [ "$covered" -gt "$baseline" ]; then
-  # Coverage may only grow: ratchet the checked-in baseline forward.
-  echo "$covered" > scripts/xlint_coverage_baseline
-  echo "xlint: model coverage grew to $covered modules (baseline ratcheted)"
 fi
-# Waivers (`// PANICS:`, `// DETERMINISM:`, ...) ratchet the other way:
-# the count may only fall.
+# Waivers (`// PANICS:`, `// DETERMINISM:`, ...) are ratcheted against a
+# recorded count, which may only fall.
 waivers=$(grep -o '"waivers": [0-9]*' target/XLINT_REPORT.json | grep -o '[0-9]*$')
 waiver_baseline=$(cat scripts/xlint_waiver_baseline)
 if [ "$waivers" -gt "$waiver_baseline" ]; then
@@ -52,7 +53,9 @@ cargo test -q -p xlint
 
 echo "==> vscheck model tests (exhaustive interleavings of the concurrency cores)"
 # Bounded by each test's Config (preemption bound + schedule budget) so the
-# three suites together stay well under a minute.
+# five suites together stay well under a minute. vsched's are the chunk
+# deque (3) and the shared oracle (1); its batches are scored on vsscore's
+# pool, so the worker handshake is explored there (7).
 cargo test -q -p vsscore --features vscheck-model model_
 cargo test -q -p vsched --features vscheck-model model_
 cargo test -q -p vstrace --features vscheck-model model_

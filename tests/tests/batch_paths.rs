@@ -1,7 +1,8 @@
 //! Cross-path determinism of the batch scoring pipeline: the serial CPU
-//! path, the persistent CPU worker pool, and the persistent device workers
-//! must produce bit-identical scores for the same batch, on every call —
-//! the score-level form of DESIGN §7 schedule-invariance.
+//! path, the persistent CPU worker pool, and the device evaluator (which
+//! scores its claims on that pool) must produce bit-identical scores for
+//! the same batch, on every call — the score-level form of DESIGN §7
+//! schedule-invariance.
 
 use gpusim::{catalog, SimDevice};
 use metaheur::{BatchEvaluator, CpuEvaluator};
