@@ -70,33 +70,19 @@ fn extension_engines(c: &mut Criterion) {
     group.sample_size(10);
     let sp = spots(8);
     let optima: Vec<Vec3> = sp.iter().map(|s| s.center).collect();
-    group.bench_function("pso_24x20", |b| {
-        let params =
-            metaheur::PsoParams { swarm_per_spot: 24, iterations: 20, ..Default::default() };
-        b.iter(|| {
-            let mut ev = metaheur::SyntheticEvaluator::new(optima.clone());
-            black_box(metaheur::run_pso(&params, &sp, &mut ev, 3))
-        })
-    });
-    group.bench_function("tabu_30x8", |b| {
-        let params = metaheur::TabuParams { iterations: 30, neighbors: 8, ..Default::default() };
-        b.iter(|| {
-            let mut ev = metaheur::SyntheticEvaluator::new(optima.clone());
-            black_box(metaheur::run_tabu(&params, &sp, &mut ev, 3))
-        })
-    });
-    group.bench_function("memetic_2epochs", |b| {
-        let params = metaheur::MemeticParams {
-            name: "bench".into(),
-            ga: metaheur::m1(0.1),
-            tabu: metaheur::TabuParams { iterations: 10, neighbors: 8, ..Default::default() },
-            epochs: 2,
-        };
-        b.iter(|| {
-            let mut ev = metaheur::SyntheticEvaluator::new(optima.clone());
-            black_box(metaheur::run_memetic(&params, &sp, &mut ev, 3))
-        })
-    });
+    let sets = [
+        ("pso_24x20", metaheur::pso(24, 20)),
+        ("tabu_30x8", metaheur::tabu(30, 8)),
+        ("memetic_3gens", metaheur::memetic(3, 10, 8)),
+    ];
+    for (label, params) in sets {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let mut ev = metaheur::SyntheticEvaluator::new(optima.clone());
+                black_box(metaheur::run(&params, &sp, &mut ev, 3))
+            })
+        });
+    }
     group.finish();
 }
 

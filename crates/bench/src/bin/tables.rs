@@ -188,7 +188,7 @@ fn quality() {
 /// Cooperative vs independent job scheduling at equal budget (abstract: "a
 /// cooperative scheduling of jobs optimizes the quality of the solution").
 fn cooperative() {
-    use vsched::cooperative::cooperative_search;
+    use vscreen::quality::cooperative_search;
     let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(4).seed(3).build();
     let spots = screen.spots().to_vec();
     let scorer = screen.scorer();
@@ -197,8 +197,8 @@ fn cooperative() {
     let coop = cooperative_search(&params, &spots, || spec.build(scorer.clone()), 3, 2, 41);
     let indep = cooperative_search(&params, &spots, || spec.build(scorer.clone()), 6, 1, 41);
     println!("Cooperative vs independent jobs (equal budget of {} evaluations):", coop.evaluations);
-    println!("  3 jobs x 2 epochs, incumbent sharing: best {:.2}", coop.best.score);
-    println!("  6 jobs x 1 epoch, fully independent:  best {:.2}", indep.best.score);
+    println!("  3 jobs x 2 epochs, incumbent sharing: best {:.2}", coop.best_score);
+    println!("  6 jobs x 1 epoch, fully independent:  best {:.2}", indep.best_score);
     println!("  epoch history (cooperative): {:?}", coop.epoch_history);
     println!();
 }

@@ -4,14 +4,14 @@
 //! scheduling of jobs optimizes the quality of the solution". This module
 //! measures quality: best binding score found per algorithm at a fixed
 //! evaluation budget, across the Algorithm 1 suite and the extension
-//! engines (PSO, Tabu, Lamarckian), plus the cooperative-vs-independent
-//! comparison.
+//! parameter sets (Lamarckian, PSO, Tabu), plus the cooperative-vs-
+//! independent comparison ([`cooperative_search`]).
 
 use crate::screen::VirtualScreen;
-use metaheur::{run_pso, run_tabu, ImproveStrategy, MetaheuristicParams, PsoParams, TabuParams};
+use metaheur::{BatchEvaluator, ImproveStrategy, MetaheuristicParams};
 use serde::{Deserialize, Serialize};
 use vsched::EvaluatorSpec;
-use vsmol::Dataset;
+use vsmol::{conformation::score_cmp, Conformation, Dataset, Spot};
 
 /// One algorithm's quality measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,48 +37,86 @@ pub fn quality_comparison(
 ) -> Vec<QualityRow> {
     let screen = VirtualScreen::builder(dataset).max_spots(max_spots).seed(seed).build();
     let spots = screen.spots().to_vec();
-    let mk_eval = || EvaluatorSpec::PooledCpu { threads }.build(screen.scorer());
-    let mut rows = Vec::new();
-
-    // The Table 4 suite through the Algorithm 1 engine.
-    for params in metaheur::paper_suite(scale) {
-        let mut ev = mk_eval();
-        let r = metaheur::run(&params, &spots, &mut ev, seed);
-        rows.push(row_from(&screen, &params.name, r));
-    }
-
     // Lamarckian variant of M2 (gradient-informed local search).
     let lam = MetaheuristicParams {
         name: "M2+Lamarckian".into(),
         improve: ImproveStrategy::Lamarckian { steps: 1, step_size: 0.3, angle_step: 0.08 },
         ..metaheur::m2(scale)
     };
-    let mut ev = mk_eval();
-    let r = metaheur::run(&lam, &spots, &mut ev, seed);
-    rows.push(row_from(&screen, &lam.name, r));
-
-    // PSO (distributed) and Tabu (neighborhood) extension engines, budgeted
-    // near the M2 workload.
+    // PSO (distributed) and Tabu (neighborhood), budgeted near the M2
+    // workload.
     let m2_evals = metaheur::m2(scale).evals_per_spot();
-    let pso = PsoParams {
-        swarm_per_spot: 64,
-        iterations: ((m2_evals / 64).saturating_sub(1)).max(1) as usize,
-        ..Default::default()
-    };
-    let mut ev = mk_eval();
-    let r = run_pso(&pso, &spots, &mut ev, seed);
-    rows.push(row_from(&screen, "PSO", r));
+    let pso = metaheur::pso(64, ((m2_evals / 64).saturating_sub(1)).max(1) as usize);
+    let tabu = metaheur::tabu(((m2_evals.saturating_sub(1)) / 16).max(1) as usize, 16);
 
-    let tabu = TabuParams {
-        iterations: ((m2_evals.saturating_sub(1)) / 16).max(1) as usize,
-        neighbors: 16,
-        ..Default::default()
-    };
-    let mut ev = mk_eval();
-    let r = run_tabu(&tabu, &spots, &mut ev, seed);
-    rows.push(row_from(&screen, "Tabu", r));
+    // Every family through the Algorithm 1 engine.
+    metaheur::paper_suite(scale)
+        .into_iter()
+        .chain([lam, pso, tabu])
+        .map(|params| {
+            let mut ev = EvaluatorSpec::PooledCpu { threads }.build(screen.scorer());
+            let r = metaheur::run(&params, &spots, &mut ev, seed);
+            row_from(&screen, &params.name, r)
+        })
+        .collect()
+}
 
-    rows
+/// Outcome of a cooperative multi-job search.
+#[derive(Debug, Clone)]
+pub struct CoopResult {
+    /// Best score found by any job.
+    pub best_score: f64,
+    /// Incumbent best per spot after the final epoch.
+    pub best_per_spot: Vec<Conformation>,
+    /// Best score after each epoch.
+    pub epoch_history: Vec<f64>,
+    /// Total scoring evaluations across all jobs and epochs.
+    pub evaluations: u64,
+}
+
+/// Run `n_jobs` independent executions of `params` for `epochs` rounds,
+/// sharing the per-spot incumbent bests between rounds as warm-start seeds
+/// ([`metaheur::run_seeded`]) — cooperation makes the independent
+/// executions exchange incumbents instead of only reducing at the end
+/// (§3.3). `make_evaluator` supplies a fresh evaluator per (job, epoch).
+pub fn cooperative_search<E: BatchEvaluator>(
+    params: &MetaheuristicParams,
+    spots: &[Spot],
+    mut make_evaluator: impl FnMut() -> E,
+    n_jobs: usize,
+    epochs: usize,
+    seed: u64,
+) -> CoopResult {
+    assert!(n_jobs > 0 && epochs > 0, "need at least one job and one epoch");
+    let mut incumbents: Vec<Conformation> = Vec::new();
+    let mut epoch_history = Vec::with_capacity(epochs);
+    let mut evaluations = 0;
+    for epoch in 0..epochs {
+        let seeds = incumbents.clone();
+        for job in 0..n_jobs {
+            let job_seed = seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((epoch * n_jobs + job) as u64 + 1);
+            let r = metaheur::run_seeded(params, spots, &mut make_evaluator(), job_seed, &seeds);
+            evaluations += r.evaluations;
+            if incumbents.is_empty() {
+                incumbents = r.best_per_spot;
+                continue;
+            }
+            for (slot, found) in incumbents.iter_mut().zip(&r.best_per_spot) {
+                if score_cmp(found, slot).is_lt() {
+                    *slot = *found;
+                }
+            }
+        }
+        epoch_history.push(incumbents.iter().map(|c| c.score).fold(f64::INFINITY, f64::min));
+    }
+    CoopResult {
+        best_score: incumbents.iter().map(|c| c.score).fold(f64::INFINITY, f64::min),
+        best_per_spot: incumbents,
+        epoch_history,
+        evaluations,
+    }
 }
 
 fn row_from(screen: &VirtualScreen, name: &str, r: metaheur::RunResult) -> QualityRow {

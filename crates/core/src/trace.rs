@@ -9,7 +9,7 @@
 //! these traces under every scheduling strategy (`vsched::schedule_trace`)
 //! to produce Tables 6–9 without recomputing identical searches.
 
-use metaheur::params::{improved_count, MetaheuristicParams};
+use metaheur::params::{improved_count, ImproveStrategy, MetaheuristicParams};
 
 /// The exact scoring-batch stream `metaheur::run` emits for `params` over
 /// `n_spots` spots (fixed-generation end conditions only).
@@ -25,11 +25,17 @@ pub fn synthetic_trace(params: &MetaheuristicParams, n_spots: usize) -> Vec<u64>
     );
     let spots = n_spots as u64;
     let mut trace = vec![params.population_per_spot as u64 * spots];
+    // One batch per local-search lap: a tabu step scores every neighbor of
+    // every walker at once, every other lap one conformation per element.
+    let (steps, per_element) = match params.improve {
+        ImproveStrategy::Tabu { steps, neighbors } => (steps, neighbors as u64),
+        other => (other.evals_per_element(), 1),
+    };
 
     if params.single_pass {
-        let improved =
-            improved_count(params.population_per_spot, params.improve_fraction) as u64 * spots;
-        let steps = params.improve.evals_per_element();
+        let improved = improved_count(params.population_per_spot, params.improve_fraction) as u64
+            * spots
+            * per_element;
         if improved > 0 {
             trace.extend(std::iter::repeat_n(improved, steps));
         }
@@ -37,9 +43,9 @@ pub fn synthetic_trace(params: &MetaheuristicParams, n_spots: usize) -> Vec<u64>
     }
 
     let offspring = params.offspring_per_spot as u64 * spots;
-    let improved =
-        improved_count(params.offspring_per_spot, params.improve_fraction) as u64 * spots;
-    let steps = params.improve.evals_per_element();
+    let improved = improved_count(params.offspring_per_spot, params.improve_fraction) as u64
+        * spots
+        * per_element;
     for _ in 0..params.end.max_generations() {
         trace.push(offspring);
         if improved > 0 {
@@ -90,6 +96,17 @@ mod tests {
                     let recorded = engine_trace(&params, n_spots);
                     assert_eq!(analytic, recorded, "{} scale {scale} spots {n_spots}", params.name);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_engine_for_the_extension_sets() {
+        for params in [metaheur::pso(12, 5), metaheur::tabu(6, 4), metaheur::memetic(3, 2, 5)] {
+            for n_spots in [1usize, 3] {
+                let analytic = synthetic_trace(&params, n_spots);
+                assert_eq!(analytic, engine_trace(&params, n_spots), "{}", params.name);
+                assert_eq!(trace_items(&analytic), params.evals_per_spot() * n_spots as u64);
             }
         }
     }

@@ -3,8 +3,9 @@
 //! Population metaheuristics live or die by diversity: once the reference
 //! set collapses around one basin, Combine produces clones and the search
 //! degenerates to local polishing. These metrics quantify that collapse;
-//! the tuning harness and the cooperative scheduler both consume them when
-//! deciding whether exploration knobs (mutation, move sizes) are too small.
+//! the engine records [`translation_diversity`] per generation
+//! (`RunResult::diversity_history`), the signal for whether exploration
+//! knobs (mutation, move sizes) are too small.
 
 use vsmol::Conformation;
 

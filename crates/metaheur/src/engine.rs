@@ -14,10 +14,11 @@
 use crate::diversity::translation_diversity;
 use crate::evaluator::BatchEvaluator;
 use crate::params::{
-    improved_count, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy,
+    improved_count, Combine, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy,
 };
 use std::borrow::BorrowMut;
-use vsmath::RngStream;
+use std::collections::VecDeque;
+use vsmath::{Quat, RigidTransform, RngStream, Vec3};
 use vsmol::{conformation::score_cmp, Conformation, Spot};
 use vstrace::{Event, SpanGuard, Trace};
 
@@ -59,8 +60,8 @@ pub struct RunResult {
     pub best_history: Vec<f64>,
     /// Mean per-spot translation diversity (Å) after initialization and
     /// after each generation — the premature-convergence diagnostic
-    /// ([`crate::diversity`]). Engines without populations (Tabu) or with
-    /// implicit ones leave this empty.
+    /// ([`crate::diversity`]). `single_pass` runs record two entries:
+    /// before and after their one improve pass.
     pub diversity_history: Vec<f64>,
 }
 
@@ -94,8 +95,8 @@ pub fn run<E: BatchEvaluator>(
 
 /// Like [`run`], but injects already-scored `seed_confs` into the initial
 /// populations (each replaces the worst member of its spot's population).
-/// This is the warm-start hook the cooperative job scheduler in `vsched`
-/// uses to share incumbent solutions between independent executions.
+/// This is the warm-start hook `vscreen::quality::cooperative_search` uses
+/// to share incumbent solutions between independent executions.
 pub fn run_seeded<E: BatchEvaluator>(
     params: &MetaheuristicParams,
     spots: &[Spot],
@@ -130,6 +131,13 @@ pub fn run_traced<E: BatchEvaluator>(
 // the same under every scheduler.
 // ---------------------------------------------------------------------------
 
+/// The one comparison every acceptance rule makes: does `cand` beat `cur`?
+/// [`score_cmp`] order, so a NaN score is the worst there is — a NaN
+/// incumbent yields to any finite candidate and a NaN candidate never wins.
+fn improves(cand: &Conformation, cur: &Conformation) -> bool {
+    score_cmp(cand, cur).is_lt()
+}
+
 /// Two parents from one spot's (sorted) population per the selection
 /// strategy.
 fn pick_parents(
@@ -149,7 +157,7 @@ fn pick_parents(
                 let mut best = pop[rng.index(pop.len())];
                 for _ in 1..k {
                     let c = pop[rng.index(pop.len())];
-                    if c.score < best.score {
+                    if improves(&c, &best) {
                         best = c;
                     }
                 }
@@ -180,20 +188,114 @@ fn breed_spot(
     offspring
 }
 
-/// One local-search step's proposals for one spot: a perturbation of each
-/// of the `k` best group members (unscored, in element order).
-fn propose_spot(
+/// [`Combine::Swarm`]'s inertia weight and its equal pulls toward the
+/// particle's own best and the spot's best (the usual constriction values;
+/// no caller ever set others).
+const INERTIA: f64 = 0.72;
+const PULL: f64 = 1.49;
+
+/// One swarm particle: its current pose, its velocity in the tangent space
+/// of ℝ³ × SO(3) (a translation and a rotation vector) and the best pose it
+/// has visited.
+struct Particle {
+    current: Conformation,
+    velocity: Vec3,
+    spin: Vec3,
+    best: Conformation,
+}
+
+/// A swarm over a scored initial population (in draw order), each particle
+/// at rest within half the speed clamps.
+fn seed_swarm(
+    params: &MetaheuristicParams,
+    scored: &[Conformation],
+    rng: &mut RngStream,
+) -> Vec<Particle> {
+    scored
+        .iter()
+        .map(|&c| Particle {
+            current: c,
+            velocity: rng.in_ball(params.max_shift * 0.5),
+            spin: rng.in_ball(params.max_angle * 0.5),
+            best: c,
+        })
+        .collect()
+}
+
+/// `Combine` for a swarm: one velocity step per particle, pulled toward
+/// the particle's best and toward `leader`, with speeds clamped to
+/// `max_shift` Å and `max_angle` rad (unscored, in particle order).
+fn swarm_spot(
     params: &MetaheuristicParams,
     spot: &Spot,
-    group: &[Conformation],
-    k: usize,
+    swarm: &mut [Particle],
+    leader: &Conformation,
     rng: &mut RngStream,
 ) -> Vec<Conformation> {
-    group
-        .iter()
-        .take(k)
-        .map(|elem| elem.perturbed(params.max_shift, params.max_angle, rng).clamped_to(spot))
+    let clamp = |v: Vec3, max: f64| match v.normalized() {
+        Some(dir) if v.norm() > max => dir * max,
+        _ => v,
+    };
+    swarm
+        .iter_mut()
+        .map(|p| {
+            let (t, rot) = (p.current.pose.translation, p.current.pose.rotation);
+            let (r1, r2) = (rng.uniform(), rng.uniform());
+            p.velocity = clamp(
+                p.velocity * INERTIA
+                    + (p.best.pose.translation - t) * (PULL * r1)
+                    + (leader.pose.translation - t) * (PULL * r2),
+                params.max_shift,
+            );
+            let (r3, r4) = (rng.uniform(), rng.uniform());
+            p.spin = clamp(
+                p.spin * INERTIA
+                    + rotation_vector(rot, p.best.pose.rotation) * (PULL * r3)
+                    + rotation_vector(rot, leader.pose.rotation) * (PULL * r4),
+                params.max_angle,
+            );
+            let turn = Quat::from_axis_angle(p.spin.normalized().unwrap_or(Vec3::Z), p.spin.norm());
+            let pose = RigidTransform::new((turn * rot).renormalize(), t + p.velocity);
+            Conformation::new(pose, p.current.spot_id).clamped_to(spot)
+        })
         .collect()
+}
+
+/// Move every particle to its scored proposal and keep its best.
+fn fly(swarm: &mut [Particle], scored: &[Conformation]) {
+    for (p, c) in swarm.iter_mut().zip(scored) {
+        p.current = *c;
+        if improves(c, &p.best) {
+            p.best = *c;
+        }
+    }
+}
+
+/// Rotation vector (axis × angle, the short way round) taking `from` to
+/// `to`.
+pub(crate) fn rotation_vector(from: Quat, to: Quat) -> Vec3 {
+    let d = (to * from.conjugate()).renormalize();
+    let axis = Vec3::new(d.x, d.y, d.z).normalized().unwrap_or(Vec3::ZERO);
+    axis * (d.angle() * if d.w >= 0.0 { 1.0 } else { -1.0 })
+}
+
+/// One local-search step's proposals for one spot: `per` perturbations of
+/// each start (unscored, start by start).
+fn propose_spot<'c>(
+    params: &MetaheuristicParams,
+    spot: &Spot,
+    starts: impl Iterator<Item = &'c Conformation>,
+    per: usize,
+    rng: &mut RngStream,
+) -> Vec<Conformation> {
+    let mut proposals = Vec::new();
+    for start in starts {
+        for _ in 0..per {
+            proposals
+                .push(start.perturbed(params.max_shift, params.max_angle, rng).clamped_to(spot));
+        }
+    }
+    proposals
 }
 
 /// Accept scored proposals into one spot's group per the hill-climb or
@@ -210,18 +312,58 @@ fn accept_spot(
         _ => (0.0, 1.0),
     };
     let temp = sa_t0 * sa_cooling.powi(step as i32);
-    for (ei, cand) in cands.iter().enumerate() {
-        let cur = &mut group[ei];
-        let accept = if cand.score < cur.score {
-            true
-        } else if temp > 0.0 {
-            let delta = cand.score - cur.score;
-            rng.chance((-delta / temp).exp())
-        } else {
-            false
-        };
+    for (cur, cand) in group.iter_mut().zip(cands) {
+        let accept = improves(cand, cur)
+            || (temp > 0.0 && rng.chance((-(cand.score - cur.score) / temp).exp()));
         if accept {
             *cur = *cand;
+        }
+    }
+}
+
+/// [`ImproveStrategy::Tabu`]'s memory: a walker stays away from the last
+/// `TABU_TENURE` poses it visited, a candidate counting as a revisit when it
+/// is within `TABU_SHIFT` Å *and* `TABU_ANGLE` rad of one of them.
+const TABU_TENURE: usize = 12;
+const TABU_SHIFT: f64 = 0.5;
+const TABU_ANGLE: f64 = 0.2;
+
+/// One tabu walker: where it stands and where it has just been.
+struct Walker {
+    current: Conformation,
+    recent: VecDeque<Conformation>,
+}
+
+impl Walker {
+    fn is_tabu(&self, c: &Conformation) -> bool {
+        self.recent
+            .iter()
+            .any(|t| c.translation_distance(t) < TABU_SHIFT && c.rotation_distance(t) < TABU_ANGLE)
+    }
+}
+
+/// Tabu's accept rule: each walker moves to its best candidate that is not
+/// tabu — a tabu one is allowed if it beats the walker's best (aspiration)
+/// — or, when every candidate is tabu, to the least bad. `best[i]` keeps
+/// walker `i`'s best pose, which is what the pass hands back.
+fn tabu_accept(
+    best: &mut [Conformation],
+    walkers: &mut [Walker],
+    cands: &[Conformation],
+    neighbors: usize,
+) {
+    let first_min = |a: &&Conformation, b: &&Conformation| score_cmp(a, b);
+    for ((best, w), cands) in best.iter_mut().zip(walkers).zip(cands.chunks(neighbors)) {
+        let allowed = cands.iter().filter(|c| improves(c, best) || !w.is_tabu(c));
+        let next = allowed.min_by(first_min).or_else(|| cands.iter().min_by(first_min));
+        let next = *next.unwrap_or(&w.current);
+        if improves(&next, best) {
+            *best = next;
+        }
+        w.current = next;
+        w.recent.push_back(next);
+        if w.recent.len() > TABU_TENURE {
+            w.recent.pop_front();
         }
     }
 }
@@ -235,7 +377,6 @@ fn lamarckian_trials(
     grads: Option<&[vsscore::RigidGradient]>,
     rng: &mut RngStream,
 ) -> Vec<Conformation> {
-    use vsmath::{Quat, RigidTransform};
     let (step_size, angle_step) = match params.improve {
         ImproveStrategy::Lamarckian { step_size, angle_step, .. } => (step_size, angle_step),
         // PANICS: callers only reach this under the Lamarckian strategy.
@@ -246,7 +387,7 @@ fn lamarckian_trials(
             .iter()
             .zip(gs)
             .map(|(c, g)| {
-                let dir = g.force.normalized().unwrap_or(vsmath::Vec3::ZERO);
+                let dir = g.force.normalized().unwrap_or(Vec3::ZERO);
                 let t = c.pose.translation + dir * step_size;
                 let rot = match g.torque.normalized() {
                     Some(axis) => {
@@ -272,7 +413,7 @@ fn inject_seeds_spot(spot: &Spot, pop: &mut [Conformation], seed_confs: &[Confor
             continue;
         }
         let last = pop.len() - 1;
-        if c.score < pop[last].score {
+        if improves(c, &pop[last]) {
             pop[last] = *c;
             pop.sort_by(score_cmp);
         }
@@ -317,6 +458,11 @@ pub(crate) struct SpotToken {
     saved: Vec<Conformation>,
     /// Lamarckian: gradients for `saved` (None → stochastic fallback).
     grads: Option<Vec<vsscore::RigidGradient>>,
+    /// [`Combine::Swarm`]: the population's particles.
+    swarm: Vec<Particle>,
+    /// [`ImproveStrategy::Tabu`]: one walker per improving element of
+    /// `group`, which holds the walkers' best poses.
+    walkers: Vec<Walker>,
     /// This lap's scoring payload.
     pub(crate) batch: Vec<Conformation>,
     /// This lap's batch wants gradients (Lamarckian gather).
@@ -347,6 +493,8 @@ impl SpotToken {
             group: Vec::new(),
             saved: Vec::new(),
             grads: None,
+            swarm: Vec::new(),
+            walkers: Vec::new(),
             batch: Vec::new(),
             wants_grads: false,
             k: 0,
@@ -369,8 +517,17 @@ pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotTok
         Phase::Seed => (0..params.population_per_spot)
             .map(|_| Conformation::random_at(spot, &mut tok.rng))
             .collect(),
-        Phase::Breed => breed_spot(params, spot, &tok.pop, &mut tok.rng),
-        Phase::Propose => propose_spot(params, spot, &tok.group, tok.k, &mut tok.rng),
+        Phase::Breed => match params.combine {
+            Combine::Crossover => breed_spot(params, spot, &tok.pop, &mut tok.rng),
+            Combine::Swarm => swarm_spot(params, spot, &mut tok.swarm, &tok.pop[0], &mut tok.rng),
+        },
+        Phase::Propose => match params.improve {
+            ImproveStrategy::Tabu { neighbors, .. } => {
+                let starts = tok.walkers.iter().map(|w| &w.current);
+                propose_spot(params, spot, starts, neighbors, &mut tok.rng)
+            }
+            _ => propose_spot(params, spot, tok.group.iter().take(tok.k), 1, &mut tok.rng),
+        },
         Phase::LamGather => tok.group[..tok.group.len().min(tok.k)].to_vec(),
         Phase::LamPropose => {
             lamarckian_trials(params, spot, &tok.saved, tok.grads.as_deref(), &mut tok.rng)
@@ -484,7 +641,8 @@ impl<'a> Driver<'a> {
         let (improve_steps, improve_first) = match params.improve {
             ImproveStrategy::None => (0, Phase::Retire), // never entered: zero steps
             ImproveStrategy::HillClimb { steps }
-            | ImproveStrategy::SimulatedAnnealing { steps, .. } => (steps, Phase::Propose),
+            | ImproveStrategy::SimulatedAnnealing { steps, .. }
+            | ImproveStrategy::Tabu { steps, .. } => (steps, Phase::Propose),
             ImproveStrategy::Lamarckian { steps, .. } => (steps, Phase::LamGather),
         };
         let n = spots.len();
@@ -516,6 +674,9 @@ impl<'a> Driver<'a> {
         self.evals_cum[tok.si] += scored.len() as u64;
         match tok.phase {
             Phase::Seed => {
+                if self.params.combine == Combine::Swarm {
+                    tok.swarm = seed_swarm(self.params, &scored, &mut tok.rng);
+                }
                 tok.pop = scored;
                 tok.pop.sort_by(score_cmp);
                 inject_seeds_spot(&self.spots[tok.si], &mut tok.pop, self.seed_confs);
@@ -524,11 +685,11 @@ impl<'a> Driver<'a> {
                 if self.params.single_pass {
                     // M4: one Improve pass over the large initial set; no
                     // Select / Combine / Include loop.
-                    if self.begin_improve(tok, self.params.population_per_spot) {
-                        tok.group = std::mem::take(&mut tok.pop);
-                    } else {
+                    tok.group = std::mem::take(&mut tok.pop);
+                    if !self.begin_improve(tok) {
                         // Improve is a no-op; the run still records a second
                         // (unchanged) diversity checkpoint.
+                        tok.pop = std::mem::take(&mut tok.group);
                         let d = self.div[tok.si][0];
                         self.div[tok.si].push(d);
                         tok.phase = Phase::Retire;
@@ -539,15 +700,22 @@ impl<'a> Driver<'a> {
                 }
             }
             Phase::Breed => {
+                // A swarm's particles move to their proposals (no swarm, no-op).
+                fly(&mut tok.swarm, &scored);
                 tok.group = scored;
                 tok.group.sort_by(score_cmp);
                 // Improve the best fraction of the spot's offspring.
-                if !self.begin_improve(tok, self.params.offspring_per_spot) {
+                if !self.begin_improve(tok) {
                     self.include_and_advance(tok);
                 }
             }
             Phase::Propose => {
-                accept_spot(self.params, tok.step, &mut tok.group, &scored, &mut tok.rng);
+                match self.params.improve {
+                    ImproveStrategy::Tabu { neighbors, .. } => {
+                        tabu_accept(&mut tok.group, &mut tok.walkers, &scored, neighbors)
+                    }
+                    _ => accept_spot(self.params, tok.step, &mut tok.group, &scored, &mut tok.rng),
+                }
                 self.end_step(tok);
             }
             Phase::LamGather => {
@@ -560,7 +728,7 @@ impl<'a> Driver<'a> {
                     // of the original; keep whichever is better (acquired
                     // traits are written back into the genotype — the
                     // defining Lamarckian property).
-                    *dst = if cand.score < cur.score { cand } else { cur };
+                    *dst = if improves(&cand, &cur) { cand } else { cur };
                 }
                 tok.saved.clear();
                 tok.grads = None;
@@ -573,14 +741,18 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Start an improve pass over the best elements of a group of `n`, if
-    /// the parameters improve anything at all.
-    fn begin_improve(&self, tok: &mut SpotToken, n: usize) -> bool {
-        tok.k = improved_count(n, self.params.improve_fraction);
+    /// Start an improve pass over the best elements of the (sorted) group,
+    /// if the parameters improve anything at all.
+    fn begin_improve(&self, tok: &mut SpotToken) -> bool {
+        tok.k = improved_count(tok.group.len(), self.params.improve_fraction);
         tok.step = 0;
         let improving = tok.k > 0 && self.improve_steps > 0;
         if improving {
             tok.phase = self.improve_first;
+            if let ImproveStrategy::Tabu { .. } = self.params.improve {
+                let walker = |&c| Walker { current: c, recent: VecDeque::from([c]) };
+                tok.walkers = tok.group[..tok.k].iter().map(walker).collect();
+            }
         }
         improving
     }
@@ -783,6 +955,7 @@ mod tests {
             population_per_spot: 32,
             select: SelectStrategy::TruncationBest { fraction: 0.5 },
             offspring_per_spot: 32,
+            combine: Combine::Crossover,
             improve_fraction: 0.0,
             improve: ImproveStrategy::None,
             mutation_prob: 0.3,
@@ -1052,6 +1225,53 @@ mod tests {
         assert_eq!(r.evaluations, p.evals_per_spot() * 2, "fallback keeps the same budget");
         // Still optimizes (stochastically).
         assert!(r.best_history.last().unwrap() <= &r.best_history[0]);
+    }
+
+    /// Scores its first batch NaN, later ones like the synthetic landscape.
+    struct NanFirst(SyntheticEvaluator, bool);
+    impl crate::evaluator::BatchEvaluator for NanFirst {
+        fn evaluate(&mut self, confs: &mut [Conformation]) {
+            self.0.evaluate(confs);
+            if !std::mem::replace(&mut self.1, true) {
+                confs.iter_mut().for_each(|c| c.score = f64::NAN);
+            }
+        }
+        fn pairs_per_eval(&self) -> u64 {
+            1
+        }
+    }
+
+    #[test]
+    fn nan_incumbents_yield_to_finite_candidates() {
+        // A NaN-scored population, then one improve step: every acceptance
+        // rule must replace every NaN incumbent with its finite candidate.
+        let sp = spots(1);
+        for improve in [
+            ImproveStrategy::HillClimb { steps: 1 },
+            ImproveStrategy::SimulatedAnnealing { steps: 1, t0: 1.0, cooling: 0.8 },
+            ImproveStrategy::Tabu { steps: 1, neighbors: 3 },
+        ] {
+            let p = MetaheuristicParams {
+                population_per_spot: 8,
+                improve_fraction: 1.0,
+                improve,
+                single_pass: true,
+                ..ga(0)
+            };
+            let mut ev = NanFirst(evaluator_for(&sp), false);
+            let trace = Trace::disabled();
+            let mut driver = Driver::new(&p, &sp, &[], &trace);
+            let mut tok = SpotToken::new(0, &sp[0], 3);
+            while tok.phase != Phase::Retire {
+                build(&p, &sp[0], &mut tok);
+                score(&mut ev, std::slice::from_mut(&mut tok), &mut Vec::new(), |_| None);
+                driver.handle(&mut tok);
+            }
+            driver.handle(&mut tok);
+            let pop = driver.pops[0].as_ref().unwrap();
+            assert_eq!(pop.len(), 8);
+            assert!(pop.iter().all(|c| c.score.is_finite()), "{improve:?}: {pop:?}");
+        }
     }
 
     #[test]

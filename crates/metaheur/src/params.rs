@@ -13,6 +13,21 @@ pub enum SelectStrategy {
     Tournament { k: usize },
 }
 
+/// `Combine(Ssel, Scom)` — how new elements are built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Combine {
+    /// Two parents per child from `Select`, uniform crossover, then a
+    /// mutation with probability `mutation_prob`.
+    #[default]
+    Crossover,
+    /// Particle swarm (the distributed family of §2.2): the population is a
+    /// swarm, and each particle's next position is a velocity step pulled
+    /// toward its own best and the spot's best (`pop[0]`), with
+    /// `max_shift` / `max_angle` as the speed clamps. `Select` and
+    /// `mutation_prob` are unused.
+    Swarm,
+}
+
 /// `Improve(Scom)` — the local-search operator applied to new elements.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ImproveStrategy {
@@ -30,17 +45,26 @@ pub enum ImproveStrategy {
     /// and `angle_step` radians about the net torque, keeping improvements.
     /// Falls back to hill climbing on evaluators without gradient support.
     Lamarckian { steps: usize, step_size: f64, angle_step: f64 },
+    /// Tabu search (the neighborhood family of §2.2): each improved element
+    /// is a walker that scores `neighbors` perturbations per step and moves
+    /// to the best one not near a recently visited pose — even when it is
+    /// worse — unless it beats the walker's best (aspiration); a fully tabu
+    /// neighborhood yields its least-bad member. The element becomes the
+    /// walker's best pose.
+    Tabu { steps: usize, neighbors: usize },
 }
 
 impl ImproveStrategy {
     /// Scoring evaluations one improved element costs. Lamarckian steps
-    /// cost two each: the gradient evaluation plus the trial-point score.
+    /// cost two each: the gradient evaluation plus the trial-point score;
+    /// Tabu steps cost one per neighbor.
     pub fn evals_per_element(&self) -> usize {
         match *self {
             ImproveStrategy::None => 0,
             ImproveStrategy::HillClimb { steps } => steps,
             ImproveStrategy::SimulatedAnnealing { steps, .. } => steps,
             ImproveStrategy::Lamarckian { steps, .. } => 2 * steps,
+            ImproveStrategy::Tabu { steps, neighbors } => steps * neighbors,
         }
     }
 }
@@ -81,6 +105,8 @@ pub struct MetaheuristicParams {
     pub select: SelectStrategy,
     /// New elements generated per spot per generation by `Combine`.
     pub offspring_per_spot: usize,
+    /// The variation operator.
+    pub combine: Combine,
     /// Fraction of new elements passed to `Improve` (Table 4 column 4).
     pub improve_fraction: f64,
     /// The local-search operator.
@@ -99,8 +125,10 @@ pub struct MetaheuristicParams {
 }
 
 impl MetaheuristicParams {
-    /// Exact number of scoring evaluations this configuration performs per
-    /// spot (the engine is deterministic in its evaluation count).
+    /// Scoring evaluations this configuration performs per spot: exact
+    /// under `EndCondition::Generations` and `single_pass` (the engine's
+    /// count does not depend on the scores), an upper bound under
+    /// `EndCondition::Convergence`, where a spot may stop before `max`.
     pub fn evals_per_spot(&self) -> u64 {
         let init = self.population_per_spot as u64;
         if self.single_pass {
@@ -140,6 +168,16 @@ impl MetaheuristicParams {
         if self.max_shift < 0.0 || self.max_angle < 0.0 {
             return Err("move sizes must be non-negative".into());
         }
+        if self.combine == Combine::Swarm
+            && (self.single_pass || self.offspring_per_spot != self.population_per_spot)
+        {
+            return Err("a swarm breeds one proposal per particle every generation".into());
+        }
+        if let ImproveStrategy::Tabu { steps: 0, .. } | ImproveStrategy::Tabu { neighbors: 0, .. } =
+            self.improve
+        {
+            return Err("tabu steps and neighbors must be > 0".into());
+        }
         Ok(())
     }
 }
@@ -165,6 +203,7 @@ mod tests {
             population_per_spot: 64,
             select: SelectStrategy::TruncationBest { fraction: 1.0 },
             offspring_per_spot: 64,
+            combine: Combine::Crossover,
             improve_fraction: 0.0,
             improve: ImproveStrategy::None,
             mutation_prob: 0.1,
@@ -249,6 +288,28 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_swarm_without_one_proposal_per_particle() {
+        let swarm = MetaheuristicParams { combine: Combine::Swarm, ..base() };
+        assert!(swarm.validate().is_ok());
+        assert!(MetaheuristicParams { offspring_per_spot: 32, ..swarm.clone() }
+            .validate()
+            .is_err());
+        assert!(MetaheuristicParams { single_pass: true, ..swarm }.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_empty_tabu_steps() {
+        let tabu = |steps, neighbors| MetaheuristicParams {
+            improve_fraction: 0.5,
+            improve: ImproveStrategy::Tabu { steps, neighbors },
+            ..base()
+        };
+        assert!(tabu(3, 4).validate().is_ok());
+        assert!(tabu(0, 4).validate().is_err());
+        assert!(tabu(3, 0).validate().is_err());
+    }
+
+    #[test]
     fn single_pass_allows_zero_offspring() {
         let p = MetaheuristicParams { single_pass: true, offspring_per_spot: 0, ..base() };
         assert!(p.validate().is_ok());
@@ -269,5 +330,6 @@ mod tests {
                 .evals_per_element(),
             9
         );
+        assert_eq!(ImproveStrategy::Tabu { steps: 6, neighbors: 8 }.evals_per_element(), 48);
     }
 }

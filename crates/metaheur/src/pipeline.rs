@@ -561,6 +561,7 @@ mod tests {
             population_per_spot: 16,
             select: SelectStrategy::TruncationBest { fraction: 0.5 },
             offspring_per_spot: 16,
+            combine: crate::params::Combine::Crossover,
             improve_fraction: 0.0,
             improve: ImproveStrategy::None,
             mutation_prob: 0.3,

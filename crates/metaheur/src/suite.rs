@@ -8,8 +8,12 @@
 //! than M1 despite its local search indicates a convergence-driven end
 //! condition — reproduced here with per-metaheuristic generation budgets).
 //! See EXPERIMENTS.md for the derivation.
+//!
+//! Beside them, the other §2.2 families as parameter sets of the same
+//! template: [`pso`] (a swarm `Combine`), [`tabu`] (a tabu `Improve` over
+//! one walker) and [`memetic`] (M1 with that `Improve`).
 
-use crate::params::{EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy};
+use crate::params::{Combine, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy};
 
 /// Shared move sizes for the docking search space.
 const MAX_SHIFT: f64 = 1.2;
@@ -27,6 +31,7 @@ pub fn m1(scale: f64) -> MetaheuristicParams {
         population_per_spot: 64,
         select: SelectStrategy::TruncationBest { fraction: 1.0 },
         offspring_per_spot: 64,
+        combine: Combine::Crossover,
         improve_fraction: 0.0,
         improve: ImproveStrategy::None,
         mutation_prob: 0.25,
@@ -46,6 +51,7 @@ pub fn m2(scale: f64) -> MetaheuristicParams {
         population_per_spot: 64,
         select: SelectStrategy::TruncationBest { fraction: 1.0 },
         offspring_per_spot: 64,
+        combine: Combine::Crossover,
         improve_fraction: 1.0,
         improve: ImproveStrategy::HillClimb { steps: 2 },
         mutation_prob: 0.25,
@@ -64,6 +70,7 @@ pub fn m3(scale: f64) -> MetaheuristicParams {
         population_per_spot: 64,
         select: SelectStrategy::TruncationBest { fraction: 1.0 },
         offspring_per_spot: 64,
+        combine: Combine::Crossover,
         improve_fraction: 0.2,
         improve: ImproveStrategy::HillClimb { steps: 2 },
         mutation_prob: 0.25,
@@ -83,6 +90,7 @@ pub fn m4(scale: f64) -> MetaheuristicParams {
         population_per_spot: 1024,
         select: SelectStrategy::TruncationBest { fraction: 1.0 },
         offspring_per_spot: 0,
+        combine: Combine::Crossover,
         improve_fraction: 1.0,
         improve: ImproveStrategy::HillClimb { steps: scale_count(103, scale) },
         mutation_prob: 0.0,
@@ -98,6 +106,58 @@ pub fn m4(scale: f64) -> MetaheuristicParams {
 /// local-search depth proportionally for quick runs).
 pub fn paper_suite(scale: f64) -> Vec<MetaheuristicParams> {
     vec![m1(scale), m2(scale), m3(scale), m4(scale)]
+}
+
+/// PSO — the distributed family of §2.2: a swarm of `swarm` particles per
+/// spot flown for `iterations` velocity steps, `swarm·(1 + iterations)`
+/// evaluations per spot.
+pub fn pso(swarm: usize, iterations: usize) -> MetaheuristicParams {
+    MetaheuristicParams {
+        name: "PSO".into(),
+        population_per_spot: swarm,
+        select: SelectStrategy::TruncationBest { fraction: 1.0 },
+        offspring_per_spot: swarm,
+        combine: Combine::Swarm,
+        improve_fraction: 0.0,
+        improve: ImproveStrategy::None,
+        mutation_prob: 0.0,
+        // The speed clamps: 1.5 Å and 0.5 rad per step.
+        max_shift: 1.5,
+        max_angle: MAX_ANGLE,
+        end: EndCondition::Generations(iterations),
+        single_pass: false,
+    }
+}
+
+/// Tabu search — the neighborhood family of §2.2: one walker per spot from
+/// a random pose, `iterations` steps of `neighbors` candidates each, so
+/// `1 + iterations·neighbors` evaluations per spot.
+pub fn tabu(iterations: usize, neighbors: usize) -> MetaheuristicParams {
+    MetaheuristicParams {
+        name: "Tabu".into(),
+        population_per_spot: 1,
+        offspring_per_spot: 0,
+        improve_fraction: 1.0,
+        improve: ImproveStrategy::Tabu { steps: iterations, neighbors },
+        mutation_prob: 0.0,
+        end: EndCondition::Generations(0),
+        single_pass: true,
+        ..m1(1.0)
+    }
+}
+
+/// GA+Tabu, the memetic hybrid: M1's genetic algorithm for `generations`
+/// generations, each generation's best offspring refined by `steps` tabu
+/// steps of `neighbors` candidates before `Include`.
+pub fn memetic(generations: usize, steps: usize, neighbors: usize) -> MetaheuristicParams {
+    MetaheuristicParams {
+        name: "GA+Tabu".into(),
+        // One of M1's 64 offspring.
+        improve_fraction: 1.0 / 64.0,
+        improve: ImproveStrategy::Tabu { steps, neighbors },
+        end: EndCondition::Generations(generations),
+        ..m1(1.0)
+    }
 }
 
 #[cfg(test)]
@@ -169,6 +229,16 @@ mod tests {
         for p in paper_suite(0.001) {
             assert!(p.evals_per_spot() > 0);
             p.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn extension_sets_keep_their_loops_budgets() {
+        assert_eq!(pso(24, 30).evals_per_spot(), 24 * (1 + 30));
+        assert_eq!(tabu(40, 8).evals_per_spot(), 1 + 40 * 8);
+        assert_eq!(memetic(3, 10, 8).evals_per_spot(), 64 + 3 * (64 + 10 * 8));
+        for p in [pso(24, 30), tabu(40, 8), memetic(3, 10, 8)] {
+            p.validate().unwrap_or_else(|e| panic!("{}: {e}", p.name));
         }
     }
 

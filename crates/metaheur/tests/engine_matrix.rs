@@ -1,4 +1,4 @@
-//! The recorded engine matrix: 14 parameter sets × {1, 3, 5} spots ×
+//! The recorded engine matrix: 17 parameter sets × {1, 3, 5} spots ×
 //! {classic, seeded, charged lockstep}, one line per cell in
 //! `engine_matrix.expected` — a tag and the 64-bit FNV-1a hash of the
 //! cell's full dump (every `RunResult` field by bits, the whole
@@ -8,7 +8,9 @@
 //! The file was recorded from the build *before* the engine was reduced to
 //! one per-spot state machine (DESIGN.md §12); only the cells that the two
 //! behaviour changes of that reduction name (CHANGES.md, PR 20) were
-//! re-recorded. Nothing else pins the engine's trace payload order. A
+//! re-recorded. The last 27 lines, the PSO, Tabu and memetic sets, were
+//! appended when those algorithms became operator kinds of the machine
+//! (PR 25). Nothing else pins the engine's trace payload order. A
 //! deliberate behaviour change re-records the cells it names, and says
 //! which, from the table this test prints when it fails.
 //!
@@ -18,8 +20,9 @@
 //! `GenerationDone` per generation run.
 
 use metaheur::{
-    paper_suite, run_exec, run_seeded, run_traced, BatchEvaluator, EndCondition, EngineExec,
-    ImproveStrategy, MetaheuristicParams, RunResult, SelectStrategy, SyntheticEvaluator,
+    memetic, paper_suite, pso, run_exec, run_seeded, run_traced, tabu, BatchEvaluator, Combine,
+    EndCondition, EngineExec, ImproveStrategy, MetaheuristicParams, RunResult, SelectStrategy,
+    SyntheticEvaluator,
 };
 use std::fmt::Write;
 use vsmath::{RigidTransform, Vec3};
@@ -98,6 +101,7 @@ fn ga(name: &str) -> MetaheuristicParams {
         population_per_spot: 16,
         select: SelectStrategy::TruncationBest { fraction: 0.5 },
         offspring_per_spot: 16,
+        combine: Combine::Crossover,
         improve_fraction: 0.0,
         improve: ImproveStrategy::None,
         mutation_prob: 0.3,
@@ -108,7 +112,7 @@ fn ga(name: &str) -> MetaheuristicParams {
     }
 }
 
-/// The 14 parameter sets; the flag says whether the evaluator offers
+/// The 17 parameter sets; the flag says whether the evaluator offers
 /// gradients (off only for the Lamarckian fallback set).
 fn parameter_sets() -> Vec<(MetaheuristicParams, bool)> {
     let lamarck = ImproveStrategy::Lamarckian { steps: 3, step_size: 0.25, angle_step: 0.05 };
@@ -169,6 +173,9 @@ fn parameter_sets() -> Vec<(MetaheuristicParams, bool)> {
             },
             true,
         ),
+        (pso(8, 4), true),
+        (tabu(6, 4), true),
+        (memetic(2, 2, 4), true),
     ]);
     sets
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the metaheuristic engines.
 
 use metaheur::{
-    run, run_pso, run_tabu, EndCondition, ImproveStrategy, MetaheuristicParams, PsoParams,
-    SelectStrategy, SyntheticEvaluator, TabuParams,
+    pso, run, tabu, Combine, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy,
+    SyntheticEvaluator,
 };
 use proptest::prelude::*;
 use vsmath::Vec3;
@@ -34,6 +34,8 @@ fn arb_improve() -> impl Strategy<Value = ImproveStrategy> {
         (1usize..3, 0.05..1.0f64, 0.01..0.3f64).prop_map(|(steps, s, a)| {
             ImproveStrategy::Lamarckian { steps, step_size: s, angle_step: a }
         }),
+        (1usize..3, 1usize..4)
+            .prop_map(|(steps, neighbors)| ImproveStrategy::Tabu { steps, neighbors }),
     ]
 }
 
@@ -49,19 +51,23 @@ fn arb_params() -> impl Strategy<Value = MetaheuristicParams> {
             (0.01..1.0f64).prop_map(|f| SelectStrategy::TruncationBest { fraction: f }),
             (1usize..5).prop_map(|k| SelectStrategy::Tournament { k }),
         ],
+        any::<bool>(), // swarm: one offspring per particle
     )
-        .prop_map(|(pop, off, frac, improve, mut_p, gens, select)| MetaheuristicParams {
-            name: "prop".into(),
-            population_per_spot: pop,
-            select,
-            offspring_per_spot: off,
-            improve_fraction: frac,
-            improve,
-            mutation_prob: mut_p,
-            max_shift: 1.0,
-            max_angle: 0.4,
-            end: EndCondition::Generations(gens),
-            single_pass: false,
+        .prop_map(|(pop, off, frac, improve, mut_p, gens, select, swarm)| {
+            MetaheuristicParams {
+                name: "prop".into(),
+                population_per_spot: pop,
+                select,
+                offspring_per_spot: if swarm { pop } else { off },
+                combine: if swarm { Combine::Swarm } else { Combine::Crossover },
+                improve_fraction: frac,
+                improve,
+                mutation_prob: mut_p,
+                max_shift: 1.0,
+                max_angle: 0.4,
+                end: EndCondition::Generations(gens),
+                single_pass: false,
+            }
         })
 }
 
@@ -130,9 +136,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let sp = spots(2);
-        let params = PsoParams { swarm_per_spot: swarm, iterations, ..Default::default() };
+        let params = pso(swarm, iterations);
         let mut ev = evaluator(&sp);
-        let r = run_pso(&params, &sp, &mut ev, seed);
+        let r = run(&params, &sp, &mut ev, seed);
+        prop_assert_eq!(r.evaluations, (swarm * (1 + iterations)) as u64 * 2);
         prop_assert_eq!(r.evaluations, params.evals_per_spot() * 2);
         for w in r.best_history.windows(2) {
             prop_assert!(w[1] <= w[0] + 1e-12);
@@ -143,16 +150,15 @@ proptest! {
     fn tabu_eval_accounting_any_config(
         iterations in 1usize..20,
         neighbors in 1usize..12,
-        tenure in 1usize..20,
         seed in any::<u64>(),
     ) {
         let sp = spots(2);
-        let params = TabuParams { iterations, neighbors, tenure, ..Default::default() };
+        let params = tabu(iterations, neighbors);
         let mut ev = evaluator(&sp);
-        let r = run_tabu(&params, &sp, &mut ev, seed);
+        let r = run(&params, &sp, &mut ev, seed);
+        prop_assert_eq!(r.evaluations, (1 + iterations * neighbors) as u64 * 2);
         prop_assert_eq!(r.evaluations, params.evals_per_spot() * 2);
-        for w in r.best_history.windows(2) {
-            prop_assert!(w[1] <= w[0] + 1e-12);
-        }
+        // The walkers hand back their best poses: never worse than the start.
+        prop_assert!(r.best.score <= r.best_history[0]);
     }
 }

@@ -39,15 +39,10 @@
 //!   and dispatches the claims for scoring;
 //! - [`spec`] — [`spec::EvaluatorSpec`], the single declarative factory
 //!   for scoring backends (serial CPU / pooled CPU / device-scheduled),
-//!   replacing per-call-site constructor picking;
-//! - [`cooperative`] — dynamic assignment of independent metaheuristic
-//!   *jobs* to devices plus cooperative solution sharing between jobs
-//!   (abstract §: "A cooperative scheduling of jobs optimizes the quality
-//!   of the solution and the overall performance").
+//!   replacing per-call-site constructor picking.
 
 #![forbid(unsafe_code)]
 
-pub mod cooperative;
 pub mod deque;
 pub mod executor;
 pub mod oracle;

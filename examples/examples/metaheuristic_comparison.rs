@@ -1,6 +1,7 @@
 //! Compare the paper's four metaheuristics (Table 4) on solution quality
 //! versus computational budget, plus the extension operators (tournament
-//! selection, simulated annealing) beyond the paper's suite.
+//! selection, simulated annealing, Lamarckian) and the PSO, Tabu and
+//! memetic parameter sets beyond the paper's suite.
 //!
 //! Run with: `cargo run --release -p vs-examples --example metaheuristic_comparison`
 
@@ -26,8 +27,10 @@ fn main() {
         );
     }
 
-    // Extensions beyond Table 4: tournament selection, simulated annealing
-    // and Lamarckian (gradient) improvement on the M2 skeleton.
+    // Extensions beyond Table 4, all on the same template: tournament
+    // selection, simulated annealing and Lamarckian (gradient) improvement
+    // on the M2 skeleton, and the other §2.2 families — PSO (a swarm
+    // Combine), Tabu (a tabu Improve) and GA+Tabu (M1 with that Improve).
     let tournament = MetaheuristicParams {
         name: "M2+tournament".into(),
         select: SelectStrategy::Tournament { k: 3 },
@@ -43,51 +46,21 @@ fn main() {
         improve: ImproveStrategy::Lamarckian { steps: 1, step_size: 0.3, angle_step: 0.08 },
         ..metaheur::m2(scale)
     };
-    for params in [tournament, annealing, lamarckian] {
+    let extensions = [
+        tournament,
+        annealing,
+        lamarckian,
+        metaheur::pso(64, 30),
+        metaheur::tabu(60, 16),
+        metaheur::memetic(5, 10, 16),
+    ];
+    for params in extensions {
         let out = screen.run(RunSpec::cpu(&params, 8));
         println!(
             "{:<22} {:>12} {:>8} {:>12.2}",
             params.name, out.evaluations, out.generations_run, out.best.score
         );
     }
-
-    // The other §2.2 families: PSO (distributed) and Tabu (neighborhood),
-    // run directly against the same scorer.
-    let scorer = screen.scorer();
-    let spots = screen.spots().to_vec();
-    let spec = vsched::EvaluatorSpec::PooledCpu { threads: 8 };
-    {
-        let pso = metaheur::PsoParams { swarm_per_spot: 64, iterations: 30, ..Default::default() };
-        let mut ev = spec.build(scorer.clone());
-        let r = metaheur::run_pso(&pso, &spots, &mut ev, 4);
-        println!(
-            "{:<22} {:>12} {:>8} {:>12.2}",
-            "PSO", r.evaluations, r.generations_run, r.best.score
-        );
-    }
-    {
-        let tabu = metaheur::TabuParams { iterations: 60, neighbors: 16, ..Default::default() };
-        let mut ev = spec.build(scorer.clone());
-        let r = metaheur::run_tabu(&tabu, &spots, &mut ev, 4);
-        println!(
-            "{:<22} {:>12} {:>8} {:>12.2}",
-            "Tabu", r.evaluations, r.generations_run, r.best.score
-        );
-    }
-
-    // Tuning pass (paper §1: "a tuning process is traditionally conducted").
-    println!("\ntuning M1's stochastic-move knobs (grid search, 2 replicas):");
-    let grid = metaheur::TuningGrid::default();
-    let report =
-        metaheur::tune(&metaheur::m1(0.05), &grid, &spots, || spec.build(scorer.clone()), 9, 2);
-    println!(
-        "  best: mutation {:.2}, shift {:.2} A, angle {:.2} rad -> mean best {:.2} ({} evals)",
-        report.best.mutation_prob,
-        report.best.max_shift,
-        report.best.max_angle,
-        report.best.mean_best,
-        report.total_evaluations
-    );
 
     println!("\n(M4 burns ~50x M1's budget on pure local search — the paper's");
     println!(" extreme case; it reaches the best GPU speed-ups in Tables 6-9)");

@@ -1,5 +1,5 @@
 //! Integration coverage for the extension features: SDF libraries, the
-//! extension search engines on real scoring, timelines, energy accounting
+//! extension parameter sets on real scoring, timelines, energy accounting
 //! and the machine-readable report.
 
 use vscreen::prelude::*;
@@ -29,37 +29,33 @@ fn sdf_library_roundtrips_into_campaign() {
     assert!(ranking.hits[0].ligand_name.starts_with("sdf-lig-"));
 }
 
+/// `params` on the Hertz node through the stage ring, checked against the
+/// uncharged host run of the same search.
+fn on_hertz_pipelined(screen: &VirtualScreen, params: &MetaheuristicParams) -> ScreenOutcome {
+    let node = platform::hertz();
+    let spec = RunSpec::on_node(params, &node, Strategy::HomogeneousSplit)
+        .exec(EngineExec::Pipelined { depth: 2 });
+    let out = screen.run(spec);
+    let host = screen.run(RunSpec::cpu(params, 4));
+    assert_eq!(out.best.score.to_bits(), host.best.score.to_bits(), "{}", params.name);
+    assert_eq!(out.evaluations, params.evals_per_spot() * screen.spots().len() as u64);
+    assert!(out.virtual_time > 0.0, "{}", params.name);
+    out
+}
+
 #[test]
 fn pso_and_tabu_run_on_real_scorer() {
     let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(2).seed(6).build();
-    let spots = screen.spots().to_vec();
-    let scorer = screen.scorer();
-
-    let spec = vsched::EvaluatorSpec::PooledCpu { threads: 4 };
-    let pso = metaheur::PsoParams { swarm_per_spot: 16, iterations: 8, ..Default::default() };
-    let mut ev = spec.build(scorer.clone());
-    let r_pso = metaheur::run_pso(&pso, &spots, &mut ev, 1);
+    let r_pso = on_hertz_pipelined(&screen, &metaheur::pso(16, 8));
     assert!(r_pso.best.score < 0.0, "PSO found no binding: {}", r_pso.best.score);
-
-    let tabu = metaheur::TabuParams { iterations: 15, neighbors: 8, ..Default::default() };
-    let mut ev = spec.build(scorer.clone());
-    let r_tabu = metaheur::run_tabu(&tabu, &spots, &mut ev, 1);
+    let r_tabu = on_hertz_pipelined(&screen, &metaheur::tabu(15, 8));
     assert!(r_tabu.best.score < 0.0, "Tabu found no binding: {}", r_tabu.best.score);
 }
 
 #[test]
 fn memetic_hybrid_on_real_scorer() {
     let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(2).seed(8).build();
-    let spots = screen.spots().to_vec();
-    let p = metaheur::MemeticParams {
-        name: "GA+Tabu".into(),
-        ga: metaheur::m1(0.05),
-        tabu: metaheur::TabuParams { iterations: 6, neighbors: 8, ..Default::default() },
-        epochs: 2,
-    };
-    let mut ev = vsched::EvaluatorSpec::PooledCpu { threads: 4 }.build(screen.scorer());
-    let r = metaheur::run_memetic(&p, &spots, &mut ev, 2);
-    assert_eq!(r.evaluations, p.evals_per_spot() * 2);
+    let r = on_hertz_pipelined(&screen, &metaheur::memetic(2, 6, 8));
     assert!(r.best.score < 0.0);
 }
 
@@ -132,27 +128,4 @@ fn full_report_reflects_paper_shape() {
     );
     let json = vscreen::report::to_json(&r);
     assert!(json.len() > 1000);
-}
-
-#[test]
-fn tuning_on_real_scorer_improves_or_matches_base() {
-    let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(2).seed(12).build();
-    let spots = screen.spots().to_vec();
-    let scorer = screen.scorer();
-    let base = metaheur::m1(0.03);
-    let grid = metaheur::TuningGrid {
-        mutation_probs: vec![base.mutation_prob, 0.5],
-        max_shifts: vec![base.max_shift],
-        max_angles: vec![base.max_angle],
-    };
-    let spec = vsched::EvaluatorSpec::PooledCpu { threads: 4 };
-    let report = metaheur::tune(&base, &grid, &spots, || spec.build(scorer.clone()), 3, 1);
-    let base_point = report
-        .points
-        .iter()
-        .find(|p| p.mutation_prob == base.mutation_prob)
-        .expect("base evaluated");
-    assert!(report.best.mean_best <= base_point.mean_best);
-    let tuned = report.apply_to(&base);
-    assert_eq!(tuned.population_per_spot, base.population_per_spot);
 }

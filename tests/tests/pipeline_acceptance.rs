@@ -9,7 +9,7 @@
 //! random configurations, convergence-ended ones included.
 
 use metaheur::{
-    run_exec, BatchEvaluator, CpuEvaluator, EndCondition, EngineExec, ImproveStrategy,
+    run_exec, BatchEvaluator, Combine, CpuEvaluator, EndCondition, EngineExec, ImproveStrategy,
     MetaheuristicParams, RunResult, SelectStrategy, SyntheticEvaluator,
 };
 use proptest::prelude::*;
@@ -180,6 +180,7 @@ fn sweep_params(pop: usize, improve: bool, end: EndCondition) -> MetaheuristicPa
         population_per_spot: pop,
         select: SelectStrategy::TruncationBest { fraction: 0.5 },
         offspring_per_spot: pop,
+        combine: Combine::Crossover,
         improve_fraction: if improve { 0.25 } else { 0.0 },
         improve: if improve {
             ImproveStrategy::HillClimb { steps: 2 }
