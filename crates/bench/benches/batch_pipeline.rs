@@ -8,7 +8,7 @@
 //!   [`PoseScratch`] across the whole batch;
 //! - *per-batch thread spawning*: the old parallel path spawned and joined
 //!   OS threads on every batch; [`CpuPool`] keeps a persistent worker team
-//!   parked on a condvar.
+//!   parked on a condvar, which the submitting thread joins for the batch.
 //!
 //! The `spawn_per_batch` baselines below reconstruct the old behavior from
 //! public APIs (per-pose `score` = fresh scratch each call, plus
@@ -23,6 +23,9 @@ use vsmath::{RigidTransform, RngStream};
 use vsmol::synth;
 use vsscore::{CpuPool, Exec, PoseScratch, ScoreBatch, Scorer, ScorerOptions};
 
+/// Threads that score one batch, on either path: `spawn_per_batch` spawns
+/// this many, and the pool counts the calling thread among its participants
+/// (`CpuPool::new(THREADS)` keeps `THREADS − 1` workers).
 const THREADS: usize = 4;
 
 fn poses(n: usize, seed: u64) -> Vec<RigidTransform> {
@@ -82,6 +85,7 @@ fn pool_vs_spawn(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_pipeline");
     group.sample_size(10);
     let pool = CpuPool::new(THREADS);
+    let mut scratch = PoseScratch::new();
     // The 100-atom receptor is the overhead-dominated regime (per-batch
     // spawn cost rivals kernel time); the other complexes are Table 5.
     for (n_rec, n_lig) in [(100usize, 45usize), (600, 45), (3264, 45), (8609, 32)] {
@@ -101,7 +105,8 @@ fn pool_vs_spawn(c: &mut Criterion) {
             });
             group.bench_function(BenchmarkId::new("persistent_pool", &label), |b| {
                 b.iter(|| {
-                    pool.score_batch(&scorer, ScoreBatch::Poses { poses: &ps, out: &mut out });
+                    let batch = ScoreBatch::Poses { poses: &ps, out: &mut out };
+                    pool.score_batch(&scorer, batch, &mut scratch);
                     black_box(out[0])
                 })
             });

@@ -75,10 +75,11 @@ impl<E: BatchEvaluator + ?Sized> BatchEvaluator for Box<E> {
 ///
 /// The execution policy is an [`Exec`] handed straight to
 /// [`Scorer::score_batch`]: `Exec::Serial` keeps everything on the calling
-/// thread with a private [`PoseScratch`], `Exec::Pool(n)` draws workers
-/// from the process-wide persistent pool ([`vsscore::shared_pool`]),
-/// matching the paper's long-lived OpenMP thread team. Either way,
-/// repeated `evaluate` calls allocate nothing.
+/// thread with a private [`PoseScratch`], `Exec::Pool(n)` scores on the
+/// process-wide persistent pool of `n` threads ([`vsscore::shared_pool`]),
+/// matching the paper's long-lived OpenMP thread team: the calling thread
+/// is one of them, claiming chunks of the batch and scoring them with the
+/// same scratch. Either way, repeated `evaluate` calls allocate nothing.
 pub struct CpuEvaluator {
     scorer: Scorer,
     exec: Exec,

@@ -46,10 +46,11 @@ pub struct DeviceEvaluator {
     trace: Trace,
     policy: Policy,
     profile: WorkProfile,
-    /// Host threads a batch is scored on: `min(devices, host threads)`,
-    /// read from the machine once, here.
+    /// Host threads a batch is scored on, the calling thread included:
+    /// `min(devices, host threads)`.
     threads: usize,
-    /// For the batches `dispatch` scores on the calling thread.
+    /// The calling thread's: it scores chunks of every batch `dispatch`
+    /// submits, as one of the `threads`.
     scratch: PoseScratch,
 }
 

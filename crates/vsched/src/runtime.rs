@@ -26,28 +26,30 @@
 //! 2. **Scoring** runs on the workspace's one host worker team,
 //!    `vsscore`'s shared persistent pool. `dispatch` checks the claims,
 //!    joins adjacent ones into runs and submits each run as an
-//!    [`Exec::Pool`] job; the pool cuts a run evenly over its workers,
-//!    whoever was charged for which part of it. Each conformation is
-//!    scored alone by the serial kernel, so results are bit-identical to
-//!    the serial path no matter which device claimed what or which host
-//!    thread computed it.
+//!    [`Exec::Pool`] job; the submitting thread and the pool's workers
+//!    claim chunks of the run until none is left, whoever was charged for
+//!    which part of it. Each conformation is scored alone by the serial
+//!    kernel, so results are bit-identical to the serial path no matter
+//!    which device claimed what or which host thread computed it.
 //!
 //! # Host threads are not devices
 //!
 //! A simulated device is a clock and a cost model; the scores are computed
 //! for real on host threads, and nothing observable depends on which. So
 //! the team's size follows from the host, not from the simulated node:
-//! `min(devices, vsscore::host_threads())` — never more threads than the
-//! node has devices (the paper's one-host-thread-per-GPU structure is the
-//! ceiling), never more than the host runs at once. The split of a batch
-//! over those threads is even: Equation 1's 58 : 42 split describes the
-//! simulated GPUs and would only unbalance identical host cores.
+//! `min(devices, vsscore::host_threads())`, the submitting thread
+//! included — never more threads than the node has devices (the paper's
+//! one-host-thread-per-GPU structure is the ceiling), never more than the
+//! host runs at once. Nobody is handed a share of a batch: those threads
+//! claim its chunks as they get to them. Equation 1's 58 : 42 split
+//! describes the simulated GPUs and would only unbalance identical host
+//! cores.
 //!
 //! The deque itself is linearizable under true concurrency (model-checked
 //! in [`crate::deque`]); the drain drives it from one thread only so
 //! that virtual-time claim ordering — and therefore makespans and traces —
 //! are exactly reproducible (DESIGN.md §10 determinism contract). The
-//! pool's submit/park protocol is model-checked where it lives, in
+//! pool's claim/park protocol is model-checked where it lives, in
 //! `vsscore::pool`.
 
 use crate::deque::ChunkDeque;
@@ -291,9 +293,9 @@ pub(crate) fn release_until(devices: &[Arc<SimDevice>], trace: &Trace, vt: f64) 
 /// Score the claimed ranges of `confs` and return when all are scored.
 /// Adjacent claims are joined into maximal runs — one run, the whole
 /// batch, for every plan [`crate::policy::Policy::plan`] makes — and each
-/// run is one [`Exec::Pool`]`(threads)` job on `vsscore`'s shared team,
-/// which cuts it evenly over its workers (`scratch` serves the batches
-/// that job runs on the calling thread: one conformation, or one host
+/// run is one [`Exec::Pool`]`(threads)` job on `vsscore`'s shared team:
+/// the calling thread claims chunks of it beside the workers and scores
+/// them with `scratch` (all of it for one conformation, or one host
 /// thread). A panic while scoring is re-raised here by the pool, which
 /// stays usable. Virtual time is not touched: the claims were charged
 /// when the plan made them, so who was charged and who computes are

@@ -25,10 +25,11 @@
 //!   of a [`vsmath::SpatialGrid`], adds its term into the lattice nodes of
 //!   its cutoff sphere, in every slab being built. A slab's sums never read
 //!   another slab, so one built alone holds the same bits as one built in
-//!   a set. A large build is cut into contiguous ranges of z-planes, one
-//!   per worker of the shared [`crate::pool::CpuPool`]; each range walks
-//!   all the atoms in that same order, so the bits do not depend on how
-//!   many ranges there are (DESIGN §11).
+//!   a set. Every build is cut into contiguous ranges of z-planes, several
+//!   per host thread, that the threads of the shared [`crate::pool::CpuPool`]
+//!   claim one at a time; each range walks all the atoms in that same
+//!   order, so the bits do not depend on how many ranges there are or who
+//!   ran which (DESIGN §11).
 //! - A row of nodes is taken four per step through the lane types of
 //!   `crate::lanes` — the distance, the keep mask `!(d² > cutoff²)`, every
 //!   slab's own `σ²/r²`, the `f64 → f32` narrowing and the `f32` add — and
@@ -124,9 +125,9 @@ pub struct GridBuildStats {
     /// Slabs built for this request; the rest came from the cache.
     pub built: u32,
     /// Pair terms this request's build added up: one per receptor atom,
-    /// lattice node within the cutoff of it, and slab built — the exact
-    /// count of what [`build_work`] estimates. The same on every lane type
-    /// and however the build was cut; 0 when nothing was built.
+    /// lattice node within the cutoff of it, and slab built, counted
+    /// exactly. The same on every lane type and however the build was cut;
+    /// 0 when nothing was built.
     pub terms: u64,
     /// No slab was built for this request: every one came from the cache.
     pub cached: bool,
@@ -185,60 +186,30 @@ impl Geometry {
 // Build.
 // ---------------------------------------------------------------------------
 
-/// A build whose [`build_work`] reaches this is cut into one range of
-/// z-planes per host thread and run on the shared pool; a smaller one stays
-/// on the calling thread.
-///
-/// Derivation, on the reference 2-vCPU guest at the default pitch (17 157
-/// nodes per cutoff sphere; [`build_work`] is within 0.5% of the terms a
-/// build counts): a build costs 2.7 ns per term for its first slab — the
-/// row walk and the distance work, paid once per atom and node — and 0.8 ns
-/// for each further one, whatever the receptor (300, 3 264 and 8 609 atoms
-/// measured alike: 2.64–2.88 and 0.79–0.90). Two workers woken for a job
-/// land on two vCPUs or on one at random there and stay for tens of
-/// milliseconds, so a build cut in two takes half its time or all of it: a
-/// 34 ms one took 17–25 ms in one process and 35–39 ms in the next, and a
-/// 0.155 s one (one slab over 2BSM) 0.08 s with a third quartile of
-/// 0.155 s. The cut therefore waits for builds that outlast that: 7e7
-/// terms is 0.08 s (five slabs) to 0.19 s (one) on one thread — the times
-/// the line was first drawn at, when a term cost 2.3 times as much and the
-/// constant was 3e7. It falls between the requests of a library screen
-/// (300 atoms: 5.1e6 and 14 ms for the one slab a new ligand element needs,
-/// 2.6e7 and 30 ms for five at once) and those of docking a Table 5
-/// receptor with a ligand of more than one element (two slabs over 2BSM:
-/// 1.1e8, 0.19 s alone, 0.10 s on two workers; 2BXG's four: 5.9e8).
-const POOLED_BUILD_WORK: f64 = 7.0e7;
-
-/// Pair terms a build adds up, near enough to choose how to run it: every
-/// atom reaches the nodes of one cutoff sphere (fewer where the lattice is
-/// smaller than the sphere or its edge clips it) in every slab. What a build
-/// counts ([`GridBuildStats::terms`]) is 0.1–0.5% less on the receptors the
-/// threshold was derived on.
-fn build_work(atoms: usize, geom: &Geometry, opts: GridOptions, slabs: usize) -> f64 {
-    let r = opts.cutoff / opts.spacing;
-    let sphere = (4.0 / 3.0 * std::f64::consts::PI * r * r * r).min(geom.nodes() as f64);
-    atoms as f64 * sphere * slabs as f64
-}
+/// Ranges of z-planes a build is cut into per host thread: enough that a
+/// thread woken late still finds some to claim, few enough that walking
+/// the atoms once per range stays cheap.
+const RANGES_PER_THREAD: usize = 4;
 
 /// Build `channels` (in [`Channel`] order, which is the order of the slabs)
 /// over one receptor in a single atom-major pass. Cost: `atoms × nodes
 /// within the cutoff × channels`. A slab's node sums read nothing of the
 /// other slabs, so it comes out the same bits whichever channels are built
-/// beside it — and whichever way the size of the request sends it.
+/// beside it.
 fn build_slabs(
     receptor: &Molecule,
     geom: Geometry,
     opts: GridOptions,
     channels: &[Channel],
 ) -> (Vec<Slab>, u64) {
-    let wide = build_work(receptor.len(), &geom, opts, channels.len()) >= POOLED_BUILD_WORK;
-    build_slabs_in(receptor, geom, opts, channels, if wide { host_threads() } else { 1 })
+    build_slabs_in(receptor, geom, opts, channels, RANGES_PER_THREAD * host_threads())
 }
 
 /// [`build_slabs`] over `ranges` (at least one) contiguous ranges of
-/// z-planes, or as many as there are planes, if fewer: on the calling
-/// thread when that is one, else each on its own worker of the shared pool
-/// of `ranges` workers. Returns the slabs and the pair terms added to them.
+/// z-planes, or as many as there are planes, if fewer, each one item of a
+/// [`crate::pool::CpuPool::for_each_mut`] job on the shared pool of
+/// [`host_threads`]: the calling thread and the workers claim ranges until
+/// none is left. Returns the slabs and the pair terms added to them.
 fn build_slabs_in(
     receptor: &Molecule,
     geom: Geometry,
@@ -264,10 +235,7 @@ fn build_slabs_in(
             part.slabs.push(piece);
         }
     }
-    match parts.as_mut_slice() {
-        [whole] => scatter.fill(whole),
-        many => shared_pool(ranges).for_each_mut(many, |part| scatter.fill(part)),
-    }
+    shared_pool(host_threads()).for_each_mut(&mut parts, |part| scatter.fill(part));
     let terms = parts.iter().map(|part| part.terms).sum();
     (slabs, terms)
 }
@@ -1499,14 +1467,13 @@ mod tests {
         }
     }
 
-    /// Range counts the build is forced through whatever its size: one (the
-    /// calling thread), a few workers, and more than a thin lattice has
-    /// z-planes.
+    /// Range counts the build is forced through: one, a few, and more than
+    /// a thin lattice has z-planes.
     const RANGES: [usize; 5] = [1, 2, 3, 7, 64];
 
-    /// Every model variant of `base` over `receptor`: the build, as its
-    /// size routes it and cut into each of [`RANGES`], against the
-    /// node-major gather.
+    /// Every model variant of `base` over `receptor`: the build, as it
+    /// cuts itself and cut into each of [`RANGES`], against the node-major
+    /// gather.
     fn check_against_gather(receptor: &Molecule, base: GridOptions) {
         for (opts, channels) in model_variants(base, &[Element::C, Element::N, Element::O]) {
             let geom = Geometry::of(receptor, opts);
@@ -1575,61 +1542,6 @@ mod tests {
             terms_alone += terms;
         }
         assert_eq!(terms, terms_alone, "a set adds up its slabs' terms");
-    }
-
-    #[test]
-    fn the_size_of_a_build_decides_whether_it_goes_to_the_pool() {
-        let opts = GridOptions::default();
-        let work =
-            |rec: &Molecule, slabs| build_work(rec.len(), &Geometry::of(rec, opts), opts, slabs);
-        // A library screen's receptor: one slab per new element (14 ms),
-        // and even all five elements of its ligands at once (30 ms), stay on
-        // the caller — cut in two they take half that or all of it at random.
-        let small = synth::synth_receptor("library-receptor", 300, 0x5E0C);
-        assert!(work(&small, 1) < POOLED_BUILD_WORK / 10.0, "{}", work(&small, 1));
-        assert!(work(&small, 5) < POOLED_BUILD_WORK / 2.0, "{}", work(&small, 5));
-        // So does the one request over a Table 5 receptor that is still in
-        // that regime at 2.7 ns a term: a single slab over the smaller one
-        // (0.155 s; it went wide when the same work took 0.36 s).
-        let bsm = vsmol::Dataset::TwoBsm.receptor();
-        assert!(work(&bsm, 1) < POOLED_BUILD_WORK, "{}", work(&bsm, 1));
-        // Two slabs there go wide (0.19 s alone), and docking against the
-        // larger one under the full model by a wide margin.
-        assert!(work(&bsm, 2) > POOLED_BUILD_WORK, "{}", work(&bsm, 2));
-        let big = vsmol::Dataset::TwoBxg.receptor();
-        assert!(work(&big, 4) > 8.0 * POOLED_BUILD_WORK, "{}", work(&big, 4));
-        // A sphere larger than the lattice counts as the lattice.
-        let dot = synth::synth_receptor("dot", 1, 3);
-        let tight = GridOptions { margin: 1.0, ..opts };
-        let geom = Geometry::of(&dot, tight);
-        assert_eq!(build_work(1, &geom, tight, 2), 2.0 * geom.nodes() as f64);
-    }
-
-    #[test]
-    fn build_work_estimates_the_terms_a_build_adds() {
-        // The threshold above is in estimated terms; its derivation is in
-        // nanoseconds per counted term. One slab each: both scale with the
-        // slab count exactly.
-        let opts = GridOptions::default();
-        let one = lj_channels(&[Element::C]);
-        let receptors = [
-            synth::synth_receptor("library-receptor", 300, 0x5E0C),
-            vsmol::Dataset::TwoBsm.receptor(),
-            vsmol::Dataset::TwoBxg.receptor(),
-        ];
-        for rec in receptors {
-            let geom = Geometry::of(&rec, opts);
-            let (_, terms) = build_slabs(&rec, geom, opts, &one);
-            let ratio = build_work(rec.len(), &geom, opts, 1) / terms as f64;
-            // Measured 1.0044, 1.0010 and 1.0018: a sphere of lattice nodes
-            // holds its volume's worth of them, and the lattice edge (8 Å of
-            // margin against a 12 Å cutoff) clips few spheres.
-            assert!(
-                (1.0..1.01).contains(&ratio),
-                "{} atoms: estimate / counted = {ratio}",
-                rec.len()
-            );
-        }
     }
 
     #[test]
@@ -1702,7 +1614,6 @@ mod tests {
     fn table5_receptors_build_equals_scatter() {
         for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
-            assert!(build_work(rec.len(), &geom, opts, channels.len()) >= POOLED_BUILD_WORK);
             let (got, _) = build_slabs(&rec, geom, opts, &channels);
             assert_same_bits(&got, &gather_slabs(&rec, geom, opts, &channels), &what);
         }

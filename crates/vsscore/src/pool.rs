@@ -1,54 +1,54 @@
 //! A persistent CPU worker pool for batch scoring and for building.
 //!
 //! The paper's CPU baseline ("OpenMP") keeps a thread team alive for the
-//! whole run; the previous implementation here spawned and joined fresh OS
-//! threads on *every batch*, which is pure host-side overhead in the hot
-//! loop. [`CpuPool`] replaces that: workers are spawned once, parked on a
-//! condvar, and fed work descriptors; each worker owns a [`PoseScratch`]
-//! that it reuses across batches, so the steady-state batch path performs
-//! no thread creation and no per-pose allocation.
+//! whole run, and the thread that reaches a parallel region works in it.
+//! [`CpuPool`] does both: a pool of `n` threads spawns `n − 1` workers
+//! once, each with a [`PoseScratch`] it reuses, and the submitter works on
+//! its own job beside them with the scratch it holds. Every participant
+//! claims the next unclaimed chunk of a job until none is left, so a job no
+//! worker wakes up in time for is finished by the submitter at serial
+//! speed: no job is too small for the pool.
 //!
-//! The team takes two kinds of job. [`CpuPool::score_batch`] scores a batch
-//! of poses against one [`Scorer`]. [`CpuPool::for_each_mut`] runs a
-//! caller's closure once over every element of a `&mut [T]` — the potential
-//! grids are built through it, one range of lattice planes per item
-//! (`grid_potential`). Both are the same job underneath: a length, split
-//! into contiguous chunks, one per worker.
+//! [`CpuPool::score_batch`] cuts a batch of poses into [`CHUNKS_PER_THREAD`]
+//! contiguous chunks per thread. [`CpuPool::for_each_mut`] runs a closure
+//! over every element of a `&mut [T]`, one element per chunk — the
+//! potential grids are built through it, one z-range per item.
 //!
 //! # Determinism
 //!
-//! Work is split into the same contiguous chunks as the old
-//! spawn-per-batch path (`ceil(len / workers)` per worker, in order), and
-//! every pose is scored by the identical serial kernel, so results are
-//! bit-identical to the serial [`Scorer::score_batch`] path regardless of
-//! worker count or interleaving — the schedule-invariance invariant
-//! (DESIGN §7). `for_each_mut` promises the same as long as the body's
-//! effect on an item depends on that item alone: which worker runs an item,
-//! and when, is all that varies.
+//! Every pose is scored alone by the identical serial kernel, so results
+//! are bit-identical to the serial [`Scorer::score_batch`] path whichever
+//! thread claims which chunk and however many threads there are — the
+//! schedule-invariance invariant (DESIGN §7). `for_each_mut` promises the
+//! same as long as the body's effect on an item depends on that item alone:
+//! which thread runs an item, and when, is all that varies.
 //!
 //! # Safety model
 //!
 //! A submitted job carries raw pointers to the caller's slices (and, for
-//! `for_each_mut`, to the caller's closure). The pool's `State` has a
-//! single job slot, so submissions are serialized through a submitter
-//! mutex held for the entire `run_job` — concurrent callers (shared pools
-//! are handed to every evaluator with the same thread count) queue up
-//! rather than clobbering each other's job, whatever the kinds.
-//! Submission blocks until every worker has signalled completion, so the
-//! borrows those pointers were derived from strictly outlive all worker
-//! access; workers only touch disjoint index ranges, so no two threads
-//! alias the same element. `for_each_mut` erases its item and closure
-//! types behind a monomorphized trampoline stored beside the pointers; its
-//! bounds (`T: Send`, `F: Sync`) are what moving `&mut T` to, and sharing
-//! `&F` with, the workers requires.
+//! `for_each_mut`, to the caller's closure). The pool's `State` has one job
+//! slot, and a submitter waits for it to be empty before publishing, so
+//! concurrent callers (shared pools are handed to every evaluator with the
+//! same thread count) queue up rather than clobber each other's job. Chunks
+//! are claimed once each under the state lock, so no two threads alias an
+//! element. `run_job` empties the slot, and returns, only once no chunk is
+//! unclaimed or in flight (`busy == 0`): the borrows behind the pointers
+//! outlive all worker access, and a worker that wakes late finds nothing to
+//! claim. The submitter runs its own chunks under `catch_unwind` too, so it
+//! never unwinds while a worker still holds pointers into its slices.
+//! `for_each_mut` erases its item and closure types behind a monomorphized
+//! trampoline stored beside the pointers; its bounds (`T: Send`, `F: Sync`)
+//! are what moving `&mut T` to, and sharing `&F` with, the workers
+//! requires.
 //!
 //! # Panics
 //!
-//! Workers run each job body under `catch_unwind`: a panicking scorer or
-//! closure cannot wedge the completion count. The panic is re-raised on
-//! the submitting thread ("pool worker panicked"), and the pool remains
-//! usable for subsequent jobs. Items a panicking `for_each_mut` body did
-//! not reach are left as they were.
+//! Every chunk runs under `catch_unwind`, so a panicking scorer or closure
+//! cannot wedge the count of chunks in flight; the other chunks still run.
+//! The panic is re-raised on the submitting thread ("pool worker
+//! panicked") once every claimed chunk has finished, and the pool remains
+//! usable. Items of the panicking chunk it did not reach are left as they
+//! were.
 
 use crate::scorer::{PoseScratch, ScoreBatch, Scorer};
 use crate::sync::thread::{Builder, JoinHandle};
@@ -58,33 +58,36 @@ use std::sync::Arc;
 use vsmath::RigidTransform;
 use vsmol::Conformation;
 
-/// What one submission asks the workers to do with their chunk of `0..len`.
+/// Chunks per thread a batch of poses is cut into: enough for a thread woken
+/// late to find some left, few enough that claiming costs next to nothing.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// What one submission asks its participants to do with a chunk of `0..len`.
 #[derive(Clone, Copy)]
 enum JobKind {
     /// Score `poses[i]` into `out[i]`.
     Poses { scorer: *const Scorer, poses: *const RigidTransform, out: *mut f64 },
     /// Score `confs[i].pose` into `confs[i].score`.
     Confs { scorer: *const Scorer, confs: *mut Conformation },
-    /// `run(items, body, start, end)`: apply the closure behind `body` to
+    /// `each(items, body, start, end)`: apply the closure behind `body` to
     /// each of `items[start..end]`.
-    // SAFETY: `run` is only ever [`run_each`] at the item and closure types the two pointers beside it were erased from (`for_each_mut` is the one constructor).
-    Each { items: *mut (), body: *const (), run: unsafe fn(*mut (), *const (), usize, usize) },
+    // SAFETY: `each` is only ever [`run_each`] at the item and closure types the two pointers beside it were erased from (`for_each_mut` is the one constructor).
+    Each { items: *mut (), body: *const (), each: unsafe fn(*mut (), *const (), usize, usize) },
 }
 
 #[derive(Clone, Copy)]
 struct Job {
     kind: JobKind,
     len: usize,
-    /// Number of workers the length was chunked over.
-    workers: usize,
+    /// Items per chunk; the last chunk may be shorter.
+    chunk: usize,
 }
 
-// SAFETY: the pointers are only dereferenced between job publication and
-// the completion signal, during which the submitting thread is blocked in
-// `run_job` keeping the underlying borrows alive; chunk ranges are
-// disjoint per worker. The pointees may cross threads: a `Scorer` is
-// `Sync`, poses and conformations are plain data, and `for_each_mut`
-// bounds its items `Send` and its closure `Sync`.
+// SAFETY: the pointers are dereferenced only for a chunk claimed once, and
+// the submitter keeps the borrows alive in `run_job` until every claimed
+// chunk has finished. The pointees may cross threads: a `Scorer` is `Sync`,
+// poses and conformations are plain data, `for_each_mut` bounds `T: Send`
+// and `F: Sync`.
 unsafe impl Send for Job {}
 
 /// The typed half of a [`JobKind::Each`] job.
@@ -104,14 +107,56 @@ unsafe fn run_each<T, F: Fn(&mut T)>(items: *mut (), body: *const (), start: usi
     items.iter_mut().for_each(body);
 }
 
+/// Run a claimed chunk of a job on this thread; `false` if it panicked.
+fn run_chunk((job, start, end): Claim, scratch: &mut PoseScratch) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.kind {
+        // SAFETY: see the module-level safety model — `run_job` outlasts
+        // this chunk, so the scorer and both slices do; `start..end` ⊆
+        // [0, job.len) was claimed once, under the state lock, so its
+        // `poses`/`out` elements are accessed by this thread only.
+        JobKind::Poses { scorer, poses, out } => unsafe {
+            let poses = std::slice::from_raw_parts(poses.add(start), end - start);
+            let out = std::slice::from_raw_parts_mut(out.add(start), end - start);
+            (&*scorer).score_batch_serial(ScoreBatch::Poses { poses, out }, scratch);
+        },
+        // SAFETY: same claimed-once argument for the in-place conformation
+        // variant.
+        JobKind::Confs { scorer, confs } => unsafe {
+            let confs = std::slice::from_raw_parts_mut(confs.add(start), end - start);
+            (&*scorer).score_batch_serial(ScoreBatch::Confs(confs), scratch);
+        },
+        // SAFETY: and for the caller's items; `each` is `run_each` at the
+        // types `items` and `body` were erased from in `for_each_mut`, which
+        // is still in `run_job` holding both borrows.
+        JobKind::Each { items, body, each } => unsafe { each(items, body, start, end) },
+    }))
+    .is_ok()
+}
+
+/// A job and the items `start..end` of it one thread took.
+type Claim = (Job, usize, usize);
+
+#[derive(Default)]
 struct State {
-    generation: u64,
     shutdown: bool,
     job: Option<Job>,
-    remaining: usize,
-    /// Set by any worker whose job body panicked; re-raised by the
-    /// submitter once the batch completes.
+    /// First item of `job` no thread has claimed.
+    next: usize,
+    /// Chunks claimed and not yet finished.
+    busy: usize,
+    /// A chunk's body panicked; re-raised by the submitter at the end.
     panicked: bool,
+}
+
+impl State {
+    /// Take the next chunk of the published job, if one is left.
+    fn claim(&mut self) -> Option<Claim> {
+        let job = self.job.filter(|job| self.next < job.len)?;
+        let start = self.next;
+        self.next = job.len.min(start + job.chunk);
+        self.busy += 1;
+        Some((job, start, self.next))
+    }
 }
 
 struct Shared {
@@ -125,6 +170,16 @@ impl Shared {
         // PANICS: job bodies run under `catch_unwind` outside this lock, so poisoning means the pool's own bookkeeping panicked; propagating that is deliberate.
         self.state.lock().expect("pool mutex poisoned")
     }
+
+    /// Record a claimed chunk finished, `ok` or panicked.
+    fn finish(&self, ok: bool) {
+        let mut st = self.lock();
+        st.panicked |= !ok;
+        st.busy -= 1;
+        if st.busy == 0 {
+            self.done_cv.notify_all();
+        }
+    }
 }
 
 /// Park on `cv` until it is signalled, releasing the state meanwhile.
@@ -133,55 +188,47 @@ fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
     cv.wait(st).expect("pool mutex poisoned")
 }
 
-/// A fixed-size team of persistent workers.
+/// A fixed-size team: the thread that submits a job and persistent workers.
 ///
 /// Dropping the pool shuts the workers down and joins them — no threads
 /// outlive the pool.
 pub struct CpuPool {
     shared: Arc<Shared>,
-    /// Serializes submitters: the pool has one job slot, and shared pools
-    /// (`shared_pool`) are reachable from many threads at once.
-    submit: Mutex<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl CpuPool {
-    /// Spawn a pool of `threads` persistent workers (at least one).
+    /// A team of `threads` (at least one): the submitting thread and
+    /// `threads − 1` persistent workers.
     pub fn new(threads: usize) -> CpuPool {
-        let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                generation: 0,
-                shutdown: false,
-                job: None,
-                remaining: 0,
-                panicked: false,
-            }),
+            state: Mutex::new(State::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let workers = (0..threads)
+        let workers = (1..threads)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 Builder::new()
                     .name(format!("vsscore-cpu-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
+                    .spawn(move || worker_loop(&shared))
                     // PANICS: worker spawn fails only on OS thread exhaustion; the pool has no degraded mode.
                     .expect("failed to spawn scoring worker")
             })
             .collect();
-        CpuPool { shared, submit: Mutex::new(()), workers }
+        CpuPool { shared, workers }
     }
 
-    /// Number of worker threads.
+    /// Threads a job runs on: the workers and the submitting thread.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.workers.len() + 1
     }
 
     /// Run one batch across the pool — same input shape as
     /// [`Scorer::score_batch`]; this is the [`crate::Exec::Pool`] backend.
-    /// Bit-identical to the serial path for a fixed kernel.
-    pub fn score_batch(&self, scorer: &Scorer, input: ScoreBatch<'_>) {
+    /// The calling thread scores its chunks with `scratch`. Bit-identical
+    /// to the serial path for a fixed kernel.
+    pub fn score_batch(&self, scorer: &Scorer, input: ScoreBatch<'_>, scratch: &mut PoseScratch) {
         input.assert_valid();
         if input.is_empty() {
             return;
@@ -193,15 +240,15 @@ impl CpuPool {
             }
             ScoreBatch::Confs(confs) => JobKind::Confs { scorer, confs: confs.as_mut_ptr() },
         };
-        self.run_job(Job { kind, len, workers: self.workers.len() });
+        let chunk = len.div_ceil(CHUNKS_PER_THREAD * self.threads());
+        self.run_job(Job { kind, len, chunk }, scratch);
     }
 
-    /// Call `body` once on every item, the items split into contiguous
-    /// chunks, one per worker, and return when all are done. Which thread
-    /// runs an item is the only thing the worker count decides: a body
-    /// whose effect on an item depends on that item alone gives the same
-    /// result on any pool. A panic in `body` is re-raised here once every
-    /// worker has stopped.
+    /// Call `body` once on every item, each a chunk that the calling thread
+    /// or a worker claims, and return when all are done. Which thread runs
+    /// an item is all the pool decides: a body whose effect on an item
+    /// depends on that item alone gives the same result on any pool. A panic
+    /// in `body` is re-raised here once every claimed item has finished.
     pub fn for_each_mut<T: Send, F: Fn(&mut T) + Sync>(&self, items: &mut [T], body: F) {
         if items.is_empty() {
             return;
@@ -209,38 +256,38 @@ impl CpuPool {
         let kind = JobKind::Each {
             items: items.as_mut_ptr().cast(),
             body: std::ptr::from_ref(&body).cast(),
-            run: run_each::<T, F>,
+            each: run_each::<T, F>,
         };
-        self.run_job(Job { kind, len: items.len(), workers: self.workers.len() });
+        self.run_job(Job { kind, len: items.len(), chunk: 1 }, &mut PoseScratch::new());
     }
 
-    /// Publish a job to every worker and block until all have finished.
-    ///
-    /// Holds the submitter lock for the whole call: the single job slot in
-    /// `State` can only describe one batch, and the raw pointers in `job`
-    /// must not be overwritten while workers still dereference them. A
-    /// worker panic is re-raised here after all workers have checked in.
-    fn run_job(&self, job: Job) {
-        // `into_inner` rather than `expect`: a prior submitter that
-        // re-raised a worker panic while holding this guard must not
-        // poison the pool for everyone after it.
-        let _submitting = self.submit.lock().unwrap_or_else(|e| e.into_inner());
+    /// Publish a job once the one job slot is empty, claim its chunks beside
+    /// the workers until none is left, and return once every claimed chunk
+    /// has finished, re-raising a panic in any of them.
+    fn run_job(&self, job: Job, scratch: &mut PoseScratch) {
         {
             let mut st = self.shared.lock();
+            while st.job.is_some() {
+                st = wait(&self.shared.done_cv, st);
+            }
             st.job = Some(job);
-            st.generation += 1;
-            st.remaining = self.workers.len();
+            st.next = 0;
         }
         self.shared.work_cv.notify_all();
-
+        // Claim until no chunk is left, then wait out those in flight.
+        loop {
+            let Some(claim) = self.shared.lock().claim() else { break };
+            self.shared.finish(run_chunk(claim, scratch));
+        }
         let panicked = {
             let mut st = self.shared.lock();
-            while st.remaining > 0 {
+            while st.busy > 0 {
                 st = wait(&self.shared.done_cv, st);
             }
             st.job = None;
             std::mem::take(&mut st.panicked)
         };
+        self.shared.done_cv.notify_all();
         if panicked {
             panic!("pool worker panicked");
         }
@@ -257,78 +304,30 @@ impl Drop for CpuPool {
     }
 }
 
-fn worker_loop(shared: &Shared, index: usize) {
+/// Claim and run chunks of any published job until shutdown; park between.
+fn worker_loop(shared: &Shared) {
     let mut scratch = PoseScratch::new();
-    let mut seen_generation = 0u64;
     loop {
-        let job = {
+        let claim = {
             let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if st.generation != seen_generation {
-                    seen_generation = st.generation;
-                    // PANICS: a generation bump always publishes a job; the model tests explore this exhaustively.
-                    break st.job.expect("job published with generation bump");
+                if let Some(claim) = st.claim() {
+                    break claim;
                 }
                 st = wait(&shared.work_cv, st);
             }
         };
-
-        // Same contiguous chunking as serial iteration order: worker i
-        // owns [i*chunk, (i+1)*chunk) ∩ [0, len). The body runs under
-        // catch_unwind so a panicking scorer still decrements `remaining`
-        // (otherwise the submitter would block forever); the panic is
-        // recorded and re-raised by `run_job`.
-        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let chunk = job.len.div_ceil(job.workers);
-            let start = (index * chunk).min(job.len);
-            let end = ((index + 1) * chunk).min(job.len);
-            if start < end {
-                match job.kind {
-                    // SAFETY: see the module-level safety model — the
-                    // submitting thread blocks until `remaining` hits zero,
-                    // so the scorer and both slices outlive the job;
-                    // [start, end) ⊆ [0, job.len) and chunk ranges are
-                    // disjoint per worker, so `poses`/`out` elements in
-                    // this range are accessed by this thread only.
-                    JobKind::Poses { scorer, poses, out } => unsafe {
-                        let poses = std::slice::from_raw_parts(poses.add(start), end - start);
-                        let out = std::slice::from_raw_parts_mut(out.add(start), end - start);
-                        let batch = ScoreBatch::Poses { poses, out };
-                        (&*scorer).score_batch_serial(batch, &mut scratch);
-                    },
-                    // SAFETY: same disjoint-chunk argument for the in-place
-                    // conformation variant.
-                    JobKind::Confs { scorer, confs } => unsafe {
-                        let confs = std::slice::from_raw_parts_mut(confs.add(start), end - start);
-                        (&*scorer).score_batch_serial(ScoreBatch::Confs(confs), &mut scratch);
-                    },
-                    // SAFETY: and for the caller's items; `run` is
-                    // `run_each` at the types `items` and `body` were
-                    // erased from in `for_each_mut`, which is still blocked
-                    // in `run_job` holding both borrows.
-                    JobKind::Each { items, body, run } => unsafe { run(items, body, start, end) },
-                }
-            }
-        }));
-
-        let mut st = shared.lock();
-        if body.is_err() {
-            st.panicked = true;
-        }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done_cv.notify_all();
-        }
+        shared.finish(run_chunk(claim, &mut scratch));
     }
 }
 
 /// How many threads this host runs at once — the one place that asks the
-/// OS. A caller that picks its own team reads it here: the potential grid
-/// build takes this many workers, and `vsched`'s device dispatch never takes
-/// more. Results never depend on it.
+/// OS, once per process. A caller that picks its own team reads it here:
+/// the potential grid build runs on a pool of this many threads, and
+/// `vsched`'s device dispatch never takes more. Results never depend on it.
 pub fn host_threads() -> usize {
     crate::sync::thread::available_parallelism()
 }
@@ -343,9 +342,8 @@ pub fn host_threads() -> usize {
 /// through [`CpuPool::for_each_mut`]. Repeated evaluator construction
 /// (common in the experiment runners — one per ligand in a library screen)
 /// therefore reuses one persistent thread team instead of growing a new one
-/// each time.
-/// Shared pools live for the process; ad-hoc pools from [`CpuPool::new`]
-/// join their workers on drop.
+/// each time. `threads` counts the submitting thread. Shared pools live for
+/// the process; ad-hoc pools from [`CpuPool::new`] join their workers on drop.
 pub fn shared_pool(threads: usize) -> Arc<CpuPool> {
     let threads = threads.max(1);
     if let Some(pool) = registry().get(&threads) {
@@ -401,12 +399,17 @@ mod tests {
 
     fn pool_scores(pool: &CpuPool, s: &Scorer, ps: &[RigidTransform]) -> Vec<f64> {
         let mut out = vec![0.0; ps.len()];
-        pool.score_batch(s, ScoreBatch::Poses { poses: ps, out: &mut out });
+        pool.score_batch(
+            s,
+            ScoreBatch::Poses { poses: ps, out: &mut out },
+            &mut PoseScratch::new(),
+        );
         out
     }
 
     #[test]
     fn pool_matches_serial_bitwise() {
+        // One thread is a pool with no worker: the caller scores it all.
         let s = scorer();
         let ps = poses(41, 1);
         let serial = serial_scores(&s, &ps);
@@ -464,7 +467,7 @@ mod tests {
             .map(|_| Conformation::new(RigidTransform::new(rng.rotation(), rng.in_ball(25.0)), 0))
             .collect();
         let want: Vec<f64> = serial_scores(&s, &confs.iter().map(|c| c.pose).collect::<Vec<_>>());
-        pool.score_batch(&s, ScoreBatch::Confs(&mut confs));
+        pool.score_batch(&s, ScoreBatch::Confs(&mut confs), &mut PoseScratch::new());
         let got: Vec<f64> = confs.iter().map(|c| c.score).collect();
         assert_eq!(want, got);
     }
@@ -487,7 +490,7 @@ mod tests {
         // Shared pools hand the same CpuPool to every caller with the same
         // thread count; parallel submissions must queue, not race on the
         // single job slot (each used to be able to clobber the other's
-        // job, leaving batches unscored or `remaining` underflowed).
+        // job, leaving batches unscored or a count underflowed).
         let pool = CpuPool::new(4);
         let s = scorer();
         let ps = poses(33, 7);
@@ -543,8 +546,28 @@ mod tests {
             });
         }));
         assert!(caught.is_err());
-        // Worker 1 owns items 2..4 and stopped at the first; the rest ran.
-        assert_eq!(items, [1, 1, 7, 0, 1, 1, 1, 1]);
+        // Every item is a chunk of its own: whoever claimed item 2 stopped
+        // there, and every other item ran.
+        assert_eq!(items, [1, 1, 7, 1, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_panic_is_reraised_only_after_every_claimed_chunk_finished() {
+        // The first item panics at once, on whichever thread claims it;
+        // the others take about 5 ms each. Re-raising the panic while any
+        // of them is still running would leave its flag unset.
+        let pool = CpuPool::new(3);
+        let mut items: Vec<(usize, bool)> = (0..8).map(|i| (i, false)).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.for_each_mut(&mut items, |(i, done)| {
+                assert_ne!(*i, 0, "induced test panic");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                *done = true;
+            });
+        }));
+        assert!(caught.is_err());
+        let done: Vec<bool> = items.iter().map(|&(_, done)| done).collect();
+        assert_eq!(done, [false, true, true, true, true, true, true, true]);
     }
 
     #[test]
@@ -558,16 +581,17 @@ mod tests {
     }
 }
 
-/// Exhaustive interleaving checks of the pool's submit/park protocol,
+/// Exhaustive interleaving checks of the pool's claim/park protocol,
 /// via the `vscheck` model checker (run with
 /// `cargo test -p vsscore --features vscheck-model model_`).
 ///
-/// These pin the invariants PR 1 fixed by hand: no batch left unscored,
-/// no `remaining` underflow (an underflow aborts a schedule as a panic in
-/// debug builds), concurrent submitters serialized through the submit
-/// lock, a worker panic observed by the submitter without wedging the
-/// pool, and drop joining every worker (a lost shutdown wakeup shows up
-/// as a deadlock).
+/// Every pool here has a worker beside the submitter: a pool of one thread
+/// has nothing to interleave. These pin: no batch left unscored, no `busy`
+/// underflow (an underflow aborts a schedule as a panic in debug builds),
+/// concurrent submitters serialized through the job slot, a panic
+/// observed by the submitter without wedging the pool, a worker that wakes
+/// after its job returned claiming nothing of it, and drop joining every
+/// worker (a lost shutdown wakeup shows up as a deadlock).
 #[cfg(all(test, feature = "vscheck-model"))]
 mod model_tests {
     use super::*;
@@ -600,6 +624,17 @@ mod model_tests {
         out
     }
 
+    /// Score `ps` on `pool`, the caller taking part with a scratch of its own.
+    fn pooled(pool: &CpuPool, s: &Scorer, ps: &[RigidTransform]) -> Vec<f64> {
+        let mut out = vec![f64::NAN; ps.len()];
+        pool.score_batch(
+            s,
+            ScoreBatch::Poses { poses: ps, out: &mut out },
+            &mut PoseScratch::new(),
+        );
+        out
+    }
+
     #[test]
     fn model_no_batch_left_unscored() {
         let s = tiny_scorer();
@@ -607,9 +642,7 @@ mod model_tests {
         let want = serial(&s, &ps);
         let report = explore(Config::with_bound(2), move || {
             let pool = CpuPool::new(2);
-            let mut out = vec![f64::NAN; ps.len()];
-            pool.score_batch(&s, ScoreBatch::Poses { poses: &ps, out: &mut out });
-            for (got, want) in out.iter().zip(&want) {
+            for (got, want) in pooled(&pool, &s, &ps).iter().zip(&want) {
                 assert_eq!(got.to_bits(), want.to_bits(), "pose left unscored or misscored");
             }
             drop(pool); // a lost shutdown wakeup would deadlock here
@@ -620,18 +653,15 @@ mod model_tests {
 
     #[test]
     fn model_two_batches_back_to_back() {
-        // The generation handshake must not lose or double-run a batch
-        // when a worker is still parked (or not yet parked) from the
-        // previous one.
+        // Claiming must not lose or double-run a batch when the worker is
+        // still parked (or not yet parked) from the previous one.
         let s = tiny_scorer();
         let ps = tiny_poses(2);
         let want = serial(&s, &ps);
         let report = explore(Config::with_bound(2), move || {
-            let pool = CpuPool::new(1);
+            let pool = CpuPool::new(2);
             for _ in 0..2 {
-                let mut out = vec![f64::NAN; ps.len()];
-                pool.score_batch(&s, ScoreBatch::Poses { poses: &ps, out: &mut out });
-                for (got, want) in out.iter().zip(&want) {
+                for (got, want) in pooled(&pool, &s, &ps).iter().zip(&want) {
                     assert_eq!(got.to_bits(), want.to_bits());
                 }
             }
@@ -644,24 +674,20 @@ mod model_tests {
     fn model_concurrent_submitters_are_serialized() {
         // Two submitters share one pool: each must get its own complete,
         // correct result — the single job slot must never be clobbered
-        // (the PR 1 race) and `remaining` must never underflow.
+        // and `busy` must never underflow.
         let s = tiny_scorer();
         let ps = tiny_poses(2);
         let want = serial(&s, &ps);
         let report = explore(Config::with_bound(1), move || {
-            let pool = Arc::new(CpuPool::new(1));
+            let pool = Arc::new(CpuPool::new(2));
             let (p2, s2, ps2, want2) =
                 (Arc::clone(&pool), Arc::clone(&s), ps.clone(), want.clone());
             let other = vscheck::thread::spawn(move || {
-                let mut out = vec![f64::NAN; ps2.len()];
-                p2.score_batch(&s2, ScoreBatch::Poses { poses: &ps2, out: &mut out });
-                for (got, want) in out.iter().zip(&want2) {
+                for (got, want) in pooled(&p2, &s2, &ps2).iter().zip(&want2) {
                     assert_eq!(got.to_bits(), want.to_bits(), "submitter B clobbered");
                 }
             });
-            let mut out = vec![f64::NAN; ps.len()];
-            pool.score_batch(&s, ScoreBatch::Poses { poses: &ps, out: &mut out });
-            for (got, want) in out.iter().zip(&want) {
+            for (got, want) in pooled(&pool, &s, &ps).iter().zip(&want) {
                 assert_eq!(got.to_bits(), want.to_bits(), "submitter A clobbered");
             }
             other.join().unwrap();
@@ -672,9 +698,9 @@ mod model_tests {
 
     #[test]
     fn model_for_each_mut_visits_every_item_exactly_once() {
-        // Three items over two workers: chunks of two and one. No
-        // interleaving may skip an item, run one twice, or return to the
-        // submitter before the last one is done.
+        // Three items, one chunk each, claimed by the submitter and one
+        // worker. No interleaving may skip an item, run one twice, or return
+        // to the submitter before the last one is done.
         let report = explore(Config::with_bound(2), || {
             let pool = CpuPool::new(2);
             let mut items = [0u32; 3];
@@ -689,22 +715,20 @@ mod model_tests {
     #[test]
     fn model_score_batch_and_for_each_mut_are_serialized() {
         // One submitter of each job kind on a shared pool: the single job
-        // slot must hold one of them at a time, so neither worker ever runs
-        // the other's chunk through the wrong pointers.
+        // slot must hold one of them at a time, so no thread ever runs the
+        // other's chunk through the wrong pointers.
         let s = tiny_scorer();
         let ps = tiny_poses(2);
         let want = serial(&s, &ps);
         let report = explore(Config::with_bound(1), move || {
-            let pool = Arc::new(CpuPool::new(1));
+            let pool = Arc::new(CpuPool::new(2));
             let p2 = Arc::clone(&pool);
             let other = vscheck::thread::spawn(move || {
                 let mut items = [10u32, 20];
                 p2.for_each_mut(&mut items, |v| *v += 1);
                 assert_eq!(items, [11, 21], "for_each_mut clobbered");
             });
-            let mut out = vec![f64::NAN; ps.len()];
-            pool.score_batch(&s, ScoreBatch::Poses { poses: &ps, out: &mut out });
-            for (got, want) in out.iter().zip(&want) {
+            for (got, want) in pooled(&pool, &s, &ps).iter().zip(&want) {
                 assert_eq!(got.to_bits(), want.to_bits(), "score_batch clobbered");
             }
             other.join().unwrap();
@@ -719,21 +743,43 @@ mod model_tests {
         let ps = tiny_poses(2);
         let want = serial(&s, &ps);
         let report = explore(Config::with_bound(2), move || {
-            let pool = CpuPool::new(1);
+            let pool = CpuPool::new(2);
+            // Two items, both panicking: either thread may claim either, so
+            // the worker's panic and the submitter's own are both explored.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pool.for_each_mut(&mut [0u8], |_| panic!("induced test panic"));
+                pool.for_each_mut(&mut [0u8; 2], |_| panic!("induced test panic"));
             }));
-            assert!(caught.is_err(), "worker panic must re-raise on the submitter");
+            assert!(caught.is_err(), "a chunk's panic must re-raise on the submitter");
             // Completion bookkeeping must have recovered: the next batch
             // runs to completion with correct scores.
-            let mut out = vec![f64::NAN; ps.len()];
-            pool.score_batch(&s, ScoreBatch::Poses { poses: &ps, out: &mut out });
-            for (got, want) in out.iter().zip(&want) {
+            for (got, want) in pooled(&pool, &s, &ps).iter().zip(&want) {
                 assert_eq!(got.to_bits(), want.to_bits());
             }
         });
         report.assert_passed();
         assert!(report.complete);
+    }
+
+    #[test]
+    fn model_late_worker_claims_nothing_from_a_returned_job() {
+        // Two jobs back to back on one worker. Among the schedules are
+        // those in which the worker, woken for the first job, runs only
+        // after the submitter has done all of it and returned: it must find
+        // nothing of that job to claim, whichever part of the second it
+        // then takes.
+        let report = explore(Config::with_bound(2), || {
+            let pool = CpuPool::new(2);
+            let mut first = [0u32; 2];
+            pool.for_each_mut(&mut first, |v| *v += 1);
+            assert_eq!(first, [1, 1], "first job incomplete on return");
+            let mut second = [0u32; 2];
+            pool.for_each_mut(&mut second, |v| *v += 1);
+            assert_eq!(first, [1, 1], "a late worker ran the returned job again");
+            assert_eq!(second, [1, 1], "second job incomplete on return");
+            drop(pool);
+        });
+        report.assert_passed();
+        assert!(report.complete, "bounded state space must be exhausted");
     }
 
     #[test]

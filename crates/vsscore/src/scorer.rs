@@ -16,9 +16,10 @@
 //!   a [`ScoreBatch`] input (poses scored into a caller-owned output
 //!   slice, or conformations scored in place) plus an [`Exec`] policy —
 //!   [`Exec::Serial`] for the caller's thread, [`Exec::Pool`] for the
-//!   shared *persistent* worker pool ([`crate::pool::CpuPool`]) with one
-//!   reused scratch per worker thread — so the batch path allocates
-//!   nothing and spawns nothing once scratch and output buffers exist.
+//!   shared *persistent* worker pool ([`crate::pool::CpuPool`]), which the
+//!   caller joins with its own scratch, every worker reusing one of its
+//!   own — so the batch path allocates nothing and spawns nothing once
+//!   scratch and output buffers exist.
 //!
 //! Every execution policy produces bit-identical scores for a fixed
 //! kernel (the schedule-invariance invariant, DESIGN §7).
@@ -441,26 +442,29 @@ impl Scorer {
     /// `exec` selects the policy: [`Exec::Serial`] binds `scratch` once
     /// and runs in the caller's thread, allocation-free per pose;
     /// [`Exec::Pool`]`(n)` runs on a shared *persistent*
-    /// [`crate::pool::CpuPool`] with `n` workers — the "OpenMP" CPU path
-    /// of the paper's baseline. Pools are keyed by the requested thread
-    /// count (created on first use), so repeated batch calls pay no
-    /// spawn/join cost and reuse each worker's scratch; single-item
-    /// batches and `n <= 1` fall back to the serial path. Scores are
-    /// bit-identical across policies for a fixed kernel (DESIGN §7).
+    /// [`crate::pool::CpuPool`] of `n` threads — the "OpenMP" CPU path
+    /// of the paper's baseline. The caller is one of the `n`: it claims
+    /// chunks of the batch beside the pool's `n − 1` workers and scores
+    /// them with `scratch`. Pools are keyed by the requested thread count
+    /// (created on first use), so repeated batch calls pay no spawn/join
+    /// cost and reuse each worker's scratch; single-item batches and
+    /// `n <= 1` take the serial path. Scores are bit-identical across
+    /// policies for a fixed kernel (DESIGN §7).
     pub fn score_batch(&self, input: ScoreBatch<'_>, scratch: &mut PoseScratch, exec: Exec) {
         input.assert_valid();
         match exec {
             Exec::Pool(threads) if threads > 1 && input.len() >= 2 => {
-                crate::pool::shared_pool(threads).score_batch(self, input);
+                crate::pool::shared_pool(threads).score_batch(self, input, scratch);
             }
             Exec::Serial | Exec::Pool(_) => self.score_batch_serial(input, scratch),
         }
     }
 
     /// The serial batch loop: bind the scratch once, then score each item
-    /// against the bound frame. Also the per-worker body of the pool path
-    /// (each worker passes its own scratch and contiguous chunk), which is
-    /// what makes pool scores bit-identical to serial ones.
+    /// against the bound frame. Also the per-chunk body of the pool path
+    /// (each thread passes its own scratch and a contiguous chunk it
+    /// claimed), which is what makes pool scores bit-identical to serial
+    /// ones.
     pub(crate) fn score_batch_serial(&self, input: ScoreBatch<'_>, scratch: &mut PoseScratch) {
         if input.is_empty() {
             return;
@@ -504,8 +508,8 @@ fn mean_shell_occupancy(grid: &SpatialGrid, positions: &[Vec3], cutoff: f64) -> 
 pub enum Exec {
     /// Score in the calling thread.
     Serial,
-    /// Score on the shared persistent worker pool with this many threads
-    /// (`0` and `1` are equivalent to [`Exec::Serial`]).
+    /// Score on the shared persistent worker pool with this many threads,
+    /// the caller included (`0` and `1` are equivalent to [`Exec::Serial`]).
     Pool(usize),
 }
 

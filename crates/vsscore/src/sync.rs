@@ -18,11 +18,14 @@ pub(crate) mod thread {
     #[cfg(feature = "vscheck-model")]
     pub(crate) use vscheck::thread::{Builder, JoinHandle};
 
-    /// How many threads this host runs at once (1 when it will not say).
+    /// How many threads this host runs at once (1 when it will not say),
+    /// asked once per process: the answer costs a system call or more.
     // DETERMINISM: sizes a worker team and nothing else — every pool job gives the same bits on any team (`pool` module docs).
     #[cfg(not(feature = "vscheck-model"))]
     pub(crate) fn available_parallelism() -> usize {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+        static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *THREADS
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
     }
     /// A model run has no host: a fixed team keeps explorations repeatable.
     #[cfg(feature = "vscheck-model")]

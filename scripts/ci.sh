@@ -55,7 +55,7 @@ echo "==> vscheck model tests (exhaustive interleavings of the concurrency cores
 # Bounded by each test's Config (preemption bound + schedule budget) so the
 # five suites together stay well under a minute. vsched's are the chunk
 # deque (3) and the shared oracle (1); its batches are scored on vsscore's
-# pool, so the worker handshake is explored there (7).
+# pool, so its claim protocol is explored there (8).
 cargo test -q -p vsscore --features vscheck-model model_
 cargo test -q -p vsched --features vscheck-model model_
 cargo test -q -p vstrace --features vscheck-model model_
