@@ -39,10 +39,15 @@
 //!   stores back the cell it loaded, and every lane operation is correctly
 //!   rounded, so a slab holds the same bits whichever lanes the host has.
 //!   [`GridBuildStats::terms`] counts the kept lanes.
-//! - [`GridScorer`] interpolates 8 ligand atoms per step with explicit
-//!   [`vsmath::F32x8`] lanes; [`GridScorer::score_scalar`] replays the same
-//!   IEEE operations lane by lane and is **bit-identical** (tested), so the
-//!   wide path is a pure speedup, never a numerics fork.
+//! - [`GridScorer`] interpolates 8 ligand atoms per step. Their lattice
+//!   cells and fractions are computed four atoms per step through the same
+//!   lane types — the clamp to the lattice as two compare-selects, the cell
+//!   by truncation — and the cell corners are blended with explicit
+//!   [`vsmath::F32x8`] lanes: one body, for a pose and for a transformed
+//!   frame alike, compiled under the widest lanes the host has. The tests
+//!   keep the per-atom scalar setup and blend it replaced as the reference
+//!   and hold every lane path to its bits, so the lanes are a pure speedup,
+//!   never a numerics fork.
 //! - [`GridScorer::new_traced`] records a [`vstrace::Event::GridBuilt`]
 //!   with this scorer's slab memory, the seconds spent building and
 //!   whether anything had to be built.
@@ -770,9 +775,9 @@ struct Chunk<'a> {
 /// Wide trilinear interpolation: the 8 corners of each lane's cell,
 /// gathered from the slab `slab` names for that lane (one per lane for
 /// the LJ term, the same one for electrostatics), then weighted and summed
-/// in a fixed order (000, 100, 010, 110, 001, 101, 011, 111). The scalar
-/// twin [`trilerp_lane`] replays the same order per lane — keep them in
-/// sync.
+/// in a fixed order (000, 100, 010, 110, 001, 101, 011, 111). The tests'
+/// scalar reference, `trilerp_lane`, replays the same order per lane —
+/// keep them in sync.
 #[inline(always)]
 fn trilerp_wide<'a>(
     slab: impl Fn(usize) -> &'a [f32],
@@ -796,18 +801,19 @@ fn trilerp_wide<'a>(
     v
 }
 
-/// Scalar twin of [`trilerp_wide`]: identical IEEE ops in identical order.
-#[inline]
-fn trilerp_lane(f: &[f32], i: usize, ox: usize, oy: usize, oz: usize, w: &[f32; 8]) -> f32 {
-    let mut v = f[i] * w[0];
-    v += f[i + ox] * w[1];
-    v += f[i + oy] * w[2];
-    v += f[i + ox + oy] * w[3];
-    v += f[i + oz] * w[4];
-    v += f[i + ox + oz] * w[5];
-    v += f[i + oy + oz] * w[6];
-    v += f[i + ox + oy + oz] * w[7];
-    v
+/// One pose's interpolation, for [`widest`] to pick the lanes of: ligand
+/// atom `i` is at `pos(i)`.
+struct Interpolation<'a, P> {
+    scorer: &'a GridScorer,
+    pos: P,
+}
+
+impl<P: Fn(usize) -> Vec3> WideFn for Interpolation<'_, P> {
+    type Output = f64;
+    #[inline(always)]
+    fn call<W: Wide>(self) -> f64 {
+        self.scorer.interpolate::<W>(&self.pos)
+    }
 }
 
 /// A ligand bound to its [`GridField`]: scores poses by trilinear
@@ -933,17 +939,12 @@ impl GridScorer {
             && self.field.slabs().zip(other.field.slabs()).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
-    /// Fill one 8-atom chunk's interpolation inputs. Positions outside the
-    /// grid clamp to the boundary (far from the receptor the potential is
-    /// ~0 anyway, given the build cutoff). Shared verbatim by the wide and
-    /// scalar paths so they interpolate the exact same corners and weights.
-    #[inline]
-    fn prep_chunk(&self, pos: &dyn Fn(usize) -> Vec3, a0: usize) -> Chunk<'_> {
-        let g = &self.field.geom;
-        let n = self.lig_local.len();
-        let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
-        // Lanes past the last atom keep mask 0.0 and gather node 0 of the
-        // first slab, which exists: a ligand has at least one atom.
+    /// Chunk `a0`'s atoms without their lattice cells: each atom's LJ slab,
+    /// charge and mask 1.0. The lanes past the last atom keep mask 0.0 and
+    /// node 0 of the first slab, which exists: a ligand has at least one
+    /// atom.
+    #[inline(always)]
+    fn chunk_atoms(&self, a0: usize) -> Chunk<'_> {
         let mut c = Chunk {
             base: [0; 8],
             lj: [&self.field.lj[0]; 8],
@@ -953,34 +954,77 @@ impl GridScorer {
             q: [0.0; 8],
             mask: [0.0; 8],
         };
-        for l in 0..F32x8::LANES.min(n - a0) {
-            let a = a0 + l;
+        for l in 0..F32x8::LANES.min(self.lig_local.len() - a0) {
             c.mask[l] = 1.0;
-            let p = (pos(a) - g.origin) / g.spacing;
-            let gx = clampf(p.x, g.dims[0]);
-            let gy = clampf(p.y, g.dims[1]);
-            let gz = clampf(p.z, g.dims[2]);
-            let (x0, y0, z0) = (gx as usize, gy as usize, gz as usize);
-            c.fx[l] = (gx - x0 as f64) as f32;
-            c.fy[l] = (gy - y0 as f64) as f32;
-            c.fz[l] = (gz - z0 as f64) as f32;
-            c.base[l] = (z0 * g.dims[1] + y0) * g.dims[0] + x0;
-            c.lj[l] = &self.field.lj[self.lig_slab[a]];
-            c.q[l] = self.lig_charge[a];
+            c.lj[l] = &self.field.lj[self.lig_slab[a0 + l]];
+            c.q[l] = self.lig_charge[a0 + l];
         }
         c
     }
 
-    /// Wide-lane scoring core: 8 atoms per step through [`F32x8`].
-    fn score_wide_with(&self, pos: &dyn Fn(usize) -> Vec3) -> f64 {
+    /// Fill one 8-atom chunk's interpolation inputs, its lattice cells and
+    /// fractions [`LANES`] atoms per step over `W`. Per axis, `g = (p −
+    /// origin) / spacing` is clamped into `[0, dims − 1.000001]` — a
+    /// position outside the grid to its boundary (far from the receptor the
+    /// potential is ~0 anyway, given the build cutoff), a NaN to 0 — then
+    /// `cell = trunc(g)` and `frac = (g − cell) as f32`. The clamp is
+    /// `f64::max(g, 0.0)` then `f64::min(g, hi)` as compare-selects, which
+    /// agree with them on NaN, ±∞ and `−0.0` (to `+0.0`); the division is
+    /// the one the scalar setup made, not a product with a reciprocal,
+    /// which would round differently. Lanes past the last atom sit at the
+    /// origin: cell 0, fraction 0.
+    ///
+    /// The base node `(z · dims[1] + y) · dims[0] + x` is summed in the
+    /// lanes too and converted once per atom: every term is an integer no
+    /// larger than the node count, which is below 2⁵³ for any lattice whose
+    /// slabs fit in memory, so the `f64` sums are exact. Three saturating
+    /// `f64 → usize` conversions per atom cost more than the rest of the
+    /// setup; the one left goes through `i64`, which x86-64 converts to in
+    /// one instruction where `u64` takes two and a branch.
+    #[inline(always)]
+    fn prep_chunk<W: Wide>(&self, pos: &impl Fn(usize) -> Vec3, a0: usize) -> Chunk<'_> {
+        let g = &self.field.geom;
+        let mut c = self.chunk_atoms(a0);
+        let mut at = [[g.origin.x; 8], [g.origin.y; 8], [g.origin.z; 8]];
+        for (l, a) in (a0..self.lig_local.len()).take(F32x8::LANES).enumerate() {
+            let p = pos(a);
+            (at[0][l], at[1][l], at[2][l]) = (p.x, p.y, p.z);
+        }
+        let (mut base, mut fracs) = ([W::splat(0.0); 2], [[0f32; 8]; 3]);
+        for axis in (0..3).rev() {
+            let (origin, spacing) = (W::splat(g.origin[axis]), W::splat(g.spacing));
+            let (zero, hi) = (W::splat(0.0), W::splat(g.dims[axis] as f64 - 1.000001));
+            let dim = W::splat(g.dims[axis] as f64);
+            let steps = at[axis].as_chunks::<LANES>().0.iter();
+            let fracs = fracs[axis].as_chunks_mut::<LANES>().0.iter_mut();
+            for ((p, base), frac) in steps.zip(&mut base).zip(fracs) {
+                let v = (W::from_array(*p) - origin) / spacing;
+                let v = zero.select_lt(v, v, zero);
+                let v = v.select_lt(hi, v, hi);
+                let cell = v.trunc();
+                *base = *base * dim + cell;
+                *frac = (v - cell).to_f32_array();
+            }
+        }
+        [c.fx, c.fy, c.fz] = fracs;
+        for (lanes, base) in c.base.as_chunks_mut::<LANES>().0.iter_mut().zip(base) {
+            *lanes = base.to_array().map(|b| b as i64 as usize);
+        }
+        c
+    }
+
+    /// The score of the pose whose atom `i` is at `pos(i)`: 8 atoms per
+    /// step, their cells set up over `W` and their corners blended through
+    /// [`F32x8`].
+    #[inline(always)]
+    fn interpolate<W: Wide>(&self, pos: &impl Fn(usize) -> Vec3) -> f64 {
         let f = &self.field;
-        let n = self.lig_local.len();
+        debug_assert!(f.nodes() < 1 << 53, "node indices must be exact in f64");
         let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
         let one = F32x8::splat(1.0);
         let mut total = 0.0f64;
-        let mut a0 = 0;
-        while a0 < n {
-            let c = self.prep_chunk(pos, a0);
+        for a0 in (0..self.lig_local.len()).step_by(F32x8::LANES) {
+            let c = self.prep_chunk::<W>(pos, a0);
             let (fx, fy, fz) =
                 (F32x8::from_array(c.fx), F32x8::from_array(c.fy), F32x8::from_array(c.fz));
             let (wx0, wy0, wz0) = (one - fx, one - fy, one - fz);
@@ -1000,43 +1044,6 @@ impl GridScorer {
                 contrib = contrib + F32x8::from_array(c.q) * e;
             }
             total += (contrib * F32x8::from_array(c.mask)).horizontal_sum() as f64;
-            a0 += F32x8::LANES;
-        }
-        total
-    }
-
-    /// Scalar fallback: replays the wide path's per-lane IEEE operations in
-    /// the same order, so results are bit-identical (tested below).
-    fn score_scalar_with(&self, pos: &dyn Fn(usize) -> Vec3) -> f64 {
-        let f = &self.field;
-        let n = self.lig_local.len();
-        let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
-        let mut total = 0.0f64;
-        let mut a0 = 0;
-        while a0 < n {
-            let c = self.prep_chunk(pos, a0);
-            let mut lanes = [0f32; 8];
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                let (fx, fy, fz) = (c.fx[l], c.fy[l], c.fz[l]);
-                let (wx0, wy0, wz0) = (1.0 - fx, 1.0 - fy, 1.0 - fz);
-                let w = [
-                    (wx0 * wy0) * wz0,
-                    (fx * wy0) * wz0,
-                    (wx0 * fy) * wz0,
-                    (fx * fy) * wz0,
-                    (wx0 * wy0) * fz,
-                    (fx * wy0) * fz,
-                    (wx0 * fy) * fz,
-                    (fx * fy) * fz,
-                ];
-                let mut contrib = trilerp_lane(c.lj[l], c.base[l], ox, oy, oz, &w);
-                if let Some(elec) = &f.elec {
-                    contrib += c.q[l] * trilerp_lane(elec, c.base[l], ox, oy, oz, &w);
-                }
-                *lane = contrib * c.mask[l];
-            }
-            total += F32x8::from_array(lanes).horizontal_sum() as f64;
-            a0 += F32x8::LANES;
         }
         total
     }
@@ -1044,13 +1051,7 @@ impl GridScorer {
     /// Score a pose by interpolation: `O(ligand_atoms)`.
     pub fn score(&self, pose: &RigidTransform) -> f64 {
         let lig = &self.lig_local;
-        self.score_wide_with(&|i| pose.apply(lig[i]))
-    }
-
-    /// Scalar-fallback twin of [`GridScorer::score`]; bit-identical.
-    pub fn score_scalar(&self, pose: &RigidTransform) -> f64 {
-        let lig = &self.lig_local;
-        self.score_scalar_with(&|i| pose.apply(lig[i]))
+        widest(Interpolation { scorer: self, pos: |i: usize| pose.apply(lig[i]) })
     }
 
     /// Score already-transformed ligand coordinates in SoA form (the layout
@@ -1058,18 +1059,7 @@ impl GridScorer {
     /// values in the ligand's atom order.
     pub fn score_frame_soa(&self, x: &[f64], y: &[f64], z: &[f64]) -> f64 {
         assert_eq!(x.len(), self.lig_local.len(), "frame length != ligand atoms");
-        self.score_wide_with(&|i| Vec3::new(x[i], y[i], z[i]))
-    }
-
-    /// Scalar-fallback twin of [`GridScorer::score_frame_soa`].
-    pub fn score_frame_soa_scalar(&self, x: &[f64], y: &[f64], z: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.lig_local.len(), "frame length != ligand atoms");
-        self.score_scalar_with(&|i| Vec3::new(x[i], y[i], z[i]))
-    }
-
-    /// Score a batch of poses.
-    pub fn score_batch(&self, poses: &[RigidTransform]) -> Vec<f64> {
-        poses.iter().map(|p| self.score(p)).collect()
+        widest(Interpolation { scorer: self, pos: |i: usize| Vec3::new(x[i], y[i], z[i]) })
     }
 }
 
@@ -1379,6 +1369,285 @@ mod tests {
         let rec = synth::synth_receptor("r", 50, 1);
         let lig = synth::synth_ligand("l", 5, 2);
         GridScorer::new(&rec, &lig, GridOptions { spacing: 0.0, ..Default::default() });
+    }
+
+    // -- interpolation lane paths --------------------------------------------
+
+    /// The interpolation this module shipped before the lanes, and their
+    /// reference: a chunk's lattice cells set up one atom at a time in
+    /// scalar `f64` — `f64::max` / `f64::min` for the clamp, `as usize` for
+    /// the cell — and every lane's corners blended on their own by
+    /// [`trilerp_lane`], in the wide blend's order.
+    impl GridScorer {
+        fn prep_chunk_scalar(&self, pos: &impl Fn(usize) -> Vec3, a0: usize) -> Chunk<'_> {
+            let g = &self.field.geom;
+            let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
+            let mut c = self.chunk_atoms(a0);
+            for l in 0..F32x8::LANES.min(self.lig_local.len() - a0) {
+                let p = (pos(a0 + l) - g.origin) / g.spacing;
+                let gx = clampf(p.x, g.dims[0]);
+                let gy = clampf(p.y, g.dims[1]);
+                let gz = clampf(p.z, g.dims[2]);
+                let (x0, y0, z0) = (gx as usize, gy as usize, gz as usize);
+                c.fx[l] = (gx - x0 as f64) as f32;
+                c.fy[l] = (gy - y0 as f64) as f32;
+                c.fz[l] = (gz - z0 as f64) as f32;
+                c.base[l] = (z0 * g.dims[1] + y0) * g.dims[0] + x0;
+            }
+            c
+        }
+
+        fn score_scalar_with(&self, pos: impl Fn(usize) -> Vec3) -> f64 {
+            let f = &self.field;
+            let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
+            let mut total = 0.0f64;
+            for a0 in (0..self.lig_local.len()).step_by(F32x8::LANES) {
+                let c = self.prep_chunk_scalar(&pos, a0);
+                let mut lanes = [0f32; 8];
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let (fx, fy, fz) = (c.fx[l], c.fy[l], c.fz[l]);
+                    let (wx0, wy0, wz0) = (1.0 - fx, 1.0 - fy, 1.0 - fz);
+                    let w = [
+                        (wx0 * wy0) * wz0,
+                        (fx * wy0) * wz0,
+                        (wx0 * fy) * wz0,
+                        (fx * fy) * wz0,
+                        (wx0 * wy0) * fz,
+                        (fx * wy0) * fz,
+                        (wx0 * fy) * fz,
+                        (fx * fy) * fz,
+                    ];
+                    let mut contrib = trilerp_lane(c.lj[l], c.base[l], ox, oy, oz, &w);
+                    if let Some(elec) = &f.elec {
+                        contrib += c.q[l] * trilerp_lane(elec, c.base[l], ox, oy, oz, &w);
+                    }
+                    *lane = contrib * c.mask[l];
+                }
+                total += F32x8::from_array(lanes).horizontal_sum() as f64;
+            }
+            total
+        }
+
+        /// The reference twin of [`GridScorer::score`].
+        fn score_scalar(&self, pose: &RigidTransform) -> f64 {
+            let lig = &self.lig_local;
+            self.score_scalar_with(|i| pose.apply(lig[i]))
+        }
+
+        /// The reference twin of [`GridScorer::score_frame_soa`].
+        fn score_frame_soa_scalar(&self, x: &[f64], y: &[f64], z: &[f64]) -> f64 {
+            assert_eq!(x.len(), self.lig_local.len(), "frame length != ligand atoms");
+            self.score_scalar_with(|i| Vec3::new(x[i], y[i], z[i]))
+        }
+
+        fn score_batch(&self, poses: &[RigidTransform]) -> Vec<f64> {
+            poses.iter().map(|p| self.score(p)).collect()
+        }
+    }
+
+    /// One lane's trilinear blend: [`trilerp_wide`]'s IEEE operations on
+    /// that lane, in its order.
+    fn trilerp_lane(f: &[f32], i: usize, ox: usize, oy: usize, oz: usize, w: &[f32; 8]) -> f32 {
+        let mut v = f[i] * w[0];
+        v += f[i + ox] * w[1];
+        v += f[i + oy] * w[2];
+        v += f[i + ox + oy] * w[3];
+        v += f[i + oz] * w[4];
+        v += f[i + ox + oz] * w[5];
+        v += f[i + oy + oz] * w[6];
+        v += f[i + ox + oy + oz] * w[7];
+        v
+    }
+
+    /// A frame's score on the reference, on the portable lanes instantiated
+    /// here (so that they run on every host) and on whatever lanes this
+    /// host has: the same bits on all three. Returns it.
+    fn assert_frame_paths_agree(grid: &GridScorer, [x, y, z]: [&[f64]; 3], what: &str) -> f64 {
+        let want = grid.score_frame_soa_scalar(x, y, z);
+        let pos = |i: usize| Vec3::new(x[i], y[i], z[i]);
+        let portable = Interpolation { scorer: grid, pos }.call::<F64x4>();
+        let detected = grid.score_frame_soa(x, y, z);
+        for (path, got) in [("portable", portable), ("detected", detected)] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} lanes: {got} != {want}");
+        }
+        want
+    }
+
+    /// [`assert_frame_paths_agree`] on `pose`'s frame, then the three paths
+    /// again from the pose itself: the same bits once more.
+    fn assert_pose_paths_agree(grid: &GridScorer, pose: &RigidTransform, what: &str) -> f64 {
+        let lig = &grid.lig_local;
+        let n = lig.len();
+        let (mut x, mut y, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        pose.apply_all_soa(lig, &mut x, &mut y, &mut z);
+        let want = assert_frame_paths_agree(grid, [&x, &y, &z], what);
+        let portable =
+            Interpolation { scorer: grid, pos: |i: usize| pose.apply(lig[i]) }.call::<F64x4>();
+        let posed = [
+            ("reference", grid.score_scalar(pose)),
+            ("portable", portable),
+            ("detected", grid.score(pose)),
+        ];
+        for (path, got) in posed {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} from the pose");
+        }
+        want
+    }
+
+    #[test]
+    fn interpolation_lane_paths_agree_on_ligands_of_every_length() {
+        let rec = synth::synth_receptor("r", 200, 8);
+        let cache = SlabCache::new(ROOMY);
+        let base = GridOptions { spacing: 0.8, ..Default::default() };
+        for (opts, _) in model_variants(base, &[]) {
+            // 1–17 atoms: every partial last chunk, one and two full ones.
+            for atoms in 1..=17 {
+                let lig = synth::synth_ligand("l", atoms, 40 + atoms as u64);
+                let grid = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+                let mut poses = surface_poses(6, atoms as u64);
+                poses.push(RigidTransform::IDENTITY);
+                poses.push(RigidTransform::from_translation(Vec3::new(-300.0, 12.0, 0.5)));
+                for (k, pose) in poses.iter().enumerate() {
+                    assert_pose_paths_agree(&grid, pose, &format!("{atoms} atoms, pose {k}"));
+                }
+            }
+        }
+    }
+
+    /// Coordinates along an axis from `origin` at `spacing` whose fraction
+    /// narrows to another `f32` when `(p − origin) / spacing` is taken as
+    /// `(p − origin) · (1 / spacing)`: the ulps around `f32` ties, where a
+    /// reciprocal would change the score.
+    fn reciprocal_sensitive(origin: f64, spacing: f64) -> Vec<f64> {
+        let frac = |g: f64| (g - g.trunc()) as f32;
+        let mut found = Vec::new();
+        for k in 0..64 {
+            let t = 0.1f32 + 0.0125 * k as f32;
+            // Halfway between two neighbouring `f32`s: exact in `f64`.
+            let tie = (f64::from(t) + f64::from(t.next_up())) / 2.0;
+            let mut p = origin + tie * spacing;
+            for _ in 0..8 {
+                p = p.next_down();
+            }
+            for _ in 0..16 {
+                if frac((p - origin) / spacing) != frac((p - origin) * (1.0 / spacing)) {
+                    found.push(p);
+                }
+                p = p.next_up();
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn interpolation_lane_paths_agree_on_nodes_edges_faces_and_non_finite_atoms() {
+        let rec = synth::synth_receptor("r", 60, 12);
+        let lig = ligand_of(&[Element::C, Element::O], 13, 14);
+        let opts = GridOptions { dielectric: Some(4.0), ..Default::default() };
+        let scorer = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
+        let mut rng = RngStream::from_seed(0x1e5);
+        // Hand-made lattices, their node values seeded, positive and
+        // negative: two with a zero origin and a power-of-two pitch, where
+        // `(p − origin) / spacing` is exact, so that an atom can sit on a
+        // node, on the upper clamp or one ulp either side of it; two
+        // lattices one cell thick along z; one where a reciprocal of the
+        // pitch would round some fractions to another `f32`.
+        let lattices = [
+            (Vec3::ZERO, 0.5, [6, 5, 2]),
+            (Vec3::ZERO, 0.5, [9, 7, 4]),
+            (Vec3::new(-3.25, 1.5, -0.75), 0.75, [2, 2, 2]),
+            (Vec3::new(-3.25, 1.5, -0.75), 0.75, [7, 6, 5]),
+            (Vec3::ZERO, 0.75, [5, 4, 3]),
+        ];
+        assert!(!reciprocal_sensitive(0.0, 0.75).is_empty(), "nowhere would a reciprocal show");
+        for (origin, spacing, dims) in lattices {
+            let mut grid = scorer.clone();
+            let geom = Geometry { origin, spacing, dims };
+            let mut seeded = || -> Slab {
+                (0..geom.nodes()).map(|_| rng.uniform_range(-8.0, 8.0) as f32).collect()
+            };
+            grid.field.lj = grid.field.lj.iter().map(|_| seeded()).collect();
+            grid.field.elec = Some(seeded());
+            grid.field.geom = geom;
+            // Per axis, in lattice units (`origin + u · spacing`): nodes,
+            // the two ends, the upper clamp and its neighbours, cell
+            // interiors and beyond both faces; then raw coordinates.
+            let axis = |a: usize| -> Vec<f64> {
+                let top = dims[a] as f64 - 1.000001;
+                let units = [0.0, 1.0, dims[a] as f64 - 1.0, top, top.next_up(), top.next_down()];
+                let units = units.into_iter().chain([0.5, 0.25, -3.0, dims[a] as f64 + 2.0]);
+                let raw = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+                let units = units.map(|u| origin[a] + u * spacing).chain(raw);
+                units.chain(reciprocal_sensitive(origin[a], spacing)).collect()
+            };
+            let [vx, vy, vz] = [axis(0), axis(1), axis(2)];
+            let n = lig.len();
+            for k in 0..vx.len() {
+                // Lane `i` of frame `k` takes a different value on each axis,
+                // so every value meets every lane and every other axis.
+                let pick = |v: &[f64], i: usize, stride: usize| v[(k + stride * i) % v.len()];
+                let x: Vec<f64> = (0..n).map(|i| pick(&vx, i, 1)).collect();
+                let y: Vec<f64> = (0..n).map(|i| pick(&vy, i + 1, 3)).collect();
+                let z: Vec<f64> = (0..n).map(|i| pick(&vz, i + 2, 7)).collect();
+                let what = format!("lattice {dims:?} at {origin:?}, frame {k}");
+                assert_frame_paths_agree(&grid, [&x, &y, &z], &what);
+            }
+        }
+    }
+
+    #[test]
+    fn interpolation_lane_paths_agree_on_two_hundred_random_poses() {
+        let rec = synth::synth_receptor("r", 150, 15);
+        let lig = synth::synth_ligand("l", 13, 16);
+        let cache = SlabCache::new(ROOMY);
+        let full = GridOptions {
+            spacing: 0.7,
+            dielectric: Some(4.0),
+            hbond_epsilon: Some(1.0),
+            ..Default::default()
+        };
+        // And a lattice one cell thick: a plane of atoms with no margin.
+        let flat = flat_receptor();
+        let thin = GridOptions { margin: 0.0, ..full };
+        assert_eq!(Geometry::of(&flat, thin).dims[2], 2);
+        let mut rng = RngStream::from_seed(0x200);
+        for (what, rec, opts) in [("globular", &rec, full), ("flat", &flat, thin)] {
+            let grid = GridScorer::new_in(&cache, rec, &lig, opts, NO_CLOCK);
+            for k in 0..200 {
+                // Inside the lattice and out past every face.
+                let t = Vec3::new(
+                    rng.uniform_range(-30.0, 30.0),
+                    rng.uniform_range(-30.0, 30.0),
+                    rng.uniform_range(-30.0, 30.0),
+                );
+                let pose = RigidTransform::new(rng.rotation(), t);
+                assert_pose_paths_agree(&grid, &pose, &format!("{what}: pose {k}"));
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "run in release mode: scores both Table 5 complexes under three models on three lane paths"]
+    fn table5_receptors_interpolate_the_same_bits_on_every_lane_path() {
+        let base = GridOptions::default();
+        for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
+            let (rec, lig) = (dataset.receptor(), dataset.ligand());
+            let geom = Geometry::of(&rec, base);
+            let mut rng = RngStream::from_seed(0x7ab5);
+            for (opts, _) in model_variants(base, &[]) {
+                let grid = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
+                for k in 0..256 {
+                    // Anywhere in the lattice's box and a little past it.
+                    let [x, y, z] = [0, 1, 2].map(|a| {
+                        let extent = (geom.dims[a] - 1) as f64 * geom.spacing;
+                        geom.origin[a] + rng.uniform_range(-4.0, extent + 4.0)
+                    });
+                    let pose = RigidTransform::new(rng.rotation(), Vec3::new(x, y, z));
+                    let what = format!("{dataset:?}, {opts:?}, pose {k}");
+                    assert_pose_paths_agree(&grid, &pose, &what);
+                }
+            }
+        }
     }
 
     // -- build equivalence ---------------------------------------------------

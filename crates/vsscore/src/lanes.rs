@@ -1,30 +1,32 @@
 //! The lane types of the explicit-width kernels: the pair sweeps of
-//! [`crate::run`] and the grid build of [`crate::grid_potential`].
+//! [`crate::run`], and the grid build and the grid interpolation of
+//! [`crate::grid_potential`].
 //!
 //! A kernel writes its arithmetic once, over a value type that offers
 //! exactly what it needs ([`Lane`]: broadcast, `+ − × ÷`, compare-select,
-//! and a masked `f32` accumulate; its four-wide refinement [`Wide`] adds the
-//! array conversions), and takes four elements per step ([`LANES`]). There
-//! are three such types:
+//! truncation toward zero, and a masked `f32` accumulate; its four-wide
+//! refinement [`Wide`] adds the array conversions, one of them narrowing to
+//! `f32`), and takes four elements per step ([`LANES`]). There are three
+//! such types:
 //!
 //! - `f64` — the `len % 4` elements left over after the last full step;
 //! - [`F64x4`], a `[f64; 4]` with element-wise operators — portable; LLVM
 //!   packs it into whatever the target's baseline offers (two 128-bit
 //!   halves on x86-64), with no per-element bounds check left;
 //! - `avx2::Avx`, one 256-bit `__m256d` register, its operators the
-//!   `_mm256_{add,sub,mul,div}_pd` / `cmp` + `blendv` / `cvtpd_ps`
-//!   intrinsics. It exists only on x86-64 and is private to this module:
-//!   the one way to run a kernel over it is [`widest`], which asks the CPU
-//!   for `avx2` first.
+//!   `_mm256_{add,sub,mul,div}_pd` / `cmp` + `blendv` / `round_pd` /
+//!   `cvtpd_ps` intrinsics. It exists only on x86-64 and is private to this
+//!   module: the one way to run a kernel over it is [`widest`], which asks
+//!   the CPU for `avx2` first.
 //!
 //! Every lane operation in all three is a correctly rounded IEEE-754 add,
-//! subtract, multiply, divide or `f64 → f32` conversion, or a
-//! compare-select — there is no fused multiply-add, no reciprocal estimate
-//! and no reassociation — so the three give each lane the bits the `f64`
-//! implementation gives that lane alone, non-finite inputs included. Which
-//! one runs depends on the host CPU; no result does. The kernels' tests hold
-//! them to that by `to_bits`, the portable one instantiated directly so it
-//! is exercised on every host.
+//! subtract, multiply, divide or `f64 → f32` conversion, an exact
+//! truncation to an integral value, or a compare-select — there is no fused
+//! multiply-add, no reciprocal estimate and no reassociation — so the three
+//! give each lane the bits the `f64` implementation gives that lane alone,
+//! non-finite inputs included. Which one runs depends on the host CPU; no
+//! result does. The kernels' tests hold them to that by `to_bits`, the
+//! portable one instantiated directly so it is exercised on every host.
 
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -33,9 +35,10 @@ use std::ops::{Add, Div, Mul, Sub};
 pub const LANES: usize = 4;
 
 /// What the kernels need of a value: correctly rounded IEEE `+ − × ÷` per
-/// lane, a broadcast, compares, and a masked narrowing accumulate. Nothing
-/// here fuses, estimates or reassociates, so every implementation gives each
-/// lane the bits the `f64` implementation gives that lane alone.
+/// lane, a broadcast, compares, truncation, and a masked narrowing
+/// accumulate. Nothing here fuses, estimates or reassociates, so every
+/// implementation gives each lane the bits the `f64` implementation gives
+/// that lane alone.
 pub(crate) trait Lane:
     Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
 {
@@ -49,6 +52,9 @@ pub(crate) trait Lane:
     fn select_lt(self, rhs: Self, lt: Self, ge: Self) -> Self;
     /// Lane by lane `!(self > rhs)`: true on a NaN.
     fn not_gt(self, rhs: Self) -> Self::Mask;
+    /// Lane by lane [`f64::trunc`]: the integral value toward zero, which
+    /// keeps the sign of a zero result, NaN and ±∞.
+    fn trunc(self) -> Self;
     /// How many lanes of `mask` hold.
     fn count(mask: Self::Mask) -> u32;
     /// `cell += lane as f32` for lane `l` and cell `cells[at + l]`, in the
@@ -82,6 +88,10 @@ impl Lane for f64 {
         !(self > rhs)
     }
     #[inline(always)]
+    fn trunc(self) -> f64 {
+        f64::trunc(self)
+    }
+    #[inline(always)]
     fn count(mask: bool) -> u32 {
         u32::from(mask)
     }
@@ -97,6 +107,8 @@ impl Lane for f64 {
 pub(crate) trait Wide: Lane {
     fn from_array(lanes: [f64; LANES]) -> Self;
     fn to_array(self) -> [f64; LANES];
+    /// Every lane `as f32`: rounded to nearest, ties to even.
+    fn to_f32_array(self) -> [f32; LANES];
 }
 
 /// The portable [`Wide`]: each operator is the `f64` one, spelled out lane
@@ -144,6 +156,11 @@ impl Lane for F64x4 {
         [a[0].not_gt(b[0]), a[1].not_gt(b[1]), a[2].not_gt(b[2]), a[3].not_gt(b[3])]
     }
     #[inline(always)]
+    fn trunc(self) -> F64x4 {
+        let a = self.0;
+        F64x4([a[0].trunc(), a[1].trunc(), a[2].trunc(), a[3].trunc()])
+    }
+    #[inline(always)]
     fn count(mask: [bool; LANES]) -> u32 {
         mask.iter().map(|&m| u32::from(m)).sum()
     }
@@ -164,6 +181,11 @@ impl Wide for F64x4 {
     #[inline(always)]
     fn to_array(self) -> [f64; LANES] {
         self.0
+    }
+    #[inline(always)]
+    fn to_f32_array(self) -> [f32; LANES] {
+        let a = self.0;
+        [a[0] as f32, a[1] as f32, a[2] as f32, a[3] as f32]
     }
 }
 
@@ -215,7 +237,8 @@ mod avx2 {
             // SAFETY: AVX/SSE2 intrinsics under `call`, which has the CPU
             // feature (above). All work on registers but `_mm_loadu_ps` /
             // `_mm_storeu_ps`, unaligned, which get the pointer of a slice
-            // of `LANES` cells: sixteen bytes valid to read and to write.
+            // or an array of `LANES` cells: sixteen bytes valid to read and
+            // to write.
             unsafe { $intrinsic }
         };
     }
@@ -255,6 +278,12 @@ mod avx2 {
         fn not_gt(self, rhs: Avx) -> __m256d {
             // Unordered, quiet not-`>`: true on a NaN, like `!(a > b)`.
             avx!(_mm256_cmp_pd::<_CMP_NGT_UQ>(self.0, rhs.0))
+        }
+        #[inline(always)]
+        fn trunc(self) -> Avx {
+            // Toward zero, exact, no exception flags: `f64::trunc`.
+            const TOWARD_ZERO: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+            Avx(avx!(_mm256_round_pd::<TOWARD_ZERO>(self.0)))
         }
         #[inline(always)]
         fn count(mask: __m256d) -> u32 {
@@ -297,6 +326,13 @@ mod avx2 {
                 ]
             })
         }
+        #[inline(always)]
+        fn to_f32_array(self) -> [f32; LANES] {
+            let mut lanes = [0f32; LANES];
+            // `cvtpd_ps` rounds as `as f32` does, to nearest even.
+            avx!(_mm_storeu_ps(lanes.as_mut_ptr(), _mm256_cvtpd_ps(self.0)));
+            lanes
+        }
     }
 
     /// `kernel` over [`Avx`]: its `#[inline(always)]` body is built here
@@ -318,8 +354,9 @@ mod tests {
         cells: [f32; LANES],
     }
 
-    /// (select_lt(a, b, a, b), count(!(a > b)), cells after the masked add of `a`).
-    type Seen = ([u64; LANES], u32, [u32; LANES]);
+    /// (select_lt(a, b, a, b), count(!(a > b)), cells after the masked add
+    /// of `a`, trunc(a), a narrowed to `f32`).
+    type Seen = ([u64; LANES], u32, [u32; LANES], [u64; LANES], [u32; LANES]);
 
     impl WideFn for Probe {
         type Output = Seen;
@@ -332,6 +369,8 @@ mod tests {
                 a.select_lt(b, a, b).to_array().map(f64::to_bits),
                 W::count(keep),
                 self.cells.map(f32::to_bits),
+                a.trunc().to_array().map(f64::to_bits),
+                a.to_f32_array().map(f32::to_bits),
             )
         }
     }
@@ -340,15 +379,17 @@ mod tests {
         /// The same through `f64`, lane by lane.
         fn scalar(mut self) -> Seen {
             let mut kept = 0;
-            let mut min = [0; LANES];
-            for (l, min) in min.iter_mut().enumerate() {
+            let (mut min, mut trunc, mut narrow) = ([0; LANES], [0; LANES], [0; LANES]);
+            for l in 0..LANES {
                 let (a, b) = (self.a[l], self.b[l]);
                 let keep = a.not_gt(b);
                 kept += f64::count(keep);
                 a.add_narrowed(keep, &mut self.cells, l);
-                *min = a.select_lt(b, a, b).to_bits();
+                min[l] = a.select_lt(b, a, b).to_bits();
+                trunc[l] = Lane::trunc(a).to_bits();
+                narrow[l] = (a as f32).to_bits();
             }
-            (min, kept, self.cells.map(f32::to_bits))
+            (min, kept, self.cells.map(f32::to_bits), trunc, narrow)
         }
     }
 
@@ -357,7 +398,9 @@ mod tests {
         let nan = f64::NAN;
         let inf = f64::INFINITY;
         // Halfway between two `f32`s, beyond `f32::MAX`, subnormal in `f32`:
-        // where a narrowing that rounded differently would show.
+        // where a narrowing that rounded differently would show. Halves,
+        // a negative fraction (truncated to `-0.0`), the last fractional
+        // `f64` below 2⁵² and an integral -1e300: where truncation would.
         let values = [
             0.0,
             -0.0,
@@ -373,6 +416,11 @@ mod tests {
             1.0e-40,
             f64::MIN_POSITIVE,
             0.1,
+            2.5,
+            -2.5,
+            -0.25,
+            4503599627370495.5,
+            -1.0e300,
         ];
         let n = values.len();
         for shift in 0..n {
@@ -390,7 +438,7 @@ mod tests {
         // A lane that is not kept leaves its cell's bits alone.
         let cells = [-0.0f32; LANES];
         let probe = Probe { a: [2.0, 0.0, 2.0, 0.0], b: [1.0; LANES], cells };
-        let (_, kept, after) = widest(probe);
+        let (_, kept, after, _, _) = widest(probe);
         assert_eq!(kept, 2);
         assert_eq!(after, [(-0.0f32).to_bits(), 0, (-0.0f32).to_bits(), 0]);
     }
