@@ -39,15 +39,17 @@
 //!   stores back the cell it loaded, and every lane operation is correctly
 //!   rounded, so a slab holds the same bits whichever lanes the host has.
 //!   [`GridBuildStats::terms`] counts the kept lanes.
-//! - [`GridScorer`] interpolates 8 ligand atoms per step. Their lattice
-//!   cells and fractions are computed four atoms per step through the same
-//!   lane types — the clamp to the lattice as two compare-selects, the cell
-//!   by truncation — and the cell corners are blended with explicit
-//!   [`vsmath::F32x8`] lanes: one body, for a pose and for a transformed
-//!   frame alike, compiled under the widest lanes the host has. The tests
-//!   keep the per-atom scalar setup and blend it replaced as the reference
-//!   and hold every lane path to its bits, so the lanes are a pure speedup,
-//!   never a numerics fork.
+//! - [`GridScorer`] scores a pose 8 ligand atoms per step, in one body
+//!   compiled under the widest lanes the host has. Four atoms per step
+//!   through the same lane types, it places the atoms — the pose applied
+//!   to the ligand's coordinate columns with [`RigidTransform::apply`]'s
+//!   operations in its order — and finds their lattice cells and fractions
+//!   — the clamp to the lattice as two compare-selects, the cell by
+//!   truncation. Each lane's cell is then read through one checked slice,
+//!   and the corners are blended with explicit [`vsmath::F32x8`] lanes.
+//!   The tests keep the per-atom scalar placement, setup and blend it
+//!   replaced as the reference and hold every lane path to its bits, so
+//!   the lanes are a pure speedup, never a numerics fork.
 //! - [`GridScorer::new_traced`] records a [`vstrace::Event::GridBuilt`]
 //!   with this scorer's slab memory, the seconds spent building and
 //!   whether anything had to be built.
@@ -184,6 +186,15 @@ impl Geometry {
 
     fn nodes(&self) -> usize {
         self.dims[0] * self.dims[1] * self.dims[2]
+    }
+
+    /// The node-index steps to the next row and to the next plane. A plane
+    /// is far below 2³² nodes (a slab of it alone would take 16 GiB), so
+    /// both fit a `u32`, and no sum of them wraps a `usize`.
+    fn strides(&self) -> [u32; 2] {
+        let [row, plane] = [self.dims[0], self.dims[0] * self.dims[1]];
+        assert!(plane <= u32::MAX as usize, "a lattice plane of {plane} nodes");
+        [row as u32, plane as u32]
     }
 }
 
@@ -782,14 +793,18 @@ struct Chunk<'a> {
 fn trilerp_wide<'a>(
     slab: impl Fn(usize) -> &'a [f32],
     idx: &[usize; 8],
-    [ox, oy, oz]: [usize; 3],
+    [oy, oz]: [u32; 2],
     w: &[F32x8; 8],
 ) -> F32x8 {
+    let (ox, oy, oz) = (1, oy as usize, oz as usize);
     let offsets = [0, ox, oy, ox + oy, oz, ox + oz, oy + oz, ox + oy + oz];
-    // Lane-major gather: a lane's slab is looked up once for its 8 corners.
+    // Lane-major gather: a lane's slab is looked up once for its 8 corners,
+    // and its cell is bounds-checked once, as the slice up to the far
+    // corner. The strides came from `u32`s, so no offset sum wraps and every
+    // corner provably lies inside that slice.
     let mut corners = [[0f32; 8]; 8];
     for l in 0..8 {
-        let cell = &slab(l)[idx[l]..];
+        let cell = &slab(l)[idx[l]..][..=ox + oy + oz];
         for (corner, &off) in corners.iter_mut().zip(&offsets) {
             corner[l] = cell[off];
         }
@@ -801,18 +816,65 @@ fn trilerp_wide<'a>(
     v
 }
 
-/// One pose's interpolation, for [`widest`] to pick the lanes of: ligand
-/// atom `i` is at `pos(i)`.
-struct Interpolation<'a, P> {
-    scorer: &'a GridScorer,
-    pos: P,
+/// A pose broadcast to every lane, to place [`LANES`] ligand atoms per step.
+#[derive(Clone, Copy)]
+struct LanePose<W> {
+    /// The rotation's vector part, then its scalar part.
+    q: [W; 3],
+    w: W,
+    t: [W; 3],
 }
 
-impl<P: Fn(usize) -> Vec3> WideFn for Interpolation<'_, P> {
+impl<W: Wide> LanePose<W> {
+    #[inline(always)]
+    fn new(pose: &RigidTransform) -> LanePose<W> {
+        let (r, t) = (pose.rotation, pose.translation);
+        LanePose {
+            q: [W::splat(r.x), W::splat(r.y), W::splat(r.z)],
+            w: W::splat(r.w),
+            t: [W::splat(t.x), W::splat(t.y), W::splat(t.z)],
+        }
+    }
+
+    /// The atoms at local coordinates `v`, placed: [`RigidTransform::apply`]
+    /// — `Quat::rotate(v) + t` — with its association, `u = (q × v)·2`, then
+    /// `((v + u·w) + q × u) + t`, each cross component `a·b − c·d` as
+    /// `Vec3::cross` writes it. Every operation is a correctly rounded
+    /// `+ − ×` and Rust never contracts two into a fused multiply-add, so
+    /// each lane gets `apply`'s bits.
+    ///
+    /// Spelled out component by component: a closure passed to
+    /// `<[_; 3]>::map` is not inlined into the `avx2` body, and calling it
+    /// per step made a pose several times slower.
+    #[inline(always)]
+    fn apply(&self, v: [W; 3]) -> [W; 3] {
+        #[inline(always)]
+        fn cross<W: Wide>(a: [W; 3], b: [W; 3]) -> [W; 3] {
+            [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+        }
+        let (q, w, t, two) = (self.q, self.w, self.t, W::splat(2.0));
+        let u = cross(q, v);
+        let u = [u[0] * two, u[1] * two, u[2] * two];
+        let qu = cross(q, u);
+        [
+            ((v[0] + u[0] * w) + qu[0]) + t[0],
+            ((v[1] + u[1] * w) + qu[1]) + t[1],
+            ((v[2] + u[2] * w) + qu[2]) + t[2],
+        ]
+    }
+}
+
+/// One pose's interpolation, for [`widest`] to pick the lanes of.
+struct Interpolation<'a> {
+    scorer: &'a GridScorer,
+    pose: &'a RigidTransform,
+}
+
+impl WideFn for Interpolation<'_> {
     type Output = f64;
     #[inline(always)]
     fn call<W: Wide>(self) -> f64 {
-        self.scorer.interpolate::<W>(&self.pos)
+        self.scorer.interpolate::<W>(self.pose)
     }
 }
 
@@ -821,7 +883,11 @@ impl<P: Fn(usize) -> Vec3> WideFn for Interpolation<'_, P> {
 #[derive(Debug, Clone)]
 pub struct GridScorer {
     field: GridField,
-    lig_local: Vec<Vec3>,
+    /// The centred ligand's x, y and z columns, padded with NaN to whole
+    /// 8-atom chunks, so that a chunk loads its lanes directly. A padding
+    /// lane is placed at NaN by any pose, which the lattice clamp sends to
+    /// node 0.
+    lig: [Vec<f64>; 3],
     /// Index into `field.lj` per ligand atom.
     lig_slab: Vec<usize>,
     lig_charge: Vec<f32>,
@@ -876,9 +942,14 @@ impl GridScorer {
             terms,
             cached: built == 0,
         };
+        let chunks = lig.len().next_multiple_of(F32x8::LANES);
+        let column = |axis: usize| -> Vec<f64> {
+            let coords = lig.positions().iter().map(|p| p[axis]);
+            coords.chain(std::iter::repeat(f64::NAN)).take(chunks).collect()
+        };
         GridScorer {
             field,
-            lig_local: lig.positions().to_vec(),
+            lig: [column(0), column(1), column(2)],
             lig_slab: lig.elements().iter().map(|e| slot[e.index()]).collect(),
             lig_charge: lig.charges().iter().map(|&q| q as f32).collect(),
             stats,
@@ -919,7 +990,7 @@ impl GridScorer {
     }
 
     pub fn ligand_atoms(&self) -> usize {
-        self.lig_local.len()
+        self.lig_slab.len()
     }
 
     /// Memory of this scorer's slabs in bytes.
@@ -954,7 +1025,7 @@ impl GridScorer {
             q: [0.0; 8],
             mask: [0.0; 8],
         };
-        for l in 0..F32x8::LANES.min(self.lig_local.len() - a0) {
+        for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
             c.mask[l] = 1.0;
             c.lj[l] = &self.field.lj[self.lig_slab[a0 + l]];
             c.q[l] = self.lig_charge[a0 + l];
@@ -962,17 +1033,19 @@ impl GridScorer {
         c
     }
 
-    /// Fill one 8-atom chunk's interpolation inputs, its lattice cells and
-    /// fractions [`LANES`] atoms per step over `W`. Per axis, `g = (p −
-    /// origin) / spacing` is clamped into `[0, dims − 1.000001]` — a
-    /// position outside the grid to its boundary (far from the receptor the
-    /// potential is ~0 anyway, given the build cutoff), a NaN to 0 — then
-    /// `cell = trunc(g)` and `frac = (g − cell) as f32`. The clamp is
-    /// `f64::max(g, 0.0)` then `f64::min(g, hi)` as compare-selects, which
-    /// agree with them on NaN, ±∞ and `−0.0` (to `+0.0`); the division is
-    /// the one the scalar setup made, not a product with a reciprocal,
-    /// which would round differently. Lanes past the last atom sit at the
-    /// origin: cell 0, fraction 0.
+    /// Fill the interpolation inputs of chunk `a0`, whose atoms sit at
+    /// `local` in the ligand's frame: [`LANES`] atoms per step over `W`,
+    /// each placed by `pose`, then its lattice cell and fractions found.
+    /// Per axis, `g = (p − origin) / spacing` is clamped into `[0, dims −
+    /// 1.000001]` — a position outside the grid to its boundary (far from
+    /// the receptor the potential is ~0 anyway, given the build cutoff), a
+    /// NaN to 0 — then `cell = trunc(g)` and `frac = (g − cell) as f32`.
+    /// The clamp is `f64::max(g, 0.0)` then `f64::min(g, hi)` as
+    /// compare-selects, which agree with them on NaN, ±∞ and `−0.0` (to
+    /// `+0.0`); the division is the one the scalar setup made, not a
+    /// product with a reciprocal, which would round differently. Lanes past
+    /// the last atom are placed at NaN (the padding of the columns), so
+    /// they sit at the origin: cell 0, fraction 0.
     ///
     /// The base node `(z · dims[1] + y) · dims[0] + x` is summed in the
     /// lanes too and converted once per atom: every term is an integer no
@@ -982,28 +1055,27 @@ impl GridScorer {
     /// setup; the one left goes through `i64`, which x86-64 converts to in
     /// one instruction where `u64` takes two and a branch.
     #[inline(always)]
-    fn prep_chunk<W: Wide>(&self, pos: &impl Fn(usize) -> Vec3, a0: usize) -> Chunk<'_> {
+    fn prep_chunk<W: Wide>(
+        &self,
+        pose: &LanePose<W>,
+        local: [&[f64; 8]; 3],
+        a0: usize,
+    ) -> Chunk<'_> {
         let g = &self.field.geom;
         let mut c = self.chunk_atoms(a0);
-        let mut at = [[g.origin.x; 8], [g.origin.y; 8], [g.origin.z; 8]];
-        for (l, a) in (a0..self.lig_local.len()).take(F32x8::LANES).enumerate() {
-            let p = pos(a);
-            (at[0][l], at[1][l], at[2][l]) = (p.x, p.y, p.z);
-        }
         let (mut base, mut fracs) = ([W::splat(0.0); 2], [[0f32; 8]; 3]);
-        for axis in (0..3).rev() {
-            let (origin, spacing) = (W::splat(g.origin[axis]), W::splat(g.spacing));
-            let (zero, hi) = (W::splat(0.0), W::splat(g.dims[axis] as f64 - 1.000001));
-            let dim = W::splat(g.dims[axis] as f64);
-            let steps = at[axis].as_chunks::<LANES>().0.iter();
-            let fracs = fracs[axis].as_chunks_mut::<LANES>().0.iter_mut();
-            for ((p, base), frac) in steps.zip(&mut base).zip(fracs) {
-                let v = (W::from_array(*p) - origin) / spacing;
+        for (step, base) in base.iter_mut().enumerate() {
+            let at = |col: &[f64; 8]| W::from_array(col.as_chunks::<LANES>().0[step]);
+            let p = pose.apply([at(local[0]), at(local[1]), at(local[2])]);
+            for axis in (0..3).rev() {
+                let (origin, spacing) = (W::splat(g.origin[axis]), W::splat(g.spacing));
+                let (zero, hi) = (W::splat(0.0), W::splat(g.dims[axis] as f64 - 1.000001));
+                let v = (p[axis] - origin) / spacing;
                 let v = zero.select_lt(v, v, zero);
                 let v = v.select_lt(hi, v, hi);
                 let cell = v.trunc();
-                *base = *base * dim + cell;
-                *frac = (v - cell).to_f32_array();
+                *base = *base * W::splat(g.dims[axis] as f64) + cell;
+                fracs[axis].as_chunks_mut::<LANES>().0[step] = (v - cell).to_f32_array();
             }
         }
         [c.fx, c.fy, c.fz] = fracs;
@@ -1013,18 +1085,20 @@ impl GridScorer {
         c
     }
 
-    /// The score of the pose whose atom `i` is at `pos(i)`: 8 atoms per
-    /// step, their cells set up over `W` and their corners blended through
-    /// [`F32x8`].
+    /// The score of `pose`: 8 atoms per step, placed and their cells set up
+    /// over `W`, their corners blended through [`F32x8`].
     #[inline(always)]
-    fn interpolate<W: Wide>(&self, pos: &impl Fn(usize) -> Vec3) -> f64 {
+    fn interpolate<W: Wide>(&self, pose: &RigidTransform) -> f64 {
         let f = &self.field;
         debug_assert!(f.nodes() < 1 << 53, "node indices must be exact in f64");
-        let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
+        let strides = f.geom.strides();
+        let pose = LanePose::<W>::new(pose);
         let one = F32x8::splat(1.0);
         let mut total = 0.0f64;
-        for a0 in (0..self.lig_local.len()).step_by(F32x8::LANES) {
-            let c = self.prep_chunk::<W>(pos, a0);
+        let [x, y, z] = &self.lig;
+        let chunks = x.as_chunks().0.iter().zip(y.as_chunks().0).zip(z.as_chunks().0);
+        for (k, ((x, y), z)) in chunks.enumerate() {
+            let c = self.prep_chunk(&pose, [x, y, z], k * F32x8::LANES);
             let (fx, fy, fz) =
                 (F32x8::from_array(c.fx), F32x8::from_array(c.fy), F32x8::from_array(c.fz));
             let (wx0, wy0, wz0) = (one - fx, one - fy, one - fz);
@@ -1038,9 +1112,9 @@ impl GridScorer {
                 (wx0 * fy) * fz,
                 (fx * fy) * fz,
             ];
-            let mut contrib = trilerp_wide(|l| c.lj[l], &c.base, [ox, oy, oz], &w);
+            let mut contrib = trilerp_wide(|l| c.lj[l], &c.base, strides, &w);
             if let Some(elec) = &f.elec {
-                let e = trilerp_wide(|_| elec, &c.base, [ox, oy, oz], &w);
+                let e = trilerp_wide(|_| elec, &c.base, strides, &w);
                 contrib = contrib + F32x8::from_array(c.q) * e;
             }
             total += (contrib * F32x8::from_array(c.mask)).horizontal_sum() as f64;
@@ -1050,16 +1124,7 @@ impl GridScorer {
 
     /// Score a pose by interpolation: `O(ligand_atoms)`.
     pub fn score(&self, pose: &RigidTransform) -> f64 {
-        let lig = &self.lig_local;
-        widest(Interpolation { scorer: self, pos: |i: usize| pose.apply(lig[i]) })
-    }
-
-    /// Score already-transformed ligand coordinates in SoA form (the layout
-    /// `Scorer::score_bound` produces). Slices must hold `ligand_atoms()`
-    /// values in the ligand's atom order.
-    pub fn score_frame_soa(&self, x: &[f64], y: &[f64], z: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.lig_local.len(), "frame length != ligand atoms");
-        widest(Interpolation { scorer: self, pos: |i: usize| Vec3::new(x[i], y[i], z[i]) })
+        widest(Interpolation { scorer: self, pose })
     }
 }
 
@@ -1107,7 +1172,7 @@ mod tests {
     use super::*;
     use crate::lanes::F64x4;
     use crate::lj::{lj_pair, MIN_DIST_SQ};
-    use vsmath::RngStream;
+    use vsmath::{Quat, RngStream};
     use vsmol::synth;
 
     fn setup(spacing: f64) -> (Molecule, Molecule, GridScorer) {
@@ -1260,21 +1325,63 @@ mod tests {
         }
     }
 
+    /// `pose` placing four atoms at `local` over the lanes `W`: the bits of
+    /// every coordinate, any NaN as [`f64::NAN`]'s.
+    struct Placement {
+        pose: RigidTransform,
+        local: [[f64; LANES]; 3],
+    }
+
+    impl WideFn for Placement {
+        type Output = [[u64; LANES]; 3];
+        #[inline(always)]
+        fn call<W: Wide>(self) -> [[u64; LANES]; 3] {
+            let placed = LanePose::<W>::new(&self.pose).apply(self.local.map(W::from_array));
+            placed.map(|c| c.to_array().map(nan_as_one))
+        }
+    }
+
+    /// `v`'s bits, with every NaN counted as one: neither IEEE-754 nor Rust
+    /// fixes the sign and payload a NaN result carries, and the lattice
+    /// clamp sends every NaN to node 0.
+    fn nan_as_one(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// The frame the other kernels score, written by `apply_all_soa`, holds
+    /// the numbers the grid's lanes place the same atoms at, to the bit (NaN
+    /// as one): on the portable lanes and on the detected ones, for every
+    /// pose of [`odd_poses`] and 200 seeded ones, over atoms at zero, `−0.0`,
+    /// NaN, ±∞, 1e300 and random places.
     #[test]
     fn frame_soa_matches_pose_scoring() {
-        let (_, _, grid) = setup(1.0);
-        for pose in surface_poses(4, 23) {
-            let n = grid.ligand_atoms();
+        let mut rng = RngStream::from_seed(0xf5a);
+        let mut poses = odd_poses();
+        poses.extend((0..200).map(|_| {
+            let t = rng.unit_vector() * rng.uniform_range(0.0, 30.0);
+            RigidTransform::new(rng.rotation(), t)
+        }));
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        let mut atoms: Vec<Vec3> = specials.iter().map(|&s| Vec3::new(s, 1.5, -2.25)).collect();
+        atoms.extend(specials.iter().map(|&s| Vec3::new(0.75, s, -s)));
+        atoms.extend((0..12).map(|_| rng.unit_vector() * rng.uniform_range(0.0, 9.0)));
+        let n = atoms.len();
+        assert_eq!(n % LANES, 0);
+        for (k, pose) in poses.iter().enumerate() {
             let (mut x, mut y, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            for (i, &p) in grid.lig_local.iter().enumerate() {
-                let q = pose.apply(p);
-                (x[i], y[i], z[i]) = (q.x, q.y, q.z);
+            pose.apply_all_soa(&atoms, &mut x, &mut y, &mut z);
+            for (step, four) in atoms.chunks_exact(LANES).enumerate() {
+                let local = [0, 1, 2].map(|a| [0, 1, 2, 3].map(|l| four[l][a]));
+                let frame =
+                    [&x, &y, &z].map(|c| [0, 1, 2, 3].map(|l| nan_as_one(c[step * LANES + l])));
+                let placement = || Placement { pose: *pose, local };
+                assert_eq!(placement().call::<F64x4>(), frame, "pose {k} {pose:?}, portable lanes");
+                assert_eq!(widest(placement()), frame, "pose {k} {pose:?}, detected lanes");
             }
-            let a = grid.score(&pose);
-            let b = grid.score_frame_soa(&x, &y, &z);
-            let c = grid.score_frame_soa_scalar(&x, &y, &z);
-            assert_eq!(a.to_bits(), b.to_bits());
-            assert_eq!(b.to_bits(), c.to_bits());
         }
     }
 
@@ -1374,17 +1481,34 @@ mod tests {
     // -- interpolation lane paths --------------------------------------------
 
     /// The interpolation this module shipped before the lanes, and their
-    /// reference: a chunk's lattice cells set up one atom at a time in
-    /// scalar `f64` — `f64::max` / `f64::min` for the clamp, `as usize` for
-    /// the cell — and every lane's corners blended on their own by
+    /// reference: a chunk's atoms placed one at a time by
+    /// [`RigidTransform::apply`] and their lattice cells set up in scalar
+    /// `f64` — `f64::max` / `f64::min` for the clamp, `as usize` for the
+    /// cell — and every lane's corners blended on their own by
     /// [`trilerp_lane`], in the wide blend's order.
     impl GridScorer {
-        fn prep_chunk_scalar(&self, pos: &impl Fn(usize) -> Vec3, a0: usize) -> Chunk<'_> {
+        /// Ligand atom `i` in the ligand's own frame.
+        fn local(&self, i: usize) -> Vec3 {
+            Vec3::new(self.lig[0][i], self.lig[1][i], self.lig[2][i])
+        }
+
+        /// This scorer with its ligand's atoms moved to `at`, one place per
+        /// atom, padded as [`GridScorer::new_in`] pads them.
+        fn with_local(&self, at: &[Vec3]) -> GridScorer {
+            assert_eq!(at.len(), self.ligand_atoms());
+            let mut moved = self.clone();
+            for (axis, col) in moved.lig.iter_mut().enumerate() {
+                col.iter_mut().zip(at).for_each(|(c, p)| *c = p[axis]);
+            }
+            moved
+        }
+
+        fn prep_chunk_scalar(&self, pose: &RigidTransform, a0: usize) -> Chunk<'_> {
             let g = &self.field.geom;
             let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
             let mut c = self.chunk_atoms(a0);
-            for l in 0..F32x8::LANES.min(self.lig_local.len() - a0) {
-                let p = (pos(a0 + l) - g.origin) / g.spacing;
+            for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
+                let p = (pose.apply(self.local(a0 + l)) - g.origin) / g.spacing;
                 let gx = clampf(p.x, g.dims[0]);
                 let gy = clampf(p.y, g.dims[1]);
                 let gz = clampf(p.z, g.dims[2]);
@@ -1397,12 +1521,13 @@ mod tests {
             c
         }
 
-        fn score_scalar_with(&self, pos: impl Fn(usize) -> Vec3) -> f64 {
+        /// The reference twin of [`GridScorer::score`].
+        fn score_scalar(&self, pose: &RigidTransform) -> f64 {
             let f = &self.field;
             let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
             let mut total = 0.0f64;
-            for a0 in (0..self.lig_local.len()).step_by(F32x8::LANES) {
-                let c = self.prep_chunk_scalar(&pos, a0);
+            for a0 in (0..self.ligand_atoms()).step_by(F32x8::LANES) {
+                let c = self.prep_chunk_scalar(pose, a0);
                 let mut lanes = [0f32; 8];
                 for (l, lane) in lanes.iter_mut().enumerate() {
                     let (fx, fy, fz) = (c.fx[l], c.fy[l], c.fz[l]);
@@ -1428,18 +1553,6 @@ mod tests {
             total
         }
 
-        /// The reference twin of [`GridScorer::score`].
-        fn score_scalar(&self, pose: &RigidTransform) -> f64 {
-            let lig = &self.lig_local;
-            self.score_scalar_with(|i| pose.apply(lig[i]))
-        }
-
-        /// The reference twin of [`GridScorer::score_frame_soa`].
-        fn score_frame_soa_scalar(&self, x: &[f64], y: &[f64], z: &[f64]) -> f64 {
-            assert_eq!(x.len(), self.lig_local.len(), "frame length != ligand atoms");
-            self.score_scalar_with(|i| Vec3::new(x[i], y[i], z[i]))
-        }
-
         fn score_batch(&self, poses: &[RigidTransform]) -> Vec<f64> {
             poses.iter().map(|p| self.score(p)).collect()
         }
@@ -1459,37 +1572,14 @@ mod tests {
         v
     }
 
-    /// A frame's score on the reference, on the portable lanes instantiated
+    /// A pose's score on the reference, on the portable lanes instantiated
     /// here (so that they run on every host) and on whatever lanes this
     /// host has: the same bits on all three. Returns it.
-    fn assert_frame_paths_agree(grid: &GridScorer, [x, y, z]: [&[f64]; 3], what: &str) -> f64 {
-        let want = grid.score_frame_soa_scalar(x, y, z);
-        let pos = |i: usize| Vec3::new(x[i], y[i], z[i]);
-        let portable = Interpolation { scorer: grid, pos }.call::<F64x4>();
-        let detected = grid.score_frame_soa(x, y, z);
-        for (path, got) in [("portable", portable), ("detected", detected)] {
-            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} lanes: {got} != {want}");
-        }
-        want
-    }
-
-    /// [`assert_frame_paths_agree`] on `pose`'s frame, then the three paths
-    /// again from the pose itself: the same bits once more.
     fn assert_pose_paths_agree(grid: &GridScorer, pose: &RigidTransform, what: &str) -> f64 {
-        let lig = &grid.lig_local;
-        let n = lig.len();
-        let (mut x, mut y, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        pose.apply_all_soa(lig, &mut x, &mut y, &mut z);
-        let want = assert_frame_paths_agree(grid, [&x, &y, &z], what);
-        let portable =
-            Interpolation { scorer: grid, pos: |i: usize| pose.apply(lig[i]) }.call::<F64x4>();
-        let posed = [
-            ("reference", grid.score_scalar(pose)),
-            ("portable", portable),
-            ("detected", grid.score(pose)),
-        ];
-        for (path, got) in posed {
-            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} from the pose");
+        let want = grid.score_scalar(pose);
+        let portable = Interpolation { scorer: grid, pose }.call::<F64x4>();
+        for (path, got) in [("portable", portable), ("detected", grid.score(pose))] {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} lanes: {got} != {want}");
         }
         want
     }
@@ -1539,6 +1629,13 @@ mod tests {
         found
     }
 
+    /// `p` with its coordinate along axis `a` replaced by `v`.
+    fn with_axis(p: Vec3, a: usize, v: f64) -> Vec3 {
+        let mut c = [p.x, p.y, p.z];
+        c[a] = v;
+        Vec3::new(c[0], c[1], c[2])
+    }
+
     #[test]
     fn interpolation_lane_paths_agree_on_nodes_edges_faces_and_non_finite_atoms() {
         let rec = synth::synth_receptor("r", 60, 12);
@@ -1560,6 +1657,16 @@ mod tests {
             (Vec3::ZERO, 0.75, [5, 4, 3]),
         ];
         assert!(!reciprocal_sensitive(0.0, 0.75).is_empty(), "nowhere would a reciprocal show");
+        // The atoms are put in place as the ligand's own coordinates, which
+        // the identity rotation keeps when they are finite; the translation
+        // then moves them by zero, by `−0.0`, or to ±∞ or NaN along one
+        // axis. (A rotation, even the identity, takes an atom with an
+        // infinite coordinate to NaN on every axis: `0 · ∞`.)
+        let mut shifts = vec![Vec3::ZERO, Vec3::splat(-0.0)];
+        for a in 0..3 {
+            let bad = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            shifts.extend(bad.map(|v| with_axis(Vec3::ZERO, a, v)));
+        }
         for (origin, spacing, dims) in lattices {
             let mut grid = scorer.clone();
             let geom = Geometry { origin, spacing, dims };
@@ -1581,16 +1688,74 @@ mod tests {
                 units.chain(reciprocal_sensitive(origin[a], spacing)).collect()
             };
             let [vx, vy, vz] = [axis(0), axis(1), axis(2)];
-            let n = lig.len();
             for k in 0..vx.len() {
-                // Lane `i` of frame `k` takes a different value on each axis,
+                // Atom `i` of frame `k` takes a different value on each axis,
                 // so every value meets every lane and every other axis.
                 let pick = |v: &[f64], i: usize, stride: usize| v[(k + stride * i) % v.len()];
-                let x: Vec<f64> = (0..n).map(|i| pick(&vx, i, 1)).collect();
-                let y: Vec<f64> = (0..n).map(|i| pick(&vy, i + 1, 3)).collect();
-                let z: Vec<f64> = (0..n).map(|i| pick(&vz, i + 2, 7)).collect();
-                let what = format!("lattice {dims:?} at {origin:?}, frame {k}");
-                assert_frame_paths_agree(&grid, [&x, &y, &z], &what);
+                let at: Vec<Vec3> = (0..lig.len())
+                    .map(|i| Vec3::new(pick(&vx, i, 1), pick(&vy, i + 1, 3), pick(&vz, i + 2, 7)))
+                    .collect();
+                let mut finite = at.iter().filter(|p| p.is_finite());
+                assert!(finite.all(|&p| RigidTransform::IDENTITY.apply(p) == p));
+                let moved = grid.with_local(&at);
+                for shift in &shifts {
+                    let what =
+                        format!("lattice {dims:?} at {origin:?}, frame {k}, shift {shift:?}");
+                    assert_pose_paths_agree(
+                        &moved,
+                        &RigidTransform::from_translation(*shift),
+                        &what,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Poses whose rotation is no unit quaternion, or holds NaN, ±∞ or
+    /// `−0.0` in one component; whose translation does; and both.
+    fn odd_poses() -> Vec<RigidTransform> {
+        let unit = Quat::from_axis_angle(Vec3::new(0.48, -0.6, 0.64), 0.9);
+        let near = Vec3::new(14.5, -3.25, 6.0);
+        let mut quats = vec![
+            Quat::new(2.0, 0.0, 0.0, 0.0),
+            Quat::new(0.3, -0.7, 1.9, 0.2),
+            Quat::new(1e-3, 2e-3, 0.0, -1e-3),
+            Quat::new(0.0, 0.0, 0.0, 0.0),
+            Quat::new(-0.0, -0.0, -0.0, -0.0),
+            Quat::new(1e200, 1e200, 0.0, 1.0),
+        ];
+        let mut shifts = Vec::new();
+        for s in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
+            for c in 0..4 {
+                let mut q = [unit.w, unit.x, unit.y, unit.z];
+                q[c] = s;
+                quats.push(Quat::new(q[0], q[1], q[2], q[3]));
+            }
+            shifts.extend((0..3).map(|a| with_axis(near, a, s)));
+        }
+        let mut poses: Vec<RigidTransform> =
+            quats.iter().map(|&q| RigidTransform::new(q, near)).collect();
+        poses.extend(shifts.iter().map(|&t| RigidTransform::new(unit, t)));
+        let both = quats.iter().zip(shifts.iter().cycle());
+        poses.extend(both.map(|(&q, &t)| RigidTransform::new(q, t)));
+        poses
+    }
+
+    #[test]
+    fn interpolation_lane_paths_agree_on_unnormalised_and_non_finite_poses() {
+        let rec = synth::synth_receptor("r", 150, 15);
+        let cache = SlabCache::new(ROOMY);
+        let opts = GridOptions {
+            spacing: 0.7,
+            dielectric: Some(4.0),
+            hbond_epsilon: Some(1.0),
+            ..Default::default()
+        };
+        for atoms in [1, 5, 8, 13] {
+            let lig = synth::synth_ligand("l", atoms, 90 + atoms as u64);
+            let grid = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+            for (k, pose) in odd_poses().iter().enumerate() {
+                assert_pose_paths_agree(&grid, pose, &format!("{atoms} atoms, pose {k}: {pose:?}"));
             }
         }
     }
@@ -1627,8 +1792,11 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "run in release mode: scores both Table 5 complexes under three models on three lane paths"]
+    #[ignore = "run in release mode: scores both Table 5 complexes under three models on three lane paths and through Scorer::score_batch"]
     fn table5_receptors_interpolate_the_same_bits_on_every_lane_path() {
+        use crate::scorer::{
+            Exec, Kernel, PoseScratch, ScoreBatch, Scorer, ScorerOptions, ScoringModel,
+        };
         let base = GridOptions::default();
         for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
             let (rec, lig) = (dataset.receptor(), dataset.ligand());
@@ -1636,15 +1804,39 @@ mod tests {
             let mut rng = RngStream::from_seed(0x7ab5);
             for (opts, _) in model_variants(base, &[]) {
                 let grid = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
-                for k in 0..256 {
-                    // Anywhere in the lattice's box and a little past it.
-                    let [x, y, z] = [0, 1, 2].map(|a| {
-                        let extent = (geom.dims[a] - 1) as f64 * geom.spacing;
-                        geom.origin[a] + rng.uniform_range(-4.0, extent + 4.0)
-                    });
-                    let pose = RigidTransform::new(rng.rotation(), Vec3::new(x, y, z));
-                    let what = format!("{dataset:?}, {opts:?}, pose {k}");
-                    assert_pose_paths_agree(&grid, &pose, &what);
+                let poses: Vec<RigidTransform> = (0..256)
+                    .map(|_| {
+                        // Anywhere in the lattice's box and a little past it.
+                        let [x, y, z] = [0, 1, 2].map(|a| {
+                            let extent = (geom.dims[a] - 1) as f64 * geom.spacing;
+                            geom.origin[a] + rng.uniform_range(-4.0, extent + 4.0)
+                        });
+                        RigidTransform::new(rng.rotation(), Vec3::new(x, y, z))
+                    })
+                    .collect();
+                let what = |k: usize| format!("{dataset:?}, {opts:?}, pose {k}");
+                let want: Vec<u64> = poses
+                    .iter()
+                    .enumerate()
+                    .map(|(k, pose)| assert_pose_paths_agree(&grid, pose, &what(k)).to_bits())
+                    .collect();
+                // And the production entry: a `Kernel::Grid` scorer's batches.
+                let model = match (opts.dielectric, opts.hbond_epsilon) {
+                    (None, _) => ScoringModel::LennardJones,
+                    (Some(dielectric), None) => ScoringModel::LennardJonesCoulomb { dielectric },
+                    (Some(dielectric), Some(hbond_epsilon)) => {
+                        ScoringModel::Full { dielectric, hbond_epsilon }
+                    }
+                };
+                let kernel = Kernel::Grid { spacing: opts.spacing };
+                let scorer = Scorer::new(&rec, &lig, ScorerOptions { model, kernel });
+                for exec in [Exec::Serial, Exec::Pool(2)] {
+                    let mut out = vec![0.0; poses.len()];
+                    let batch = ScoreBatch::Poses { poses: &poses, out: &mut out };
+                    scorer.score_batch(batch, &mut PoseScratch::new(), exec);
+                    for (k, (got, want)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(got.to_bits(), *want, "{}, {exec:?} batch", what(k));
+                    }
                 }
             }
         }

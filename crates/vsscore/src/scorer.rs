@@ -8,10 +8,12 @@
 //! throughput and the warm-up timing the Eq. 1 split is computed from),
 //! scoring is allocation-free per pose after warm-up:
 //!
-//! - a [`PoseScratch`] owns a *mutable ligand SoA frame*; applying a pose
-//!   writes the transformed coordinates directly into the frame's
-//!   `x`/`y`/`z` arrays ([`vsmath::RigidTransform::apply_all_soa`]) — no
-//!   per-pose [`Frame`] construction, no `Vec<Vec3>` round-trip;
+//! - a [`PoseScratch`] owns a *mutable ligand SoA frame*; for every kernel
+//!   but [`Kernel::Grid`], applying a pose writes the transformed
+//!   coordinates directly into the frame's `x`/`y`/`z` arrays
+//!   ([`vsmath::RigidTransform::apply_all_soa`]) — no per-pose [`Frame`]
+//!   construction, no `Vec<Vec3>` round-trip. The grid kernel places the
+//!   atoms in its own lanes and touches no frame;
 //! - [`Scorer::score_batch`] is the **single batch entry point**: it takes
 //!   a [`ScoreBatch`] input (poses scored into a caller-owned output
 //!   slice, or conformations scored in place) plus an [`Exec`] policy —
@@ -325,18 +327,25 @@ impl Scorer {
         self.score_bound(pose, scratch)
     }
 
-    /// Score one pose assuming `scratch` is already bound to this scorer.
-    /// This is the innermost hot path: one `apply_all_soa` plus the kernel,
-    /// zero allocations.
-    pub(crate) fn score_bound(&self, pose: &RigidTransform, scratch: &mut PoseScratch) -> f64 {
+    /// Write `pose`'s atoms into `scratch`'s frame (bound to this scorer)
+    /// and return the frame.
+    fn place<'s>(&self, pose: &RigidTransform, scratch: &'s mut PoseScratch) -> &'s Frame {
         let lig = &mut scratch.lig;
         pose.apply_all_soa(&self.lig_local, &mut lig.x, &mut lig.y, &mut lig.z);
+        lig
+    }
+
+    /// Score one pose assuming `scratch` is already bound to this scorer.
+    /// This is the innermost hot path, zero allocations: the grid kernel
+    /// places the atoms in its own lanes; every other kernel reads them
+    /// from the scratch frame, written by one `apply_all_soa`.
+    pub(crate) fn score_bound(&self, pose: &RigidTransform, scratch: &mut PoseScratch) -> f64 {
         let (dielectric, hbond_eps) =
             (self.opts.model.dielectric(), self.opts.model.hbond_epsilon());
         // The multi-pass kernels: one LJ pass, then one pass per enabled
         // model term over `rec` (`Run` streams the permuted frame in the
         // extra passes — the memory its LJ pass touched).
-        let multi_pass = |lj: f64, rec: &Frame| {
+        let multi_pass = |lig: &Frame, lj: f64, rec: &Frame| {
             let mut total = lj;
             if let Some(dielectric) = dielectric {
                 total += coulomb_naive(lig, rec, dielectric);
@@ -347,16 +356,25 @@ impl Scorer {
             total
         };
         match &self.kernel {
+            KernelData::Grid(grid) => grid.score(pose),
             KernelData::Naive => {
-                multi_pass(lj_naive(lig, &self.rec_frame, &self.table), &self.rec_frame)
+                let lig = self.place(pose, scratch);
+                multi_pass(lig, lj_naive(lig, &self.rec_frame, &self.table), &self.rec_frame)
             }
             KernelData::Tiled => {
-                multi_pass(lj_tiled(lig, &self.rec_frame, &self.table), &self.rec_frame)
+                let lig = self.place(pose, scratch);
+                multi_pass(lig, lj_tiled(lig, &self.rec_frame, &self.table), &self.rec_frame)
             }
-            KernelData::Run(runs) => multi_pass(lj_run(lig, runs, &self.table), runs.frame()),
-            KernelData::Fused(runs) => fused_run(lig, runs, &self.table, dielectric, hbond_eps),
-            KernelData::CellList { cutoff, cells } => self.score_cell_list(lig, cells, *cutoff),
-            KernelData::Grid(grid) => grid.score_frame_soa(&lig.x, &lig.y, &lig.z),
+            KernelData::Run(runs) => {
+                let lig = self.place(pose, scratch);
+                multi_pass(lig, lj_run(lig, runs, &self.table), runs.frame())
+            }
+            KernelData::Fused(runs) => {
+                fused_run(self.place(pose, scratch), runs, &self.table, dielectric, hbond_eps)
+            }
+            KernelData::CellList { cutoff, cells } => {
+                self.score_cell_list(self.place(pose, scratch), cells, *cutoff)
+            }
         }
     }
 
@@ -395,7 +413,8 @@ impl Scorer {
     }
 
     /// [`Scorer::score_and_gradient`] through a reusable scratch: the
-    /// transformed ligand frame produced by scoring is fed straight to the
+    /// transformed ligand frame produced by scoring (written after scoring
+    /// for [`Kernel::Grid`], which reads none) is fed straight to the
     /// gradient kernel, with no per-pose allocation. Scorers on a run
     /// kernel descend the run-layout gradient kernel (hoisted `(σ², 4ε)`,
     /// no per-pair gather), same force field either way.
@@ -405,6 +424,9 @@ impl Scorer {
         scratch: &mut PoseScratch,
     ) -> (f64, crate::forces::RigidGradient) {
         let score = self.score_with(pose, scratch);
+        if let KernelData::Grid(_) = self.kernel {
+            self.place(pose, scratch);
+        }
         let dielectric = self.opts.model.dielectric();
         let grad = match &self.kernel {
             KernelData::Run(runs) | KernelData::Fused(runs) => crate::forces::rigid_gradient_run(
@@ -893,16 +915,28 @@ mod tests {
         let poses: Vec<RigidTransform> = (0..24)
             .map(|_| RigidTransform::new(rng.rotation(), rng.unit_vector() * 16.0))
             .collect();
-        // score_bound's SoA frame path must agree bit-for-bit with the
-        // interpolator's own pose path (same transform, same lanes).
-        for pose in &poses {
-            assert_eq!(s.score(pose).to_bits(), direct.score(pose).to_bits());
+        let want: Vec<u64> = poses.iter().map(|p| direct.score(p).to_bits()).collect();
+        let bits = |scores: Vec<f64>| -> Vec<u64> { scores.iter().map(|s| s.to_bits()).collect() };
+        // `score_bound`'s grid arm is the interpolator's own pose path, on
+        // every batch policy and both batch shapes.
+        assert_eq!(bits(poses.iter().map(|p| s.score(p)).collect()), want);
+        for exec in [Exec::Serial, Exec::Pool(2)] {
+            assert_eq!(bits(batch_scores(&s, &poses, exec)), want, "{exec:?}");
+            let mut confs: Vec<Conformation> =
+                poses.iter().map(|p| Conformation::new(*p, 0)).collect();
+            s.score_batch(ScoreBatch::Confs(&mut confs), &mut PoseScratch::new(), exec);
+            assert_eq!(bits(confs.iter().map(|c| c.score).collect()), want, "{exec:?}");
         }
-        // And the batch entry point reaches it under every policy.
-        let serial = batch_scores(&s, &poses, Exec::Serial);
-        let pooled = batch_scores(&s, &poses, Exec::Pool(4));
-        assert_eq!(serial, pooled);
-        assert_eq!(serial[0].to_bits(), s.score(&poses[0]).to_bits());
+        // The grid reads no frame, yet its gradient is taken over the
+        // pose's: the one a frame kernel's scratch holds, pose after pose.
+        let naive = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Naive });
+        let (mut scratch, mut naive_scratch) = (PoseScratch::new(), PoseScratch::new());
+        for (pose, want) in poses.iter().zip(&want) {
+            let (score, grad) = s.score_and_gradient_with(pose, &mut scratch);
+            let (_, naive_grad) = naive.score_and_gradient_with(pose, &mut naive_scratch);
+            assert_eq!(score.to_bits(), *want);
+            assert_eq!(grad, naive_grad);
+        }
     }
 
     #[test]

@@ -47,6 +47,15 @@ elif [ "$waivers" -lt "$waiver_baseline" ]; then
   echo "xlint: waivers fell to $waivers (baseline ratcheted)"
 fi
 
+echo "==> unsafe in vsscore only where it lives: the lane types and the worker pool"
+# A kernel reaches the AVX2 lanes through lanes::widest and the host
+# threads through pool::CpuPool; it writes no unsafe block of its own.
+if grep -rnw unsafe crates/vsscore/src \
+  | grep -v -e '^crates/vsscore/src/lanes\.rs:' -e '^crates/vsscore/src/pool\.rs:'; then
+  echo "unsafe: the word appears in crates/vsscore/src outside lanes.rs and pool.rs" >&2
+  exit 1
+fi
+
 echo "==> vscheck + xlint self-tests (seeded mutations + replay on both checkers)"
 cargo test -q -p vscheck
 cargo test -q -p xlint
@@ -83,7 +92,7 @@ sed -E 's/, "grid_poses_per_sec": .* \}/ }/' target/BENCH_grid.json \
   | diff -u scripts/grid_accuracy.expected - \
   || { echo "grid_accuracy: scores differ from scripts/grid_accuracy.expected" >&2; exit 1; }
 
-echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4] and the detected lanes over 256 poses, three models; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model, Run and Fused)"
+echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model, Run and Fused)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_
 
 echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop and byte-equality with BENCH_pipeline.json)"
