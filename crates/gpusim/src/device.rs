@@ -19,8 +19,10 @@ pub struct DeviceStats {
 /// A compute device with a virtual clock.
 ///
 /// Executing a [`WorkBatch`] advances the device's clock by the modeled
-/// time. The clock is thread-safe: the scheduler drives each device from
-/// its own OS thread (the paper's one-OpenMP-thread-per-GPU structure).
+/// time. One thread at a time drives a device — a simulated device is a
+/// clock, not a thread — but its state sits behind a `Mutex` because the
+/// evaluator that holds it must be `Send`: `metaheur`'s stage ring moves
+/// the evaluator onto a stage thread of its own.
 #[derive(Debug)]
 pub struct SimDevice {
     id: usize,

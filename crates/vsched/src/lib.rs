@@ -22,10 +22,10 @@
 //! - [`replay`] — plan a recorded metaheuristic batch trace onto a
 //!   simulated node and report per-device virtual times and makespan (the
 //!   mechanism behind Tables 6–9), optionally with fault phases, an event
-//!   sink, a shared oracle and a timeline ([`ReplayOptions`]);
+//!   sink, a caller-owned oracle and a timeline ([`ReplayOptions`]);
 //! - [`runtime`] — the node runtime: the claim type, the charge to a
-//!   device clock, the work-stealing drain over per-device [`deque`]s that
-//!   the policy's deque modes claim from, and the dispatch of a planned
+//!   device clock, the work-stealing drain over per-device index ranges
+//!   that the policy's deque modes claim from, and the dispatch of a planned
 //!   batch — its claims checked, then scored on `vsscore`'s shared
 //!   persistent pool by `min(devices, host threads)` workers (the paper's
 //!   one-OpenMP-thread-per-GPU structure is the ceiling; a simulated
@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod deque;
 pub mod executor;
 pub mod oracle;
 pub mod partition;
@@ -52,16 +51,14 @@ pub mod replay;
 pub mod runtime;
 pub mod spec;
 pub mod strategy;
-pub(crate) mod sync;
 pub mod warmup;
 
-pub use deque::ChunkDeque;
 pub use executor::DeviceEvaluator;
-pub use oracle::{CostOracle, FitSnapshot, ModelUpdate, OracleConfig, SharedOracle};
+pub use oracle::{CostOracle, FitSnapshot, ModelUpdate, OracleConfig};
 pub use partition::{equal_split, proportional_split};
 pub use policy::Policy;
 pub use replay::{schedule_trace, schedule_trace_with, ReplayOptions, ScheduleReport};
-pub use runtime::{drain_deques, work_profile, Claim, StealConfig, StealStats};
+pub use runtime::{drain_deques, seed_deques, work_profile, Claim, StealConfig, StealStats};
 pub use spec::EvaluatorSpec;
 pub use strategy::Strategy;
 pub use warmup::{percent_factors, shares_from_times, warmup_times, WarmupConfig};

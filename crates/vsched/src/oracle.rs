@@ -42,11 +42,9 @@
 //! `oracle_props` suite). With no prior either, it returns `None` and the
 //! caller falls back to the equal split, again matching today's behavior.
 
-use crate::sync::Mutex;
 use crate::warmup::shares_from_times;
 use gpusim::KernelClass;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Fit hyper-parameters. The defaults favor fast drift response over
 /// smoothing: virtual-time measurements are noise-free, so heavy averaging
@@ -283,43 +281,6 @@ impl CostOracle {
     }
 }
 
-/// A [`CostOracle`] shared across consumers (the campaign service shares
-/// one per node across every campaign, so tenant N+1 starts warm from
-/// tenant N's observations). The interior mutex resolves through the
-/// crate's sync facade, so the `model_*` suite explores concurrent
-/// ingestion exhaustively under `vscheck-model`.
-#[derive(Clone)]
-pub struct SharedOracle {
-    inner: Arc<Mutex<CostOracle>>,
-}
-
-// Manual impl: the instrumented vscheck-model Mutex has no Debug, and
-// locking inside Debug::fmt could deadlock a formatter mid-exploration.
-impl std::fmt::Debug for SharedOracle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedOracle").finish_non_exhaustive()
-    }
-}
-
-impl SharedOracle {
-    pub fn new(n_devices: usize) -> SharedOracle {
-        SharedOracle::with_config(n_devices, OracleConfig::default())
-    }
-
-    pub fn with_config(n_devices: usize, cfg: OracleConfig) -> SharedOracle {
-        SharedOracle { inner: Arc::new(Mutex::new(CostOracle::new(n_devices, cfg))) }
-    }
-
-    /// Run `f` with the oracle locked. Callers keep the closure short; the
-    /// service holds it across one virtual-time replay, which is safe
-    /// because replays take no other facade locks.
-    pub fn with<R>(&self, f: impl FnOnce(&mut CostOracle) -> R) -> R {
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let mut guard = self.inner.lock().expect("oracle mutex poisoned");
-        f(&mut guard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,20 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_oracle_round_trips() {
-        let s = SharedOracle::new(2);
-        s.with(|o| {
-            o.observe(0, PS, 100.0, 1.0);
-            o.observe(1, PS, 100.0, 2.0);
-        });
-        let w = s.with(|o| o.seed_weights(PS)).unwrap();
-        assert!(w[0] > w[1]);
-        // Clones share state.
-        let s2 = s.clone();
-        assert_eq!(s2.with(|o| o.observations(0, PS)), 1);
-    }
-
-    #[test]
     #[should_panic]
     fn zero_second_observation_rejected() {
         oracle(1).observe(0, PS, 10.0, 0.0);
@@ -462,54 +409,5 @@ mod tests {
     #[should_panic]
     fn warmup_prior_length_mismatch_rejected() {
         oracle(2).observe_warmup(PS, &[1.0], &[1.0]);
-    }
-}
-
-/// Exhaustive interleaving checks of concurrent observation ingestion into
-/// a [`SharedOracle`] (run with
-/// `cargo test -p vsched --features vscheck-model model_`).
-///
-/// The campaign service shares one oracle per node across campaigns; the
-/// invariant is that concurrent ingestion loses no observations and never
-/// produces a non-finite rate, for every bounded interleaving of the
-/// facade mutex.
-#[cfg(all(test, feature = "vscheck-model"))]
-mod model_tests {
-    use super::*;
-    use vscheck::{explore, Config};
-
-    #[test]
-    fn model_concurrent_ingestion_loses_nothing() {
-        let report = explore(Config::with_bound(2), || {
-            let shared = SharedOracle::new(2);
-            let a = shared.clone();
-            let b = shared.clone();
-            let ta = vscheck::thread::Builder::new()
-                .name("ingest-a".into())
-                .spawn(move || {
-                    for _ in 0..2 {
-                        a.with(|o| o.observe(0, gpusim::KernelClass::PairSweep, 100.0, 1.0));
-                    }
-                })
-                .unwrap();
-            let tb = vscheck::thread::Builder::new()
-                .name("ingest-b".into())
-                .spawn(move || {
-                    for _ in 0..2 {
-                        b.with(|o| o.observe(1, gpusim::KernelClass::PairSweep, 100.0, 2.0));
-                    }
-                })
-                .unwrap();
-            ta.join().unwrap();
-            tb.join().unwrap();
-            shared.with(|o| {
-                assert_eq!(o.observations(0, gpusim::KernelClass::PairSweep), 2);
-                assert_eq!(o.observations(1, gpusim::KernelClass::PairSweep), 2);
-                let w = o.seed_weights(gpusim::KernelClass::PairSweep).unwrap();
-                assert!(w.iter().all(|x| x.is_finite() && *x > 0.0), "{w:?}");
-            });
-        });
-        report.assert_passed();
-        assert!(report.complete, "bounded state space must be exhausted");
     }
 }

@@ -31,29 +31,16 @@
 //! whether the device made one claim or twenty; warm-up sums and oracle
 //! observations both use it.
 
-use crate::deque::ChunkDeque;
 use crate::oracle::{CostOracle, OracleConfig};
 use crate::partition::proportional_split;
-use crate::runtime::{charge, drain_deques, earliest, makespan, Claim, StealConfig, StealStats};
+use crate::runtime::{
+    charge, drain_deques, earliest, makespan, seed_deques, Claim, StealConfig, StealStats,
+};
 use crate::strategy::Strategy;
 use crate::warmup::shares_from_times;
 use gpusim::{SimDevice, Timeline, WorkProfile};
 use std::sync::Arc;
 use vstrace::{Event, Trace, BATCH_TRACK};
-
-/// Contiguous per-device deques proportional to `weights` — the
-/// work-stealing modes' per-batch seeding step.
-pub(crate) fn seed_deques(items: u64, weights: &[f64]) -> Vec<ChunkDeque> {
-    let mut offset = 0u32;
-    proportional_split(items, weights)
-        .iter()
-        .map(|&share| {
-            let lo = offset;
-            offset += share as u32;
-            ChunkDeque::new(lo, offset)
-        })
-        .collect()
-}
 
 /// What a batch does once the warm-up (if the strategy has one) is over.
 enum Steady {
@@ -84,8 +71,8 @@ pub struct Policy {
     /// Split / deque-seed weights: all ones until Equation 1 fixes them.
     weights: Vec<f64>,
     /// The cold-start oracle of [`Strategy::Oracle`] (`None` under every
-    /// other strategy), used whenever [`Policy::plan`] is not handed a
-    /// shared one.
+    /// other strategy), used whenever [`Policy::plan`] is not lent a
+    /// caller-owned one.
     oracle: Option<CostOracle>,
     stats: StealStats,
     /// Per-batch scratch, reused so the static path allocates nothing
@@ -259,17 +246,18 @@ impl Policy {
                         });
                     }
                 }
-                let deques = seed_deques(items, &self.weights);
+                let mut deques = seed_deques(items, &self.weights);
                 if trace.is_enabled() {
                     for ((d, q), &weight) in devices.iter().zip(&deques).zip(&self.weights) {
                         trace.emit(Event::PartitionDecision {
                             device: d.id() as u32,
-                            share: f64::from(q.len()) / items as f64,
+                            share: f64::from(q.end - q.start) / items as f64,
                             weight,
                         });
                     }
                 }
-                let (claims, stats) = drain_deques(devices, &deques, cfg, profile, timeline, trace);
+                let (claims, stats) =
+                    drain_deques(devices, &mut deques, cfg, profile, timeline, trace);
                 self.claims = claims;
                 self.stats.merge(stats);
             }

@@ -111,7 +111,7 @@ pub fn schedule_trace(
 }
 
 /// Replay `trace` under `strategy` in the cost regime of `profile`, with
-/// the fault phases, event sink, shared oracle and timeline of `opts`.
+/// the fault phases, event sink, caller-owned oracle and timeline of `opts`.
 ///
 /// # Panics
 /// Panics if any phase's factor list length differs from `gpus.len()`, if

@@ -13,14 +13,14 @@
 //!    [`crate::policy::Policy::plan`]: it resolves the strategy into
 //!    [`Claim`]s and charges each one to the claiming device's clock as it
 //!    is made. For the work-stealing modes the claims come from
-//!    [`drain_deques`]: per-device [`ChunkDeque`]s are seeded with
-//!    contiguous index ranges proportional to the Equation 1 warm-up
+//!    [`drain_deques`]: [`seed_deques`] gives each device a contiguous
+//!    index range (its *deque*) proportional to the Equation 1 warm-up
 //!    weights; the drain loop then repeatedly lets the device with the
 //!    *smallest virtual clock* claim next (ties broken by device index): it
-//!    pops a guided-size chunk from the front of its own deque
+//!    pops a guided-size chunk from the front of its own range
 //!    (`remaining / divisor`, floor-clamped — see [`StealConfig`]), or, if
-//!    its deque is empty, steals half the tail of the most-loaded victim's
-//!    deque, emitting a [`vstrace::Event::JobMigrated`] per steal. So the
+//!    its range is empty, steals half the tail of the most-loaded victim's
+//!    range, emitting a [`vstrace::Event::JobMigrated`] per steal. So the
 //!    entire claim order is a deterministic function of (batch, weights,
 //!    cost model, active slowdowns).
 //! 2. **Scoring** runs on the workspace's one host worker team,
@@ -45,15 +45,17 @@
 //! describes the simulated GPUs and would only unbalance identical host
 //! cores.
 //!
-//! The deque itself is linearizable under true concurrency (model-checked
-//! in [`crate::deque`]); the drain drives it from one thread only so
-//! that virtual-time claim ordering — and therefore makespans and traces —
-//! are exactly reproducible (DESIGN.md §10 determinism contract). The
-//! pool's claim/park protocol is model-checked where it lives, in
+//! Claiming is the submitting thread's alone, so a deque is a plain
+//! `Range<u32>`: the owner advances its `start`, a thief retreats its
+//! `end`. One thread making every claim in virtual-time order is what
+//! makes makespans and traces exactly reproducible (DESIGN.md §10
+//! determinism contract). The host threads meet only in the pool, whose
+//! claim/park protocol is model-checked where it lives, in
 //! `vsscore::pool`.
 
-use crate::deque::ChunkDeque;
+use crate::partition::proportional_split;
 use gpusim::{KernelClass, SimDevice, Timeline, WorkProfile};
+use std::ops::Range;
 use std::sync::Arc;
 use vsmol::Conformation;
 use vsscore::{Exec, PoseScratch, ScoreBatch, Scorer};
@@ -202,15 +204,31 @@ pub(crate) fn charge(
     }
 }
 
+/// Contiguous per-device deques proportional to `weights`, tiling
+/// `[0, items)` in device order — the work-stealing modes' per-batch
+/// seeding step.
+pub fn seed_deques(items: u64, weights: &[f64]) -> Vec<Range<u32>> {
+    let mut offset = 0u32;
+    proportional_split(items, weights)
+        .iter()
+        .map(|&share| {
+            let lo = offset;
+            offset += share as u32;
+            lo..offset
+        })
+        .collect()
+}
+
 /// Drain seeded per-device deques in virtual-time order, charging every
 /// claim to the claiming device's clock as it happens — the claim source
-/// of the work-stealing modes of [`crate::policy::Policy::plan`].
+/// of the work-stealing modes of [`crate::policy::Policy::plan`]. Every
+/// deque is empty on return, and the claims tile what they held.
 ///
 /// # Panics
 /// Panics if `devices` and `deques` lengths differ or are empty.
 pub fn drain_deques(
     devices: &[Arc<SimDevice>],
-    deques: &[ChunkDeque],
+    deques: &mut [Range<u32>],
     cfg: &StealConfig,
     profile: WorkProfile,
     timeline: Option<&Timeline>,
@@ -220,36 +238,28 @@ pub fn drain_deques(
     assert!(!devices.is_empty(), "drain needs devices");
     let mut claims = Vec::new();
     let mut stats = StealStats::default();
-    while !deques.iter().all(ChunkDeque::is_empty) {
+    while deques.iter().any(|q| !q.is_empty()) {
         // Devices with empty deques stay eligible — they steal.
         let who = earliest(devices);
         let floor = floor_for(&devices[who], cfg);
-        let own_len = deques[who].len();
-        let claim =
-            if own_len > 0 {
-                deques[who]
-                    .pop_front(chunk_size(own_len, cfg.divisor, floor))
-                    .map(|(lo, hi)| Claim { device: who, lo, hi, stolen_from: None })
-            } else {
-                // Steal half the tail of the most-loaded victim.
-                let (victim, vlen) = deques
-                    .iter()
-                    .map(ChunkDeque::len)
-                    .enumerate()
-                    .filter(|&(i, _)| i != who)
-                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                    // PANICS: a device only claims with an empty own deque while some
-                    // deque is non-empty, so another device (and a victim) exists.
-                    .expect("n >= 2 when an empty-deque device claims");
-                debug_assert!(vlen > 0, "non-empty victim must exist while work remains");
-                deques[victim].steal_back(chunk_size(vlen, 2, floor)).map(|(lo, hi)| Claim {
-                    device: who,
-                    lo,
-                    hi,
-                    stolen_from: Some(victim),
-                })
-            };
-        let Some(claim) = claim else { continue };
+        let claim = if !deques[who].is_empty() {
+            // Owner end: a guided-size chunk from the front.
+            let own = &mut deques[who];
+            let lo = own.start;
+            own.start += chunk_size(own.end - own.start, cfg.divisor, floor);
+            Claim { device: who, lo, hi: own.start, stolen_from: None }
+        } else {
+            // Thief end: half the tail of the most-loaded victim, ties to
+            // the lowest index. `who` holds nothing and some deque does, so
+            // the victim is another device.
+            let victim =
+                (0..deques.len())
+                    .fold(who, |v, i| if deques[i].len() > deques[v].len() { i } else { v });
+            let tail = &mut deques[victim];
+            let hi = tail.end;
+            tail.end -= chunk_size(tail.end - tail.start, 2, floor);
+            Claim { device: who, lo: tail.end, hi, stolen_from: Some(victim) }
+        };
         let items = claim.items();
         stats.chunks += 1;
         if let Some(victim) = claim.stolen_from {
@@ -379,9 +389,9 @@ mod tests {
         weights: &[f64],
         cfg: &StealConfig,
     ) -> StealStats {
-        let deques = crate::policy::seed_deques(confs.len() as u64, weights);
+        let mut deques = seed_deques(confs.len() as u64, weights);
         let (claims, stats) =
-            drain_deques(devices, &deques, cfg, work_profile(sc), timeline, &Trace::disabled());
+            drain_deques(devices, &mut deques, cfg, work_profile(sc), timeline, &Trace::disabled());
         score(sc, confs, &claims);
         stats
     }
@@ -414,10 +424,10 @@ mod tests {
         // Percent split, so work stealing costs nothing when nothing
         // goes wrong.
         let devs = hertz_devices();
-        let deques = [ChunkDeque::new(0, 1229), ChunkDeque::new(1229, 2048)];
+        let mut deques = [0..1229, 1229..2048];
         let (claims, stats) = drain_deques(
             &devs,
-            &deques,
+            &mut deques,
             &StealConfig::default(),
             WorkProfile::pairs(146_880),
             None,
@@ -438,11 +448,11 @@ mod tests {
         // own deque — steals the victim's tail.
         let devs = hertz_devices();
         devs[1].set_slowdown(8.0);
-        let deques = [ChunkDeque::new(0, 12_000), ChunkDeque::new(12_000, 20_000)];
+        let mut deques = [0..12_000, 12_000..20_000];
         let trace = Trace::new();
         let (claims, stats) = drain_deques(
             &devs,
-            &deques,
+            &mut deques,
             &StealConfig::default(),
             WorkProfile::pairs(146_880),
             None,
@@ -474,10 +484,10 @@ mod tests {
         let run = || {
             let devs = hertz_devices();
             devs[1].set_slowdown(4.0);
-            let deques = [ChunkDeque::new(0, 9_000), ChunkDeque::new(9_000, 16_000)];
+            let mut deques = [0..9_000, 9_000..16_000];
             let (claims, stats) = drain_deques(
                 &devs,
-                &deques,
+                &mut deques,
                 &StealConfig::default(),
                 WorkProfile::pairs(4_800),
                 None,

@@ -1,10 +1,15 @@
-//! Property-based tests for the partition functions: every split must
-//! conserve work exactly and stay within one item of the ideal shares, for
-//! arbitrary item counts and weight vectors — including the degenerate
-//! weight vectors `proportional_split` now survives instead of aborting.
+//! Property-based tests for the partition functions and the work-stealing
+//! drain: every split must conserve work exactly and stay within one item
+//! of the ideal shares, for arbitrary item counts and weight vectors —
+//! including the degenerate weight vectors `proportional_split` survives
+//! instead of aborting — and every drain must claim each seeded index
+//! exactly once.
 
+use gpusim::{catalog, SimDevice, WorkProfile};
 use proptest::prelude::*;
-use vsched::{equal_split, proportional_split};
+use std::sync::Arc;
+use vsched::{drain_deques, equal_split, proportional_split, seed_deques, StealConfig};
+use vstrace::Trace;
 
 fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..100.0, 1..12)
@@ -86,5 +91,54 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn drain_claims_every_seeded_item_exactly_once(
+        items in 0u64..20_000,
+        lanes in proptest::collection::vec((0.0f64..10.0, 1.0f64..8.0), 1..5),
+        min_chunk in 0u32..64,
+        divisor in 1u64..5,
+    ) {
+        // Alternate a fast and a slow card; a slowdown set after seeding is
+        // the stale-weights straggler the thieves exist for.
+        let devices: Vec<Arc<SimDevice>> = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, slowdown))| {
+                let spec =
+                    if i % 2 == 0 { catalog::tesla_k40c() } else { catalog::geforce_gtx_580() };
+                let dev = SimDevice::new(i, spec);
+                dev.set_slowdown(slowdown);
+                Arc::new(dev)
+            })
+            .collect();
+        let weights: Vec<f64> = lanes.iter().map(|&(w, _)| w).collect();
+        let mut deques = seed_deques(items, &weights);
+        let cfg = StealConfig { divisor, min_chunk };
+        let (claims, stats) = drain_deques(
+            &devices,
+            &mut deques,
+            &cfg,
+            WorkProfile::pairs(4_800),
+            None,
+            &Trace::disabled(),
+        );
+        prop_assert!(deques.iter().all(|q| q.is_empty()), "{deques:?}");
+        // The claims tile [0, items) exactly once.
+        let mut ranges: Vec<(u32, u32)> = claims.iter().map(|c| (c.lo, c.hi)).collect();
+        ranges.sort_unstable();
+        let mut next = 0u32;
+        for (lo, hi) in ranges {
+            prop_assert_eq!(lo, next, "gap or overlap at {}", lo);
+            prop_assert!(hi > lo, "empty claim at {}", lo);
+            next = hi;
+        }
+        prop_assert_eq!(u64::from(next), items, "tail lost");
+        // What the device clocks were charged adds up to the batch.
+        let charged: u64 = devices.iter().map(|d| d.stats().items).sum();
+        prop_assert_eq!(charged, items);
+        prop_assert_eq!(stats.chunks, claims.len() as u64);
+        prop_assert!(stats.steals <= stats.chunks, "{:?}", stats);
     }
 }

@@ -1,19 +1,13 @@
-//! Concurrency cores of the campaign service: admission gate, results
-//! cache, exactly-once completion board.
+//! The campaign service's bookkeeping: admission gate, results cache,
+//! exactly-once completion board.
 //!
-//! The virtual-time [`crate::service::Service`] drives these structures
-//! from one thread, but they are written as real concurrent protocols
-//! against the [`crate::sync`] facade: a production deployment would have
-//! many submitter threads racing one drain loop, and the guarantees the
-//! service's report depends on — occupancy never exceeds capacity, an
-//! admitted job is never lost, a job never completes twice after a node
-//! leaves, a cache key never resolves to a different value than the one
-//! first published — are exactly the properties the `model_*` suite at the
-//! bottom of this file explores exhaustively under the `vscheck-model`
-//! feature (DESIGN.md §13).
+//! [`crate::service::Service`] owns all three and drives them from its
+//! one thread through `&mut self`, in virtual-time order. The guarantees
+//! its report depends on — occupancy never exceeds capacity, an admitted
+//! job is never lost, a job never completes twice after a node leaves, a
+//! cache key never resolves to a different value than the one first
+//! published — are properties of these plain structures (DESIGN.md §13).
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Key of one per-ligand docking result: everything that determines the
@@ -72,16 +66,15 @@ pub fn fnv1a_str(s: &str) -> u64 {
 
 /// Bounded admission counter: the front door of the campaign service.
 ///
-/// Occupancy lives in a single `AtomicU64`; [`AdmissionGate::try_admit`]
-/// is a CAS loop that either reserves `n` slots or rejects without side
-/// effects, so concurrent submitters can never overshoot `capacity`. A
+/// [`AdmissionGate::try_admit`] either reserves `n` slots or rejects
+/// without side effects, so occupancy never overshoots `capacity`. A
 /// headroom of `interactive_reserve` slots is admissible only by
 /// interactive submissions, keeping re-dock latency bounded while bulk
 /// sweeps saturate the rest of the queue.
 pub struct AdmissionGate {
-    occupancy: AtomicU64,
-    capacity: u64,
-    interactive_reserve: u64,
+    occupancy: usize,
+    capacity: usize,
+    interactive_reserve: usize,
 }
 
 impl AdmissionGate {
@@ -92,164 +85,108 @@ impl AdmissionGate {
     /// Panics if the reserve exceeds the capacity.
     pub fn new(capacity: usize, interactive_reserve: usize) -> AdmissionGate {
         assert!(interactive_reserve <= capacity, "reserve exceeds capacity");
-        AdmissionGate {
-            occupancy: AtomicU64::new(0),
-            capacity: capacity as u64,
-            interactive_reserve: interactive_reserve as u64,
-        }
+        AdmissionGate { occupancy: 0, capacity, interactive_reserve }
     }
 
     /// Reserve `n` queue slots for one submission. Returns `false` (no
     /// side effects) when the submission's admissible bound is exceeded:
     /// `capacity` for interactive traffic, `capacity - reserve` for bulk.
-    pub fn try_admit(&self, n: usize, interactive: bool) -> bool {
-        let n = n as u64;
+    pub fn try_admit(&mut self, n: usize, interactive: bool) -> bool {
         let bound =
             if interactive { self.capacity } else { self.capacity - self.interactive_reserve };
-        let mut cur = self.occupancy.load(Ordering::Acquire);
-        loop {
-            if cur + n > bound {
-                return false;
-            }
-            match self.occupancy.compare_exchange(cur, cur + n, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
+        let admit = self.occupancy + n <= bound;
+        if admit {
+            self.occupancy += n;
         }
+        admit
     }
 
     /// Release `n` slots after their jobs were dispatched to a node.
     ///
     /// # Panics
-    /// Panics if more slots are released than were admitted (a protocol
-    /// bug: a job completed that was never admitted).
-    pub fn release(&self, n: usize) {
-        let prev = self.occupancy.fetch_sub(n as u64, Ordering::AcqRel);
-        assert!(prev >= n as u64, "released {n} slots with only {prev} admitted");
+    /// Panics if more slots are released than were admitted (a service
+    /// bug: a job was dispatched that was never admitted).
+    pub fn release(&mut self, n: usize) {
+        assert!(n <= self.occupancy, "released {n} slots with only {} admitted", self.occupancy);
+        self.occupancy -= n;
     }
 
     /// Currently admitted-but-undispatched slots.
     pub fn occupancy(&self) -> usize {
-        self.occupancy.load(Ordering::Acquire) as usize
+        self.occupancy
     }
 
     /// Total slots.
     pub fn capacity(&self) -> usize {
-        self.capacity as usize
+        self.capacity
     }
 }
 
 /// Exactly-once completion latches, one per job.
 ///
-/// When a node leaves mid-campaign its in-flight jobs are requeued; the
-/// original execution and the requeued one can then race to deliver the
-/// same job id. [`CompletionBoard::try_complete`] is an atomic swap that
-/// lets exactly one delivery win, so the report never double-counts and
-/// never loses a job.
+/// When a node leaves mid-campaign its in-flight jobs are requeued, and
+/// the original execution and the requeued one may then both deliver the
+/// same job id. [`CompletionBoard::try_complete`] lets exactly one
+/// delivery count, so the report never double-counts and never loses a
+/// job.
 pub struct CompletionBoard {
-    done: Vec<AtomicBool>,
+    done: Vec<bool>,
 }
 
 impl CompletionBoard {
     /// Board for `jobs` job ids, all incomplete.
     pub fn new(jobs: usize) -> CompletionBoard {
-        CompletionBoard { done: (0..jobs).map(|_| AtomicBool::new(false)).collect() }
+        CompletionBoard { done: vec![false; jobs] }
     }
 
     /// Claim the completion of `job`. The first caller gets `true`; every
     /// later (duplicate) delivery gets `false` and must discard its result.
-    pub fn try_complete(&self, job: usize) -> bool {
-        !self.done[job].swap(true, Ordering::AcqRel)
-    }
-
-    /// Whether `job` has completed.
-    pub fn is_complete(&self, job: usize) -> bool {
-        self.done[job].load(Ordering::Acquire)
-    }
-
-    /// Number of completed jobs (quiescent use).
-    pub fn completed(&self) -> usize {
-        self.done.iter().filter(|d| d.load(Ordering::Acquire)).count()
-    }
-
-    /// Total job ids on the board.
-    pub fn len(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Whether the board tracks no jobs.
-    pub fn is_empty(&self) -> bool {
-        self.done.is_empty()
+    pub fn try_complete(&mut self, job: usize) -> bool {
+        !std::mem::replace(&mut self.done[job], true)
     }
 }
 
 /// Keyed results cache with publish-once semantics and FIFO eviction.
 ///
-/// A key's value is immutable once published: a racing second publish for
-/// the same key is rejected, so a reader can never observe a key "change
-/// value" — the staleness freedom the model suite checks. Eviction removes
-/// whole entries (a later lookup misses and recomputes); it never mutates
-/// them in place.
+/// A key's value is immutable once published: a second publish for the
+/// same key is rejected, so a lookup can never observe a key "change
+/// value". Eviction removes whole entries (a later lookup misses and
+/// recomputes); it never mutates them in place.
 pub struct ResultsCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
-}
-
-struct CacheInner {
     map: BTreeMap<CacheKey, CachedResult>,
+    /// Keys in publish order, oldest first: the eviction order.
     fifo: VecDeque<CacheKey>,
+    capacity: usize,
 }
 
 impl ResultsCache {
     /// Cache holding at most `capacity` entries (0 disables caching).
     pub fn new(capacity: usize) -> ResultsCache {
-        ResultsCache {
-            inner: Mutex::new(CacheInner { map: BTreeMap::new(), fifo: VecDeque::new() }),
-            capacity,
-        }
+        ResultsCache { map: BTreeMap::new(), fifo: VecDeque::new(), capacity }
     }
 
     /// Look `key` up. A hit is only returned once the entry's result is
     /// ready by `at_vt` — a duplicate arriving while the original is still
     /// in flight recomputes rather than reading the future.
     pub fn lookup(&self, key: &CacheKey, at_vt: f64) -> Option<CachedResult> {
-        // PANICS: a poisoned lock means a prior panic mid-publish; propagating is correct.
-        let inner = self.inner.lock().expect("results cache poisoned");
-        inner.map.get(key).filter(|e| e.ready_vt <= at_vt).copied()
+        self.map.get(key).filter(|e| e.ready_vt <= at_vt).copied()
     }
 
     /// Publish `key -> value`. The first publish wins and returns `true`;
-    /// a duplicate publish (same key, possibly racing) is rejected with
-    /// `false` and leaves the stored value untouched.
-    pub fn publish(&self, key: CacheKey, value: CachedResult) -> bool {
-        if self.capacity == 0 {
+    /// a duplicate publish (same key) is rejected with `false` and leaves
+    /// the stored value untouched.
+    pub fn publish(&mut self, key: CacheKey, value: CachedResult) -> bool {
+        if self.capacity == 0 || self.map.contains_key(&key) {
             return false;
         }
-        // PANICS: a poisoned lock means a prior panic mid-publish; propagating is correct.
-        let mut inner = self.inner.lock().expect("results cache poisoned");
-        if inner.map.contains_key(&key) {
-            return false;
-        }
-        if inner.fifo.len() == self.capacity {
-            if let Some(old) = inner.fifo.pop_front() {
-                inner.map.remove(&old);
+        if self.fifo.len() == self.capacity {
+            if let Some(old) = self.fifo.pop_front() {
+                self.map.remove(&old);
             }
         }
-        inner.map.insert(key, value);
-        inner.fifo.push_back(key);
+        self.map.insert(key, value);
+        self.fifo.push_back(key);
         true
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        // PANICS: a poisoned lock means a prior panic mid-publish; propagating is correct.
-        self.inner.lock().expect("results cache poisoned").map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -263,7 +200,7 @@ mod tests {
 
     #[test]
     fn gate_admits_to_capacity_and_releases() {
-        let g = AdmissionGate::new(10, 0);
+        let mut g = AdmissionGate::new(10, 0);
         assert!(g.try_admit(6, false));
         assert!(g.try_admit(4, false));
         assert!(!g.try_admit(1, false), "over capacity");
@@ -274,7 +211,7 @@ mod tests {
 
     #[test]
     fn interactive_reserve_is_interactive_only() {
-        let g = AdmissionGate::new(10, 4);
+        let mut g = AdmissionGate::new(10, 4);
         assert!(g.try_admit(6, false));
         assert!(!g.try_admit(1, false), "bulk capped at capacity - reserve");
         assert!(g.try_admit(3, true), "interactive may use the reserve");
@@ -285,7 +222,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn over_release_panics() {
-        let g = AdmissionGate::new(4, 0);
+        let mut g = AdmissionGate::new(4, 0);
         assert!(g.try_admit(2, false));
         g.release(3);
     }
@@ -298,18 +235,17 @@ mod tests {
 
     #[test]
     fn completion_board_is_exactly_once() {
-        let b = CompletionBoard::new(3);
+        let mut b = CompletionBoard::new(3);
         assert!(b.try_complete(1));
         assert!(!b.try_complete(1), "duplicate delivery rejected");
-        assert!(b.is_complete(1));
-        assert!(!b.is_complete(0));
-        assert_eq!(b.completed(), 1);
-        assert_eq!(b.len(), 3);
+        assert!(!b.try_complete(1), "and every later one");
+        assert!(b.try_complete(0), "other jobs are untouched");
+        assert!(b.try_complete(2));
     }
 
     #[test]
     fn cache_publish_once_and_ready_gating() {
-        let c = ResultsCache::new(8);
+        let mut c = ResultsCache::new(8);
         assert!(c.publish(key(1), CachedResult { compute_s: 2.0, ready_vt: 5.0 }));
         assert!(!c.publish(key(1), CachedResult { compute_s: 9.0, ready_vt: 0.0 }));
         assert_eq!(c.lookup(&key(1), 4.0), None, "not ready yet");
@@ -320,11 +256,10 @@ mod tests {
 
     #[test]
     fn cache_evicts_fifo_and_never_aliases() {
-        let c = ResultsCache::new(2);
+        let mut c = ResultsCache::new(2);
         for n in 0..3u64 {
             assert!(c.publish(key(n), CachedResult { compute_s: n as f64, ready_vt: 0.0 }));
         }
-        assert_eq!(c.len(), 2);
         assert_eq!(c.lookup(&key(0), 1.0), None, "oldest evicted");
         assert_eq!(c.lookup(&key(1), 1.0).map(|e| e.compute_s), Some(1.0));
         assert_eq!(c.lookup(&key(2), 1.0).map(|e| e.compute_s), Some(2.0));
@@ -332,9 +267,9 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let c = ResultsCache::new(0);
+        let mut c = ResultsCache::new(0);
         assert!(!c.publish(key(1), CachedResult { compute_s: 1.0, ready_vt: 0.0 }));
-        assert!(c.is_empty());
+        assert_eq!(c.lookup(&key(1), 1.0), None, "nothing was stored");
     }
 
     #[test]
@@ -343,160 +278,5 @@ mod tests {
         assert_ne!(fnv1a(&[1, 2, 3]), fnv1a(&[3, 2, 1]));
         assert_eq!(fnv1a_str("fused"), fnv1a_str("fused"));
         assert_ne!(fnv1a_str("fused"), fnv1a_str("grid"));
-    }
-}
-
-/// Exhaustive interleaving checks of the admission/backpressure protocol
-/// under the `vscheck` model checker (run with
-/// `cargo test -p vscluster --features vscheck-model model_`).
-///
-/// Invariants, each explored over every bounded interleaving:
-/// - **occupancy never exceeds capacity** and **no admitted job is lost**
-///   (admitted = dispatched + still queued, conserved);
-/// - **no double-completion on node leave**: a requeued job racing its
-///   original delivery completes exactly once;
-/// - **the cache never goes stale**: a key's value is immutable after the
-///   first publish, and every lookup observes either a miss or that value.
-#[cfg(all(test, feature = "vscheck-model"))]
-mod model_tests {
-    use super::*;
-    use crate::sync::thread::Builder;
-    use std::sync::Arc;
-    use vscheck::{explore, Config};
-
-    #[test]
-    fn model_gate_never_exceeds_capacity_and_conserves_jobs() {
-        let report = explore(Config::with_bound(2), || {
-            let gate = Arc::new(AdmissionGate::new(3, 1));
-            let admitted = Arc::new(Mutex::new(0usize));
-            let handles: Vec<_> = [(2usize, false), (2, true), (1, false)]
-                .into_iter()
-                .map(|(n, interactive)| {
-                    let gate = Arc::clone(&gate);
-                    let admitted = Arc::clone(&admitted);
-                    Builder::new()
-                        .name("submitter".into())
-                        .spawn(move || {
-                            if gate.try_admit(n, interactive) {
-                                assert!(
-                                    gate.occupancy() <= gate.capacity(),
-                                    "occupancy observed over capacity"
-                                );
-                                *admitted.lock().expect("admitted count poisoned") += n;
-                            }
-                        })
-                        .expect("spawn submitter")
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("submitter panicked");
-            }
-            // Conservation: everything admitted is still occupying its
-            // slot (nothing dispatched yet), and within capacity.
-            let total = *admitted.lock().expect("admitted count poisoned");
-            assert_eq!(gate.occupancy(), total, "admitted slots lost or duplicated");
-            assert!(total <= 3, "gate admitted past capacity: {total}");
-            // Drain: releasing what was admitted empties the gate.
-            gate.release(total);
-            assert_eq!(gate.occupancy(), 0);
-        });
-        report.assert_passed();
-        assert!(report.complete, "bounded state space must be exhausted");
-    }
-
-    #[test]
-    fn model_bulk_respects_interactive_reserve() {
-        let report = explore(Config::with_bound(2), || {
-            let gate = Arc::new(AdmissionGate::new(2, 1));
-            let g2 = Arc::clone(&gate);
-            let bulk = Builder::new()
-                .name("bulk".into())
-                .spawn(move || g2.try_admit(2, false))
-                .expect("spawn bulk");
-            let interactive_ok = gate.try_admit(1, true);
-            let bulk_ok = bulk.join().expect("bulk panicked");
-            // Bulk may take at most capacity - reserve = 1 slot, so its
-            // 2-slot burst must fail under every interleaving, and the
-            // 1-slot interactive must then always fit.
-            assert!(!bulk_ok, "bulk claimed the interactive reserve");
-            assert!(interactive_ok, "interactive starved below the reserve");
-        });
-        report.assert_passed();
-        assert!(report.complete);
-    }
-
-    #[test]
-    fn model_node_leave_requeue_completes_exactly_once() {
-        let report = explore(Config::with_bound(2), || {
-            let board = Arc::new(CompletionBoard::new(1));
-            let deliveries = Arc::new(Mutex::new(Vec::new()));
-            // The original node's delivery races the requeued re-execution
-            // after a NodeLeft aborted it — both try to complete job 0.
-            let handles: Vec<_> = ["original", "requeued"]
-                .into_iter()
-                .map(|who| {
-                    let board = Arc::clone(&board);
-                    let deliveries = Arc::clone(&deliveries);
-                    Builder::new()
-                        .name(who.into())
-                        .spawn(move || {
-                            if board.try_complete(0) {
-                                deliveries.lock().expect("delivery log poisoned").push(who);
-                            }
-                        })
-                        .expect("spawn deliverer")
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("deliverer panicked");
-            }
-            let log = deliveries.lock().expect("delivery log poisoned");
-            assert_eq!(log.len(), 1, "job must complete exactly once, got {:?}", &*log);
-            assert!(board.is_complete(0), "job lost: neither delivery won");
-        });
-        report.assert_passed();
-        assert!(report.complete);
-    }
-
-    #[test]
-    fn model_cache_value_immutable_under_racing_publishes() {
-        let report = explore(Config::with_bound(2), || {
-            let cache = Arc::new(ResultsCache::new(4));
-            let key = CacheKey { receptor: 1, ligand: 2, seed: 3, kernel: 4 };
-            let handles: Vec<_> = [10.0f64, 20.0]
-                .into_iter()
-                .map(|compute_s| {
-                    let cache = Arc::clone(&cache);
-                    Builder::new()
-                        .name("publisher".into())
-                        .spawn(move || {
-                            let won = cache.publish(key, CachedResult { compute_s, ready_vt: 0.0 });
-                            // Whoever won, the stored value must already be
-                            // one of the two candidates and never change.
-                            let seen =
-                                cache.lookup(&key, 1.0).expect("published key must be present");
-                            assert!(
-                                seen.compute_s == 10.0 || seen.compute_s == 20.0,
-                                "torn or foreign value {seen:?}"
-                            );
-                            won
-                        })
-                        .expect("spawn publisher")
-                })
-                .collect();
-            let wins: Vec<bool> =
-                handles.into_iter().map(|h| h.join().expect("publisher panicked")).collect();
-            assert_eq!(
-                wins.iter().filter(|&&w| w).count(),
-                1,
-                "exactly one publish must win: {wins:?}"
-            );
-            // Quiescent: the winning value is stable across lookups.
-            let a = cache.lookup(&key, 1.0).expect("present");
-            let b = cache.lookup(&key, 1.0).expect("present");
-            assert_eq!(a, b, "cache went stale between lookups");
-        });
-        report.assert_passed();
-        assert!(report.complete);
     }
 }

@@ -20,9 +20,9 @@
 //!   queue is full (an interactive-only reserve keeps re-docks
 //!   responsive), classes drain weighted-fair, duplicates are served from
 //!   a keyed results cache, and nodes may join/leave mid-campaign;
-//! - [`admission`] — the concurrency cores behind the service (bounded
-//!   admission gate, exactly-once completion board, publish-once results
-//!   cache), exhaustively model-checked under the `vscheck-model` feature;
+//! - [`admission`] — the service's bookkeeping (bounded admission gate,
+//!   exactly-once completion board, publish-once results cache), owned
+//!   and driven by the service's one thread;
 //! - [`traffic`] — deterministic bursty traffic generation for service
 //!   studies;
 //! - [`net`] — a latency/bandwidth message-cost model (the MPI analog);
@@ -40,7 +40,6 @@ pub mod faults;
 pub mod library;
 pub mod net;
 pub mod service;
-pub(crate) mod sync;
 pub mod traffic;
 
 pub use admission::{AdmissionGate, CacheKey, CachedResult, CompletionBoard, ResultsCache};

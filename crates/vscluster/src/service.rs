@@ -38,7 +38,9 @@ use crate::net::NetModel;
 use gpusim::{SimNode, WorkProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vsched::{schedule_trace, schedule_trace_with, ReplayOptions, SharedOracle, Strategy};
+use vsched::{
+    schedule_trace, schedule_trace_with, CostOracle, OracleConfig, ReplayOptions, Strategy,
+};
 use vscreen::trace::synthetic_trace;
 use vstrace::{Event, Trace};
 
@@ -476,11 +478,11 @@ pub struct Service {
     now: f64,
     cost_memo: BTreeMap<CostKey, f64>,
     /// One learned cost oracle per node (plus the [`BASELINE_NODE`]
-    /// pseudo-node), shared across every `Strategy::Oracle` campaign the
-    /// service runs: tenant N+1 starts warm from tenant N's fits. Fits
+    /// pseudo-node), lent to every `Strategy::Oracle` replay the service
+    /// runs there: tenant N+1 starts warm from tenant N's fits. Fits
     /// consume only virtual-time measurements, so drains stay
     /// bit-identical per submission order.
-    oracles: BTreeMap<usize, SharedOracle>,
+    oracles: BTreeMap<usize, CostOracle>,
 }
 
 impl Service {
@@ -550,11 +552,11 @@ impl Service {
         self.now
     }
 
-    /// Node `ni`'s shared learned-cost oracle, present once any
+    /// Node `ni`'s learned-cost oracle, present once any
     /// `Strategy::Oracle` campaign has executed (or been planned) there.
     /// Dashboards and tests peek at its fits; campaigns submitted later
     /// start warm from the same instance.
-    pub fn node_oracle(&self, ni: usize) -> Option<&SharedOracle> {
+    pub fn node_oracle(&self, ni: usize) -> Option<&CostOracle> {
         self.oracles.get(&ni)
     }
 
@@ -1126,7 +1128,7 @@ impl Service {
     /// spec when `ni == BASELINE_NODE`), memoized.
     fn nominal_cost(&mut self, ni: usize, jb: &QueuedJob, strategy: Strategy) -> f64 {
         if strategy.learns() {
-            // The learned split depends on the shared oracle's current
+            // The learned split depends on the node oracle's current
             // fits, so it cannot be memoized; a planning peek runs on a
             // clone and ingests nothing.
             return self.oracle_cost(ni, jb, strategy, &[], false);
@@ -1144,11 +1146,11 @@ impl Service {
         c
     }
 
-    /// Replay `jb` on node `ni` under the learned-oracle strategy,
-    /// sharing one [`SharedOracle`] per node across campaigns. With
-    /// `ingest` the replay's observations update the shared model (an
+    /// Replay `jb` on node `ni` under the learned-oracle strategy, with
+    /// the node's one [`CostOracle`] carried across campaigns. With
+    /// `ingest` the replay's observations update the node's model (an
     /// actual execution); without it the replay runs on a clone (a
-    /// planning peek, e.g. the single-node baseline) and the shared fits
+    /// planning peek, e.g. the single-node baseline) and the node's fits
     /// are untouched.
     fn oracle_cost(
         &mut self,
@@ -1162,26 +1164,27 @@ impl Service {
             if ni == BASELINE_NODE { self.baseline.clone() } else { self.nodes[ni].node.clone() };
         let batches = synthetic_trace(&jb.job.params, jb.n_spots);
         let pairs = jb.job.pairs_per_eval(jb.receptor_atoms);
-        let shared =
-            self.oracles.entry(ni).or_insert_with(|| SharedOracle::new(node.gpus().len())).clone();
         let events = if ingest { self.trace.clone() } else { Trace::disabled() };
-        let replay = |oracle: &mut vsched::CostOracle| {
-            schedule_trace_with(
-                node.cpu(),
-                node.gpus(),
-                &batches,
-                WorkProfile::pairs(pairs),
-                strategy,
-                ReplayOptions { phases, events, oracle: Some(oracle), timeline: None },
-            )
-            .makespan
-        };
-        if ingest {
-            shared.with(replay)
+        let owned = self
+            .oracles
+            .entry(ni)
+            .or_insert_with(|| CostOracle::new(node.gpus().len(), OracleConfig::default()));
+        let mut peek;
+        let oracle = if ingest {
+            owned
         } else {
-            let mut peek = shared.with(|o| o.clone());
-            replay(&mut peek)
-        }
+            peek = owned.clone();
+            &mut peek
+        };
+        schedule_trace_with(
+            node.cpu(),
+            node.gpus(),
+            &batches,
+            WorkProfile::pairs(pairs),
+            strategy,
+            ReplayOptions { phases, events, oracle: Some(oracle), timeline: None },
+        )
+        .makespan
     }
 
     /// True cost of running `jb` on node `ni` under its campaign's fault
@@ -1204,7 +1207,7 @@ impl Service {
         // this batch.
         let onset = strategy.warmup().map_or(0, |w| w.batches());
         if strategy.learns() {
-            // Actual executions feed the node's shared oracle (ingest =
+            // Actual executions feed the node's oracle (ingest =
             // true), so the next campaign on this node starts warm. The
             // fault context becomes a drift phase: a victim lane slows
             // after warm-up; a uniform fault slows every GPU from the
@@ -1870,14 +1873,15 @@ mod tests {
         let before: u64 = warm_svc
             .node_oracle(0)
             .expect("tenant 1 must have instantiated the node oracle")
-            .with(|o| o.fits().iter().map(|(_, f)| f.observations).sum());
+            .fits()
+            .iter()
+            .map(|(_, f)| f.observations)
+            .sum();
         assert!(before > 0, "tenant 1 must leave fitted observations behind");
         warm_svc.submit(tenant2());
         let warm = warm_svc.drain().makespan;
-        let after: u64 = warm_svc
-            .node_oracle(0)
-            .unwrap()
-            .with(|o| o.fits().iter().map(|(_, f)| f.observations).sum());
+        let after: u64 =
+            warm_svc.node_oracle(0).unwrap().fits().iter().map(|(_, f)| f.observations).sum();
         assert!(after > before, "tenant 2 must keep feeding the shared model");
         assert!(warm < cold, "warm-started tenant must beat the cold one: {warm} vs {cold}");
     }
@@ -1895,7 +1899,10 @@ mod tests {
         let baseline_obs: u64 = svc
             .node_oracle(BASELINE_NODE)
             .expect("the baseline peek instantiates a pseudo-node oracle")
-            .with(|o| o.fits().iter().map(|(_, f)| f.observations).sum());
+            .fits()
+            .iter()
+            .map(|(_, f)| f.observations)
+            .sum();
         assert_eq!(baseline_obs, 0, "planning peeks must never ingest observations");
     }
 }

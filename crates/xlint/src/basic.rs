@@ -19,10 +19,6 @@ const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/vstrace/src/sink.rs",
     "crates/vsscore/src/scorer.rs",
     "crates/vscheck/", // model checker: orderings collapse to SeqCst under the model
-    // Work-stealing chunk deque: the packed range word is the entire
-    // shared state (no payload published through it); orderings argued in
-    // the module docs and model-checked under vscheck-model.
-    "crates/vsched/src/deque.rs",
 ];
 
 /// Position of `needle` in `hay` as a standalone word (no identifier

@@ -6,9 +6,12 @@
 //! Reachability is breadth-first over the name-resolved call graph
 //! starting at every function whose name starts with `model_`; a module
 //! is covered when the walk reaches any function defined in it (or when
-//! it defines a model test itself). The resulting table is part of the
-//! report — CI persists it to `target/XLINT_REPORT.json` and requires
-//! every module in it to be covered.
+//! it defines a model test itself). Calls resolve by name only, so the
+//! walk stays inside the test's own crate: a model suite exercises the
+//! facade of its crate, and a same-named function in another crate is
+//! not what it calls. The resulting table is part of the report — CI
+//! persists it to `target/XLINT_REPORT.json` and requires every module
+//! in it to be covered.
 
 use std::collections::BTreeMap;
 
@@ -41,9 +44,11 @@ pub fn check(entries: &[FileEntry], facts: &[FileFacts]) -> (Vec<ModuleCoverage>
         }
     }
 
-    // BFS from each model_ test; remember which tests reach which file.
+    // BFS from each model_ test within its crate; remember which tests
+    // reach which file.
     let mut reached_by: Vec<Vec<String>> = vec![Vec::new(); entries.len()];
     for (fi, f) in facts.iter().enumerate() {
+        let own_crate = &entries[fi].crate_name;
         for (i, d) in f.fns.iter().enumerate() {
             if !d.name.starts_with("model_") {
                 continue;
@@ -57,7 +62,7 @@ pub fn check(entries: &[FileEntry], facts: &[FileFacts]) -> (Vec<ModuleCoverage>
                     reached_by[file].push(d.name.clone());
                 }
                 for &c in &callees[g] {
-                    if !seen[c] {
+                    if !seen[c] && entries[fn_file[c]].crate_name == *own_crate {
                         seen[c] = true;
                         queue.push(c);
                     }
@@ -110,17 +115,20 @@ mod tests {
     use crate::scope::test_scope;
     use std::path::PathBuf;
 
+    /// Check `(path, source)` files, each in the crate its
+    /// `crates/<name>/` path names.
     fn run(files: &[(&str, &str)]) -> (Vec<ModuleCoverage>, Vec<Violation>) {
         let mut entries = Vec::new();
         let mut facts = Vec::new();
         for (i, (rel, src)) in files.iter().enumerate() {
+            let crate_name = rel.split('/').nth(1).unwrap_or("demo");
             let sf = lex(src);
             let in_test = test_scope(&sf);
-            facts.push(file_facts(i, "demo", &sf, &in_test));
+            facts.push(file_facts(i, crate_name, &sf, &in_test));
             entries.push(FileEntry {
                 rel: PathBuf::from(rel),
                 src: src.to_string(),
-                crate_name: "demo".into(),
+                crate_name: crate_name.into(),
                 class: Class::DeterministicLib,
                 is_facade: rel.ends_with("/src/sync.rs"),
                 is_bin: false,
@@ -155,6 +163,25 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
         let runtime = cov.iter().find(|m| m.module.ends_with("runtime.rs")).unwrap();
         assert_eq!(runtime.tests, ["model_exec"]);
+    }
+
+    #[test]
+    fn same_named_function_in_another_crate_does_not_cover() {
+        // `model_channel` in `chan` calls its own `enqueue`; `deque` also
+        // defines an `enqueue`, which name-only resolution would join to it.
+        let (cov, v) = run(&[
+            (
+                "crates/chan/src/channel.rs",
+                "use crate::sync::Mutex;\npub fn enqueue(&self) {}\n#[cfg(test)]\nmod model {\n    fn model_channel() { enqueue(); }\n}\n",
+            ),
+            ("crates/deque/src/deque.rs", "use crate::sync::Mutex;\npub fn enqueue(&self) {}\n"),
+        ]);
+        let deque = cov.iter().find(|m| m.module.ends_with("deque.rs")).unwrap();
+        assert!(deque.tests.is_empty(), "{deque:?}");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].file.ends_with("deque.rs"), "{v:?}");
+        let channel = cov.iter().find(|m| m.module.ends_with("channel.rs")).unwrap();
+        assert_eq!(channel.tests, ["model_channel"]);
     }
 
     #[test]
