@@ -334,7 +334,7 @@ impl ScreenOutcome {
 /// historical behavior) or to the mode-aware entry point
 /// ([`metaheur::run_exec`]), which charges host costs under `Lockstep` and
 /// runs the stage ring under `Pipelined`.
-fn run_engine<E: BatchEvaluator + Send>(
+fn run_engine<E: BatchEvaluator>(
     params: &MetaheuristicParams,
     spots: &[vsmol::Spot],
     ev: &mut E,

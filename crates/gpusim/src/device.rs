@@ -21,8 +21,9 @@ pub struct DeviceStats {
 /// Executing a [`WorkBatch`] advances the device's clock by the modeled
 /// time. One thread at a time drives a device — a simulated device is a
 /// clock, not a thread — but its state sits behind a `Mutex` because the
-/// evaluator that holds it must be `Send`: `metaheur`'s stage ring moves
-/// the evaluator onto a stage thread of its own.
+/// evaluator that holds it must stay `Send`: perfbench's
+/// `stack::run_engine` bounds its evaluator `E: BatchEvaluator + Send` and
+/// passes a `vsched::DeviceEvaluator`.
 #[derive(Debug)]
 pub struct SimDevice {
     id: usize,

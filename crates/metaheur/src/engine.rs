@@ -16,7 +16,6 @@ use crate::evaluator::BatchEvaluator;
 use crate::params::{
     improved_count, Combine, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy,
 };
-use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 use vsmath::{Quat, RigidTransform, RngStream, Vec3};
 use vsmol::{conformation::score_cmp, Conformation, Spot};
@@ -544,9 +543,9 @@ pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotTok
 /// through [`BatchEvaluator::evaluate_after`]; `None` means an unclocked
 /// plain [`BatchEvaluator::evaluate`], device clocks running free. Every
 /// contributor's `ready_vt` becomes the completion time.
-pub(crate) fn score<E: BatchEvaluator, T: BorrowMut<SpotToken>>(
+pub(crate) fn score<E: BatchEvaluator>(
     evaluator: &mut E,
-    toks: &mut [T],
+    toks: &mut [SpotToken],
     batch_trace: &mut Vec<u64>,
     mut at: impl FnMut(f64) -> Option<f64>,
 ) {
@@ -554,7 +553,7 @@ pub(crate) fn score<E: BatchEvaluator, T: BorrowMut<SpotToken>>(
         let member = |t: &SpotToken| t.wants_grads == grad_class && !t.batch.is_empty();
         let mut flat: Vec<Conformation> = Vec::new();
         let mut release = 0.0f64;
-        for tok in toks.iter().map(|t| -> &SpotToken { t.borrow() }).filter(|t| member(t)) {
+        for tok in toks.iter().filter(|t| member(t)) {
             flat.extend_from_slice(&tok.batch);
             release = release.max(tok.ready_vt);
         }
@@ -577,9 +576,7 @@ pub(crate) fn score<E: BatchEvaluator, T: BorrowMut<SpotToken>>(
         };
         batch_trace.push(flat.len() as u64);
         let mut off = 0;
-        for tok in
-            toks.iter_mut().map(|t| -> &mut SpotToken { t.borrow_mut() }).filter(|t| member(t))
-        {
+        for tok in toks.iter_mut().filter(|t| member(t)) {
             let end = off + tok.batch.len();
             tok.batch.copy_from_slice(&flat[off..end]);
             if grad_class {
@@ -849,8 +846,8 @@ impl<'a> Driver<'a> {
         let best_per_spot: Vec<Conformation> = self
             .pops
             .iter()
-            // PANICS: only on an abnormal ring teardown (a stage panicked
-            // mid-run); the stage join has already surfaced that panic.
+            // PANICS: never — both schedulers harvest every spot before
+            // they ask for the result.
             .map(|pop| pop.as_ref().expect("every spot retired")[0])
             .collect();
         // PANICS: non-empty by caller contract.

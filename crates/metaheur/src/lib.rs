@@ -40,9 +40,9 @@
 //! [`run_seeded`] and [`run_traced`] step every spot in lockstep on the
 //! calling thread, uncharged; [`run_exec`] either charges that loop's host
 //! phases on the evaluator's virtual clocks ([`EngineExec::Lockstep`]) or
-//! runs the machine as a ring of stage threads that overlaps variation
-//! with scoring ([`EngineExec::Pipelined`]). Whichever runs, a spot's
-//! search is the same, bit for bit.
+//! steps the machine as a ring of stages that overlaps variation with
+//! scoring on those clocks ([`EngineExec::Pipelined`]). Whichever runs, a
+//! spot's search is the same, bit for bit.
 #![forbid(unsafe_code)]
 
 pub mod diversity;
@@ -51,8 +51,6 @@ pub mod evaluator;
 pub mod params;
 pub mod pipeline;
 pub mod suite;
-
-mod sync;
 
 pub use engine::{run, run_seeded, run_traced, RunResult};
 pub use evaluator::{BatchEvaluator, CpuEvaluator, RuggedEvaluator, SyntheticEvaluator};

@@ -1,25 +1,33 @@
 //! The engine's execution modes: the stage ring that overlaps variation
-//! with scoring, and the host cost model that makes it comparable with the
-//! lockstep loop (DESIGN.md §12).
+//! with scoring on the virtual-time axis, and the host cost model that
+//! makes it comparable with the lockstep loop (DESIGN.md §12).
 //!
 //! The search itself — the per-spot state machine and its operators — lives
-//! in [`crate::engine`]. This module holds only what is about threads and
-//! virtual host time. The lockstep loop alternates host phases
-//! (Select/Combine/Improve proposal construction) with device phases (batch
-//! scoring): while the host breeds generation N+1, every device sits idle,
-//! and while the devices score, the host waits. The ring instead runs the
-//! same state machine as four stages connected by bounded SPSC channels:
+//! in [`crate::engine`]. This module holds only how the machine is
+//! scheduled and what its host work costs in virtual time. The lockstep
+//! loop alternates host phases (Select/Combine/Improve proposal
+//! construction) with device phases (batch scoring): while the host breeds
+//! generation N+1, every device sits idle, and while the devices score, the
+//! host waits. The ring instead runs the same state machine as stages
+//! connected by FIFO queues, each stage on a host clock of its own:
 //!
 //! ```text
-//!   selector(driver) → seeder → breeder → evaluator → selector …
+//!   selector(driver) → seeder / breeder → evaluator → selector …
 //! ```
 //!
 //! Each surface spot circulates as a token carrying its population, RNG
 //! stream and per-lap scoring batch. Independent spots advance through
 //! their generations asynchronously — spot A can breed generation 5 while
 //! spot B's generation 3 proposals are still on a device — so the
-//! evaluator stage always has work and per-device deques never drain at a
+//! evaluator always has work and per-device deques never drain at a
 //! generation boundary.
+//!
+//! The ring is a schedule, not a thread topology: the calling thread steps
+//! variation, scoring and selection in turn, each draining the queue in
+//! front of it. Variation builds every waiting batch as one
+//! [`vsscore::CpuPool`] job; scoring, the only stage with real host work,
+//! is parallel inside the evaluator. The overlap the ring models is on the
+//! virtual clocks.
 //!
 //! # Determinism contract
 //!
@@ -30,9 +38,11 @@
 //! `best_per_spot`, `best_history`, `diversity_history`, `evaluations` and
 //! `generations_run` are bit-identical across modes and depths for every
 //! end condition. What *does* differ is batch composition: the evaluator
-//! stage coalesces batches across spots at different generations, so
+//! coalesces batches across spots at different generations, so
 //! `batch_trace` is a different (but still deterministic) sequence — see
-//! [`RunResult::batch_trace`].
+//! [`RunResult::batch_trace`]. Every stage is a function of the sequence of
+//! tokens it is handed, so `batch_trace`, every virtual time and the trace
+//! payloads depend on the parameters, the seed and the depth alone.
 //!
 //! # Learned-oracle re-seeding
 //!
@@ -42,29 +52,26 @@
 //! batches. The executor re-queries its learned cost model for fresh deque
 //! seeds at each such call, so the ring re-seeds at (cross-spot)
 //! generation boundaries for free — no extra coupling between the
-//! variation stages and the scheduler is needed, and the determinism
+//! variation stage and the scheduler is needed, and the determinism
 //! contract above is unchanged (the oracle consumes only virtual-time
 //! measurements).
 //!
-//! # Deadlock freedom
+//! # Progress
 //!
-//! All four channels hold at most `depth` tokens and at most `4·depth`
-//! tokens are admitted to the ring at once. A send-cycle deadlock needs
-//! every channel full plus one token held by each of the four blocked
-//! stages — `4·depth + 4` tokens, more than can exist. Retiring spots
-//! make one final farewell lap (phase `Retire`) so the evaluator can track
-//! the live-token count it needs for its submission rule; farewell tokens
-//! are replaced, not added, preserving the bound. The `model_*` tests
-//! exhaustively check the channel protocol under the `vscheck-model`
-//! feature.
+//! At most `4·depth` tokens exist at once (a retiring spot's replacement is
+//! admitted only once it is harvested), and some queue is non-empty until
+//! every spot is harvested. The evaluator holds a token back only while
+//! another live token is still on its way to it; once every live token is
+//! held, it submits them. Retiring spots make one final farewell lap (phase
+//! `Retire`) so the evaluator can keep the live-token count its submission
+//! rule needs.
 
 use crate::engine::{self, Driver, Phase, RunResult, SpotToken};
 use crate::evaluator::BatchEvaluator;
 use crate::params::MetaheuristicParams;
-use crate::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 use vsmol::{Conformation, Spot};
-use vstrace::{Event, Trace};
+use vstrace::{Event, SpanGuard, Trace};
 
 /// Execution mode for the generational engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,19 +82,19 @@ pub enum EngineExec {
     /// [`crate::run`] (Tables 6–9 reproduce exactly).
     #[default]
     Lockstep,
-    /// The stage ring with channels of capacity `depth`. Overlaps
+    /// The stage ring, admitting `4·depth` spots at a time. Overlaps
     /// variation of one generation with scoring of another; the search is
     /// bit-identical to lockstep, only `batch_trace` differs (see the
     /// module docs for the exact contract).
     Pipelined {
-        /// Bounded capacity of each stage channel (≥ 1); at most `4·depth`
-        /// spot tokens circulate at once.
+        /// At most `4·depth` spot tokens circulate at once (≥ 1; any
+        /// larger value admits every spot).
         depth: usize,
     },
 }
 
 impl EngineExec {
-    /// Channel depth of `"pipelined"` parsed without an explicit depth.
+    /// Depth of `"pipelined"` parsed without an explicit one.
     pub const DEFAULT_DEPTH: usize = 2;
 }
 
@@ -158,102 +165,6 @@ impl HostCosts {
 const COALESCE_ITEMS: usize = 512;
 
 // ---------------------------------------------------------------------------
-// Bounded stage channel.
-// ---------------------------------------------------------------------------
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded FIFO channel between two pipeline stages (used SPSC here,
-/// though the protocol is safe for any number of endpoints). `send` blocks
-/// on a full queue (backpressure — this is what throttles how far ahead
-/// the variation stages can run), `recv` blocks on an empty one. Closing
-/// wakes all waiters: pending items can still be drained, further sends
-/// return the rejected value so no batch is silently lost on teardown.
-pub(crate) struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    cap: usize,
-    stage: &'static str,
-    trace: Trace,
-}
-
-impl<T> Channel<T> {
-    pub(crate) fn new(cap: usize, stage: &'static str, trace: Trace) -> Channel<T> {
-        Channel {
-            state: Mutex::new(ChannelState { queue: VecDeque::with_capacity(cap), closed: false }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            cap: cap.max(1),
-            stage,
-            trace,
-        }
-    }
-
-    /// Blocking send. Returns the value back if the channel was closed
-    /// before it could be enqueued.
-    pub(crate) fn send(&self, value: T) -> Result<(), T> {
-        // PANICS: lock poisoning means a stage already panicked; propagate.
-        let mut st = self.state.lock().expect("stage channel poisoned");
-        loop {
-            if st.closed {
-                return Err(value);
-            }
-            if st.queue.len() < self.cap {
-                break;
-            }
-            // PANICS: lock poisoning means a stage already panicked.
-            st = self.not_full.wait(st).expect("stage channel poisoned");
-        }
-        st.queue.push_back(value);
-        let depth = st.queue.len() as u32;
-        self.not_empty.notify_one();
-        drop(st);
-        self.trace.emit(Event::StageDepth { stage: self.stage, depth });
-        Ok(())
-    }
-
-    /// Blocking receive; `None` once the channel is closed *and* drained.
-    pub(crate) fn recv(&self) -> Option<T> {
-        // PANICS: lock poisoning means a stage already panicked; propagate.
-        let mut st = self.state.lock().expect("stage channel poisoned");
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                self.not_full.notify_one();
-                return Some(v);
-            }
-            if st.closed {
-                return None;
-            }
-            // PANICS: lock poisoning means a stage already panicked.
-            st = self.not_empty.wait(st).expect("stage channel poisoned");
-        }
-    }
-
-    /// Close the channel and wake every blocked sender/receiver.
-    pub(crate) fn close(&self) {
-        // PANICS: lock poisoning means a stage already panicked; propagate.
-        let mut st = self.state.lock().expect("stage channel poisoned");
-        st.closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
-
-/// Closes a channel when dropped, so a panicking stage tears the ring
-/// down instead of deadlocking its neighbours.
-struct CloseGuard<'a, T>(&'a Channel<T>);
-
-impl<T> Drop for CloseGuard<'_, T> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Entry point and the lockstep cost decorator.
 // ---------------------------------------------------------------------------
 
@@ -261,7 +172,7 @@ impl<T> Drop for CloseGuard<'_, T> {
 /// warm-start seeds and a trace. Both modes charge the [`HostCosts`] model
 /// on the evaluator's virtual clocks so their times compare honestly; the
 /// search is the one [`crate::run_seeded`] / [`crate::run_traced`] perform.
-pub fn run_exec<E: BatchEvaluator + Send>(
+pub fn run_exec<E: BatchEvaluator>(
     params: &MetaheuristicParams,
     spots: &[Spot],
     evaluator: &mut E,
@@ -331,11 +242,11 @@ impl<E: BatchEvaluator + ?Sized> BatchEvaluator for StagedHost<'_, E> {
 // The ring.
 // ---------------------------------------------------------------------------
 
-type TokenChannel = Channel<Box<SpotToken>>;
-
-/// Run the stage ring. See the module docs for topology, determinism and
-/// deadlock-freedom arguments.
-fn run_ring<E: BatchEvaluator + Send>(
+/// Run the stage ring on the calling thread: step variation, scoring and
+/// selection in turn, each draining the queue in front of it, until every
+/// spot is harvested. See the module docs for the determinism and progress
+/// arguments.
+fn run_ring<E: BatchEvaluator>(
     params: &MetaheuristicParams,
     spots: &[Spot],
     evaluator: &mut E,
@@ -345,190 +256,119 @@ fn run_ring<E: BatchEvaluator + Send>(
     depth: usize,
 ) -> RunResult {
     let costs = HostCosts::default();
+    let pool = vsscore::shared_pool(vsscore::host_threads());
     let mut driver = Driver::new(params, spots, seed_confs, trace);
-    let wave = (4 * depth).min(spots.len());
+    let wave = depth.saturating_mul(4).min(spots.len());
+    let admit = |si: usize| SpotToken::new(si, &spots[si], seed);
+    let mut to_vary: VecDeque<SpotToken> = (0..wave).map(admit).collect();
+    let mut to_score: VecDeque<SpotToken> = VecDeque::new();
+    let mut to_select: VecDeque<SpotToken> = VecDeque::new();
+    let mut next_spot = wave;
+    // Each stage's host clock.
+    let (mut seed_vt, mut breed_vt, mut score_vt, mut select_vt) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+    // The evaluator's state: `live` counts the tokens it has seen and not
+    // yet seen retire; `held` is its next submission, of `held_items`.
+    let mut live = wave;
+    let mut held: Vec<SpotToken> = Vec::new();
+    let mut held_items = 0usize;
+    let mut batch_trace: Vec<u64> = Vec::new();
 
-    let c_seed: TokenChannel = Channel::new(depth, "seed", trace.clone());
-    let c_breed: TokenChannel = Channel::new(depth, "breed", trace.clone());
-    let c_eval: TokenChannel = Channel::new(depth, "score", trace.clone());
-    let c_out: TokenChannel = Channel::new(depth, "select", trace.clone());
-
-    // DETERMINISM: structured `thread::scope` — joins before returning, stage order is fixed by the channel graph, reviewed with the facade.
-    let batch_trace = std::thread::scope(|scope| {
-        let (cs, cb, ce, co) = (&c_seed, &c_breed, &c_eval, &c_out);
-        let per_conf_s = costs.variation_per_conf_s;
-        let seeder = scope.spawn(move || {
-            let builds = |phase| phase == Phase::Seed;
-            variation_stage("stage:seed", builds, params, spots, cs, cb, trace, per_conf_s)
-        });
-        let breeder = scope.spawn(move || {
-            let builds = |phase| !matches!(phase, Phase::Seed | Phase::Retire);
-            variation_stage("stage:breed", builds, params, spots, cb, ce, trace, per_conf_s)
-        });
-        let ev = &mut *evaluator;
-        let submit_s = costs.submit_per_batch_s;
-        let scorer = scope.spawn(move || evaluator_stage(ev, ce, co, wave, trace, submit_s));
-
-        {
-            let _span = trace.span("stage:select");
-            drive(&mut driver, spots, seed, wave, &c_seed, &c_out, costs.select_per_conf_s);
+    while driver.harvested < spots.len() {
+        assert!(
+            !(to_vary.is_empty() && to_score.is_empty() && to_select.is_empty()),
+            "stage ring stalled with spots left to harvest"
+        );
+        if let Some(_span) = step(trace, "stage:vary", "vary", to_vary.len()) {
+            // Every waiting batch is built in one pool job; then the seeder's
+            // and the breeder's clocks advance over their tokens in queue
+            // order.
+            pool.for_each_mut(to_vary.make_contiguous(), |tok| {
+                if tok.phase != Phase::Retire {
+                    engine::build(params, &spots[tok.si], tok);
+                }
+            });
+            for tok in &mut to_vary {
+                let clock = match tok.phase {
+                    Phase::Seed => &mut seed_vt,
+                    Phase::Retire => continue,
+                    _ => &mut breed_vt,
+                };
+                *clock =
+                    clock.max(tok.ready_vt) + tok.batch.len() as f64 * costs.variation_per_conf_s;
+                tok.ready_vt = *clock;
+            }
+            to_score.append(&mut to_vary);
         }
-
-        // Shut the ring down: the close cascades seeder → breeder →
-        // evaluator via each stage's exit path.
-        c_seed.close();
-        // PANICS: propagate a stage panic to the caller.
-        seeder.join().expect("seeder stage panicked");
-        breeder.join().expect("breeder stage panicked");
-        // PANICS: propagate a stage panic to the caller.
-        scorer.join().expect("evaluator stage panicked")
-    });
-
+        if let Some(_span) = step(trace, "stage:score", "score", to_score.len()) {
+            for mut tok in to_score.drain(..) {
+                if tok.fresh {
+                    tok.fresh = false;
+                    live += 1;
+                }
+                if tok.phase == Phase::Retire {
+                    live -= 1;
+                    to_select.push_back(tok);
+                } else {
+                    held_items += tok.batch.len();
+                    held.push(tok);
+                }
+                // Submit when enough work is pending to keep the devices
+                // saturated, or when every live token has arrived (waiting
+                // longer could not grow the batch).
+                if !held.is_empty() && (held_items >= COALESCE_ITEMS || held.len() >= live) {
+                    engine::score(evaluator, &mut held, &mut batch_trace, |release| {
+                        // The submission leaves the host once the latest
+                        // contributor is ready; scoring completes at the
+                        // device's pace after that.
+                        score_vt = score_vt.max(release) + costs.submit_per_batch_s;
+                        Some(score_vt)
+                    });
+                    to_select.extend(held.drain(..));
+                    held_items = 0;
+                }
+            }
+        }
+        if let Some(_span) = step(trace, "stage:select", "select", to_select.len()) {
+            for mut tok in to_select.drain(..) {
+                let retiring = tok.phase == Phase::Retire;
+                if !retiring {
+                    // Selection work on the scored batch happens on the
+                    // selector's own clock, after the scores are available.
+                    select_vt = select_vt.max(tok.ready_vt)
+                        + tok.batch.len() as f64 * costs.select_per_conf_s;
+                    tok.ready_vt = select_vt;
+                }
+                driver.handle(&mut tok);
+                driver.announce();
+                if !retiring {
+                    to_vary.push_back(tok);
+                } else if next_spot < spots.len() {
+                    // A token admitted after the initial wave is `fresh`:
+                    // the evaluator counts it live on first sight.
+                    let mut tok = admit(next_spot);
+                    tok.fresh = true;
+                    to_vary.push_back(tok);
+                    next_spot += 1;
+                }
+            }
+        }
+    }
     driver.into_result(batch_trace)
 }
 
-/// A variation stage: build the batch of every token whose phase is this
-/// stage's (`builds`), on the stage's own host clock, and pass every token
-/// on. The seeder and the breeder are this function over different phases.
-#[allow(clippy::too_many_arguments)]
-fn variation_stage(
-    name: &'static str,
-    builds: impl Fn(Phase) -> bool,
-    params: &MetaheuristicParams,
-    spots: &[Spot],
-    input: &TokenChannel,
-    output: &TokenChannel,
+/// Begin a stage's step: record how many tokens are queued in front of it
+/// and open its span. `None` when the queue is empty and there is nothing
+/// to step.
+fn step(
     trace: &Trace,
-    per_conf_s: f64,
-) {
-    let _close_in = CloseGuard(input);
-    let _close_out = CloseGuard(output);
-    let _span = trace.span(name);
-    let mut clock = 0.0f64;
-    while let Some(mut tok) = input.recv() {
-        if builds(tok.phase) {
-            engine::build(params, &spots[tok.si], &mut tok);
-            clock = clock.max(tok.ready_vt) + tok.batch.len() as f64 * per_conf_s;
-            tok.ready_vt = clock;
-        }
-        if output.send(tok).is_err() {
-            break;
-        }
-    }
-}
-
-/// The evaluator stage: coalesce arriving batches, submit them through
-/// [`engine::score`] on the stage's host clock, and forward the scored
-/// tokens in arrival order. Returns the run's `batch_trace`.
-fn evaluator_stage<E: BatchEvaluator>(
-    evaluator: &mut E,
-    input: &TokenChannel,
-    output: &TokenChannel,
-    initial_live: usize,
-    trace: &Trace,
-    submit_s: f64,
-) -> Vec<u64> {
-    let _close_in = CloseGuard(input);
-    let _close_out = CloseGuard(output);
-    let _span = trace.span("stage:score");
-    let mut live = initial_live;
-    let mut buf: Vec<Box<SpotToken>> = Vec::new();
-    let mut pending_items = 0usize;
-    let mut clock = 0.0f64;
-    let mut batch_trace: Vec<u64> = Vec::new();
-    // Score everything pending and forward it; false if the downstream
-    // channel closed.
-    let mut submit = |buf: &mut Vec<Box<SpotToken>>| {
-        engine::score(evaluator, &mut buf[..], &mut batch_trace, |release| {
-            // The submission leaves the host once the latest contributor is
-            // ready; scoring completes at the device's pace after that.
-            clock = clock.max(release) + submit_s;
-            Some(clock)
-        });
-        buf.drain(..).all(|tok| output.send(tok).is_ok())
-    };
-
-    let mut alive = true;
-    while let Some(mut tok) = input.recv() {
-        if tok.fresh {
-            tok.fresh = false;
-            live += 1;
-        }
-        if tok.phase == Phase::Retire {
-            live -= 1;
-            alive = output.send(tok).is_ok();
-        } else {
-            pending_items += tok.batch.len();
-            buf.push(tok);
-        }
-        // Submit when enough work is pending to keep the devices saturated,
-        // or when every live token has arrived (waiting longer could not
-        // grow the batch — and guarantees progress at any fleet size).
-        if alive && !buf.is_empty() && (pending_items >= COALESCE_ITEMS || buf.len() >= live) {
-            alive = submit(&mut buf);
-            pending_items = 0;
-        }
-        if !alive {
-            break;
-        }
-    }
-    // Teardown: never lose a buffered batch (a stage upstream may have
-    // closed early on a panic; the tokens still carry spot state).
-    if alive && !buf.is_empty() {
-        submit(&mut buf);
-    }
-    batch_trace
-}
-
-/// The selector stage, on the calling thread: admit the initial wave, then
-/// hand every scored token to [`Driver::handle`] on the selector's own host
-/// clock and recirculate it, admitting the next spot for each one harvested
-/// — until every spot is in (or a stage dies, detected as a closed
-/// channel).
-fn drive(
-    driver: &mut Driver<'_>,
-    spots: &[Spot],
-    seed: u64,
-    wave: usize,
-    c_seed: &TokenChannel,
-    c_out: &TokenChannel,
-    select_per_conf_s: f64,
-) {
-    // Tokens admitted after the initial wave are `fresh`: the evaluator
-    // bumps its live count on first sight.
-    let admit = |si: usize, fresh: bool| {
-        let mut tok = Box::new(SpotToken::new(si, &spots[si], seed));
-        tok.fresh = fresh;
-        c_seed.send(tok).is_ok()
-    };
-    if !(0..wave).all(|si| admit(si, false)) {
-        return;
-    }
-    let mut next_spot = wave;
-    let mut clock = 0.0f64;
-    while driver.harvested < spots.len() {
-        let Some(mut tok) = c_out.recv() else { return };
-        let retiring = tok.phase == Phase::Retire;
-        if !retiring {
-            // Selection work on the scored batch happens on the selector's
-            // own clock, after the batch's scores are available.
-            clock = clock.max(tok.ready_vt) + tok.batch.len() as f64 * select_per_conf_s;
-            tok.ready_vt = clock;
-        }
-        driver.handle(&mut tok);
-        driver.announce();
-        let ring_open = if !retiring {
-            c_seed.send(tok).is_ok()
-        } else if next_spot < spots.len() {
-            next_spot += 1;
-            admit(next_spot - 1, true)
-        } else {
-            true
-        };
-        if !ring_open {
-            return;
-        }
-    }
+    span: &'static str,
+    stage: &'static str,
+    queued: usize,
+) -> Option<SpanGuard> {
+    (queued > 0).then(|| {
+        trace.emit(Event::StageDepth { stage, depth: u32::try_from(queued).unwrap_or(u32::MAX) });
+        trace.span(span)
+    })
 }
 
 #[cfg(test)]
@@ -802,9 +642,8 @@ mod tests {
                 _ => {}
             }
         }
-        for expect in ["seed", "breed", "score", "select"] {
-            assert!(stages.contains(expect), "missing StageDepth for {expect}: {stages:?}");
-        }
+        let expect = std::collections::BTreeSet::from(["vary", "score", "select"]);
+        assert_eq!(stages, expect, "StageDepth names");
         assert_eq!(gen_done, r.generations_run);
     }
 
@@ -859,126 +698,5 @@ mod tests {
         );
         assert!("warp".parse::<EngineExec>().is_err());
         assert!("pipelined:x".parse::<EngineExec>().is_err());
-    }
-}
-
-/// Exhaustive interleaving checks of the stage-channel protocol (run with
-/// `cargo test -p metaheur --features vscheck-model model_`).
-#[cfg(all(test, feature = "vscheck-model"))]
-mod model_tests {
-    use super::Channel;
-    use std::sync::Arc;
-    use vscheck::{explore, Config};
-    use vstrace::Trace;
-
-    /// Producer → bounded channel → consumer: every interleaving delivers
-    /// all items in FIFO order despite backpressure at capacity 1.
-    #[test]
-    fn model_channel_delivers_in_order() {
-        let report = explore(Config::with_bound(2), || {
-            let ch: Arc<Channel<u32>> = Arc::new(Channel::new(1, "model", Trace::disabled()));
-            let producer = {
-                let ch = Arc::clone(&ch);
-                vscheck::thread::Builder::new()
-                    .name("producer".into())
-                    .spawn(move || {
-                        for i in 0..3 {
-                            ch.send(i).expect("consumer closed early");
-                        }
-                    })
-                    .expect("spawn")
-            };
-            let mut got = Vec::new();
-            for _ in 0..3 {
-                got.push(ch.recv().expect("producer closed early"));
-            }
-            producer.join().expect("producer panicked");
-            assert_eq!(got, vec![0, 1, 2]);
-            ch.close();
-            assert!(ch.recv().is_none());
-        });
-        report.assert_passed();
-        assert!(report.complete, "exploration exhausted");
-    }
-
-    /// The consumer abandons the stream early (the pipelined engine's
-    /// Convergence end retires spots before producers drain): no
-    /// deadlock, and every item is accounted for — received, drained
-    /// after close, or rejected back to the sender. Nothing is lost.
-    #[test]
-    fn model_channel_early_exit_loses_nothing() {
-        let report = explore(Config::with_bound(2), || {
-            let ch: Arc<Channel<u32>> = Arc::new(Channel::new(1, "model", Trace::disabled()));
-            let producer = {
-                let ch = Arc::clone(&ch);
-                vscheck::thread::Builder::new()
-                    .name("producer".into())
-                    .spawn(move || {
-                        let mut rejected = 0u32;
-                        for i in 0..4 {
-                            if ch.send(i).is_err() {
-                                rejected += 1;
-                            }
-                        }
-                        rejected
-                    })
-                    .expect("spawn")
-            };
-            let first = ch.recv().expect("at least one item");
-            assert_eq!(first, 0, "FIFO: the first send arrives first");
-            ch.close(); // early exit: stop consuming
-            let mut drained = 0u32;
-            while ch.recv().is_some() {
-                drained += 1;
-            }
-            let rejected = producer.join().expect("producer panicked");
-            assert_eq!(1 + drained + rejected, 4, "an item vanished in teardown");
-        });
-        report.assert_passed();
-        assert!(report.complete, "exploration exhausted");
-    }
-
-    /// A miniature ring — driver → channel a → stage → channel b →
-    /// driver — with more tokens admitted than any one channel holds and
-    /// tokens recirculating before retirement, then an orderly shutdown:
-    /// the close must cascade through the stage without deadlock.
-    #[test]
-    fn model_ring_shutdown_cascades() {
-        let report = explore(Config::with_bound(2), || {
-            let a: Arc<Channel<u32>> = Arc::new(Channel::new(1, "a", Trace::disabled()));
-            let b: Arc<Channel<u32>> = Arc::new(Channel::new(1, "b", Trace::disabled()));
-            let stage = {
-                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
-                vscheck::thread::Builder::new()
-                    .name("stage".into())
-                    .spawn(move || {
-                        while let Some(t) = a.recv() {
-                            if b.send(t).is_err() {
-                                break;
-                            }
-                        }
-                        b.close(); // cascade the shutdown downstream
-                    })
-                    .expect("spawn")
-            };
-            // Two tokens (encoded tens digit = identity, ones digit =
-            // lap), each making two laps around the ring.
-            a.send(10).expect("open");
-            a.send(20).expect("open");
-            let mut done = 0;
-            while done < 2 {
-                let t = b.recv().expect("stage alive while tokens circulate");
-                if t.is_multiple_of(10) {
-                    a.send(t + 1).expect("ring open while tokens live");
-                } else {
-                    done += 1; // retired
-                }
-            }
-            a.close();
-            stage.join().expect("stage panicked");
-            assert!(b.recv().is_none(), "ring drained after shutdown");
-        });
-        report.assert_passed();
-        assert!(report.complete, "exploration exhausted");
     }
 }

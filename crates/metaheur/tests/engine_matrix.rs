@@ -15,9 +15,10 @@
 //! which, from the table this test prints when it fails.
 //!
 //! A second test holds the two schedulers to each other over the same
-//! matrix: charged lockstep and the ring at depths 1, 2 and 4 agree by bits
-//! on every `RunResult` field but `batch_trace`, and both emit one
-//! `GenerationDone` per generation run.
+//! matrix: charged lockstep and the ring at depths 1, 2, 4 and `usize::MAX`
+//! agree by bits on every `RunResult` field but `batch_trace`, both emit
+//! one `GenerationDone` per generation run, and the ring run twice at one
+//! depth emits the same trace payloads.
 
 use metaheur::{
     memetic, paper_suite, pso, run_exec, run_seeded, run_traced, tabu, BatchEvaluator, Combine,
@@ -279,12 +280,14 @@ fn lockstep_and_every_ring_depth_agree_on_every_cell() {
                 let run = run_exec(&params, &sp, &mut ev, SEED, &[], &trace, exec);
                 let (search, done) = search_and_events(&run, &trace);
                 assert_eq!(done.len(), run.generations_run, "{}/s{n} {exec:?}", params.name);
-                (search, done)
+                ((search, done), trace.snapshot().payloads())
             };
             let lockstep = run_mode(EngineExec::Lockstep);
-            for depth in [1, 2, 4] {
-                let ring = run_mode(EngineExec::Pipelined { depth });
-                assert_eq!(lockstep, ring, "{}/s{n} depth {depth}", params.name);
+            for depth in [1, 2, 4, usize::MAX] {
+                let (ring, payloads) = run_mode(EngineExec::Pipelined { depth });
+                assert_eq!(lockstep.0, ring, "{}/s{n} depth {depth}", params.name);
+                let (_, again) = run_mode(EngineExec::Pipelined { depth });
+                assert_eq!(payloads, again, "{}/s{n} depth {depth}: trace", params.name);
             }
         }
     }

@@ -30,20 +30,14 @@ pub enum EvaluatorSpec {
 }
 
 impl EvaluatorSpec {
-    /// Build the evaluator this spec describes, uninstrumented. The box is
-    /// `Send` so the result can feed the pipelined engine's scoring stage
-    /// ([`metaheur::run_exec`]) as well as the classic lockstep loop.
-    pub fn build(&self, scorer: Arc<Scorer>) -> Box<dyn BatchEvaluator + Send> {
+    /// Build the evaluator this spec describes, uninstrumented.
+    pub fn build(&self, scorer: Arc<Scorer>) -> Box<dyn BatchEvaluator> {
         self.build_traced(scorer, Trace::disabled())
     }
 
     /// Build the evaluator with `trace` attached where the backend supports
     /// instrumentation (a disabled trace costs nothing).
-    pub fn build_traced(
-        &self,
-        scorer: Arc<Scorer>,
-        trace: Trace,
-    ) -> Box<dyn BatchEvaluator + Send> {
+    pub fn build_traced(&self, scorer: Arc<Scorer>, trace: Trace) -> Box<dyn BatchEvaluator> {
         match self {
             EvaluatorSpec::SerialCpu => {
                 Box::new(CpuEvaluator::new((*scorer).clone(), Exec::Serial).with_trace(trace))

@@ -75,9 +75,10 @@ pub enum Event {
     SpanEnd { name: &'static str },
     /// A sampled scalar (rendered as a counter track in chrome-trace).
     Counter { name: &'static str, value: f64 },
-    /// Occupancy of one bounded stage channel in the pipelined engine,
-    /// sampled after a send (`metaheur::pipeline`). `depth` is the number
-    /// of queued messages; the channel capacity bounds it.
+    /// Occupancy of one stage queue in the pipelined engine, sampled when
+    /// the stage steps (`metaheur::pipeline`). `depth` is the number of
+    /// tokens the step found queued; the ring's `4·depth` admission bound
+    /// bounds it.
     StageDepth { stage: &'static str, depth: u32 },
     /// The learned cost oracle ingested one observation (`vsched::oracle`,
     /// DESIGN.md §15): device `device` ran a `class` batch (stable kernel

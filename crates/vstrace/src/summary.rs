@@ -257,10 +257,10 @@ pub fn text_summary(data: &TraceData) -> String {
     }
 
     if !stages.is_empty() {
-        let _ = writeln!(out, "\nstage channels (pipelined engine):");
-        let _ = writeln!(out, "{:<24} {:>8} {:>10}", "stage", "sends", "max depth");
-        for (name, (sends, max_depth)) in &stages {
-            let _ = writeln!(out, "{name:<24} {sends:>8} {max_depth:>10}");
+        let _ = writeln!(out, "\nstage queues (pipelined engine):");
+        let _ = writeln!(out, "{:<24} {:>8} {:>10}", "stage", "steps", "max depth");
+        for (name, (steps, max_depth)) in &stages {
+            let _ = writeln!(out, "{name:<24} {steps:>8} {max_depth:>10}");
         }
     }
 
@@ -323,15 +323,15 @@ mod tests {
             items: 128,
         });
         t.emit(Event::DeviceIdle { device: 0, vt_start: 3.0, vt_end: 4.0 });
-        t.emit(Event::StageDepth { stage: "breed", depth: 2 });
-        t.emit(Event::StageDepth { stage: "breed", depth: 3 });
+        t.emit(Event::StageDepth { stage: "vary", depth: 2 });
+        t.emit(Event::StageDepth { stage: "vary", depth: 3 });
         let s = text_summary(&t.snapshot());
         assert!(s.contains("idle frac"), "{s}");
         // idle 1.0 over span busy 3.0 + idle 1.0 = 0.250.
         assert!(s.contains("0.250"), "{s}");
-        assert!(s.contains("stage channels"), "{s}");
-        assert!(s.contains("breed"), "{s}");
-        assert!(s.contains("2"), "{s}"); // 2 sends, max depth 3
+        assert!(s.contains("stage queues"), "{s}");
+        assert!(s.contains("vary"), "{s}");
+        assert!(s.contains("2"), "{s}"); // 2 steps, max depth 3
     }
 
     #[test]

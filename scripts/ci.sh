@@ -62,13 +62,12 @@ cargo test -q -p xlint
 
 echo "==> vscheck model tests (exhaustive interleavings of the concurrency cores)"
 # Bounded by each test's Config (preemption bound + schedule budget) so the
-# three suites together stay well under a minute. Only what runs on several
-# host threads is modelled: vsscore's pool (8), vstrace's seqlock ring (2)
-# and metaheur's stage channels (3). vsched and vscluster are driven from
-# one thread and have no sync facade.
+# two suites together stay well under a minute. Only what runs on several
+# host threads is modelled: vsscore's pool (8) and vstrace's seqlock ring
+# (2). metaheur, vsched and vscluster are driven from one thread and have
+# no sync facade.
 cargo test -q -p vsscore --features vscheck-model model_
 cargo test -q -p vstrace --features vscheck-model model_
-cargo test -q -p metaheur --features vscheck-model model_
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
