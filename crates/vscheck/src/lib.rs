@@ -1,12 +1,11 @@
 //! # vscheck — deterministic concurrency model checking
 //!
-//! The workspace's hottest paths rest on three hand-rolled low-level
-//! concurrency protocols: the persistent `CpuPool` worker team
-//! (`vsscore::pool`), the per-device job handoff in
-//! `vsched::executor::DeviceEvaluator`, and the `vstrace` seqlock ring.
-//! Happy-path integration tests exercise one or two interleavings of those
-//! protocols per run; the races they can miss (a clobbered job slot, a
-//! lost wakeup, a torn seqlock read) corrupt scores *silently*. This crate
+//! The workspace's hottest path rests on a hand-rolled low-level
+//! concurrency protocol: the persistent `CpuPool` worker team
+//! (`vsscore::pool`). Happy-path integration tests exercise one or two
+//! interleavings of such a protocol per run; the races they can miss (a
+//! clobbered job slot, a lost wakeup, a torn seqlock read) corrupt scores
+//! *silently*. This crate
 //! is the repo's answer: a dependency-free, loom-style model checker that
 //! **exhaustively explores thread interleavings** of a test closure within
 //! a preemption bound, and prints a **replayable schedule** when an

@@ -175,8 +175,8 @@ fn fixed_pool_wait_loop_passes_exhaustively() {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded mutation #2: a broken toy seqlock (the bug class the vstrace ring
-// guards against). The broken writer updates the payload outside the
+// Seeded mutation #2: a broken toy seqlock (the bug class a seqlock ring
+// buffer guards against). The broken writer updates the payload outside the
 // odd-sequence window, so a single-attempt reader validates a clean
 // sequence around a torn payload.
 // ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ impl ToySeqlock {
         self.seq.store(s + 2, Ordering::Relaxed);
     }
 
-    /// Single-attempt validated read, like `vstrace::Ring::snapshot`:
+    /// Single-attempt validated read:
     /// returns `None` (discard) rather than spinning, so the model never
     /// livelocks.
     fn read(&self) -> Option<(u64, u64)> {

@@ -6,9 +6,9 @@
 //! with the same seed produce identical event streams modulo wall-clock
 //! fields (the determinism contract, tested in `tests/`).
 //!
-//! Events are `Copy` (no heap payloads) so the ring-buffer writer is a
-//! plain memcpy; human-readable names for device/node tracks are attached
-//! out of band via [`crate::Trace::set_track_name`].
+//! Events are `Copy` (no heap payloads), so recording one is a push of a
+//! fixed-size record; human-readable names for device/node tracks are
+//! attached out of band via [`crate::Trace::set_track_name`].
 
 /// One structured observation. All times are seconds of *virtual* device
 /// time unless the field name says otherwise.
@@ -71,7 +71,7 @@ pub enum Event {
     NodeLeft { node: u32, vt: f64, requeued: u32 },
     /// Begin of a named wall-clock span (paired with [`Event::SpanEnd`]).
     SpanBegin { name: &'static str },
-    /// End of the innermost open span with the same name on this thread.
+    /// End of the innermost open span with the same name.
     SpanEnd { name: &'static str },
     /// A sampled scalar (rendered as a counter track in chrome-trace).
     Counter { name: &'static str, value: f64 },
@@ -122,15 +122,13 @@ impl Event {
     }
 }
 
-/// An event plus its recording context: wall-clock monotonic nanoseconds
-/// since the trace was created and the recording thread's ring id.
+/// An event plus its wall-clock stamp: monotonic nanoseconds since the
+/// trace was created.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stamped {
     /// Monotonic wall-clock nanoseconds since [`crate::Trace::new`].
     /// Excluded from the determinism contract.
     pub mono_ns: u64,
-    /// Ring (thread) id the event was recorded on.
-    pub thread: u32,
     pub event: Event,
 }
 

@@ -3,8 +3,9 @@
 //! The output loads in `chrome://tracing` and <https://ui.perfetto.dev>.
 //! Two synthetic processes separate the clock domains:
 //!
-//! - **pid 0 — wall clock**: host-thread spans (`B`/`E` pairs), counters
-//!   (`C`) and instant annotations (`i`) stamped with monotonic wall time;
+//! - **pid 0 — wall clock**: spans (`B`/`E` pairs), counters (`C`) and
+//!   instant annotations (`i`) stamped with monotonic wall time, on the one
+//!   row of the thread that recorded them;
 //! - **pid 1 — virtual device time**: `DeviceBusy`/`DeviceIdle`/
 //!   `BatchScored` complete events (`X`) stamped with the gpusim virtual
 //!   clock, one timeline row per device.
@@ -20,6 +21,8 @@ use std::fmt::Write;
 
 const WALL_PID: u32 = 0;
 const VIRTUAL_PID: u32 = 1;
+/// The one wall-clock row: a trace records from one thread.
+const WALL_TID: u32 = 0;
 /// Track id used for whole-evaluator batch events ([`Event::BatchScored`]
 /// with `device == u32::MAX`).
 pub const BATCH_TRACK: u32 = u32::MAX;
@@ -49,7 +52,7 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
         &mut out,
         &format!(
             "\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {WALL_PID}, \"tid\": 0, \
-             \"args\": {{\"name\": \"wall clock (host threads)\"}}"
+             \"args\": {{\"name\": \"wall clock (host)\"}}"
         ),
     );
     push_event(
@@ -59,16 +62,13 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
              \"args\": {{\"name\": \"virtual device time\"}}"
         ),
     );
-    for t in &data.threads {
-        push_event(
-            &mut out,
-            &format!(
-                "\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {WALL_PID}, \"tid\": {}, \
-                 \"args\": {{\"name\": \"host thread {}\"}}",
-                t.thread, t.thread
-            ),
-        );
-    }
+    push_event(
+        &mut out,
+        &format!(
+            "\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \
+             \"args\": {{\"name\": \"recording thread\"}}"
+        ),
+    );
     let mut tracks: Vec<(u32, String)> =
         data.track_names.iter().map(|(id, name)| (*id, name.clone())).collect();
     tracks.sort_by_key(|(id, _)| *id);
@@ -96,212 +96,207 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
         );
     }
 
-    for t in &data.threads {
-        for s in &t.events {
-            let wall_us = s.mono_ns as f64 / 1e3;
-            let tid = t.thread;
-            match s.event {
-                Event::SpanBegin { name } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"{}\", \"ph\": \"B\", \"pid\": {WALL_PID}, \"tid\": {tid}, \
-                         \"ts\": {}",
-                        escape(name),
-                        num(wall_us)
-                    ),
+    for s in data.events() {
+        let wall_us = s.mono_ns as f64 / 1e3;
+        match s.event {
+            Event::SpanBegin { name } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"{}\", \"ph\": \"B\", \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \
+                     \"ts\": {}",
+                    escape(name),
+                    num(wall_us)
                 ),
-                Event::SpanEnd { name } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"{}\", \"ph\": \"E\", \"pid\": {WALL_PID}, \"tid\": {tid}, \
-                         \"ts\": {}",
-                        escape(name),
-                        num(wall_us)
-                    ),
+            ),
+            Event::SpanEnd { name } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"{}\", \"ph\": \"E\", \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \
+                     \"ts\": {}",
+                    escape(name),
+                    num(wall_us)
                 ),
-                Event::Counter { name, value } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"{}\", \"ph\": \"C\", \"pid\": {WALL_PID}, \"tid\": {tid}, \
-                         \"ts\": {}, \"args\": {{\"value\": {}}}",
-                        escape(name),
-                        num(wall_us),
-                        num(value)
-                    ),
+            ),
+            Event::Counter { name, value } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"{}\", \"ph\": \"C\", \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \
+                     \"ts\": {}, \"args\": {{\"value\": {}}}",
+                    escape(name),
+                    num(wall_us),
+                    num(value)
                 ),
-                Event::DeviceBusy { device, vt_start, vt_end, kernel_s, transfer_s, items } => {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            "\"name\": \"busy\", \"ph\": \"X\", \"pid\": {VIRTUAL_PID}, \
-                             \"tid\": {device}, \"ts\": {}, \"dur\": {}, \"args\": {{\
-                             \"items\": {items}, \"kernel_us\": {}, \"transfer_us\": {}}}",
-                            num(vt_start * 1e6),
-                            num((vt_end - vt_start) * 1e6),
-                            num(kernel_s * 1e6),
-                            num(transfer_s * 1e6)
-                        ),
-                    )
-                }
-                Event::DeviceIdle { device, vt_start, vt_end } => push_event(
+            ),
+            Event::DeviceBusy { device, vt_start, vt_end, kernel_s, transfer_s, items } => {
+                push_event(
                     &mut out,
                     &format!(
-                        "\"name\": \"idle\", \"ph\": \"X\", \"pid\": {VIRTUAL_PID}, \
-                         \"tid\": {device}, \"ts\": {}, \"dur\": {}",
+                        "\"name\": \"busy\", \"ph\": \"X\", \"pid\": {VIRTUAL_PID}, \
+                         \"tid\": {device}, \"ts\": {}, \"dur\": {}, \"args\": {{\
+                         \"items\": {items}, \"kernel_us\": {}, \"transfer_us\": {}}}",
                         num(vt_start * 1e6),
-                        num((vt_end - vt_start) * 1e6)
+                        num((vt_end - vt_start) * 1e6),
+                        num(kernel_s * 1e6),
+                        num(transfer_s * 1e6)
                     ),
+                )
+            }
+            Event::DeviceIdle { device, vt_start, vt_end } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"idle\", \"ph\": \"X\", \"pid\": {VIRTUAL_PID}, \
+                     \"tid\": {device}, \"ts\": {}, \"dur\": {}",
+                    num(vt_start * 1e6),
+                    num((vt_end - vt_start) * 1e6)
                 ),
-                Event::BatchScored { device, items, pairs_per_item, vt_start, vt_end } => {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            "\"name\": \"batch\", \"ph\": \"X\", \"pid\": {VIRTUAL_PID}, \
-                             \"tid\": {device}, \"ts\": {}, \"dur\": {}, \"args\": {{\
-                             \"items\": {items}, \"pairs_per_item\": {pairs_per_item}}}",
-                            num(vt_start * 1e6),
-                            num((vt_end - vt_start) * 1e6)
-                        ),
-                    )
-                }
-                Event::WarmupSample { device, iteration, seconds } => push_event(
+            ),
+            Event::BatchScored { device, items, pairs_per_item, vt_start, vt_end } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"batch\", \"ph\": \"X\", \"pid\": {VIRTUAL_PID}, \
+                         \"tid\": {device}, \"ts\": {}, \"dur\": {}, \"args\": {{\
+                         \"items\": {items}, \"pairs_per_item\": {pairs_per_item}}}",
+                    num(vt_start * 1e6),
+                    num((vt_end - vt_start) * 1e6)
+                ),
+            ),
+            Event::WarmupSample { device, iteration, seconds } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"WarmupSample\", \"ph\": \"i\", \"s\": \"t\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"device\": {device}, \"iteration\": {iteration}, \"seconds\": {}}}",
+                    num(wall_us),
+                    num(seconds)
+                ),
+            ),
+            Event::PartitionDecision { device, share, weight } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"PartitionDecision\", \"ph\": \"i\", \"s\": \"t\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"device\": {device}, \"share\": {}, \"weight\": {}}}",
+                    num(wall_us),
+                    num(share),
+                    num(weight)
+                ),
+            ),
+            Event::GenerationDone { generation, best_score, evaluations } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"GenerationDone\", \"ph\": \"i\", \"s\": \"t\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"generation\": {generation}, \"best_score\": {}, \
+                     \"evaluations\": {evaluations}}}",
+                    num(wall_us),
+                    num(best_score)
+                ),
+            ),
+            Event::GridBuilt { nodes, grids, bytes, build_s, cached } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"GridBuilt\", \"ph\": \"i\", \"s\": \"t\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"nodes\": {nodes}, \"grids\": {grids}, \"bytes\": {bytes}, \
+                     \"build_s\": {}, \"cached\": {cached}}}",
+                    num(wall_us),
+                    num(build_s)
+                ),
+            ),
+            Event::JobMigrated { job, from_node, to_node } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"JobMigrated\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"job\": {job}, \"from_node\": {from_node}, \"to_node\": {to_node}}}",
+                    num(wall_us)
+                ),
+            ),
+            Event::FaultInjected { node, slowdown } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"FaultInjected\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"node\": {node}, \"slowdown\": {}}}",
+                    num(wall_us),
+                    num(slowdown)
+                ),
+            ),
+            Event::JobAdmitted { campaign, jobs, interactive, vt } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"JobAdmitted\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"campaign\": {campaign}, \"jobs\": {jobs}, \
+                     \"interactive\": {interactive}, \"vt\": {}}}",
+                    num(wall_us),
+                    num(vt)
+                ),
+            ),
+            Event::JobRejected { campaign, jobs, queued, capacity, vt } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"JobRejected\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"campaign\": {campaign}, \"jobs\": {jobs}, \"queued\": {queued}, \
+                     \"capacity\": {capacity}, \"vt\": {}}}",
+                    num(wall_us),
+                    num(vt)
+                ),
+            ),
+            Event::CacheHit { campaign, ligand, vt } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"CacheHit\", \"ph\": \"i\", \"s\": \"t\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"campaign\": {campaign}, \"ligand\": {ligand}, \"vt\": {}}}",
+                    num(wall_us),
+                    num(vt)
+                ),
+            ),
+            Event::NodeJoined { node, vt } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"NodeJoined\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"node\": {node}, \"vt\": {}}}",
+                    num(wall_us),
+                    num(vt)
+                ),
+            ),
+            Event::NodeLeft { node, vt, requeued } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"NodeLeft\", \"ph\": \"i\", \"s\": \"g\", \
+                     \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                     \"node\": {node}, \"vt\": {}, \"requeued\": {requeued}}}",
+                    num(wall_us),
+                    num(vt)
+                ),
+            ),
+            Event::StageDepth { stage, depth } => push_event(
+                &mut out,
+                &format!(
+                    "\"name\": \"depth:{}\", \"ph\": \"C\", \"pid\": {WALL_PID}, \
+                     \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\"value\": {depth}}}",
+                    escape(stage),
+                    num(wall_us)
+                ),
+            ),
+            Event::ModelUpdated { device, class, predicted, observed, residual, refit } => {
+                push_event(
                     &mut out,
                     &format!(
-                        "\"name\": \"WarmupSample\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"device\": {device}, \"iteration\": {iteration}, \"seconds\": {}}}",
+                        "\"name\": \"ModelUpdated\", \"ph\": \"i\", \"s\": \"t\", \
+                         \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
+                         \"device\": {device}, \"class\": {class}, \"predicted\": {}, \
+                         \"observed\": {}, \"residual\": {}, \"refit\": {refit}}}",
                         num(wall_us),
-                        num(seconds)
+                        num(predicted),
+                        num(observed),
+                        num(residual)
                     ),
-                ),
-                Event::PartitionDecision { device, share, weight } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"PartitionDecision\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"device\": {device}, \"share\": {}, \"weight\": {}}}",
-                        num(wall_us),
-                        num(share),
-                        num(weight)
-                    ),
-                ),
-                Event::GenerationDone { generation, best_score, evaluations } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"GenerationDone\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"generation\": {generation}, \"best_score\": {}, \
-                         \"evaluations\": {evaluations}}}",
-                        num(wall_us),
-                        num(best_score)
-                    ),
-                ),
-                Event::GridBuilt { nodes, grids, bytes, build_s, cached } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"GridBuilt\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"nodes\": {nodes}, \"grids\": {grids}, \"bytes\": {bytes}, \
-                         \"build_s\": {}, \"cached\": {cached}}}",
-                        num(wall_us),
-                        num(build_s)
-                    ),
-                ),
-                Event::JobMigrated { job, from_node, to_node } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"JobMigrated\", \"ph\": \"i\", \"s\": \"g\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"job\": {job}, \"from_node\": {from_node}, \"to_node\": {to_node}}}",
-                        num(wall_us)
-                    ),
-                ),
-                Event::FaultInjected { node, slowdown } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"FaultInjected\", \"ph\": \"i\", \"s\": \"g\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"node\": {node}, \"slowdown\": {}}}",
-                        num(wall_us),
-                        num(slowdown)
-                    ),
-                ),
-                Event::JobAdmitted { campaign, jobs, interactive, vt } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"JobAdmitted\", \"ph\": \"i\", \"s\": \"g\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"campaign\": {campaign}, \"jobs\": {jobs}, \
-                         \"interactive\": {interactive}, \"vt\": {}}}",
-                        num(wall_us),
-                        num(vt)
-                    ),
-                ),
-                Event::JobRejected { campaign, jobs, queued, capacity, vt } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"JobRejected\", \"ph\": \"i\", \"s\": \"g\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"campaign\": {campaign}, \"jobs\": {jobs}, \"queued\": {queued}, \
-                         \"capacity\": {capacity}, \"vt\": {}}}",
-                        num(wall_us),
-                        num(vt)
-                    ),
-                ),
-                Event::CacheHit { campaign, ligand, vt } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"CacheHit\", \"ph\": \"i\", \"s\": \"t\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"campaign\": {campaign}, \"ligand\": {ligand}, \"vt\": {}}}",
-                        num(wall_us),
-                        num(vt)
-                    ),
-                ),
-                Event::NodeJoined { node, vt } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"NodeJoined\", \"ph\": \"i\", \"s\": \"g\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"node\": {node}, \"vt\": {}}}",
-                        num(wall_us),
-                        num(vt)
-                    ),
-                ),
-                Event::NodeLeft { node, vt, requeued } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"NodeLeft\", \"ph\": \"i\", \"s\": \"g\", \
-                         \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                         \"node\": {node}, \"vt\": {}, \"requeued\": {requeued}}}",
-                        num(wall_us),
-                        num(vt)
-                    ),
-                ),
-                Event::StageDepth { stage, depth } => push_event(
-                    &mut out,
-                    &format!(
-                        "\"name\": \"depth:{}\", \"ph\": \"C\", \"pid\": {WALL_PID}, \
-                         \"tid\": {tid}, \"ts\": {}, \"args\": {{\"value\": {depth}}}",
-                        escape(stage),
-                        num(wall_us)
-                    ),
-                ),
-                Event::ModelUpdated { device, class, predicted, observed, residual, refit } => {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            "\"name\": \"ModelUpdated\", \"ph\": \"i\", \"s\": \"t\", \
-                             \"pid\": {WALL_PID}, \"tid\": {tid}, \"ts\": {}, \"args\": {{\
-                             \"device\": {device}, \"class\": {class}, \"predicted\": {}, \
-                             \"observed\": {}, \"residual\": {}, \"refit\": {refit}}}",
-                            num(wall_us),
-                            num(predicted),
-                            num(observed),
-                            num(residual)
-                        ),
-                    )
-                }
+                )
             }
         }
     }

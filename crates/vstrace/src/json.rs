@@ -3,10 +3,14 @@
 //! The workspace's `serde` shim is marker-traits only (offline build — see
 //! the workspace README), so the "parse the exported trace back" tests and
 //! `scripts/trace_report.sh` validation need a real parser. This is a
-//! small recursive-descent implementation covering the full JSON grammar;
-//! it exists to *validate* exporter output, not to be fast.
+//! small recursive-descent implementation of the RFC 8259 grammar; it
+//! exists to *validate* exporter output, not to be fast. Nesting deeper
+//! than [`MAX_DEPTH`] is an error, so no input can exhaust the stack.
 
 use std::collections::BTreeMap;
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +60,7 @@ impl Value {
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -69,6 +73,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -102,11 +108,25 @@ impl Parser<'_> {
         }
     }
 
+    /// Consume `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -184,15 +204,7 @@ impl Parser<'_> {
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad hex in \\u escape")?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
+                    Some(b'u') => out.push(self.unicode_escape()?),
                     other => return Err(format!("bad escape {other:?}")),
                 },
                 Some(c) if c < 0x20 => return Err("raw control char in string".into()),
@@ -216,28 +228,64 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0u32;
+        for _ in 0..4 {
+            let d = self.bump().ok_or("truncated \\u escape")?;
+            code = code * 16 + (d as char).to_digit(16).ok_or("bad hex in \\u escape")?;
         }
+        Ok(code)
+    }
+
+    /// The character of a `\u` escape whose `u` was just read. A high
+    /// surrogate followed by an escaped low one is one character; a
+    /// surrogate without its partner decodes to U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            let resume = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xdc00..0xe000).contains(&low) {
+                let pair = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(pair).unwrap_or('\u{fffd}'));
+            }
+            self.pos = resume;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+        if self.pos == start {
+            return Err(format!("expected a digit at byte {}", self.pos));
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
+        Ok(())
+    }
+
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        self.eat(b'-');
+        if !self.eat(b'0') {
+            if !matches!(self.peek(), Some(b'1'..=b'9')) {
+                return Err(format!("expected a digit at byte {}", self.pos));
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            self.digits()?;
+        }
+        if self.eat(b'.') {
+            self.digits()?;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
             }
+            self.digits()?;
         }
         // PANICS: the scanned range holds only ASCII sign/digit/exponent bytes.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -288,6 +336,56 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated", "{'a':1}", ""] {
             assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
+        }
+    }
+
+    /// Inputs at the edges of RFC 8259: runaway nesting is an error, not a
+    /// stack overflow; numbers follow `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`;
+    /// an escaped surrogate pair is one character.
+    #[test]
+    fn grammar_edges_follow_rfc_8259() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let nested_objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        let num = |x: f64| Some(Value::Num(x));
+        let text = |t: &str| Some(Value::Str(t.into()));
+        let deepest = (1..MAX_DEPTH).fold(Value::Arr(Vec::new()), |v, _| Value::Arr(vec![v]));
+        let cases: Vec<(String, Option<Value>)> = vec![
+            (nested(100_000), None),
+            (nested(MAX_DEPTH + 1), None),
+            (nested_objects(MAX_DEPTH + 1), None),
+            (nested(MAX_DEPTH), Some(deepest)),
+            ("01".into(), None),
+            ("1.".into(), None),
+            ("-.5".into(), None),
+            ("-01.e5".into(), None),
+            (".5".into(), None),
+            ("+1".into(), None),
+            ("-".into(), None),
+            ("1e".into(), None),
+            ("1e+".into(), None),
+            ("1.e3".into(), None),
+            ("[01]".into(), None),
+            ("0".into(), num(0.0)),
+            ("-0".into(), num(-0.0)),
+            ("10".into(), num(10.0)),
+            ("0.25".into(), num(0.25)),
+            ("-1.5e-3".into(), num(-1.5e-3)),
+            ("2E+2".into(), num(200.0)),
+            ("[0,-0.5]".into(), Some(Value::Arr(vec![Value::Num(0.0), Value::Num(-0.5)]))),
+            ("\"\\ud83d\\ude00\"".into(), text("😀")),
+            ("\"😀\"".into(), text("😀")),
+            ("\"\\ud83d\"".into(), text("\u{fffd}")),
+            ("\"\\ude00\"".into(), text("\u{fffd}")),
+            ("\"\\ud83dx\"".into(), text("\u{fffd}x")),
+            ("\"\\ud83d\\u0041\"".into(), text("\u{fffd}A")),
+        ];
+        for (input, want) in cases {
+            let got = parse(&input);
+            let shown = &input[..input.len().min(24)];
+            match want {
+                Some(v) => assert_eq!(got.as_ref(), Ok(&v), "{shown:?}"),
+                None => assert!(got.is_err(), "accepted {shown:?} as {got:?}"),
+            }
         }
     }
 

@@ -8,10 +8,11 @@
 //! - a typed [`event::Event`] model (`BatchScored`, `DeviceBusy/Idle`,
 //!   `WarmupSample`, `PartitionDecision`, `GenerationDone`, `JobMigrated`,
 //!   `FaultInjected`, plus spans and counters);
-//! - per-thread **lock-free ring buffers** ([`ring`]) behind a cheap-clone
-//!   [`Trace`] handle — a disabled handle ([`Trace::disabled`]) compiles
-//!   every call site down to an `Option` check, so instrumented hot paths
-//!   cost nothing when tracing is off;
+//! - one **recorder** per trace ([`sink`]) behind a cheap-clone [`Trace`]
+//!   handle: it keeps the first [`MAX_RECORDS`] records of the one thread
+//!   that emits and counts the rest, and a disabled handle
+//!   ([`Trace::disabled`]) compiles every call site down to an `Option`
+//!   check, so instrumented hot paths cost nothing when tracing is off;
 //! - exporters: [`export::chrome_trace_json`] (loadable in
 //!   `chrome://tracing` / Perfetto) and [`summary::text_summary`]
 //!   (per-device utilization %, makespan breakdown, batch-size histogram
@@ -25,17 +26,15 @@
 //! the same seed produce identical payload streams
 //! ([`sink::TraceData::payloads`]) — the determinism contract.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod export;
 pub mod json;
-mod ring;
 pub mod sink;
 pub mod summary;
-pub(crate) mod sync;
 
 pub use event::{Event, Stamped};
 pub use export::{chrome_trace_json, BATCH_TRACK};
-pub use sink::{SpanGuard, ThreadEvents, Trace, TraceData, DEFAULT_RING_CAPACITY};
+pub use sink::{SpanGuard, Trace, TraceData, MAX_RECORDS};
 pub use summary::text_summary;

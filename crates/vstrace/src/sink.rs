@@ -6,59 +6,62 @@
 //! optimizer folds away, so instrumented code costs nothing when tracing
 //! is off (the overhead contract, DESIGN.md "Observability").
 //!
-//! An enabled handle routes records to a per-thread [`Ring`]: the first
-//! emit from a thread registers a fresh ring with the sink and caches it
-//! in a thread-local, so the steady-state emit path is a thread-local
-//! lookup plus a wait-free ring push — no locks, no allocation.
+//! An enabled handle records into one `Recorder` per trace: an emit is
+//! a lock, a clock read and a push. The first [`MAX_RECORDS`] records are
+//! kept and later ones are only counted, so a snapshot is every record of
+//! a run or says exactly how many it lacks. One thread records: the
+//! library's emits all come from the thread that drives a run, and the
+//! payload order is the determinism contract, so an emit from a second
+//! thread fails a debug assertion. The lock is there only because a
+//! `Trace` travels inside `Send + Sync` owners.
 
 use crate::event::{Event, Stamped};
-use crate::ring::Ring;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-// DETERMINISM: vstrace is the sanctioned base layer — its cold-path registry mutexes sit under the facade everything else imports.
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+// DETERMINISM: vstrace is the sanctioned base layer; one lock keeps a `Trace` `Send + Sync`, and debug builds check the writer's thread id.
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
-/// Default per-thread ring capacity (records).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
-
-static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
+/// Records one trace keeps (about 14 MiB); later emits are counted in
+/// [`TraceData::dropped`] and not stored.
+pub const MAX_RECORDS: usize = 1 << 18;
 
 struct Sink {
-    id: u64,
     epoch: Instant,
-    capacity: usize,
-    next_thread: AtomicU32,
-    rings: Mutex<Vec<(u32, Arc<Ring>)>>,
-    track_names: Mutex<BTreeMap<u32, String>>,
+    rec: Mutex<Recorder>,
 }
 
-thread_local! {
-    /// sink id → this thread's ring in that sink.
-    static LOCAL_RINGS: RefCell<HashMap<u64, (u32, Arc<Ring>)>> = RefCell::new(HashMap::new());
+/// Everything one trace has recorded.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<Stamped>,
+    track_names: BTreeMap<u32, String>,
+    /// Emits past [`MAX_RECORDS`].
+    dropped: u64,
+    /// The thread of the first emit (checked in debug builds only).
+    writer: Option<ThreadId>,
 }
 
 impl Sink {
-    fn local_ring(&self) -> (u32, Arc<Ring>) {
-        LOCAL_RINGS.with(|map| {
-            let mut map = map.borrow_mut();
-            if let Some(entry) = map.get(&self.id) {
-                return entry.clone();
-            }
-            let thread = self.next_thread.fetch_add(1, Ordering::Relaxed);
-            let ring = Arc::new(Ring::new(self.capacity));
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            self.rings.lock().expect("trace ring registry poisoned").push((thread, ring.clone()));
-            map.insert(self.id, (thread, ring.clone()));
-            (thread, ring)
-        })
+    /// The recorder. A panic never leaves it half-updated (a push either
+    /// happened or not), so a poisoned lock is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, Recorder> {
+        self.rec.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn emit(&self, event: Event) {
-        let (thread, ring) = self.local_ring();
-        let mono_ns = self.epoch.elapsed().as_nanos() as u64;
-        ring.push(Stamped { mono_ns, thread, event });
+        let mut rec = self.lock();
+        if cfg!(debug_assertions) {
+            let me = thread::current().id();
+            let writer = *rec.writer.get_or_insert(me);
+            debug_assert_eq!(writer, me, "a trace records from one thread only");
+        }
+        if rec.events.len() < MAX_RECORDS {
+            let mono_ns = self.epoch.elapsed().as_nanos() as u64;
+            rec.events.push(Stamped { mono_ns, event });
+        } else {
+            rec.dropped += 1;
+        }
     }
 }
 
@@ -71,9 +74,7 @@ pub struct Trace {
 impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
-            Some(s) => {
-                write!(f, "Trace(enabled, {} rings)", s.rings.lock().map(|r| r.len()).unwrap_or(0))
-            }
+            Some(s) => write!(f, "Trace(enabled, {} records)", s.lock().events.len()),
             None => write!(f, "Trace(disabled)"),
         }
     }
@@ -86,23 +87,13 @@ impl Default for Trace {
 }
 
 impl Trace {
-    /// An enabled trace with the default per-thread ring capacity.
+    /// An enabled trace keeping up to [`MAX_RECORDS`] records.
     pub fn new() -> Trace {
-        Trace::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// An enabled trace retaining at most `capacity` records per thread
-    /// (oldest records are dropped on overflow).
-    pub fn with_capacity(capacity: usize) -> Trace {
         Trace {
             inner: Some(Arc::new(Sink {
-                id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
                 // DETERMINISM: the epoch is the one sanctioned wall-clock read; everything downstream is relative to it.
                 epoch: Instant::now(),
-                capacity,
-                next_thread: AtomicU32::new(0),
-                rings: Mutex::new(Vec::new()),
-                track_names: Mutex::new(BTreeMap::new()),
+                rec: Mutex::new(Recorder::default()),
             })),
         }
     }
@@ -154,11 +145,7 @@ impl Trace {
     /// exporters use it to label timeline rows).
     pub fn set_track_name(&self, track: u32, name: &str) {
         if let Some(sink) = &self.inner {
-            sink.track_names
-                .lock()
-                // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-                .expect("trace name registry poisoned")
-                .insert(track, name.to_string());
+            sink.lock().track_names.insert(track, name.to_string());
         }
     }
 
@@ -166,25 +153,13 @@ impl Trace {
     /// a disabled trace.
     pub fn snapshot(&self) -> TraceData {
         let Some(sink) = &self.inner else {
-            return TraceData { threads: Vec::new(), track_names: BTreeMap::new(), dropped: 0 };
+            return TraceData { records: Vec::new(), track_names: BTreeMap::new(), dropped: 0 };
         };
-        // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-        let rings = sink.rings.lock().expect("trace ring registry poisoned").clone();
-        let mut threads: Vec<ThreadEvents> = rings
-            .iter()
-            .map(|(thread, ring)| {
-                let events = ring.snapshot();
-                let dropped = ring.pushed() - events.len() as u64;
-                ThreadEvents { thread: *thread, events, dropped }
-            })
-            .collect();
-        threads.sort_by_key(|t| t.thread);
-        let dropped = threads.iter().map(|t| t.dropped).sum();
+        let rec = sink.lock();
         TraceData {
-            threads,
-            // PANICS: lock poisoning means a sibling thread panicked while holding it; propagating the panic is deliberate.
-            track_names: sink.track_names.lock().expect("trace name registry poisoned").clone(),
-            dropped,
+            records: rec.events.clone(),
+            track_names: rec.track_names.clone(),
+            dropped: rec.dropped,
         }
     }
 }
@@ -201,44 +176,33 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Events recorded by one thread, in emission order.
-#[derive(Debug, Clone)]
-pub struct ThreadEvents {
-    pub thread: u32,
-    pub events: Vec<Stamped>,
-    /// Records lost to ring wraparound on this thread.
-    pub dropped: u64,
-}
-
-/// A snapshot of a trace: per-thread event streams plus track metadata.
+/// A snapshot of a trace: the records in emission order plus track
+/// metadata.
 #[derive(Debug, Clone)]
 pub struct TraceData {
-    /// Per-thread streams, sorted by thread id. Within a thread the order
-    /// is the emission order; across threads only virtual/wall stamps
-    /// order events.
-    pub threads: Vec<ThreadEvents>,
+    records: Vec<Stamped>,
     /// Device/node track id → display name.
     pub track_names: BTreeMap<u32, String>,
-    /// Total records lost to wraparound across all threads.
+    /// Records emitted past [`MAX_RECORDS`] and not kept.
     pub dropped: u64,
 }
 
 impl TraceData {
-    /// All events flattened in (thread, emission-order) order.
+    /// All kept events in emission order.
     pub fn events(&self) -> impl Iterator<Item = &Stamped> {
-        self.threads.iter().flat_map(|t| t.events.iter())
+        self.records.iter()
     }
 
     pub fn len(&self) -> usize {
-        self.threads.iter().map(|t| t.events.len()).sum()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
-    /// The event payloads only (wall-clock stamps and thread ids
-    /// stripped) — the deterministic projection of the stream.
+    /// The event payloads only (wall-clock stamps stripped) — the
+    /// deterministic projection of the stream.
     pub fn payloads(&self) -> Vec<Event> {
         self.events().map(|s| s.event).collect()
     }
@@ -324,39 +288,58 @@ mod tests {
     }
 
     #[test]
-    fn threads_get_separate_rings() {
-        let t = Trace::new();
-        t.counter("main", 0.0);
-        let t2 = t.clone();
-        std::thread::spawn(move || t2.counter("worker", 1.0)).join().unwrap();
-        let snap = t.snapshot();
-        assert_eq!(snap.threads.len(), 2);
-        assert_eq!(snap.len(), 2);
-        let mut threads: Vec<u32> = snap.threads.iter().map(|th| th.thread).collect();
-        threads.dedup();
-        assert_eq!(threads.len(), 2, "distinct ring ids");
-    }
-
-    #[test]
     fn wall_stamps_are_monotonic_per_thread() {
         let t = Trace::new();
         for i in 0..100 {
             t.counter("i", i as f64);
         }
         let snap = t.snapshot();
-        let stamps: Vec<u64> = snap.threads[0].events.iter().map(|s| s.mono_ns).collect();
+        let stamps: Vec<u64> = snap.events().map(|s| s.mono_ns).collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// Below the cap every record is kept, in emission order.
     #[test]
-    fn dropped_counts_wraparound() {
-        let t = Trace::with_capacity(8);
-        for i in 0..20 {
+    fn every_record_under_the_cap_is_kept() {
+        let t = Trace::new();
+        for i in 0..(1u32 << 14) + 1 {
+            t.counter("i", f64::from(i));
+        }
+        let snap = t.snapshot();
+        assert_eq!(snap.len(), (1 << 14) + 1);
+        assert_eq!(snap.dropped, 0);
+        assert!(snap
+            .payloads()
+            .iter()
+            .enumerate()
+            .all(|(i, e)| *e == Event::Counter { name: "i", value: i as f64 }));
+    }
+
+    #[test]
+    fn records_past_the_cap_are_counted_not_stored() {
+        let t = Trace::new();
+        for i in 0..MAX_RECORDS + 5 {
             t.counter("i", i as f64);
         }
         let snap = t.snapshot();
-        assert_eq!(snap.len(), 8);
-        assert_eq!(snap.dropped, 12);
+        assert_eq!(snap.len(), MAX_RECORDS);
+        assert_eq!(snap.dropped, 5);
+        let last = snap.events().last().map(|s| s.event);
+        assert_eq!(last, Some(Event::Counter { name: "i", value: (MAX_RECORDS - 1) as f64 }));
+        let summary = crate::text_summary(&snap);
+        assert!(summary.contains("(5 records past the cap not kept)"), "{summary}");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a trace records from one thread only")]
+    fn an_emit_from_a_second_thread_fails_in_debug_builds() {
+        let t = Trace::new();
+        t.counter("first", 0.0);
+        let t2 = t.clone();
+        if let Err(panic) = std::thread::spawn(move || t2.counter("second", 1.0)).join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn text_summary(data: &TraceData) -> String {
     let mut devices: BTreeMap<u32, DeviceAgg> = BTreeMap::new();
     let mut batch_sizes: Vec<f64> = Vec::new();
     let mut spans: BTreeMap<&'static str, (u64, f64)> = BTreeMap::new();
-    let mut open_spans: BTreeMap<(u32, &'static str), Vec<u64>> = BTreeMap::new();
+    let mut open_spans: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
     let mut stages: BTreeMap<&'static str, (u64, u32)> = BTreeMap::new();
     let mut generations = 0u64;
     let mut best_score = f64::INFINITY;
@@ -87,10 +87,10 @@ pub fn text_summary(data: &TraceData) -> String {
             }
             Event::BatchScored { items, .. } => batch_sizes.push(items as f64),
             Event::SpanBegin { name } => {
-                open_spans.entry((s.thread, name)).or_default().push(s.mono_ns);
+                open_spans.entry(name).or_default().push(s.mono_ns);
             }
             Event::SpanEnd { name } => {
-                if let Some(begin) = open_spans.get_mut(&(s.thread, name)).and_then(Vec::pop) {
+                if let Some(begin) = open_spans.get_mut(name).and_then(Vec::pop) {
                     let e = spans.entry(name).or_insert((0, 0.0));
                     e.0 += 1;
                     e.1 += s.mono_ns.saturating_sub(begin) as f64 / 1e9;
@@ -142,10 +142,9 @@ pub fn text_summary(data: &TraceData) -> String {
 
     let makespan = devices.values().map(|d| d.last_end).fold(0.0f64, f64::max);
     let mut out = String::new();
-    let _ =
-        writeln!(out, "vstrace summary: {} events on {} threads", data.len(), data.threads.len());
+    let _ = writeln!(out, "vstrace summary: {} events", data.len());
     if data.dropped > 0 {
-        let _ = writeln!(out, "  (ring overflow dropped {} records)", data.dropped);
+        let _ = writeln!(out, "  ({} records past the cap not kept)", data.dropped);
     }
 
     if !devices.is_empty() {

@@ -15,8 +15,6 @@ use crate::scope::{comment_window_has, PANICS_WINDOW, SAFETY_WINDOW};
 /// permitted. Keep this list short and reviewed: each entry is a lock-free
 /// hot path whose orderings are argued in its module docs.
 const RELAXED_ALLOWLIST: &[&str] = &[
-    "crates/vstrace/src/ring.rs",
-    "crates/vstrace/src/sink.rs",
     "crates/vsscore/src/scorer.rs",
     "crates/vscheck/", // model checker: orderings collapse to SeqCst under the model
 ];
@@ -215,7 +213,7 @@ mod tests {
 
     #[test]
     fn relaxed_allowed_in_allowlisted_file_and_prefix() {
-        for path in ["crates/vstrace/src/ring.rs", "crates/vscheck/src/sched.rs"] {
+        for path in ["crates/vsscore/src/scorer.rs", "crates/vscheck/src/sched.rs"] {
             let v = lint_at(
                 path,
                 Class::DeterministicLib,

@@ -1,6 +1,6 @@
 //! Structural analysis shared by the lock-order and model-coverage passes:
-//! function extraction, a name-resolved intra-workspace call graph, lock
-//! acquisition sites with guard scopes, and atomic load/store sites.
+//! function extraction, a name-resolved intra-workspace call graph and
+//! lock acquisition sites with guard scopes.
 //!
 //! Resolution is by *name*, deliberately over-approximate: a method call
 //! `.evaluate(…)` is an edge to every workspace function named `evaluate`.
@@ -169,37 +169,19 @@ pub struct LockSite {
     pub caller: usize,
 }
 
-/// An atomic memory operation with explicit `Ordering` arguments.
-#[derive(Debug, Clone)]
-pub struct AtomicOp {
-    /// Field name of the atomic (last receiver segment).
-    pub field: String,
-    pub file: usize,
-    pub line: usize,
-    pub is_load: bool,
-    pub is_store: bool,
-    /// Ordering idents in argument order (`compare_exchange` has two).
-    pub orderings: Vec<String>,
-    /// False when the receiver is a bare local ident (`|d| d.load(…)`) —
-    /// an alias whose field the pass cannot name. Unqualified ops still
-    /// satisfy pairing but are never themselves flagged.
-    pub qualified: bool,
-}
-
 /// Per-file structural facts, token-indexed into that file's stream.
 #[derive(Debug, Default)]
 pub struct FileFacts {
     pub fns: Vec<FnDef>,
     pub calls: Vec<CallSite>,
     pub locks: Vec<LockSite>,
-    pub atomics: Vec<AtomicOp>,
     /// Sync facades imported outside test scope, as `owner::sync` strings.
     pub facade_imports: Vec<String>,
 }
 
 /// Extract structural facts from one lexed file. `skip_line[i]` (0-based)
-/// marks test-scoped lines: lock/atomic sites there are dropped (those
-/// passes police production code), call sites are kept but flagged, and
+/// marks test-scoped lines: lock sites there are dropped (lock-order
+/// polices production code), call sites are kept but flagged, and
 /// function *definitions* are always collected (model tests live in test
 /// scope and must enter the call graph).
 pub fn file_facts(
@@ -295,22 +277,7 @@ pub fn file_facts(
         i += 1;
     }
 
-    // --- Call, lock and atomic sites ---------------------------------
-    const ATOMIC_OPS: &[&str] = &[
-        "load",
-        "store",
-        "swap",
-        "compare_exchange",
-        "compare_exchange_weak",
-        "fetch_add",
-        "fetch_sub",
-        "fetch_and",
-        "fetch_or",
-        "fetch_xor",
-        "fetch_update",
-        "fetch_min",
-        "fetch_max",
-    ];
+    // --- Call and lock sites -----------------------------------------
     for k in 0..toks.len() {
         if toks[k].kind != TokKind::Ident {
             continue;
@@ -338,49 +305,11 @@ pub fn file_facts(
         let line = toks[k].line;
         if name == "lock" && k > 0 && toks[k - 1].is_punct('.') {
             if !in_test {
-                let (chain_start, identity, _) = receiver_chain(sf, k - 2);
+                let (chain_start, identity) = receiver_chain(sf, k - 2);
                 let lock = format!("{crate_name}/{identity}");
                 let scope_end = guard_scope_end(sf, &encl_open, chain_start, k);
                 facts.locks.push(LockSite { lock, tok: k, line, scope_end, caller: usize::MAX });
             }
-            continue;
-        }
-        if ATOMIC_OPS.contains(&name) && k > 0 && toks[k - 1].is_punct('.') {
-            if let Some(close) = sf.matching(k + 1).filter(|_| !in_test) {
-                let mut orderings = Vec::new();
-                let mut a = k + 2;
-                while a + 2 < close {
-                    if toks[a].is_ident("Ordering")
-                        && toks[a + 1].is_punct(':')
-                        && toks[a + 2].is_punct(':')
-                        && toks.get(a + 3).is_some_and(|t| t.kind == TokKind::Ident)
-                    {
-                        orderings.push(toks[a + 3].text.clone());
-                        a += 4;
-                        continue;
-                    }
-                    a += 1;
-                }
-                if !orderings.is_empty() {
-                    let (_, field, qualified) = receiver_chain(sf, k - 2);
-                    let (is_load, is_store) = match name {
-                        "load" => (true, false),
-                        "store" => (false, true),
-                        _ => (true, true), // RMW: both sides
-                    };
-                    facts.atomics.push(AtomicOp {
-                        field,
-                        file: file_idx,
-                        line,
-                        is_load,
-                        is_store,
-                        orderings,
-                        qualified,
-                    });
-                }
-            }
-            // An atomic op is not a workspace call; fall through to record
-            // it as a call anyway is harmless but noisy — skip.
             continue;
         }
         if UNRESOLVED_NAMES.contains(&name) {
@@ -420,16 +349,14 @@ pub fn file_facts(
 }
 
 /// Walk a receiver chain backwards from token `r` (the token just before
-/// the `.` of a method call). Returns the chain's first token index, the
-/// lock/atomic identity — the last chain segment, with `()` appended for
-/// a call segment (`grid_cache().lock()` → `grid_cache()`) — and whether
-/// the chain was qualified (more than a bare local ident).
-/// `self.shared.state.lock()` → `state`; `self.done[job].swap(…)` → `done`.
-fn receiver_chain(sf: &SourceFile, mut r: usize) -> (usize, String, bool) {
+/// the `.` of a method call). Returns the chain's first token index and
+/// the lock identity — the last chain segment, with `()` appended for a
+/// call segment (`grid_cache().lock()` → `grid_cache()`).
+/// `self.shared.state.lock()` → `state`; `self.done[job].lock()` → `done`.
+fn receiver_chain(sf: &SourceFile, mut r: usize) -> (usize, String) {
     let toks = &sf.tokens;
     let mut identity: Option<String> = None;
     let mut start = r;
-    let mut qualified = false;
     loop {
         if r >= toks.len() {
             break;
@@ -442,7 +369,6 @@ fn receiver_chain(sf: &SourceFile, mut r: usize) -> (usize, String, bool) {
                     if identity.is_none() {
                         identity = Some(format!("{}()", toks[open - 1].text));
                     }
-                    qualified = true;
                     start = open - 1;
                     r = open - 1;
                 } else if toks[r].text == "]" {
@@ -450,7 +376,6 @@ fn receiver_chain(sf: &SourceFile, mut r: usize) -> (usize, String, bool) {
                     if open == 0 {
                         break;
                     }
-                    qualified = true;
                     start = open;
                     r = open - 1;
                     continue;
@@ -468,16 +393,14 @@ fn receiver_chain(sf: &SourceFile, mut r: usize) -> (usize, String, bool) {
         }
         // Extend over `.` or `::` to the left.
         if r >= 1 && toks[r - 1].is_punct('.') && r >= 2 {
-            qualified = true;
             r -= 2;
         } else if r >= 2 && toks[r - 1].is_punct(':') && toks[r - 2].is_punct(':') && r >= 3 {
-            qualified = true;
             r -= 3;
         } else {
             break;
         }
     }
-    (start, identity.unwrap_or_else(|| "<expr>".into()), qualified)
+    (start, identity.unwrap_or_else(|| "<expr>".into()))
 }
 
 /// Where does the guard acquired at token `lock_tok` die?
@@ -675,21 +598,9 @@ mod tests {
 
     #[test]
     fn indexed_receiver_skips_the_index() {
-        let f = facts("fn a(&self) { self.done[job].swap(true, Ordering::AcqRel); }\n");
-        assert_eq!(f.atomics.len(), 1);
-        assert_eq!(f.atomics[0].field, "done");
-        assert!(f.atomics[0].is_load && f.atomics[0].is_store);
-        assert_eq!(f.atomics[0].orderings, ["AcqRel"]);
-    }
-
-    #[test]
-    fn atomic_ops_require_an_ordering_argument() {
-        // A parser's own `load(path)` helper is not an atomic op.
-        let f =
-            facts("fn a(&self) { self.cfg.load(path); self.seq.store(1, Ordering::Release); }\n");
-        assert_eq!(f.atomics.len(), 1);
-        assert_eq!(f.atomics[0].field, "seq");
-        assert!(f.atomics[0].is_store && !f.atomics[0].is_load);
+        let f = facts("fn a(&self) { self.done[job].lock(); }\n");
+        let locks: Vec<&str> = f.locks.iter().map(|l| l.lock.as_str()).collect();
+        assert_eq!(locks, ["demo/done"]);
     }
 
     #[test]
@@ -701,13 +612,13 @@ mod tests {
 
     #[test]
     fn test_scope_keeps_calls_but_drops_lock_sites() {
-        let src = "fn model_x() { target(); m.lock(); a.store(1, Ordering::Release); }\n";
+        let src = "fn model_x() { target(); m.lock(); }\n";
         let sf = lex(src);
         let skip = vec![true; sf.lines.len()];
         let f = file_facts(0, "demo", &sf, &skip);
         assert_eq!(f.fns.len(), 1, "defs always collected");
         assert_eq!(f.calls.len(), 1, "coverage still follows test-scope calls");
         assert!(f.calls[0].in_test);
-        assert!(f.locks.is_empty() && f.atomics.is_empty(), "prod-only passes skip test scope");
+        assert!(f.locks.is_empty(), "lock-order skips test scope");
     }
 }

@@ -5,7 +5,7 @@
 //! - a flat **token stream** ([`Token`]) with matched delimiters
 //!   ([`SourceFile::pair`] maps every `(`/`[`/`{` to its closer and back),
 //!   which is what the structural passes (determinism, lock-order,
-//!   atomic-pairing, model-coverage) walk; and
+//!   model-coverage) walk; and
 //! - a per-line **code/comment projection** ([`LexedLine`]) with literal
 //!   contents blanked out and comment text retained, which the word-level
 //!   rules (SAFETY/PANICS waivers, `Ordering::Relaxed`) scan.

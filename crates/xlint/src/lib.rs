@@ -1,7 +1,7 @@
 //! `xlint` — workspace static-analysis suite for repo invariants that
 //! `rustc`/`clippy` flags cannot express (DESIGN.md §14).
 //!
-//! A token-tree lexer ([`lexer`]) feeds eight rules, gated per file by a
+//! A token-tree lexer ([`lexer`]) feeds seven rules, gated per file by a
 //! policy class ([`policy`]):
 //!
 //! | rule | deterministic-lib | host-tool | test |
@@ -12,7 +12,6 @@
 //! | `crate-attrs`       | ✓ | ✓ | ✓ |
 //! | `determinism`       | ✓ | — | — |
 //! | `lock-order`        | ✓ | — | — |
-//! | `atomic-pairing`    | ✓ | — | — |
 //! | `model-coverage`    | ✓ | — | — |
 //!
 //! Violations print as `path:line: rule: message`; `--json` emits the full
@@ -21,7 +20,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod atomics;
 pub mod basic;
 pub mod coverage;
 pub mod determinism;
@@ -38,7 +36,7 @@ use policy::{collect_files, Class, FileEntry};
 use report::{Report, Violation};
 
 /// Number of rules the suite enforces (the `M rules` summary figure).
-pub const RULE_COUNT: usize = 8;
+pub const RULE_COUNT: usize = 7;
 
 /// Lint the workspace rooted at `root`.
 pub fn run(root: &Path) -> Report {
@@ -130,7 +128,7 @@ pub fn analyze(entries: Vec<FileEntry>, io_errors: Vec<(PathBuf, String)>) -> Re
         .map(|(i, ((e, sf), scope))| graph::file_facts(i, &e.crate_name, sf, scope))
         .collect();
 
-    // …but lock-order and atomic-pairing police the deterministic crates.
+    // …but lock-order polices the deterministic crates.
     let det: Vec<(&Path, &graph::FileFacts)> = entries
         .iter()
         .zip(&facts)
@@ -138,7 +136,6 @@ pub fn analyze(entries: Vec<FileEntry>, io_errors: Vec<(PathBuf, String)>) -> Re
         .map(|(e, f)| (e.rel.as_path(), f))
         .collect();
     report.violations.extend(lockorder::check(&det));
-    report.violations.extend(atomics::check(&det));
 
     let (coverage, cov_violations) = coverage::check(&entries, &facts);
     report.coverage = coverage;

@@ -5,7 +5,7 @@
 //!
 //! - **`deterministic-lib`** — library crates whose outputs feed the
 //!   bit-identity contracts (goldens, per-seed `CampaignReport`s,
-//!   lockstep-vs-pipelined equality). All eight rules apply, including the
+//!   lockstep-vs-pipelined equality). All seven rules apply, including the
 //!   determinism pass (no wall clock, no hash-order iteration, no raw
 //!   `std::thread`/`std::sync` outside the reviewed sync facades).
 //! - **`host-tool`** — binaries and harnesses that *measure* the system

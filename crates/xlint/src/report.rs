@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn summary_line_format() {
-        let mut r = Report { files: 3, rules: 8, waivers: 2, ..Default::default() };
+        let mut r = Report { files: 3, rules: 7, waivers: 2, ..Default::default() };
         r.coverage.push(ModuleCoverage {
             module: "crates/a/src/x.rs".into(),
             facade: "a::sync".into(),
@@ -143,14 +143,14 @@ mod tests {
             facade: "b::sync".into(),
             tests: vec![],
         });
-        assert_eq!(r.summary(), "3 files, 8 rules, 2 waivers, coverage 1/2 modules");
+        assert_eq!(r.summary(), "3 files, 7 rules, 2 waivers, coverage 1/2 modules");
     }
 
     #[test]
     fn json_escapes_and_scalar_lines() {
         let r = Report {
             files: 1,
-            rules: 8,
+            rules: 7,
             waivers: 0,
             violations: vec![Violation {
                 file: PathBuf::from("a\\b.rs"),

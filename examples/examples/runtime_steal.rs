@@ -87,7 +87,7 @@ fn main() {
     // -- Self-validation ---------------------------------------------------
 
     let data = trace.snapshot();
-    assert_eq!(data.dropped, 0, "ring overflow dropped events");
+    assert_eq!(data.dropped, 0, "records past the trace cap not kept");
 
     // Busy totals must agree three ways: event stream, timeline segments,
     // device clocks.

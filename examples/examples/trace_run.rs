@@ -46,7 +46,7 @@ fn main() {
     );
 
     let data = trace.snapshot();
-    assert!(data.dropped == 0, "ring overflow dropped {} events", data.dropped);
+    assert!(data.dropped == 0, "{} records past the trace cap not kept", data.dropped);
 
     // Busy totals from the event stream must agree with the device clocks.
     for dev in node.gpus() {

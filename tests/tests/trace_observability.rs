@@ -4,7 +4,7 @@
 
 use vscreen::prelude::*;
 use vstrace::json::{parse, Value};
-use vstrace::{chrome_trace_json, text_summary, Event, Trace};
+use vstrace::{chrome_trace_json, text_summary, Event, Trace, BATCH_TRACK};
 
 /// Same seed ⇒ identical event payload streams (the wall-clock stamps are
 /// stripped by `payloads()` — they are the only nondeterministic fields).
@@ -84,6 +84,16 @@ fn exported_trace_agrees_with_device_clocks() {
         })
         .fold(0.0f64, f64::max);
     assert!((max_vt - out.virtual_time).abs() <= 1e-9 * out.virtual_time.max(1.0));
+
+    // Every record is kept, so the batch stream counts every evaluation.
+    let batched: u64 = data
+        .events()
+        .filter_map(|s| match s.event {
+            Event::BatchScored { device: BATCH_TRACK, items, .. } => Some(items),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(batched, out.evaluations);
 
     // The text summary renders the same numbers.
     let summary = text_summary(&data);
