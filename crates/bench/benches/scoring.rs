@@ -2,8 +2,8 @@
 //!
 //! Validates the micro-level claims behind the paper's evaluation:
 //!
-//! - the cache-tiled kernel (the CUDA shared-memory tiling analog) beats
-//!   the naive all-pairs loop once the receptor exceeds cache;
+//! - the fused element-run kernel (gather-free, tiled within each run: the
+//!   CUDA shared-memory tiling analog) beats the naive all-pairs loop;
 //! - per-pair cost shrinks (or at least does not grow) with receptor size —
 //!   the data-locality effect behind "this advantage is bigger the larger
 //!   the number of atoms in the receptor protein" (§5);
@@ -14,8 +14,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use vsmath::RngStream;
 use vsmol::{synth, Element, LjTable};
-use vsscore::lj::{lj_naive, lj_tiled, Frame, PairTable};
-use vsscore::run::{fused_run, lj_run, RunFrame};
+use vsscore::lj::{lj_naive, Frame, PairTable};
+use vsscore::run::{fused_run, RunFrame};
 use vsscore::scorer::{Kernel, ScorerOptions, ScoringModel};
 use vsscore::{Exec, PoseScratch, ScoreBatch, Scorer};
 
@@ -32,48 +32,9 @@ fn kernels_by_receptor_size(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n_rec), &n_rec, |b, _| {
             b.iter(|| black_box(lj_naive(&lig, &rec, &table)))
         });
-        group.bench_with_input(BenchmarkId::new("tiled", n_rec), &n_rec, |b, _| {
-            b.iter(|| black_box(lj_tiled(&lig, &rec, &table)))
-        });
-        group.bench_with_input(BenchmarkId::new("run", n_rec), &n_rec, |b, _| {
-            b.iter(|| black_box(lj_run(&lig, &runs, &table)))
-        });
         group.bench_with_input(BenchmarkId::new("fused_lj", n_rec), &n_rec, |b, _| {
             b.iter(|| black_box(fused_run(&lig, &runs, &table, None, None)))
         });
-    }
-    group.finish();
-}
-
-/// Full kernel sweep at the paper's Table 5 complex sizes (2BSM: 3264×45,
-/// 2BXG: 8609×32), LJ-only and Full models. Throughput is poses/sec —
-/// the number the `BENCH_scoring.json` snapshot tracks across PRs.
-fn table5_kernel_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table5_kernels");
-    group.sample_size(10);
-    for (n_rec, n_lig) in [(3264usize, 45usize), (8609, 32)] {
-        let rec = synth::synth_receptor("r", n_rec, 3);
-        let lig = synth::synth_ligand("l", n_lig, 7);
-        let mut rng = RngStream::from_seed(5);
-        let pose = vsmath::RigidTransform::new(rng.rotation(), rng.in_ball(30.0));
-        for (mlabel, model) in [
-            ("lj", ScoringModel::LennardJones),
-            ("full", ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 }),
-        ] {
-            for (klabel, kernel) in [
-                ("naive", Kernel::Naive),
-                ("tiled", Kernel::Tiled),
-                ("run", Kernel::Run),
-                ("fused", Kernel::Fused),
-            ] {
-                let scorer = Scorer::new(&rec, &lig, ScorerOptions { model, kernel });
-                let mut scratch = PoseScratch::new();
-                group.throughput(Throughput::Elements(1));
-                group.bench_function(format!("{n_rec}x{n_lig}/{mlabel}/{klabel}"), |b| {
-                    b.iter(|| black_box(scorer.score_with(&pose, &mut scratch)))
-                });
-            }
-        }
     }
     group.finish();
 }
@@ -86,7 +47,7 @@ fn cutoff_ablation(c: &mut Criterion) {
     let mut rng = RngStream::from_seed(5);
     let pose = vsmath::RigidTransform::new(rng.rotation(), rng.in_ball(30.0));
     for (label, kernel) in [
-        ("all_pairs_tiled", Kernel::Tiled),
+        ("all_pairs_fused", Kernel::Fused),
         ("cells_8A", Kernel::CellList { cutoff: 8.0 }),
         ("cells_16A", Kernel::CellList { cutoff: 16.0 }),
     ] {
@@ -135,7 +96,7 @@ fn coulomb_extension(c: &mut Criterion) {
         ("lennard_jones", ScoringModel::LennardJones),
         ("lj_plus_coulomb", ScoringModel::LennardJonesCoulomb { dielectric: 4.0 }),
     ] {
-        let scorer = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Tiled });
+        let scorer = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Naive });
         group.bench_function(label, |b| b.iter(|| black_box(scorer.score(&pose))));
     }
     group.finish();
@@ -152,7 +113,7 @@ fn grid_potential_tradeoff(c: &mut Criterion) {
     let pose = vsmath::RigidTransform::new(rng.rotation(), rng.unit_vector() * 27.0);
 
     let exact = Scorer::new(&rec, &lig, ScorerOptions::default());
-    group.bench_function("exact_tiled_per_pose", |b| b.iter(|| black_box(exact.score(&pose))));
+    group.bench_function("exact_fused_per_pose", |b| b.iter(|| black_box(exact.score(&pose))));
 
     let grid = vsscore::GridScorer::new(
         &rec,
@@ -191,7 +152,6 @@ fn grid_potential_tradeoff(c: &mut Criterion) {
 criterion_group!(
     benches,
     kernels_by_receptor_size,
-    table5_kernel_sweep,
     cutoff_ablation,
     parallel_batch_scaling,
     coulomb_extension,

@@ -25,10 +25,8 @@ const MODELS: [(&str, ScoringModel); 2] = [
     ("full", ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 }),
 ];
 
-const KERNELS: [(&str, Kernel); 6] = [
+const KERNELS: [(&str, Kernel); 4] = [
     ("naive", Kernel::Naive),
-    ("tiled", Kernel::Tiled),
-    ("run", Kernel::Run),
     ("fused", Kernel::Fused),
     ("cells", Kernel::CellList { cutoff: 12.0 }),
     ("grid", Kernel::Grid { spacing: 0.75 }),
@@ -69,15 +67,15 @@ fn main() {
         let mut model_blocks = Vec::new();
         for (mlabel, model) in MODELS {
             let mut cells = Vec::new();
-            let mut tiled_pps = 0.0;
+            let mut naive_pps = 0.0;
             let mut fused_pps = 0.0;
             let mut grid_pps = 0.0;
             for (klabel, kernel) in KERNELS {
                 let scorer = Scorer::new(&rec, &lig, ScorerOptions { model, kernel });
                 let pps = poses_per_sec(&scorer, &poses);
                 eprintln!("{n_rec}x{n_lig} {mlabel:>4} {klabel:>5}: {pps:>10.1} poses/s");
-                if klabel == "tiled" {
-                    tiled_pps = pps;
+                if klabel == "naive" {
+                    naive_pps = pps;
                 }
                 if klabel == "fused" {
                     fused_pps = pps;
@@ -87,17 +85,17 @@ fn main() {
                 }
                 cells.push(format!("\"{klabel}\": {pps:.1}"));
             }
-            let fused_over_tiled = fused_pps / tiled_pps;
+            let fused_over_naive = fused_pps / naive_pps;
             let grid_over_fused = grid_pps / fused_pps;
             eprintln!(
-                "{n_rec}x{n_lig} {mlabel:>4} fused/tiled: {fused_over_tiled:.2}x, \
+                "{n_rec}x{n_lig} {mlabel:>4} fused/naive: {fused_over_naive:.2}x, \
                  grid/fused: {grid_over_fused:.2}x"
             );
             speedup_line.push_str(&format!(
-                "{n_rec}x{n_lig}/{mlabel}: fused {fused_over_tiled:.2}x, grid {grid_over_fused:.2}x; "
+                "{n_rec}x{n_lig}/{mlabel}: fused {fused_over_naive:.2}x, grid {grid_over_fused:.2}x; "
             ));
             model_blocks.push(format!(
-                "      \"{mlabel}\": {{ {}, \"fused_over_tiled\": {fused_over_tiled:.3}, \"grid_over_fused\": {grid_over_fused:.3} }}",
+                "      \"{mlabel}\": {{ {}, \"fused_over_naive\": {fused_over_naive:.3}, \"grid_over_fused\": {grid_over_fused:.3} }}",
                 cells.join(", ")
             ));
         }

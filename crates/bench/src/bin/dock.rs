@@ -7,7 +7,7 @@
 //! dock --receptor rec.pdb --ligand lig.sdf \
 //!      [--meta m1|m2|m3|m4] [--scale 0.2] [--spots 16] \
 //!      [--node hertz|jupiter] [--strategy cpu|hom|het|dynamic|steal|oracle] \
-//!      [--kernel fused|grid|cells|naive|tiled|run] \
+//!      [--kernel fused|grid|cells|naive] \
 //!      [--exec lockstep|pipelined|pipelined:4] \
 //!      [--threads 8] [--seed 42] [--out pose.pdb] [--complex complex.pdb]
 //! ```
@@ -59,9 +59,7 @@ fn parse_args() -> Result<Args, String> {
             "--receptor" => args.receptor = Some(val("--receptor")?),
             "--ligand" => args.ligand = Some(val("--ligand")?),
             "--meta" => args.meta = val("--meta")?.to_lowercase(),
-            "--scale" => {
-                args.scale = val("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?
-            }
+            "--scale" => args.scale = vs_bench::parse_scale(&val("--scale")?)?,
             "--spots" => {
                 args.spots = val("--spots")?.parse().map_err(|e| format!("--spots: {e}"))?
             }
@@ -79,7 +77,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err("usage: dock [--receptor rec.pdb] [--ligand lig.{pdb,sdf}] \
                             [--meta m1..m4] [--scale F] [--spots N] [--node hertz|jupiter] \
                             [--strategy cpu|hom|het|dynamic|steal|oracle] \
-                            [--kernel fused|grid|cells|naive|tiled|run] \
+                            [--kernel fused|grid|cells|naive] \
                             [--exec lockstep|pipelined[:depth]] [--threads N] \
                             [--seed N] [--out pose.pdb] [--complex complex.pdb]"
                     .into())
@@ -152,11 +150,7 @@ fn run() -> Result<(), String> {
         "grid" => vsscore::Kernel::Grid { spacing: vsscore::GridOptions::default().spacing },
         "cells" => vsscore::Kernel::CellList { cutoff: vsscore::GridOptions::default().cutoff },
         "naive" => vsscore::Kernel::Naive,
-        "tiled" => vsscore::Kernel::Tiled,
-        "run" => vsscore::Kernel::Run,
-        other => {
-            return Err(format!("unknown kernel {other:?} (fused|grid|cells|naive|tiled|run)"))
-        }
+        other => return Err(format!("unknown kernel {other:?} (fused|grid|cells|naive)")),
     };
 
     let screen = VirtualScreen::from_molecules(receptor, ligand)

@@ -10,11 +10,12 @@
 //! (who wins, by roughly what factor) reproduces the paper — see
 //! EXPERIMENTS.md for the paper-vs-measured record.
 
+use std::process::ExitCode;
 use vsched::{percent_factors, warmup_times};
 use vscreen::experiment::{hertz_table, jupiter_table, render_table, ExperimentScale};
 use vscreen::prelude::*;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = ExperimentScale::Full;
     let mut targets: Vec<String> = Vec::new();
@@ -26,9 +27,13 @@ fn main() {
                 scale = match v {
                     "quick" => ExperimentScale::Quick,
                     "full" => ExperimentScale::Full,
-                    other => ExperimentScale::Custom(
-                        other.parse().expect("--scale takes quick|full|<factor>"),
-                    ),
+                    other => match vs_bench::parse_scale(other) {
+                        Ok(f) => ExperimentScale::Custom(f),
+                        Err(e) => {
+                            eprintln!("tables: {e} (--scale takes quick|full|<factor>)");
+                            return ExitCode::FAILURE;
+                        }
+                    },
                 };
             }
             t => targets.push(t.to_string()),
@@ -87,6 +92,7 @@ fn main() {
             ),
         }
     }
+    ExitCode::SUCCESS
 }
 
 /// Figure 1 analog: dock the 2BSM ligand and emit the bound pose as PDB.

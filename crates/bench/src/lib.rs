@@ -6,19 +6,34 @@
 //!   figure of the paper's evaluation: `cargo run -p vs-bench --release
 //!   --bin tables -- all`;
 //! - the Criterion benches (`benches/`) measure the *real* wall-time
-//!   behaviour of the Rust kernels — scoring (naive vs tiled vs
+//!   behaviour of the Rust kernels — scoring (naive vs fused vs
 //!   grid-cutoff, receptor-size scaling, thread scaling), the metaheuristic
 //!   engine, the schedulers, and the device cost model — validating the
-//!   micro-level claims (tiling helps; bigger receptors amortize overhead;
-//!   scheduling cost is negligible next to scoring).
+//!   micro-level claims (the gather-free fused kernel beats the naive loop;
+//!   bigger receptors amortize overhead; scheduling cost is negligible next
+//!   to scoring).
 //!
 //! This library half hosts the table renderers for Tables 1–5 (static
-//! hardware/parameter/dataset tables) shared by the binary and tests.
+//! hardware/parameter/dataset tables) and the `--scale` parser, shared by
+//! the binaries and tests.
 #![forbid(unsafe_code)]
 
 use gpusim::{catalog, DeviceSpec, GpuGeneration};
 use std::fmt::Write;
 use vsmol::Dataset;
+
+/// Parse a `--scale` factor, which multiplies the calibrated workload: a
+/// finite number greater than zero. `inf` would ask for `usize::MAX`
+/// generations, and NaN, zero or a negative factor would be rounded up to
+/// one generation without a word, so all are refused.
+pub fn parse_scale(s: &str) -> Result<f64, String> {
+    let f: f64 = s.parse().map_err(|e| format!("--scale {s:?}: {e}"))?;
+    if f.is_finite() && f > 0.0 {
+        Ok(f)
+    } else {
+        Err(format!("--scale {s:?}: must be a finite number greater than zero"))
+    }
+}
 
 /// Table 1: CUDA summary by generation.
 pub fn render_table1() -> String {

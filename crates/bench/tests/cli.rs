@@ -104,6 +104,30 @@ fn dock_rejects_bad_flags() {
     let (ok3, _, stderr3) = run(env!("CARGO_BIN_EXE_dock"), &["--receptor", "only-one-given.pdb"]);
     assert!(!ok3);
     assert!(stderr3.contains("both"));
+
+    // A scale that is not a finite number > 0 is refused before any work:
+    // `inf` would run `usize::MAX` generations, the others one.
+    for scale in ["nan", "-1", "0", "inf", "x"] {
+        let (ok, _, stderr) = run(env!("CARGO_BIN_EXE_dock"), &["--scale", scale]);
+        assert!(!ok, "--scale {scale} must fail");
+        assert!(stderr.contains("--scale"), "--scale {scale}: {stderr}");
+    }
+
+    for kernel in ["tiled", "run"] {
+        let (ok, _, stderr) = run(env!("CARGO_BIN_EXE_dock"), &["--kernel", kernel]);
+        assert!(!ok, "--kernel {kernel} must fail");
+        assert!(stderr.contains("unknown kernel"), "--kernel {kernel}: {stderr}");
+    }
+}
+
+#[test]
+fn tables_rejects_bad_scale() {
+    for scale in ["nan", "-1", "0", "inf", "x"] {
+        let (ok, stdout, stderr) = run(env!("CARGO_BIN_EXE_tables"), &["table8", "--scale", scale]);
+        assert!(!ok, "--scale {scale} must fail");
+        assert!(stderr.contains("--scale"), "--scale {scale}: {stderr}");
+        assert!(!stdout.contains("Table 8"), "--scale {scale} ran the table: {stdout}");
+    }
 }
 
 #[test]

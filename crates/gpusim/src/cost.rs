@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 )]
 pub enum KernelClass {
     /// One unit = one `ligand × receptor` atom-pair interaction (the dense
-    /// Naive/Tiled/Run/Fused kernels). The calibrated default.
+    /// Naive and Fused kernels). The calibrated default.
     #[default]
     PairSweep,
     /// One unit = one ligand atom interpolated from precomputed potential

@@ -236,15 +236,13 @@ mod tests {
     #[test]
     fn device_path_bit_identical_for_every_kernel() {
         // DESIGN §7: for a fixed kernel, the device path must reproduce
-        // the serial path bitwise — including the run-layout kernels.
+        // the serial path bitwise — including the run-layout kernel.
         use vsscore::scorer::{Kernel, ScorerOptions, ScoringModel};
         let rec = synth::synth_receptor("r", 400, 1);
         let lig = synth::synth_ligand("l", 12, 2);
         let model = ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 };
         for kernel in [
             Kernel::Naive,
-            Kernel::Tiled,
-            Kernel::Run,
             Kernel::Fused,
             Kernel::CellList { cutoff: 16.0 },
             Kernel::Grid { spacing: 0.6 },

@@ -19,7 +19,6 @@ pub mod rng;
 pub mod stats;
 pub mod transform;
 pub mod vec3;
-pub mod wide;
 
 pub use aabb::Aabb;
 pub use grid::SpatialGrid;
@@ -30,7 +29,6 @@ pub use rng::RngStream;
 pub use stats::OnlineStats;
 pub use transform::RigidTransform;
 pub use vec3::Vec3;
-pub use wide::F32x8;
 
 /// Relative-tolerance float comparison used across the workspace's tests.
 ///

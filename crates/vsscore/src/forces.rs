@@ -95,8 +95,7 @@ pub fn rigid_gradient(
 /// hoist out per (ligand atom × run) instead of a per-pair table gather.
 /// Same force field, different (still deterministic) summation order; the
 /// net force/torque agrees with [`rigid_gradient`] to floating-point
-/// reassociation slack. Per-receptor-atom forces, if ever needed, scatter
-/// back through [`RunFrame::perm`].
+/// reassociation slack.
 pub fn rigid_gradient_run(
     lig: &Frame,
     rec: &RunFrame,

@@ -46,7 +46,7 @@
 //!   operations in its order — and finds their lattice cells and fractions
 //!   — the clamp to the lattice as two compare-selects, the cell by
 //!   truncation. Each lane's cell is then read through one checked slice,
-//!   and the corners are blended with explicit [`vsmath::F32x8`] lanes.
+//!   and the corners are blended with explicit `F32x8` lanes (`lanes`).
 //!   The tests keep the per-atom scalar placement, setup and blend it
 //!   replaced as the reference and hold every lane path to its bits, so
 //!   the lanes are a pure speedup, never a numerics fork.
@@ -56,13 +56,13 @@
 
 use crate::coulomb::{potential_at, COULOMB_K};
 use crate::hbond::{hbond_at, hbond_pair, is_hbond_capable_idx};
-use crate::lanes::{widest, Lane, Wide, WideFn, LANES};
+use crate::lanes::{widest, F32x8, Lane, Wide, WideFn, LANES};
 use crate::lj::{clamped, lj_at, Frame, PairTable};
 use crate::pool::{host_threads, shared_pool};
 use std::collections::BTreeMap;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use vsmath::{Aabb, F32x8, RigidTransform, SpatialGrid, Vec3};
+use vsmath::{Aabb, RigidTransform, SpatialGrid, Vec3};
 use vsmol::{Element, LjTable, Molecule};
 
 /// Grid build options.

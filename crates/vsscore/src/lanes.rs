@@ -1,4 +1,4 @@
-//! The lane types of the explicit-width kernels: the pair sweeps of
+//! The lane types of the explicit-width kernels: the pair sweep of
 //! [`crate::run`], and the grid build and the grid interpolation of
 //! [`crate::grid_potential`].
 //!
@@ -27,6 +27,10 @@
 //! non-finite inputs included. Which one runs depends on the host CPU; no
 //! result does. The kernels' tests hold them to that by `to_bits`, the
 //! portable one instantiated directly so it is exercised on every host.
+//!
+//! Apart from these, [`F32x8`] holds the eight `f32` lanes the grid
+//! interpolation blends its cell corners in: plain IEEE `+ − ×` per lane
+//! and a fixed-tree horizontal sum, the same bits under any target.
 
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -188,6 +192,56 @@ impl Wide for F64x4 {
         [a[0] as f32, a[1] as f32, a[2] as f32, a[3] as f32]
     }
 }
+
+/// Eight `f32` lanes with element-wise `+ − ×`: each operator is a lane
+/// loop over the array, which LLVM turns into `vaddps`/`vmulps` where the
+/// target has them and into scalar code elsewhere, with the same bits
+/// either way (plain IEEE-754 per lane, no contraction, no reassociation).
+#[derive(Clone, Copy)]
+pub(crate) struct F32x8([f32; 8]);
+
+impl F32x8 {
+    /// Number of lanes.
+    pub const LANES: usize = 8;
+
+    /// All lanes set to `v`.
+    #[inline]
+    pub fn splat(v: f32) -> F32x8 {
+        F32x8([v; 8])
+    }
+
+    /// Lanes from an array.
+    #[inline]
+    pub fn from_array(a: [f32; 8]) -> F32x8 {
+        F32x8(a)
+    }
+
+    /// Horizontal sum over the fixed pairwise tree
+    /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — the reduction order every
+    /// caller (wide or scalar reference) must share for bit-identity.
+    #[inline]
+    pub fn horizontal_sum(self) -> f32 {
+        let l = self.0;
+        ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+    }
+}
+
+macro_rules! lanewise_f32 {
+    ($($op:ident $method:ident $sign:tt),*) => {$(
+        impl $op for F32x8 {
+            type Output = F32x8;
+            #[inline]
+            fn $method(self, rhs: F32x8) -> F32x8 {
+                let mut out = [0f32; 8];
+                for (l, o) in out.iter_mut().enumerate() {
+                    *o = self.0[l] $sign rhs.0[l];
+                }
+                F32x8(out)
+            }
+        }
+    )*};
+}
+lanewise_f32!(Add add +, Sub sub -, Mul mul *);
 
 /// A kernel written over the lane type: [`widest`] picks the `W` it is
 /// called with. Implementations mark `call` `#[inline(always)]`, so that
@@ -391,6 +445,28 @@ mod tests {
             }
             (min, kept, self.cells.map(f32::to_bits), trunc, narrow)
         }
+    }
+
+    #[test]
+    fn f32x8_elementwise_ops() {
+        let a = F32x8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let b = F32x8::splat(2.0);
+        assert_eq!((a + b).0, [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
+        assert_eq!((a - b).0, [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!((a * b).0, [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]);
+    }
+
+    #[test]
+    fn f32x8_horizontal_sum_matches_tree_order() {
+        let v = [0.1f32, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
+        let want = ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
+        assert_eq!(F32x8::from_array(v).horizontal_sum().to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn f32x8_splat() {
+        assert_eq!(F32x8::splat(0.0).horizontal_sum(), 0.0);
+        assert_eq!(F32x8::splat(1.5).horizontal_sum(), 12.0);
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //! This crate provides:
 //!
 //! - [`lj`] — the Lennard-Jones pair potential over flattened
-//!   structure-of-arrays layouts, in a *naive* all-pairs kernel and a
-//!   *tiled* kernel (the CPU analog of the paper's CUDA shared-memory
-//!   tiling, §5: "Our CUDA implementations take advantage of data-locality
-//!   through tiling implementation via shared memory");
+//!   structure-of-arrays layouts, in the *naive* all-pairs reference
+//!   kernel;
 //! - [`run`] — the *element-run* receptor layout ([`run::RunFrame`]:
 //!   receptor permuted once so same-element atoms are contiguous) and the
-//!   kernels built on it: a gather-free LJ kernel and the **fused**
-//!   single-pass kernel ([`run::fused_run`], the default scoring path)
-//!   that accumulates LJ + Coulomb + run-gated H-bond in one receptor
-//!   sweep — both four receptor atoms per step, the pair math written
-//!   once over a lane type (`lanes`, crate-private: `f64`, portable
-//!   `[f64; 4]`, 256-bit on AVX2 hosts) with the same bits from each;
+//!   **fused** single-pass kernel built on it ([`run::fused_run`], the
+//!   default scoring path), which accumulates LJ + Coulomb + run-gated
+//!   H-bond in one receptor sweep, tiled within each run (the CPU analog
+//!   of the paper's CUDA shared-memory tiling, §5: "Our CUDA
+//!   implementations take advantage of data-locality through tiling
+//!   implementation via shared memory"), four receptor atoms per step —
+//!   the pair math written once over a lane type (`lanes`, crate-private:
+//!   `f64`, portable `[f64; 4]`, 256-bit on AVX2 hosts) with the same bits
+//!   from each;
 //! - [`grid_potential`] — precomputed potential grids scored by trilinear
 //!   interpolation, built atom-major four lattice nodes per step through
-//!   the same lane types;
+//!   the same lane types, the corners blended in eight `f32` lanes
+//!   (`lanes::F32x8`);
 //! - [`coulomb`] — the electrostatic term (paper §2.1 names Coulomb as the
 //!   other relevant non-bonded potential; §6 lists richer scoring functions
 //!   as future work);

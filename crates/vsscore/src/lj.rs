@@ -2,14 +2,9 @@
 //!
 //! The kernels operate on a [`Frame`] — receptor atoms flattened into
 //! coordinate and element-index arrays — so the hot loop touches dense
-//! memory only. Two variants live here:
-//!
-//! - [`lj_naive`]: ligand-outer/receptor-inner all-pairs loop. Streams the
-//!   whole receptor through cache once per ligand atom.
-//! - [`lj_tiled`]: receptor-outer blocked loop; a receptor *tile* stays
-//!   resident in L1/L2 while every ligand atom consumes it. This is the CPU
-//!   analog of the paper's CUDA shared-memory tiling and is measurably
-//!   faster for receptors that exceed cache (see `bench/benches/scoring.rs`).
+//! memory only. [`lj_naive`] is the ligand-outer/receptor-inner all-pairs
+//! loop, the reference every other kernel is compared with;
+//! [`lj_naive_cutoff`] adds a spherical cutoff.
 //!
 //! Both pay a per-pair **indexed gather** `table.at(le, rec.elem[j])` in
 //! the innermost loop. The two loads depend on `rec.elem[j]`, so the
@@ -17,8 +12,8 @@
 //! not autovectorize — every pair serializes behind two data-dependent
 //! table reads. The [`crate::run`] module removes that gather structurally
 //! (permute the receptor into element runs once, hoist `(σ², 4ε)` per
-//! run); these scalar kernels remain as the reference and as ablation
-//! baselines.
+//! run); these scalar kernels remain as the reference and as the ablation
+//! baseline.
 //!
 //! Distances are clamped below by [`MIN_DIST_SQ`] so overlapping atoms
 //! produce a large-but-finite repulsion instead of `inf`, which keeps the
@@ -35,7 +30,10 @@ use vsmol::{Element, LjTable, Molecule};
 /// Squared-distance clamp: pairs closer than 0.5 Å are treated as 0.5 Å.
 pub const MIN_DIST_SQ: f64 = 0.25;
 
-/// Receptor tile size for [`lj_tiled`], in atoms. 512 atoms × 32 B ≈ 16 KB,
+/// Receptor tile size of [`crate::run::fused_run`], in atoms: each element
+/// run is swept in blocks of this many atoms, so a block stays
+/// cache-resident while every ligand atom consumes it (the CPU analog of
+/// the paper's CUDA shared-memory tiling, §5). 512 atoms × 32 B ≈ 16 KB,
 /// matching both an L1 slice and the 16–48 KB shared-memory budget of the
 /// paper's GPUs (Tables 2–3).
 pub const TILE: usize = 512;
@@ -145,8 +143,8 @@ pub(crate) fn lj_from_q<V: Lane>(four_eps: f64, q: V) -> V {
 }
 
 /// LJ pair energy from `(σ², 4ε)` at the [`clamped`] squared distance `r2`,
-/// `q` by a division of its own. Written over [`Lane`]: [`lj_pair`], the
-/// `Run` kernel's lanes and the grid build's are this one formula.
+/// `q` by a division of its own. Written over [`Lane`]: [`lj_pair`] and the
+/// grid build's lanes are this one formula.
 #[inline(always)]
 pub(crate) fn lj_at<V: Lane>(sigma_sq: f64, four_eps: f64, r2: V) -> V {
     lj_from_q(four_eps, V::splat(sigma_sq) / r2)
@@ -177,37 +175,11 @@ pub fn lj_naive(lig: &Frame, rec: &Frame, table: &PairTable) -> f64 {
     total
 }
 
-/// Tiled kernel: receptor is processed in [`TILE`]-atom blocks; each block
-/// stays cache-resident while every ligand atom consumes it.
-pub fn lj_tiled(lig: &Frame, rec: &Frame, table: &PairTable) -> f64 {
-    let mut total = 0.0;
-    let n_rec = rec.len();
-    let mut start = 0;
-    while start < n_rec {
-        let end = (start + TILE).min(n_rec);
-        for i in 0..lig.len() {
-            let (lx, ly, lz, le) = (lig.x[i], lig.y[i], lig.z[i], lig.elem[i]);
-            let mut acc = 0.0;
-            for j in start..end {
-                let dx = lx - rec.x[j];
-                let dy = ly - rec.y[j];
-                let dz = lz - rec.z[j];
-                let r_sq = dx * dx + dy * dy + dz * dz;
-                let (s2, e4) = table.at(le, rec.elem[j]);
-                acc += lj_pair(s2, e4, r_sq);
-            }
-            total += acc;
-        }
-        start = end;
-    }
-    total
-}
-
 /// Naive kernel with a spherical cutoff: pairs beyond `cutoff` contribute
 /// nothing. The reference for grid-accelerated cutoff scoring (which
 /// visits pairs in grid-cell order, so agreement is within summation
 /// slack, not bitwise). Shares the per-ligand-atom accumulator discipline
-/// of [`lj_naive`]/[`lj_tiled`].
+/// of [`lj_naive`].
 pub fn lj_naive_cutoff(lig: &Frame, rec: &Frame, table: &PairTable, cutoff: f64) -> f64 {
     let c2 = cutoff * cutoff;
     let mut total = 0.0;
@@ -254,33 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn tiled_matches_naive() {
-        let (lig, rec, table) = frames(1500, 30, 11);
-        let a = lj_naive(&lig, &rec, &table);
-        let b = lj_tiled(&lig, &rec, &table);
-        // Different summation order: allow tiny FP slack.
-        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-    }
-
-    #[test]
-    fn tiled_matches_naive_at_tile_boundaries() {
-        // Receptor sizes straddling multiples of TILE.
-        for n in [TILE - 1, TILE, TILE + 1, 2 * TILE, 2 * TILE + 7] {
-            let (lig, rec, table) = frames(n, 10, 13);
-            let a = lj_naive(&lig, &rec, &table);
-            let b = lj_tiled(&lig, &rec, &table);
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "n={n}: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn empty_frames_score_zero() {
         let table = PairTable::new(&LjTable::standard());
         let empty = Frame::from_parts(&[], &[], &[]);
         let one = Frame::from_parts(&[Vec3::ZERO], &[Element::C], &[0.0]);
         assert_eq!(lj_naive(&empty, &one, &table), 0.0);
         assert_eq!(lj_naive(&one, &empty, &table), 0.0);
-        assert_eq!(lj_tiled(&empty, &empty, &table), 0.0);
+        assert_eq!(lj_naive(&empty, &empty, &table), 0.0);
     }
 
     #[test]

@@ -428,7 +428,7 @@ mod tests {
         let lig = synth::synth_ligand("l", 14, 6);
         let ps = poses(23, 2);
         let model = ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 };
-        for kernel in [Kernel::Naive, Kernel::Tiled, Kernel::Run, Kernel::Fused] {
+        for kernel in [Kernel::Naive, Kernel::Fused] {
             let s = Scorer::new(&rec, &lig, ScorerOptions { model, kernel });
             let serial = serial_scores(&s, &ps);
             let pool = CpuPool::new(3);

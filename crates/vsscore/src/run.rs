@@ -1,8 +1,8 @@
-//! Element-run receptor layout and the kernels that exploit it.
+//! Element-run receptor layout and the fused kernel that exploits it.
 //!
 //! # Why runs
 //!
-//! The naive/tiled kernels pay a per-pair indexed gather
+//! The naive kernels pay a per-pair indexed gather
 //! `table.at(lig_elem, rec.elem[j])` in the innermost loop. That gather is
 //! what blocks autovectorization: the compiler cannot prove the `(σ², 4ε)`
 //! loads are loop-invariant (they depend on `rec.elem[j]`), so every pair
@@ -14,18 +14,15 @@
 //! set is unchanged — only the iteration order moves — and the layout
 //! records:
 //!
-//! - the permuted SoA columns (a plain [`Frame`], reusable by every
-//!   existing kernel);
-//! - a run table of `(elem, start, len)` spans, at most one per element;
-//! - the permutation itself (`perm[k]` = original index of permuted atom
-//!   `k`), so anything producing *per-receptor-atom* results (e.g. force
-//!   scatter) can map back to the original order.
+//! - the permuted SoA columns (a plain [`Frame`]);
+//! - a run table of `(elem, start, len)` spans, at most one per element.
 //!
 //! Inside one run the element is constant, so `(σ², 4ε)` hoist out of the
 //! inner loop as loop constants and the body becomes a pure
-//! distance/energy computation over contiguous memory, composed with the
-//! existing [`TILE`] cache blocking (tile *within* run) so a receptor
-//! block stays L1/L2-resident while every ligand atom consumes it.
+//! distance/energy computation over contiguous memory, composed with
+//! [`TILE`] cache blocking (tile *within* run) so a receptor block stays
+//! L1/L2-resident while every ligand atom consumes it — the CPU analog of
+//! the paper's CUDA shared-memory tiling.
 //!
 //! # Lanes
 //!
@@ -41,31 +38,28 @@
 //! `to_bits`, the portable one instantiated directly so it is exercised on
 //! every host.
 //!
-//! # Kernels
+//! # Kernel
 //!
-//! - [`lj_run`]: Lennard-Jones only, the run-layout counterpart of
-//!   [`crate::lj::lj_tiled`].
-//! - [`fused_run`]: LJ + Coulomb + hydrogen bond accumulated in a **single
-//!   receptor pass**. The H-bond gate is free here: capability is an
-//!   element property, hence a *run constant* — whole runs are gated
-//!   outside the inner loop instead of testing every pair.
+//! [`fused_run`] accumulates LJ + Coulomb + hydrogen bond in a **single
+//! receptor pass**. The H-bond gate is free here: capability is an element
+//! property, hence a *run constant* — whole runs are gated outside the
+//! inner loop instead of testing every pair.
 //!
 //! # Canonical summation order
 //!
-//! Each kernel's summation order is part of its definition (DESIGN §7):
-//! for the run kernels the canonical order is run-major, tile-minor,
-//! ligand-atom, then within the span receptor atom `j` into lane
-//! `j % 4`, the tail after the last full four, and
+//! The kernel's summation order is part of its definition (DESIGN §7):
+//! run-major, tile-minor, ligand-atom, then within the span receptor atom
+//! `j` into lane `j % 4`, the tail after the last full four, and
 //! `(acc0 + acc1) + (acc2 + acc3) + tail`. Every execution path (serial,
 //! `CpuPool`, `DeviceEvaluator`) runs this exact code, so scores are
-//! bit-identical across paths — and across lane instantiations — for a
-//! fixed kernel; *different* kernels agree within 1e-9 relative (pinned by
-//! tests here and in `tests/props.rs`).
+//! bit-identical across paths — and across lane instantiations; it agrees
+//! with the separate-pass [`crate::lj::lj_naive`] reference within 1e-9
+//! relative (pinned by tests here and in `tests/props.rs`).
 
 use crate::coulomb::COULOMB_K;
 use crate::hbond::{hbond_from_q, is_hbond_capable_idx, HB_SIGMA_SQ};
 use crate::lanes::{widest, Lane, Wide, WideFn};
-use crate::lj::{clamped, lj_at, lj_from_q, Frame, PairTable, TILE};
+use crate::lj::{clamped, lj_from_q, Frame, PairTable, TILE};
 use vsmol::Element;
 
 /// Independent accumulator lanes in the inner loops: receptor atom `j` of
@@ -84,12 +78,11 @@ pub struct Run {
 }
 
 /// A receptor frame permuted so same-element atoms are contiguous, plus
-/// the run table and the permutation back to the original atom order.
+/// the run table.
 #[derive(Debug, Clone, Default)]
 pub struct RunFrame {
     frame: Frame,
     runs: Vec<Run>,
-    perm: Vec<u32>,
 }
 
 impl RunFrame {
@@ -108,12 +101,6 @@ impl RunFrame {
             starts[e] = acc;
             acc += counts[e];
         }
-        let mut perm = vec![0u32; n];
-        let mut cursor = starts.clone();
-        for (orig, &e) in rec.elem.iter().enumerate() {
-            perm[cursor[e as usize]] = orig as u32;
-            cursor[e as usize] += 1;
-        }
         let mut frame = Frame {
             x: vec![0.0; n],
             y: vec![0.0; n],
@@ -121,19 +108,21 @@ impl RunFrame {
             elem: vec![0; n],
             charge: vec![0.0; n],
         };
-        for (k, &o) in perm.iter().enumerate() {
-            let o = o as usize;
+        let mut cursor = starts.clone();
+        for (o, &e) in rec.elem.iter().enumerate() {
+            let k = cursor[e as usize];
+            cursor[e as usize] += 1;
             frame.x[k] = rec.x[o];
             frame.y[k] = rec.y[o];
             frame.z[k] = rec.z[o];
-            frame.elem[k] = rec.elem[o];
+            frame.elem[k] = e;
             frame.charge[k] = rec.charge[o];
         }
         let runs = (0..ne)
             .filter(|&e| counts[e] > 0)
             .map(|e| Run { elem: e as u8, start: starts[e], len: counts[e] })
             .collect();
-        RunFrame { frame, runs, perm }
+        RunFrame { frame, runs }
     }
 
     /// The permuted SoA columns — a plain [`Frame`] any kernel can stream.
@@ -146,41 +135,12 @@ impl RunFrame {
         &self.runs
     }
 
-    /// `perm()[k]` is the original receptor index of permuted atom `k`
-    /// (the scatter map for per-receptor-atom results).
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
-    }
-
     pub fn len(&self) -> usize {
         self.frame.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.frame.is_empty()
-    }
-}
-
-/// The energy of one ligand-atom × receptor-atom pair, from the pair's
-/// clamped squared distance and the receptor atom's charge. Written over
-/// [`Lane`], so the four-lane body and the scalar tail of [`span`] are one
-/// formula.
-trait PairEnergy: Copy {
-    fn at<V: Lane>(self, r2: V, qj: V) -> V;
-}
-
-/// [`lj_run`]'s pair: `q` by one division per pair — [`lj_at`], the
-/// formula of [`crate::lj::lj_pair`], with `(σ², 4ε)` as span constants.
-#[derive(Clone, Copy)]
-struct LjPair {
-    s2: f64,
-    e4: f64,
-}
-
-impl PairEnergy for LjPair {
-    #[inline(always)]
-    fn at<V: Lane>(self, r2: V, _qj: V) -> V {
-        lj_at(self.s2, self.e4, r2)
     }
 }
 
@@ -196,7 +156,10 @@ struct FusedPair<const COUL: bool, const HB: bool> {
     hb_eps: f64,
 }
 
-impl<const COUL: bool, const HB: bool> PairEnergy for FusedPair<COUL, HB> {
+impl<const COUL: bool, const HB: bool> FusedPair<COUL, HB> {
+    /// The pair energy from the pair's clamped squared distance and the
+    /// receptor atom's charge. Written over [`Lane`], so the four-lane body
+    /// and the scalar tail of [`span`] are one formula.
     #[inline(always)]
     fn at<V: Lane>(self, r2: V, qj: V) -> V {
         let inv = V::splat(1.0) / r2;
@@ -211,25 +174,32 @@ impl<const COUL: bool, const HB: bool> PairEnergy for FusedPair<COUL, HB> {
     }
 }
 
-/// `energy` of the ligand atom at `at` against the receptor atoms in the
-/// lanes of `(x, y, z)` with charges `q`: `r²`, clamped at
+/// `pair` energy of the ligand atom at `at` against the receptor atoms in
+/// the lanes of `(x, y, z)` with charges `q`: `r²`, clamped at
 /// [`crate::lj::MIN_DIST_SQ`], then the pair formula.
 #[inline(always)]
-fn pair_energy<V: Lane, E: PairEnergy>(energy: E, at: [f64; 3], x: V, y: V, z: V, q: V) -> V {
+fn pair_energy<V: Lane, const COUL: bool, const HB: bool>(
+    pair: FusedPair<COUL, HB>,
+    at: [f64; 3],
+    x: V,
+    y: V,
+    z: V,
+    q: V,
+) -> V {
     let dx = V::splat(at[0]) - x;
     let dy = V::splat(at[1]) - y;
     let dz = V::splat(at[2]) - z;
-    energy.at(clamped(dx * dx + dy * dy + dz * dz), q)
+    pair.at(clamped(dx * dx + dy * dy + dz * dz), q)
 }
 
 /// One ligand atom against one contiguous same-element span — the
-/// canonical order of the run kernels: receptor atom `j` adds into lane
+/// canonical order of the kernel: receptor atom `j` adds into lane
 /// `j % LANES` of one [`Wide`] accumulator, the `len % LANES` atoms left
 /// over into a scalar tail, and the span's sum is
 /// `(acc0 + acc1) + (acc2 + acc3) + tail`.
 #[inline(always)]
-fn span<W: Wide, E: PairEnergy>(
-    energy: E,
+fn span<W: Wide, const COUL: bool, const HB: bool>(
+    pair: FusedPair<COUL, HB>,
     at: [f64; 3],
     xs: &[f64],
     ys: &[f64],
@@ -246,28 +216,22 @@ fn span<W: Wide, E: PairEnergy>(
     for (((x, y), z), q) in x4.iter().zip(y4).zip(z4).zip(q4) {
         let (x, y, z, q) =
             (W::from_array(*x), W::from_array(*y), W::from_array(*z), W::from_array(*q));
-        acc = acc + pair_energy(energy, at, x, y, z, q);
+        acc = acc + pair_energy(pair, at, x, y, z, q);
     }
     let mut tail = 0.0;
     for (((x, y), z), q) in x1.iter().zip(y1).zip(z1).zip(q1) {
-        tail += pair_energy(energy, at, *x, *y, *z, *q);
+        tail += pair_energy(pair, at, *x, *y, *z, *q);
     }
     let [a0, a1, a2, a3] = acc.to_array();
     (a0 + a1) + (a2 + a3) + tail
 }
 
-/// Which run kernel to sweep a pose with, so both reach the lanes through
-/// one door ([`PoseSweep`]).
-#[derive(Debug, Clone, Copy)]
-enum Sweep {
-    Lj,
-    Fused { dielectric: Option<f64>, hbond_eps: Option<f64> },
-}
-
-/// One pose's sweep, for [`widest`] to pick the lanes of (once per pose).
+/// One pose's sweep under one scoring model, for [`widest`] to pick the
+/// lanes of (once per pose).
 #[derive(Clone, Copy)]
 struct PoseSweep<'a> {
-    kernel: Sweep,
+    dielectric: Option<f64>,
+    hbond_eps: Option<f64>,
     lig: &'a Frame,
     rec: &'a RunFrame,
     table: &'a PairTable,
@@ -277,46 +241,15 @@ impl WideFn for PoseSweep<'_> {
     type Output = f64;
     #[inline(always)]
     fn call<W: Wide>(self) -> f64 {
-        let PoseSweep { kernel, lig, rec, table } = self;
-        match kernel {
-            Sweep::Lj => lj_impl::<W>(lig, rec, table),
-            // One statically gated body per scoring model.
-            Sweep::Fused { dielectric, hbond_eps } => match (dielectric, hbond_eps) {
-                (None, None) => fused_impl::<W, false, false>(lig, rec, table, 1.0, 0.0),
-                (Some(d), None) => fused_impl::<W, true, false>(lig, rec, table, d, 0.0),
-                (None, Some(e)) => fused_impl::<W, false, true>(lig, rec, table, 1.0, e),
-                (Some(d), Some(e)) => fused_impl::<W, true, true>(lig, rec, table, d, e),
-            },
+        let PoseSweep { dielectric, hbond_eps, lig, rec, table } = self;
+        // One statically gated body per scoring model.
+        match (dielectric, hbond_eps) {
+            (None, None) => fused_impl::<W, false, false>(lig, rec, table, 1.0, 0.0),
+            (Some(d), None) => fused_impl::<W, true, false>(lig, rec, table, d, 0.0),
+            (None, Some(e)) => fused_impl::<W, false, true>(lig, rec, table, 1.0, e),
+            (Some(d), Some(e)) => fused_impl::<W, true, true>(lig, rec, table, d, e),
         }
     }
-}
-
-/// Run-layout Lennard-Jones kernel: run-major, [`TILE`]-blocked within
-/// each run, `(σ², 4ε)` hoisted per (ligand atom × run).
-pub fn lj_run(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-    widest(PoseSweep { kernel: Sweep::Lj, lig, rec, table })
-}
-
-#[inline(always)]
-fn lj_impl<W: Wide>(lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-    let rf = &rec.frame;
-    let mut total = 0.0;
-    for run in &rec.runs {
-        let run_end = run.start + run.len;
-        let mut start = run.start;
-        while start < run_end {
-            let end = (start + TILE).min(run_end);
-            let (xs, ys, zs) = (&rf.x[start..end], &rf.y[start..end], &rf.z[start..end]);
-            let qs = &rf.charge[start..end];
-            for i in 0..lig.len() {
-                let (s2, e4) = table.lookup(lig.elem[i], run.elem);
-                let at = [lig.x[i], lig.y[i], lig.z[i]];
-                total += span::<W, _>(LjPair { s2, e4 }, at, xs, ys, zs, qs);
-            }
-            start = end;
-        }
-    }
-    total
 }
 
 #[inline(always)]
@@ -348,10 +281,10 @@ fn fused_impl<W: Wide, const COUL: bool, const HB: bool>(
                 let at = [lig.x[i], lig.y[i], lig.z[i]];
                 total += if run_capable && is_hbond_capable_idx(le) {
                     let pair = FusedPair::<COUL, true> { s2, e4, ck, hb_eps };
-                    span::<W, _>(pair, at, xs, ys, zs, qs)
+                    span::<W, _, _>(pair, at, xs, ys, zs, qs)
                 } else {
                     let pair = FusedPair::<COUL, false> { s2, e4, ck, hb_eps: 0.0 };
-                    span::<W, _>(pair, at, xs, ys, zs, qs)
+                    span::<W, _, _>(pair, at, xs, ys, zs, qs)
                 };
             }
             start = end;
@@ -379,7 +312,7 @@ pub fn fused_run(
         assert!(e >= 0.0, "well depth must be non-negative");
     }
     let hbond_eps = hbond_eps.filter(|&e| e > 0.0);
-    widest(PoseSweep { kernel: Sweep::Fused { dielectric, hbond_eps }, lig, rec, table })
+    widest(PoseSweep { dielectric, hbond_eps, lig, rec, table })
 }
 
 #[cfg(test)]
@@ -433,23 +366,28 @@ mod tests {
         Frame::from_molecule(&lig.centered().transformed(&pose))
     }
 
-    /// Both run kernels under every model: LJ, and fused with each
-    /// `(COUL, HB)` gating.
-    const SWEEPS: [Sweep; 5] = [
-        Sweep::Lj,
-        Sweep::Fused { dielectric: None, hbond_eps: None },
-        Sweep::Fused { dielectric: Some(4.0), hbond_eps: None },
-        Sweep::Fused { dielectric: None, hbond_eps: Some(1.0) },
-        Sweep::Fused { dielectric: Some(4.0), hbond_eps: Some(1.0) },
-    ];
+    /// The fused kernel under every model: `(dielectric, hbond_eps)` for
+    /// each `(COUL, HB)` gating.
+    const MODELS: [(Option<f64>, Option<f64>); 4] =
+        [(None, None), (Some(4.0), None), (None, Some(1.0)), (Some(4.0), Some(1.0))];
 
     /// The canonical order (DESIGN §7) spelled out pair by pair over the
     /// `f64` instantiation alone: run-major, tile-minor, ligand atom, lane
     /// `j % LANES`, `(acc0 + acc1) + (acc2 + acc3) + tail`. Every wide
     /// instantiation must reproduce it bit for bit.
-    fn scalar_lanes(kernel: Sweep, lig: &Frame, rec: &RunFrame, table: &PairTable) -> f64 {
-        fn at_atom<E: PairEnergy>(energy: E, at: [f64; 3], rf: &Frame, j: usize) -> f64 {
-            pair_energy(energy, at, rf.x[j], rf.y[j], rf.z[j], rf.charge[j])
+    fn scalar_lanes(
+        (dielectric, hbond_eps): (Option<f64>, Option<f64>),
+        lig: &Frame,
+        rec: &RunFrame,
+        table: &PairTable,
+    ) -> f64 {
+        fn at_atom<const COUL: bool, const HB: bool>(
+            pair: FusedPair<COUL, HB>,
+            at: [f64; 3],
+            rf: &Frame,
+            j: usize,
+        ) -> f64 {
+            pair_energy(pair, at, rf.x[j], rf.y[j], rf.z[j], rf.charge[j])
         }
         let rf = rec.frame();
         let mut total = 0.0;
@@ -462,12 +400,9 @@ mod tests {
                     let (s2, e4) = table.lookup(lig.elem[i], run.elem);
                     let capable =
                         is_hbond_capable_idx(run.elem) && is_hbond_capable_idx(lig.elem[i]);
+                    let ck = dielectric.map_or(0.0, |d| COULOMB_K * lig.charge[i] / d);
+                    let hb_eps = hbond_eps.filter(|_| capable).unwrap_or(0.0);
                     let one = |j: usize| -> f64 {
-                        let Sweep::Fused { dielectric, hbond_eps } = kernel else {
-                            return at_atom(LjPair { s2, e4 }, at, rf, j);
-                        };
-                        let ck = dielectric.map_or(0.0, |d| COULOMB_K * lig.charge[i] / d);
-                        let hb_eps = hbond_eps.filter(|_| capable).unwrap_or(0.0);
                         match (dielectric.is_some(), hb_eps > 0.0) {
                             (false, false) => {
                                 at_atom(FusedPair::<false, false> { s2, e4, ck, hb_eps }, at, rf, j)
@@ -501,16 +436,17 @@ mod tests {
 
     /// Scalar lanes, the portable [`F64x4`] (instantiated here, so it is
     /// exercised on every host) and whatever [`widest`] picks on
-    /// this one must agree to the bit, for every kernel and model.
-    /// Returns the five scores.
-    fn assert_lane_paths_agree(lig: &Frame, rec: &RunFrame, what: &str) -> [f64; 5] {
+    /// this one must agree to the bit, for every model. Returns the four
+    /// scores.
+    fn assert_lane_paths_agree(lig: &Frame, rec: &RunFrame, what: &str) -> [f64; 4] {
         let t = table();
-        SWEEPS.map(|kernel| {
-            let want = scalar_lanes(kernel, lig, rec, &t);
-            let pose = PoseSweep { kernel, lig, rec, table: &t };
+        MODELS.map(|model| {
+            let want = scalar_lanes(model, lig, rec, &t);
+            let (dielectric, hbond_eps) = model;
+            let pose = PoseSweep { dielectric, hbond_eps, lig, rec, table: &t };
             let (portable, detected) = (pose.call::<F64x4>(), widest(pose));
-            assert_eq!(portable.to_bits(), want.to_bits(), "{what}, {kernel:?}: portable lanes");
-            assert_eq!(detected.to_bits(), want.to_bits(), "{what}, {kernel:?}: detected lanes");
+            assert_eq!(portable.to_bits(), want.to_bits(), "{what}, {model:?}: portable lanes");
+            assert_eq!(detected.to_bits(), want.to_bits(), "{what}, {model:?}: detected lanes");
             want
         })
     }
@@ -612,23 +548,22 @@ mod tests {
         let rec = frame_with_runs(&[(Element::C, 37), (Element::N, 5), (Element::O, 12)], 3);
         let rf = RunFrame::from_frame(&rec);
         assert_eq!(rf.len(), rec.len());
-        // Permuted columns match the original through the permutation.
-        for (k, &o) in rf.perm().iter().enumerate() {
-            let o = o as usize;
-            assert_eq!(rf.frame().x[k], rec.x[o]);
-            assert_eq!(rf.frame().y[k], rec.y[o]);
-            assert_eq!(rf.frame().z[k], rec.z[o]);
-            assert_eq!(rf.frame().elem[k], rec.elem[o]);
-            assert_eq!(rf.frame().charge[k], rec.charge[o]);
-        }
-        // Runs are contiguous, disjoint, element-homogeneous, and cover
-        // the whole frame in element-index order.
+        // Runs are contiguous, disjoint, and cover the whole frame in
+        // element-index order; each is that element's atoms in their
+        // original order.
         let mut expected_start = 0;
         for run in rf.runs() {
             assert_eq!(run.start, expected_start);
             assert!(run.len > 0);
-            for k in run.start..run.start + run.len {
-                assert_eq!(rf.frame().elem[k], run.elem);
+            let original: Vec<usize> =
+                (0..rec.len()).filter(|&o| rec.elem[o] == run.elem).collect();
+            assert_eq!(original.len(), run.len);
+            for (k, o) in (run.start..run.start + run.len).zip(original) {
+                assert_eq!(rf.frame().x[k], rec.x[o]);
+                assert_eq!(rf.frame().y[k], rec.y[o]);
+                assert_eq!(rf.frame().z[k], rec.z[o]);
+                assert_eq!(rf.frame().elem[k], rec.elem[o]);
+                assert_eq!(rf.frame().charge[k], rec.charge[o]);
             }
             expected_start += run.len;
         }
@@ -644,21 +579,20 @@ mod tests {
         let (lig, rec) = synth_frames(1500, 30, 11);
         let t = table();
         let a = lj_naive(&lig, &rec, &t);
-        let b = lj_run(&lig, &RunFrame::from_frame(&rec), &t);
+        let b = fused_run(&lig, &RunFrame::from_frame(&rec), &t, None, None);
         assert!(close(a, b), "{a} vs {b}");
     }
 
     #[test]
     fn run_matches_naive_at_run_boundaries() {
-        // Run lengths straddling the lane width and the tile size, the
-        // mirror of `tiled_matches_naive_at_tile_boundaries`. Length 0 is
-        // the absent-element case (no run emitted).
+        // Run lengths straddling the lane width and the tile size. Length
+        // 0 is the absent-element case (no run emitted).
         let t = table();
         for len in [1usize, 2, 3, LANES, LANES + 1, TILE - 1, TILE, TILE + 1] {
             let rec = frame_with_runs(&[(Element::C, len), (Element::O, 1)], 7 + len as u64);
             let lig = Frame::from_molecule(&synth::synth_ligand("l", 9, 13));
             let a = lj_naive(&lig, &rec, &t);
-            let b = lj_run(&lig, &RunFrame::from_frame(&rec), &t);
+            let b = fused_run(&lig, &RunFrame::from_frame(&rec), &t, None, None);
             assert!(close(a, b), "len={len}: {a} vs {b}");
         }
     }
@@ -670,7 +604,7 @@ mod tests {
         assert_eq!(rf.runs().len(), 1);
         let lig = Frame::from_molecule(&synth::synth_ligand("l", 12, 19));
         let t = table();
-        assert!(close(lj_naive(&lig, &rec, &t), lj_run(&lig, &rf, &t)));
+        assert!(close(lj_naive(&lig, &rec, &t), fused_run(&lig, &rf, &t, None, None)));
     }
 
     #[test]
@@ -682,7 +616,7 @@ mod tests {
         assert!(rf.runs().iter().all(|r| r.len == 1));
         let lig = Frame::from_molecule(&synth::synth_ligand("l", 7, 29));
         let t = table();
-        assert!(close(lj_naive(&lig, &rec, &t), lj_run(&lig, &rf, &t)));
+        assert!(close(lj_naive(&lig, &rec, &t), fused_run(&lig, &rf, &t, None, None)));
         let a = fused_run(&lig, &rf, &t, Some(4.0), Some(1.0));
         let want = lj_naive(&lig, &rec, &t)
             + coulomb_naive(&lig, &rec, 4.0)
@@ -698,10 +632,10 @@ mod tests {
         assert!(rf.is_empty());
         assert!(rf.runs().is_empty());
         let one = Frame::from_parts(&[Vec3::ZERO], &[Element::C], &[0.1]);
-        assert_eq!(lj_run(&one, &rf, &t), 0.0);
+        assert_eq!(fused_run(&one, &rf, &t, None, None), 0.0);
         assert_eq!(fused_run(&one, &rf, &t, Some(4.0), Some(1.0)), 0.0);
         let one_rf = RunFrame::from_frame(&one);
-        assert_eq!(lj_run(&empty, &one_rf, &t), 0.0);
+        assert_eq!(fused_run(&empty, &one_rf, &t, None, None), 0.0);
     }
 
     #[test]

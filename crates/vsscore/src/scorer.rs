@@ -27,8 +27,8 @@
 //! kernel (the schedule-invariance invariant, DESIGN §7).
 
 use crate::coulomb::{coulomb_naive, coulomb_pair};
-use crate::lj::{lj_naive, lj_pair, lj_tiled, Frame, PairTable};
-use crate::run::{fused_run, lj_run, RunFrame};
+use crate::lj::{lj_naive, lj_pair, Frame, PairTable};
+use crate::run::{fused_run, RunFrame};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vsmath::{RigidTransform, SpatialGrid, Vec3};
@@ -75,17 +75,12 @@ impl ScoringModel {
 /// (DESIGN §7).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum Kernel {
-    /// All-pairs, ligand-outer loop.
+    /// All-pairs, ligand-outer loop, one pass per model term: the
+    /// reference the other kernels are compared with.
     Naive,
-    /// All-pairs, receptor-tile-outer loop (cache-blocking; the CUDA
-    /// shared-memory tiling analog).
-    Tiled,
-    /// Element-run receptor layout ([`crate::run::RunFrame`]): the LJ pass
-    /// hoists `(σ², 4ε)` per run (no per-pair gather); Coulomb/H-bond
-    /// terms stream the permuted frame in separate passes.
-    Run,
-    /// Element-run layout with LJ + Coulomb + run-gated H-bond fused into
-    /// a **single receptor pass** ([`crate::run::fused_run`]). Default.
+    /// Element-run receptor layout ([`crate::run::RunFrame`]), tiled
+    /// within each run, with LJ + Coulomb + run-gated H-bond fused into a
+    /// **single receptor pass** ([`crate::run::fused_run`]). Default.
     #[default]
     Fused,
     /// Exact spherical cutoff through a receptor cell list
@@ -171,9 +166,7 @@ pub struct Scorer {
 #[derive(Debug, Clone)]
 enum KernelData {
     Naive,
-    Tiled,
     /// The element-run permutation of the receptor frame.
-    Run(RunFrame),
     Fused(RunFrame),
     CellList {
         cutoff: f64,
@@ -191,7 +184,7 @@ static NEXT_BINDING_ID: AtomicU64 = AtomicU64::new(1);
 impl Scorer {
     /// Prepare a scorer. The ligand is re-centered at its centroid so pose
     /// translations place the ligand *center*. The receptor is flattened
-    /// once; the run kernels additionally permute it into element runs
+    /// once; the fused kernel additionally permutes it into element runs
     /// here, so the per-pose hot loop never touches unsorted elements.
     pub fn new(receptor: &Molecule, ligand: &Molecule, opts: ScorerOptions) -> Scorer {
         Scorer::new_inner(receptor, ligand, opts, None)
@@ -220,8 +213,6 @@ impl Scorer {
         let dense_pairs = crate::pairs_per_eval(lig_atoms, rec_frame.len());
         let (kernel, units_per_eval) = match opts.kernel {
             Kernel::Naive => (KernelData::Naive, dense_pairs),
-            Kernel::Tiled => (KernelData::Tiled, dense_pairs),
-            Kernel::Run => (KernelData::Run(RunFrame::from_frame(&rec_frame)), dense_pairs),
             Kernel::Fused => (KernelData::Fused(RunFrame::from_frame(&rec_frame)), dense_pairs),
             Kernel::CellList { cutoff } => {
                 assert!(cutoff > 0.0, "cutoff must be positive");
@@ -342,32 +333,20 @@ impl Scorer {
     pub(crate) fn score_bound(&self, pose: &RigidTransform, scratch: &mut PoseScratch) -> f64 {
         let (dielectric, hbond_eps) =
             (self.opts.model.dielectric(), self.opts.model.hbond_epsilon());
-        // The multi-pass kernels: one LJ pass, then one pass per enabled
-        // model term over `rec` (`Run` streams the permuted frame in the
-        // extra passes — the memory its LJ pass touched).
-        let multi_pass = |lig: &Frame, lj: f64, rec: &Frame| {
-            let mut total = lj;
-            if let Some(dielectric) = dielectric {
-                total += coulomb_naive(lig, rec, dielectric);
-            }
-            if let Some(eps) = hbond_eps {
-                total += crate::hbond::hbond_naive(lig, rec, eps);
-            }
-            total
-        };
         match &self.kernel {
             KernelData::Grid(grid) => grid.score(pose),
             KernelData::Naive => {
+                // One LJ pass, then one pass per enabled model term.
                 let lig = self.place(pose, scratch);
-                multi_pass(lig, lj_naive(lig, &self.rec_frame, &self.table), &self.rec_frame)
-            }
-            KernelData::Tiled => {
-                let lig = self.place(pose, scratch);
-                multi_pass(lig, lj_tiled(lig, &self.rec_frame, &self.table), &self.rec_frame)
-            }
-            KernelData::Run(runs) => {
-                let lig = self.place(pose, scratch);
-                multi_pass(lig, lj_run(lig, runs, &self.table), runs.frame())
+                let rec = &self.rec_frame;
+                let mut total = lj_naive(lig, rec, &self.table);
+                if let Some(dielectric) = dielectric {
+                    total += coulomb_naive(lig, rec, dielectric);
+                }
+                if let Some(eps) = hbond_eps {
+                    total += crate::hbond::hbond_naive(lig, rec, eps);
+                }
+                total
             }
             KernelData::Fused(runs) => {
                 fused_run(self.place(pose, scratch), runs, &self.table, dielectric, hbond_eps)
@@ -415,7 +394,7 @@ impl Scorer {
     /// [`Scorer::score_and_gradient`] through a reusable scratch: the
     /// transformed ligand frame produced by scoring (written after scoring
     /// for [`Kernel::Grid`], which reads none) is fed straight to the
-    /// gradient kernel, with no per-pose allocation. Scorers on a run
+    /// gradient kernel, with no per-pose allocation. Scorers on the fused
     /// kernel descend the run-layout gradient kernel (hoisted `(σ², 4ε)`,
     /// no per-pair gather), same force field either way.
     pub fn score_and_gradient_with(
@@ -429,7 +408,7 @@ impl Scorer {
         }
         let dielectric = self.opts.model.dielectric();
         let grad = match &self.kernel {
-            KernelData::Run(runs) | KernelData::Fused(runs) => crate::forces::rigid_gradient_run(
+            KernelData::Fused(runs) => crate::forces::rigid_gradient_run(
                 &scratch.lig,
                 runs,
                 &self.table,
@@ -589,17 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_tiled_scorers_agree() {
-        let a = setup(Kernel::Naive);
-        let b = setup(Kernel::Tiled);
-        for pose in random_poses(10, 1, 30.0) {
-            let sa = a.score(&pose);
-            let sb = b.score(&pose);
-            assert!((sa - sb).abs() <= 1e-9 * sa.abs().max(1.0), "{sa} vs {sb}");
-        }
-    }
-
-    #[test]
     fn fused_is_the_default_kernel() {
         assert_eq!(ScorerOptions::default().kernel, Kernel::Fused);
     }
@@ -614,16 +582,14 @@ mod tests {
             ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 },
         ] {
             let reference = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Naive });
-            for kernel in [Kernel::Tiled, Kernel::Run, Kernel::Fused] {
-                let s = Scorer::new(&rec, &lig, ScorerOptions { model, kernel });
-                for pose in random_poses(6, 2, 25.0) {
-                    let want = reference.score(&pose);
-                    let got = s.score(&pose);
-                    assert!(
-                        (want - got).abs() <= 1e-9 * want.abs().max(1.0),
-                        "{model:?}/{kernel:?}: {want} vs {got}"
-                    );
-                }
+            let fused = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Fused });
+            for pose in random_poses(6, 2, 25.0) {
+                let want = reference.score(&pose);
+                let got = fused.score(&pose);
+                assert!(
+                    (want - got).abs() <= 1e-9 * want.abs().max(1.0),
+                    "{model:?}: {want} vs {got}"
+                );
             }
         }
     }
@@ -686,7 +652,7 @@ mod tests {
 
     #[test]
     fn batch_matches_single() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let poses = random_poses(12, 3, 20.0);
         let batch = batch_scores(&s, &poses, Exec::Serial);
         for (p, &b) in poses.iter().zip(&batch) {
@@ -696,7 +662,7 @@ mod tests {
 
     #[test]
     fn batch_scores_conformations_in_place() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let poses = random_poses(9, 13, 20.0);
         let mut confs: Vec<Conformation> = poses.iter().map(|p| Conformation::new(*p, 0)).collect();
         let mut scratch = PoseScratch::new();
@@ -708,7 +674,7 @@ mod tests {
 
     #[test]
     fn pool_exec_matches_serial() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let poses = random_poses(37, 4, 20.0);
         let serial = batch_scores(&s, &poses, Exec::Serial);
         for n_threads in [0, 1, 2, 3, 8, 64] {
@@ -719,7 +685,7 @@ mod tests {
 
     #[test]
     fn pool_exec_empty_and_single() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         assert!(batch_scores(&s, &[], Exec::Pool(4)).is_empty());
         let one = random_poses(1, 5, 10.0);
         assert_eq!(batch_scores(&s, &one, Exec::Pool(4)), batch_scores(&s, &one, Exec::Serial));
@@ -728,7 +694,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "output slice length must match pose count")]
     fn mismatched_output_length_panics() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let poses = random_poses(3, 6, 10.0);
         let mut out = vec![0.0; 2];
         let mut scratch = PoseScratch::new();
@@ -749,7 +715,7 @@ mod tests {
             &lig,
             ScorerOptions {
                 model: ScoringModel::LennardJonesCoulomb { dielectric: 4.0 },
-                kernel: Kernel::Tiled,
+                kernel: Kernel::Naive,
             },
         );
         let pose = RigidTransform::from_translation(Vec3::new(25.0, 0.0, 0.0));
@@ -758,14 +724,14 @@ mod tests {
 
     #[test]
     fn far_away_ligand_scores_near_zero() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let far = RigidTransform::from_translation(Vec3::new(1e5, 0.0, 0.0));
         assert!(s.score(&far).abs() < 1e-6);
     }
 
     #[test]
     fn ligand_inside_receptor_is_unfavorable() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let inside = RigidTransform::IDENTITY; // ligand at receptor center
         let surface = RigidTransform::from_translation(Vec3::new(19.0, 0.0, 0.0));
         assert!(
@@ -777,7 +743,7 @@ mod tests {
     #[test]
     fn there_exists_a_favorable_pose() {
         // Somewhere near the surface the LJ attraction wins: score < 0.
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let mut best = f64::INFINITY;
         let mut rng = RngStream::from_seed(9);
         for _ in 0..300 {
@@ -791,7 +757,7 @@ mod tests {
 
     #[test]
     fn rotation_changes_score() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         let t = Vec3::new(18.0, 2.0, 1.0);
         let a = s.score(&RigidTransform::new(Quat::IDENTITY, t));
         let b = s.score(&RigidTransform::new(Quat::from_axis_angle(Vec3::X, 1.5), t));
@@ -800,7 +766,7 @@ mod tests {
 
     #[test]
     fn pairs_per_eval_exposed() {
-        let s = setup(Kernel::Tiled);
+        let s = setup(Kernel::Naive);
         assert_eq!(s.pairs_per_eval(), (s.ligand_atoms() * s.receptor_atoms()) as u64);
     }
 
@@ -813,7 +779,7 @@ mod tests {
             &lig,
             ScorerOptions {
                 model: ScoringModel::LennardJonesCoulomb { dielectric: 4.0 },
-                kernel: Kernel::Tiled,
+                kernel: Kernel::Naive,
             },
         );
         let full = Scorer::new(
@@ -821,7 +787,7 @@ mod tests {
             &lig,
             ScorerOptions {
                 model: ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 },
-                kernel: Kernel::Tiled,
+                kernel: Kernel::Naive,
             },
         );
         // Scan poses until one differs (N/O contact); a zero-eps Full model
@@ -831,7 +797,7 @@ mod tests {
             &lig,
             ScorerOptions {
                 model: ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 0.0 },
-                kernel: Kernel::Tiled,
+                kernel: Kernel::Naive,
             },
         );
         let mut rng = RngStream::from_seed(21);
@@ -854,7 +820,7 @@ mod tests {
         let rec = synth::synth_receptor("r", 300, 7);
         let lig = synth::synth_ligand("l", 10, 8);
         let model = ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 };
-        let dense = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Tiled });
+        let dense = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Naive });
         let grid = Scorer::new(
             &rec,
             &lig,

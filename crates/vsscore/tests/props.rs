@@ -39,7 +39,7 @@ proptest! {
             ScoringModel::LennardJonesCoulomb { dielectric: 4.0 },
             ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 },
         ] {
-            let s = scorer(Kernel::Tiled, model);
+            let s = scorer(Kernel::Naive, model);
             prop_assert!(s.score(&pose).is_finite());
         }
     }
@@ -47,9 +47,9 @@ proptest! {
     #[test]
     fn kernels_agree_on_any_pose(pose in arb_pose()) {
         let naive = scorer(Kernel::Naive, ScoringModel::LennardJones);
-        let tiled = scorer(Kernel::Tiled, ScoringModel::LennardJones);
+        let fused = scorer(Kernel::Fused, ScoringModel::LennardJones);
         let a = naive.score(&pose);
-        let b = tiled.score(&pose);
+        let b = fused.score(&pose);
         prop_assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{} vs {}", a, b);
     }
 
@@ -61,7 +61,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Random frames × random poses × all three scoring models: the
-        // run-layout kernels must reproduce the naive reference within
+        // run-layout fused kernel must reproduce the naive reference within
         // 1e-9 relative (the per-kernel agreement policy, DESIGN §7).
         let rec = synth::synth_receptor("r", n_rec, seed);
         let lig = synth::synth_ligand("l", n_lig, seed ^ 0x9e37_79b9);
@@ -72,19 +72,18 @@ proptest! {
         ] {
             let want = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Naive })
                 .score(&pose);
-            for kernel in [Kernel::Run, Kernel::Fused] {
-                let got = Scorer::new(&rec, &lig, ScorerOptions { model, kernel }).score(&pose);
-                prop_assert!(
-                    (want - got).abs() <= 1e-9 * want.abs().max(1.0),
-                    "{:?}/{:?}: {} vs {}", model, kernel, want, got
-                );
-            }
+            let got = Scorer::new(&rec, &lig, ScorerOptions { model, kernel: Kernel::Fused })
+                .score(&pose);
+            prop_assert!(
+                (want - got).abs() <= 1e-9 * want.abs().max(1.0),
+                "{:?}: {} vs {}", model, want, got
+            );
         }
     }
 
     #[test]
     fn batch_matches_singles(poses in proptest::collection::vec(arb_pose(), 1..12)) {
-        let s = scorer(Kernel::Tiled, ScoringModel::LennardJones);
+        let s = scorer(Kernel::Naive, ScoringModel::LennardJones);
         let mut scratch = PoseScratch::new();
         let mut batch = vec![0.0; poses.len()];
         s.score_batch(ScoreBatch::Poses { poses: &poses, out: &mut batch }, &mut scratch, Exec::Serial);
@@ -98,7 +97,7 @@ proptest! {
 
     #[test]
     fn gradient_is_finite_and_consistent(pose in arb_pose()) {
-        let s = scorer(Kernel::Tiled, ScoringModel::LennardJonesCoulomb { dielectric: 4.0 });
+        let s = scorer(Kernel::Naive, ScoringModel::LennardJonesCoulomb { dielectric: 4.0 });
         let (score, g) = s.score_and_gradient(&pose);
         prop_assert!(score.is_finite());
         prop_assert!(g.force.is_finite());
@@ -108,7 +107,7 @@ proptest! {
 
     #[test]
     fn far_pose_scores_vanish(dir_seed in any::<u64>(), dist in 1e4..1e6f64) {
-        let s = scorer(Kernel::Tiled, ScoringModel::LennardJones);
+        let s = scorer(Kernel::Naive, ScoringModel::LennardJones);
         let mut rng = RngStream::from_seed(dir_seed);
         let pose = RigidTransform::from_translation(rng.unit_vector() * dist);
         prop_assert!(s.score(&pose).abs() < 1e-3);
@@ -137,9 +136,9 @@ proptest! {
     fn hbond_term_only_lowers_reasonable_contacts(pose in arb_pose()) {
         // Full model = LJC + H-bond: difference must be finite and bounded
         // (H-bond adds at most a few kcal/mol per N/O pair in contact).
-        let ljc = scorer(Kernel::Tiled, ScoringModel::LennardJonesCoulomb { dielectric: 4.0 });
+        let ljc = scorer(Kernel::Naive, ScoringModel::LennardJonesCoulomb { dielectric: 4.0 });
         let full = scorer(
-            Kernel::Tiled,
+            Kernel::Naive,
             ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 },
         );
         let delta = full.score(&pose) - ljc.score(&pose);

@@ -102,7 +102,7 @@ sed -E 's/, "grid_poses_per_sec": .* \}/ }/' target/BENCH_grid.json \
   | diff -u scripts/grid_accuracy.expected - \
   || { echo "grid_accuracy: scores differ from scripts/grid_accuracy.expected" >&2; exit 1; }
 
-echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model, Run and Fused)"
+echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_
 
 echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop and byte-equality with BENCH_pipeline.json)"

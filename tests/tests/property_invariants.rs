@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use vsched::{equal_split, percent_factors, proportional_split};
 use vsmath::{Quat, RigidTransform, RngStream, SpatialGrid, Vec3};
 use vsmol::{Atom, Element, LjTable, Molecule};
-use vsscore::lj::{lj_naive, lj_tiled, Frame, PairTable};
+use vsscore::lj::{lj_naive, Frame, PairTable};
+use vsscore::run::{fused_run, RunFrame};
 
 fn arb_vec3(range: f64) -> impl Strategy<Value = Vec3> {
     (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -108,6 +109,8 @@ proptest! {
 
     // ---- scoring ----
 
+    /// The tiled kernel is [`fused_run`]: it sweeps each element run of the
+    /// receptor in `TILE`-atom blocks.
     #[test]
     fn tiled_kernel_matches_naive(
         rec_pts in proptest::collection::vec((arb_vec3(20.0), arb_element()), 1..200),
@@ -124,7 +127,7 @@ proptest! {
         let rec = to_frame(&rec_pts);
         let lig = to_frame(&lig_pts);
         let a = lj_naive(&lig, &rec, &table);
-        let b = lj_tiled(&lig, &rec, &table);
+        let b = fused_run(&lig, &RunFrame::from_frame(&rec), &table, None, None);
         prop_assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{} vs {}", a, b);
     }
 
