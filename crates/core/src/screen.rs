@@ -129,6 +129,10 @@ impl VirtualScreen {
         &self.spots
     }
 
+    /// The screen's scorer, made by [`Scorer::for_spots`]: it scores every
+    /// pose clamped to one of [`VirtualScreen::spots`]; under
+    /// [`vsscore::Kernel::Grid`] a pose farther out may read lattice nodes
+    /// that were not built. Score arbitrary poses with a [`Scorer::new`].
     pub fn scorer(&self) -> Arc<Scorer> {
         self.scorer.clone()
     }
@@ -271,7 +275,8 @@ impl VirtualScreenBuilder {
         self
     }
 
-    /// Detect spots (unless given) and prepare the scorer.
+    /// Detect spots (unless given) and prepare the scorer for poses
+    /// clamped to them ([`Scorer::for_spots`]).
     ///
     /// # Panics
     /// Panics if no spots are found (e.g. a degenerate receptor).
@@ -279,7 +284,10 @@ impl VirtualScreenBuilder {
         let spots =
             self.spots.unwrap_or_else(|| surface::detect_spots(&self.receptor, &self.surface));
         assert!(!spots.is_empty(), "no surface spots detected on {}", self.receptor.name);
-        let scorer = Arc::new(Scorer::new(&self.receptor, &self.ligand, self.scorer_opts));
+        // Every pose the engine scores is clamped to one of these spots, so
+        // a grid scorer needs the lattice only within their reach.
+        let scorer =
+            Arc::new(Scorer::for_spots(&self.receptor, &self.ligand, self.scorer_opts, &spots));
         VirtualScreen {
             receptor: self.receptor,
             ligand: self.ligand,

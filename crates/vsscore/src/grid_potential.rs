@@ -21,6 +21,13 @@
 //!   channel) under a byte budget, so a library whose ligands draw on five
 //!   elements builds five slabs however the elements combine. A request
 //!   builds every slab it is missing in one pass over the receptor.
+//! - A scorer made for poses clamped to surface spots
+//!   ([`crate::Scorer::for_spots`]) reads only the nodes within their
+//!   `Reach`. A **cold** request — nothing of its receptor and options
+//!   resident — builds only those; each slab records that `Cover`, and
+//!   every later request gets whole slabs, completing a partial one by
+//!   building the rest of the lattice into a copy. Unbuilt nodes hold
+//!   `+0.0`, and a debug build asserts that interpolation never reads one.
 //! - The build is atom-major: every receptor atom, taken in the cell order
 //!   of a [`vsmath::SpatialGrid`], adds its term into the lattice nodes of
 //!   its cutoff sphere, in every slab being built. A slab's sums never read
@@ -60,10 +67,11 @@ use crate::lanes::{widest, F32x8, Lane, Wide, WideFn, LANES};
 use crate::lj::{clamped, lj_at, Frame, PairTable};
 use crate::pool::{host_threads, shared_pool};
 use std::collections::BTreeMap;
+use std::ops::Range;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use vsmath::{Aabb, RigidTransform, SpatialGrid, Vec3};
-use vsmol::{Element, LjTable, Molecule};
+use vsmol::{Element, LjTable, Molecule, Spot};
 
 /// Grid build options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,6 +204,240 @@ impl Geometry {
         assert!(plane <= u32::MAX as usize, "a lattice plane of {plane} nodes");
         [row as u32, plane as u32]
     }
+
+    /// Rows of `dims[0]` nodes: row `z · dims[1] + y` is line `y` of plane
+    /// `z`.
+    fn rows(&self) -> usize {
+        self.dims[1] * self.dims[2]
+    }
+
+    /// Coordinate of node `i` along `axis`: `origin + i · spacing`.
+    fn node(&self, axis: usize, i: usize) -> f64 {
+        self.origin[axis] + i as f64 * self.spacing
+    }
+
+    /// Node indices of one axis that can lie in `[lo, hi]`. One node of
+    /// slack on either side absorbs the rounding of the division; an exact
+    /// distance test decides membership.
+    fn span(&self, axis: usize, lo: f64, hi: f64) -> Range<usize> {
+        let o = self.origin[axis];
+        // Float-to-int casts saturate: below the lattice is 0.
+        let first = ((lo - o) / self.spacing).floor().max(0.0) as usize;
+        let last = ((hi - o) / self.spacing).ceil().max(-1.0) + 1.0;
+        let end = (last as usize).min(self.dims[axis]);
+        // Wholly past the lattice: empty, and still a range to slice with.
+        first.min(end)..end
+    }
+
+    /// `p` clamped into the lattice box as [`GridScorer`]'s interpolation
+    /// clamps a ligand atom: per axis `(p − origin) / spacing` into `[0,
+    /// dims − 1.000001]`, a NaN to 0.
+    fn clamp(&self, p: Vec3) -> Vec3 {
+        let axis = |a: usize| {
+            let g = (p[a] - self.origin[a]) / self.spacing;
+            let g = if g < 0.0 || g.is_nan() { 0.0 } else { g };
+            self.origin[a] + g.min(self.dims[a] as f64 - 1.000001) * self.spacing
+        };
+        Vec3::new(axis(0), axis(1), axis(2))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reach.
+// ---------------------------------------------------------------------------
+
+/// Slack on a reach radius, Å. An atom lands within `spot.radius + r_lig`
+/// of its spot's centre only up to rounding: `clamped_to` leaves a
+/// translation a few ulps past `spot.radius`; the engine's rotations are
+/// all `renormalize`d, so a quaternion's norm is 1 within a few ulps and
+/// stretches an atom's offset by under 1e-15 of its length; placing the
+/// atom and finding its cell round a few times more, each by 2⁻⁵³ of a
+/// coordinate far below 10³ Å. Together that is under 1e-11 Å; a
+/// thousandth of an Å is eight orders of magnitude above it and adds
+/// under 0.03% to a reach ball's volume.
+const REACH_SLACK: f64 = 1e-3;
+
+/// Where a screen's poses can put a ligand: every pose is `clamped_to`
+/// one of `spots`, so its translation lies within `spot.radius` of that
+/// spot's centre, and the centred ligand's atoms lie within `r_lig` of
+/// the translation.
+#[derive(Clone, Copy)]
+struct Reach<'a> {
+    spots: &'a [Spot],
+    /// The largest distance of a ligand atom from the ligand's centroid.
+    r_lig: f64,
+}
+
+impl Reach<'_> {
+    /// The lattice nodes interpolation can read for these poses, or `None`
+    /// when that is every node (or a spot or the ligand is not finite, so
+    /// nothing can be bounded).
+    ///
+    /// Interpolation clamps an atom into the lattice box, then reads the
+    /// eight corners of its cell, each within one cell diagonal of the
+    /// clamped atom. The clamp is a projection onto a box, which never
+    /// lengthens a distance, so the clamped atom lies within `spot.radius +
+    /// r_lig` of the spot centre clamped the same way — also for a spot
+    /// outside the box. The ball around each clamped centre takes the
+    /// nodes within that distance plus the diagonal and [`REACH_SLACK`],
+    /// by an exact distance test per node.
+    fn region(&self, geom: Geometry) -> Option<Region> {
+        let finite = |s: &Spot| s.center.is_finite() && s.radius.is_finite();
+        if self.spots.is_empty() || !self.r_lig.is_finite() || !self.spots.iter().all(finite) {
+            return None;
+        }
+        let ny = geom.dims[1];
+        let diag = geom.spacing * 3f64.sqrt();
+        let mut runs = Vec::new();
+        for spot in self.spots {
+            let c = geom.clamp(spot.center);
+            let r = spot.radius.max(0.0) + self.r_lig + diag + REACH_SLACK;
+            let r2 = r * r;
+            for iz in geom.span(2, c.z - r, c.z + r) {
+                let dz = c.z - geom.node(2, iz);
+                for iy in geom.span(1, c.y - r, c.y + r) {
+                    let dy = c.y - geom.node(1, iy);
+                    let dyz = dy * dy + dz * dz;
+                    if dyz > r2 {
+                        continue;
+                    }
+                    let half = (r2 - dyz).sqrt();
+                    let mut xs = geom.span(0, c.x - half, c.x + half);
+                    let out = |ix: usize| {
+                        let dx = c.x - geom.node(0, ix);
+                        dx * dx + dyz > r2
+                    };
+                    while !xs.is_empty() && out(xs.start) {
+                        xs.start += 1;
+                    }
+                    while !xs.is_empty() && out(xs.end - 1) {
+                        xs.end -= 1;
+                    }
+                    if !xs.is_empty() {
+                        runs.push((iz * ny + iy, xs));
+                    }
+                }
+            }
+        }
+        let region = Region::from_runs(geom, runs);
+        (region.nodes < geom.nodes() as u64).then_some(region)
+    }
+}
+
+/// A set of lattice nodes, row by row ([`Geometry::rows`]): the nodes a
+/// build adds terms into, and the nodes a slab holds. A row's nodes in the
+/// set are sorted, disjoint runs of x with a gap between any two.
+#[derive(Debug, Clone, PartialEq)]
+struct Region {
+    /// Row `r`'s runs are `runs[rows[r]..rows[r + 1]]`.
+    rows: Vec<usize>,
+    runs: Vec<Range<usize>>,
+    /// The line `y` of each run.
+    line: Vec<usize>,
+    /// Per plane, the smallest ranges of x and of lines `y` that hold its
+    /// runs (both empty if none).
+    extent: Vec<[Range<usize>; 2]>,
+    /// Nodes in the set.
+    nodes: u64,
+}
+
+impl Region {
+    /// Every node of the lattice.
+    fn whole(geom: Geometry) -> Region {
+        let rows = (0..geom.rows()).map(|r| (r, 0..geom.dims[0])).collect();
+        Region::from_runs(geom, rows)
+    }
+
+    /// The nodes of `runs`, `(row, x range)` pairs in any order; they may
+    /// overlap.
+    fn from_runs(geom: Geometry, mut runs: Vec<(usize, Range<usize>)>) -> Region {
+        runs.sort_unstable_by_key(|(row, xs)| (*row, xs.start));
+        let mut rows = Vec::with_capacity(geom.rows() + 1);
+        let mut merged: Vec<Range<usize>> = Vec::with_capacity(runs.len());
+        let mut line = Vec::with_capacity(runs.len());
+        let mut next = runs.into_iter().peekable();
+        rows.push(0);
+        for r in 0..geom.rows() {
+            let first = merged.len();
+            while let Some((_, xs)) = next.next_if(|(row, _)| *row == r) {
+                match merged[first..].last_mut() {
+                    Some(last) if xs.start <= last.end => last.end = last.end.max(xs.end),
+                    _ => {
+                        merged.push(xs);
+                        line.push(r % geom.dims[1]);
+                    }
+                }
+            }
+            rows.push(merged.len());
+        }
+        let [ny, nz] = [geom.dims[1], geom.dims[2]];
+        let extent = (0..nz)
+            .map(|z| {
+                let held = |y: &usize| rows[z * ny + y] < rows[z * ny + y + 1];
+                let first = (0..ny).find(held).unwrap_or(0);
+                let end = (0..ny).rev().find(held).map_or(0, |y| y + 1);
+                let runs = &merged[rows[z * ny]..rows[(z + 1) * ny]];
+                let x0 = runs.iter().map(|xs| xs.start).min().unwrap_or(0);
+                let x1 = runs.iter().map(|xs| xs.end).max().unwrap_or(0);
+                [x0..x1, first..end]
+            })
+            .collect();
+        let nodes = merged.iter().map(|xs| xs.len() as u64).sum();
+        Region { rows, runs: merged, line, extent, nodes }
+    }
+
+    /// The runs of row `r`.
+    #[inline(always)]
+    fn row(&self, r: usize) -> &[Range<usize>] {
+        let [first, end] = [self.rows[r], self.rows[r + 1]];
+        &self.runs[first..end]
+    }
+
+    /// Every node of the lattice that is not in this set.
+    fn complement(&self, geom: Geometry) -> Region {
+        let mut gaps = Vec::new();
+        for r in 0..geom.rows() {
+            let mut x = 0;
+            for run in self.row(r) {
+                if x < run.start {
+                    gaps.push((r, x..run.start));
+                }
+                x = run.end;
+            }
+            if x < geom.dims[0] {
+                gaps.push((r, x..geom.dims[0]));
+            }
+        }
+        Region::from_runs(geom, gaps)
+    }
+
+    /// Whether node `node` (`(z · dims[1] + y) · dims[0] + x`) is in the
+    /// set.
+    fn contains(&self, geom: &Geometry, node: usize) -> bool {
+        let (r, x) = (node / geom.dims[0], node % geom.dims[0]);
+        r < geom.rows() && self.row(r).iter().any(|run| run.contains(&x))
+    }
+
+    /// Nodes of plane `z` in the set.
+    fn plane_nodes(&self, geom: &Geometry, z: usize) -> u64 {
+        let rows = z * geom.dims[1]..(z + 1) * geom.dims[1];
+        let runs = &self.runs[self.rows[rows.start]..self.rows[rows.end]];
+        runs.iter().map(|xs| xs.len() as u64).sum()
+    }
+}
+
+/// Whether two ranges share an index.
+#[inline(always)]
+fn overlap(a: &Range<usize>, b: &Range<usize>) -> bool {
+    a.start < b.end && b.start < a.end
+}
+
+/// The nodes a slab holds: all of them, or only those of a region (the
+/// rest hold `+0.0`).
+#[derive(Debug, Clone)]
+enum Cover {
+    Whole,
+    Part(Arc<Region>),
 }
 
 // ---------------------------------------------------------------------------
@@ -207,48 +449,66 @@ impl Geometry {
 /// the atoms once per range stays cheap.
 const RANGES_PER_THREAD: usize = 4;
 
-/// Build `channels` (in [`Channel`] order, which is the order of the slabs)
-/// over one receptor in a single atom-major pass. Cost: `atoms × nodes
-/// within the cutoff × channels`. A slab's node sums read nothing of the
-/// other slabs, so it comes out the same bits whichever channels are built
-/// beside it.
-fn build_slabs(
-    receptor: &Molecule,
-    geom: Geometry,
-    opts: GridOptions,
-    channels: &[Channel],
-) -> (Vec<Slab>, u64) {
-    build_slabs_in(receptor, geom, opts, channels, RANGES_PER_THREAD * host_threads())
+/// A slab of `+0.0`: the value of a node no build has reached, which a
+/// lane past the last ligand atom may read under mask 0 (a NaN there
+/// would poison the sum).
+fn zero_slab(geom: Geometry) -> Slab {
+    std::iter::repeat_n(0f32, geom.nodes()).collect()
 }
 
-/// [`build_slabs`] over `ranges` (at least one) contiguous ranges of
-/// z-planes, or as many as there are planes, if fewer, each one item of a
+/// Add every receptor atom's terms into the nodes of `region` of `slabs`
+/// (one per channel, each unique, its nodes in `region` all `+0.0`), then
+/// clamp those nodes: a node of `region` ends with the bits a whole build
+/// gives it, and a node outside keeps its value. Cost: `atoms × nodes of
+/// region within the cutoff × channels`. A slab's node sums read nothing
+/// of the other slabs, so it comes out the same bits whichever channels
+/// are built beside it.
+///
+/// The planes that hold nodes of `region` are cut into `ranges` (at least
+/// one) contiguous ranges holding about as many of them each, or fewer if
+/// the planes run out; each range is one item of a
 /// [`crate::pool::CpuPool::for_each_mut`] job on the shared pool of
 /// [`host_threads`]: the calling thread and the workers claim ranges until
 /// none is left. Returns the slabs and the pair terms added to them.
-fn build_slabs_in(
+fn fill_region(
     receptor: &Molecule,
     geom: Geometry,
     opts: GridOptions,
     channels: &[Channel],
+    region: &Region,
+    mut slabs: Vec<Slab>,
     ranges: usize,
 ) -> (Vec<Slab>, u64) {
     debug_assert!(channels.is_sorted(), "channels out of order: {channels:?}");
-    let scatter = Scatter::new(receptor, geom, opts, channels);
-    let mut slabs: Vec<Slab> =
-        channels.iter().map(|_| std::iter::repeat_n(0f32, geom.nodes()).collect()).collect();
+    let scatter = Scatter::new(receptor, geom, opts, channels, region);
 
-    // Cut every slab at the same planes; range k gets piece k of each.
-    let planes = geom.dims[2].div_ceil(ranges);
-    let mut parts: Vec<Planes<'_>> = (0..geom.dims[2])
-        .step_by(planes)
-        .map(|z| Planes { z: z..(z + planes).min(geom.dims[2]), slabs: Vec::new(), terms: 0 })
-        .collect();
+    // Cut at the planes where the running count of the region's nodes
+    // passes each k/ranges of the total; drop the ranges with none.
+    let weights: Vec<u64> = (0..geom.dims[2]).map(|z| region.plane_nodes(&geom, z)).collect();
+    let total = region.nodes.max(1);
+    let ranges = ranges.max(1) as u64;
+    let (mut parts, mut start, mut seen) = (Vec::new(), 0, 0);
+    for (z, w) in weights.iter().enumerate() {
+        let before = seen * ranges / total;
+        seen += w;
+        if seen * ranges / total > before || z + 1 == weights.len() {
+            if weights[start..=z].iter().any(|&w| w > 0) {
+                parts.push(Planes { z: start..z + 1, slabs: Vec::new(), terms: 0 });
+            }
+            start = z + 1;
+        }
+    }
+    // Every slab is cut at the same planes; range k gets piece k of each.
+    let plane = geom.dims[0] * geom.dims[1];
     for slab in &mut slabs {
-        // The slabs were made a few lines up: unique, so this never copies.
-        let pieces = Arc::make_mut(slab).chunks_mut(planes * geom.dims[0] * geom.dims[1]);
-        for (part, piece) in parts.iter_mut().zip(pieces) {
+        // Unique, as the caller made it: this never copies.
+        let mut rest = &mut Arc::make_mut(slab)[..];
+        let mut at = 0;
+        for part in &mut parts {
+            let skipped = std::mem::take(&mut rest).split_at_mut((part.z.start - at) * plane).1;
+            let (piece, tail) = skipped.split_at_mut(part.z.len() * plane);
             part.slabs.push(piece);
+            (rest, at) = (tail, part.z.end);
         }
     }
     shared_pool(host_threads()).for_each_mut(&mut parts, |part| scatter.fill(part));
@@ -258,17 +518,18 @@ fn build_slabs_in(
 
 /// One range's share of a build: planes `z` of every slab being built.
 struct Planes<'a> {
-    z: std::ops::Range<usize>,
+    z: Range<usize>,
     /// Planes `z` of each slab, in channel order.
     slabs: Vec<&'a mut [f32]>,
     /// Pair terms [`Scatter::fill`] added to them.
     terms: u64,
 }
 
-/// What every range of one build reads: the lattice, and the receptor laid
-/// out for the walk.
-struct Scatter {
+/// What every range of one build reads: the lattice, the nodes being
+/// built, and the receptor laid out for the walk.
+struct Scatter<'r> {
     geom: Geometry,
+    region: &'r Region,
     cutoff: f64,
     /// Node coordinates along each axis, `origin + i · spacing`.
     axes: [Vec<f64>; 3],
@@ -288,13 +549,14 @@ struct ScatterAtom {
     kq: f64,
 }
 
-impl Scatter {
+impl<'r> Scatter<'r> {
     fn new(
         receptor: &Molecule,
         geom: Geometry,
         opts: GridOptions,
         channels: &[Channel],
-    ) -> Scatter {
+        region: &'r Region,
+    ) -> Scatter<'r> {
         let lj_elems = channels.iter().filter_map(|c| match c {
             Channel::Lj(e) => Some(*e),
             Channel::Elec => None,
@@ -325,11 +587,10 @@ impl Scatter {
                 kq: COULOMB_K * charges[j as usize],
             })
             .collect();
-        let axis = |a: usize| -> Vec<f64> {
-            (0..geom.dims[a]).map(|i| geom.origin[a] + i as f64 * geom.spacing).collect()
-        };
+        let axis = |a: usize| -> Vec<f64> { (0..geom.dims[a]).map(|i| geom.node(a, i)).collect() };
         Scatter {
             geom,
+            region,
             cutoff: opts.cutoff,
             axes: [axis(0), axis(1), axis(2)],
             atoms,
@@ -339,83 +600,165 @@ impl Scatter {
         }
     }
 
-    /// Node indices of one axis that can lie in `[lo, hi]`. One node of
-    /// slack on either side absorbs the rounding of the division; the exact
-    /// distance test decides membership.
-    fn span(&self, axis: usize, lo: f64, hi: f64) -> std::ops::Range<usize> {
-        let o = self.geom.origin[axis];
-        // Float-to-int casts saturate: below the lattice is 0.
-        let first = ((lo - o) / self.geom.spacing).floor().max(0.0) as usize;
-        let last = ((hi - o) / self.geom.spacing).ceil().max(-1.0) + 1.0;
-        let end = (last as usize).min(self.geom.dims[axis]);
-        // Wholly past the lattice: empty, and still a range to slice with.
-        first.min(end)..end
-    }
-
-    /// Add every atom's terms into `part`'s planes, then clamp them, over
-    /// the widest lanes the host has (asked once per call).
+    /// Add every atom's terms into the nodes of the region in `part`'s
+    /// planes, then clamp them, over the widest lanes the host has (asked
+    /// once per call).
     fn fill(&self, part: &mut Planes<'_>) {
         widest(RangeFill { scatter: self, part })
     }
 
-    /// [`Scatter::fill`] over the lanes `W`.
-    ///
-    /// A node's `f32` sums must not depend on how the lattice was cut or on
-    /// the lane type, and must equal what a node-major gather through the
-    /// same `SpatialGrid` would add up (the tests keep one to compare with).
-    /// All three hold because a node takes its terms in cell order here and
-    /// there: a query reports its neighbours in the relative order of
-    /// `cell_order`, and here every range walks all of `cell_order`, a row
-    /// of nodes at a time, in whatever steps. The terms themselves are the
-    /// same numbers ([`Scatter::step`]).
+    /// [`Scatter::fill`] over the lanes `W`: [`Scatter::fill_over`] of
+    /// the whole lattice or of a part of it, compiled apart (the walk of a
+    /// part ran 5–10% slower as one body with a flag).
     #[inline(always)]
     fn fill_in<W: Wide>(&self, part: &mut Planes<'_>) {
+        if self.region.nodes == self.geom.nodes() as u64 {
+            self.fill_over::<W, false>(part)
+        } else {
+            self.fill_over::<W, true>(part)
+        }
+    }
+
+    /// [`Scatter::fill`] over the lanes `W`; `PART` says whether the region
+    /// leaves nodes out.
+    ///
+    /// A node's `f32` sums must not depend on how the lattice was cut, on
+    /// the region or on the lane type, and must equal what a node-major
+    /// gather through the same `SpatialGrid` would add up (the tests keep
+    /// one to compare with). All of it holds because a node takes its
+    /// terms in cell order here and there: a query reports its neighbours
+    /// in the relative order of `cell_order`, and here every range walks
+    /// all of `cell_order`, a run of a row of nodes at a time, in whatever
+    /// steps. The terms themselves are the same numbers
+    /// ([`Scatter::step`]).
+    ///
+    /// An atom visits the lines of a plane within its cutoff circle there.
+    /// In a part it visits only the runs of those lines within the
+    /// circle's x-extent, so that rows outside the part cost nothing; in
+    /// the whole lattice every line is one run.
+    #[inline(always)]
+    fn fill_over<W: Wide, const PART: bool>(&self, part: &mut Planes<'_>) {
         let [nx, ny, nz] = &self.axes;
         let dims = self.geom.dims;
         let r2 = self.cutoff * self.cutoff;
         let mut nodes = 0;
+        // One plane's pieces of rows: where its cells start, dy², and the
+        // nodes' x indices.
+        let mut pieces: Vec<(usize, f64, Range<usize>)> = Vec::with_capacity(dims[1]);
         for atom in &self.atoms {
             let p = atom.p;
             let hbond = self.pair_params[atom.elem as usize].iter().any(|&(_, _, hb)| hb);
-            let zs = self.span(2, p.z - self.cutoff, p.z + self.cutoff);
+            let zs = self.geom.span(2, p.z - self.cutoff, p.z + self.cutoff);
             let zs = zs.start.max(part.z.start)..zs.end.min(part.z.end);
-            let ys = self.span(1, p.y - self.cutoff, p.y + self.cutoff);
             for iz in zs {
                 let dz = p.z - nz[iz];
                 let dz2 = dz * dz;
-                for iy in ys.clone() {
-                    let dy = p.y - ny[iy];
-                    let dy2 = dy * dy;
-                    // Rounding is monotone, so d² >= dy² + dz² as computed:
-                    // a row beyond the cutoff holds no node within it.
-                    let room = r2 - (dy2 + dz2);
-                    if room < 0.0 {
+                // Rounding is monotone, so d² >= dz² and d² >= dy² + dz² as
+                // computed: a plane or row beyond the cutoff holds no node
+                // within it.
+                let circle = r2 - dz2;
+                if circle < 0.0 {
+                    continue;
+                }
+                let rc = circle.sqrt();
+                let ys = self.geom.span(1, p.y - rc, p.y + rc);
+                let plane = (iz - part.z.start) * dims[1];
+                // The plane's pieces first, then their terms: finding a
+                // chord is a chain of dependent operations, which runs
+                // ahead of the steps this way instead of after each row.
+                pieces.clear();
+                if PART {
+                    // Only the runs of these lines that meet the circle's
+                    // x-extent, each line's chord found once.
+                    let wide = self.geom.span(0, p.x - rc, p.x + rc);
+                    let [xs, lines] = &self.region.extent[iz];
+                    let ys = ys.start.max(lines.start)..ys.end.min(lines.end);
+                    if !overlap(xs, &wide) || ys.is_empty() {
                         continue;
                     }
-                    let half = room.sqrt();
-                    let xs = self.span(0, p.x - half, p.x + half);
-                    let at = ((iz - part.z.start) * dims[1] + iy) * dims[0] + xs.start;
+                    let rows = &self.region.rows[iz * dims[1]..][ys.start..=ys.end];
+                    let runs = rows[0]..rows[ys.len()];
+                    let lines = &self.region.line[runs.clone()];
+                    let (mut at_line, mut dy2, mut xs) = (usize::MAX, 0.0, 0..0);
+                    for (run, &iy) in self.region.runs[runs].iter().zip(lines) {
+                        if !overlap(run, &wide) {
+                            continue;
+                        }
+                        if iy != at_line {
+                            (at_line, (dy2, xs)) = (iy, self.chord(p, ny[iy], dz2));
+                        }
+                        let (lo, hi) = (xs.start.max(run.start), xs.end.min(run.end));
+                        if lo < hi {
+                            pieces.push(((plane + iy) * dims[0], dy2, lo..hi));
+                        }
+                    }
+                } else {
+                    for iy in ys {
+                        let (dy2, xs) = self.chord(p, ny[iy], dz2);
+                        if !xs.is_empty() {
+                            pieces.push(((plane + iy) * dims[0], dy2, xs));
+                        }
+                    }
+                }
+                for (row_at, dy2, xs) in pieces.drain(..) {
+                    let at = row_at + xs.start;
                     let row = Row { atom, dy2, dz2, r2, nodes: &nx[xs] };
-                    nodes += if hbond {
-                        self.add_row::<W, true>(row, &mut part.slabs, at)
-                    } else {
-                        self.add_row::<W, false>(row, &mut part.slabs, at)
-                    };
+                    nodes += self.add_row::<W>(row, hbond, &mut part.slabs, at);
                 }
             }
         }
         part.terms = nodes * part.slabs.len() as u64;
-        for slab in &mut part.slabs[..self.pair_params[0].len()] {
-            slab.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
+        let lj = self.pair_params[0].len();
+        for iz in part.z.clone() {
+            for iy in self.region.extent[iz][1].clone() {
+                let row = ((iz - part.z.start) * dims[1] + iy) * dims[0];
+                for run in self.region.row(iz * dims[1] + iy) {
+                    for slab in &mut part.slabs[..lj] {
+                        let nodes = &mut slab[row + run.start..row + run.end];
+                        nodes.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
+                    }
+                }
+            }
         }
     }
 
-    /// Add `row`'s atom into its nodes, whose cells start at `at` in every
-    /// slab: [`LANES`] nodes per step over `W`, the `len % LANES` left over
-    /// one by one — the same step over `f64`. `HB` says whether any slab
-    /// takes the atom's H-bond term. Returns how many nodes took the atom.
+    /// The nodes of the line at `y` whose distance from `p` can be within
+    /// the cutoff, in a plane `dz²` from it, and the line's `dy²`.
     #[inline(always)]
-    fn add_row<W: Wide, const HB: bool>(
+    fn chord(&self, p: Vec3, y: f64, dz2: f64) -> (f64, Range<usize>) {
+        let dy = p.y - y;
+        let dy2 = dy * dy;
+        let room = self.cutoff * self.cutoff - (dy2 + dz2);
+        if room < 0.0 {
+            return (dy2, 0..0);
+        }
+        let half = room.sqrt();
+        (dy2, self.geom.span(0, p.x - half, p.x + half))
+    }
+
+    /// Add `row`'s atom into its nodes, whose cells start at `at` in every
+    /// slab; `hbond` says whether any slab takes the atom's H-bond term.
+    /// Returns how many nodes took the atom.
+    #[inline(always)]
+    fn add_row<W: Wide>(
+        &self,
+        row: Row<'_>,
+        hbond: bool,
+        slabs: &mut [&mut [f32]],
+        at: usize,
+    ) -> u64 {
+        if hbond {
+            self.add_row_with::<W, true>(row, slabs, at)
+        } else {
+            self.add_row_with::<W, false>(row, slabs, at)
+        }
+    }
+
+    /// [`Scatter::add_row`], [`LANES`] nodes per step over `W`, the `len %
+    /// LANES` left over one by one — the same step over `f64`. `HB` says
+    /// whether any slab takes the atom's H-bond term.
+    #[inline(always)]
+    fn add_row_with<W: Wide, const HB: bool>(
         &self,
         row: Row<'_>,
         slabs: &mut [&mut [f32]],
@@ -434,7 +777,7 @@ impl Scatter {
         nodes
     }
 
-    /// One step of [`Scatter::add_row`]: the nodes at `x`, one per lane.
+    /// One step of [`Scatter::add_row_with`]: the nodes at `x`, one per lane.
     ///
     /// `d²` is `Vec3::dist_sq(atom, node)` spelled out — `(dx² + dy²) + dz²`
     /// against the same node coordinates — and a node takes the atom exactly
@@ -493,7 +836,7 @@ struct Row<'a> {
 
 /// One range's fill, for [`widest`] to pick the lanes of.
 struct RangeFill<'a, 'p> {
-    scatter: &'a Scatter,
+    scatter: &'a Scatter<'a>,
     part: &'a mut Planes<'p>,
 }
 
@@ -582,10 +925,17 @@ fn slab_bytes(slab: &Slab) -> u64 {
     std::mem::size_of_val::<[f32]>(slab) as u64
 }
 
+/// A slab and the nodes it holds.
+#[derive(Debug, Clone)]
+struct Stored {
+    slab: Slab,
+    cover: Cover,
+}
+
 /// The slabs of one (receptor, options) pair.
 #[derive(Default)]
 struct Resident {
-    slabs: BTreeMap<Channel, Slab>,
+    slabs: BTreeMap<Channel, Stored>,
     /// [`CacheState::tick`] of the last request that touched it.
     last_used: u64,
 }
@@ -601,11 +951,39 @@ struct CacheState {
 /// used first. Slabs a scorer holds stay alive through their `Arc` after
 /// eviction. The lock is held for map operations only, never across a
 /// build: two requests for one cold slab both build it and the later
-/// publisher adopts the earlier one's copy. The process has one
-/// ([`grid_cache`]); tests make their own.
+/// publisher adopts the earlier one's copy if it holds at least the nodes
+/// the later one built. The process has one ([`grid_cache`]); tests make
+/// their own.
+///
+/// A slab records its [`Cover`]. Only a **cold** request — one that finds
+/// no slab of its receptor and options resident — builds just the nodes
+/// its poses can reach ([`Reach`]); every later request gets whole slabs,
+/// and one that finds a partial slab completes it by building the rest of
+/// the lattice into a copy, which then replaces it.
 struct SlabCache {
     budget: u64,
     state: Mutex<CacheState>,
+}
+
+/// One build of a request: the channels at `slots`, from `slabs`, over
+/// the nodes of `region`, after which they hold `made`.
+struct Pass {
+    region: Arc<Region>,
+    made: Cover,
+    slots: Vec<usize>,
+    slabs: Vec<Slab>,
+}
+
+/// What one request got: the slab of every channel, in channel order, and
+/// what getting them cost.
+struct Fetched {
+    slabs: Vec<Slab>,
+    /// The nodes every one of `slabs` holds at least.
+    cover: Cover,
+    /// Slabs built or completed.
+    built: usize,
+    seconds: f64,
+    terms: u64,
 }
 
 impl SlabCache {
@@ -618,33 +996,37 @@ impl SlabCache {
         self.state.lock().expect("grid cache poisoned")
     }
 
-    /// The resident slabs among `channels`, marking the receptor used and
-    /// counting the request as a hit (all resident) or a miss.
-    fn lookup(&self, key: &FieldKey, channels: &[Channel]) -> Vec<Option<Slab>> {
+    /// The resident slabs among `channels`, and whether the request is
+    /// cold (nothing of `key` resident); marks the receptor used and counts
+    /// the request as a hit (all resident and whole) or a miss.
+    fn lookup(&self, key: &FieldKey, channels: &[Channel]) -> (Vec<Option<Stored>>, bool) {
         let mut st = self.state();
         st.tick += 1;
         let tick = st.tick;
-        let found: Vec<Option<Slab>> = match st.fields.get_mut(key) {
+        let (found, cold): (Vec<Option<Stored>>, bool) = match st.fields.get_mut(key) {
             Some(resident) => {
                 resident.last_used = tick;
-                channels.iter().map(|c| resident.slabs.get(c).cloned()).collect()
+                (channels.iter().map(|c| resident.slabs.get(c).cloned()).collect(), false)
             }
-            None => vec![None; channels.len()],
+            None => (vec![None; channels.len()], true),
         };
-        if found.iter().all(Option::is_some) {
+        if found.iter().all(|s| matches!(s, Some(Stored { cover: Cover::Whole, .. }))) {
             st.stats.hits += 1;
         } else {
             st.stats.misses += 1;
         }
-        found
+        (found, cold)
     }
 
     /// Make freshly built slabs resident and hand back, in order, the
-    /// resident slab of each of their channels — the one just built, or the
-    /// copy a racing request published first. Then evict other receptors,
-    /// least recently used first, until the budget holds (`key`'s own slabs
+    /// resident slab of each of their channels: a resident whole slab, or
+    /// one over the same region as the fresh one, is adopted (a racing
+    /// request published it first); a resident partial slab is replaced by
+    /// a fresh whole one; a resident partial slab over another region stays
+    /// and the fresh one is handed back. Then evict other receptors, least
+    /// recently used first, until the budget holds (`key`'s own slabs
     /// always stay).
-    fn publish(&self, key: FieldKey, built: Vec<(Channel, Slab)>) -> Vec<Slab> {
+    fn publish(&self, key: FieldKey, built: Vec<(Channel, Stored)>) -> Vec<Stored> {
         let mut st = self.state();
         st.tick += 1;
         let tick = st.tick;
@@ -653,13 +1035,23 @@ impl SlabCache {
         resident.last_used = tick;
         let (mut added, mut bytes) = (0, 0);
         let mut kept = Vec::with_capacity(built.len());
-        for (channel, slab) in built {
-            let slot = resident.slabs.entry(channel).or_insert_with(|| {
+        for (channel, fresh) in built {
+            let Some(slot) = resident.slabs.get_mut(&channel) else {
                 added += 1;
-                bytes += slab_bytes(&slab);
-                slab
-            });
-            kept.push(Arc::clone(slot));
+                bytes += slab_bytes(&fresh.slab);
+                resident.slabs.insert(channel, fresh.clone());
+                kept.push(fresh);
+                continue;
+            };
+            match (&slot.cover, &fresh.cover) {
+                (Cover::Whole, _) => kept.push(slot.clone()),
+                (Cover::Part(_), Cover::Whole) => {
+                    *slot = fresh.clone();
+                    kept.push(fresh);
+                }
+                (Cover::Part(a), Cover::Part(b)) if a == b => kept.push(slot.clone()),
+                (Cover::Part(_), Cover::Part(_)) => kept.push(fresh),
+            }
         }
         st.stats.entries += added;
         st.stats.bytes += bytes;
@@ -668,38 +1060,81 @@ impl SlabCache {
             let Some((&victim, _)) = others.min_by_key(|(_, r)| r.last_used) else { break };
             let gone = st.fields.remove(&victim).unwrap_or_default();
             st.stats.entries -= gone.slabs.len();
-            st.stats.bytes -= gone.slabs.values().map(slab_bytes).sum::<u64>();
+            st.stats.bytes -= gone.slabs.values().map(|s| slab_bytes(&s.slab)).sum::<u64>();
             st.stats.evictions += gone.slabs.len() as u64;
         }
         kept
     }
 
-    /// One request: the slab of every channel, in `channels` order, the
-    /// missing ones built in a single pass. Returns how many were built,
-    /// the seconds `clock` saw that take and the pair terms it added up.
+    /// One request: the slab of every channel, in `channels` order. The
+    /// missing ones are built in one pass — over the nodes `reach` can read
+    /// if the request is cold, else over the whole lattice — and each
+    /// resident partial slab is completed, one pass per region, by building
+    /// the rest of the lattice into a copy. `clock` times the passes.
     fn slabs(
         &self,
         receptor: &Molecule,
         opts: GridOptions,
         channels: &[Channel],
+        reach: Option<Reach<'_>>,
         clock: &dyn Fn() -> f64,
-    ) -> (Vec<Slab>, usize, f64, u64) {
+    ) -> Fetched {
         let key = FieldKey::of(receptor, opts);
-        let mut found = self.lookup(&key, channels);
-        let missing: Vec<Channel> =
-            channels.iter().zip(&found).filter(|(_, s)| s.is_none()).map(|(c, _)| *c).collect();
-        let (mut seconds, mut terms) = (0.0, 0);
+        let (mut found, cold) = self.lookup(&key, channels);
+        let geom = Geometry::of(receptor, opts);
+        let cover = match reach.filter(|_| cold).and_then(|r| r.region(geom)) {
+            Some(region) => Cover::Part(Arc::new(region)),
+            None => Cover::Whole,
+        };
+        // The passes: the missing slabs from zeros over `cover`, then every
+        // resident region's complement into copies of its slabs.
+        let mut passes = Vec::new();
+        let missing: Vec<usize> = (0..channels.len()).filter(|&i| found[i].is_none()).collect();
         if !missing.is_empty() {
-            let t0 = clock();
-            let (fresh, added) =
-                build_slabs(receptor, Geometry::of(receptor, opts), opts, &missing);
-            (seconds, terms) = (clock() - t0, added);
-            let kept = self.publish(key, missing.iter().copied().zip(fresh).collect());
-            for (slot, slab) in found.iter_mut().filter(|s| s.is_none()).zip(kept) {
-                *slot = Some(slab);
+            let region = match &cover {
+                Cover::Whole => Arc::new(Region::whole(geom)),
+                Cover::Part(region) => Arc::clone(region),
+            };
+            let slabs = missing.iter().map(|_| zero_slab(geom)).collect();
+            passes.push(Pass { region, made: cover.clone(), slots: missing, slabs });
+        }
+        let mut partial: Vec<(Arc<Region>, Vec<usize>)> = Vec::new();
+        for (i, stored) in found.iter().enumerate() {
+            let Some(Stored { cover: Cover::Part(region), .. }) = stored else { continue };
+            match partial.iter_mut().find(|(r, _)| Arc::ptr_eq(r, region)) {
+                Some((_, slots)) => slots.push(i),
+                None => partial.push((Arc::clone(region), vec![i])),
             }
         }
-        (found.into_iter().flatten().collect(), missing.len(), seconds, terms)
+        for (part, slots) in partial {
+            let region = Arc::new(part.complement(geom));
+            let slabs = slots
+                .iter()
+                .filter_map(|&i| found[i].as_ref().map(|s| Slab::from(&s.slab[..])))
+                .collect();
+            passes.push(Pass { region, made: Cover::Whole, slots, slabs });
+        }
+
+        let (mut built, mut seconds, mut terms) = (Vec::new(), 0.0, 0);
+        if !passes.is_empty() {
+            let t0 = clock();
+            for Pass { region, made, slots, slabs } in passes {
+                let these: Vec<Channel> = slots.iter().map(|&i| channels[i]).collect();
+                let ranges = RANGES_PER_THREAD * host_threads();
+                let (slabs, added) =
+                    fill_region(receptor, geom, opts, &these, &region, slabs, ranges);
+                terms += added;
+                let stored = slabs.into_iter().map(|slab| Stored { slab, cover: made.clone() });
+                built.extend(slots.into_iter().zip(stored));
+            }
+            seconds = clock() - t0;
+            let publish = built.iter().map(|(i, s)| (channels[*i], s.clone())).collect();
+            for ((i, _), stored) in built.iter().zip(self.publish(key, publish)) {
+                found[*i] = Some(stored);
+            }
+        }
+        let slabs = found.into_iter().flatten().map(|s| s.slab).collect();
+        Fetched { slabs, cover, built: built.len(), seconds, terms }
     }
 
     fn stats(&self) -> GridCacheStats {
@@ -747,6 +1182,9 @@ pub struct GridField {
     lj: Vec<Slab>,
     /// Electrostatic potential per unit charge.
     elec: Option<Slab>,
+    /// The nodes every slab holds at least: the whole lattice, or the
+    /// reach of a cold request's spots ([`SlabCache`]).
+    cover: Cover,
 }
 
 impl GridField {
@@ -902,19 +1340,45 @@ impl GridScorer {
     pub fn new(receptor: &Molecule, ligand: &Molecule, opts: GridOptions) -> GridScorer {
         // Untraced builds report 0.0 build seconds rather than read the
         // OS clock; [`GridScorer::new_traced`] threads the trace epoch in.
-        GridScorer::new_in(grid_cache(), receptor, ligand, opts, &|| 0.0)
+        GridScorer::new_in(grid_cache(), receptor, ligand, opts, &[], &|| 0.0)
     }
 
+    /// [`GridScorer::new`] for poses that are each `clamped_to` one of
+    /// `spots`: a cold request builds only the nodes those poses can read
+    /// ([`Reach`]), and scoring a pose farther out reads `+0.0` for the
+    /// nodes it was not built (a debug build asserts it reads none).
+    pub(crate) fn for_spots(
+        receptor: &Molecule,
+        ligand: &Molecule,
+        opts: GridOptions,
+        spots: &[Spot],
+    ) -> GridScorer {
+        GridScorer::new_in(grid_cache(), receptor, ligand, opts, spots, &|| 0.0)
+    }
+
+    /// The scorer over `cache`'s slabs; `spots` empty asks for the whole
+    /// lattice.
     fn new_in(
         cache: &SlabCache,
         receptor: &Molecule,
         ligand: &Molecule,
         opts: GridOptions,
+        spots: &[Spot],
         clock: &dyn Fn() -> f64,
     ) -> GridScorer {
         assert!(opts.spacing > 0.0, "spacing must be positive");
         assert!(opts.cutoff > 0.0, "cutoff must be positive");
         let lig = ligand.centered();
+        let r_lig = lig.positions().iter().fold(0.0, |r: f64, p| {
+            let d = p.norm();
+            // A NaN atom makes the reach NaN, which asks for the whole lattice.
+            if d > r || d.is_nan() {
+                d
+            } else {
+                r
+            }
+        });
+        let reach = (!spots.is_empty()).then_some(Reach { spots, r_lig });
         // Channels in `Channel` order: LJ by ascending element index, then
         // electrostatics. `slot[e]` is where element `e`'s slab will sit.
         let mut present = [false; Element::COUNT];
@@ -930,14 +1394,15 @@ impl GridScorer {
         if opts.dielectric.is_some() {
             channels.push(Channel::Elec);
         }
-        let (mut lj, built, build_seconds, terms) = cache.slabs(receptor, opts, &channels, clock);
+        let Fetched { slabs: mut lj, cover, built, seconds, terms } =
+            cache.slabs(receptor, opts, &channels, reach, clock);
         let elec = if opts.dielectric.is_some() { lj.pop() } else { None };
-        let field = GridField { geom: Geometry::of(receptor, opts), opts, lj, elec };
+        let field = GridField { geom: Geometry::of(receptor, opts), opts, lj, elec, cover };
         let stats = GridBuildStats {
             nodes: field.nodes() as u64,
             grids: field.grid_count(),
             bytes: field.footprint_bytes() as u64,
-            build_seconds,
+            build_seconds: seconds,
             built: built as u32,
             terms,
             cached: built == 0,
@@ -958,8 +1423,9 @@ impl GridScorer {
 
     /// [`GridScorer::new`] plus a [`vstrace::Event::GridBuilt`] record of
     /// what this scorer's grids are and what the request cost: `grids` and
-    /// `bytes` are this scorer's slabs, `build_s` the seconds spent
-    /// building, `cached` that nothing had to be built. A request that
+    /// `bytes` are this scorer's slabs, `terms` the pair terms its build
+    /// added, `build_s` the seconds spent building, `cached` that nothing
+    /// had to be built. A request that
     /// built also leaves a `grid_slabs_built` counter with how many.
     pub fn new_traced(
         receptor: &Molecule,
@@ -967,12 +1433,14 @@ impl GridScorer {
         opts: GridOptions,
         trace: &vstrace::Trace,
     ) -> GridScorer {
-        let scorer = GridScorer::new_in(grid_cache(), receptor, ligand, opts, &|| trace.now_s());
+        let scorer =
+            GridScorer::new_in(grid_cache(), receptor, ligand, opts, &[], &|| trace.now_s());
         let s = scorer.stats;
         trace.emit(vstrace::Event::GridBuilt {
             nodes: s.nodes,
             grids: s.grids,
             bytes: s.bytes,
+            terms: s.terms,
             build_s: s.build_seconds,
             cached: s.cached,
         });
@@ -1099,6 +1567,7 @@ impl GridScorer {
         let chunks = x.as_chunks().0.iter().zip(y.as_chunks().0).zip(z.as_chunks().0);
         for (k, ((x, y), z)) in chunks.enumerate() {
             let c = self.prep_chunk(&pose, [x, y, z], k * F32x8::LANES);
+            debug_assert!(self.reads_built(&c), "a pose read lattice nodes its slabs do not hold");
             let (fx, fy, fz) =
                 (F32x8::from_array(c.fx), F32x8::from_array(c.fy), F32x8::from_array(c.fz));
             let (wx0, wy0, wz0) = (one - fx, one - fy, one - fz);
@@ -1120,6 +1589,18 @@ impl GridScorer {
             total += (contrib * F32x8::from_array(c.mask)).horizontal_sum() as f64;
         }
         total
+    }
+
+    /// Whether every corner a lane of `c` under mask 1 reads is a node the
+    /// slabs hold. A lane under mask 0 reads node 0's cell, which may be
+    /// unbuilt: it holds `+0.0`, and `0 · 0` adds nothing.
+    fn reads_built(&self, c: &Chunk<'_>) -> bool {
+        let Cover::Part(region) = &self.field.cover else { return true };
+        let g = &self.field.geom;
+        let [oy, oz] = g.strides().map(|s| s as usize);
+        let offsets = [0, 1, oy, 1 + oy, oz, 1 + oz, oy + oz, 1 + oy + oz];
+        let live = (0..F32x8::LANES).filter(|&l| c.mask[l] != 0.0);
+        live.flat_map(|l| offsets.map(|o| c.base[l] + o)).all(|node| region.contains(g, node))
     }
 
     /// Score a pose by interpolation: `O(ligand_atoms)`.
@@ -1441,8 +1922,10 @@ mod tests {
             .filter(|e| matches!(e, vstrace::Event::GridBuilt { .. }))
             .collect();
         assert_eq!(built.len(), 1);
-        if let vstrace::Event::GridBuilt { nodes, grids, bytes, cached, .. } = built[0] {
+        if let vstrace::Event::GridBuilt { nodes, grids, bytes, terms, cached, .. } = built[0] {
             assert_eq!(nodes, g.build_stats().nodes);
+            assert_eq!(terms, g.build_stats().terms);
+            assert!(terms > 0, "a first request adds terms");
             assert_eq!(grids, g.build_stats().grids);
             assert_eq!(bytes, g.build_stats().bytes);
             assert!(!cached, "a first request builds");
@@ -1593,7 +2076,7 @@ mod tests {
             // 1–17 atoms: every partial last chunk, one and two full ones.
             for atoms in 1..=17 {
                 let lig = synth::synth_ligand("l", atoms, 40 + atoms as u64);
-                let grid = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+                let grid = GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK);
                 let mut poses = surface_poses(6, atoms as u64);
                 poses.push(RigidTransform::IDENTITY);
                 poses.push(RigidTransform::from_translation(Vec3::new(-300.0, 12.0, 0.5)));
@@ -1641,7 +2124,7 @@ mod tests {
         let rec = synth::synth_receptor("r", 60, 12);
         let lig = ligand_of(&[Element::C, Element::O], 13, 14);
         let opts = GridOptions { dielectric: Some(4.0), ..Default::default() };
-        let scorer = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
+        let scorer = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[], NO_CLOCK);
         let mut rng = RngStream::from_seed(0x1e5);
         // Hand-made lattices, their node values seeded, positive and
         // negative: two with a zero origin and a power-of-two pitch, where
@@ -1753,7 +2236,7 @@ mod tests {
         };
         for atoms in [1, 5, 8, 13] {
             let lig = synth::synth_ligand("l", atoms, 90 + atoms as u64);
-            let grid = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+            let grid = GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK);
             for (k, pose) in odd_poses().iter().enumerate() {
                 assert_pose_paths_agree(&grid, pose, &format!("{atoms} atoms, pose {k}: {pose:?}"));
             }
@@ -1777,7 +2260,7 @@ mod tests {
         assert_eq!(Geometry::of(&flat, thin).dims[2], 2);
         let mut rng = RngStream::from_seed(0x200);
         for (what, rec, opts) in [("globular", &rec, full), ("flat", &flat, thin)] {
-            let grid = GridScorer::new_in(&cache, rec, &lig, opts, NO_CLOCK);
+            let grid = GridScorer::new_in(&cache, rec, &lig, opts, &[], NO_CLOCK);
             for k in 0..200 {
                 // Inside the lattice and out past every face.
                 let t = Vec3::new(
@@ -1803,7 +2286,8 @@ mod tests {
             let geom = Geometry::of(&rec, base);
             let mut rng = RngStream::from_seed(0x7ab5);
             for (opts, _) in model_variants(base, &[]) {
-                let grid = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
+                let grid =
+                    GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[], NO_CLOCK);
                 let poses: Vec<RigidTransform> = (0..256)
                     .map(|_| {
                         // Anywhere in the lattice's box and a little past it.
@@ -1843,6 +2327,30 @@ mod tests {
     }
 
     // -- build equivalence ---------------------------------------------------
+
+    /// Build `channels` (in [`Channel`] order, which is the order of the
+    /// slabs) over the whole lattice of one receptor, as a request that
+    /// misses every one of them does.
+    fn build_slabs(
+        receptor: &Molecule,
+        geom: Geometry,
+        opts: GridOptions,
+        channels: &[Channel],
+    ) -> (Vec<Slab>, u64) {
+        build_slabs_in(receptor, geom, opts, channels, RANGES_PER_THREAD * host_threads())
+    }
+
+    /// [`build_slabs`] cut into `ranges` ranges of z-planes ([`fill_region`]).
+    fn build_slabs_in(
+        receptor: &Molecule,
+        geom: Geometry,
+        opts: GridOptions,
+        channels: &[Channel],
+        ranges: usize,
+    ) -> (Vec<Slab>, u64) {
+        let zeros = channels.iter().map(|_| zero_slab(geom)).collect();
+        fill_region(receptor, geom, opts, channels, &Region::whole(geom), zeros, ranges)
+    }
 
     /// The same slabs by an independent, node-major route, and the build
     /// this module shipped before the atom-major one: every lattice node
@@ -2013,7 +2521,7 @@ mod tests {
 
         // No atoms: a field of zeros around the origin.
         let empty = Molecule::new("empty", Vec::new());
-        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &empty, &lig, model, NO_CLOCK);
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &empty, &lig, model, &[], NO_CLOCK);
         assert!(Geometry::of(&empty, model).dims.iter().all(|&d| d >= 2));
         assert!(g.field.slabs().all(|slab| slab.iter().all(|v| v.to_bits() == 0)));
         for pose in &poses {
@@ -2027,11 +2535,11 @@ mod tests {
         let one = synth::synth_receptor("one", 1, 5);
         for rec in [&empty, &one] {
             assert_eq!(Geometry::of(rec, bare).dims, [2, 2, 2]);
-            let g = GridScorer::new_in(&SlabCache::new(ROOMY), rec, &lig, bare, NO_CLOCK);
+            let g = GridScorer::new_in(&SlabCache::new(ROOMY), rec, &lig, bare, &[], NO_CLOCK);
             assert!(poses.iter().all(|p| g.score(p).is_finite()));
         }
         let at_the_atom = RigidTransform::from_translation(one.positions()[0]);
-        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &one, &lig, bare, NO_CLOCK);
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &one, &lig, bare, &[], NO_CLOCK);
         assert!(g.score(&at_the_atom) > 0.0, "a ligand on top of the atom clashes");
 
         // One atom, default margin: scored before, and by the same lattice.
@@ -2051,7 +2559,7 @@ mod tests {
             let (got, _) = build_slabs_in(&flat, geom, thin, &channels, ranges);
             assert_same_bits(&got, &want, &format!("thin plane, {ranges} ranges"));
         }
-        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &flat, &lig, thin, NO_CLOCK);
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &flat, &lig, thin, &[], NO_CLOCK);
         assert!(poses.iter().all(|p| g.score(p).is_finite()));
     }
 
@@ -2110,9 +2618,9 @@ mod tests {
         let mut terms = 0;
         for &ScatterAtom { p, elem, kq } in &scatter.atoms {
             let params = &scatter.pair_params[elem as usize];
-            let zs = scatter.span(2, p.z - scatter.cutoff, p.z + scatter.cutoff);
+            let zs = scatter.geom.span(2, p.z - scatter.cutoff, p.z + scatter.cutoff);
             let zs = zs.start.max(part.z.start)..zs.end.min(part.z.end);
-            let ys = scatter.span(1, p.y - scatter.cutoff, p.y + scatter.cutoff);
+            let ys = scatter.geom.span(1, p.y - scatter.cutoff, p.y + scatter.cutoff);
             for iz in zs {
                 let dz = p.z - nz[iz];
                 let dz2 = dz * dz;
@@ -2125,7 +2633,7 @@ mod tests {
                     }
                     let half = room.sqrt();
                     let row = ((iz - part.z.start) * dims[1] + iy) * dims[0];
-                    for ix in scatter.span(0, p.x - half, p.x + half) {
+                    for ix in scatter.geom.span(0, p.x - half, p.x + half) {
                         let dx = p.x - nx[ix];
                         let d2 = dx * dx + dy2 + dz2;
                         if d2 > r2 {
@@ -2216,7 +2724,8 @@ mod tests {
             for cutoff in [2.5, 40.0] {
                 let base = GridOptions { spacing: 1.0, cutoff, ..Default::default() };
                 for (opts, channels) in model_variants(base, &[C, N, O]) {
-                    let scatter = Scatter::new(&rec, geom, opts, &channels);
+                    let whole = Region::whole(geom);
+                    let scatter = Scatter::new(&rec, geom, opts, &channels, &whole);
                     let what = format!("len {len}, {opts:?}");
                     let (_, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
                     if cutoff == 40.0 {
@@ -2243,9 +2752,11 @@ mod tests {
         let channels = [Channel::Lj(c), Channel::Lj(o), Channel::Elec];
         let kq = COULOMB_K * 0.5;
         let untouched = (-0.0f32).to_bits();
+        let whole = Region::whole(geom);
         let build = |x: f64| {
             let atom = vsmol::Atom::with_charge(Vec3::new(x, 0.0, 0.0), Element::O, 0.5);
-            let scatter = Scatter::new(&Molecule::new("one", vec![atom]), geom, opts, &channels);
+            let one = Molecule::new("one", vec![atom]);
+            let scatter = Scatter::new(&one, geom, opts, &channels, &whole);
             // Every cell starts as -0.0: a lane that adds a zero where it
             // should skip shows as +0.0.
             assert_lane_paths_agree(&scatter, channels.len(), -0.0, &format!("atom at {x}"))
@@ -2302,7 +2813,8 @@ mod tests {
         let n = channels.len();
         // `SpatialGrid` refuses a non-finite point, so no receptor gets this
         // far with one: the atoms are spoiled after the layout.
-        let scatter = || Scatter::new(&rec, geom, opts, &channels);
+        let whole = Region::whole(geom);
+        let scatter = || Scatter::new(&rec, geom, opts, &channels, &whole);
         let (clean, _) = filled(&scatter(), n, 0.0, fill_node_by_node);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for k in [0, 7, 29] {
@@ -2346,7 +2858,8 @@ mod tests {
             };
             let (opts, channels) = model_variants(base, &[C, N, O, S]).swap_remove(case % 3);
             let geom = Geometry::of(&rec, opts);
-            let scatter = Scatter::new(&rec, geom, opts, &channels);
+            let whole = Region::whole(geom);
+            let scatter = Scatter::new(&rec, geom, opts, &channels, &whole);
             let what = format!("case {case}: {} atoms, {opts:?}", rec.len());
             let (want, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
             // The build proper, cut in three, is the same slabs and terms.
@@ -2361,7 +2874,8 @@ mod tests {
     fn table5_receptors_build_the_same_bits_on_every_lane_path() {
         for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
-            let scatter = Scatter::new(&rec, geom, opts, &channels);
+            let whole = Region::whole(geom);
+            let scatter = Scatter::new(&rec, geom, opts, &channels, &whole);
             let (want, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
             let (built, pooled) = build_slabs(&rec, geom, opts, &channels);
             assert_same_bits(&built, &want, &format!("{what}, as built"));
@@ -2403,13 +2917,13 @@ mod tests {
         let mut scorers = Vec::new();
         for (i, set) in sets.iter().enumerate() {
             let lig = ligand_of(set, 9, 70 + i as u64);
-            let g = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+            let g = GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK);
             assert_eq!(g.build_stats().cached, i == 3, "request {i}");
             assert_eq!(g.build_stats().terms == 0, i == 3, "a cached request adds nothing");
             assert_eq!(g.build_stats().grids as usize, set.len());
             // The same ligand over a cache of its own: all its slabs built
             // together, none adopted.
-            let fresh = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, NO_CLOCK);
+            let fresh = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[], NO_CLOCK);
             assert!(!fresh.build_stats().cached);
             assert_eq!(score_bits(&g, 5), score_bits(&fresh, 5), "request {i}");
             scorers.push(g);
@@ -2437,8 +2951,10 @@ mod tests {
             GridOptions { hbond_epsilon: Some(1.0), ..base },
             GridOptions { hbond_epsilon: Some(2.0), ..base },
         ];
-        let scorers: Vec<GridScorer> =
-            variants.iter().map(|&o| GridScorer::new_in(&cache, &rec, &lig, o, NO_CLOCK)).collect();
+        let scorers: Vec<GridScorer> = variants
+            .iter()
+            .map(|&o| GridScorer::new_in(&cache, &rec, &lig, o, &[], NO_CLOCK))
+            .collect();
         for (i, a) in scorers.iter().enumerate() {
             assert!(!a.build_stats().cached, "variant {i}");
             for b in &scorers[i + 1..] {
@@ -2460,7 +2976,7 @@ mod tests {
         let gate = std::sync::Barrier::new(2);
         let request = || {
             gate.wait();
-            GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK)
+            GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK)
         };
         let (a, b) = std::thread::scope(|s| {
             let other = s.spawn(request);
@@ -2483,7 +2999,7 @@ mod tests {
         let field_bytes = |r: &Molecule| 2 * 4 * Geometry::of(r, opts).nodes() as u64;
         // Room for any two of the three receptors, not for all of them.
         let cache = SlabCache::new(field_bytes(&recs[2]) * 2);
-        let request = |r: &Molecule| GridScorer::new_in(&cache, r, &lig, opts, NO_CLOCK);
+        let request = |r: &Molecule| GridScorer::new_in(&cache, r, &lig, opts, &[], NO_CLOCK);
 
         let a = request(&recs[0]);
         let before = score_bits(&a, 7);
@@ -2509,7 +3025,7 @@ mod tests {
         let lig = ligand_of(&[Element::C], 6, 69);
         let cache = SlabCache::new(16);
         let opts = GridOptions { spacing: 1.5, ..Default::default() };
-        let g = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+        let g = GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK);
         assert!(g.score(&surface_poses(1, 3)[0]).is_finite());
         assert_eq!(cache.stats().entries, 1, "nothing else to evict: the requester's slabs stay");
     }
@@ -2520,8 +3036,9 @@ mod tests {
         let rec = synth::synth_receptor("r", 120, 71);
         let opts = GridOptions { spacing: 1.3, dielectric: Some(4.0), ..Default::default() };
         let cache = SlabCache::new(ROOMY);
-        let wide = GridScorer::new_in(&cache, &rec, &ligand_of(&[C, N, O], 9, 72), opts, NO_CLOCK);
-        let narrow = GridScorer::new_in(&cache, &rec, &ligand_of(&[C], 9, 73), opts, NO_CLOCK);
+        let wide =
+            GridScorer::new_in(&cache, &rec, &ligand_of(&[C, N, O], 9, 72), opts, &[], NO_CLOCK);
+        let narrow = GridScorer::new_in(&cache, &rec, &ligand_of(&[C], 9, 73), opts, &[], NO_CLOCK);
         let slab = 4 * Geometry::of(&rec, opts).nodes();
         assert_eq!(wide.footprint_bytes(), 4 * slab, "C, N, O and electrostatics");
         assert_eq!(narrow.footprint_bytes(), 2 * slab, "C and electrostatics");
@@ -2536,12 +3053,325 @@ mod tests {
         let lig = ligand_of(&[Element::C], 6, 75);
         let opts = GridOptions { spacing: 1.5, ..Default::default() };
         let cache = SlabCache::new(ROOMY);
-        let a = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+        let a = GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK);
         cache.clear();
         assert_eq!((cache.stats().entries, cache.stats().bytes), (0, 0));
-        let b = GridScorer::new_in(&cache, &rec, &lig, opts, NO_CLOCK);
+        let b = GridScorer::new_in(&cache, &rec, &lig, opts, &[], NO_CLOCK);
         assert!(!b.build_stats().cached && !b.shares_slabs_with(&a));
         assert_eq!(score_bits(&a, 8), score_bits(&b, 8));
         assert_eq!((cache.stats().channels_built, cache.stats().misses), (2, 2));
+    }
+
+    // -- reach ---------------------------------------------------------------
+
+    /// Spots on `rec` as `VirtualScreen` detects them, `max` of them (0: all).
+    fn spots_on(rec: &Molecule, max: usize) -> Vec<Spot> {
+        let opts = vsmol::SurfaceOptions { max_spots: max, ..Default::default() };
+        vsmol::surface::detect_spots(rec, &opts)
+    }
+
+    /// The rotation taking the direction of `from` onto `to`.
+    fn turning(from: Vec3, to: Vec3) -> Quat {
+        let (Some(a), Some(b)) = (from.normalized(), to.normalized()) else {
+            return Quat::IDENTITY;
+        };
+        let axis = a.cross(b);
+        let angle = a.dot(b).clamp(-1.0, 1.0).acos();
+        match axis.normalized() {
+            Some(_) => Quat::from_axis_angle(axis, angle),
+            // Parallel: nothing to turn; opposite: half a turn about any
+            // axis normal to `a`.
+            None if angle < 1.0 => Quat::IDENTITY,
+            None => {
+                let normal = if a.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
+                Quat::from_axis_angle(a.cross(normal), std::f64::consts::PI)
+            }
+        }
+    }
+
+    /// Poses on the rim of every spot, as the engine leaves them
+    /// (`clamped_to`): the translation exactly `spot.radius` from the
+    /// centre along each axis, the spot normal and `random` seeded
+    /// directions, the ligand's farthest atom turned outward along it — and
+    /// as many with a seeded rotation.
+    fn rim_poses(ligand: &Molecule, spots: &[Spot], random: usize) -> Vec<RigidTransform> {
+        let lig = ligand.centered();
+        let far = lig.positions().iter().copied().fold(Vec3::ZERO, |f, p| {
+            if p.norm() > f.norm() {
+                p
+            } else {
+                f
+            }
+        });
+        let mut rng = RngStream::from_seed(0x5107);
+        let mut poses = Vec::new();
+        for spot in spots {
+            let mut dirs = vec![Vec3::X, -Vec3::X, Vec3::Y, -Vec3::Y, Vec3::Z, -Vec3::Z];
+            dirs.extend([spot.normal, -spot.normal]);
+            dirs.extend((0..random).map(|_| rng.unit_vector()));
+            for u in dirs {
+                let t = spot.center + u * spot.radius;
+                for rotation in [turning(far, u), rng.rotation()] {
+                    let conf = vsmol::Conformation::new(RigidTransform::new(rotation, t), spot.id);
+                    poses.push(conf.clamped_to(spot).pose);
+                }
+            }
+        }
+        poses
+    }
+
+    /// `reach` scores every pose with the bits of `whole`, a scorer over
+    /// the whole lattice, and reads only nodes its slabs hold, which are
+    /// not all of them.
+    fn assert_reach_scores_like_whole(
+        reach: &GridScorer,
+        whole: impl Fn(&RigidTransform) -> f64,
+        poses: &[RigidTransform],
+        what: &str,
+    ) {
+        assert!(matches!(reach.field.cover, Cover::Part(_)), "{what}: a whole lattice was built");
+        for (k, pose) in poses.iter().enumerate() {
+            assert!(reach.reads_only_built(pose), "{what}, pose {k}: read an unbuilt node");
+            let (got, want) = (reach.score(pose), whole(pose));
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}, pose {k}: {got} != {want}");
+        }
+    }
+
+    impl GridScorer {
+        /// Whether scoring `pose` reads only nodes this scorer's slabs
+        /// hold: the debug assertion of `interpolate`, in any build.
+        fn reads_only_built(&self, pose: &RigidTransform) -> bool {
+            (0..self.ligand_atoms())
+                .step_by(F32x8::LANES)
+                .all(|a0| self.reads_built(&self.prep_chunk_scalar(pose, a0)))
+        }
+    }
+
+    #[test]
+    fn reach_scores_rim_poses_like_the_whole_lattice() {
+        let rec = synth::synth_receptor("reach", 300, 0x5E0C);
+        for (opts, _) in model_variants(GridOptions::default(), &[]) {
+            for (atoms, spots) in [(13, 8), (1, 3), (9, 0)] {
+                let lig = synth::synth_ligand("l", atoms, 80 + atoms as u64);
+                let spots = spots_on(&rec, spots);
+                let reach =
+                    GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &spots, NO_CLOCK);
+                let whole =
+                    GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[], NO_CLOCK);
+                assert!(matches!(whole.field.cover, Cover::Whole));
+                let what = format!("{atoms} atoms, {} spots, {opts:?}", spots.len());
+                let poses = rim_poses(&lig, &spots, 4);
+                assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn a_partial_build_holds_the_whole_bits_in_its_region_and_zero_elsewhere() {
+        let rec = synth::synth_receptor("partial", 200, 95);
+        let lig = synth::synth_ligand("l", 11, 96);
+        let base = GridOptions { spacing: 1.1, ..Default::default() };
+        let r_lig = lig.centered().positions().iter().map(|p| p.norm()).fold(0.0, f64::max);
+        let spots = spots_on(&rec, 5);
+        for (opts, channels) in model_variants(base, &[Element::C, Element::N, Element::O]) {
+            let geom = Geometry::of(&rec, opts);
+            let what = format!("{opts:?}");
+            let region = Reach { spots: &spots, r_lig }.region(geom).expect("a part");
+            let rest = region.complement(geom);
+            assert_eq!(region.nodes + rest.nodes, geom.nodes() as u64, "{what}");
+            assert_eq!(rest.complement(geom), region, "{what}");
+            let (want, whole_terms) = build_slabs(&rec, geom, opts, &channels);
+            for ranges in RANGES {
+                let zeros = channels.iter().map(|_| zero_slab(geom)).collect();
+                let (part, terms) =
+                    fill_region(&rec, geom, opts, &channels, &region, zeros, ranges);
+                for (slab, whole) in part.iter().zip(&want) {
+                    for node in 0..geom.nodes() {
+                        let expect = if region.contains(&geom, node) { whole[node] } else { 0.0 };
+                        assert_eq!(slab[node].to_bits(), expect.to_bits(), "{what}: node {node}");
+                    }
+                }
+                let copies = part.iter().map(|s| Slab::from(&s[..])).collect();
+                let (done, rest_terms) =
+                    fill_region(&rec, geom, opts, &channels, &rest, copies, ranges);
+                assert_same_bits(&done, &want, &format!("{what}, completed, {ranges} ranges"));
+                assert!(terms < whole_terms, "{what}");
+                assert_eq!(terms + rest_terms, whole_terms, "{what}, {ranges} ranges: terms");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_request_builds_its_reach_and_later_ones_get_whole_slabs() {
+        use Element::{C, N};
+        let rec = synth::synth_receptor("sequence", 250, 97);
+        let opts = GridOptions { spacing: 1.0, ..Default::default() };
+        let geom = Geometry::of(&rec, opts);
+        let spots = spots_on(&rec, 4);
+        let cache = SlabCache::new(ROOMY);
+        let slab = 4 * geom.nodes() as u64;
+        let whole = |e: Element| build_slabs(&rec, geom, opts, &lj_channels(&[e]));
+        let (whole_c, terms_c) = whole(C);
+        let stats = |misses, built, entries| {
+            let st = cache.stats();
+            assert_eq!((st.misses, st.hits, st.channels_built), (misses, 0, built), "{st:?}");
+            assert_eq!((st.entries, st.bytes), (entries, entries as u64 * slab), "{st:?}");
+        };
+
+        // A small carbon ligand, cold: a part of the carbon slab.
+        let small = ligand_of(&[C], 4, 98);
+        let a = GridScorer::new_in(&cache, &rec, &small, opts, &spots, NO_CLOCK);
+        let s = a.build_stats();
+        assert!(matches!(a.field.cover, Cover::Part(_)));
+        assert!(s.built == 1 && s.terms > 0 && s.terms < terms_c, "{s:?}");
+        stats(1, 1, 1);
+
+        // A larger one: not cold, so it completes the slab, into a copy
+        // that replaces the part and equals a cold whole build.
+        let large = ligand_of(&[C], 24, 99);
+        let b = GridScorer::new_in(&cache, &rec, &large, opts, &spots, NO_CLOCK);
+        assert!(matches!(b.field.cover, Cover::Whole));
+        assert_same_bits(&b.field.lj, &whole_c, "completed carbon slab");
+        assert_eq!(b.build_stats().built, 1);
+        assert_eq!(s.terms + b.build_stats().terms, terms_c, "the part and the rest add up");
+        assert!(!Arc::ptr_eq(&a.field.lj[0], &b.field.lj[0]), "the part was copied");
+        stats(2, 2, 1);
+        // The first scorer keeps its part and still scores its poses.
+        let whole_scorer =
+            GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &small, opts, &[], NO_CLOCK);
+        let poses = rim_poses(&small, &spots, 2);
+        assert_reach_scores_like_whole(&a, |p| whole_scorer.score(p), &poses, "part");
+
+        // Carbon and nitrogen: the whole carbon slab, and nitrogen built
+        // whole.
+        let both = ligand_of(&[C, N], 9, 100);
+        let c = GridScorer::new_in(&cache, &rec, &both, opts, &spots, NO_CLOCK);
+        assert!(matches!(c.field.cover, Cover::Whole));
+        assert!(Arc::ptr_eq(&c.field.lj[0], &b.field.lj[0]), "carbon from the cache");
+        let (whole_n, terms_n) = whole(N);
+        assert_same_bits(&c.field.lj[1..], &whole_n, "nitrogen slab");
+        assert_eq!((c.build_stats().built, c.build_stats().terms), (1, terms_n));
+        stats(3, 3, 2);
+    }
+
+    #[test]
+    fn publishing_keeps_a_part_only_beside_parts_of_its_own_region() {
+        let rec = synth::synth_receptor("publish", 80, 101);
+        let opts = GridOptions { spacing: 1.5, ..Default::default() };
+        let (geom, key) = (Geometry::of(&rec, opts), FieldKey::of(&rec, opts));
+        let spots = spots_on(&rec, 2);
+        let part = |r_lig: f64| {
+            let region = Reach { spots: &spots, r_lig }.region(geom).expect("a part");
+            Stored { slab: zero_slab(geom), cover: Cover::Part(Arc::new(region)) }
+        };
+        let carbon = Channel::Lj(Element::C.index() as u8);
+        let cache = SlabCache::new(ROOMY);
+        let publish = |s: &Stored| cache.publish(key, vec![(carbon, s.clone())]).remove(0).slab;
+        let (a, b, a_again) = (part(1.0), part(2.0), part(1.0));
+        let whole = Stored { slab: zero_slab(geom), cover: Cover::Whole };
+        assert!(Arc::ptr_eq(&publish(&a), &a.slab), "the first is resident");
+        assert!(Arc::ptr_eq(&publish(&a_again), &a.slab), "the same region is adopted");
+        assert!(Arc::ptr_eq(&publish(&b), &b.slab), "another region keeps its own");
+        assert!(Arc::ptr_eq(&publish(&whole), &whole.slab), "a whole slab replaces a part");
+        assert!(Arc::ptr_eq(&publish(&b), &whole.slab), "and is adopted from then on");
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn a_reach_that_cannot_be_bounded_or_leaves_nothing_out_is_the_whole_lattice() {
+        let rec = synth::synth_receptor("unbounded", 60, 102);
+        let opts = GridOptions { spacing: 1.5, ..Default::default() };
+        let geom = Geometry::of(&rec, opts);
+        let spots = spots_on(&rec, 2);
+        let reach = |spots: &[Spot], r_lig: f64| Reach { spots, r_lig }.region(geom);
+        assert!(reach(&spots, 1.0).is_some());
+        assert!(reach(&[], 1.0).is_none(), "no spots");
+        assert!(reach(&spots, f64::NAN).is_none(), "a ligand atom at NaN");
+        let nowhere = Spot { center: Vec3::new(f64::NAN, 0.0, 0.0), ..spots[0] };
+        assert!(reach(&[spots[0], nowhere], 1.0).is_none(), "a spot at NaN");
+        assert!(reach(&spots, 1e3).is_none(), "a reach over every node");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lattice nodes its slabs do not hold")]
+    fn scoring_a_pose_outside_the_reach_panics_in_debug_builds() {
+        let rec = synth::synth_receptor("outside", 200, 103);
+        let lig = synth::synth_ligand("l", 7, 104);
+        let opts = GridOptions::default();
+        let geom = Geometry::of(&rec, opts);
+        // One small spot at a corner of the lattice; the pose sits at the
+        // opposite one.
+        let corner =
+            Spot { id: 0, center: geom.origin, normal: Vec3::X, radius: 1.0, anchor_atom: 0 };
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[corner], NO_CLOCK);
+        let far = (0..3).map(|a| geom.node(a, geom.dims[a] - 1));
+        let far: Vec<f64> = far.collect();
+        g.score(&RigidTransform::from_translation(Vec3::new(far[0], far[1], far[2])));
+    }
+
+    /// The grid options of [`table5_whole`]'s scorer.
+    fn table5_opts() -> GridOptions {
+        GridOptions { dielectric: Some(4.0), hbond_epsilon: Some(1.0), ..Default::default() }
+    }
+
+    /// A whole-lattice `Scorer::new` of the full model on the default grid.
+    fn table5_whole(rec: &Molecule, lig: &Molecule) -> crate::scorer::Scorer {
+        use crate::scorer::{Kernel, Scorer, ScorerOptions, ScoringModel};
+        let model = ScoringModel::Full { dielectric: 4.0, hbond_epsilon: 1.0 };
+        let kernel = Kernel::Grid { spacing: table5_opts().spacing };
+        Scorer::new(rec, lig, ScorerOptions { model, kernel })
+    }
+
+    #[test]
+    #[ignore = "run in release mode: builds both Table 5 receptors' reach for 16 spots and for all"]
+    fn table5_reach_scores_rim_poses_like_the_whole_lattice() {
+        let opts = table5_opts();
+        for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
+            let (rec, lig) = (dataset.receptor(), dataset.ligand());
+            let whole = table5_whole(&rec, &lig);
+            for max in [16, 0] {
+                let spots = spots_on(&rec, max);
+                let cache = SlabCache::new(ROOMY);
+                let reach = GridScorer::new_in(&cache, &rec, &lig, opts, &spots, NO_CLOCK);
+                let what = format!("{dataset:?}, {} spots", spots.len());
+                let poses = rim_poses(&lig, &spots, 4);
+                assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, &what);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "run in release mode: builds 2BSM's reach for a spot 20 Å outside its lattice"]
+    fn table5_reach_serves_a_spot_outside_the_lattice() {
+        let opts = table5_opts();
+        let (rec, lig) = (vsmol::Dataset::TwoBsm.receptor(), vsmol::Dataset::TwoBsm.ligand());
+        let geom = Geometry::of(&rec, opts);
+        let top = Vec3::new(geom.node(0, geom.dims[0] - 1), geom.node(1, 0), geom.node(2, 0));
+        let spot = Spot { center: top + Vec3::new(20.0, 3.0, 4.0), ..spots_on(&rec, 1)[0] };
+        let spots = [spot];
+        let reach = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &spots, NO_CLOCK);
+        let whole = table5_whole(&rec, &lig);
+        let poses = rim_poses(&lig, &spots, 16);
+        assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, "outside");
+    }
+
+    #[test]
+    #[ignore = "run in release mode: builds 2BSM's reach for a one-atom and a nine-atom ligand"]
+    fn table5_reach_serves_one_atom_and_nine_atom_ligands() {
+        let opts = table5_opts();
+        let rec = vsmol::Dataset::TwoBsm.receptor();
+        let spots = spots_on(&rec, 16);
+        // One atom: r_lig = 0. Nine: one full chunk, then one atom and
+        // seven padding lanes.
+        for atoms in [1, 9] {
+            let lig = synth::synth_ligand("l", atoms, 105);
+            let reach =
+                GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &spots, NO_CLOCK);
+            let whole = table5_whole(&rec, &lig);
+            let what = format!("{atoms} atoms");
+            let poses = rim_poses(&lig, &spots, 4);
+            assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, &what);
+        }
     }
 }

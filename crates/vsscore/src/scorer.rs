@@ -32,7 +32,7 @@ use crate::run::{fused_run, RunFrame};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vsmath::{RigidTransform, SpatialGrid, Vec3};
-use vsmol::{Conformation, Element, LjTable, Molecule};
+use vsmol::{Conformation, Element, LjTable, Molecule, Spot};
 
 /// Which physical terms the score includes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -187,7 +187,23 @@ impl Scorer {
     /// once; the fused kernel additionally permutes it into element runs
     /// here, so the per-pose hot loop never touches unsorted elements.
     pub fn new(receptor: &Molecule, ligand: &Molecule, opts: ScorerOptions) -> Scorer {
-        Scorer::new_inner(receptor, ligand, opts, None)
+        Scorer::new_inner(receptor, ligand, opts, &[], None)
+    }
+
+    /// [`Scorer::new`] for a screen whose every pose is
+    /// [`Conformation::clamped_to`] one of `spots`, as the engine keeps
+    /// them. A [`Kernel::Grid`] scorer that finds no slab of this receptor
+    /// resident builds only the lattice nodes such poses can read (DESIGN
+    /// §11), with the bits a whole build gives them; a pose farther out
+    /// reads `+0.0` where a node was not built, which a debug build
+    /// asserts never happens. The other kernels ignore `spots`.
+    pub fn for_spots(
+        receptor: &Molecule,
+        ligand: &Molecule,
+        opts: ScorerOptions,
+        spots: &[Spot],
+    ) -> Scorer {
+        Scorer::new_inner(receptor, ligand, opts, spots, None)
     }
 
     /// [`Scorer::new`] plus trace visibility into any potential-grid build
@@ -198,13 +214,14 @@ impl Scorer {
         opts: ScorerOptions,
         trace: &vstrace::Trace,
     ) -> Scorer {
-        Scorer::new_inner(receptor, ligand, opts, Some(trace))
+        Scorer::new_inner(receptor, ligand, opts, &[], Some(trace))
     }
 
     fn new_inner(
         receptor: &Molecule,
         ligand: &Molecule,
         opts: ScorerOptions,
+        spots: &[Spot],
         trace: Option<&vstrace::Trace>,
     ) -> Scorer {
         let lig = ligand.centered();
@@ -227,11 +244,10 @@ impl Scorer {
                     hbond_epsilon: opts.model.hbond_epsilon(),
                     ..Default::default()
                 };
+                use crate::grid_potential::GridScorer;
                 let grid = match trace {
-                    Some(t) => {
-                        crate::grid_potential::GridScorer::new_traced(receptor, ligand, gopts, t)
-                    }
-                    None => crate::grid_potential::GridScorer::new(receptor, ligand, gopts),
+                    Some(t) => GridScorer::new_traced(receptor, ligand, gopts, t),
+                    None => GridScorer::for_spots(receptor, ligand, gopts, spots),
                 };
                 (KernelData::Grid(grid), lig_atoms as u64)
             }

@@ -44,10 +44,11 @@ pub enum Event {
     GenerationDone { generation: u32, best_score: f64, evaluations: u64 },
     /// A scorer's potential grids were requested from the slab cache:
     /// `grids` slabs of `nodes` nodes, `bytes` in all, are what that scorer
-    /// holds; `cached` says no slab had to be built for it, `build_s` is
-    /// the wall-clock spent building the ones that had to be and — like
-    /// [`Stamped::mono_ns`] — excluded from the determinism contract.
-    GridBuilt { nodes: u64, grids: u32, bytes: u64, build_s: f64, cached: bool },
+    /// holds; `cached` says no slab had to be built for it, `terms` counts
+    /// the pair terms (receptor atom × lattice node × slab) the build for
+    /// it added, and `build_s` is the wall-clock spent building — like
+    /// [`Stamped::mono_ns`], excluded from the determinism contract.
+    GridBuilt { nodes: u64, grids: u32, bytes: u64, terms: u64, build_s: f64, cached: bool },
     /// A cluster job ran on a different node than the static plan intended.
     JobMigrated { job: u32, from_node: u32, to_node: u32 },
     /// A node was degraded by the fault plan.
@@ -158,7 +159,14 @@ mod tests {
             Event::WarmupSample { device: 0, iteration: 0, seconds: 0.1 },
             Event::PartitionDecision { device: 0, share: 0.5, weight: 1.0 },
             Event::GenerationDone { generation: 0, best_score: -1.0, evaluations: 64 },
-            Event::GridBuilt { nodes: 1, grids: 1, bytes: 4, build_s: 0.1, cached: false },
+            Event::GridBuilt {
+                nodes: 1,
+                grids: 1,
+                bytes: 4,
+                terms: 9,
+                build_s: 0.1,
+                cached: false,
+            },
             Event::JobMigrated { job: 0, from_node: 0, to_node: 1 },
             Event::FaultInjected { node: 0, slowdown: 2.0 },
             Event::JobAdmitted { campaign: 0, jobs: 4, interactive: true, vt: 0.0 },

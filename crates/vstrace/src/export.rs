@@ -192,13 +192,13 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
                     num(best_score)
                 ),
             ),
-            Event::GridBuilt { nodes, grids, bytes, build_s, cached } => push_event(
+            Event::GridBuilt { nodes, grids, bytes, terms, build_s, cached } => push_event(
                 &mut out,
                 &format!(
                     "\"name\": \"GridBuilt\", \"ph\": \"i\", \"s\": \"t\", \
                      \"pid\": {WALL_PID}, \"tid\": {WALL_TID}, \"ts\": {}, \"args\": {{\
                      \"nodes\": {nodes}, \"grids\": {grids}, \"bytes\": {bytes}, \
-                     \"build_s\": {}, \"cached\": {cached}}}",
+                     \"terms\": {terms}, \"build_s\": {}, \"cached\": {cached}}}",
                     num(wall_us),
                     num(build_s)
                 ),

@@ -65,6 +65,7 @@ pub fn text_summary(data: &TraceData) -> String {
     let mut grid_slabs = 0u64;
     let mut grid_build_s = 0.0f64;
     let mut grid_bytes = 0u64;
+    let mut grid_terms = 0u64;
     let mut model: BTreeMap<(u32, u32), ModelAgg> = BTreeMap::new();
     let mut reseeds = 0u64;
 
@@ -130,8 +131,9 @@ pub fn text_summary(data: &TraceData) -> String {
                 reseeds = reseeds.max(value as u64);
             }
             Event::Counter { name: "grid_slabs_built", value } => grid_slabs += value as u64,
-            Event::GridBuilt { bytes, build_s, cached, .. } => {
+            Event::GridBuilt { bytes, terms, build_s, cached, .. } => {
                 grid_builds += 1;
+                grid_terms += terms;
                 grid_cached += u64::from(cached);
                 grid_build_s += build_s;
                 grid_bytes = grid_bytes.max(bytes);
@@ -225,7 +227,8 @@ pub fn text_summary(data: &TraceData) -> String {
         let _ = writeln!(
             out,
             "potential grids: {grid_builds} requests ({grid_cached} cache hits), \
-             {grid_slabs} slabs built in {grid_build_s:.3} s, {:.1} MiB largest field",
+             {grid_slabs} slabs built in {grid_build_s:.3} s, {:.1} MiB largest field, \
+             {grid_terms} pair terms",
             grid_bytes as f64 / (1024.0 * 1024.0)
         );
     }
@@ -392,14 +395,15 @@ mod tests {
         // C+N again builds nothing.
         for (grids, built, build_s) in [(2u32, 2.0, 0.25), (3, 1.0, 0.125), (2, 0.0, 0.0)] {
             let (bytes, cached) = (u64::from(grids) * mib, built == 0.0);
-            t.emit(Event::GridBuilt { nodes: 1 << 18, grids, bytes, build_s, cached });
+            let terms = 1000 * built as u64;
+            t.emit(Event::GridBuilt { nodes: 1 << 18, grids, bytes, terms, build_s, cached });
             if !cached {
                 t.emit(Event::Counter { name: "grid_slabs_built", value: built });
             }
         }
         let s = text_summary(&t.snapshot());
         let want = "potential grids: 3 requests (1 cache hits), 3 slabs built in 0.375 s, \
-                    3.0 MiB largest field";
+                    3.0 MiB largest field, 3000 pair terms";
         assert!(s.contains(want), "{s}");
     }
 

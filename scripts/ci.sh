@@ -12,6 +12,19 @@ cargo test -q
 echo "==> perfbench tests (the benchmark's own suite; breaks when the library surface it path-depends on does)"
 cargo test -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perf run at full size, one repetition (every workload's checks must pass)"
+# `perf run` exits 0 even when a workload check fails: it prints one
+# {"correct": ..., "failed": ...} line per workload, and each of the four
+# must read correct and zero failed operations.
+perf_out=$(cargo run -q --release --manifest-path perfbench/Cargo.toml -- run --reps 1)
+results=$(printf '%s\n' "$perf_out" | grep '^{"correct": ' || true)
+passed=$(printf '%s\n' "$results" | grep -c '^{"correct": true, .*"failed": 0,' || true)
+if [ "$passed" -ne 4 ]; then
+  printf '%s\n' "$results" >&2
+  echo "perf run: $passed of 4 workloads correct with no failed operation" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -102,7 +115,7 @@ sed -E 's/, "grid_poses_per_sec": .* \}/ }/' target/BENCH_grid.json \
   | diff -u scripts/grid_accuracy.expected - \
   || { echo "grid_accuracy: scores differ from scripts/grid_accuracy.expected" >&2; exit 1; }
 
-echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model)"
+echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; grid reach: a lattice built only within the spots' reach against a whole Scorer::new on rim poses of 16 and of all spots, a spot 20 A outside the lattice, one- and nine-atom ligands; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_
 
 echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop and byte-equality with BENCH_pipeline.json)"
