@@ -199,9 +199,9 @@ fn cooperative() {
     let spots = screen.spots().to_vec();
     let scorer = screen.scorer();
     let params = metaheur::m1(0.1);
-    let spec = vsched::EvaluatorSpec::PooledCpu { threads: 8 };
-    let coop = cooperative_search(&params, &spots, || spec.build(scorer.clone()), 3, 2, 41);
-    let indep = cooperative_search(&params, &spots, || spec.build(scorer.clone()), 6, 1, 41);
+    let pooled = || metaheur::CpuEvaluator::new((*scorer).clone(), vsscore::Exec::Pool(8));
+    let coop = cooperative_search(&params, &spots, pooled, 3, 2, 41);
+    let indep = cooperative_search(&params, &spots, pooled, 6, 1, 41);
     println!("Cooperative vs independent jobs (equal budget of {} evaluations):", coop.evaluations);
     println!("  3 jobs x 2 epochs, incumbent sharing: best {:.2}", coop.best_score);
     println!("  6 jobs x 1 epoch, fully independent:  best {:.2}", indep.best_score);

@@ -8,10 +8,10 @@
 //! independent comparison ([`cooperative_search`]).
 
 use crate::screen::VirtualScreen;
-use metaheur::{BatchEvaluator, ImproveStrategy, MetaheuristicParams};
+use metaheur::{BatchEvaluator, CpuEvaluator, ImproveStrategy, MetaheuristicParams};
 use serde::{Deserialize, Serialize};
-use vsched::EvaluatorSpec;
 use vsmol::{conformation::score_cmp, Conformation, Dataset, Spot};
+use vsscore::Exec;
 
 /// One algorithm's quality measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,7 +54,7 @@ pub fn quality_comparison(
         .into_iter()
         .chain([lam, pso, tabu])
         .map(|params| {
-            let mut ev = EvaluatorSpec::PooledCpu { threads }.build(screen.scorer());
+            let mut ev = CpuEvaluator::new((*screen.scorer()).clone(), Exec::Pool(threads));
             let r = metaheur::run(&params, &spots, &mut ev, seed);
             row_from(&screen, &params.name, r)
         })

@@ -3,7 +3,7 @@
 use gpusim::SimNode;
 use metaheur::{BatchEvaluator, CpuEvaluator, EngineExec, MetaheuristicParams};
 use std::sync::Arc;
-use vsched::{DeviceEvaluator, EvaluatorSpec, Strategy};
+use vsched::{DeviceEvaluator, Strategy};
 use vsmol::{surface, Conformation, Dataset, Molecule, Spot, SurfaceOptions};
 use vsscore::{Exec, Scorer, ScorerOptions};
 use vstrace::Trace;
@@ -44,8 +44,9 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Run on a simulated node under `strategy`; the outcome carries the
-    /// modeled makespan. Under [`Strategy::WorkSteal`] the host CPU joins
-    /// the GPUs in the runtime's steal pool.
+    /// modeled makespan. Under [`Strategy::CpuOnly`] the host CPU is the
+    /// only lane; under [`Strategy::WorkSteal`] and [`Strategy::Oracle`] it
+    /// joins the GPUs in the runtime's steal pool.
     pub fn on_node(
         params: &'a MetaheuristicParams,
         node: &'a SimNode,
@@ -155,7 +156,7 @@ impl VirtualScreen {
         match spec.backend {
             Backend::Cpu { threads } => {
                 let _screen = trace.span("screen");
-                let mut ev = EvaluatorSpec::PooledCpu { threads }.build(self.scorer.clone());
+                let mut ev = CpuEvaluator::new((*self.scorer).clone(), Exec::Pool(threads));
                 let run = run_engine(spec.params, &self.spots, &mut ev, self.seed, &trace, exec);
                 ScreenOutcome::from_run(run, f64::NAN)
             }
@@ -165,41 +166,23 @@ impl VirtualScreen {
                 // node makespan, including any warm-up phase.
                 node.reset();
                 let _screen = trace.span("screen");
-                match strategy {
-                    Strategy::CpuOnly => {
-                        let threads = node.cpu().spec().lanes() as usize;
-                        let mut ev = CpuNodeEvaluator {
-                            inner: CpuEvaluator::new((*self.scorer).clone(), Exec::Pool(threads)),
-                            node: node.clone(),
-                        };
-                        let run =
-                            run_engine(spec.params, &self.spots, &mut ev, self.seed, &trace, exec);
-                        ScreenOutcome::from_run(run, node.cpu().clock())
+                // The OpenMP baseline runs on the host CPU alone. Work
+                // stealing and the learned oracle run the *whole*
+                // heterogeneous node: the host CPU joins the device pool as
+                // one more lane pulling chunks from the shared deques. The
+                // split strategies keep the paper's GPU-only partitioning
+                // (the CPU orchestrates).
+                let devices = match strategy {
+                    Strategy::CpuOnly => vec![node.cpu().clone()],
+                    Strategy::WorkSteal { .. } | Strategy::Oracle { .. } => {
+                        std::iter::once(node.cpu()).chain(node.gpus()).cloned().collect()
                     }
-                    _ => {
-                        // Work stealing and the learned oracle run the
-                        // *whole* heterogeneous node: the host CPU joins the
-                        // device pool as one more lane pulling chunks from
-                        // the shared deques. The split strategies keep the
-                        // paper's GPU-only partitioning (the CPU
-                        // orchestrates).
-                        let devices = if matches!(
-                            strategy,
-                            Strategy::WorkSteal { .. } | Strategy::Oracle { .. }
-                        ) {
-                            let mut d = vec![node.cpu().clone()];
-                            d.extend(node.gpus().iter().cloned());
-                            d
-                        } else {
-                            node.gpus().to_vec()
-                        };
-                        let mut ev = DeviceEvaluator::new(devices, self.scorer.clone(), strategy)
-                            .with_trace(trace.clone());
-                        let run =
-                            run_engine(spec.params, &self.spots, &mut ev, self.seed, &trace, exec);
-                        ScreenOutcome::from_run(run, ev.makespan())
-                    }
-                }
+                    _ => node.gpus().to_vec(),
+                };
+                let mut ev = DeviceEvaluator::new(devices, self.scorer.clone(), strategy)
+                    .with_trace(trace.clone());
+                let run = run_engine(spec.params, &self.spots, &mut ev, self.seed, &trace, exec);
+                ScreenOutcome::from_run(run, ev.makespan())
             }
         }
     }
@@ -353,36 +336,6 @@ fn run_engine<E: BatchEvaluator>(
     match exec {
         None => metaheur::run_traced(params, spots, ev, seed, trace),
         Some(exec) => metaheur::run_exec(params, spots, ev, seed, &[], trace, exec),
-    }
-}
-
-/// CPU-only evaluator that also charges the node's CPU virtual clock — the
-/// paper's OpenMP baseline with timing.
-struct CpuNodeEvaluator {
-    inner: CpuEvaluator,
-    node: SimNode,
-}
-
-impl BatchEvaluator for CpuNodeEvaluator {
-    fn evaluate(&mut self, confs: &mut [Conformation]) {
-        self.inner.evaluate(confs);
-        // Charge the CPU clock in the scorer's own cost regime (pairs for
-        // the dense kernels, ligand atoms for Grid, shell pairs for
-        // CellList) so CPU-only virtual times stay comparable to the
-        // device strategies.
-        let profile = vsched::work_profile(self.inner.scorer());
-        self.node.cpu().execute(&profile.batch(confs.len() as u64));
-    }
-
-    fn pairs_per_eval(&self) -> u64 {
-        self.inner.pairs_per_eval()
-    }
-
-    fn evaluate_after(&mut self, confs: &mut [Conformation], release: f64) -> f64 {
-        // A batch can't start before the host hands it over.
-        self.node.cpu().sync_to(release);
-        self.evaluate(confs);
-        self.node.cpu().clock()
     }
 }
 

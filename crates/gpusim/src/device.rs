@@ -23,7 +23,9 @@ pub struct DeviceStats {
 /// clock, not a thread — but its state sits behind a `Mutex` because the
 /// evaluator that holds it must stay `Send`: perfbench's
 /// `stack::run_engine` bounds its evaluator `E: BatchEvaluator + Send` and
-/// passes a `vsched::DeviceEvaluator`.
+/// passes a `vsched::DeviceEvaluator`. That evaluator holds its devices
+/// as `Arc<SimDevice>`, and `Arc<T>` is `Send` only when `T` is `Sync`,
+/// which a `Cell` or `RefCell` state would not be.
 #[derive(Debug)]
 pub struct SimDevice {
     id: usize,

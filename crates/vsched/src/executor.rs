@@ -47,7 +47,8 @@ pub struct DeviceEvaluator {
     policy: Policy,
     profile: WorkProfile,
     /// Host threads a batch is scored on, the calling thread included:
-    /// `min(devices, host threads)`.
+    /// `min(devices, host threads)`, or `min(cores, host threads)` for the
+    /// CPU-only baseline's one lane.
     threads: usize,
     /// The calling thread's: it scores chunks of every batch `dispatch`
     /// submits, as one of the `threads`.
@@ -56,19 +57,31 @@ pub struct DeviceEvaluator {
 
 impl DeviceEvaluator {
     /// Build an evaluator over `devices` using `strategy` to assign work.
+    /// [`Strategy::CpuOnly`] — the paper's OpenMP baseline — takes exactly
+    /// one device, the host CPU, and scores each batch on as many host
+    /// threads as that CPU has cores (at most the host's).
     ///
     /// # Panics
-    /// Panics if `devices` is empty or the strategy is [`Strategy::CpuOnly`]
-    /// (use [`metaheur::CpuEvaluator`] for the baseline).
+    /// Panics if `devices` is empty, or if the strategy is
+    /// [`Strategy::CpuOnly`] and `devices` is not one CPU.
     pub fn new(
         devices: Vec<Arc<SimDevice>>,
         scorer: Arc<Scorer>,
         strategy: Strategy,
     ) -> DeviceEvaluator {
         let policy = Policy::new(strategy, devices.len());
-        assert!(!policy.cpu_only(), "use CpuEvaluator for the CPU-only baseline");
+        let lanes = if policy.cpu_only() {
+            assert!(
+                devices.len() == 1 && !devices[0].spec().is_gpu(),
+                "the CPU-only baseline runs on one device, the host CPU: got {:?}",
+                devices.iter().map(|d| d.name()).collect::<Vec<_>>()
+            );
+            devices[0].spec().lanes() as usize
+        } else {
+            devices.len()
+        };
         DeviceEvaluator {
-            threads: devices.len().min(vsscore::host_threads()),
+            threads: lanes.min(vsscore::host_threads()),
             profile: work_profile(&scorer),
             devices,
             scorer,
@@ -211,6 +224,28 @@ mod tests {
         cpu_eval.evaluate(&mut b);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.score, y.score, "device path must compute identical scores");
+        }
+    }
+
+    #[test]
+    fn all_backends_agree_bitwise() {
+        // Serial, pooled and device-scheduled scoring give the same bits.
+        let sc = scorer();
+        let mut backends: Vec<Box<dyn BatchEvaluator>> = vec![
+            Box::new(CpuEvaluator::new((*sc).clone(), Exec::Serial)),
+            Box::new(CpuEvaluator::new((*sc).clone(), Exec::Pool(3))),
+            Box::new(DeviceEvaluator::new(hertz_devices(), sc.clone(), Strategy::HomogeneousSplit)),
+        ];
+        let mut reference: Option<Vec<u64>> = None;
+        for (i, ev) in backends.iter_mut().enumerate() {
+            assert_eq!(ev.pairs_per_eval(), sc.pairs_per_eval(), "backend {i}");
+            let mut c = confs(37, 5);
+            ev.evaluate(&mut c);
+            let bits: Vec<u64> = c.iter().map(|x| x.score.to_bits()).collect();
+            match &reference {
+                Some(want) => assert_eq!(want, &bits, "backend {i} diverged"),
+                None => reference = Some(bits),
+            }
         }
     }
 
@@ -658,9 +693,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn cpu_only_strategy_rejected() {
-        DeviceEvaluator::new(hertz_devices(), scorer(), Strategy::CpuOnly);
+    fn cpu_only_scores_like_serial_with_one_launch_per_batch() {
+        // The OpenMP baseline is a one-lane plan over the host CPU: every
+        // batch is one claim, charged to the CPU as one launch.
+        let sc = scorer();
+        let cpu = Arc::new(SimDevice::new(0, catalog::xeon_e3_1220()));
+        let mut ev = DeviceEvaluator::new(vec![cpu.clone()], sc.clone(), Strategy::CpuOnly);
+        assert_eq!(ev.threads, 4.min(vsscore::host_threads()), "one host thread per core");
+        let mut serial = CpuEvaluator::new((*sc).clone(), Exec::Serial);
+        for (batch, n) in [37, 1, 64].into_iter().enumerate() {
+            let mut a = confs(n, 90 + batch as u64);
+            let mut b = a.clone();
+            ev.evaluate(&mut a);
+            serial.evaluate(&mut b);
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.score.to_bits(), y.score.to_bits(), "batch {batch}");
+            }
+            assert_eq!(cpu.stats().batches, batch as u64 + 1);
+        }
+        assert_eq!(cpu.stats().items, 37 + 1 + 64);
+        assert_eq!(ev.makespan(), cpu.clock());
+    }
+
+    #[test]
+    #[should_panic(expected = "one device, the host CPU")]
+    fn cpu_only_over_two_devices_rejected() {
+        let devices = vec![
+            Arc::new(SimDevice::new(0, catalog::xeon_e3_1220())),
+            Arc::new(SimDevice::new(1, catalog::tesla_k40c())),
+        ];
+        DeviceEvaluator::new(devices, scorer(), Strategy::CpuOnly);
     }
 
     #[test]

@@ -36,10 +36,8 @@
 //!   re-price devices from live batch telemetry, with drift detection;
 //! - [`executor`] — the real-compute path: a
 //!   [`metaheur::BatchEvaluator`] that plans each batch with the policy
-//!   and dispatches the claims for scoring;
-//! - [`spec`] — [`spec::EvaluatorSpec`], the single declarative factory
-//!   for scoring backends (serial CPU / pooled CPU / device-scheduled),
-//!   replacing per-call-site constructor picking.
+//!   and dispatches the claims for scoring, for every strategy — the
+//!   CPU-only baseline is its one-lane case over the host CPU.
 
 #![forbid(unsafe_code)]
 
@@ -49,16 +47,14 @@ pub mod partition;
 pub mod policy;
 pub mod replay;
 pub mod runtime;
-pub mod spec;
 pub mod strategy;
 pub mod warmup;
 
 pub use executor::DeviceEvaluator;
-pub use oracle::{CostOracle, FitSnapshot, ModelUpdate, OracleConfig};
+pub use oracle::{CostOracle, FitSnapshot, ModelUpdate};
 pub use partition::{equal_split, proportional_split};
 pub use policy::Policy;
 pub use replay::{schedule_trace, schedule_trace_with, ReplayOptions, ScheduleReport};
 pub use runtime::{drain_deques, seed_deques, work_profile, Claim, StealConfig, StealStats};
-pub use spec::EvaluatorSpec;
 pub use strategy::Strategy;
 pub use warmup::{percent_factors, shares_from_times, warmup_times, WarmupConfig};

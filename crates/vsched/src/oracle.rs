@@ -20,12 +20,12 @@
 //! `seconds` updates
 //!
 //! ```text
-//! rate ← (1 − decay) · rate + decay · units/seconds
+//! rate ← (1 − DECAY) · rate + DECAY · units/seconds
 //! ```
 //!
 //! unless the relative residual `(observed − predicted) / predicted`
-//! exceeds [`OracleConfig::drift_ratio`] on a trusted fit (at least
-//! [`OracleConfig::min_observations`] observations), in which case the
+//! exceeds [`DRIFT_RATIO`] on a trusted fit (at least
+//! [`MIN_OBSERVATIONS`] observations), in which case the
 //! regime changed and the fit *re-fits*: the rate snaps to the fresh
 //! observation so the very next seed reflects the new speed. Both paths
 //! are pure `f64` arithmetic over virtual-time measurements in
@@ -46,25 +46,17 @@ use crate::warmup::shares_from_times;
 use gpusim::KernelClass;
 use std::collections::BTreeMap;
 
-/// Fit hyper-parameters. The defaults favor fast drift response over
-/// smoothing: virtual-time measurements are noise-free, so heavy averaging
-/// buys nothing and slows convergence after a regime change.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OracleConfig {
-    /// Weight of the newest observation in the decayed rate update.
-    pub decay: f64,
-    /// Relative residual beyond which a trusted fit is discarded and
-    /// re-fit from the fresh observation (drift detection).
-    pub drift_ratio: f64,
-    /// Observations before a fit is trusted enough to drift-reset.
-    pub min_observations: u64,
-}
+// Fit hyper-parameters. They favor fast drift response over smoothing:
+// virtual-time measurements are noise-free, so heavy averaging buys
+// nothing and slows convergence after a regime change.
 
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig { decay: 0.25, drift_ratio: 0.35, min_observations: 2 }
-    }
-}
+/// Weight of the newest observation in the decayed rate update.
+pub const DECAY: f64 = 0.25;
+/// Relative residual beyond which a trusted fit is discarded and re-fit
+/// from the fresh observation (drift detection).
+pub const DRIFT_RATIO: f64 = 0.35;
+/// Observations before a fit is trusted enough to drift-reset.
+pub const MIN_OBSERVATIONS: u64 = 2;
 
 /// One decayed throughput fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +103,6 @@ struct Prior {
 /// drift and cold-start semantics.
 #[derive(Debug, Clone)]
 pub struct CostOracle {
-    cfg: OracleConfig,
     n_devices: usize,
     priors: BTreeMap<KernelClass, Prior>,
     fits: BTreeMap<(usize, KernelClass), Fit>,
@@ -122,12 +113,10 @@ impl CostOracle {
     /// An empty oracle for `n_devices` devices.
     ///
     /// # Panics
-    /// Panics if `n_devices == 0` or the config is degenerate.
-    pub fn new(n_devices: usize, cfg: OracleConfig) -> CostOracle {
+    /// Panics if `n_devices == 0`.
+    pub fn new(n_devices: usize) -> CostOracle {
         assert!(n_devices > 0, "oracle needs devices");
-        assert!(cfg.decay > 0.0 && cfg.decay <= 1.0, "bad decay {}", cfg.decay);
-        assert!(cfg.drift_ratio > 0.0, "bad drift ratio {}", cfg.drift_ratio);
-        CostOracle { cfg, n_devices, priors: BTreeMap::new(), fits: BTreeMap::new(), reseeds: 0 }
+        CostOracle { n_devices, priors: BTreeMap::new(), fits: BTreeMap::new(), reseeds: 0 }
     }
 
     pub fn n_devices(&self) -> usize {
@@ -182,7 +171,6 @@ impl CostOracle {
             "bad observation: {units} units in {seconds} s"
         );
         let observed_rate = units / seconds;
-        let decay = self.cfg.decay;
         let prior = self.prior_rate(device, class);
         match self.fits.get_mut(&(device, class)) {
             None => {
@@ -192,7 +180,7 @@ impl CostOracle {
                 let predicted = prior.map_or(seconds, |r| units / r);
                 let residual = (seconds - predicted) / predicted;
                 let rate =
-                    prior.map_or(observed_rate, |r| (1.0 - decay) * r + decay * observed_rate);
+                    prior.map_or(observed_rate, |r| (1.0 - DECAY) * r + DECAY * observed_rate);
                 self.fits.insert(
                     (device, class),
                     Fit { rate, observations: 1, last_residual: residual, refits: 0 },
@@ -202,8 +190,7 @@ impl CostOracle {
             Some(fit) => {
                 let predicted = units / fit.rate;
                 let residual = (seconds - predicted) / predicted;
-                let refit = fit.observations >= self.cfg.min_observations
-                    && residual.abs() > self.cfg.drift_ratio;
+                let refit = fit.observations >= MIN_OBSERVATIONS && residual.abs() > DRIFT_RATIO;
                 if refit {
                     // Regime change: the old rate is evidence about a
                     // device that no longer exists. Snap to the fresh
@@ -212,7 +199,7 @@ impl CostOracle {
                     fit.observations = 1;
                     fit.refits += 1;
                 } else {
-                    fit.rate = (1.0 - decay) * fit.rate + decay * observed_rate;
+                    fit.rate = (1.0 - DECAY) * fit.rate + DECAY * observed_rate;
                     fit.observations += 1;
                 }
                 fit.last_residual = residual;
@@ -288,7 +275,7 @@ mod tests {
     const PS: KernelClass = KernelClass::PairSweep;
 
     fn oracle(n: usize) -> CostOracle {
-        CostOracle::new(n, OracleConfig::default())
+        CostOracle::new(n)
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! whether the device made one claim or twenty; warm-up sums and oracle
 //! observations both use it.
 
-use crate::oracle::{CostOracle, OracleConfig};
+use crate::oracle::CostOracle;
 use crate::partition::proportional_split;
 use crate::runtime::{
     charge, drain_deques, earliest, makespan, seed_deques, Claim, StealConfig, StealStats,
@@ -106,8 +106,7 @@ impl Policy {
             Strategy::WorkSteal { divisor, .. } => Steady::Steal(steal(divisor)),
             Strategy::Oracle { divisor, .. } => Steady::Learn(steal(divisor)),
         };
-        let oracle =
-            matches!(steady, Steady::Learn(_)).then(|| CostOracle::new(n, OracleConfig::default()));
+        let oracle = matches!(steady, Steady::Learn(_)).then(|| CostOracle::new(n));
         Policy {
             steady,
             cpu_only,

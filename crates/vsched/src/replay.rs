@@ -166,7 +166,6 @@ pub fn schedule_trace_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::OracleConfig;
     use crate::warmup::WarmupConfig;
     use gpusim::{catalog, KernelClass};
     use vstrace::Event;
@@ -714,7 +713,7 @@ mod tests {
         // fits at batch 0 — and re-running from a cloned oracle is
         // bit-identical (fits consume only virtual-time measurements).
         let node = hertz();
-        let mut shared = CostOracle::new(node.1.len(), OracleConfig::default());
+        let mut shared = CostOracle::new(node.1.len());
         let run = |o: &mut CostOracle| {
             replay(
                 &node,

@@ -7,7 +7,7 @@
 
 use gpusim::KernelClass;
 use proptest::prelude::*;
-use vsched::{proportional_split, shares_from_times, CostOracle, OracleConfig};
+use vsched::{proportional_split, shares_from_times, CostOracle};
 
 const PS: KernelClass = KernelClass::PairSweep;
 
@@ -29,8 +29,8 @@ proptest! {
         // Same observation order must produce bit-identical coefficients —
         // the determinism contract the service's cross-campaign sharing
         // relies on.
-        let mut a = CostOracle::new(3, OracleConfig::default());
-        let mut b = CostOracle::new(3, OracleConfig::default());
+        let mut a = CostOracle::new(3);
+        let mut b = CostOracle::new(3);
         let units = vec![1000.0; 3];
         a.observe_warmup(PS, &times, &units);
         b.observe_warmup(PS, &times, &units);
@@ -63,7 +63,7 @@ proptest! {
         // A synthetic device with constant true throughput `rate`: after N
         // noise-free observations the decayed fit must predict within 1%,
         // regardless of how wrong the warm-up prior was.
-        let mut o = CostOracle::new(1, OracleConfig::default());
+        let mut o = CostOracle::new(1);
         o.observe_warmup(PS, &[1.0], &[prior_rate]);
         // decay 0.25 halves prior error every ~2.4 obs; drift detection
         // snaps large errors immediately. 40 observations is plenty.
@@ -87,7 +87,7 @@ proptest! {
         // equals today's `warmup_times` + `proportional_split` output
         // exactly. The weights are required to be bit-identical, so the
         // integer split over them is identical too.
-        let mut o = CostOracle::new(4, OracleConfig::default());
+        let mut o = CostOracle::new(4);
         o.observe_warmup(PS, &times, &[1000.0; 4]);
         let w = o.seed_weights(PS).unwrap();
         let frozen = shares_from_times(&times);
@@ -99,7 +99,7 @@ proptest! {
 
     #[test]
     fn rates_stay_finite_and_positive(obs in arb_observations()) {
-        let mut o = CostOracle::new(3, OracleConfig::default());
+        let mut o = CostOracle::new(3);
         for &(d, u, s) in &obs {
             let up = o.observe(d, PS, u, s);
             prop_assert!(up.predicted.is_finite() && up.predicted > 0.0);

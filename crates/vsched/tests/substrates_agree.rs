@@ -1,18 +1,19 @@
 //! Differential test of the two execution substrates (ROADMAP item 4's
 //! gate): the real-compute [`DeviceEvaluator`] and the analytic replay run
-//! the same [`vsched::Policy`], so for every GPU strategy — healthy or
-//! with a device slowing 4x mid-run — they must agree on every virtual
-//! number bit-for-bit: per-device clocks, kernel launches, steals, and
-//! oracle re-seeds. And whatever a plan looks like, the scores of the live
-//! path are the serial path's: every conformation of a batch is scored,
-//! bit-identically, at every batch size.
+//! the same [`vsched::Policy`], so for every strategy — healthy or with a
+//! GPU slowing 4x mid-run, the CPU-only baseline's one host-CPU lane
+//! included — they must agree on every virtual number bit-for-bit:
+//! per-lane clocks, kernel launches, steals, and oracle re-seeds. And
+//! whatever a plan looks like, the scores of the live path are the serial
+//! path's: every conformation of a batch is scored, bit-identically, at
+//! every batch size.
 
 use gpusim::{catalog, SimDevice, SimNode};
 use metaheur::BatchEvaluator;
 use std::sync::Arc;
 use vsched::{
-    schedule_trace_with, work_profile, CostOracle, DeviceEvaluator, OracleConfig, ReplayOptions,
-    Strategy, WarmupConfig,
+    schedule_trace_with, work_profile, CostOracle, DeviceEvaluator, ReplayOptions, Strategy,
+    WarmupConfig,
 };
 use vsmath::{RigidTransform, RngStream};
 use vsmol::{synth, Conformation};
@@ -44,9 +45,10 @@ fn nodes() -> [SimNode; 2] {
     ]
 }
 
-fn strategies(warmup_batches: usize) -> [Strategy; 7] {
+fn strategies(warmup_batches: usize) -> [Strategy; 8] {
     let warmup = WarmupConfig { iterations: warmup_batches, ..Default::default() };
     [
+        Strategy::CpuOnly,
         Strategy::HomogeneousSplit,
         Strategy::HeterogeneousSplit { warmup },
         Strategy::DynamicQueue { chunk: 64 },
@@ -61,7 +63,16 @@ fn strategies(warmup_batches: usize) -> [Strategy; 7] {
 /// modes see whole-share claims, guided chunks and steals.
 const BATCHES: [usize; 10] = [2048, 777, 4096, 8192, 2048, 16_384, 100, 8192, 4096, 2048];
 
-/// Virtual outcome of one run: per-device clock bits and launch counts,
+/// The lanes `strategy` drives on `node`: the host CPU alone for the
+/// OpenMP baseline (what the replay plans it on), the GPUs otherwise.
+fn lanes(node: &SimNode, strategy: Strategy) -> Vec<Arc<SimDevice>> {
+    match strategy {
+        Strategy::CpuOnly => vec![node.cpu().clone()],
+        _ => node.gpus().to_vec(),
+    }
+}
+
+/// Virtual outcome of one run: per-lane clock bits and launch counts,
 /// steals, oracle re-seeds.
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -97,10 +108,9 @@ fn live(
     slow_at: Option<usize>,
 ) -> Outcome {
     let gpus = node.gpus();
-    for g in gpus {
-        g.reset();
-    }
-    let mut ev = DeviceEvaluator::new(gpus.to_vec(), Arc::clone(scorer), strategy);
+    node.reset();
+    let lanes = lanes(node, strategy);
+    let mut ev = DeviceEvaluator::new(lanes.clone(), Arc::clone(scorer), strategy);
     let mut rng = RngStream::from_seed(2016);
     for (bi, &n) in BATCHES.iter().enumerate() {
         if slow_at == Some(bi) {
@@ -110,7 +120,7 @@ fn live(
         ev.evaluate(&mut confs);
         assert!(confs.iter().all(Conformation::is_scored), "{}: unscored", strategy.label());
     }
-    outcome(gpus, ev.steal_stats().steals, ev.oracle().map_or(0, CostOracle::reseeds))
+    outcome(&lanes, ev.steal_stats().steals, ev.oracle().map_or(0, CostOracle::reseeds))
 }
 
 /// The same batch sizes, cost regime and fault through the replay.
@@ -126,7 +136,7 @@ fn replayed(
     let phases: Vec<(usize, Vec<f64>)> = slow_at.map(|k| (k, factors)).into_iter().collect();
     let trace: Vec<u64> = BATCHES.iter().map(|&n| n as u64).collect();
     let events = Trace::new();
-    let mut oracle = CostOracle::new(gpus.len(), OracleConfig::default());
+    let mut oracle = CostOracle::new(gpus.len());
     schedule_trace_with(
         node.cpu(),
         gpus,
@@ -146,7 +156,7 @@ fn replayed(
         .into_iter()
         .filter(|e| matches!(e, Event::JobMigrated { .. }))
         .count();
-    outcome(gpus, steals as u64, oracle.reseeds())
+    outcome(&lanes(node, strategy), steals as u64, oracle.reseeds())
 }
 
 #[test]
@@ -198,7 +208,8 @@ fn every_planned_batch_is_scored_exactly_like_serial() {
         for strategy in strategies(2) {
             for n in [1, 2, 3, floor - 1, floor, floor + 1, 4097] {
                 node.reset();
-                let mut ev = DeviceEvaluator::new(gpus.to_vec(), Arc::clone(&scorer), strategy);
+                let mut ev =
+                    DeviceEvaluator::new(lanes(&node, strategy), Arc::clone(&scorer), strategy);
                 for batch in 0..3 {
                     let mut confs = unscored(&mut rng, n);
                     let mut serial = confs.clone();

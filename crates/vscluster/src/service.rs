@@ -38,9 +38,7 @@ use crate::net::NetModel;
 use gpusim::{SimNode, WorkProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vsched::{
-    schedule_trace, schedule_trace_with, CostOracle, OracleConfig, ReplayOptions, Strategy,
-};
+use vsched::{schedule_trace, schedule_trace_with, CostOracle, ReplayOptions, Strategy};
 use vscreen::trace::synthetic_trace;
 use vstrace::{Event, Trace};
 
@@ -1165,10 +1163,7 @@ impl Service {
         let batches = synthetic_trace(&jb.job.params, jb.n_spots);
         let pairs = jb.job.pairs_per_eval(jb.receptor_atoms);
         let events = if ingest { self.trace.clone() } else { Trace::disabled() };
-        let owned = self
-            .oracles
-            .entry(ni)
-            .or_insert_with(|| CostOracle::new(node.gpus().len(), OracleConfig::default()));
+        let owned = self.oracles.entry(ni).or_insert_with(|| CostOracle::new(node.gpus().len()));
         let mut peek;
         let oracle = if ingest {
             owned

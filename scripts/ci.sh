@@ -97,8 +97,10 @@ cargo test -q -p vsscore --features vscheck-model model_
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
-echo "==> scheduler snapshot cell (Percent split vs work stealing; gates the steal-gain bars)"
+echo "==> scheduler snapshot cell (Percent split vs work stealing; gates the steal-gain bars and byte-equality with BENCH_sched.json)"
 cargo run -q --release -p vs-bench --bin sched_snapshot -- target/BENCH_sched.json
+diff -u BENCH_sched.json target/BENCH_sched.json \
+  || { echo "ERROR: target/BENCH_sched.json differs from the checked-in BENCH_sched.json (re-record it only with the reason in CHANGES.md)" >&2; exit 1; }
 
 echo "==> trace report"
 scripts/trace_report.sh

@@ -2,6 +2,8 @@
 //! runs, zero overhead events from a disabled sink, and agreement between
 //! the exported chrome trace and the simulated device clocks.
 
+use gpusim::{SimDevice, SimNode};
+use std::sync::Arc;
 use vscreen::prelude::*;
 use vstrace::json::{parse, Value};
 use vstrace::{chrome_trace_json, text_summary, Event, Trace, BATCH_TRACK};
@@ -14,7 +16,8 @@ fn same_seed_produces_identical_event_payloads() {
         let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(3).seed(11).build();
         let spots = screen.spots().to_vec();
         let trace = Trace::new();
-        let mut ev = vsched::EvaluatorSpec::SerialCpu.build_traced(screen.scorer(), trace.clone());
+        let mut ev = metaheur::CpuEvaluator::new((*screen.scorer()).clone(), vsscore::Exec::Serial)
+            .with_trace(trace.clone());
         let r = metaheur::run_traced(&metaheur::m1(0.03), &spots, &mut ev, 11, &trace);
         (r.best.score, trace.snapshot().payloads())
     };
@@ -43,21 +46,28 @@ fn disabled_sink_records_zero_events_end_to_end() {
 }
 
 /// The exported chrome trace's per-device busy totals agree with the
-/// simulated device clocks, and the document parses back.
+/// simulated device clocks, and the document parses back — for the GPU
+/// split and for the CPU-only baseline, over the devices each one drives.
 #[test]
 fn exported_trace_agrees_with_device_clocks() {
-    let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(2).seed(5).build();
     let node = platform::hertz();
+    trace_agrees_with_clocks(&node, Strategy::HomogeneousSplit, node.gpus());
+    trace_agrees_with_clocks(&node, Strategy::CpuOnly, std::slice::from_ref(node.cpu()));
+}
+
+fn trace_agrees_with_clocks(node: &SimNode, strategy: Strategy, lanes: &[Arc<SimDevice>]) {
+    let screen = VirtualScreen::builder(Dataset::TwoBsm).max_spots(2).seed(5).build();
     let trace = Trace::new();
     let p = metaheur::m1(0.03);
-    let out = screen.run(RunSpec::on_node(&p, &node, Strategy::HomogeneousSplit).traced(&trace));
+    let out = screen.run(RunSpec::on_node(&p, node, strategy).traced(&trace));
     let data = trace.snapshot();
     assert_eq!(data.dropped, 0);
 
     let doc = parse(&chrome_trace_json(&data)).expect("valid chrome trace JSON");
     let events = doc.get("traceEvents").and_then(Value::as_arr).expect("traceEvents");
-    for dev in node.gpus() {
+    for dev in lanes {
         let clock = dev.clock();
+        assert!(clock > 0.0, "{}: device {} never ran", strategy.label(), dev.id());
         assert!((data.device_busy_s(dev.id() as u32) - clock).abs() <= 1e-9 * clock.max(1.0));
         let busy_us: f64 = events
             .iter()
@@ -69,7 +79,8 @@ fn exported_trace_agrees_with_device_clocks() {
             .sum();
         assert!(
             (busy_us / 1e6 - clock).abs() <= 1e-6 * clock.max(1.0),
-            "device {}: {} vs {}",
+            "{}: device {}: {} vs {}",
+            strategy.label(),
             dev.id(),
             busy_us / 1e6,
             clock
@@ -93,12 +104,14 @@ fn exported_trace_agrees_with_device_clocks() {
             _ => None,
         })
         .sum();
-    assert_eq!(batched, out.evaluations);
+    assert_eq!(batched, out.evaluations, "{}", strategy.label());
 
     // The text summary renders the same numbers.
     let summary = text_summary(&data);
     assert!(summary.contains("virtual makespan"));
-    assert!(summary.contains("Tesla K40c"));
+    for dev in lanes {
+        assert!(summary.contains(dev.name()), "{}: {summary}", strategy.label());
+    }
 }
 
 /// A learned-oracle run narrates its cost model: `ModelUpdated` events on
