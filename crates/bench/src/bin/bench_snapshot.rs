@@ -1,10 +1,9 @@
 //! Scoring-kernel performance snapshot: kernel → poses/sec at the paper's
 //! Table 5 complex sizes, written as `BENCH_scoring.json`.
 //!
-//! This is the start of the perf trajectory: each PR that touches the
-//! scoring hot path reruns the snapshot (`scripts/bench_snapshot.sh`) and
-//! records the headline speedups in CHANGES.md, so kernel regressions are
-//! visible as numbers, not vibes.
+//! A change to the scoring hot path reruns the snapshot and records the
+//! headline speedups in CHANGES.md, so kernel regressions are visible as
+//! numbers, not vibes.
 //!
 //! Usage:
 //!   cargo run --release -p vs-bench --bin bench_snapshot -- [OUT.json]

@@ -9,7 +9,7 @@
 //!      [--node hertz|jupiter] [--strategy cpu|hom|het|dynamic|steal|oracle] \
 //!      [--kernel fused|grid|cells|naive] \
 //!      [--exec lockstep|pipelined|pipelined:4] \
-//!      [--threads 8] [--seed 42] [--out pose.pdb] [--complex complex.pdb]
+//!      [--seed 42] [--out pose.pdb] [--complex complex.pdb]
 //! ```
 //!
 //! Without `--receptor`/`--ligand`, the built-in 2BSM benchmark compounds
@@ -28,7 +28,6 @@ struct Args {
     strategy: String,
     kernel: String,
     exec: Option<EngineExec>,
-    threads: usize,
     seed: u64,
     out: Option<String>,
     complex: Option<String>,
@@ -45,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         strategy: "het".into(),
         kernel: "fused".into(),
         exec: None,
-        threads: 8,
         seed: 2016,
         out: None,
         complex: None,
@@ -67,9 +65,6 @@ fn parse_args() -> Result<Args, String> {
             "--strategy" => args.strategy = val("--strategy")?.to_lowercase(),
             "--kernel" => args.kernel = val("--kernel")?.to_lowercase(),
             "--exec" => args.exec = Some(val("--exec")?.to_lowercase().parse()?),
-            "--threads" => {
-                args.threads = val("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
             "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--out" => args.out = Some(val("--out")?),
             "--complex" => args.complex = Some(val("--complex")?),
@@ -78,8 +73,8 @@ fn parse_args() -> Result<Args, String> {
                             [--meta m1..m4] [--scale F] [--spots N] [--node hertz|jupiter] \
                             [--strategy cpu|hom|het|dynamic|steal|oracle] \
                             [--kernel fused|grid|cells|naive] \
-                            [--exec lockstep|pipelined[:depth]] [--threads N] \
-                            [--seed N] [--out pose.pdb] [--complex complex.pdb]"
+                            [--exec lockstep|pipelined[:depth]] [--seed N] \
+                            [--out pose.pdb] [--complex complex.pdb]"
                     .into())
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
@@ -133,6 +128,11 @@ fn run() -> Result<(), String> {
         }
         _ => return Err("provide both --receptor and --ligand, or neither".into()),
     };
+    for (mol, what) in [(&receptor, "receptor"), (&ligand, "ligand")] {
+        if mol.is_empty() {
+            return Err(format!("the {what} has no atoms"));
+        }
+    }
 
     let params = match args.meta.as_str() {
         "m1" => metaheur::m1(args.scale),
@@ -153,8 +153,13 @@ fn run() -> Result<(), String> {
         other => return Err(format!("unknown kernel {other:?} (fused|grid|cells|naive)")),
     };
 
+    let surface = vsmol::surface::SurfaceOptions { max_spots: args.spots, ..Default::default() };
+    let spots = vsmol::surface::detect_spots(&receptor, &surface);
+    if spots.is_empty() {
+        return Err("no surface spots detected on the receptor".into());
+    }
     let screen = VirtualScreen::from_molecules(receptor, ligand)
-        .max_spots(args.spots)
+        .spots(spots)
         .seed(args.seed)
         .scorer_options(vsscore::ScorerOptions { kernel, ..Default::default() })
         .build();

@@ -15,6 +15,10 @@ use vsched::{percent_factors, warmup_times};
 use vscreen::experiment::{hertz_table, jupiter_table, render_table, ExperimentScale};
 use vscreen::prelude::*;
 
+/// Every target `main` runs, besides `all`.
+const TARGETS: &str = "table1 table2 table3 table4 table5 table6 table7 table8 table9 figure1 eq1 \
+                       energy ablation distribution quality cooperative scaling timeline json";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = ExperimentScale::Full;
@@ -23,11 +27,13 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                let v = it.next().map(String::as_str).unwrap_or("full");
-                scale = match v {
-                    "quick" => ExperimentScale::Quick,
-                    "full" => ExperimentScale::Full,
-                    other => match vs_bench::parse_scale(other) {
+                scale = match it.next().map(String::as_str) {
+                    Some("quick") => ExperimentScale::Quick,
+                    Some("full") => ExperimentScale::Full,
+                    v => match v
+                        .ok_or("--scale needs a value".to_string())
+                        .and_then(vs_bench::parse_scale)
+                    {
                         Ok(f) => ExperimentScale::Custom(f),
                         Err(e) => {
                             eprintln!("tables: {e} (--scale takes quick|full|<factor>)");
@@ -36,7 +42,13 @@ fn main() -> ExitCode {
                     },
                 };
             }
-            t => targets.push(t.to_string()),
+            t if t == "all" || TARGETS.split_whitespace().any(|k| k == t) => {
+                targets.push(t.to_string())
+            }
+            other => {
+                eprintln!("tables: unknown target {other:?} (targets: all {TARGETS})");
+                return ExitCode::FAILURE;
+            }
         }
     }
     if targets.is_empty() || targets.iter().any(|t| t == "all") {
@@ -87,9 +99,7 @@ fn main() -> ExitCode {
                 std::fs::write(path, vscreen::report::to_json(&report)).expect("write report");
                 println!("machine-readable report written to {}", path.display());
             }
-            other => eprintln!(
-                "unknown target {other:?} (use table1..table9, figure1, eq1, energy, ablation, distribution, all)"
-            ),
+            other => unreachable!("target {other:?} is not in TARGETS"),
         }
     }
     ExitCode::SUCCESS

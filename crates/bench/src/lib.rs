@@ -1,17 +1,16 @@
-//! # vs-bench — benchmark and reproduction harness
+//! # vs-bench — reproduction harness
 //!
-//! Two halves:
+//! Three kinds of binary:
 //!
-//! - the `tables` binary (`src/bin/tables.rs`) regenerates every table and
-//!   figure of the paper's evaluation: `cargo run -p vs-bench --release
-//!   --bin tables -- all`;
-//! - the Criterion benches (`benches/`) measure the *real* wall-time
-//!   behaviour of the Rust kernels — scoring (naive vs fused vs
-//!   grid-cutoff, receptor-size scaling, thread scaling), the metaheuristic
-//!   engine, the schedulers, and the device cost model — validating the
-//!   micro-level claims (the gather-free fused kernel beats the naive loop;
-//!   bigger receptors amortize overhead; scheduling cost is negligible next
-//!   to scoring).
+//! - `tables` (`src/bin/tables.rs`) regenerates every table and figure of
+//!   the paper's evaluation: `cargo run -p vs-bench --release --bin tables
+//!   -- all`;
+//! - `dock` is the command-line screen over the whole stack;
+//! - the snapshot binaries write one JSON cell each: the deterministic
+//!   `sched_snapshot`, `pipeline_snapshot`, `campaign_snapshot` and
+//!   `grid_accuracy` (pinned byte for byte by `scripts/ci.sh`), and the
+//!   wall-time `bench_snapshot` (`BENCH_scoring.json`). Host wall time
+//!   with statistics is measured by `perfbench/`.
 //!
 //! This library half hosts the table renderers for Tables 1–5 (static
 //! hardware/parameter/dataset tables) and the `--scale` parser, shared by

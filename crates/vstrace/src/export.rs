@@ -12,7 +12,7 @@
 //!
 //! All timestamps are microseconds (the format's unit). The document is
 //! re-parseable with [`crate::json::parse`], which is what the
-//! well-formedness tests and `scripts/trace_report.sh` do.
+//! well-formedness tests and the `trace_run` example do.
 
 use crate::event::Event;
 use crate::json::escape;

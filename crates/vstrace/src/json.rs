@@ -2,7 +2,7 @@
 //!
 //! The workspace's `serde` shim is marker-traits only (offline build — see
 //! the workspace README), so the "parse the exported trace back" tests and
-//! `scripts/trace_report.sh` validation need a real parser. This is a
+//! the `trace_run` example's validation need a real parser. This is a
 //! small recursive-descent implementation of the RFC 8259 grammar; it
 //! exists to *validate* exporter output, not to be fast. Nesting deeper
 //! than [`MAX_DEPTH`] is an error, so no input can exhaust the stack.

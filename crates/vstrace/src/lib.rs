@@ -18,7 +18,7 @@
 //!   (per-device utilization %, makespan breakdown, batch-size histogram
 //!   via `vsmath::Histogram`);
 //! - a minimal validating JSON parser ([`json`]) so tests and
-//!   `scripts/trace_report.sh` can parse exported traces back (the
+//!   the `trace_run` example can parse exported traces back (the
 //!   workspace's offline `serde` shim cannot).
 //!
 //! Events carry **virtual** (simulated-device) times in their payloads and

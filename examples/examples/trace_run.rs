@@ -62,7 +62,7 @@ fn main() {
     }
 
     // Export, then parse the JSON back and re-check the busy totals from
-    // the serialized document — what scripts/trace_report.sh relies on.
+    // the serialized document — what `scripts/ci.sh` relies on.
     let json = chrome_trace_json(&data);
     let doc = parse(&json).expect("exported chrome trace must be valid JSON");
     let events = doc.get("traceEvents").and_then(Value::as_arr).expect("traceEvents array");

@@ -94,36 +94,32 @@ echo "==> vscheck model tests (exhaustive interleavings of the worker pool)"
 # vstrace are driven from one thread and have no sync facade.
 cargo test -q -p vsscore --features vscheck-model model_
 
-echo "==> cargo bench --no-run"
-cargo bench --workspace --no-run
+echo "==> trace and steal examples (each checks its exported chrome trace against the device clocks)"
+mkdir -p target/trace_report target/steal_report
+cargo run -q --release -p vs-examples --example trace_run -- target/trace_report
+cargo run -q --release -p vs-examples --example runtime_steal -- target/steal_report
 
-echo "==> scheduler snapshot cell (Percent split vs work stealing; gates the steal-gain bars and byte-equality with BENCH_sched.json)"
-cargo run -q --release -p vs-bench --bin sched_snapshot -- target/BENCH_sched.json
-diff -u BENCH_sched.json target/BENCH_sched.json \
-  || { echo "ERROR: target/BENCH_sched.json differs from the checked-in BENCH_sched.json (re-record it only with the reason in CHANGES.md)" >&2; exit 1; }
-
-echo "==> trace report"
-scripts/trace_report.sh
-
-echo "==> steal report (work-stealing runtime under a mid-run fault)"
-scripts/steal_report.sh
-
-echo "==> grid report (potential-grid accuracy + speedup gates)"
-scripts/grid_report.sh
-# The grids behind those scores must not move when their construction
-# or caching does: everything but the timing fields of the report is
-# compared with the copy recorded before grids were cached slab by slab.
-sed -E 's/, "grid_poses_per_sec": .* \}/ }/' target/BENCH_grid.json \
-  | diff -u scripts/grid_accuracy.expected - \
-  || { echo "grid_accuracy: scores differ from scripts/grid_accuracy.expected" >&2; exit 1; }
+# Every deterministic snapshot is pinned one way. `pin FILE BIN [SED]`
+# runs vs-bench's BIN, which checks its own gates and exits nonzero on a
+# miss, into target/, deletes what the sed script SED matches (wall-time
+# fields) and compares the rest with the checked-in FILE byte for byte.
+pin() {
+  echo "==> $2 pinned to $1"
+  cargo run -q --release -p vs-bench --bin "$2" -- "target/$2.json"
+  sed -E "${3:-}" "target/$2.json" | diff -u "$1" - \
+    || { echo "$2: target/$2.json differs from the checked-in $1 (re-record it only with the reason in CHANGES.md)" >&2; exit 1; }
+}
+# Percent split vs work stealing vs the learned oracle; gates the steal gain.
+pin BENCH_sched.json sched_snapshot
+# Lockstep vs pipelined engine; gates the idle-fraction drop.
+pin BENCH_pipeline.json pipeline_snapshot
+# The bursty multi-tenant service; gates latency, utilization and the cache.
+pin BENCH_campaign.json campaign_snapshot
+# Grid vs Fused scores at four pitches; gates the error budget and the
+# grid speedup. The grids must not move when their construction does.
+pin scripts/grid_accuracy.expected grid_accuracy 's/, "grid_poses_per_sec": .* \}/ }/'
 
 echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; grid reach: a lattice built only within the spots' reach against a whole Scorer::new on rim poses of 16 and of all spots, a spot 20 A outside the lattice, one- and nine-atom ligands; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_
-
-echo "==> pipeline report (lockstep vs pipelined engine; gates the idle-fraction drop and byte-equality with BENCH_pipeline.json)"
-scripts/pipeline_report.sh
-
-echo "==> campaign report (multi-tenant service under bursty traffic; gates latency, utilization, cache)"
-scripts/campaign_report.sh
 
 echo "==> OK"
