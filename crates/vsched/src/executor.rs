@@ -171,7 +171,8 @@ impl BatchEvaluator for DeviceEvaluator {
     /// Streamed-batch entry point for the pipelined engine: the batch was
     /// released by the host at virtual time `release`, so every device
     /// first idles forward to that instant (visible as `DeviceIdle` spans
-    /// — the metric `pipeline_report.sh` gates on), then scores exactly as
+    /// — the metric `scripts/ci.sh`'s `pin BENCH_pipeline.json
+    /// pipeline_snapshot` step gates on), then scores exactly as
     /// [`Self::evaluate`] would. Returns the node makespan, i.e. when the
     /// batch's scores are available to the selector stage.
     fn evaluate_after(&mut self, confs: &mut [Conformation], release: f64) -> f64 {
