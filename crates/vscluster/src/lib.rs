@@ -35,6 +35,7 @@
 
 pub mod admission;
 pub mod cluster;
+mod cost;
 pub mod crossdock;
 pub mod faults;
 pub mod library;

@@ -31,16 +31,16 @@ use crate::admission::{
     fnv1a, fnv1a_str, AdmissionGate, CacheKey, CachedResult, CompletionBoard, ResultsCache,
 };
 use crate::cluster::SimCluster;
+use crate::cost::{Costs, JobShape, Run};
 use crate::crossdock::ReceptorTarget;
 use crate::faults::FaultPlan;
 use crate::library::LigandJob;
 use crate::net::NetModel;
-use gpusim::{SimNode, WorkProfile};
+use gpusim::SimNode;
 use metaheur::MetaheuristicParams;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-use vsched::{schedule_trace, schedule_trace_with, CostOracle, ReplayOptions, Strategy};
-use vscreen::trace::synthetic_trace;
+use std::collections::VecDeque;
+use vsched::{CostOracle, Strategy};
 use vstrace::{Event, Trace};
 
 /// Serialized result payload per job (best pose + score + provenance).
@@ -372,14 +372,11 @@ struct QueuedJob {
     /// Index within the campaign's expansion (for migration events).
     slot: usize,
     ligand: usize,
-    receptor_atoms: usize,
-    n_spots: usize,
-    ligand_atoms: usize,
+    /// What the job's compute cost depends on.
+    shape: JobShape,
     /// Scatter payload of the ligand.
     bytes: u64,
     key: CacheKey,
-    /// Id of the job's `(params, strategy)` pair in [`Shapes`].
-    shape: u32,
     /// Original admission time (latency accounting).
     submitted: f64,
     /// Earliest dispatchable time (moves forward on requeue).
@@ -392,14 +389,6 @@ struct QueuedJob {
     latency_sampled: bool,
     /// Conformation evaluations this job runs.
     items: u64,
-}
-
-impl QueuedJob {
-    /// Pair interactions per conformation evaluation
-    /// ([`LigandJob::pairs_per_eval`]).
-    fn pairs_per_eval(&self) -> u64 {
-        (self.ligand_atoms * self.receptor_atoms) as u64
-    }
 }
 
 #[derive(Debug)]
@@ -435,44 +424,6 @@ struct CampaignState {
     actual: Vec<usize>,
 }
 
-/// The distinct `(params, strategy)` pairs of expanded jobs, interned by
-/// their `Debug` strings, with the params the cost model reads.
-#[derive(Default)]
-struct Shapes {
-    ids: BTreeMap<(String, String), u32>,
-    params: Vec<MetaheuristicParams>,
-}
-
-impl Shapes {
-    fn intern(&mut self, params: &MetaheuristicParams, strategy_dbg: &str) -> u32 {
-        let next = self.params.len() as u32;
-        let key = (format!("{params:?}"), strategy_dbg.to_string());
-        let id = *self.ids.entry(key).or_insert(next);
-        if id == next {
-            self.params.push(params.clone());
-        }
-        id
-    }
-}
-
-/// Exact memo key of one (node, job-shape, fault-context) cost evaluation.
-/// `shape` stands for the job's `(params, strategy)` pair ([`Shapes`]).
-/// `Ord` because the memo is a `BTreeMap` — iteration order must not
-/// depend on the hasher's address seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct CostKey {
-    node: usize,
-    receptor_atoms: usize,
-    n_spots: usize,
-    shape: u32,
-    ligand_atoms: usize,
-    factor_bits: u64,
-    victim: Option<usize>,
-}
-
-/// Baseline pseudo-node id for single-node cost memoization.
-const BASELINE_NODE: usize = usize::MAX;
-
 /// The campaign service: bounded admission, weighted-fair virtual-time
 /// dispatch, results caching, elastic fleet.
 ///
@@ -490,7 +441,6 @@ const BASELINE_NODE: usize = usize::MAX;
 pub struct Service {
     nodes: Vec<NodeState>,
     initial_nodes: usize,
-    baseline: SimNode,
     net: NetModel,
     config: ServiceConfig,
     trace: Trace,
@@ -509,14 +459,7 @@ pub struct Service {
     served: [f64; 2],
     /// Service virtual clock (persists across drains).
     now: f64,
-    cost_memo: BTreeMap<CostKey, f64>,
-    shapes: Shapes,
-    /// One learned cost oracle per node (plus the [`BASELINE_NODE`]
-    /// pseudo-node), lent to every `Strategy::Oracle` replay the service
-    /// runs there: tenant N+1 starts warm from tenant N's fits. Fits
-    /// consume only virtual-time measurements, so drains stay
-    /// bit-identical per submission order.
-    oracles: BTreeMap<usize, CostOracle>,
+    costs: Costs,
 }
 
 impl Service {
@@ -541,10 +484,12 @@ impl Service {
                 sched: Vec::new(),
             })
             .collect();
-        let baseline = nodes[0].node.clone();
+        let mut costs = Costs::default();
+        for n in cluster.nodes() {
+            costs.add_node(n);
+        }
         Service {
             initial_nodes: nodes.len(),
-            baseline,
             nodes,
             net,
             gate: AdmissionGate::new(config.queue_capacity, config.interactive_reserve),
@@ -558,9 +503,7 @@ impl Service {
             queues: [VecDeque::new(), VecDeque::new()],
             served: [0.0, 0.0],
             now: 0.0,
-            cost_memo: BTreeMap::new(),
-            shapes: Shapes::default(),
-            oracles: BTreeMap::new(),
+            costs,
         }
     }
 
@@ -588,11 +531,11 @@ impl Service {
     }
 
     /// Node `ni`'s learned-cost oracle, present once any
-    /// `Strategy::Oracle` campaign has executed (or been planned) there.
-    /// Dashboards and tests peek at its fits; campaigns submitted later
-    /// start warm from the same instance.
+    /// `Strategy::Oracle` campaign has executed there. Dashboards and
+    /// tests peek at its fits; campaigns submitted later start warm from
+    /// the same instance.
     pub fn node_oracle(&self, ni: usize) -> Option<&CostOracle> {
-        self.oracles.get(&ni)
+        self.costs.oracle(ni)
     }
 
     /// Submit one campaign. Validation panics early; admission control
@@ -721,6 +664,7 @@ impl Service {
             match ev {
                 Ev::Join(node) => {
                     let id = self.nodes.len();
+                    self.costs.add_node(&node);
                     self.nodes.push(NodeState {
                         node,
                         alive: true,
@@ -842,7 +786,7 @@ impl Service {
             CampaignKind::Faulty { dynamic, .. } => (true, dynamic),
             _ => (false, true),
         };
-        let expanded = Service::expand(&mut self.shapes, h, campaign, vt, next_global);
+        let expanded = Service::expand(&mut self.costs, h, campaign, vt, next_global);
         let total = expanded.len();
 
         let (hits, cold): (Vec<QueuedJob>, Vec<QueuedJob>) =
@@ -925,7 +869,7 @@ impl Service {
     /// volume (so the earliest-free dispatch reproduces the old
     /// longest-first assignment), with cache keys and global ids assigned.
     fn expand<'c>(
-        shapes: &mut Shapes,
+        costs: &mut Costs,
         h: usize,
         campaign: &'c Campaign,
         vt: f64,
@@ -945,7 +889,7 @@ impl Service {
             |job: &'c LigandJob, receptor_atoms: usize, n_spots: usize, rec_name: Option<&str>| {
                 let shape = match last {
                     Some((params, id)) if *params == job.params => id,
-                    _ => shapes.intern(&job.params, &strategy_dbg),
+                    _ => costs.shape(&job.params, campaign.strategy),
                 };
                 last = Some((&job.params, shape));
                 let receptor =
@@ -962,12 +906,9 @@ impl Service {
                     campaign: h,
                     slot: 0,
                     ligand: job.id,
-                    receptor_atoms,
-                    n_spots,
-                    ligand_atoms: job.ligand_atoms,
+                    shape: JobShape { shape, n_spots, pairs: job.pairs_per_eval(receptor_atoms) },
                     bytes: job.bytes,
                     key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
-                    shape,
                     submitted: vt,
                     arrival_eff: vt,
                     pin: None,
@@ -994,7 +935,7 @@ impl Service {
         }
         // Longest-processing-time-first: stable, so equal volumes keep
         // submission order.
-        out.sort_by_key(|j| std::cmp::Reverse(j.items * j.pairs_per_eval()));
+        out.sort_by_key(|j| std::cmp::Reverse(j.items * j.shape.pairs));
         for (slot, jb) in out.iter_mut().enumerate() {
             jb.slot = slot;
             jb.global = *next_global;
@@ -1017,7 +958,7 @@ impl Service {
                 // PANICS: node clocks are finite sums of finite costs.
                 .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite clocks"))
                 .expect("non-empty");
-            planned_t[k] += self.nominal_cost(alive[k], jb);
+            planned_t[k] += self.costs.cost(Some(alive[k]), &jb.shape, Run::Plan);
             plan.push(alive[k]);
         }
         plan
@@ -1075,7 +1016,16 @@ impl Service {
     fn dispatch(&mut self, ni: usize, class: usize, mut jb: QueuedJob, agg: &mut DrainAgg) {
         let start = self.nodes[ni].free_vt.max(jb.arrival_eff);
         let comm = self.net.transfer_time(jb.bytes) + self.net.transfer_time(RESULT_BYTES);
-        let compute = self.true_cost(ni, &jb);
+        let (factor, victim) = match &self.campaigns[jb.campaign].campaign.kind {
+            // Fault plans index the initial fleet; joined nodes are
+            // healthy by construction.
+            CampaignKind::Faulty { faults, gpu_victim, .. } => {
+                (faults.slowdowns.get(ni).copied().unwrap_or(1.0), *gpu_victim)
+            }
+            _ => (1.0, None),
+        };
+        let run = Run::Execute { factor, victim, trace: &self.trace };
+        let compute = self.costs.cost(Some(ni), &jb.shape, run);
         let end = start + comm + compute;
         if !jb.latency_sampled {
             agg.latency[class].push(start - jb.submitted);
@@ -1128,7 +1078,7 @@ impl Service {
                 }
                 self.cache
                     .publish(d.job.key, CachedResult { compute_s: d.compute, ready_vt: d.end });
-                agg.single_node_time += self.nominal_cost(BASELINE_NODE, &d.job);
+                agg.single_node_time += self.costs.cost(None, &d.job.shape, Run::Plan);
                 let state = &mut self.campaigns[d.job.campaign];
                 state.stats.completed += 1;
                 state.stats.device_evals += d.job.items;
@@ -1174,168 +1124,6 @@ impl Service {
         node.free_vt = vt;
         agg.node_leaves += 1;
         self.trace.emit(Event::NodeLeft { node: id as u32, vt, requeued: requeued as u32 });
-    }
-
-    /// Healthy compute cost of `jb` on node `ni` (or the node-0 baseline
-    /// spec when `ni == BASELINE_NODE`), memoized.
-    fn nominal_cost(&mut self, ni: usize, jb: &QueuedJob) -> f64 {
-        let strategy = self.campaigns[jb.campaign].campaign.strategy;
-        if strategy.learns() {
-            // The learned split depends on the node oracle's current
-            // fits, so it cannot be memoized; a planning peek runs on a
-            // clone and ingests nothing.
-            return self.oracle_cost(ni, jb, &[], false);
-        }
-        let key = Service::cost_key(ni, jb, 1.0, None);
-        if let Some(&c) = self.cost_memo.get(&key) {
-            return c;
-        }
-        let node = node_spec(&self.nodes, &self.baseline, ni);
-        let batches = synthetic_trace(&self.shapes.params[jb.shape as usize], jb.n_spots);
-        let pairs = jb.pairs_per_eval();
-        let c = schedule_trace(node.cpu(), node.gpus(), &batches, pairs, strategy).makespan;
-        self.cost_memo.insert(key, c);
-        c
-    }
-
-    /// Replay `jb` on node `ni` under the learned-oracle strategy, with
-    /// the node's one [`CostOracle`] carried across campaigns. With
-    /// `ingest` the replay's observations update the node's model (an
-    /// actual execution); without it the replay runs on a clone (a
-    /// planning peek, e.g. the single-node baseline) and the node's fits
-    /// are untouched.
-    fn oracle_cost(
-        &mut self,
-        ni: usize,
-        jb: &QueuedJob,
-        phases: &[(usize, Vec<f64>)],
-        ingest: bool,
-    ) -> f64 {
-        let strategy = self.campaigns[jb.campaign].campaign.strategy;
-        let node = node_spec(&self.nodes, &self.baseline, ni);
-        let batches = synthetic_trace(&self.shapes.params[jb.shape as usize], jb.n_spots);
-        let pairs = jb.pairs_per_eval();
-        let events = if ingest { self.trace.clone() } else { Trace::disabled() };
-        let owned = self.oracles.entry(ni).or_insert_with(|| CostOracle::new(node.gpus().len()));
-        let mut peek;
-        let oracle = if ingest {
-            owned
-        } else {
-            peek = owned.clone();
-            &mut peek
-        };
-        schedule_trace_with(
-            node.cpu(),
-            node.gpus(),
-            &batches,
-            WorkProfile::pairs(pairs),
-            strategy,
-            ReplayOptions { phases, events, oracle: Some(oracle), timeline: None },
-        )
-        .makespan
-    }
-
-    /// True cost of running `jb` on node `ni` under its campaign's fault
-    /// model. Traced intra-node faulty replays are never memoized (each
-    /// actual execution contributes its device-lane events).
-    fn true_cost(&mut self, ni: usize, jb: &QueuedJob) -> f64 {
-        let campaign = &self.campaigns[jb.campaign].campaign;
-        let strategy = campaign.strategy;
-        let (factor, victim) = match &campaign.kind {
-            CampaignKind::Faulty { faults, gpu_victim, .. } => {
-                // Fault plans index the initial fleet; joined nodes are
-                // healthy by construction.
-                let f = if ni < faults.slowdowns.len() { faults.factor(ni) } else { 1.0 };
-                (f, *gpu_victim)
-            }
-            _ => (1.0, None),
-        };
-        // A degraded GPU keeps its nominal speed through the warm-up (its
-        // Eq. 1 weight or oracle prior is measured healthy) and slows at
-        // this batch.
-        let onset = strategy.warmup().map_or(0, |w| w.batches());
-        if strategy.learns() {
-            // Actual executions feed the node's oracle (ingest =
-            // true), so the next campaign on this node starts warm. The
-            // fault context becomes a drift phase: a victim lane slows
-            // after warm-up; a uniform fault slows every GPU from the
-            // first batch.
-            let n_gpus = node_spec(&self.nodes, &self.baseline, ni).gpus().len();
-            let phases: Vec<(usize, Vec<f64>)> = if factor == 1.0 {
-                Vec::new()
-            } else {
-                match victim {
-                    None => vec![(0, vec![factor; n_gpus])],
-                    Some(g) => {
-                        let mut slowdowns = vec![1.0; n_gpus];
-                        slowdowns[g] = factor;
-                        vec![(onset, slowdowns)]
-                    }
-                }
-            };
-            return self.oracle_cost(ni, jb, &phases, true);
-        }
-        if factor == 1.0 {
-            // Healthy lane: the intra-node faulty replay reduces to the
-            // nominal schedule exactly, so both fault models share it.
-            return self.nominal_cost(ni, jb);
-        }
-        match victim {
-            None => self.nominal_cost(ni, jb) * factor,
-            Some(g) => {
-                let emit = self.trace.is_enabled();
-                let key = Service::cost_key(ni, jb, factor, Some(g));
-                if !emit {
-                    if let Some(&c) = self.cost_memo.get(&key) {
-                        return c;
-                    }
-                }
-                let node = &self.nodes[ni].node;
-                let batches = synthetic_trace(&self.shapes.params[jb.shape as usize], jb.n_spots);
-                let pairs = jb.pairs_per_eval();
-                let mut slowdowns = vec![1.0; node.gpus().len()];
-                slowdowns[g] = factor;
-                let c = schedule_trace_with(
-                    node.cpu(),
-                    node.gpus(),
-                    &batches,
-                    WorkProfile::pairs(pairs),
-                    strategy,
-                    ReplayOptions {
-                        phases: &[(onset, slowdowns)],
-                        events: self.trace.clone(),
-                        ..Default::default()
-                    },
-                )
-                .makespan;
-                if !emit {
-                    self.cost_memo.insert(key, c);
-                }
-                c
-            }
-        }
-    }
-
-    fn cost_key(ni: usize, jb: &QueuedJob, factor: f64, victim: Option<usize>) -> CostKey {
-        CostKey {
-            node: ni,
-            receptor_atoms: jb.receptor_atoms,
-            n_spots: jb.n_spots,
-            shape: jb.shape,
-            ligand_atoms: jb.ligand_atoms,
-            factor_bits: factor.to_bits(),
-            victim,
-        }
-    }
-}
-
-/// Node `ni`'s spec, or node 0's for [`BASELINE_NODE`]. A free function so
-/// that the borrow covers only these two fields, not the memo or oracles.
-fn node_spec<'a>(nodes: &'a [NodeState], baseline: &'a SimNode, ni: usize) -> &'a SimNode {
-    if ni == BASELINE_NODE {
-        baseline
-    } else {
-        &nodes[ni].node
     }
 }
 
@@ -1930,25 +1718,5 @@ mod tests {
             warm_svc.node_oracle(0).unwrap().fits().iter().map(|(_, f)| f.observations).sum();
         assert!(after > before, "tenant 2 must keep feeding the shared model");
         assert!(warm < cold, "warm-started tenant must beat the cold one: {warm} vs {cold}");
-    }
-
-    #[test]
-    fn oracle_planning_peek_does_not_mutate_shared_fits() {
-        // The single-node baseline in `commit` runs nominal_cost with the
-        // campaign's strategy — for oracle campaigns that is a planning
-        // peek on a clone, so only real node executions (node 0 here)
-        // accumulate observations under the BASELINE_NODE key.
-        let mut svc = service(1);
-        svc.submit(Campaign::library(3264, 16, jobs(4), oracle()));
-        let r = svc.drain();
-        assert!(r.single_node_time > 0.0);
-        let baseline_obs: u64 = svc
-            .node_oracle(BASELINE_NODE)
-            .expect("the baseline peek instantiates a pseudo-node oracle")
-            .fits()
-            .iter()
-            .map(|(_, f)| f.observations)
-            .sum();
-        assert_eq!(baseline_obs, 0, "planning peeks must never ingest observations");
     }
 }
