@@ -1091,8 +1091,8 @@ impl Service {
     }
 
     /// Node `id` leaves: in-flight and future-booked jobs are aborted and
-    /// requeued (unpinned — their node is gone); partially-executed work
-    /// is counted as waste.
+    /// requeued, and jobs still queued with a pin to it are unpinned (their
+    /// node is gone); partially-executed work is counted as waste.
     fn leave(&mut self, id: usize, vt: f64, agg: &mut DrainAgg) {
         assert!(
             id < self.nodes.len() && self.nodes[id].alive,
@@ -1117,6 +1117,10 @@ impl Service {
             let class = if jb.interactive { 0 } else { 1 };
             self.queues[class].push_back(jb);
             agg.requeued += 1;
+        }
+        for jb in self.queues.iter_mut().flatten().filter(|jb| jb.pin == Some(id)) {
+            jb.pin = None;
+            jb.arrival_eff = vt;
         }
         let node = &mut self.nodes[id];
         node.alive = false;
@@ -1581,6 +1585,23 @@ mod tests {
         let intra_r = run_faulty(faulty(&plan).gpu_victim(1));
         assert!((node_level.makespan - intra_r.makespan).abs() < 1e-12 * node_level.makespan);
         assert_eq!(node_level.assignment, intra_r.assignment);
+    }
+
+    #[test]
+    fn leave_unpins_jobs_planned_onto_the_leaving_node() {
+        // A static plan pins every job up front; the jobs planned onto a
+        // node that leaves before running them must run elsewhere.
+        let plan = FaultPlan::healthy(3);
+        let base = run_faulty(faulty(&plan));
+        let mut svc = service(3);
+        svc.scale(ScalePlan::new().leave_at(base.makespan * 0.3, 0));
+        let h = svc.submit(faulty(&plan));
+        let r = svc.drain();
+        assert_eq!(r.completed_jobs, 24, "no pinned job may be stranded");
+        match svc.outcome(h) {
+            JobOutcome::Completed(s) => assert_eq!(s.completed, s.jobs),
+            o => panic!("static campaign should complete: {o:?}"),
+        }
     }
 
     #[test]

@@ -242,3 +242,25 @@ fn service_matrix_matches_the_recorded_cells() {
         moved.len()
     );
 }
+
+#[test]
+fn every_admitted_job_completes_in_its_drain() {
+    let mut short = Vec::new();
+    for kind in KINDS {
+        for (name, strategy) in strategies() {
+            let m = probe(kind, strategy);
+            for scenario in SCENARIOS {
+                let (reports, _) = run_cell(kind, strategy, scenario, m, &Trace::disabled());
+                for (drain, r) in reports.iter().enumerate() {
+                    if r.completed_jobs != r.total_jobs {
+                        short.push(format!(
+                            "{kind}/{name}/{scenario} drain {drain}: {} of {}",
+                            r.completed_jobs, r.total_jobs
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(short.is_empty(), "admitted jobs left incomplete: {short:#?}");
+}
