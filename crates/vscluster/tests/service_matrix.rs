@@ -16,9 +16,12 @@
 //! the oracles the first drain trained.
 //!
 //! The file was recorded from the service before its drain loop was made
-//! linear in the number of jobs (DESIGN.md §13), which changed no cell. A
-//! deliberate behaviour change re-records the cells it names, and says
-//! which, from the table this test prints when it fails.
+//! linear in the number of jobs (DESIGN.md §13), which changed no cell.
+//! `gpu_victim/steal/elastic` and `gpu_victim/oracle/elastic` were
+//! re-recorded when a leaving node stopped stranding the jobs its static
+//! plan had pinned to it. A deliberate behaviour change re-records the
+//! cells it names, and says which, from the table this test prints when
+//! it fails.
 
 use std::fmt::Write;
 use vsched::{Strategy, WarmupConfig};
