@@ -26,7 +26,7 @@ use metaheur::{
     SyntheticEvaluator,
 };
 use std::fmt::Write;
-use vsmath::{RigidTransform, Vec3};
+use vsmath::{fnv1a, RigidTransform, Vec3};
 use vsmol::{Conformation, Spot};
 use vsscore::RigidGradient;
 use vstrace::{Event, Trace, BATCH_TRACK};
@@ -212,10 +212,6 @@ fn search_and_events(run: &RunResult, trace: &Trace) -> (String, Vec<Event>) {
     (dump(&invariant, &Trace::disabled()), done)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
 /// The whole matrix as the expected file spells it: `tag hash` per line.
 fn matrix() -> String {
     let mut table = String::new();
@@ -245,7 +241,7 @@ fn matrix() -> String {
                         run_exec(&params, &sp, &mut ev, SEED, &seeds, &trace, EngineExec::Lockstep)
                     }
                 };
-                let hash = fnv1a(dump(&run, &trace).as_bytes());
+                let hash = fnv1a(dump(&run, &trace).bytes());
                 writeln!(table, "{}/s{n}/{mode} {hash:016x}", params.name).unwrap();
             }
         }

@@ -39,31 +39,6 @@ pub struct CachedResult {
     pub ready_vt: f64,
 }
 
-/// FNV-1a over a stream of `u64` words — the deterministic hash the cache
-/// key components are built from (stable across runs and platforms, unlike
-/// `std::hash::RandomState`).
-pub fn fnv1a(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Hash a string into the same FNV-1a stream (for kernel labels and
-/// receptor names).
-pub fn fnv1a_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Bounded admission counter: the front door of the campaign service.
 ///
 /// [`AdmissionGate::try_admit`] either reserves `n` slots or rejects
@@ -270,13 +245,5 @@ mod tests {
         let mut c = ResultsCache::new(0);
         assert!(!c.publish(key(1), CachedResult { compute_s: 1.0, ready_vt: 0.0 }));
         assert_eq!(c.lookup(&key(1), 1.0), None, "nothing was stored");
-    }
-
-    #[test]
-    fn fnv_hashes_are_stable_and_distinct() {
-        assert_eq!(fnv1a(&[1, 2, 3]), fnv1a(&[1, 2, 3]));
-        assert_ne!(fnv1a(&[1, 2, 3]), fnv1a(&[3, 2, 1]));
-        assert_eq!(fnv1a_str("fused"), fnv1a_str("fused"));
-        assert_ne!(fnv1a_str("fused"), fnv1a_str("grid"));
     }
 }

@@ -27,9 +27,7 @@
 //! Everything runs in virtual time: the same submissions with the same
 //! seeds produce a bit-identical [`CampaignReport`].
 
-use crate::admission::{
-    fnv1a, fnv1a_str, AdmissionGate, CacheKey, CachedResult, CompletionBoard, ResultsCache,
-};
+use crate::admission::{AdmissionGate, CacheKey, CachedResult, CompletionBoard, ResultsCache};
 use crate::cluster::SimCluster;
 use crate::cost::{Costs, JobShape, Run};
 use crate::crossdock::ReceptorTarget;
@@ -41,6 +39,7 @@ use metaheur::MetaheuristicParams;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use vsched::{CostOracle, Strategy};
+use vsmath::fnv1a;
 use vstrace::{Event, Trace};
 
 /// Serialized result payload per job (best pose + score + provenance).
@@ -876,8 +875,7 @@ impl Service {
         next_global: &mut usize,
     ) -> Vec<QueuedJob> {
         let interactive = campaign.priority == Priority::Interactive;
-        let strategy_dbg = format!("{:?}", campaign.strategy);
-        let kernel = fnv1a_str(&strategy_dbg);
+        let kernel = fnv1a(format!("{:?}", campaign.strategy).bytes());
         // A job whose params equal the previous job's reuses its shape
         // without formatting them. `PartialEq` merges only params whose
         // `Debug` strings are equal or differ in the sign of a zero, and
@@ -892,15 +890,17 @@ impl Service {
                     _ => costs.shape(&job.params, campaign.strategy),
                 };
                 last = Some((&job.params, shape));
-                let receptor =
-                    fnv1a(&[receptor_atoms as u64, n_spots as u64, rec_name.map_or(0, fnv1a_str)]);
-                let ligand = fnv1a(&[
+                let rec_name = rec_name.map_or(0, |name| fnv1a(name.bytes()));
+                let receptor = [receptor_atoms as u64, n_spots as u64, rec_name];
+                let ligand = [
                     job.id as u64,
                     job.ligand_atoms as u64,
                     job.bytes,
-                    fnv1a_str(&job.params.name),
+                    fnv1a(job.params.name.bytes()),
                     job.params.evals_per_spot(),
-                ]);
+                ];
+                let receptor = fnv1a(receptor.into_iter().flat_map(u64::to_le_bytes));
+                let ligand = fnv1a(ligand.into_iter().flat_map(u64::to_le_bytes));
                 out.push(QueuedJob {
                     global: 0,
                     campaign: h,

@@ -30,6 +30,7 @@ use vscluster::{
     NetModel, ReceptorTarget, ScalePlan, Service, ServiceConfig, SimCluster,
 };
 use vscreen::platform;
+use vsmath::fnv1a;
 use vstrace::Trace;
 
 const EXPECTED: &str = include_str!("service_matrix.expected");
@@ -195,10 +196,6 @@ fn dump_outcome(out: &mut String, o: &JobOutcome) {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
-}
-
 /// The whole matrix as the expected file spells it: `tag hash hash` per
 /// line.
 fn matrix() -> String {
@@ -222,7 +219,7 @@ fn matrix() -> String {
                     dump_outcome(&mut dump, o);
                 }
                 let events = format!("{:?}", trace.snapshot().payloads());
-                let (report_hash, trace_hash) = (fnv1a(dump.as_bytes()), fnv1a(events.as_bytes()));
+                let (report_hash, trace_hash) = (fnv1a(dump.bytes()), fnv1a(events.bytes()));
                 writeln!(table, "{tag} {report_hash:016x} {trace_hash:016x}").unwrap();
             }
         }

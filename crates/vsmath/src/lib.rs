@@ -12,6 +12,7 @@
 
 pub mod aabb;
 pub mod grid;
+pub mod hash;
 pub mod histogram;
 pub mod mat3;
 pub mod quat;
@@ -22,6 +23,7 @@ pub mod vec3;
 
 pub use aabb::Aabb;
 pub use grid::SpatialGrid;
+pub use hash::fnv1a;
 pub use histogram::Histogram;
 pub use mat3::Mat3;
 pub use quat::Quat;

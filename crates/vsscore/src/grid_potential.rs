@@ -70,7 +70,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use vsmath::{Aabb, RigidTransform, SpatialGrid, Vec3};
+use vsmath::{fnv1a, Aabb, RigidTransform, SpatialGrid, Vec3};
 use vsmol::{Element, LjTable, Molecule, Spot};
 
 /// Grid build options.
@@ -861,29 +861,13 @@ struct FieldKey {
     opts: [u64; 7],
 }
 
-fn fnv1a_u64(mut h: u64, w: u64) -> u64 {
-    for b in w.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 impl FieldKey {
     fn of(receptor: &Molecule, o: GridOptions) -> FieldKey {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for p in receptor.positions() {
-            h = fnv1a_u64(h, p.x.to_bits());
-            h = fnv1a_u64(h, p.y.to_bits());
-            h = fnv1a_u64(h, p.z.to_bits());
-        }
-        for e in receptor.elements() {
-            h = fnv1a_u64(h, e.index() as u64);
-        }
-        for q in receptor.charges() {
-            h = fnv1a_u64(h, q.to_bits());
-        }
+        let words = (receptor.positions().iter().flat_map(|p| [p.x, p.y, p.z]).map(f64::to_bits))
+            .chain(receptor.elements().iter().map(|e| e.index() as u64))
+            .chain(receptor.charges().into_iter().map(f64::to_bits));
         FieldKey {
-            receptor: h,
+            receptor: fnv1a(words.flat_map(u64::to_le_bytes)),
             rec_atoms: receptor.len() as u64,
             opts: [
                 o.spacing.to_bits(),
