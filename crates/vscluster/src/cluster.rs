@@ -16,7 +16,7 @@ use gpusim::SimNode;
 /// use vscluster::{NetModel, SimCluster};
 ///
 /// let cluster = SimCluster::uniform(2, NetModel::infiniband(), vscreen::platform::hertz);
-/// assert_eq!(cluster.node_count(), 2);
+/// assert_eq!(cluster.nodes().len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimCluster {
@@ -34,10 +34,6 @@ impl SimCluster {
     /// `make_node`.
     pub fn uniform(n: usize, net: NetModel, make_node: impl Fn() -> SimNode) -> SimCluster {
         SimCluster::new((0..n).map(|_| make_node()).collect(), net)
-    }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     pub fn nodes(&self) -> &[SimNode] {
@@ -58,7 +54,6 @@ mod tests {
     #[test]
     fn uniform_builds_n_nodes() {
         let c = SimCluster::uniform(3, NetModel::infiniband(), platform::hertz);
-        assert_eq!(c.node_count(), 3);
         assert_eq!(c.nodes().len(), 3);
         assert_eq!(c.net(), NetModel::infiniband());
     }

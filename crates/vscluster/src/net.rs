@@ -29,17 +29,6 @@ impl NetModel {
         assert!(self.bandwidth_bps > 0.0, "bandwidth must be positive");
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
-
-    /// Time for a scatter of `n` messages of `bytes` each from one root
-    /// (serialized sends, the worst case for a flat tree).
-    pub fn scatter_time(&self, n: usize, bytes: u64) -> f64 {
-        n as f64 * self.transfer_time(bytes)
-    }
-
-    /// Time for a flat-tree gather of `n` messages of `bytes` each.
-    pub fn gather_time(&self, n: usize, bytes: u64) -> f64 {
-        self.scatter_time(n, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -66,13 +55,6 @@ mod tests {
             NetModel::infiniband().transfer_time(bytes)
                 < NetModel::gigabit_ethernet().transfer_time(bytes)
         );
-    }
-
-    #[test]
-    fn scatter_scales_with_fanout() {
-        let n = NetModel::gigabit_ethernet();
-        assert!((n.scatter_time(4, 100) - 4.0 * n.transfer_time(100)).abs() < 1e-15);
-        assert_eq!(n.gather_time(3, 50), n.scatter_time(3, 50));
     }
 
     #[test]
