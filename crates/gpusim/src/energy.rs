@@ -2,7 +2,7 @@
 //!
 //! The paper motivates heterogeneity-awareness partly by energy ("the
 //! energy barrier", §1; Table 1's performance-per-watt row; the authors'
-//! earlier work [14] is explicitly about energy efficiency in virtual
+//! earlier work \[14\] is explicitly about energy efficiency in virtual
 //! screening). This module turns the virtual-time accounting of
 //! [`crate::SimDevice`] into energy-to-solution numbers: a device burns its
 //! TDP while busy and an idle fraction of it while waiting.

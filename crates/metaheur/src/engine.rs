@@ -2,10 +2,10 @@
 //! scoring requests batched across spots.
 //!
 //! The template's control flow is written once, as a per-spot state
-//! machine (DESIGN.md §12). A [`SpotToken`] carries one spot's population,
-//! RNG stream and current [`Phase`]; [`build`] does the phase's variation,
-//! [`score`] submits the batches of many tokens as one, and
-//! [`Driver::handle`] does the phase's selection and picks the next phase.
+//! machine (DESIGN.md §12). A `SpotToken` carries one spot's population,
+//! RNG stream and current `Phase`; `build` does the phase's variation,
+//! `score` submits the batches of many tokens as one, and
+//! `Driver::handle` does the phase's selection and picks the next phase.
 //! Two schedulers step the tokens: the lockstep loop at the bottom of this
 //! module (every live token through each lap together, on the calling
 //! thread — [`run`], [`run_seeded`], [`run_traced`]) and the stage ring in

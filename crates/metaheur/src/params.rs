@@ -41,7 +41,7 @@ pub enum ImproveStrategy {
     /// probability `exp(-Δ/T)`, `T` cooled geometrically per step.
     SimulatedAnnealing { steps: usize, t0: f64, cooling: f64 },
     /// Lamarckian gradient descent (extension; AutoDock's approach, the
-    /// paper's ref [24]): each step moves `step_size` Å along the net force
+    /// paper's ref \[24\]): each step moves `step_size` Å along the net force
     /// and `angle_step` radians about the net torque, keeping improvements.
     /// Falls back to hill climbing on evaluators without gradient support.
     Lamarckian { steps: usize, step_size: f64, angle_step: f64 },

@@ -9,13 +9,13 @@
 //! **multi-tenant campaign service**:
 //!
 //! - [`service`] — the single submission API:
-//!   [`Service::submit`](service::Service::submit) takes a
-//!   [`Campaign`](service::Campaign) (library screen, fault-injected
+//!   [`Service::submit`] takes a
+//!   [`Campaign`] (library screen, fault-injected
 //!   screen, or L×R cross-docking matrix — the three shapes that used to
 //!   be separate entry points),
-//!   [`Service::drain`](service::Service::drain) runs the bounded queue
+//!   [`Service::drain`] runs the bounded queue
 //!   to quiescence and returns one unified
-//!   [`CampaignReport`](service::CampaignReport) with queue-latency
+//!   [`CampaignReport`] with queue-latency
 //!   percentiles and fleet utilization. Admission control rejects when the
 //!   queue is full (an interactive-only reserve keeps re-docks
 //!   responsive), classes drain weighted-fair, duplicates are served from

@@ -47,7 +47,7 @@ pub struct SurfaceOptions {
     /// Hard cap on the number of spots (0 = unlimited).
     pub max_spots: usize,
     /// Restrict anchors to hydrogen-bonding heteroatoms
-    /// ([`Element::is_spot_anchor`]); when false, any surface atom anchors.
+    /// ([`Element::is_spot_anchor`](crate::Element::is_spot_anchor)); when false, any surface atom anchors.
     pub anchors_only: bool,
 }
 

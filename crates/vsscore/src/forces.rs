@@ -1,6 +1,6 @@
 //! Analytic gradients of the scoring function.
 //!
-//! AutoDock's Lamarckian genetic algorithm (the paper's reference [24])
+//! AutoDock's Lamarckian genetic algorithm (the paper's reference \[24\])
 //! improves individuals with gradient-informed local search; this module
 //! supplies the gradients: the net force and torque the receptor exerts on
 //! a posed rigid ligand. The `metaheur::ImproveStrategy::Lamarckian`

@@ -2,7 +2,7 @@
 //!
 //! The paper's kernels recompute all `ligand × receptor` pair interactions
 //! per conformation. Production docking codes (AutoDock, the paper's ref
-//! [24]) instead precompute, once per receptor, a 3-D grid of interaction
+//! \[24\]) instead precompute, once per receptor, a 3-D grid of interaction
 //! potentials per ligand atom *type*; scoring a pose then costs one
 //! trilinear interpolation per ligand atom — `O(ligand)` instead of
 //! `O(ligand × receptor)`, at the price of grid-resolution error and an

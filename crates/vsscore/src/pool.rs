@@ -9,7 +9,7 @@
 //! worker wakes up in time for is finished by the submitter at serial
 //! speed: no job is too small for the pool.
 //!
-//! [`CpuPool::score_batch`] cuts a batch of poses into [`CHUNKS_PER_THREAD`]
+//! [`CpuPool::score_batch`] cuts a batch of poses into `CHUNKS_PER_THREAD`
 //! contiguous chunks per thread. [`CpuPool::for_each_mut`] runs a closure
 //! over every element of a `&mut [T]`, one element per chunk — the
 //! potential grids are built through it, one z-range per item.

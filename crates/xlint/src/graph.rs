@@ -10,7 +10,7 @@
 //! zero-violation baseline keeps honest. Turbofish calls (`f::<T>(…)`) are
 //! not resolved — none exist on workspace-internal functions today.
 //!
-//! The one carve-out is [`UNRESOLVED_NAMES`]: ubiquitous std method and
+//! The one carve-out is `UNRESOLVED_NAMES`: ubiquitous std method and
 //! trait names (`push`, `len`, `clone`, `drop`, …) are never resolved,
 //! because name-only resolution would connect `Vec::push` to every
 //! workspace `push` — and `drop(guard)` to every `impl Drop` — welding

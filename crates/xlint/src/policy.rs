@@ -107,7 +107,7 @@ fn push_root(
 ///
 /// Roots and their classes:
 /// - `crates/<name>/src` → the crate's class (host-tool for
-///   [`HOST_TOOL_CRATES`], deterministic-lib otherwise);
+///   `HOST_TOOL_CRATES`, deterministic-lib otherwise);
 /// - `crates/<name>/tests` → test;
 /// - `examples/` (both `src/` and the example binaries) → test;
 /// - `tests/` (the workspace acceptance-test member) → test.

@@ -31,6 +31,9 @@ cargo fmt --check
 echo "==> cargo clippy"
 cargo clippy --workspace -- -D warnings
 
+echo "==> cargo doc (no warnings: a doc link must not outlive the name it points at)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> xlint (static analysis: 7 rules on the token-tree lexer; DESIGN.md §14)"
 # Violations print as file:line: rule: message and fail the build. The JSON
 # report (including the model-coverage table) lands in target/ for CI to
