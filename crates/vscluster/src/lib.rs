@@ -20,6 +20,9 @@
 //!   queue is full (an interactive-only reserve keeps re-docks
 //!   responsive), classes drain weighted-fair, duplicates are served from
 //!   a keyed results cache, and nodes may join/leave mid-campaign;
+//! - `cost` (private) — the service's cost model: a job's virtual compute
+//!   time is one replay of its batch trace on a node's devices, memoized
+//!   per distinct node spec;
 //! - [`admission`] — the service's bookkeeping (bounded admission gate,
 //!   exactly-once completion board, publish-once results cache), owned
 //!   and driven by the service's one thread;
