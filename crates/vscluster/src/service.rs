@@ -876,6 +876,7 @@ impl Service {
     ) -> Vec<QueuedJob> {
         let interactive = campaign.priority == Priority::Interactive;
         let kernel = fnv1a(format!("{:?}", campaign.strategy).bytes());
+        let words = |ws: &[u64]| fnv1a(ws.iter().flat_map(|w| w.to_le_bytes()));
         // A job whose params equal the previous job's reuses its shape
         // without formatting them. `PartialEq` merges only params whose
         // `Debug` strings are equal or differ in the sign of a zero, and
@@ -891,16 +892,14 @@ impl Service {
                 };
                 last = Some((&job.params, shape));
                 let rec_name = rec_name.map_or(0, |name| fnv1a(name.bytes()));
-                let receptor = [receptor_atoms as u64, n_spots as u64, rec_name];
-                let ligand = [
+                let receptor = words(&[receptor_atoms as u64, n_spots as u64, rec_name]);
+                let ligand = words(&[
                     job.id as u64,
                     job.ligand_atoms as u64,
                     job.bytes,
                     fnv1a(job.params.name.bytes()),
                     job.params.evals_per_spot(),
-                ];
-                let receptor = fnv1a(receptor.into_iter().flat_map(u64::to_le_bytes));
-                let ligand = fnv1a(ligand.into_iter().flat_map(u64::to_le_bytes));
+                ]);
                 out.push(QueuedJob {
                     global: 0,
                     campaign: h,
