@@ -6,7 +6,7 @@
 //! slot the node fills, so replays are memoized per distinct node spec: a
 //! replay resets its devices first, and equal specs replay equally.
 
-use gpusim::{SimNode, WorkProfile};
+use gpusim::{CostModel, DeviceSpec, SimNode, WorkProfile};
 use metaheur::MetaheuristicParams;
 use std::collections::BTreeMap;
 use vsched::{schedule_trace_with, CostOracle, ReplayOptions, Strategy};
@@ -46,9 +46,7 @@ pub(crate) struct Costs {
     /// Shape ids by the `Debug` strings of their `(params, strategy)`.
     shape_ids: BTreeMap<(String, String), u32>,
     shapes: Vec<(MetaheuristicParams, Strategy)>,
-    /// Spec ids by the `Debug` string of their devices' ids, specs and
-    /// cost models, and one node of each spec to replay on.
-    spec_ids: BTreeMap<String, u32>,
+    /// One node of each distinct spec, to replay on; a spec id indexes it.
     specs: Vec<SimNode>,
     /// Spec id of each fleet node, by node id.
     spec_of_node: Vec<u32>,
@@ -65,16 +63,21 @@ pub(crate) struct Costs {
 impl Costs {
     /// Register the next fleet node (node ids count up from 0).
     pub fn add_node(&mut self, node: &SimNode) {
-        let devices: Vec<_> = std::iter::once(node.cpu())
-            .chain(node.gpus())
-            .map(|d| (d.id(), d.spec(), d.model()))
-            .collect();
-        let next = self.specs.len() as u32;
-        let id = *self.spec_ids.entry(format!("{devices:?}")).or_insert(next);
-        if id == next {
-            self.specs.push(node.clone());
+        // Two nodes share a spec when their devices' ids, specs and cost
+        // models are equal in order. `PartialEq` merges float fields that
+        // differ only in the sign of a zero; a replay tells those apart
+        // only through a zero clock or bandwidth, which no device has.
+        fn devices(n: &SimNode) -> impl Iterator<Item = (usize, &DeviceSpec, &CostModel)> {
+            std::iter::once(n.cpu()).chain(n.gpus()).map(|d| (d.id(), d.spec(), d.model()))
         }
-        self.spec_of_node.push(id);
+        let id = match self.specs.iter().position(|s| devices(s).eq(devices(node))) {
+            Some(id) => id,
+            None => {
+                self.specs.push(node.clone());
+                self.specs.len() - 1
+            }
+        };
+        self.spec_of_node.push(id as u32);
     }
 
     /// Intern a job's `(params, strategy)` pair.
