@@ -112,6 +112,8 @@ impl Costs {
                 (factor, victim.filter(|_| factor != 1.0), Some(trace))
             }
         };
+        // A fixed strategy's node-level fault scales its healthy cost;
+        // every other fault is replayed, and those runs emit events.
         let (scale, factor) =
             if learns || victim.is_some() { (1.0, factor) } else { (factor, 1.0) };
         let events = match trace {
