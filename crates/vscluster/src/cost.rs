@@ -26,7 +26,6 @@ pub(crate) struct JobShape {
 }
 
 /// What a cost is asked for.
-#[derive(Clone, Copy)]
 pub(crate) enum Run<'a> {
     /// A healthy, untraced estimate (the static plan, the single-node
     /// baseline). A learned strategy plans on a copy of the node's oracle,

@@ -1019,7 +1019,8 @@ impl Service {
             // Fault plans index the initial fleet; joined nodes are
             // healthy by construction.
             CampaignKind::Faulty { faults, gpu_victim, .. } => {
-                (faults.slowdowns.get(ni).copied().unwrap_or(1.0), *gpu_victim)
+                let f = if ni < faults.slowdowns.len() { faults.factor(ni) } else { 1.0 };
+                (f, *gpu_victim)
             }
             _ => (1.0, None),
         };
