@@ -863,8 +863,9 @@ struct FieldKey {
 
 impl FieldKey {
     fn of(receptor: &Molecule, o: GridOptions) -> FieldKey {
-        // Each stream is cut into bytes before the chain: hashing the
-        // chained words' bytes instead ran 30% slower.
+        // Each stream is cut into bytes before the chain: flattening the
+        // chained words instead compiles to a slower loop than the
+        // per-word one (about 25% on an x86-64 host, 8,609 atoms).
         let coords = receptor.positions().iter().flat_map(|p| [p.x, p.y, p.z]);
         let bytes = (coords.map(f64::to_bits).flat_map(u64::to_le_bytes))
             .chain(receptor.elements().iter().flat_map(|e| (e.index() as u64).to_le_bytes()))
