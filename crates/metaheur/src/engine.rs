@@ -4,21 +4,30 @@
 //! The template's control flow is written once, as a per-spot state
 //! machine (DESIGN.md §12). A `SpotToken` carries one spot's population,
 //! RNG stream and current `Phase`; `build` does the phase's variation,
-//! `score` submits the batches of many tokens as one, and
-//! `Driver::handle` does the phase's selection and picks the next phase.
-//! Two schedulers step the tokens: the lockstep loop at the bottom of this
-//! module (every live token through each lap together, on the calling
-//! thread — [`run`], [`run_seeded`], [`run_traced`]) and the stage ring in
+//! `submit` hands the batches of many tokens to the evaluator as one
+//! submission, `Driver::step` does the phase's selection and picks the
+//! next phase, and `Driver::settle` files the records that step produced
+//! into the run's.
+//!
+//! `step` and `build` touch one token only, so a scheduler runs them for
+//! every token it holds as one pool job (`host_job`), together with the
+//! scoring of each token's batch when the evaluator splits its submissions
+//! ([`crate::evaluator`]). What depends on the order of tokens — the
+//! submission, its virtual clocks and trace events, and `settle` — stays on
+//! the driving thread. Two schedulers step the tokens: the lockstep loop at
+//! the bottom of this module (every live token through each lap together —
+//! [`run`], [`run_seeded`], [`run_traced`]) and the stage ring in
 //! [`crate::pipeline`]. A spot's trajectory does not depend on which.
 
 use crate::diversity::translation_diversity;
-use crate::evaluator::BatchEvaluator;
+use crate::evaluator::{BatchEvaluator, HostScorer};
 use crate::params::{
     improved_count, Combine, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy,
 };
 use std::collections::VecDeque;
 use vsmath::{Quat, RigidTransform, RngStream, Vec3};
 use vsmol::{conformation::score_cmp, Conformation, Spot};
+use vsscore::{CpuPool, PoseScratch};
 use vstrace::{Event, SpanGuard, Trace};
 
 /// Outcome of one metaheuristic execution.
@@ -126,7 +135,7 @@ pub fn run_traced<E: BatchEvaluator>(
 //
 // Everything that draws from a spot's RNG stream lives here as a free
 // function over one spot's state, called from [`build`] and
-// [`Driver::handle`] only — so the draws a spot makes, and their order, are
+// [`Driver::step`] only — so the draws a spot makes, and their order, are
 // the same under every scheduler.
 // ---------------------------------------------------------------------------
 
@@ -439,9 +448,24 @@ pub(crate) enum Phase {
     LamGather,
     /// Lamarckian step, second half: gradient-directed trial moves.
     LamPropose,
-    /// Farewell lap: no batch; [`Driver::handle`] harvests the final
+    /// Farewell lap: no batch; [`Driver::settle`] harvests the final
     /// population (the ring's evaluator also counts live tokens by it).
     Retire,
+}
+
+/// What [`Driver::step`] leaves for [`Driver::settle`]: the records of the
+/// run one lap of one spot produced, applied in this order.
+#[derive(Default)]
+struct Records {
+    /// A checkpoint: best score, translation diversity and cumulative
+    /// evaluations.
+    checkpoint: Option<(f64, f64, u64)>,
+    /// A diversity entry without a checkpoint (M4's second one).
+    diversity: Option<f64>,
+    /// A finished generation (1-based) and whether it was the spot's last.
+    generation: Option<(usize, bool)>,
+    /// The final population is ready to hand in.
+    harvest: bool,
 }
 
 /// One surface spot's whole search state.
@@ -466,6 +490,16 @@ pub(crate) struct SpotToken {
     pub(crate) batch: Vec<Conformation>,
     /// This lap's batch wants gradients (Lamarckian gather).
     wants_grads: bool,
+    /// This lap's batch is charged to the evaluator but not scored yet:
+    /// [`host_job`] scores it.
+    charged: bool,
+    /// The evaluator's [`HostScorer`] scores this token's batches with it,
+    /// on whichever thread runs the token.
+    scratch: PoseScratch,
+    /// Evaluations this spot has had scored so far.
+    evals: u64,
+    /// Records of the last step, not yet settled.
+    records: Records,
     /// Improving elements per group this generation.
     k: usize,
     /// Local-search step within the current improve pass.
@@ -477,7 +511,7 @@ pub(crate) struct SpotToken {
     /// Scheduler's: set on tokens the ring admits after its initial wave.
     pub(crate) fresh: bool,
     /// Scheduler's: virtual time at which this token's current contents
-    /// are ready (the ring's host↔device overlap accounting; [`score`]
+    /// are ready (the ring's host↔device overlap accounting; [`submit`]
     /// stores the batch's completion time here).
     pub(crate) ready_vt: f64,
 }
@@ -496,6 +530,10 @@ impl SpotToken {
             walkers: Vec::new(),
             batch: Vec::new(),
             wants_grads: false,
+            charged: false,
+            scratch: PoseScratch::new(),
+            evals: 0,
+            records: Records::default(),
             k: 0,
             step: 0,
             gen: 0,
@@ -535,7 +573,12 @@ pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotTok
     };
 }
 
-/// Score what `toks` carry: one coalesced submission for the plain batches
+/// Does `tok` contribute to the submission of its gradient class?
+fn member(tok: &SpotToken, grad_class: bool) -> bool {
+    tok.wants_grads == grad_class && !tok.batch.is_empty()
+}
+
+/// Submit what `toks` carry: one coalesced submission for the plain batches
 /// and one for the gradient batches, each one entry of `batch_trace`.
 ///
 /// `at` is the scheduler's clock: given the time the latest contributor was
@@ -543,49 +586,110 @@ pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotTok
 /// through [`BatchEvaluator::evaluate_after`]; `None` means an unclocked
 /// plain [`BatchEvaluator::evaluate`], device clocks running free. Every
 /// contributor's `ready_vt` becomes the completion time.
-pub(crate) fn score<E: BatchEvaluator>(
+///
+/// A plain submission to an evaluator that splits
+/// ([`BatchEvaluator::host_scorer`]) is only charged here: its tokens are
+/// marked `charged`, and [`host_job`] scores each one's batch in place.
+/// Every other submission — the gradient batches, and every batch of an
+/// evaluator that does not split — is scored here, on the driving thread,
+/// through one flat batch.
+pub(crate) fn submit<E: BatchEvaluator>(
     evaluator: &mut E,
     toks: &mut [SpotToken],
     batch_trace: &mut Vec<u64>,
     mut at: impl FnMut(f64) -> Option<f64>,
 ) {
     for grad_class in [false, true] {
-        let member = |t: &SpotToken| t.wants_grads == grad_class && !t.batch.is_empty();
-        let mut flat: Vec<Conformation> = Vec::new();
-        let mut release = 0.0f64;
-        for tok in toks.iter().filter(|t| member(t)) {
-            flat.extend_from_slice(&tok.batch);
+        let (mut items, mut release) = (0usize, 0.0f64);
+        for tok in toks.iter().filter(|t| member(t, grad_class)) {
+            items += tok.batch.len();
             release = release.max(tok.ready_vt);
         }
-        if flat.is_empty() {
+        if items == 0 {
             continue;
         }
         let when = at(release);
-        let grads = if grad_class { evaluator.evaluate_with_gradients(&mut flat) } else { None };
-        let completion = match (&grads, when) {
-            // Host-evaluated gradients carry the scores: nothing is released
-            // to a device.
-            (Some(_), _) => when.unwrap_or(0.0),
-            // A plain batch — or the gradient fallback, which still needs
-            // the scores (one batch in the accounting either way).
-            (None, Some(t)) => evaluator.evaluate_after(&mut flat, t),
-            (None, None) => {
-                evaluator.evaluate(&mut flat);
+        let completion = if !grad_class && evaluator.host_scorer().is_some() {
+            let done = evaluator.charge(items, when);
+            toks.iter_mut().filter(|t| member(t, false)).for_each(|t| t.charged = true);
+            if when.is_some() {
+                done
+            } else {
                 0.0
             }
+        } else {
+            score_flat(evaluator, toks, grad_class, when)
         };
-        batch_trace.push(flat.len() as u64);
-        let mut off = 0;
-        for tok in toks.iter_mut().filter(|t| member(t)) {
-            let end = off + tok.batch.len();
-            tok.batch.copy_from_slice(&flat[off..end]);
-            if grad_class {
-                tok.grads = grads.as_ref().map(|gs| gs[off..end].to_vec());
-            }
-            tok.ready_vt = completion;
-            off = end;
-        }
+        batch_trace.push(items as u64);
+        toks.iter_mut().filter(|t| member(t, grad_class)).for_each(|t| t.ready_vt = completion);
     }
+}
+
+/// Score one gradient class's batches through the evaluator's whole-batch
+/// entry points, copied into one flat batch and back, and return the
+/// submission's completion time.
+fn score_flat<E: BatchEvaluator>(
+    evaluator: &mut E,
+    toks: &mut [SpotToken],
+    grad_class: bool,
+    when: Option<f64>,
+) -> f64 {
+    let mut flat: Vec<Conformation> = Vec::new();
+    for tok in toks.iter().filter(|t| member(t, grad_class)) {
+        flat.extend_from_slice(&tok.batch);
+    }
+    let grads = if grad_class { evaluator.evaluate_with_gradients(&mut flat) } else { None };
+    let completion = match (&grads, when) {
+        // Host-evaluated gradients carry the scores: nothing is released
+        // to a device.
+        (Some(_), _) => when.unwrap_or(0.0),
+        // A plain batch — or the gradient fallback, which still needs
+        // the scores (one batch in the accounting either way).
+        (None, Some(t)) => evaluator.evaluate_after(&mut flat, t),
+        (None, None) => {
+            evaluator.evaluate(&mut flat);
+            0.0
+        }
+    };
+    let mut off = 0;
+    for tok in toks.iter_mut().filter(|t| member(t, grad_class)) {
+        let end = off + tok.batch.len();
+        tok.batch.copy_from_slice(&flat[off..end]);
+        if grad_class {
+            tok.grads = grads.as_ref().map(|gs| gs[off..end].to_vec());
+        }
+        off = end;
+    }
+    completion
+}
+
+/// The host work of one scheduler step, as one pool job of one token per
+/// chunk: score the token's batch if it was only charged, run
+/// [`Driver::step`] on it, and build its next lap's batch. Each part reads
+/// and writes the token alone (and the evaluator's [`HostScorer`], a pure
+/// function of the pose), so which thread runs a token, and when, changes
+/// nothing (DESIGN.md §7).
+pub(crate) fn host_job(
+    pool: &CpuPool,
+    scorer: Option<&dyn HostScorer>,
+    driver: &Driver<'_>,
+    toks: &mut [SpotToken],
+) {
+    pool.for_each_mut(toks, |tok| {
+        if std::mem::take(&mut tok.charged) {
+            debug_assert!(
+                scorer.is_some(),
+                "a batch was charged to an evaluator that cannot score it"
+            );
+            if let Some(scorer) = scorer {
+                scorer.score_confs(&mut tok.batch, &mut tok.scratch);
+            }
+        }
+        driver.step(tok);
+        if tok.phase != Phase::Retire {
+            build(driver.params, &driver.spots[tok.si], tok);
+        }
+    });
 }
 
 /// Selection, the end condition and the run's records: the half of the
@@ -604,7 +708,6 @@ pub(crate) struct Driver<'a> {
     div: Vec<Vec<f64>>,
     /// Per-spot cumulative evaluations at the same checkpoints.
     evals: Vec<Vec<u64>>,
-    evals_cum: Vec<u64>,
     /// `completed[j]` = spots that have finished generation `j` (1-based;
     /// index 0, initialization, is unused), `retired_at[j]` = those for
     /// which it was the last. Both grow with the longest-running spot.
@@ -623,6 +726,14 @@ pub(crate) struct Driver<'a> {
 /// carries forward.
 fn at<T: Copy>(record: &[T], j: usize) -> T {
     record[j.min(record.len() - 1)]
+}
+
+/// Record a checkpoint of `tok`'s population for [`Driver::settle`] and
+/// return its translation diversity.
+fn checkpoint(tok: &mut SpotToken) -> f64 {
+    let diversity = translation_diversity(&tok.pop);
+    tok.records.checkpoint = Some((tok.pop[0].score, diversity, tok.evals));
+    diversity
 }
 
 impl<'a> Driver<'a> {
@@ -653,7 +764,6 @@ impl<'a> Driver<'a> {
             hist: vec![Vec::new(); n],
             div: vec![Vec::new(); n],
             evals: vec![Vec::new(); n],
-            evals_cum: vec![0; n],
             completed: vec![0],
             retired_at: vec![0],
             next_gd: 1,
@@ -664,11 +774,13 @@ impl<'a> Driver<'a> {
     }
 
     /// Selection: consume `tok`'s scored batch as its phase prescribes and
-    /// set the phase of its next lap. A token arriving at
-    /// [`Phase::Retire`] hands in its population and is done.
-    pub(crate) fn handle(&mut self, tok: &mut SpotToken) {
+    /// set the phase of its next lap, leaving what the run records of it
+    /// for [`Driver::settle`]. Reads and writes `tok` alone, so any thread
+    /// may run it. A token arriving at [`Phase::Retire`] only marks its
+    /// population for harvest.
+    pub(crate) fn step(&self, tok: &mut SpotToken) {
         let scored = std::mem::take(&mut tok.batch);
-        self.evals_cum[tok.si] += scored.len() as u64;
+        tok.evals += scored.len() as u64;
         match tok.phase {
             Phase::Seed => {
                 if self.params.combine == Combine::Swarm {
@@ -678,7 +790,7 @@ impl<'a> Driver<'a> {
                 tok.pop.sort_by(score_cmp);
                 inject_seeds_spot(&self.spots[tok.si], &mut tok.pop, self.seed_confs);
                 tok.best_so_far = tok.pop[0].score;
-                self.checkpoint(tok.si, &tok.pop);
+                let diversity = checkpoint(tok);
                 if self.params.single_pass {
                     // M4: one Improve pass over the large initial set; no
                     // Select / Combine / Include loop.
@@ -687,8 +799,7 @@ impl<'a> Driver<'a> {
                         // Improve is a no-op; the run still records a second
                         // (unchanged) diversity checkpoint.
                         tok.pop = std::mem::take(&mut tok.group);
-                        let d = self.div[tok.si][0];
-                        self.div[tok.si].push(d);
+                        tok.records.diversity = Some(diversity);
                         tok.phase = Phase::Retire;
                     }
                 } else {
@@ -731,11 +842,40 @@ impl<'a> Driver<'a> {
                 tok.grads = None;
                 self.end_step(tok);
             }
-            Phase::Retire => {
-                self.pops[tok.si] = Some(std::mem::take(&mut tok.pop));
-                self.harvested += 1;
+            Phase::Retire => tok.records.harvest = true,
+        }
+    }
+
+    /// File the records of `tok`'s last [`Driver::step`] into the run's,
+    /// and take its final population if it was handed in (returning
+    /// whether it was). Schedulers call it in the order the tokens were
+    /// stepped.
+    pub(crate) fn settle(&mut self, tok: &mut SpotToken) -> bool {
+        let records = std::mem::take(&mut tok.records);
+        let si = tok.si;
+        if let Some((best, diversity, evals)) = records.checkpoint {
+            self.hist[si].push(best);
+            self.div[si].push(diversity);
+            self.evals[si].push(evals);
+        }
+        if let Some(diversity) = records.diversity {
+            self.div[si].push(diversity);
+        }
+        if let Some((gen, done)) = records.generation {
+            if self.completed.len() <= gen {
+                self.completed.resize(gen + 1, 0);
+                self.retired_at.resize(gen + 1, 0);
+            }
+            self.completed[gen] += 1;
+            if done {
+                self.retired_at[gen] += 1;
             }
         }
+        if records.harvest {
+            self.pops[si] = Some(std::mem::take(&mut tok.pop));
+            self.harvested += 1;
+        }
+        records.harvest
     }
 
     /// Start an improve pass over the best elements of the (sorted) group,
@@ -756,14 +896,14 @@ impl<'a> Driver<'a> {
 
     /// One local-search step is done: take the next, or fold the group
     /// back and decide what happens after the improve pass.
-    fn end_step(&mut self, tok: &mut SpotToken) {
+    fn end_step(&self, tok: &mut SpotToken) {
         tok.step += 1;
         if tok.step < self.improve_steps {
             tok.phase = self.improve_first;
         } else if self.params.single_pass {
             tok.pop = std::mem::take(&mut tok.group);
             tok.pop.sort_by(score_cmp);
-            self.div[tok.si].push(translation_diversity(&tok.pop));
+            tok.records.diversity = Some(translation_diversity(&tok.pop));
             tok.phase = Phase::Retire;
         } else {
             self.include_and_advance(tok);
@@ -774,17 +914,12 @@ impl<'a> Driver<'a> {
     /// the best `population_per_spot`; record the generation checkpoint;
     /// then either retire the spot (end condition met) or start its next
     /// generation.
-    fn include_and_advance(&mut self, tok: &mut SpotToken) {
+    fn include_and_advance(&self, tok: &mut SpotToken) {
         tok.pop.append(&mut tok.group);
         tok.pop.sort_by(score_cmp);
         tok.pop.truncate(self.params.population_per_spot);
         tok.gen += 1;
-        self.checkpoint(tok.si, &tok.pop);
-        if self.completed.len() <= tok.gen {
-            self.completed.resize(tok.gen + 1, 0);
-            self.retired_at.resize(tok.gen + 1, 0);
-        }
-        self.completed[tok.gen] += 1;
+        checkpoint(tok);
         // The end condition is per spot under every scheduler: spots are
         // independent searches, and a global staleness check would need the
         // barrier the ring exists to remove.
@@ -801,21 +936,13 @@ impl<'a> Driver<'a> {
                 tok.stale >= patience || tok.gen >= max
             }
         };
-        if done {
-            self.retired_at[tok.gen] += 1;
-        }
+        tok.records.generation = Some((tok.gen, done));
         tok.phase = if done { Phase::Retire } else { Phase::Breed };
     }
 
     /// Global best as of checkpoint `j`.
     fn best_at(&self, j: usize) -> f64 {
         self.hist.iter().map(|h| at(h, j)).fold(f64::INFINITY, f64::min)
-    }
-
-    fn checkpoint(&mut self, si: usize, pop: &[Conformation]) {
-        self.hist[si].push(pop[0].score);
-        self.div[si].push(translation_diversity(pop));
-        self.evals[si].push(self.evals_cum[si]);
     }
 
     /// Emit `GenerationDone` for every generation that settled since the
@@ -870,11 +997,13 @@ impl<'a> Driver<'a> {
     }
 }
 
-/// The lockstep scheduler: step every live token through each lap together
-/// on the calling thread, so each submission spans all running spots and
-/// `batch_trace` comes out in program order. It carries no cost model and
-/// lets device clocks run free (plain `evaluate`); wrapping the evaluator
-/// is what turns it into charged
+/// The lockstep scheduler: step every live token through each lap together,
+/// so each submission spans all running spots and `batch_trace` comes out
+/// in program order. Each lap submits on the calling thread, then runs the
+/// live tokens' host work as one [`host_job`] and settles them in spot
+/// order. It carries no cost model and lets device clocks run free (plain
+/// `evaluate`, or a `charge` without a release); wrapping the evaluator is
+/// what turns it into charged
 /// [`EngineExec::Lockstep`](crate::pipeline::EngineExec).
 pub(crate) fn run_lockstep<E: BatchEvaluator>(
     params: &MetaheuristicParams,
@@ -884,6 +1013,7 @@ pub(crate) fn run_lockstep<E: BatchEvaluator>(
     seed_confs: &[Conformation],
     trace: &Trace,
 ) -> RunResult {
+    let pool = vsscore::shared_pool(vsscore::host_threads());
     let mut driver = Driver::new(params, spots, seed_confs, trace);
     let mut live: Vec<SpotToken> =
         spots.iter().enumerate().map(|(si, spot)| SpotToken::new(si, spot, seed)).collect();
@@ -901,17 +1031,20 @@ pub(crate) fn run_lockstep<E: BatchEvaluator>(
             Phase::Propose | Phase::LamGather if step == 0 => spans.push(trace.span("improve")),
             _ => {}
         }
-        for tok in &mut live {
-            build(params, &spots[tok.si], tok);
+        if phase == Phase::Seed {
+            // The first lap's batches; each host job builds the next lap's.
+            live.iter_mut().for_each(|tok| build(params, &spots[tok.si], tok));
         }
-        score(evaluator, &mut live[..], &mut batch_trace, |_| None);
+        submit(evaluator, &mut live, &mut batch_trace, |_| None);
+        host_job(&pool, evaluator.host_scorer(), &driver, &mut live);
         for tok in &mut live {
-            driver.handle(tok);
+            driver.settle(tok);
         }
         live.retain_mut(|tok| {
             let retiring = tok.phase == Phase::Retire;
             if retiring {
-                driver.handle(tok);
+                driver.step(tok);
+                driver.settle(tok);
             }
             !retiring
         });
@@ -1261,10 +1394,12 @@ mod tests {
             let mut tok = SpotToken::new(0, &sp[0], 3);
             while tok.phase != Phase::Retire {
                 build(&p, &sp[0], &mut tok);
-                score(&mut ev, std::slice::from_mut(&mut tok), &mut Vec::new(), |_| None);
-                driver.handle(&mut tok);
+                submit(&mut ev, std::slice::from_mut(&mut tok), &mut Vec::new(), |_| None);
+                driver.step(&mut tok);
+                driver.settle(&mut tok);
             }
-            driver.handle(&mut tok);
+            driver.step(&mut tok);
+            driver.settle(&mut tok);
             let pop = driver.pops[0].as_ref().unwrap();
             assert_eq!(pop.len(), 8);
             assert!(pop.iter().all(|c| c.score.is_finite()), "{improve:?}: {pop:?}");

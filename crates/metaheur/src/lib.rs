@@ -37,8 +37,8 @@
 //!
 //! The template is implemented once, as a per-spot state machine in
 //! [`engine`], and scheduled two ways (DESIGN.md §12): [`run`],
-//! [`run_seeded`] and [`run_traced`] step every spot in lockstep on the
-//! calling thread, uncharged; [`run_exec`] either charges that loop's host
+//! [`run_seeded`] and [`run_traced`] step every spot in lockstep,
+//! uncharged; [`run_exec`] either charges that loop's host
 //! phases on the evaluator's virtual clocks ([`EngineExec::Lockstep`]) or
 //! steps the machine as a ring of stages that overlaps variation with
 //! scoring on those clocks ([`EngineExec::Pipelined`]). Whichever runs, a
@@ -53,7 +53,9 @@ pub mod pipeline;
 pub mod suite;
 
 pub use engine::{run, run_seeded, run_traced, RunResult};
-pub use evaluator::{BatchEvaluator, CpuEvaluator, RuggedEvaluator, SyntheticEvaluator};
+pub use evaluator::{
+    BatchEvaluator, CpuEvaluator, HostScorer, RuggedEvaluator, SyntheticEvaluator,
+};
 pub use params::{Combine, EndCondition, ImproveStrategy, MetaheuristicParams, SelectStrategy};
 pub use pipeline::{run_exec, EngineExec, HostCosts};
 pub use suite::{m1, m2, m3, m4, memetic, paper_suite, pso, tabu};

@@ -19,11 +19,19 @@
 //! agree by bits on every `RunResult` field but `batch_trace`, both emit
 //! one `GenerationDone` per generation run, and the ring run twice at one
 //! depth emits the same trace payloads.
+//!
+//! A third holds the two ways a submission is scored to each other: every
+//! cell under every scheduler gives the same dump — every `RunResult` field
+//! by bits, `batch_trace` included, and the trace payloads — whether the
+//! evaluator offers the split into a charge and a host scorer (each spot's
+//! batch scored in the scheduler's host job) or hides it (every batch
+//! scored whole on the driving thread). The recorded cells take the hiding
+//! path.
 
 use metaheur::{
     memetic, paper_suite, pso, run_exec, run_seeded, run_traced, tabu, BatchEvaluator, Combine,
-    EndCondition, EngineExec, ImproveStrategy, MetaheuristicParams, RunResult, SelectStrategy,
-    SyntheticEvaluator,
+    EndCondition, EngineExec, HostScorer, ImproveStrategy, MetaheuristicParams, RunResult,
+    SelectStrategy, SyntheticEvaluator,
 };
 use std::fmt::Write;
 use vsmath::{fnv1a, RigidTransform, Vec3};
@@ -37,10 +45,12 @@ const SEED: u64 = 2016;
 /// The synthetic landscape, announcing every submission on the trace so a
 /// cell's payload sequence shows where scoring falls between the spans.
 /// `pairs_per_item` tells the two submission kinds apart (1 plain, 2
-/// gradient).
+/// gradient). With `split` it passes on the landscape's charge and host
+/// scorer; without, it hides them, so every batch is scored whole.
 struct Announcing {
     inner: SyntheticEvaluator,
     gradients: bool,
+    split: bool,
     trace: Trace,
 }
 
@@ -76,6 +86,15 @@ impl BatchEvaluator for Announcing {
         self.announce(confs.len(), 2);
         self.inner.evaluate_with_gradients(confs)
     }
+
+    fn charge(&mut self, items: usize, release: Option<f64>) -> f64 {
+        self.announce(items, 1);
+        self.inner.charge(items, release)
+    }
+
+    fn host_scorer(&self) -> Option<&dyn HostScorer> {
+        self.split.then_some(&self.inner as &dyn HostScorer)
+    }
 }
 
 fn spots(n: usize) -> Vec<Spot> {
@@ -91,9 +110,9 @@ fn spots(n: usize) -> Vec<Spot> {
 }
 
 /// One hidden optimum inside each spot's search ball.
-fn evaluator(sp: &[Spot], gradients: bool, trace: &Trace) -> Announcing {
+fn evaluator(sp: &[Spot], gradients: bool, split: bool, trace: &Trace) -> Announcing {
     let optima = sp.iter().map(|s| s.center + Vec3::new(1.0, 0.5, 0.5)).collect();
-    Announcing { inner: SyntheticEvaluator::new(optima), gradients, trace: trace.clone() }
+    Announcing { inner: SyntheticEvaluator::new(optima), gradients, split, trace: trace.clone() }
 }
 
 fn ga(name: &str) -> MetaheuristicParams {
@@ -231,7 +250,7 @@ fn matrix() -> String {
                 .collect();
             for mode in ["classic", "seeded", "lockstep"] {
                 let trace = Trace::new();
-                let mut ev = evaluator(&sp, gradients, &trace);
+                let mut ev = evaluator(&sp, gradients, false, &trace);
                 let run = match mode {
                     "classic" => run_traced(&params, &sp, &mut ev, SEED, &trace),
                     // Untraced by signature: the cell still records the
@@ -272,7 +291,7 @@ fn lockstep_and_every_ring_depth_agree_on_every_cell() {
             let sp = spots(n);
             let run_mode = |exec: EngineExec| {
                 let trace = Trace::new();
-                let mut ev = evaluator(&sp, gradients, &Trace::disabled());
+                let mut ev = evaluator(&sp, gradients, false, &Trace::disabled());
                 let run = run_exec(&params, &sp, &mut ev, SEED, &[], &trace, exec);
                 let (search, done) = search_and_events(&run, &trace);
                 assert_eq!(done.len(), run.generations_run, "{}/s{n} {exec:?}", params.name);
@@ -284,6 +303,33 @@ fn lockstep_and_every_ring_depth_agree_on_every_cell() {
                 assert_eq!(lockstep.0, ring, "{}/s{n} depth {depth}", params.name);
                 let (_, again) = run_mode(EngineExec::Pipelined { depth });
                 assert_eq!(payloads, again, "{}/s{n} depth {depth}: trace", params.name);
+            }
+        }
+    }
+}
+
+#[test]
+fn split_scoring_matches_whole_batches_on_every_cell() {
+    for (params, gradients) in parameter_sets() {
+        for n in [1, 3, 5] {
+            let sp = spots(n);
+            let run_mode = |exec: Option<EngineExec>, split: bool| {
+                let trace = Trace::new();
+                let mut ev = evaluator(&sp, gradients, split, &trace);
+                let run = match exec {
+                    None => run_traced(&params, &sp, &mut ev, SEED, &trace),
+                    Some(exec) => run_exec(&params, &sp, &mut ev, SEED, &[], &trace, exec),
+                };
+                dump(&run, &trace)
+            };
+            let rings = [1, 2, 4, usize::MAX].map(|depth| Some(EngineExec::Pipelined { depth }));
+            for exec in [None, Some(EngineExec::Lockstep)].into_iter().chain(rings) {
+                assert_eq!(
+                    run_mode(exec, true),
+                    run_mode(exec, false),
+                    "{}/s{n} {exec:?}: split against whole batches",
+                    params.name
+                );
             }
         }
     }

@@ -1,44 +1,53 @@
-//! The real-compute batch evaluator: plan each batch with the strategy
-//! [`Policy`], then dispatch the claims for scoring (DESIGN.md §10).
+//! The real-compute batch evaluator (DESIGN.md §10). A submission has two
+//! halves, and [`DeviceEvaluator`] adds nothing to either.
 //!
-//! [`DeviceEvaluator`] adds nothing to either half. All *policy* — the
-//! paper's warm-up and Equation 1, greedy chunks, the work-stealing drain,
-//! the oracle feedback, virtual-time accounting and the scheduling trace
-//! events — is [`Policy::plan`], the same step the analytic replay runs.
-//! All *mechanism* is `runtime::dispatch`: check the claims, then score
-//! them on `vsscore`'s shared worker pool — the one host worker team in
-//! the workspace, the same one [`metaheur::CpuEvaluator`] and the grid
-//! build use. The evaluator owns no threads.
+//! - The *virtual half* is [`BatchEvaluator::charge`]: the release time,
+//!   then [`Policy::plan`] — the paper's warm-up and Equation 1, greedy
+//!   chunks, the work-stealing drain, the oracle feedback, the device
+//!   clocks and the scheduling trace events, the same step the analytic
+//!   replay runs — and a check that the plan's claims tile the batch. It
+//!   depends on the order of submissions and runs on the submitting thread.
+//! - The *host half* is the scorer itself, lent as a
+//!   [`metaheur::HostScorer`]: a pure function of the pose, so the engine
+//!   scores each spot's share of a submission on whichever thread of
+//!   `vsscore`'s shared pool claims that spot, beside its selection and
+//!   variation.
+//!
+//! [`BatchEvaluator::evaluate`] is the two in a row: a charge, then one
+//! [`Exec::Pool`] job over the batch on `min(devices, host threads)`
+//! threads of the same pool — the one host worker team in the workspace,
+//! which [`metaheur::CpuEvaluator`] and the grid build use too. The
+//! evaluator owns no threads.
 //!
 //! # Determinism
 //!
-//! Claims are disjoint index ranges and every conformation is scored alone
-//! by the same serial kernel as [`vsscore::Scorer::score_batch`], so
-//! scores are bit-identical to the serial CPU path for every strategy —
-//! including work stealing, where chunk migration changes *which device is
-//! charged*, never the numeric result — for whichever kernel the scorer is
-//! configured with (DESIGN §7 per-kernel bit-identity). Which host thread
-//! scores a conformation has nothing to do with which device was charged
-//! for it.
+//! Every conformation is scored alone by the same serial kernel as
+//! [`vsscore::Scorer::score_batch`], so scores are bit-identical to the
+//! serial CPU path for every strategy — including work stealing, where
+//! chunk migration changes *which device is charged*, never the numeric
+//! result — for whichever kernel the scorer is configured with (DESIGN §7
+//! per-kernel bit-identity). Which host thread scores a conformation has
+//! nothing to do with which device was charged for it.
 
 use crate::oracle::CostOracle;
 use crate::policy::Policy;
-use crate::runtime::{dispatch, makespan, release_until, work_profile, Claim, StealStats};
+use crate::runtime::{makespan, release_until, work_profile, Claim, StealStats};
 use crate::strategy::Strategy;
 use gpusim::{SimDevice, Timeline, WorkProfile};
-use metaheur::BatchEvaluator;
+use metaheur::{BatchEvaluator, HostScorer};
 use std::sync::Arc;
 use vsmol::Conformation;
-use vsscore::{PoseScratch, Scorer};
+use vsscore::{Exec, PoseScratch, ScoreBatch, Scorer};
 use vstrace::{Trace, BATCH_TRACK};
 
 /// A [`BatchEvaluator`] that executes scoring on a set of simulated devices.
 ///
-/// Each `evaluate` call plans the batch under the strategy — the first
-/// `warmup` batches of the heterogeneous strategies run under the equal
-/// split while being timed, their cost landing on the device clocks as in
-/// the paper — and scores the resulting claims on the shared host pool.
-/// Construction spawns nothing: the pool's team outlives every evaluator.
+/// Each submission is planned under the strategy — the first `warmup`
+/// batches of the heterogeneous strategies run under the equal split while
+/// being timed, their cost landing on the device clocks as in the paper —
+/// and scored on the shared host pool, by `evaluate` itself or by the
+/// engine through [`BatchEvaluator::host_scorer`]. Construction spawns
+/// nothing: the pool's team outlives every evaluator.
 pub struct DeviceEvaluator {
     devices: Vec<Arc<SimDevice>>,
     scorer: Arc<Scorer>,
@@ -46,11 +55,11 @@ pub struct DeviceEvaluator {
     trace: Trace,
     policy: Policy,
     profile: WorkProfile,
-    /// Host threads a batch is scored on, the calling thread included:
-    /// `min(devices, host threads)`, or `min(cores, host threads)` for the
-    /// CPU-only baseline's one lane.
+    /// Host threads `evaluate` scores a batch on, the calling thread
+    /// included: `min(devices, host threads)`, or `min(cores, host
+    /// threads)` for the CPU-only baseline's one lane.
     threads: usize,
-    /// The calling thread's: it scores chunks of every batch `dispatch`
+    /// The calling thread's: it scores chunks of every batch `evaluate`
     /// submits, as one of the `threads`.
     scratch: PoseScratch,
 }
@@ -138,30 +147,49 @@ impl DeviceEvaluator {
     pub fn oracle(&self) -> Option<&CostOracle> {
         self.policy.oracle()
     }
+
+    /// The host half of `evaluate`: one [`Exec::Pool`] job over the batch
+    /// on `threads` threads of `vsscore`'s shared team, the calling thread
+    /// claiming chunks beside the workers. A panic while scoring is
+    /// re-raised here by the pool, which stays usable.
+    fn score(&mut self, confs: &mut [Conformation]) {
+        let batch = ScoreBatch::Confs(confs);
+        self.scorer.score_batch(batch, &mut self.scratch, Exec::Pool(self.threads));
+    }
+}
+
+/// Panic unless `claims` are disjoint ranges inside a batch of `items`,
+/// each for one of a node's `devices`, and — in debug builds — cover all of
+/// it: what [`Policy::plan`] promises, so that every conformation is
+/// charged once.
+///
+/// # Panics
+/// Panics if a claim overlaps another, reaches past the batch, or names a
+/// device `>= devices`.
+fn check_claims(claims: &[Claim], items: usize, devices: usize) {
+    let mut ranges: Vec<(u32, u32)> = claims.iter().map(|c| (c.lo, c.hi)).collect();
+    ranges.sort_unstable();
+    let mut end = 0u32;
+    for &(lo, hi) in &ranges {
+        assert!(end <= lo && lo <= hi, "claims must be disjoint ranges: {claims:?}");
+        end = hi;
+    }
+    assert!(end as usize <= items, "claims reach past the batch: {claims:?}");
+    assert!(
+        claims.iter().all(|c| c.device < devices),
+        "claim for a device the node does not have ({devices} devices): {claims:?}"
+    );
+    debug_assert_eq!(
+        claims.iter().map(Claim::items).sum::<u64>(),
+        items as u64,
+        "a plan's claims must tile the batch: {claims:?}"
+    );
 }
 
 impl BatchEvaluator for DeviceEvaluator {
     fn evaluate(&mut self, confs: &mut [Conformation]) {
-        if confs.is_empty() {
-            return;
-        }
-        let claims = self.policy.plan(
-            &self.devices,
-            confs.len() as u64,
-            self.profile,
-            None,
-            self.timeline.as_deref(),
-            &self.trace,
-        );
-        // `dispatch` asserts the claims disjoint and in bounds; covering
-        // as many items as the batch has, they tile it (what `plan`
-        // promises): every conformation is scored, once.
-        debug_assert_eq!(
-            claims.iter().map(Claim::items).sum::<u64>(),
-            confs.len() as u64,
-            "a plan's claims must tile the batch: {claims:?}"
-        );
-        dispatch(&self.scorer, self.devices.len(), self.threads, &mut self.scratch, confs, claims);
+        self.charge(confs.len(), None);
+        self.score(confs);
     }
 
     fn pairs_per_eval(&self) -> u64 {
@@ -176,9 +204,35 @@ impl BatchEvaluator for DeviceEvaluator {
     /// [`Self::evaluate`] would. Returns the node makespan, i.e. when the
     /// batch's scores are available to the selector stage.
     fn evaluate_after(&mut self, confs: &mut [Conformation], release: f64) -> f64 {
-        release_until(&self.devices, &self.trace, release);
-        self.evaluate(confs);
+        let done = self.charge(confs.len(), Some(release));
+        self.score(confs);
+        done
+    }
+
+    /// The virtual half of `evaluate` (`release` `None`) or
+    /// `evaluate_after`: idle every device forward to `release`, plan the
+    /// `items` under the strategy — charging each claim to its device —
+    /// and check the claims. Returns the node makespan.
+    fn charge(&mut self, items: usize, release: Option<f64>) -> f64 {
+        if let Some(vt) = release {
+            release_until(&self.devices, &self.trace, vt);
+        }
+        if items > 0 {
+            let claims = self.policy.plan(
+                &self.devices,
+                items as u64,
+                self.profile,
+                None,
+                self.timeline.as_deref(),
+                &self.trace,
+            );
+            check_claims(claims, items, self.devices.len());
+        }
         self.makespan()
+    }
+
+    fn host_scorer(&self) -> Option<&dyn HostScorer> {
+        Some(&*self.scorer)
     }
 }
 
@@ -730,6 +784,98 @@ mod tests {
     #[should_panic]
     fn empty_device_list_rejected() {
         DeviceEvaluator::new(Vec::new(), scorer(), Strategy::HomogeneousSplit);
+    }
+
+    #[test]
+    fn charge_then_host_scoring_equals_evaluate() {
+        // Twin evaluators per strategy, one scored through `evaluate` /
+        // `evaluate_after`, the other through `charge` and its host scorer:
+        // same score bits, device clocks, steal statistics, Gantt segments
+        // and trace payloads, warm-up, releases, empty and one-item batches
+        // and a mid-run slowdown included.
+        let sc = scorer();
+        let warmup = WarmupConfig { iterations: 2, ..Default::default() };
+        for (strategy, slows) in [
+            (Strategy::CpuOnly, false),
+            (Strategy::HomogeneousSplit, false),
+            (Strategy::HeterogeneousSplit { warmup }, false),
+            (Strategy::DynamicQueue { chunk: 64 }, false),
+            (Strategy::GuidedQueue { divisor: 2 }, false),
+            (Strategy::WorkSteal { warmup, divisor: 2 }, true),
+            (Strategy::Oracle { warmup, divisor: 2 }, false),
+        ] {
+            let twin = || {
+                let devices = match strategy {
+                    Strategy::CpuOnly => vec![Arc::new(SimDevice::new(0, catalog::xeon_e3_1220()))],
+                    _ => hertz_devices(),
+                };
+                let (timeline, trace) = (Arc::new(Timeline::new()), Trace::new());
+                let ev = DeviceEvaluator::new(devices.clone(), sc.clone(), strategy)
+                    .with_timeline(timeline.clone())
+                    .with_trace(trace.clone());
+                (ev, devices, timeline, trace)
+            };
+            let (mut whole, whole_devs, whole_tl, whole_trace) = twin();
+            let (mut split, split_devs, split_tl, split_trace) = twin();
+            let mut scratch = PoseScratch::new();
+            for (i, n) in [400, 400, 1, 0, 12_000, 777].into_iter().enumerate() {
+                if slows && i == 4 {
+                    whole_devs[1].set_slowdown(8.0);
+                    split_devs[1].set_slowdown(8.0);
+                }
+                let mut a = confs(n, 200 + i as u64);
+                let mut b = a.clone();
+                if i % 2 == 1 {
+                    let release = whole.makespan() + 1e-3;
+                    let done = whole.evaluate_after(&mut a, release);
+                    assert_eq!(done.to_bits(), split.charge(n, Some(release)).to_bits());
+                } else {
+                    whole.evaluate(&mut a);
+                    split.charge(n, None);
+                }
+                split
+                    .host_scorer()
+                    .expect("the device evaluator splits")
+                    .score_confs(&mut b, &mut scratch);
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "{strategy:?} batch {i}");
+                }
+            }
+            for (x, y) in whole_devs.iter().zip(&split_devs) {
+                assert_eq!(x.clock().to_bits(), y.clock().to_bits(), "{strategy:?}");
+                assert_eq!(x.stats().items, y.stats().items, "{strategy:?}");
+            }
+            assert_eq!(whole.steal_stats(), split.steal_stats(), "{strategy:?}");
+            if slows {
+                assert!(split.steal_stats().steals > 0, "the slowdown must cause steals");
+            }
+            assert_eq!(whole_tl.segments(), split_tl.segments(), "{strategy:?}");
+            let payloads = whole_trace.snapshot().payloads();
+            assert!(!payloads.is_empty());
+            assert_eq!(payloads, split_trace.snapshot().payloads(), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "disjoint")]
+    fn charge_rejects_overlapping_claims() {
+        let overlapping = [
+            Claim { device: 0, lo: 0, hi: 5, stolen_from: None },
+            Claim { device: 1, lo: 4, hi: 8, stolen_from: None },
+        ];
+        check_claims(&overlapping, 8, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "reach past the batch")]
+    fn charge_rejects_a_claim_past_the_batch() {
+        check_claims(&[Claim { device: 0, lo: 4, hi: 9, stolen_from: None }], 8, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "device the node does not have")]
+    fn charge_rejects_a_claim_for_a_missing_device() {
+        check_claims(&[Claim { device: 2, lo: 0, hi: 8, stolen_from: None }], 8, 2);
     }
 
     #[test]

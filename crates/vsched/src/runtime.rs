@@ -1,13 +1,13 @@
 //! The node runtime: what every execution path on a node — static Percent
 //! splits, warm-up batches, self-scheduled chunks and the work-stealing
 //! mode — shares below the strategy interpreter: the claim type, the
-//! charge to a device clock, the work-stealing drain, and `dispatch`,
-//! which scores a planned batch.
+//! charge to a device clock, the release of a streamed batch and the
+//! work-stealing drain.
 //!
 //! # Architecture
 //!
-//! The runtime separates *scheduling* (which device claims which chunk,
-//! decided in virtual time) from *scoring* (the real numeric computation):
+//! A node separates *scheduling* (which device claims which chunk, decided
+//! in virtual time) from *scoring* (the real numeric computation):
 //!
 //! 1. **Claiming** runs on the submitting thread, in
 //!    [`crate::policy::Policy::plan`]: it resolves the strategy into
@@ -24,26 +24,27 @@
 //!    entire claim order is a deterministic function of (batch, weights,
 //!    cost model, active slowdowns).
 //! 2. **Scoring** runs on the workspace's one host worker team,
-//!    `vsscore`'s shared persistent pool. `dispatch` checks the claims,
-//!    joins adjacent ones into runs and submits each run as an
-//!    [`Exec::Pool`] job; the submitting thread and the pool's workers
-//!    claim chunks of the run until none is left, whoever was charged for
-//!    which part of it. Each conformation is scored alone by the serial
-//!    kernel, so results are bit-identical to the serial path no matter
-//!    which device claimed what or which host thread computed it.
+//!    `vsscore`'s shared persistent pool, and never sees a claim: the whole
+//!    batch is scored, whoever was charged for which part of it. The
+//!    engine scores each spot's share of a submission inside its one host
+//!    job per step ([`metaheur::HostScorer`]); a plain
+//!    `DeviceEvaluator::evaluate` scores the batch as one
+//!    [`vsscore::Exec::Pool`] job. Each conformation is scored alone by the
+//!    serial kernel, so results are bit-identical to the serial path no
+//!    matter which device claimed what or which host thread computed it.
 //!
 //! # Host threads are not devices
 //!
 //! A simulated device is a clock and a cost model; the scores are computed
 //! for real on host threads, and nothing observable depends on which. So
-//! the team's size follows from the host, not from the simulated node:
-//! `min(devices, vsscore::host_threads())`, the submitting thread
-//! included — never more threads than the node has devices (the paper's
-//! one-host-thread-per-GPU structure is the ceiling), never more than the
-//! host runs at once. Nobody is handed a share of a batch: those threads
-//! claim its chunks as they get to them. Equation 1's 58 : 42 split
-//! describes the simulated GPUs and would only unbalance identical host
-//! cores.
+//! the team's size follows from the host, not from the simulated node. The
+//! engine's host job runs on `vsscore::host_threads()` threads, as its
+//! variation did before scoring joined it; `evaluate` alone keeps
+//! `min(devices, host threads)` (the paper's one-host-thread-per-GPU
+//! structure as its ceiling). Either way the submitting thread is one of
+//! them, and nobody is handed a share of a batch: the threads claim its
+//! chunks as they get to them. Equation 1's 58 : 42 split describes the
+//! simulated GPUs and would only unbalance identical host cores.
 //!
 //! Claiming is the submitting thread's alone, so a deque is a plain
 //! `Range<u32>`: the owner advances its `start`, a thief retreats its
@@ -57,8 +58,7 @@ use crate::partition::proportional_split;
 use gpusim::{KernelClass, SimDevice, Timeline, WorkProfile};
 use std::ops::Range;
 use std::sync::Arc;
-use vsmol::Conformation;
-use vsscore::{Exec, PoseScratch, ScoreBatch, Scorer};
+use vsscore::Scorer;
 use vstrace::{Event, Trace};
 
 /// Chunk-sizing knobs for the work-stealing drain.
@@ -102,9 +102,8 @@ impl StealStats {
 
 /// One resolved claim of a plan: `device` is charged for `[lo, hi)`;
 /// `stolen_from` names the victim deque when the claim was a steal.
-/// `device` is who was *charged* in virtual time, not who computes:
-/// `dispatch` scores the range on whichever host threads the pool gives
-/// it.
+/// `device` is who was *charged* in virtual time, not who computes: the
+/// range is scored on whichever host threads the pool gives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Claim {
     pub device: usize,
@@ -300,60 +299,13 @@ pub(crate) fn release_until(devices: &[Arc<SimDevice>], trace: &Trace, vt: f64) 
     }
 }
 
-/// Score the claimed ranges of `confs` and return when all are scored.
-/// Adjacent claims are joined into maximal runs — one run, the whole
-/// batch, for every plan [`crate::policy::Policy::plan`] makes — and each
-/// run is one [`Exec::Pool`]`(threads)` job on `vsscore`'s shared team:
-/// the calling thread claims chunks of it beside the workers and scores
-/// them with `scratch` (all of it for one conformation, or one host
-/// thread). A panic while scoring is re-raised here by the pool, which
-/// stays usable. Virtual time is not touched: the claims were charged
-/// when the plan made them, so who was charged and who computes are
-/// unrelated.
-///
-/// # Panics
-/// Panics if a claim overlaps another, reaches past `confs`, or names a
-/// device `>= devices`.
-pub(crate) fn dispatch(
-    scorer: &Scorer,
-    devices: usize,
-    threads: usize,
-    scratch: &mut PoseScratch,
-    confs: &mut [Conformation],
-    claims: &[Claim],
-) {
-    let mut runs: Vec<(u32, u32)> = claims.iter().map(|c| (c.lo, c.hi)).collect();
-    runs.sort_unstable();
-    let mut end = 0u32;
-    for &(lo, hi) in &runs {
-        assert!(end <= lo && lo <= hi, "claims must be disjoint ranges: {claims:?}");
-        end = hi;
-    }
-    assert!(end as usize <= confs.len(), "claims reach past the batch: {claims:?}");
-    assert!(
-        claims.iter().all(|c| c.device < devices),
-        "claim for a device the node does not have ({devices} devices): {claims:?}"
-    );
-    // A range that starts where the run before it ends extends that run.
-    runs.dedup_by(|next, run| {
-        let adjacent = run.1 == next.0;
-        if adjacent {
-            run.1 = next.1;
-        }
-        adjacent
-    });
-    for (lo, hi) in runs {
-        let run = &mut confs[lo as usize..hi as usize];
-        scorer.score_batch(ScoreBatch::Confs(run), scratch, Exec::Pool(threads));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpusim::catalog;
     use vsmath::{RigidTransform, RngStream};
-    use vsmol::synth;
+    use vsmol::{synth, Conformation};
+    use vsscore::{Exec, PoseScratch, ScoreBatch};
 
     fn scorer() -> Arc<Scorer> {
         let rec = synth::synth_receptor("r", 400, 1);
@@ -375,9 +327,18 @@ mod tests {
             .collect()
     }
 
-    /// `dispatch` for a two-device node on two host threads.
+    /// Score a planned batch as a node does: its claims must tile it, and
+    /// they never reach the scorer — the batch is one pool job on two host
+    /// threads, whoever was charged for which part.
     fn score(sc: &Scorer, confs: &mut [Conformation], claims: &[Claim]) {
-        dispatch(sc, 2, 2, &mut PoseScratch::new(), confs, claims);
+        let mut ranges: Vec<(u32, u32)> = claims.iter().map(|c| (c.lo, c.hi)).collect();
+        ranges.sort_unstable();
+        let end = ranges.iter().fold(0, |end, &(lo, hi)| {
+            assert_eq!(lo, end, "claims must tile the batch: {claims:?}");
+            hi
+        });
+        assert_eq!(end as usize, confs.len(), "claims must tile the batch: {claims:?}");
+        sc.score_batch(ScoreBatch::Confs(confs), &mut PoseScratch::new(), Exec::Pool(2));
     }
 
     /// Seed deques by `weights`, drain them, and score the claims.
@@ -515,54 +476,6 @@ mod tests {
         score(&sc, &mut c, &shares);
         for (got, want) in c.iter().zip(&want) {
             assert_eq!(got.score.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn dispatch_rejects_overlapping_claims() {
-        let mut c = confs(8, 3);
-        let overlapping = [
-            Claim { device: 0, lo: 0, hi: 5, stolen_from: None },
-            Claim { device: 1, lo: 4, hi: 8, stolen_from: None },
-        ];
-        score(&scorer(), &mut c, &overlapping);
-    }
-
-    #[test]
-    #[should_panic(expected = "reach past the batch")]
-    fn dispatch_rejects_a_claim_past_the_batch() {
-        let mut c = confs(8, 3);
-        score(&scorer(), &mut c, &[Claim { device: 0, lo: 4, hi: 9, stolen_from: None }]);
-    }
-
-    #[test]
-    #[should_panic(expected = "device the node does not have")]
-    fn dispatch_rejects_a_claim_for_a_missing_device() {
-        let mut c = confs(8, 3);
-        score(&scorer(), &mut c, &[Claim { device: 2, lo: 0, hi: 8, stolen_from: None }]);
-    }
-
-    #[test]
-    fn dispatch_scores_only_what_was_claimed() {
-        // Runs are joined from the claims, not rounded up to the slice:
-        // what no claim covers keeps the NaN a fresh conformation carries.
-        let sc = scorer();
-        let mut c = confs(10, 5);
-        let want = serial_scores(&sc, &c);
-        // Out of order, two of them adjacent: [0,3) ∪ [5,8).
-        let claims = [
-            Claim { device: 1, lo: 5, hi: 8, stolen_from: None },
-            Claim { device: 0, lo: 0, hi: 2, stolen_from: None },
-            Claim { device: 1, lo: 2, hi: 3, stolen_from: Some(0) },
-        ];
-        score(&sc, &mut c, &claims);
-        for (i, (got, want)) in c.iter().zip(&want).enumerate() {
-            if matches!(i, 3 | 4 | 8 | 9) {
-                assert!(got.score.is_nan(), "conf {i} was scored without a claim");
-            } else {
-                assert_eq!(got.score.to_bits(), want.to_bits(), "conf {i}");
-            }
         }
     }
 

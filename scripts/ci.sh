@@ -128,4 +128,7 @@ cargo test --release -q -p vsscore --lib -- --ignored table5_
 echo "==> linear drain guard (release mode: Service::drain over bursty_traffic at 25,000 and 100,000 bulk jobs, best of 3 each; the time ratio must stay under 4^1.3, where a drain that moves its backlog on every dispatch takes about 4^2.3)"
 cargo test --release -q -p vscluster --test drain_scaling -- --ignored drain_scales_linearly
 
+echo "==> split scoring on dock_grid's configuration (release mode: 2BXG, grid kernel, learned oracle, ring at depth 4, 16 spots, M4 at 0.1; VirtualScreen::run, whose engine scores each spot's batch in its host job, against the same evaluator scoring whole batches: best bits, evaluations, virtual time, batch trace and trace payloads equal)"
+cargo test --release -q -p vs-integration --test pipeline_acceptance -- --ignored table5_split_scoring_matches_whole_batches_on_dock_grid
+
 echo "==> OK"

@@ -280,3 +280,89 @@ fn pipelined_respects_warm_start_seeds() {
     assert_eq!(lock.best.score.to_bits(), piped.best.score.to_bits());
     assert_eq!(lock.evaluations, piped.evaluations);
 }
+
+/// Passes on a [`DeviceEvaluator`](vsched::DeviceEvaluator)'s whole-batch
+/// entry points and hides its split into a charge and a host scorer, so
+/// the engine scores every batch whole on its driving thread.
+struct Whole<E>(E);
+
+impl<E: BatchEvaluator> BatchEvaluator for Whole<E> {
+    fn evaluate(&mut self, confs: &mut [vsmol::Conformation]) {
+        self.0.evaluate(confs);
+    }
+
+    fn pairs_per_eval(&self) -> u64 {
+        self.0.pairs_per_eval()
+    }
+
+    fn evaluate_after(&mut self, confs: &mut [vsmol::Conformation], release: f64) -> f64 {
+        self.0.evaluate_after(confs, release)
+    }
+}
+
+/// `dock_grid`'s configuration at a tenth of its local search: 2BXG, the
+/// grid kernel, the learned oracle on Hertz's CPU and GPUs, the ring at
+/// depth 4, 16 spots, seed 2016. `VirtualScreen::run`, where the engine
+/// scores each spot's batch in its host job, and the same evaluator behind
+/// [`Whole`] give the same best bits, evaluations, virtual time, batch
+/// trace and trace payloads. Release mode, about a second:
+/// `cargo test --release -p vs-integration --test pipeline_acceptance -- --ignored table5_`.
+#[test]
+#[ignore = "release-mode Table 5 check; scripts/ci.sh runs it"]
+fn table5_split_scoring_matches_whole_batches_on_dock_grid() {
+    let screen = vscreen::VirtualScreen::builder(Dataset::TwoBxg)
+        .max_spots(16)
+        .seed(ENGINE_SEED)
+        .scorer_options(ScorerOptions {
+            kernel: Kernel::Grid { spacing: vsscore::GridOptions::default().spacing },
+            ..Default::default()
+        })
+        .build();
+    let params = metaheur::m4(0.1);
+    let warmup = vsched::WarmupConfig::default();
+    let strategy = vsched::Strategy::Oracle { warmup, divisor: 2 };
+    let exec = EngineExec::Pipelined { depth: 4 };
+    let node = vscreen::platform::hertz();
+
+    let screen_trace = Trace::new();
+    let spec = vscreen::RunSpec::on_node(&params, &node, strategy).exec(exec);
+    let out = screen.run(spec.traced(&screen_trace));
+
+    // What `VirtualScreen::run` assembles for the oracle, once split and
+    // once whole.
+    let run = |split: bool| {
+        node.reset();
+        let trace = Trace::new();
+        let devices = std::iter::once(node.cpu()).chain(node.gpus()).cloned().collect();
+        let ev = vsched::DeviceEvaluator::new(devices, screen.scorer(), strategy)
+            .with_trace(trace.clone());
+        let _screen = trace.span("screen");
+        let (run, makespan) = if split {
+            let mut ev = ev;
+            let run = run_exec(&params, screen.spots(), &mut ev, ENGINE_SEED, &[], &trace, exec);
+            (run, ev.makespan())
+        } else {
+            let mut ev = Whole(ev);
+            let run = run_exec(&params, screen.spots(), &mut ev, ENGINE_SEED, &[], &trace, exec);
+            (run, ev.0.makespan())
+        };
+        drop(_screen);
+        (run, makespan, trace.snapshot().payloads())
+    };
+    let (split, split_vt, split_payloads) = run(true);
+    let (whole, whole_vt, whole_payloads) = run(false);
+
+    assert_eq!(split.evaluations, params.evals_per_spot() * 16);
+    for (tag, best, evaluations, vt) in [
+        ("VirtualScreen::run", out.best.score, out.evaluations, out.virtual_time),
+        ("split", split.best.score, split.evaluations, split_vt),
+    ] {
+        assert_eq!(best.to_bits(), whole.best.score.to_bits(), "{tag}: best");
+        assert_eq!(evaluations, whole.evaluations, "{tag}: evaluations");
+        assert_eq!(vt.to_bits(), whole_vt.to_bits(), "{tag}: virtual time");
+    }
+    assert_eq!(split.batch_trace, whole.batch_trace, "batch trace");
+    let screen_payloads = screen_trace.snapshot().payloads();
+    assert_eq!(screen_payloads, whole_payloads, "VirtualScreen::run: trace payloads");
+    assert_eq!(split_payloads, whole_payloads, "split: trace payloads");
+}
