@@ -17,27 +17,28 @@
 //! - [`policy`] — the one interpreter of those strategies (DESIGN.md
 //!   §10): [`Policy::plan`] turns the next batch into per-device claims,
 //!   charges them to the virtual clocks and keeps the warm-up / Equation 1
-//!   / oracle state. Everything below either replays a plan or dispatches
-//!   it;
+//!   / oracle state. Everything below either replays a plan or charges it
+//!   to a live node and scores the batch;
 //! - [`replay`] — plan a recorded metaheuristic batch trace onto a
 //!   simulated node and report per-device virtual times and makespan (the
 //!   mechanism behind Tables 6–9), optionally with fault phases, an event
 //!   sink, a caller-owned oracle and a timeline ([`ReplayOptions`]);
 //! - [`runtime`] — the node runtime: the claim type, the charge to a
 //!   device clock, the work-stealing drain over per-device index ranges
-//!   that the policy's deque modes claim from, and the dispatch of a planned
-//!   batch — its claims checked, then scored on `vsscore`'s shared
-//!   persistent pool by `min(devices, host threads)` workers (the paper's
-//!   one-OpenMP-thread-per-GPU structure is the ceiling; a simulated
-//!   device is a clock, not a thread, so the crate starts none);
+//!   that the policy's deque modes claim from, and the release of a
+//!   streamed batch (a simulated device is a clock, not a thread, so the
+//!   crate starts none);
 //! - [`oracle`] — the online learned cost model (DESIGN.md §15):
 //!   per-(device, kernel-class) exponentially-decayed throughput fits that
 //!   turn the one-shot Equation 1 warm-up into a cold-start prior and
 //!   re-price devices from live batch telemetry, with drift detection;
 //! - [`executor`] — the real-compute path: a
-//!   [`metaheur::BatchEvaluator`] that plans each batch with the policy
-//!   and dispatches the claims for scoring, for every strategy — the
-//!   CPU-only baseline is its one-lane case over the host CPU.
+//!   [`metaheur::BatchEvaluator`] whose charge plans each batch with the
+//!   policy and checks the claims, and whose host scorer scores it on
+//!   `vsscore`'s shared persistent pool (inside the engine's host job, or
+//!   as one `min(devices, host threads)` job from `evaluate`), for every
+//!   strategy — the CPU-only baseline is its one-lane case over the host
+//!   CPU.
 
 #![forbid(unsafe_code)]
 

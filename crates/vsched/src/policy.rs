@@ -1,5 +1,5 @@
 //! The one strategy interpreter: plan a batch once, then replay it or
-//! dispatch it (DESIGN.md §10).
+//! score it live (DESIGN.md §10).
 //!
 //! A [`Policy`] is the only place a [`Strategy`] is interpreted. Its
 //! single step, [`Policy::plan`], takes the next scoring batch and
@@ -17,10 +17,10 @@
 //!
 //! Both execution substrates call the same step. The analytic replay
 //! ([`crate::replay::schedule_trace_with`]) keeps the clocks and drops the
-//! claims; the real-compute path ([`crate::DeviceEvaluator`]) hands the
-//! claims to `runtime::dispatch` for scoring on the shared host pool — by
-//! then every claim is charged, so a claim's `device` says whose clock
-//! moved, not which host thread computes. A virtual-time number therefore
+//! claims; the real-compute path ([`crate::DeviceEvaluator`]) checks the
+//! claims and scores the whole batch on the shared host pool — by then
+//! every claim is charged, so a claim's `device` says whose clock moved,
+//! not which host thread computes. A virtual-time number therefore
 //! cannot differ between the two — the differential test in
 //! `tests/substrates_agree.rs` pins clocks, launch counts, steals and
 //! oracle re-seeds bit-for-bit.

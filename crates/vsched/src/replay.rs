@@ -10,7 +10,7 @@
 //!
 //! The replay interprets no strategy itself: it is one loop over the batch
 //! trace calling [`Policy::plan`] — the very step the real-compute
-//! [`crate::DeviceEvaluator`] dispatches from — and keeping only the device
+//! [`crate::DeviceEvaluator`] charges with — and keeping only the device
 //! clocks it charged. Replay semantics follow the paper's execution model:
 //! devices run *independent* executions of their conformation shares (§3.3
 //! "Parallel runs do not incur any communication overhead"), so there is no
