@@ -8,7 +8,9 @@
 //! cache key never resolves to a different value than the one first
 //! published — are properties of these plain structures (DESIGN.md §13).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Key of one per-ligand docking result: everything that determines the
 /// outcome of the computation. Two submissions with equal keys are the
@@ -25,7 +27,9 @@ pub struct CacheKey {
     pub ligand: u64,
     /// Campaign RNG seed.
     pub seed: u64,
-    /// Hash of the scoring/scheduling kernel configuration.
+    /// Hash of the `Debug` string of the campaign's scheduling
+    /// [`vsched::Strategy`]. Every campaign scores with the same kernel,
+    /// so nothing else of the run's configuration enters the key.
     pub kernel: u64,
 }
 
@@ -104,6 +108,7 @@ impl AdmissionGate {
 /// same job id. [`CompletionBoard::try_complete`] lets exactly one
 /// delivery count, so the report never double-counts and never loses a
 /// job.
+#[derive(Default)]
 pub struct CompletionBoard {
     done: Vec<bool>,
 }
@@ -121,6 +126,42 @@ impl CompletionBoard {
     }
 }
 
+/// Hasher for keys made of a few machine words (a [`CacheKey`], a job
+/// shape). Each word is folded in with one rotate, xor and multiply and
+/// the sum is finished by the SplitMix64 mixer. It holds no seed, so a
+/// table's layout is the same in every run; the tables it serves are only
+/// probed by key, never iterated. A cache key's words are FNV-1a hashes,
+/// which crafted inputs can collide anyway, so a keyed hasher would not
+/// protect the cache from a tenant choosing its keys.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
 /// Keyed results cache with publish-once semantics and FIFO eviction.
 ///
 /// A key's value is immutable once published: a second publish for the
@@ -128,7 +169,8 @@ impl CompletionBoard {
 /// value". Eviction removes whole entries (a later lookup misses and
 /// recomputes); it never mutates them in place.
 pub struct ResultsCache {
-    map: BTreeMap<CacheKey, CachedResult>,
+    /// Entries by key: one hashed probe per lookup or publish.
+    by_key: HashMap<CacheKey, CachedResult, BuildHasherDefault<WordHasher>>,
     /// Keys in publish order, oldest first: the eviction order.
     fifo: VecDeque<CacheKey>,
     capacity: usize,
@@ -137,29 +179,37 @@ pub struct ResultsCache {
 impl ResultsCache {
     /// Cache holding at most `capacity` entries (0 disables caching).
     pub fn new(capacity: usize) -> ResultsCache {
-        ResultsCache { map: BTreeMap::new(), fifo: VecDeque::new(), capacity }
+        ResultsCache { by_key: HashMap::default(), fifo: VecDeque::new(), capacity }
     }
 
     /// Look `key` up. A hit is only returned once the entry's result is
     /// ready by `at_vt` — a duplicate arriving while the original is still
     /// in flight recomputes rather than reading the future.
     pub fn lookup(&self, key: &CacheKey, at_vt: f64) -> Option<CachedResult> {
-        self.map.get(key).filter(|e| e.ready_vt <= at_vt).copied()
+        self.by_key.get(key).filter(|e| e.ready_vt <= at_vt).copied()
     }
 
     /// Publish `key -> value`. The first publish wins and returns `true`;
     /// a duplicate publish (same key) is rejected with `false` and leaves
-    /// the stored value untouched.
+    /// the stored value untouched. A new key in a full cache evicts the
+    /// oldest published one.
     pub fn publish(&mut self, key: CacheKey, value: CachedResult) -> bool {
-        if self.capacity == 0 || self.map.contains_key(&key) {
+        if self.capacity == 0 {
             return false;
         }
-        if self.fifo.len() == self.capacity {
-            if let Some(old) = self.fifo.pop_front() {
-                self.map.remove(&old);
+        match self.by_key.entry(key) {
+            Entry::Occupied(_) => return false,
+            Entry::Vacant(slot) => {
+                slot.insert(value);
             }
         }
-        self.map.insert(key, value);
+        // The new key is not the oldest, so evicting after the insert
+        // removes what evicting before it would have.
+        if self.fifo.len() == self.capacity {
+            if let Some(old) = self.fifo.pop_front() {
+                self.by_key.remove(&old);
+            }
+        }
         self.fifo.push_back(key);
         true
     }
@@ -238,6 +288,82 @@ mod tests {
         assert_eq!(c.lookup(&key(0), 1.0), None, "oldest evicted");
         assert_eq!(c.lookup(&key(1), 1.0).map(|e| e.compute_s), Some(1.0));
         assert_eq!(c.lookup(&key(2), 1.0).map(|e| e.compute_s), Some(2.0));
+    }
+
+    /// The reference model: an ordered `BTreeMap` of entries beside the
+    /// FIFO of keys, probed for the key before every insert.
+    struct Reference {
+        map: std::collections::BTreeMap<CacheKey, CachedResult>,
+        fifo: VecDeque<CacheKey>,
+        capacity: usize,
+    }
+
+    impl Reference {
+        fn lookup(&self, key: &CacheKey, at_vt: f64) -> Option<CachedResult> {
+            self.map.get(key).filter(|e| e.ready_vt <= at_vt).copied()
+        }
+
+        fn publish(&mut self, key: CacheKey, value: CachedResult) -> bool {
+            if self.capacity == 0 || self.map.contains_key(&key) {
+                return false;
+            }
+            if self.fifo.len() == self.capacity {
+                if let Some(old) = self.fifo.pop_front() {
+                    self.map.remove(&old);
+                }
+            }
+            self.map.insert(key, value);
+            self.fifo.push_back(key);
+            true
+        }
+    }
+
+    #[test]
+    fn hashed_cache_agrees_with_the_ordered_reference() {
+        // 3 × 8 × 2 keys, so publishes repeat keys and keys share words.
+        let keys: Vec<CacheKey> = (0..48)
+            .map(|k| CacheKey { receptor: k % 3, ligand: k / 6, seed: 7, kernel: k % 2 })
+            .collect();
+        for capacity in [0, 1, 7, usize::MAX] {
+            let mut rng = vsmath::RngStream::derive(2016, capacity as u64);
+            let mut cache = ResultsCache::new(capacity);
+            let mut model = Reference { map: Default::default(), fifo: VecDeque::new(), capacity };
+            for op in 0..4000 {
+                let key = keys[rng.index(keys.len())];
+                match rng.index(3) {
+                    0 => {
+                        let value = CachedResult {
+                            compute_s: rng.uniform(),
+                            ready_vt: rng.uniform_range(1.0, 10.0),
+                        };
+                        assert_eq!(cache.publish(key, value), model.publish(key, value), "op {op}");
+                    }
+                    1 => {
+                        let at = rng.uniform_range(0.0, 10.0);
+                        assert_eq!(cache.lookup(&key, at), model.lookup(&key, at), "op {op}");
+                    }
+                    _ => {
+                        // At the entry's ready time it hits; just before, it
+                        // misses.
+                        if let Some(e) = model.map.get(&key) {
+                            let before = f64::from_bits(e.ready_vt.to_bits() - 1);
+                            assert_eq!(cache.lookup(&key, e.ready_vt), Some(*e), "op {op}");
+                            assert_eq!(cache.lookup(&key, before), None, "op {op}");
+                        }
+                    }
+                }
+                // Every eviction agrees: the same keys are held afterwards.
+                for k in &keys {
+                    let held = |e: Option<CachedResult>| e.map(|e| e.compute_s.to_bits());
+                    assert_eq!(
+                        held(cache.lookup(k, f64::INFINITY)),
+                        held(model.lookup(k, f64::INFINITY)),
+                        "capacity {capacity}, op {op}"
+                    );
+                }
+            }
+            assert!(model.map.len() <= capacity);
+        }
     }
 
     #[test]

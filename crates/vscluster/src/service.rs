@@ -37,6 +37,7 @@ use crate::net::NetModel;
 use gpusim::SimNode;
 use metaheur::MetaheuristicParams;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use vsched::{CostOracle, Strategy};
 use vsmath::fnv1a;
@@ -361,54 +362,92 @@ impl CampaignReport {
     }
 }
 
-/// One per-ligand unit of queued work. Not `Clone`: a job moves from its
-/// queue to a node's schedule and back on a requeue, never copied.
-#[derive(Debug)]
-struct QueuedJob {
-    /// Global id this drain (board index / assignment slot).
-    global: usize,
-    campaign: usize,
-    /// Index within the campaign's expansion (for migration events).
-    slot: usize,
-    ligand: usize,
-    /// What the job's compute cost depends on.
-    shape: JobShape,
-    /// Scatter payload of the ligand.
-    bytes: u64,
+/// One per-ligand job of a drain, indexed by its global id in the
+/// service's job table. Queues and node schedules hold only that id, so a
+/// job is written once at expansion and never moved.
+#[derive(Debug, Clone, Copy)]
+struct Job {
     key: CacheKey,
     /// Original admission time (latency accounting).
     submitted: f64,
     /// Earliest dispatchable time (moves forward on requeue).
     arrival_eff: f64,
-    pin: Option<usize>,
+    /// Scatter payload of the ligand.
+    bytes: u64,
+    /// Place in its class's FIFO, counted across the class's unpinned and
+    /// pinned queues (set when the job is queued).
+    seq: u64,
+    campaign: u32,
+    /// Index within the campaign's expansion (for migration events).
+    slot: u32,
+    /// Interned id of what its cost depends on ([`Costs::job`]): its
+    /// shape, pair interactions and evaluation count.
+    shape: u32,
+    /// The ligand's id in its campaign (cache-hit events).
+    ligand: u32,
     interactive: bool,
-    /// Occupies an admission-gate slot until first dispatch.
+    /// Occupies an admission-gate slot until first dispatch; a cache hit
+    /// never does.
     counted_in_gate: bool,
     /// Latency was already sampled at a first (later aborted) dispatch.
     latency_sampled: bool,
-    /// Conformation evaluations this job runs.
-    items: u64,
+}
+
+impl Job {
+    /// Class queue index: `[interactive, bulk]`.
+    fn class(&self) -> usize {
+        if self.interactive {
+            0
+        } else {
+            1
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Dispatch {
-    job: QueuedJob,
+    /// Global id of the dispatched job.
+    job: u32,
     start: f64,
     end: f64,
     comm: f64,
     compute: f64,
 }
 
+/// One priority class's FIFO of queued job ids, split by pin: the
+/// unpinned jobs, and per node the jobs a static plan pinned to it. Each
+/// queue is in `seq` order, so the oldest job a node may run is the older
+/// of two queue heads.
+#[derive(Default)]
+struct ClassQueue {
+    unpinned: VecDeque<u32>,
+    /// By node id; grown when a job is first pinned to a node.
+    pinned: Vec<VecDeque<u32>>,
+}
+
 struct NodeState {
-    node: SimNode,
+    /// GPU lanes of the node.
+    gpus: usize,
     alive: bool,
-    free_vt: f64,
     alive_from: f64,
     /// Busy (comm + compute) this drain.
     busy_s: f64,
     /// Alive span this drain (accumulated at leave / drain end).
     span_s: f64,
     sched: Vec<Dispatch>,
+}
+
+impl NodeState {
+    fn new(node: &SimNode, vt: f64) -> NodeState {
+        NodeState {
+            gpus: node.gpus().len(),
+            alive: true,
+            alive_from: vt,
+            busy_s: 0.0,
+            span_s: 0.0,
+            sched: Vec::new(),
+        }
+    }
 }
 
 struct CampaignState {
@@ -451,9 +490,14 @@ pub struct Service {
     /// Scale events not yet consumed by a drain.
     scale_joins: Vec<(f64, SimNode)>,
     scale_leaves: Vec<(f64, usize)>,
-    /// Class queues: `[interactive, bulk]`. Unpinned jobs leave from the
-    /// front.
-    queues: [VecDeque<QueuedJob>; 2],
+    /// This drain's jobs, by global id (cache hits included).
+    jobs: Vec<Job>,
+    /// Class queues of job ids: `[interactive, bulk]`.
+    queues: [ClassQueue; 2],
+    /// Next `Job::seq`.
+    next_seq: u64,
+    /// When each node is next free, by node id; `+∞` for a dead node.
+    clocks: Vec<f64>,
     /// Weighted-fair served cost per class.
     served: [f64; 2],
     /// Service virtual clock (persists across drains).
@@ -470,19 +514,8 @@ impl Service {
             "class weights must be positive"
         );
         let net = cluster.net();
-        let nodes: Vec<NodeState> = cluster
-            .nodes()
-            .iter()
-            .map(|n| NodeState {
-                node: n.clone(),
-                alive: true,
-                free_vt: 0.0,
-                alive_from: 0.0,
-                busy_s: 0.0,
-                span_s: 0.0,
-                sched: Vec::new(),
-            })
-            .collect();
+        let nodes: Vec<NodeState> =
+            cluster.nodes().iter().map(|n| NodeState::new(n, 0.0)).collect();
         let mut costs = Costs::default();
         for n in cluster.nodes() {
             costs.add_node(n);
@@ -499,7 +532,10 @@ impl Service {
             pending: Vec::new(),
             scale_joins: Vec::new(),
             scale_leaves: Vec::new(),
-            queues: [VecDeque::new(), VecDeque::new()],
+            jobs: Vec::new(),
+            queues: Default::default(),
+            next_seq: 0,
+            clocks: vec![0.0; cluster.nodes().len()],
             served: [0.0, 0.0],
             now: 0.0,
             costs,
@@ -587,7 +623,7 @@ impl Service {
                 assert!(faults.slowdowns.iter().all(|&f| f >= 1.0), "factors must be ≥ 1");
                 if let Some(g) = gpu_victim {
                     assert!(
-                        self.nodes.iter().filter(|n| n.alive).all(|n| *g < n.node.gpus().len()),
+                        self.nodes.iter().filter(|n| n.alive).all(|n| *g < n.gpus),
                         "gpu_victim {g} out of range for some node"
                     );
                     assert!(
@@ -611,7 +647,6 @@ impl Service {
     /// seeds, bit-identical report.
     pub fn drain(&mut self) -> CampaignReport {
         let t0 = self.now;
-        let mut t_end = t0;
 
         // Drain-window accounting reset; alive spans restart at the
         // window edge.
@@ -622,14 +657,18 @@ impl Service {
                 n.alive_from = t0;
             }
         }
-        let mut agg = DrainAgg::default();
-
-        // Size the completion board for everything that can possibly run.
+        // Size the job table and the completion board for everything that
+        // can possibly run.
         let pending: Vec<usize> = std::mem::take(&mut self.pending);
         let total_possible: usize = pending.iter().map(|&h| self.campaigns[h].stats.jobs).sum();
-        let mut board = CompletionBoard::new(total_possible);
-        let mut assignment: Vec<usize> = Vec::with_capacity(total_possible);
-        let mut next_global = 0usize;
+        assert!(u32::try_from(total_possible).is_ok(), "a drain's jobs are counted in u32 ids");
+        self.jobs = Vec::with_capacity(total_possible);
+        let mut agg = DrainAgg {
+            board: CompletionBoard::new(total_possible),
+            assignment: Vec::with_capacity(total_possible),
+            t_end: t0,
+            ..DrainAgg::default()
+        };
 
         // Merge events: joins(0) < leaves(1) < submissions(2) at equal vt.
         enum Ev {
@@ -657,41 +696,27 @@ impl Service {
         });
 
         for (vt, _, _, ev) in events {
-            t_end = t_end.max(vt);
+            agg.t_end = agg.t_end.max(vt);
             self.advance(vt, &mut agg);
-            self.commit(vt, &mut board, &mut assignment, &mut agg, &mut t_end);
+            self.commit(vt, &mut agg);
             match ev {
                 Ev::Join(node) => {
                     let id = self.nodes.len();
                     self.costs.add_node(&node);
-                    self.nodes.push(NodeState {
-                        node,
-                        alive: true,
-                        free_vt: vt,
-                        alive_from: vt,
-                        busy_s: 0.0,
-                        span_s: 0.0,
-                        sched: Vec::new(),
-                    });
+                    self.nodes.push(NodeState::new(&node, vt));
+                    self.clocks.push(vt);
                     agg.node_joins += 1;
                     self.trace.emit(Event::NodeJoined { node: id as u32, vt });
                 }
                 Ev::Leave(id) => self.leave(id, vt, &mut agg),
-                Ev::Submit(h) => self.admit(
-                    h,
-                    vt,
-                    &mut board,
-                    &mut assignment,
-                    &mut next_global,
-                    &mut t_end,
-                    &mut agg,
-                ),
+                Ev::Submit(h) => self.admit(h, vt, &mut agg),
             }
         }
 
         // Run the remaining queue dry.
         self.advance(f64::INFINITY, &mut agg);
-        self.commit(f64::INFINITY, &mut board, &mut assignment, &mut agg, &mut t_end);
+        self.commit(f64::INFINITY, &mut agg);
+        let t_end = agg.t_end;
 
         // Close out alive spans and the clock.
         for n in self.nodes.iter_mut() {
@@ -743,7 +768,7 @@ impl Service {
         CampaignReport {
             makespan: t_end - t0,
             node_times: self.nodes.iter().map(|n| n.busy_s).collect(),
-            assignment,
+            assignment: agg.assignment,
             comm_time: agg.comm_time,
             single_node_time: agg.single_node_time,
             total_jobs: agg.total_jobs,
@@ -766,17 +791,7 @@ impl Service {
 
     /// Admission: expand the campaign, serve duplicates from the cache,
     /// reserve queue slots for the cold remainder or reject whole.
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &mut self,
-        h: usize,
-        vt: f64,
-        board: &mut CompletionBoard,
-        assignment: &mut Vec<usize>,
-        next_global: &mut usize,
-        t_end: &mut f64,
-        agg: &mut DrainAgg,
-    ) {
+    fn admit(&mut self, h: usize, vt: f64, agg: &mut DrainAgg) {
         let campaign = &self.campaigns[h].campaign;
         let interactive = campaign.priority == Priority::Interactive;
         // Static faulty campaigns pin each job to its nominal-plan node;
@@ -785,13 +800,19 @@ impl Service {
             CampaignKind::Faulty { dynamic, .. } => (true, dynamic),
             _ => (false, true),
         };
-        let expanded = Service::expand(&mut self.costs, h, campaign, vt, next_global);
-        let total = expanded.len();
+        let first = self.jobs.len();
+        Service::expand(&mut self.costs, h, campaign, vt, &mut self.jobs);
+        let total = self.jobs.len() - first;
 
-        let (hits, cold): (Vec<QueuedJob>, Vec<QueuedJob>) =
-            expanded.into_iter().partition(|j| self.cache.lookup(&j.key, vt).is_some());
+        // A job whose result the cache holds ready is a hit: it completes
+        // now and never takes a queue slot.
+        let mut cold = 0;
+        for jb in &mut self.jobs[first..] {
+            jb.counted_in_gate = self.cache.lookup(&jb.key, vt).is_none();
+            cold += usize::from(jb.counted_in_gate);
+        }
 
-        if !cold.is_empty() && !self.gate.try_admit(cold.len(), interactive) {
+        if cold > 0 && !self.gate.try_admit(cold, interactive) {
             let queued = self.gate.occupancy();
             self.trace.emit(Event::JobRejected {
                 campaign: h as u32,
@@ -802,10 +823,10 @@ impl Service {
             });
             self.campaigns[h].rejected = Some((queued, self.gate.capacity()));
             agg.rejected += 1;
-            // Rebase the global-id watermark: the rejected jobs' ids are
-            // simply never used (the board stays incomplete there, and no
-            // assignment slots were appended).
-            *next_global -= total;
+            // The rejected jobs' global ids are simply never used (the
+            // board stays incomplete there, and no assignment slots were
+            // appended).
+            self.jobs.truncate(first);
             return;
         }
 
@@ -824,143 +845,172 @@ impl Service {
         }
         agg.admitted += 1;
         agg.total_jobs += total;
-        assignment.resize(assignment.len() + total, usize::MAX);
-        self.campaigns[h].actual = vec![usize::MAX; total];
+        agg.assignment.resize(agg.assignment.len() + total, usize::MAX);
 
         // Duplicates complete in cache-hit time: one result gather, zero
         // device evaluations, no queue slot.
-        for jb in hits {
+        for (g, jb) in self.jobs.iter().enumerate().skip(first) {
+            if jb.counted_in_gate {
+                continue;
+            }
             let done_at = vt + self.net.transfer_time(RESULT_BYTES);
-            if board.try_complete(jb.global) {
+            if agg.board.try_complete(g) {
                 let state = &mut self.campaigns[h];
                 state.stats.completed += 1;
                 state.stats.cache_hits += 1;
                 state.last_completion = state.last_completion.max(done_at);
                 agg.completed_jobs += 1;
                 agg.cache_hits += 1;
-                *t_end = t_end.max(done_at);
-                self.trace.emit(Event::CacheHit {
-                    campaign: h as u32,
-                    ligand: jb.ligand as u32,
-                    vt,
-                });
+                agg.t_end = agg.t_end.max(done_at);
+                self.trace.emit(Event::CacheHit { campaign: h as u32, ligand: jb.ligand, vt });
             }
         }
 
-        let mut cold = cold;
+        let cold: Vec<u32> = (first..self.jobs.len())
+            .filter(|&g| self.jobs[g].counted_in_gate)
+            .map(|g| g as u32)
+            .collect();
+        let plan = if is_faulty { self.plan_static(&cold) } else { Vec::new() };
         if is_faulty {
-            let plan = self.plan_static(&cold);
             let mut planned = vec![usize::MAX; total];
-            for (jb, &node) in cold.iter_mut().zip(&plan) {
-                planned[jb.slot] = node;
-                if !dynamic {
-                    jb.pin = Some(node);
-                }
+            for (&g, &node) in cold.iter().zip(&plan) {
+                planned[self.jobs[g as usize].slot as usize] = node;
             }
-            self.campaigns[h].planned = planned;
+            let state = &mut self.campaigns[h];
+            state.planned = planned;
+            state.actual = vec![usize::MAX; total];
         }
-        for jb in cold {
-            self.queues[if jb.interactive { 0 } else { 1 }].push_back(jb);
+        for (i, g) in cold.into_iter().enumerate() {
+            self.enqueue(g, plan.get(i).copied().filter(|_| !dynamic));
         }
     }
 
-    /// Expand a campaign into per-ligand jobs, LPT-ordered by workload
-    /// volume (so the earliest-free dispatch reproduces the old
-    /// longest-first assignment), with cache keys and global ids assigned.
+    /// Expand a campaign into per-ligand jobs appended to `jobs`,
+    /// LPT-ordered by workload volume (so the earliest-free dispatch
+    /// reproduces the old longest-first assignment), with cache keys
+    /// assigned; a job's index in `jobs` is its global id.
     fn expand<'c>(
         costs: &mut Costs,
         h: usize,
         campaign: &'c Campaign,
         vt: f64,
-        next_global: &mut usize,
-    ) -> Vec<QueuedJob> {
+        jobs: &mut Vec<Job>,
+    ) {
         let interactive = campaign.priority == Priority::Interactive;
         let kernel = fnv1a(format!("{:?}", campaign.strategy).bytes());
         let words = |ws: &[u64]| fnv1a(ws.iter().flat_map(|w| w.to_le_bytes()));
-        // A job whose params equal the previous job's reuses its shape
-        // without formatting them. `PartialEq` merges only params whose
-        // `Debug` strings are equal or differ in the sign of a zero, and
-        // `synthetic_trace`, the one cost input read from them, cannot
-        // tell those apart.
-        let mut last: Option<(&MetaheuristicParams, u32)> = None;
-        let mut out: Vec<QueuedJob> = Vec::new();
-        let mut push =
-            |job: &'c LigandJob, receptor_atoms: usize, n_spots: usize, rec_name: Option<&str>| {
-                let shape = match last {
-                    Some((params, id)) if *params == job.params => id,
-                    _ => costs.shape(&job.params, campaign.strategy),
-                };
-                last = Some((&job.params, shape));
-                let rec_name = rec_name.map_or(0, |name| fnv1a(name.bytes()));
-                let receptor = words(&[receptor_atoms as u64, n_spots as u64, rec_name]);
-                let ligand = words(&[
-                    job.id as u64,
-                    job.ligand_atoms as u64,
-                    job.bytes,
+        // A job whose params equal the previous job's reuses their shape
+        // id, name hash and evaluations per spot without formatting them.
+        // `PartialEq` merges only params whose `Debug` strings are equal
+        // or differ in the sign of a zero, and `synthetic_trace`, the one
+        // cost input read from them, cannot tell those apart.
+        let mut last: Option<(&MetaheuristicParams, u32, u64, u64)> = None;
+        let mut raw: Vec<Job> = Vec::with_capacity(campaign.job_count());
+        // Longest-processing-time-first: `(Reverse(volume), index)` sorts
+        // like a stable sort on volume, so equal volumes keep submission
+        // order.
+        let mut order: Vec<(Reverse<u64>, u32)> = Vec::with_capacity(campaign.job_count());
+        let mut push = |job: &'c LigandJob,
+                        receptor: u64,
+                        receptor_atoms: usize,
+                        n_spots: usize| {
+            let (shape, name, evals) = match last {
+                Some((params, shape, name, evals)) if *params == job.params => (shape, name, evals),
+                _ => (
+                    costs.shape(&job.params, campaign.strategy),
                     fnv1a(job.params.name.bytes()),
                     job.params.evals_per_spot(),
-                ]);
-                out.push(QueuedJob {
-                    global: 0,
-                    campaign: h,
-                    slot: 0,
-                    ligand: job.id,
-                    shape: JobShape { shape, n_spots, pairs: job.pairs_per_eval(receptor_atoms) },
-                    bytes: job.bytes,
-                    key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
-                    submitted: vt,
-                    arrival_eff: vt,
-                    pin: None,
-                    interactive,
-                    counted_in_gate: true,
-                    latency_sampled: false,
-                    items: job.total_items(n_spots),
-                });
+                ),
             };
+            last = Some((&job.params, shape, name, evals));
+            let shape = JobShape {
+                shape,
+                n_spots,
+                pairs: job.pairs_per_eval(receptor_atoms),
+                items: evals * n_spots as u64,
+            };
+            order.push((Reverse(shape.items * shape.pairs), raw.len() as u32));
+            let ligand = words(&[job.id as u64, job.ligand_atoms as u64, job.bytes, name, evals]);
+            raw.push(Job {
+                key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
+                submitted: vt,
+                arrival_eff: vt,
+                bytes: job.bytes,
+                seq: 0,
+                campaign: h as u32,
+                slot: 0,
+                shape: costs.job(shape),
+                ligand: job.id as u32,
+                interactive,
+                counted_in_gate: true,
+                latency_sampled: false,
+            });
+        };
         match &campaign.kind {
             CampaignKind::Library { receptor_atoms, n_spots, jobs }
             | CampaignKind::Faulty { receptor_atoms, n_spots, jobs, .. } => {
+                let receptor = words(&[*receptor_atoms as u64, *n_spots as u64, 0]);
                 for job in jobs {
-                    push(job, *receptor_atoms, *n_spots, None);
+                    push(job, receptor, *receptor_atoms, *n_spots);
                 }
             }
             CampaignKind::CrossDock { receptors, ligands } => {
+                let hashes: Vec<u64> = receptors
+                    .iter()
+                    .map(|r| words(&[r.atoms as u64, r.n_spots as u64, fnv1a(r.name.bytes())]))
+                    .collect();
                 for lig in ligands {
-                    for rec in receptors {
-                        push(lig, rec.atoms, rec.n_spots, Some(&rec.name));
+                    for (rec, &receptor) in receptors.iter().zip(&hashes) {
+                        push(lig, receptor, rec.atoms, rec.n_spots);
                     }
                 }
             }
         }
-        // Longest-processing-time-first: stable, so equal volumes keep
-        // submission order.
-        out.sort_by_key(|j| std::cmp::Reverse(j.items * j.shape.pairs));
-        for (slot, jb) in out.iter_mut().enumerate() {
-            jb.slot = slot;
-            jb.global = *next_global;
-            *next_global += 1;
-        }
-        out
+        order.sort_unstable();
+        jobs.extend(
+            order
+                .iter()
+                .enumerate()
+                .map(|(slot, &(_, i))| Job { slot: slot as u32, ..raw[i as usize] }),
+        );
     }
 
     /// The static nominal plan: balance LPT-ordered jobs by *healthy* cost
     /// estimates over the currently alive nodes, blind to degradation.
-    fn plan_static(&mut self, cold: &[QueuedJob]) -> Vec<usize> {
+    fn plan_static(&mut self, cold: &[u32]) -> Vec<usize> {
         let alive = self.alive_nodes();
         assert!(!alive.is_empty(), "no alive nodes to plan over");
         let mut planned_t: Vec<f64> = vec![0.0; alive.len()];
         let mut plan = Vec::with_capacity(cold.len());
-        for jb in cold {
+        for &g in cold {
             let (k, _) = planned_t
                 .iter()
                 .enumerate()
                 // PANICS: node clocks are finite sums of finite costs.
                 .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite clocks"))
                 .expect("non-empty");
-            planned_t[k] += self.costs.cost(Some(alive[k]), &jb.shape, Run::Plan);
+            planned_t[k] += self.costs.cost(Some(alive[k]), self.jobs[g as usize].shape, Run::Plan);
             plan.push(alive[k]);
         }
         plan
+    }
+
+    /// Queue job `g` at the back of its class: in node `pin`'s pinned
+    /// queue when it has one, else in the unpinned queue.
+    fn enqueue(&mut self, g: u32, pin: Option<usize>) {
+        let jb = &mut self.jobs[g as usize];
+        jb.seq = self.next_seq;
+        self.next_seq += 1;
+        let queue = &mut self.queues[jb.class()];
+        match pin {
+            None => queue.unpinned.push_back(g),
+            Some(ni) => {
+                if queue.pinned.len() <= ni {
+                    queue.pinned.resize_with(ni + 1, VecDeque::new);
+                }
+                queue.pinned[ni].push_back(g);
+            }
+        }
     }
 
     /// Dispatch queued work onto free nodes up to virtual time `until`:
@@ -977,45 +1027,50 @@ impl Service {
                 rest.sort_by(|a, b| a.1.total_cmp(&b.1));
                 rest.into_iter().find_map(|(ni, _)| self.pick(ni).map(|p| (ni, p)))
             });
-            let Some((ni, (class, jb))) = picked else {
+            let Some((ni, (class, g))) = picked else {
                 break;
             };
-            self.dispatch(ni, class, jb, agg);
+            self.dispatch(ni, class, g, agg);
         }
     }
 
     /// `(id, free_vt)` of each alive node free before `until`, by id.
     fn free_nodes(&self, until: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| n.alive && n.free_vt < until)
-            .map(|(i, n)| (i, n.free_vt))
+        self.clocks.iter().copied().enumerate().filter(move |&(_, c)| c < until)
     }
 
     /// Weighted-fair class selection, then FIFO within the class: take the
-    /// eligible job of the class with the smallest served-cost/weight
-    /// (ties go to interactive) out of its queue.
-    fn pick(&mut self, ni: usize) -> Option<(usize, QueuedJob)> {
+    /// oldest job node `ni` may run (unpinned or pinned to it) of the
+    /// class with the smallest served-cost/weight (ties go to
+    /// interactive) out of its queue.
+    fn pick(&mut self, ni: usize) -> Option<(usize, u32)> {
         let norm = [
             self.served[0] / self.config.interactive_weight,
             self.served[1] / self.config.bulk_weight,
         ];
         let order: [usize; 2] = if norm[1] < norm[0] { [1, 0] } else { [0, 1] };
+        let jobs = &self.jobs;
+        let head = |queue: &VecDeque<u32>| queue.front().map(|&g| jobs[g as usize].seq);
         for class in order {
-            let queue = &mut self.queues[class];
-            let pos = queue.iter().position(|j| j.pin.is_none_or(|p| p == ni));
-            if let Some(jb) = pos.and_then(|pos| queue.remove(pos)) {
-                return Some((class, jb));
+            let ClassQueue { unpinned, pinned } = &mut self.queues[class];
+            let queue = match pinned.get_mut(ni) {
+                Some(mine) if head(mine).is_some_and(|s| head(unpinned).is_none_or(|u| s < u)) => {
+                    mine
+                }
+                _ => unpinned,
+            };
+            if let Some(g) = queue.pop_front() {
+                return Some((class, g));
             }
         }
         None
     }
 
-    fn dispatch(&mut self, ni: usize, class: usize, mut jb: QueuedJob, agg: &mut DrainAgg) {
-        let start = self.nodes[ni].free_vt.max(jb.arrival_eff);
+    fn dispatch(&mut self, ni: usize, class: usize, g: u32, agg: &mut DrainAgg) {
+        let jb = &mut self.jobs[g as usize];
+        let start = self.clocks[ni].max(jb.arrival_eff);
         let comm = self.net.transfer_time(jb.bytes) + self.net.transfer_time(RESULT_BYTES);
-        let (factor, victim) = match &self.campaigns[jb.campaign].campaign.kind {
+        let (factor, victim) = match &self.campaigns[jb.campaign as usize].campaign.kind {
             // Fault plans index the initial fleet; joined nodes are
             // healthy by construction.
             CampaignKind::Faulty { faults, gpu_victim, .. } => {
@@ -1025,7 +1080,7 @@ impl Service {
             _ => (1.0, None),
         };
         let run = Run::Execute { factor, victim, trace: &self.trace };
-        let compute = self.costs.cost(Some(ni), &jb.shape, run);
+        let compute = self.costs.cost(Some(ni), jb.shape, run);
         let end = start + comm + compute;
         if !jb.latency_sampled {
             agg.latency[class].push(start - jb.submitted);
@@ -1036,57 +1091,48 @@ impl Service {
             jb.counted_in_gate = false;
         }
         self.served[class] += comm + compute;
-        let node = &mut self.nodes[ni];
-        node.free_vt = end;
-        node.sched.push(Dispatch { job: jb, start, end, comm, compute });
+        self.clocks[ni] = end;
+        self.nodes[ni].sched.push(Dispatch { job: g, start, end, comm, compute });
     }
 
     /// Commit dispatches finished by `vt`: exactly-once completion, cache
     /// publication, busy/comm accounting, report aggregation.
-    fn commit(
-        &mut self,
-        vt: f64,
-        board: &mut CompletionBoard,
-        assignment: &mut [usize],
-        agg: &mut DrainAgg,
-        t_end: &mut f64,
-    ) {
+    fn commit(&mut self, vt: f64, agg: &mut DrainAgg) {
         for ni in 0..self.nodes.len() {
             // A dispatch starts no earlier than the node's previous one
             // ends, so a node's finished dispatches are a prefix of its
-            // schedule; they keep its buffer and the booked rest moves.
-            let sched = &mut self.nodes[ni].sched;
+            // schedule; they leave it and the booked rest moves up.
+            let sched = &self.nodes[ni].sched;
             let done = sched.partition_point(|d| d.end <= vt);
             debug_assert!(sched[done..].iter().all(|d| d.end > vt), "schedule out of order");
             if done == 0 {
                 continue;
             }
-            let booked = sched.split_off(done);
-            let finished = std::mem::replace(sched, booked);
-            for d in finished {
-                if !board.try_complete(d.job.global) {
+            let mut sched = std::mem::take(&mut self.nodes[ni].sched);
+            for d in sched.drain(..done) {
+                let g = d.job as usize;
+                if !agg.board.try_complete(g) {
                     continue; // late duplicate delivery of a requeued job
                 }
-                let node = &mut self.nodes[ni];
-                node.busy_s += d.end - d.start;
+                let jb = &self.jobs[g];
+                let items = self.costs.job_shape(jb.shape).items;
+                self.nodes[ni].busy_s += d.end - d.start;
                 agg.comm_time += d.comm;
                 agg.completed_jobs += 1;
-                agg.device_evals += d.job.items;
-                *t_end = t_end.max(d.end);
-                if d.job.global < assignment.len() {
-                    assignment[d.job.global] = ni;
-                }
-                self.cache
-                    .publish(d.job.key, CachedResult { compute_s: d.compute, ready_vt: d.end });
-                agg.single_node_time += self.costs.cost(None, &d.job.shape, Run::Plan);
-                let state = &mut self.campaigns[d.job.campaign];
+                agg.device_evals += items;
+                agg.t_end = agg.t_end.max(d.end);
+                agg.assignment[g] = ni;
+                self.cache.publish(jb.key, CachedResult { compute_s: d.compute, ready_vt: d.end });
+                agg.single_node_time += self.costs.cost(None, jb.shape, Run::Plan);
+                let state = &mut self.campaigns[jb.campaign as usize];
                 state.stats.completed += 1;
-                state.stats.device_evals += d.job.items;
+                state.stats.device_evals += items;
                 state.last_completion = state.last_completion.max(d.end);
-                if d.job.slot < state.actual.len() {
-                    state.actual[d.job.slot] = ni;
+                if let Some(actual) = state.actual.get_mut(jb.slot as usize) {
+                    *actual = ni;
                 }
             }
+            self.nodes[ni].sched = sched;
         }
     }
 
@@ -1111,21 +1157,27 @@ impl Service {
                 // waste, not useful busy time.
                 agg.wasted_s += (vt - d.start).min(d.end - d.start);
             }
-            let mut jb = d.job;
-            jb.arrival_eff = vt;
-            jb.pin = None;
-            let class = if jb.interactive { 0 } else { 1 };
-            self.queues[class].push_back(jb);
+            self.jobs[d.job as usize].arrival_eff = vt;
+            self.enqueue(d.job, None);
             agg.requeued += 1;
         }
-        for jb in self.queues.iter_mut().flatten().filter(|jb| jb.pin == Some(id)) {
-            jb.pin = None;
-            jb.arrival_eff = vt;
+        // The jobs pinned to it join the unpinned ones at their places.
+        for queue in &mut self.queues {
+            let pinned = queue.pinned.get_mut(id).map(std::mem::take).unwrap_or_default();
+            if pinned.is_empty() {
+                continue;
+            }
+            for &g in &pinned {
+                self.jobs[g as usize].arrival_eff = vt;
+            }
+            let mut merged: Vec<u32> = queue.unpinned.drain(..).chain(pinned).collect();
+            merged.sort_unstable_by_key(|&g| self.jobs[g as usize].seq);
+            queue.unpinned = merged.into();
         }
         let node = &mut self.nodes[id];
         node.alive = false;
         node.span_s += (vt - t0_span.max(0.0)).max(0.0);
-        node.free_vt = vt;
+        self.clocks[id] = f64::INFINITY;
         agg.node_leaves += 1;
         self.trace.emit(Event::NodeLeft { node: id as u32, vt, requeued: requeued as u32 });
     }
@@ -1134,6 +1186,12 @@ impl Service {
 /// Per-drain aggregation scratchpad.
 #[derive(Default)]
 struct DrainAgg {
+    /// Completion latch per global id.
+    board: CompletionBoard,
+    /// Completing node per global id of the admitted campaigns.
+    assignment: Vec<usize>,
+    /// Last completion so far.
+    t_end: f64,
     comm_time: f64,
     single_node_time: f64,
     total_jobs: usize,
@@ -1412,6 +1470,58 @@ mod tests {
         svc.submit(Campaign::library(3264, 16, jobs(4), Strategy::HomogeneousSplit).seed(5));
         let b = svc.drain();
         assert!((svc.now() - (a.makespan + b.makespan)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_replay_per_spec_and_job_shape() {
+        // `campaign_burst`'s traffic, join and leave at two smaller sizes.
+        // Every campaign runs M1 on one receptor with 16 spots, so its job
+        // shapes differ only in pairs; the fleet is one spec, Hertz.
+        for (sweeps, jobs, bursts) in [(4, 40, 8), (8, 80, 16)] {
+            let cfg = crate::TrafficConfig {
+                horizon_s: 0.3,
+                bulk_campaigns: sweeps,
+                bulk_jobs: jobs,
+                bursts,
+                burst_size: 3,
+                interactive_jobs: 2,
+                duplicate_fraction: 0.25,
+                scale: 1.0,
+                ..Default::default()
+            };
+            let traffic = crate::bursty_traffic(&cfg, 2016);
+            let mut shapes: Vec<u64> = Vec::new();
+            for c in &traffic {
+                let CampaignKind::Library { receptor_atoms, jobs, .. } = &c.kind else {
+                    panic!("bursty traffic is library screens");
+                };
+                shapes.extend(jobs.iter().map(|j| j.pairs_per_eval(*receptor_atoms)));
+            }
+            shapes.sort_unstable();
+            shapes.dedup();
+            let capacity = 2 * (sweeps * jobs + bursts * 3 * 2);
+            let mut svc = Service::new(
+                SimCluster::uniform(4, NetModel::infiniband(), platform::hertz),
+                ServiceConfig {
+                    queue_capacity: capacity,
+                    cache_capacity: capacity,
+                    ..Default::default()
+                },
+            );
+            svc.scale(ScalePlan::new().join_at(0.05, platform::hertz()).leave_at(0.18, 1));
+            for c in traffic {
+                svc.submit(c);
+            }
+            let r = svc.drain();
+            assert_eq!(r.completed_jobs, r.total_jobs);
+            assert!(r.cache_hits > 0 && r.requeued_jobs > 0, "hits and requeues both run");
+            assert_eq!(
+                svc.costs.replays,
+                shapes.len() as u64,
+                "{} jobs: one replay per distinct (spec, shape)",
+                r.total_jobs
+            );
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ pin scripts/grid_accuracy.expected grid_accuracy 's/, "grid_poses_per_sec": .* \
 echo "==> bit-equivalence on the Table 5 complexes (release mode; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs portable [f64; 4] vs the host's detected lanes with equal term counts; grid interpolation: the scalar reference, portable [f64; 4], the detected lanes and Scorer::score_batch serial and on two threads over 256 poses, three models; grid reach: a lattice built only within the spots' reach against a whole Scorer::new on rim poses of 16 and of all spots, a spot 20 A outside the lattice, one- and nine-atom ligands; pair kernels: scalar lanes, portable [f64; 4] and the detected lanes over 64 poses, every model)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_
 
-echo "==> linear drain guard (release mode: Service::drain over bursty_traffic at 25,000 and 100,000 bulk jobs, best of 3 each; the time ratio must stay under 4^1.3, where a drain that moves its backlog on every dispatch takes about 4^2.3)"
+echo "==> linear drain guard (release mode: Service::drain over bursty_traffic at 25,000 and 100,000 bulk jobs, best of 3 each, unpinned and with every bulk sweep a static faulty screen (the filter matches pinned_drain_scales_linearly too); the time ratio must stay under 4^1.3, where a drain that moves its backlog on every dispatch takes about 4^2.3)"
 cargo test --release -q -p vscluster --test drain_scaling -- --ignored drain_scales_linearly
 
 echo "==> split scoring on dock_grid's configuration (release mode: 2BXG, grid kernel, learned oracle, ring at depth 4, 16 spots, M4 at 0.1; VirtualScreen::run, whose engine scores each spot's batch in its host job, against the same evaluator scoring whole batches: best bits, evaluations, virtual time, batch trace and trace payloads equal)"
