@@ -287,23 +287,23 @@ pub(crate) fn rotation_vector(from: Quat, to: Quat) -> Vec3 {
     axis * (d.angle() * if d.w >= 0.0 { 1.0 } else { -1.0 })
 }
 
-/// One local-search step's proposals for one spot: `per` perturbations of
-/// each start (unscored, start by start).
+/// One local-search step's proposals for one spot, appended to
+/// `proposals`: `per` perturbations of each start (unscored, start by
+/// start).
 fn propose_spot<'c>(
     params: &MetaheuristicParams,
     spot: &Spot,
     starts: impl Iterator<Item = &'c Conformation>,
     per: usize,
     rng: &mut RngStream,
-) -> Vec<Conformation> {
-    let mut proposals = Vec::new();
+    proposals: &mut Vec<Conformation>,
+) {
     for start in starts {
         for _ in 0..per {
             proposals
                 .push(start.perturbed(params.max_shift, params.max_angle, rng).clamped_to(spot));
         }
     }
-    proposals
 }
 
 /// Accept scored proposals into one spot's group per the hill-climb or
@@ -384,32 +384,30 @@ fn lamarckian_trials(
     current: &[Conformation],
     grads: Option<&[vsscore::RigidGradient]>,
     rng: &mut RngStream,
-) -> Vec<Conformation> {
+    trials: &mut Vec<Conformation>,
+) {
     let (step_size, angle_step) = match params.improve {
         ImproveStrategy::Lamarckian { step_size, angle_step, .. } => (step_size, angle_step),
         // PANICS: callers only reach this under the Lamarckian strategy.
         _ => unreachable!("lamarckian_trials outside Lamarckian improve"),
     };
     match grads {
-        Some(gs) => current
-            .iter()
-            .zip(gs)
-            .map(|(c, g)| {
-                let dir = g.force.normalized().unwrap_or(Vec3::ZERO);
-                let t = c.pose.translation + dir * step_size;
-                let rot = match g.torque.normalized() {
-                    Some(axis) => {
-                        (Quat::from_axis_angle(axis, angle_step) * c.pose.rotation).renormalize()
-                    }
-                    None => c.pose.rotation,
-                };
-                Conformation::new(RigidTransform::new(rot, t), c.spot_id).clamped_to(spot)
-            })
-            .collect(),
-        None => current
-            .iter()
-            .map(|c| c.perturbed(params.max_shift, params.max_angle, rng).clamped_to(spot))
-            .collect(),
+        Some(gs) => trials.extend(current.iter().zip(gs).map(|(c, g)| {
+            let dir = g.force.normalized().unwrap_or(Vec3::ZERO);
+            let t = c.pose.translation + dir * step_size;
+            let rot = match g.torque.normalized() {
+                Some(axis) => {
+                    (Quat::from_axis_angle(axis, angle_step) * c.pose.rotation).renormalize()
+                }
+                None => c.pose.rotation,
+            };
+            Conformation::new(RigidTransform::new(rot, t), c.spot_id).clamped_to(spot)
+        })),
+        None => trials.extend(
+            current
+                .iter()
+                .map(|c| c.perturbed(params.max_shift, params.max_angle, rng).clamped_to(spot)),
+        ),
     }
 }
 
@@ -547,9 +545,12 @@ impl SpotToken {
 
 /// Variation: build the batch `tok`'s current phase wants scored (unscored
 /// conformations in draw order; the gather half-step re-submits scored
-/// ones).
+/// ones). Proposals are built into the buffer `tok.batch` holds, which
+/// [`Driver::step`] hands back after a lap whose batch it does not keep.
 pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotToken) {
     tok.wants_grads = tok.phase == Phase::LamGather;
+    let mut batch = std::mem::take(&mut tok.batch);
+    batch.clear();
     tok.batch = match tok.phase {
         Phase::Seed => (0..params.population_per_spot)
             .map(|_| Conformation::random_at(spot, &mut tok.rng))
@@ -558,16 +559,24 @@ pub(crate) fn build(params: &MetaheuristicParams, spot: &Spot, tok: &mut SpotTok
             Combine::Crossover => breed_spot(params, spot, &tok.pop, &mut tok.rng),
             Combine::Swarm => swarm_spot(params, spot, &mut tok.swarm, &tok.pop[0], &mut tok.rng),
         },
-        Phase::Propose => match params.improve {
-            ImproveStrategy::Tabu { neighbors, .. } => {
-                let starts = tok.walkers.iter().map(|w| &w.current);
-                propose_spot(params, spot, starts, neighbors, &mut tok.rng)
+        Phase::Propose => {
+            match params.improve {
+                ImproveStrategy::Tabu { neighbors, .. } => {
+                    let starts = tok.walkers.iter().map(|w| &w.current);
+                    propose_spot(params, spot, starts, neighbors, &mut tok.rng, &mut batch)
+                }
+                _ => {
+                    let starts = tok.group.iter().take(tok.k);
+                    propose_spot(params, spot, starts, 1, &mut tok.rng, &mut batch)
+                }
             }
-            _ => propose_spot(params, spot, tok.group.iter().take(tok.k), 1, &mut tok.rng),
-        },
+            batch
+        }
         Phase::LamGather => tok.group[..tok.group.len().min(tok.k)].to_vec(),
         Phase::LamPropose => {
-            lamarckian_trials(params, spot, &tok.saved, tok.grads.as_deref(), &mut tok.rng)
+            let grads = tok.grads.as_deref();
+            lamarckian_trials(params, spot, &tok.saved, grads, &mut tok.rng, &mut batch);
+            batch
         }
         Phase::Retire => Vec::new(),
     };
@@ -777,9 +786,11 @@ impl<'a> Driver<'a> {
     /// set the phase of its next lap, leaving what the run records of it
     /// for [`Driver::settle`]. Reads and writes `tok` alone, so any thread
     /// may run it. A token arriving at [`Phase::Retire`] only marks its
-    /// population for harvest.
+    /// population for harvest. The batch of a [`Phase::Propose`] or
+    /// [`Phase::LamPropose`] lap goes back to `tok.batch` emptied, for
+    /// [`build`] to fill again.
     pub(crate) fn step(&self, tok: &mut SpotToken) {
-        let scored = std::mem::take(&mut tok.batch);
+        let mut scored = std::mem::take(&mut tok.batch);
         tok.evals += scored.len() as u64;
         match tok.phase {
             Phase::Seed => {
@@ -825,6 +836,8 @@ impl<'a> Driver<'a> {
                     _ => accept_spot(self.params, tok.step, &mut tok.group, &scored, &mut tok.rng),
                 }
                 self.end_step(tok);
+                scored.clear();
+                tok.batch = scored;
             }
             Phase::LamGather => {
                 tok.saved = scored;
@@ -841,6 +854,8 @@ impl<'a> Driver<'a> {
                 tok.saved.clear();
                 tok.grads = None;
                 self.end_step(tok);
+                scored.clear();
+                tok.batch = scored;
             }
             Phase::Retire => tok.records.harvest = true,
         }

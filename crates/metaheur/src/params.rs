@@ -141,6 +141,61 @@ impl MetaheuristicParams {
         init + self.end.max_generations() as u64 * per_gen
     }
 
+    /// One word that identifies these parameters: every field, written
+    /// through [`vsmath::fnv1a`] in declaration order, each enum as its
+    /// variant's index and then its fields, the name as the hash of its
+    /// bytes, and each `f64` by its bits with `-0.0` taken as `+0.0`. So
+    /// parameters equal under `PartialEq` share a fingerprint, and
+    /// parameters that differ in any field other than the sign of a zero
+    /// differ in it up to a hash collision.
+    pub fn fingerprint(&self) -> u64 {
+        let MetaheuristicParams {
+            name,
+            population_per_spot,
+            select,
+            offspring_per_spot,
+            combine,
+            improve_fraction,
+            improve,
+            mutation_prob,
+            max_shift,
+            max_angle,
+            end,
+            single_pass,
+        } = self;
+        let real = |x: f64| if x == 0.0 { 0 } else { x.to_bits() };
+        let count = |n: usize| n as u64;
+        let mut words = vec![vsmath::fnv1a(name.bytes()), count(*population_per_spot)];
+        words.extend(match *select {
+            SelectStrategy::TruncationBest { fraction } => [0, real(fraction)],
+            SelectStrategy::Tournament { k } => [1, count(k)],
+        });
+        words.push(count(*offspring_per_spot));
+        words.push(match combine {
+            Combine::Crossover => 0,
+            Combine::Swarm => 1,
+        });
+        words.push(real(*improve_fraction));
+        words.extend(match *improve {
+            ImproveStrategy::None => [0, 0, 0, 0],
+            ImproveStrategy::HillClimb { steps } => [1, count(steps), 0, 0],
+            ImproveStrategy::SimulatedAnnealing { steps, t0, cooling } => {
+                [2, count(steps), real(t0), real(cooling)]
+            }
+            ImproveStrategy::Lamarckian { steps, step_size, angle_step } => {
+                [3, count(steps), real(step_size), real(angle_step)]
+            }
+            ImproveStrategy::Tabu { steps, neighbors } => [4, count(steps), count(neighbors), 0],
+        });
+        words.extend([real(*mutation_prob), real(*max_shift), real(*max_angle)]);
+        words.extend(match *end {
+            EndCondition::Generations(g) => [0, count(g), 0],
+            EndCondition::Convergence { patience, max } => [1, count(patience), count(max)],
+        });
+        words.push(u64::from(*single_pass));
+        vsmath::fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
+    }
+
     /// Sanity-check invariants; call after hand-building configurations.
     pub fn validate(&self) -> Result<(), String> {
         if self.population_per_spot == 0 {
@@ -212,6 +267,71 @@ mod tests {
             end: EndCondition::Generations(10),
             single_pass: false,
         }
+    }
+
+    #[test]
+    fn fingerprint_tells_every_field_apart_and_folds_the_sign_of_zero() {
+        let fp = |p: &MetaheuristicParams| p.fingerprint();
+        let b = base();
+        let variants = [
+            MetaheuristicParams { name: "tesT".into(), ..base() },
+            MetaheuristicParams { population_per_spot: 65, ..base() },
+            MetaheuristicParams {
+                select: SelectStrategy::TruncationBest { fraction: 0.5 },
+                ..base()
+            },
+            MetaheuristicParams { select: SelectStrategy::Tournament { k: 1 }, ..base() },
+            MetaheuristicParams { offspring_per_spot: 63, ..base() },
+            MetaheuristicParams { combine: Combine::Swarm, ..base() },
+            MetaheuristicParams { improve_fraction: 0.2, ..base() },
+            MetaheuristicParams { improve: ImproveStrategy::HillClimb { steps: 0 }, ..base() },
+            MetaheuristicParams { improve: ImproveStrategy::HillClimb { steps: 1 }, ..base() },
+            MetaheuristicParams {
+                improve: ImproveStrategy::SimulatedAnnealing { steps: 1, t0: 1.0, cooling: 0.9 },
+                ..base()
+            },
+            MetaheuristicParams {
+                improve: ImproveStrategy::SimulatedAnnealing { steps: 1, t0: 1.0, cooling: 0.8 },
+                ..base()
+            },
+            MetaheuristicParams {
+                improve: ImproveStrategy::Lamarckian { steps: 1, step_size: 0.2, angle_step: 0.1 },
+                ..base()
+            },
+            MetaheuristicParams {
+                improve: ImproveStrategy::Lamarckian { steps: 1, step_size: 0.2, angle_step: 0.2 },
+                ..base()
+            },
+            MetaheuristicParams {
+                improve: ImproveStrategy::Tabu { steps: 1, neighbors: 4 },
+                ..base()
+            },
+            MetaheuristicParams {
+                improve: ImproveStrategy::Tabu { steps: 4, neighbors: 1 },
+                ..base()
+            },
+            MetaheuristicParams { mutation_prob: 0.2, ..base() },
+            MetaheuristicParams { max_shift: 1.5, ..base() },
+            MetaheuristicParams { max_angle: 0.4, ..base() },
+            MetaheuristicParams { end: EndCondition::Generations(11), ..base() },
+            MetaheuristicParams {
+                end: EndCondition::Convergence { patience: 10, max: 10 },
+                ..base()
+            },
+            MetaheuristicParams { single_pass: true, ..base() },
+        ];
+        let mut seen = vec![fp(&b)];
+        for v in &variants {
+            assert_ne!(*v, b);
+            assert!(!seen.contains(&fp(v)), "{v:?} shares a fingerprint");
+            seen.push(fp(v));
+        }
+        assert_eq!(fp(&b.clone()), fp(&b));
+        // Equal under `PartialEq`, so one fingerprint.
+        let zero = MetaheuristicParams { mutation_prob: 0.0, max_shift: 0.0, ..base() };
+        let negative = MetaheuristicParams { mutation_prob: -0.0, max_shift: -0.0, ..base() };
+        assert_eq!(zero, negative);
+        assert_eq!(fp(&zero), fp(&negative));
     }
 
     #[test]

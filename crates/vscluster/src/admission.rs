@@ -22,8 +22,9 @@ pub struct CacheKey {
     /// Hash of the receptor side: atom count, surface spots (and target
     /// name for cross-docking).
     pub receptor: u64,
-    /// Hash of the ligand side: ligand id, atom count, payload bytes and
-    /// metaheuristic parameters.
+    /// Hash of the ligand side: ligand id, atom count, payload bytes,
+    /// evaluations per spot and the fingerprint of every metaheuristic
+    /// parameter ([`metaheur::MetaheuristicParams::fingerprint`]).
     pub ligand: u64,
     /// Campaign RNG seed.
     pub seed: u64,

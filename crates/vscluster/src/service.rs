@@ -900,52 +900,51 @@ impl Service {
         let kernel = fnv1a(format!("{:?}", campaign.strategy).bytes());
         let words = |ws: &[u64]| fnv1a(ws.iter().flat_map(|w| w.to_le_bytes()));
         // A job whose params equal the previous job's reuses their shape
-        // id, name hash and evaluations per spot without formatting them.
-        // `PartialEq` merges only params whose `Debug` strings are equal
-        // or differ in the sign of a zero, and `synthetic_trace`, the one
-        // cost input read from them, cannot tell those apart.
+        // id, fingerprint and evaluations per spot without computing them
+        // again. `PartialEq` merges only params whose `Debug` strings are
+        // equal or differ in the sign of a zero, which neither the
+        // fingerprint nor `synthetic_trace`, the one cost input read from
+        // them, can tell apart.
         let mut last: Option<(&MetaheuristicParams, u32, u64, u64)> = None;
         let mut raw: Vec<Job> = Vec::with_capacity(campaign.job_count());
         // Longest-processing-time-first: `(Reverse(volume), index)` sorts
         // like a stable sort on volume, so equal volumes keep submission
         // order.
         let mut order: Vec<(Reverse<u64>, u32)> = Vec::with_capacity(campaign.job_count());
-        let mut push = |job: &'c LigandJob,
-                        receptor: u64,
-                        receptor_atoms: usize,
-                        n_spots: usize| {
-            let (shape, name, evals) = match last {
-                Some((params, shape, name, evals)) if *params == job.params => (shape, name, evals),
-                _ => (
-                    costs.shape(&job.params, campaign.strategy),
-                    fnv1a(job.params.name.bytes()),
-                    job.params.evals_per_spot(),
-                ),
+        let mut push =
+            |job: &'c LigandJob, receptor: u64, receptor_atoms: usize, n_spots: usize| {
+                let (shape, fp, evals) = match last {
+                    Some((params, shape, fp, evals)) if *params == job.params => (shape, fp, evals),
+                    _ => (
+                        costs.shape(&job.params, campaign.strategy),
+                        job.params.fingerprint(),
+                        job.params.evals_per_spot(),
+                    ),
+                };
+                last = Some((&job.params, shape, fp, evals));
+                let shape = JobShape {
+                    shape,
+                    n_spots,
+                    pairs: job.pairs_per_eval(receptor_atoms),
+                    items: evals * n_spots as u64,
+                };
+                order.push((Reverse(shape.items * shape.pairs), raw.len() as u32));
+                let ligand = words(&[job.id as u64, job.ligand_atoms as u64, job.bytes, fp, evals]);
+                raw.push(Job {
+                    key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
+                    submitted: vt,
+                    arrival_eff: vt,
+                    bytes: job.bytes,
+                    seq: 0,
+                    campaign: h as u32,
+                    slot: 0,
+                    shape: costs.job(shape),
+                    ligand: job.id as u32,
+                    interactive,
+                    counted_in_gate: true,
+                    latency_sampled: false,
+                });
             };
-            last = Some((&job.params, shape, name, evals));
-            let shape = JobShape {
-                shape,
-                n_spots,
-                pairs: job.pairs_per_eval(receptor_atoms),
-                items: evals * n_spots as u64,
-            };
-            order.push((Reverse(shape.items * shape.pairs), raw.len() as u32));
-            let ligand = words(&[job.id as u64, job.ligand_atoms as u64, job.bytes, name, evals]);
-            raw.push(Job {
-                key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
-                submitted: vt,
-                arrival_eff: vt,
-                bytes: job.bytes,
-                seq: 0,
-                campaign: h as u32,
-                slot: 0,
-                shape: costs.job(shape),
-                ligand: job.id as u32,
-                interactive,
-                counted_in_gate: true,
-                latency_sampled: false,
-            });
-        };
         match &campaign.kind {
             CampaignKind::Library { receptor_atoms, n_spots, jobs }
             | CampaignKind::Faulty { receptor_atoms, n_spots, jobs, .. } => {
@@ -1401,6 +1400,33 @@ mod tests {
             }
             o => panic!("duplicate campaign should complete: {o:?}"),
         }
+    }
+
+    #[test]
+    fn changed_params_miss_the_cache_and_equal_ones_hit_it() {
+        let mut svc = service(2);
+        let params = metaheur::m3(1.0);
+        let library = |params: &MetaheuristicParams| {
+            let jobs = synthetic_library(24, params, 5);
+            Campaign::library(3264, 16, jobs, Strategy::HomogeneousSplit).seed(11)
+        };
+        svc.submit(library(&params));
+        assert_eq!(svc.drain().cache_hits, 0);
+        // Name and evaluations per spot unchanged: only the moves differ.
+        let moved = MetaheuristicParams {
+            mutation_prob: params.mutation_prob / 2.0,
+            max_shift: params.max_shift * 2.0,
+            ..params.clone()
+        };
+        assert_eq!((&moved.name, moved.evals_per_spot()), (&params.name, params.evals_per_spot()));
+        svc.submit(library(&moved));
+        let r = svc.drain();
+        assert_eq!(r.cache_hits, 0, "changed params are different work");
+        assert!(r.device_evals > 0);
+        svc.submit(library(&params.clone()));
+        let r = svc.drain();
+        assert_eq!(r.cache_hits, 24, "an equal resubmission is the same work");
+        assert_eq!(r.device_evals, 0);
     }
 
     #[test]

@@ -129,8 +129,10 @@ pub struct GridBuildStats {
     /// This scorer's slabs: one per ligand element type present, plus the
     /// electrostatic slab when enabled.
     pub grids: u32,
-    /// Memory of this scorer's slabs, bytes (slabs are shared, so scorers'
-    /// figures do not add up to the cache's).
+    /// Memory allocated for this scorer's slabs, bytes (slabs are shared,
+    /// so scorers' figures do not add up to the cache's). A slab built
+    /// over a reach is resident only where the build wrote (DESIGN §11),
+    /// so this counts allocated bytes, not resident ones.
     pub bytes: u64,
     /// Seconds this request spent building on the caller-supplied clock —
     /// the trace epoch for [`GridScorer::new_traced`], a constant `0.0`
@@ -161,8 +163,9 @@ enum Channel {
 
 /// One channel's node values, `dims[0] * dims[1] * dims[2]` of them, x
 /// fastest. Immutable once built; alive as long as any scorer or the cache
-/// holds it.
-type Slab = Arc<[f32]>;
+/// holds it. Boxed apart from the count, so that the nodes stay in the
+/// zeroed allocation [`zero_slab`] made (an `Arc<[f32]>` copies them in).
+type Slab = Arc<Box<[f32]>>;
 
 /// The node lattice of one (receptor, options) pair: every channel over
 /// that pair shares it.
@@ -449,11 +452,30 @@ enum Cover {
 /// the atoms once per range stays cheap.
 const RANGES_PER_THREAD: usize = 4;
 
-/// A slab of `+0.0`: the value of a node no build has reached, which a
-/// lane past the last ligand atom may read under mask 0 (a NaN there
-/// would poison the sum).
-fn zero_slab(geom: Geometry) -> Slab {
-    std::iter::repeat_n(0f32, geom.nodes()).collect()
+/// A slab of `+0.0`, about to be built over the nodes of `region`: `+0.0`
+/// is the value of a node no build has reached, which a lane past the
+/// last ligand atom may read under mask 0 (a NaN there would poison the
+/// sum).
+///
+/// The nodes are a zeroed allocation, which the allocator maps fresh for
+/// a slab this large, so a page that no node of `region` lies on is never
+/// written and never made resident. The nodes of `region` are written
+/// with `+0.0` once here, before the build, so that each of their pages
+/// takes one write fault: the build loads a node before it stores it,
+/// and a page whose first touch is that load takes a read fault and then
+/// a copy-on-write fault. The build itself must not write them, as it
+/// keeps the bits of every node outside its region. The zero is opaque
+/// to the optimiser, which could otherwise drop stores of a zero into
+/// memory it knows to be zeroed.
+fn zero_slab(geom: Geometry, region: &Region) -> Slab {
+    let mut nodes = vec![0f32; geom.nodes()].into_boxed_slice();
+    let zero = std::hint::black_box(0f32);
+    for (r, row) in nodes.chunks_exact_mut(geom.dims[0]).enumerate() {
+        for run in region.row(r) {
+            row[run.clone()].fill(zero);
+        }
+    }
+    Arc::new(nodes)
 }
 
 /// Add every receptor atom's terms into the nodes of `region` of `slabs`
@@ -891,7 +913,9 @@ impl FieldKey {
 pub struct GridCacheStats {
     /// Slabs resident.
     pub entries: usize,
-    /// Their memory, bytes.
+    /// Memory allocated for them, bytes: allocated, not resident, as a
+    /// slab built over a reach holds pages never written
+    /// ([`GridBuildStats::bytes`]).
     pub bytes: u64,
     /// Requests (one per scorer built) that found every slab resident.
     pub hits: u64,
@@ -903,14 +927,15 @@ pub struct GridCacheStats {
     pub channels_built: u64,
 }
 
-/// Resident slabs may total this much before the least recently used
-/// receptor's are dropped: room for one AutoDock-pitch (0.375 Å) field
+/// Resident slabs may total this many allocated bytes (not resident ones,
+/// [`GridCacheStats::bytes`]) before the least recently used receptor's
+/// are dropped: room for one AutoDock-pitch (0.375 Å) field
 /// over the larger Table 5 receptor (2BXG: four slabs of 47 MB) beside a
 /// library's worth of coarse ones.
 const GRID_CACHE_BUDGET_BYTES: u64 = 256 << 20;
 
 fn slab_bytes(slab: &Slab) -> u64 {
-    std::mem::size_of_val::<[f32]>(slab) as u64
+    std::mem::size_of_val::<[f32]>(&slab[..]) as u64
 }
 
 /// A slab and the nodes it holds.
@@ -1083,7 +1108,7 @@ impl SlabCache {
                 Cover::Whole => Arc::new(Region::whole(geom)),
                 Cover::Part(region) => Arc::clone(region),
             };
-            let slabs = missing.iter().map(|_| zero_slab(geom)).collect();
+            let slabs = missing.iter().map(|_| zero_slab(geom, &region)).collect();
             passes.push(Pass { region, made: cover.clone(), slots: missing, slabs });
         }
         let mut partial: Vec<(Arc<Region>, Vec<usize>)> = Vec::new();
@@ -1098,7 +1123,7 @@ impl SlabCache {
             let region = Arc::new(part.complement(geom));
             let slabs = slots
                 .iter()
-                .filter_map(|&i| found[i].as_ref().map(|s| Slab::from(&s.slab[..])))
+                .filter_map(|&i| found[i].as_ref().map(|s| Arc::new(Box::from(&s.slab[..]))))
                 .collect();
             passes.push(Pass { region, made: Cover::Whole, slots, slabs });
         }
@@ -1180,7 +1205,8 @@ impl GridField {
         self.lj.iter().chain(&self.elec)
     }
 
-    /// Memory of this field's slabs in bytes.
+    /// Memory allocated for this field's slabs in bytes, not how much of
+    /// it is resident ([`GridBuildStats::bytes`]).
     pub fn footprint_bytes(&self) -> usize {
         self.slabs().map(slab_bytes).sum::<u64>() as usize
     }
@@ -1193,6 +1219,18 @@ impl GridField {
     /// Grid count (per-type LJ grids + electrostatic grid when present).
     pub fn grid_count(&self) -> u32 {
         self.slabs().count() as u32
+    }
+
+    /// The LJ slabs' nodes by slab index, for one pose's chunks: a lane's
+    /// slice is then one load away, where a [`Slab`] reaches its nodes
+    /// through two (its `Arc`, then its `Box`), a second load per atom that
+    /// showed in `dock_grid`'s host time.
+    fn lj_nodes(&self) -> [&[f32]; Element::COUNT] {
+        let mut nodes: [&[f32]; Element::COUNT] = [&[]; Element::COUNT];
+        for (n, slab) in nodes.iter_mut().zip(&self.lj) {
+            *n = slab;
+        }
+        nodes
     }
 }
 
@@ -1449,7 +1487,8 @@ impl GridScorer {
         self.lig_slab.len()
     }
 
-    /// Memory of this scorer's slabs in bytes.
+    /// Memory allocated for this scorer's slabs in bytes
+    /// ([`GridField::footprint_bytes`]).
     pub fn footprint_bytes(&self) -> usize {
         self.field.footprint_bytes()
     }
@@ -1466,15 +1505,15 @@ impl GridScorer {
             && self.field.slabs().zip(other.field.slabs()).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
-    /// Chunk `a0`'s atoms without their lattice cells: each atom's LJ slab,
-    /// charge and mask 1.0. The lanes past the last atom keep mask 0.0 and
-    /// node 0 of the first slab, which exists: a ligand has at least one
-    /// atom.
+    /// Chunk `a0`'s atoms without their lattice cells: each atom's LJ slab
+    /// from `lj` ([`GridField::lj_nodes`]), charge and mask 1.0. The lanes
+    /// past the last atom keep mask 0.0 and node 0 of the first slab, which
+    /// exists: a ligand has at least one atom.
     #[inline(always)]
-    fn chunk_atoms(&self, a0: usize) -> Chunk<'_> {
+    fn chunk_atoms<'a>(&self, lj: &[&'a [f32]; Element::COUNT], a0: usize) -> Chunk<'a> {
         let mut c = Chunk {
             base: [0; 8],
-            lj: [&self.field.lj[0]; 8],
+            lj: [lj[0]; 8],
             fx: [0.0; 8],
             fy: [0.0; 8],
             fz: [0.0; 8],
@@ -1483,7 +1522,7 @@ impl GridScorer {
         };
         for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
             c.mask[l] = 1.0;
-            c.lj[l] = &self.field.lj[self.lig_slab[a0 + l]];
+            c.lj[l] = lj[self.lig_slab[a0 + l]];
             c.q[l] = self.lig_charge[a0 + l];
         }
         c
@@ -1511,14 +1550,15 @@ impl GridScorer {
     /// setup; the one left goes through `i64`, which x86-64 converts to in
     /// one instruction where `u64` takes two and a branch.
     #[inline(always)]
-    fn prep_chunk<W: Wide>(
+    fn prep_chunk<'a, W: Wide>(
         &self,
         pose: &LanePose<W>,
+        lj: &[&'a [f32]; Element::COUNT],
         local: [&[f64; 8]; 3],
         a0: usize,
-    ) -> Chunk<'_> {
+    ) -> Chunk<'a> {
         let g = &self.field.geom;
-        let mut c = self.chunk_atoms(a0);
+        let mut c = self.chunk_atoms(lj, a0);
         let (mut base, mut fracs) = ([W::splat(0.0); 2], [[0f32; 8]; 3]);
         for (step, base) in base.iter_mut().enumerate() {
             let at = |col: &[f64; 8]| W::from_array(col.as_chunks::<LANES>().0[step]);
@@ -1550,11 +1590,12 @@ impl GridScorer {
         let strides = f.geom.strides();
         let pose = LanePose::<W>::new(pose);
         let one = F32x8::splat(1.0);
+        let (lj, elec) = (f.lj_nodes(), f.elec.as_ref().map(|slab| &slab[..]));
         let mut total = 0.0f64;
         let [x, y, z] = &self.lig;
         let chunks = x.as_chunks().0.iter().zip(y.as_chunks().0).zip(z.as_chunks().0);
         for (k, ((x, y), z)) in chunks.enumerate() {
-            let c = self.prep_chunk(&pose, [x, y, z], k * F32x8::LANES);
+            let c = self.prep_chunk(&pose, &lj, [x, y, z], k * F32x8::LANES);
             debug_assert!(self.reads_built(&c), "a pose read lattice nodes its slabs do not hold");
             let (fx, fy, fz) =
                 (F32x8::from_array(c.fx), F32x8::from_array(c.fy), F32x8::from_array(c.fz));
@@ -1570,7 +1611,7 @@ impl GridScorer {
                 (fx * fy) * fz,
             ];
             let mut contrib = trilerp_wide(|l| c.lj[l], &c.base, strides, &w);
-            if let Some(elec) = &f.elec {
+            if let Some(elec) = elec {
                 let e = trilerp_wide(|_| elec, &c.base, strides, &w);
                 contrib = contrib + F32x8::from_array(c.q) * e;
             }
@@ -1977,7 +2018,7 @@ mod tests {
         fn prep_chunk_scalar(&self, pose: &RigidTransform, a0: usize) -> Chunk<'_> {
             let g = &self.field.geom;
             let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
-            let mut c = self.chunk_atoms(a0);
+            let mut c = self.chunk_atoms(&self.field.lj_nodes(), a0);
             for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
                 let p = (pose.apply(self.local(a0 + l)) - g.origin) / g.spacing;
                 let gx = clampf(p.x, g.dims[0]);
@@ -2142,7 +2183,7 @@ mod tests {
             let mut grid = scorer.clone();
             let geom = Geometry { origin, spacing, dims };
             let mut seeded = || -> Slab {
-                (0..geom.nodes()).map(|_| rng.uniform_range(-8.0, 8.0) as f32).collect()
+                Arc::new((0..geom.nodes()).map(|_| rng.uniform_range(-8.0, 8.0) as f32).collect())
             };
             grid.field.lj = grid.field.lj.iter().map(|_| seeded()).collect();
             grid.field.elec = Some(seeded());
@@ -2336,8 +2377,9 @@ mod tests {
         channels: &[Channel],
         ranges: usize,
     ) -> (Vec<Slab>, u64) {
-        let zeros = channels.iter().map(|_| zero_slab(geom)).collect();
-        fill_region(receptor, geom, opts, channels, &Region::whole(geom), zeros, ranges)
+        let whole = Region::whole(geom);
+        let zeros = channels.iter().map(|_| zero_slab(geom, &whole)).collect();
+        fill_region(receptor, geom, opts, channels, &whole, zeros, ranges)
     }
 
     /// The same slabs by an independent, node-major route, and the build
@@ -2413,10 +2455,14 @@ mod tests {
         ]
     }
 
-    fn assert_same_bits<A: AsRef<[f32]>, B: AsRef<[f32]>>(got: &[A], want: &[B], what: &str) {
+    fn assert_same_bits<A, B>(got: &[A], want: &[B], what: &str)
+    where
+        A: std::ops::Deref<Target: AsRef<[f32]>>,
+        B: std::ops::Deref<Target: AsRef<[f32]>>,
+    {
         assert_eq!(got.len(), want.len(), "{what}: slab count");
         for (s, (g, w)) in got.iter().zip(want).enumerate() {
-            let (g, w) = (g.as_ref(), w.as_ref());
+            let (g, w): (&[f32], &[f32]) = ((**g).as_ref(), (**w).as_ref());
             assert_eq!(g.len(), w.len(), "{what}: slab {s} length");
             if let Some(node) = (0..g.len()).find(|&i| g[i].to_bits() != w[i].to_bits()) {
                 panic!("{what}: slab {s} node {node}: {} != {}", g[node], w[node]);
@@ -3170,7 +3216,7 @@ mod tests {
             assert_eq!(rest.complement(geom), region, "{what}");
             let (want, whole_terms) = build_slabs(&rec, geom, opts, &channels);
             for ranges in RANGES {
-                let zeros = channels.iter().map(|_| zero_slab(geom)).collect();
+                let zeros = channels.iter().map(|_| zero_slab(geom, &region)).collect();
                 let (part, terms) =
                     fill_region(&rec, geom, opts, &channels, &region, zeros, ranges);
                 for (slab, whole) in part.iter().zip(&want) {
@@ -3179,7 +3225,7 @@ mod tests {
                         assert_eq!(slab[node].to_bits(), expect.to_bits(), "{what}: node {node}");
                     }
                 }
-                let copies = part.iter().map(|s| Slab::from(&s[..])).collect();
+                let copies = part.iter().map(|s| Arc::new(Box::from(&s[..]))).collect();
                 let (done, rest_terms) =
                     fill_region(&rec, geom, opts, &channels, &rest, copies, ranges);
                 assert_same_bits(&done, &want, &format!("{what}, completed, {ranges} ranges"));
@@ -3250,13 +3296,13 @@ mod tests {
         let spots = spots_on(&rec, 2);
         let part = |r_lig: f64| {
             let region = Reach { spots: &spots, r_lig }.region(geom).expect("a part");
-            Stored { slab: zero_slab(geom), cover: Cover::Part(Arc::new(region)) }
+            Stored { slab: zero_slab(geom, &region), cover: Cover::Part(Arc::new(region)) }
         };
         let carbon = Channel::Lj(Element::C.index() as u8);
         let cache = SlabCache::new(ROOMY);
         let publish = |s: &Stored| cache.publish(key, vec![(carbon, s.clone())]).remove(0).slab;
         let (a, b, a_again) = (part(1.0), part(2.0), part(1.0));
-        let whole = Stored { slab: zero_slab(geom), cover: Cover::Whole };
+        let whole = Stored { slab: zero_slab(geom, &Region::whole(geom)), cover: Cover::Whole };
         assert!(Arc::ptr_eq(&publish(&a), &a.slab), "the first is resident");
         assert!(Arc::ptr_eq(&publish(&a_again), &a.slab), "the same region is adopted");
         assert!(Arc::ptr_eq(&publish(&b), &b.slab), "another region keeps its own");
