@@ -70,6 +70,32 @@ impl Strategy {
         }
     }
 
+    /// A stable identity of the strategy for cache keys: the variant's
+    /// index, then each of its fields, written through [`vsmath::fnv1a`].
+    /// Equal strategies share it, and any differing field changes it (up
+    /// to a 64-bit hash collision). No field is a float, so there is no
+    /// sign of a zero to fold.
+    pub fn fingerprint(&self) -> u64 {
+        let words: [u64; 4] = match *self {
+            Strategy::CpuOnly => [0, 0, 0, 0],
+            Strategy::HomogeneousSplit => [1, 0, 0, 0],
+            Strategy::HeterogeneousSplit {
+                warmup: WarmupConfig { iterations, items_per_iteration },
+            } => [2, iterations as u64, items_per_iteration, 0],
+            Strategy::DynamicQueue { chunk } => [3, chunk, 0, 0],
+            Strategy::GuidedQueue { divisor } => [4, divisor, 0, 0],
+            Strategy::WorkSteal {
+                warmup: WarmupConfig { iterations, items_per_iteration },
+                divisor,
+            } => [5, iterations as u64, items_per_iteration, divisor],
+            Strategy::Oracle {
+                warmup: WarmupConfig { iterations, items_per_iteration },
+                divisor,
+            } => [6, iterations as u64, items_per_iteration, divisor],
+        };
+        vsmath::fnv1a(words.iter().flat_map(|w| w.to_le_bytes()))
+    }
+
     /// Whether the strategy consults a [`crate::CostOracle`], so a caller
     /// may share one across runs ([`crate::ReplayOptions::oracle`]) and
     /// must not memoize its schedules.
@@ -116,6 +142,37 @@ mod tests {
             Strategy::GuidedQueue { divisor: 2 },
         ] {
             assert_eq!(s.warmup(), None, "{}", s.label());
+        }
+    }
+
+    #[test]
+    fn fingerprint_tells_every_variant_and_field_apart() {
+        let w = WarmupConfig { iterations: 3, items_per_iteration: 64 };
+        let w2 = WarmupConfig { iterations: 4, ..w };
+        let w3 = WarmupConfig { items_per_iteration: 65, ..w };
+        let all = [
+            Strategy::CpuOnly,
+            Strategy::HomogeneousSplit,
+            Strategy::HeterogeneousSplit { warmup: w },
+            Strategy::HeterogeneousSplit { warmup: w2 },
+            Strategy::HeterogeneousSplit { warmup: w3 },
+            Strategy::DynamicQueue { chunk: 2 },
+            Strategy::DynamicQueue { chunk: 3 },
+            Strategy::GuidedQueue { divisor: 2 },
+            Strategy::GuidedQueue { divisor: 3 },
+            Strategy::WorkSteal { warmup: w, divisor: 2 },
+            Strategy::WorkSteal { warmup: w2, divisor: 2 },
+            Strategy::WorkSteal { warmup: w3, divisor: 2 },
+            Strategy::WorkSteal { warmup: w, divisor: 3 },
+            Strategy::Oracle { warmup: w, divisor: 2 },
+            Strategy::Oracle { warmup: w2, divisor: 2 },
+            Strategy::Oracle { warmup: w3, divisor: 2 },
+            Strategy::Oracle { warmup: w, divisor: 3 },
+        ];
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a.fingerprint(), b.fingerprint(), "{a:?} vs {b:?}");
+            }
         }
     }
 

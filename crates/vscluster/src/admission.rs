@@ -28,9 +28,10 @@ pub struct CacheKey {
     pub ligand: u64,
     /// Campaign RNG seed.
     pub seed: u64,
-    /// Hash of the `Debug` string of the campaign's scheduling
-    /// [`vsched::Strategy`]. Every campaign scores with the same kernel,
-    /// so nothing else of the run's configuration enters the key.
+    /// The campaign's scheduling strategy,
+    /// [`vsched::Strategy::fingerprint`]: its variant and every field.
+    /// Every campaign scores with the same kernel, so nothing else of the
+    /// run's configuration enters the key.
     pub kernel: u64,
 }
 
@@ -181,6 +182,14 @@ impl ResultsCache {
     /// Cache holding at most `capacity` entries (0 disables caching).
     pub fn new(capacity: usize) -> ResultsCache {
         ResultsCache { by_key: HashMap::default(), fifo: VecDeque::new(), capacity }
+    }
+
+    /// Make room for `publishes` more keys, as far as the capacity lets
+    /// them stay, so that many publishes never regrow the map or the FIFO.
+    pub(crate) fn reserve(&mut self, publishes: usize) {
+        let room = publishes.min(self.capacity - self.fifo.len());
+        self.by_key.reserve(room);
+        self.fifo.reserve(room);
     }
 
     /// Look `key` up. A hit is only returned once the entry's result is

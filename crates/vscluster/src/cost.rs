@@ -48,8 +48,8 @@ pub(crate) enum Run<'a> {
 /// computed from.
 #[derive(Default)]
 pub(crate) struct Costs {
-    /// Shape ids by the `Debug` strings of their `(params, strategy)`.
-    shape_ids: BTreeMap<(String, String), u32>,
+    /// Shape ids by the fingerprints of their `(params, strategy)`.
+    shape_ids: BTreeMap<(u64, u64), u32>,
     shapes: Vec<(MetaheuristicParams, Strategy)>,
     /// Interned job shapes; a job id indexes it.
     jobs: Vec<JobShape>,
@@ -95,10 +95,13 @@ impl Costs {
         self.spec_of_node.push(id as u32);
     }
 
-    /// Intern a job's `(params, strategy)` pair.
+    /// Intern a job's `(params, strategy)` pair by their fingerprints
+    /// ([`MetaheuristicParams::fingerprint`], [`Strategy::fingerprint`]):
+    /// pairs equal under `PartialEq`, so up to the sign of a zero, share
+    /// an id.
     pub fn shape(&mut self, params: &MetaheuristicParams, strategy: Strategy) -> u32 {
         let next = self.shapes.len() as u32;
-        let key = (format!("{params:?}"), format!("{strategy:?}"));
+        let key = (params.fingerprint(), strategy.fingerprint());
         let id = *self.shape_ids.entry(key).or_insert(next);
         if id == next {
             self.shapes.push((params.clone(), strategy));
@@ -258,6 +261,45 @@ mod tests {
     fn warmup() -> WarmupConfig {
         // Ends inside one job's replay, so a learned run installs a prior.
         WarmupConfig { iterations: 2, items_per_iteration: 64 }
+    }
+
+    #[test]
+    fn shapes_share_an_id_exactly_when_params_and_strategy_are_equal() {
+        // Few values per field, zeros of both signs among them, so equal
+        // and nearly equal pairs are both common.
+        let mut rng = vsmath::RngStream::derive(2016, 13);
+        let strategies = [
+            Strategy::HomogeneousSplit,
+            Strategy::DynamicQueue { chunk: 32 },
+            Strategy::WorkSteal { warmup: warmup(), divisor: 2 },
+            Strategy::Oracle { warmup: warmup(), divisor: 2 },
+        ];
+        let real = [0.0, -0.0, 0.25];
+        let mut c = Costs::default();
+        let mut seen: Vec<(MetaheuristicParams, Strategy, u32)> = Vec::new();
+        for _ in 0..300 {
+            let params = MetaheuristicParams {
+                population_per_spot: [32, 33][rng.index(2)],
+                mutation_prob: real[rng.index(3)],
+                max_shift: real[rng.index(3)],
+                improve_fraction: real[rng.index(3)],
+                ..metaheur::m1(0.2)
+            };
+            let strategy = strategies[rng.index(strategies.len())];
+            let id = c.shape(&params, strategy);
+            seen.push((params, strategy, id));
+        }
+        let mut signed_zero_merges = 0;
+        for (i, (p, s, id)) in seen.iter().enumerate() {
+            assert_eq!(c.shapes[*id as usize], (p.clone(), *s), "an id holds its pair");
+            for (q, t, other) in &seen[i + 1..] {
+                let equal = p == q && s == t;
+                assert_eq!(id == other, equal, "{p:?} {s:?} vs {q:?} {t:?}");
+                let bits = |p: &MetaheuristicParams| p.mutation_prob.to_bits();
+                signed_zero_merges += usize::from(equal && bits(p) != bits(q));
+            }
+        }
+        assert!(signed_zero_merges > 0, "-0.0 and +0.0 must meet and merge");
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!   queue is full (an interactive-only reserve keeps re-docks
 //!   responsive), classes drain weighted-fair, duplicates are served from
 //!   a keyed results cache, and nodes may join/leave mid-campaign;
+//! - `clocks` (private) — the node clocks and the tournament tree that
+//!   finds the earliest-free node in O(1) and moves a clock in
+//!   O(log fleet);
 //! - `cost` (private) — the service's cost model: a job's virtual compute
 //!   time is one replay of its batch trace on a node's devices, memoized
 //!   per distinct node spec;
@@ -37,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
+mod clocks;
 pub mod cluster;
 mod cost;
 pub mod crossdock;

@@ -28,6 +28,7 @@
 //! seeds produce a bit-identical [`CampaignReport`].
 
 use crate::admission::{AdmissionGate, CacheKey, CachedResult, CompletionBoard, ResultsCache};
+use crate::clocks::Clocks;
 use crate::cluster::SimCluster;
 use crate::cost::{Costs, JobShape, Run};
 use crate::crossdock::ReceptorTarget;
@@ -37,7 +38,6 @@ use crate::net::NetModel;
 use gpusim::SimNode;
 use metaheur::MetaheuristicParams;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 use vsched::{CostOracle, Strategy};
 use vsmath::fnv1a;
@@ -496,8 +496,9 @@ pub struct Service {
     queues: [ClassQueue; 2],
     /// Next `Job::seq`.
     next_seq: u64,
-    /// When each node is next free, by node id; `+∞` for a dead node.
-    clocks: Vec<f64>,
+    /// When each node is next free, by node id (`+∞` for a dead node),
+    /// with the earliest-free node at hand.
+    clocks: Clocks,
     /// Weighted-fair served cost per class.
     served: [f64; 2],
     /// Service virtual clock (persists across drains).
@@ -535,7 +536,7 @@ impl Service {
             jobs: Vec::new(),
             queues: Default::default(),
             next_seq: 0,
-            clocks: vec![0.0; cluster.nodes().len()],
+            clocks: Clocks::new(vec![0.0; cluster.nodes().len()]),
             served: [0.0, 0.0],
             now: 0.0,
             costs,
@@ -657,12 +658,13 @@ impl Service {
                 n.alive_from = t0;
             }
         }
-        // Size the job table and the completion board for everything that
-        // can possibly run.
+        // Size the job table, the completion board and the results cache
+        // for everything that can possibly run, so none of them regrows.
         let pending: Vec<usize> = std::mem::take(&mut self.pending);
         let total_possible: usize = pending.iter().map(|&h| self.campaigns[h].stats.jobs).sum();
         assert!(u32::try_from(total_possible).is_ok(), "a drain's jobs are counted in u32 ids");
         self.jobs = Vec::with_capacity(total_possible);
+        self.cache.reserve(total_possible);
         let mut agg = DrainAgg {
             board: CompletionBoard::new(total_possible),
             assignment: Vec::with_capacity(total_possible),
@@ -755,13 +757,10 @@ impl Service {
             }
         }
 
-        let mut all_lat = agg.latency[0].clone();
-        all_lat.extend_from_slice(&agg.latency[1]);
-        // PANICS: latency samples are differences of finite virtual times.
-        all_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let mut inter = agg.latency[0].clone();
-        // PANICS: latency samples are differences of finite virtual times.
-        inter.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        // `[interactive, bulk]`; the bulk samples then take in the rest.
+        let [mut inter, mut all_lat] = std::mem::take(&mut agg.latency);
+        let interactive_p99_s = percentile(&mut inter, 99.0);
+        all_lat.append(&mut inter);
 
         let busy: f64 = self.nodes.iter().map(|n| n.busy_s).sum();
         let span: f64 = self.nodes.iter().map(|n| n.span_s).sum();
@@ -778,10 +777,10 @@ impl Service {
             cache_hits: agg.cache_hits,
             device_evals: agg.device_evals,
             wasted_s: agg.wasted_s,
-            queue_p50_s: percentile(&all_lat, 50.0),
-            queue_p95_s: percentile(&all_lat, 95.0),
-            queue_p99_s: percentile(&all_lat, 99.0),
-            interactive_p99_s: percentile(&inter, 99.0),
+            queue_p50_s: percentile(&mut all_lat, 50.0),
+            queue_p95_s: percentile(&mut all_lat, 95.0),
+            queue_p99_s: percentile(&mut all_lat, 99.0),
+            interactive_p99_s,
             utilization: if span > 0.0 { busy / span } else { 1.0 },
             node_joins: agg.node_joins,
             node_leaves: agg.node_leaves,
@@ -897,20 +896,21 @@ impl Service {
         jobs: &mut Vec<Job>,
     ) {
         let interactive = campaign.priority == Priority::Interactive;
-        let kernel = fnv1a(format!("{:?}", campaign.strategy).bytes());
+        let kernel = campaign.strategy.fingerprint();
         let words = |ws: &[u64]| fnv1a(ws.iter().flat_map(|w| w.to_le_bytes()));
         // A job whose params equal the previous job's reuses their shape
         // id, fingerprint and evaluations per spot without computing them
-        // again. `PartialEq` merges only params whose `Debug` strings are
-        // equal or differ in the sign of a zero, which neither the
-        // fingerprint nor `synthetic_trace`, the one cost input read from
-        // them, can tell apart.
+        // again. `PartialEq` merges only params that are equal field by
+        // field up to the sign of a zero, which the fingerprint folds and
+        // `synthetic_trace`, the one cost input read from them, cannot
+        // tell apart.
         let mut last: Option<(&MetaheuristicParams, u32, u64, u64)> = None;
         let mut raw: Vec<Job> = Vec::with_capacity(campaign.job_count());
-        // Longest-processing-time-first: `(Reverse(volume), index)` sorts
-        // like a stable sort on volume, so equal volumes keep submission
-        // order.
-        let mut order: Vec<(Reverse<u64>, u32)> = Vec::with_capacity(campaign.job_count());
+        // Longest-processing-time-first on one packed key per job: the
+        // complemented volume above the index, so keys are distinct and
+        // sort like a stable sort on descending volume, equal volumes in
+        // submission order.
+        let mut order: Vec<u128> = Vec::with_capacity(campaign.job_count());
         let mut push =
             |job: &'c LigandJob, receptor: u64, receptor_atoms: usize, n_spots: usize| {
                 let (shape, fp, evals) = match last {
@@ -928,7 +928,7 @@ impl Service {
                     pairs: job.pairs_per_eval(receptor_atoms),
                     items: evals * n_spots as u64,
                 };
-                order.push((Reverse(shape.items * shape.pairs), raw.len() as u32));
+                order.push(u128::from(!(shape.items * shape.pairs)) << 32 | raw.len() as u128);
                 let ligand = words(&[job.id as u64, job.ligand_atoms as u64, job.bytes, fp, evals]);
                 raw.push(Job {
                     key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
@@ -970,7 +970,7 @@ impl Service {
             order
                 .iter()
                 .enumerate()
-                .map(|(slot, &(_, i))| Job { slot: slot as u32, ..raw[i as usize] }),
+                .map(|(slot, &key)| Job { slot: slot as u32, ..raw[key as u32 as usize] }),
         );
     }
 
@@ -979,16 +979,15 @@ impl Service {
     fn plan_static(&mut self, cold: &[u32]) -> Vec<usize> {
         let alive = self.alive_nodes();
         assert!(!alive.is_empty(), "no alive nodes to plan over");
-        let mut planned_t: Vec<f64> = vec![0.0; alive.len()];
+        // Planned loads by place in `alive`; each job goes to the least
+        // loaded, the lowest place on a tie.
+        let mut planned_t = Clocks::new(vec![0.0; alive.len()]);
         let mut plan = Vec::with_capacity(cold.len());
         for &g in cold {
-            let (k, _) = planned_t
-                .iter()
-                .enumerate()
-                // PANICS: node clocks are finite sums of finite costs.
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite clocks"))
-                .expect("non-empty");
-            planned_t[k] += self.costs.cost(Some(alive[k]), self.jobs[g as usize].shape, Run::Plan);
+            // PANICS: `alive` is non-empty.
+            let (k, load) = planned_t.earliest().expect("non-empty");
+            let cost = self.costs.cost(Some(alive[k]), self.jobs[g as usize].shape, Run::Plan);
+            planned_t.set(k, load + cost);
             plan.push(alive[k]);
         }
         plan
@@ -1014,12 +1013,14 @@ impl Service {
 
     /// Dispatch queued work onto free nodes up to virtual time `until`:
     /// each job goes to the first node, in `(free_vt, id)` order, that has
-    /// an eligible job. That is the earliest-free node unless every job
-    /// left is pinned elsewhere; only then are the others walked in order.
+    /// an eligible job. That is the earliest-free node, the root of the
+    /// clocks' tree, unless every job left is pinned elsewhere; only then
+    /// are the others walked in order.
     fn advance(&mut self, until: f64, agg: &mut DrainAgg) {
-        // Node clocks are finite, so total_cmp matches numeric order; on
-        // equal clocks `min_by` and the stable sort keep the lower id.
-        while let Some((first, _)) = self.free_nodes(until).min_by(|a, b| a.1.total_cmp(&b.1)) {
+        // Node clocks are finite or `+∞`, so total_cmp matches numeric
+        // order; on equal clocks the tree and the stable sort keep the
+        // lower id.
+        while let Some((first, _)) = self.clocks.earliest().filter(|&(_, c)| c < until) {
             let picked = self.pick(first).map(|p| (first, p)).or_else(|| {
                 let mut rest: Vec<(usize, f64)> =
                     self.free_nodes(until).filter(|&(ni, _)| ni != first).collect();
@@ -1035,7 +1036,7 @@ impl Service {
 
     /// `(id, free_vt)` of each alive node free before `until`, by id.
     fn free_nodes(&self, until: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.clocks.iter().copied().enumerate().filter(move |&(_, c)| c < until)
+        self.clocks.values().iter().copied().enumerate().filter(move |&(_, c)| c < until)
     }
 
     /// Weighted-fair class selection, then FIFO within the class: take the
@@ -1067,7 +1068,7 @@ impl Service {
 
     fn dispatch(&mut self, ni: usize, class: usize, g: u32, agg: &mut DrainAgg) {
         let jb = &mut self.jobs[g as usize];
-        let start = self.clocks[ni].max(jb.arrival_eff);
+        let start = self.clocks.values()[ni].max(jb.arrival_eff);
         let comm = self.net.transfer_time(jb.bytes) + self.net.transfer_time(RESULT_BYTES);
         let (factor, victim) = match &self.campaigns[jb.campaign as usize].campaign.kind {
             // Fault plans index the initial fleet; joined nodes are
@@ -1090,7 +1091,7 @@ impl Service {
             jb.counted_in_gate = false;
         }
         self.served[class] += comm + compute;
-        self.clocks[ni] = end;
+        self.clocks.set(ni, end);
         self.nodes[ni].sched.push(Dispatch { job: g, start, end, comm, compute });
     }
 
@@ -1176,7 +1177,7 @@ impl Service {
         let node = &mut self.nodes[id];
         node.alive = false;
         node.span_s += (vt - t0_span.max(0.0)).max(0.0);
-        self.clocks[id] = f64::INFINITY;
+        self.clocks.set(id, f64::INFINITY);
         agg.node_leaves += 1;
         self.trace.emit(Event::NodeLeft { node: id as u32, vt, requeued: requeued as u32 });
     }
@@ -1207,13 +1208,18 @@ struct DrainAgg {
     latency: [Vec<f64>; 2],
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile of a sample, found by selection (the sample is
+/// reordered). Latencies are differences of finite non-negative times,
+/// never `-0.0` or NaN, so `total_cmp` is numeric order and the selected
+/// value has the bits a full sort would put at that rank.
+fn percentile(sample: &mut [f64], p: f64) -> f64 {
+    if sample.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+    let rank = ((p / 100.0) * sample.len() as f64).ceil() as usize;
+    let (_, &mut value, _) =
+        sample.select_nth_unstable_by(rank.saturating_sub(1).min(sample.len() - 1), f64::total_cmp);
+    value
 }
 
 #[cfg(test)]
@@ -1568,10 +1574,11 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 50.0), 2.0);
-        assert_eq!(percentile(&xs, 99.0), 4.0);
-        assert_eq!(percentile(&[], 99.0), 0.0);
+        let mut xs = [4.0, 2.0, 1.0, 3.0];
+        assert_eq!(percentile(&mut xs, 50.0), 2.0);
+        assert_eq!(percentile(&mut xs, 99.0), 4.0);
+        assert_eq!(percentile(&mut xs, 1.0), 1.0);
+        assert_eq!(percentile(&mut [], 99.0), 0.0);
     }
 
     // ---- fault-injected campaigns (ported from the old entry point) ----

@@ -7,16 +7,20 @@
 //! other nodes is quadratic there, because the slow node's jobs pile up
 //! at the front of the queue.
 //!
+//! The fleet guard holds the other axis: the same `campaign_burst`-shaped
+//! traffic drained on 512 nodes may take at most twice as long as on 32.
+//! A drain that scans every node clock per dispatch took about 3x there.
+//!
 //! Wall time, so release mode only and `#[ignore]`d in the default suite:
 //!
 //! ```text
-//! cargo test --release -p vscluster --test drain_scaling -- --ignored
+//! cargo test --release -p vscluster --test drain_scaling -- --ignored --test-threads=1
 //! ```
 
 use std::time::Instant;
 use vscluster::{
-    bursty_traffic, Campaign, CampaignKind, FaultPlan, NetModel, Priority, Service, ServiceConfig,
-    SimCluster, TrafficConfig,
+    bursty_traffic, Campaign, CampaignKind, FaultPlan, NetModel, Priority, ScalePlan, Service,
+    ServiceConfig, SimCluster, TrafficConfig,
 };
 use vscreen::platform;
 
@@ -40,32 +44,29 @@ fn pinned(c: Campaign) -> Campaign {
     }
 }
 
-/// Best of three drain times, in seconds, at `bulk_jobs` bulk jobs, with
-/// every bulk sweep pinned by a static plan when `pin` is set.
-fn best_drain_s(bulk_jobs: usize, pin: bool) -> f64 {
-    let cfg = TrafficConfig {
-        horizon_s: 0.3,
-        bulk_campaigns: SWEEPS,
-        bulk_jobs: bulk_jobs / SWEEPS,
-        bursts: 25,
-        burst_size: 3,
-        interactive_jobs: 2,
-        duplicate_fraction: 0.25,
-        scale: 1.0,
-        ..TrafficConfig::default()
-    };
-    let capacity = 2 * (bulk_jobs + cfg.bursts * cfg.burst_size * cfg.interactive_jobs);
+/// Best of three drain times, in seconds, of `traffic` on `nodes` Hertz
+/// nodes scaled by `plan`, each campaign submitted through `map`.
+fn best_drain_s(
+    nodes: usize,
+    traffic: &TrafficConfig,
+    plan: &ScalePlan,
+    map: fn(Campaign) -> Campaign,
+) -> f64 {
+    let t = traffic;
+    let capacity =
+        2 * (t.bulk_campaigns * t.bulk_jobs + t.bursts * t.burst_size * t.interactive_jobs);
     (0..3)
         .map(|_| {
-            let cluster = SimCluster::uniform(NODES, NetModel::infiniband(), platform::hertz);
+            let cluster = SimCluster::uniform(nodes, NetModel::infiniband(), platform::hertz);
             let config = ServiceConfig {
                 queue_capacity: capacity,
                 cache_capacity: capacity,
                 ..ServiceConfig::default()
             };
             let mut svc = Service::new(cluster, config);
-            for c in bursty_traffic(&cfg, 2016) {
-                svc.submit(if pin { pinned(c) } else { c });
+            svc.scale(plan.clone());
+            for c in bursty_traffic(traffic, 2016) {
+                svc.submit(map(c));
             }
             let t0 = Instant::now();
             let report = svc.drain();
@@ -77,11 +78,31 @@ fn best_drain_s(bulk_jobs: usize, pin: bool) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// The bursty mix with `sweeps` bulk sweeps of `jobs` jobs and `bursts`
+/// bursts of three two-job interactive re-docks.
+fn traffic(sweeps: usize, jobs: usize, bursts: usize) -> TrafficConfig {
+    TrafficConfig {
+        horizon_s: 0.3,
+        bulk_campaigns: sweeps,
+        bulk_jobs: jobs,
+        bursts,
+        burst_size: 3,
+        interactive_jobs: 2,
+        duplicate_fraction: 0.25,
+        scale: 1.0,
+        ..TrafficConfig::default()
+    }
+}
+
 /// Drain at 25,000 and at 100,000 bulk jobs; fail past the 4^1.3 bound.
 fn assert_linear(what: &str, pin: bool) {
     let n = 25_000;
-    let small = best_drain_s(n, pin);
-    let large = best_drain_s(4 * n, pin);
+    let map = if pin { pinned } else { std::convert::identity };
+    let drain = |bulk_jobs: usize| {
+        best_drain_s(NODES, &traffic(SWEEPS, bulk_jobs / SWEEPS, 25), &ScalePlan::new(), map)
+    };
+    let small = drain(n);
+    let large = drain(4 * n);
     let ratio = large / small;
     let bound = 4f64.powf(1.3);
     eprintln!(
@@ -103,4 +124,18 @@ fn drain_scales_linearly() {
 #[ignore = "wall time: run in release mode"]
 fn pinned_drain_scales_linearly() {
     assert_linear("mostly pinned", true);
+}
+
+#[test]
+#[ignore = "wall time: run in release mode"]
+fn drain_scales_with_the_fleet() {
+    // `campaign_burst`: 30 sweeps of 600 jobs, 60 bursts, a join and a
+    // leave.
+    let plan = ScalePlan::new().join_at(0.05, platform::hertz()).leave_at(0.18, 1);
+    let drain = |nodes| best_drain_s(nodes, &traffic(30, 600, 60), &plan, std::convert::identity);
+    let small = drain(32);
+    let large = drain(512);
+    let ratio = large / small;
+    eprintln!("fleet drain: {small:.4} s on 32 nodes, {large:.4} s on 512: ratio {ratio:.2}");
+    assert!(ratio <= 2.0, "drain time grew {ratio:.2}x for 16x the nodes (bound 2)");
 }
