@@ -10,13 +10,14 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Key of one per-ligand docking result: everything that determines the
 /// outcome of the computation. Two submissions with equal keys are the
-/// same work, so the second may be served from the cache; any differing
-/// component (receptor geometry, ligand identity/parameters, RNG seed, or
-/// scoring kernel) changes the key and can never alias.
+/// same work, so the second may be served from the cache. A differing
+/// input (receptor geometry, ligand identity or parameters, RNG seed, or
+/// scheduling strategy) changes the key, except where two inputs collide
+/// in the FNV-1a hash that folds them into one word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
     /// Hash of the receptor side: atom count, surface spots (and target
@@ -170,57 +171,107 @@ impl Hasher for WordHasher {
 /// same key is rejected, so a lookup can never observe a key "change
 /// value". Eviction removes whole entries (a later lookup misses and
 /// recomputes); it never mutates them in place.
+///
+/// Each entry is held once, in a ring in publish order that is also the
+/// eviction order; an index maps a `WordHasher` digest of the key to the
+/// entry's publish number. A lookup compares the whole key, so when two
+/// distinct keys share a digest the later one is simply not cached: it
+/// costs a recompute and can never return the other key's value.
 pub struct ResultsCache {
-    /// Entries by key: one hashed probe per lookup or publish.
-    by_key: HashMap<CacheKey, CachedResult, BuildHasherDefault<WordHasher>>,
-    /// Keys in publish order, oldest first: the eviction order.
-    fifo: VecDeque<CacheKey>,
+    /// Entries in publish order, oldest first: the eviction order.
+    ring: VecDeque<(CacheKey, CachedResult)>,
+    /// Publish number of each held entry, by the digest of its key.
+    index: HashMap<u64, u64, BuildHasherDefault<WordHasher>>,
+    /// Entries evicted so far: the publish number of `ring[0]`.
+    evicted: u64,
     capacity: usize,
+    /// The digest in place of [`digest`], so tests can force collisions.
+    #[cfg(test)]
+    digest: fn(&CacheKey) -> u64,
+}
+
+/// A key's four words folded by [`WordHasher`].
+fn digest(key: &CacheKey) -> u64 {
+    BuildHasherDefault::<WordHasher>::default().hash_one(key)
 }
 
 impl ResultsCache {
     /// Cache holding at most `capacity` entries (0 disables caching).
     pub fn new(capacity: usize) -> ResultsCache {
-        ResultsCache { by_key: HashMap::default(), fifo: VecDeque::new(), capacity }
+        ResultsCache {
+            ring: VecDeque::new(),
+            index: HashMap::default(),
+            evicted: 0,
+            capacity,
+            #[cfg(test)]
+            digest,
+        }
+    }
+
+    /// A cache whose index digests keys with `digest`.
+    #[cfg(test)]
+    fn with_digest(capacity: usize, digest: fn(&CacheKey) -> u64) -> ResultsCache {
+        ResultsCache { digest, ..ResultsCache::new(capacity) }
+    }
+
+    #[cfg(not(test))]
+    fn digest(&self, key: &CacheKey) -> u64 {
+        digest(key)
+    }
+
+    #[cfg(test)]
+    fn digest(&self, key: &CacheKey) -> u64 {
+        (self.digest)(key)
     }
 
     /// Make room for `publishes` more keys, as far as the capacity lets
-    /// them stay, so that many publishes never regrow the map or the FIFO.
+    /// them stay, so that many publishes never regrow the ring or the
+    /// index.
     pub(crate) fn reserve(&mut self, publishes: usize) {
-        let room = publishes.min(self.capacity - self.fifo.len());
-        self.by_key.reserve(room);
-        self.fifo.reserve(room);
+        let room = publishes.min(self.capacity - self.ring.len());
+        self.index.reserve(room);
+        self.ring.reserve(room);
+    }
+
+    /// The held entry of `key`, if any.
+    fn held(&self, key: &CacheKey) -> Option<&CachedResult> {
+        let n = *self.index.get(&self.digest(key))?;
+        let (held, value) = &self.ring[(n - self.evicted) as usize];
+        (held == key).then_some(value)
     }
 
     /// Look `key` up. A hit is only returned once the entry's result is
     /// ready by `at_vt` — a duplicate arriving while the original is still
     /// in flight recomputes rather than reading the future.
     pub fn lookup(&self, key: &CacheKey, at_vt: f64) -> Option<CachedResult> {
-        self.by_key.get(key).filter(|e| e.ready_vt <= at_vt).copied()
+        self.held(key).filter(|e| e.ready_vt <= at_vt).copied()
     }
 
     /// Publish `key -> value`. The first publish wins and returns `true`;
     /// a duplicate publish (same key) is rejected with `false` and leaves
-    /// the stored value untouched. A new key in a full cache evicts the
-    /// oldest published one.
+    /// the stored value untouched, as is a key whose digest a held key
+    /// already has. A new key in a full cache evicts the oldest published
+    /// one.
     pub fn publish(&mut self, key: CacheKey, value: CachedResult) -> bool {
         if self.capacity == 0 {
             return false;
         }
-        match self.by_key.entry(key) {
+        let n = self.evicted + self.ring.len() as u64;
+        match self.index.entry(self.digest(&key)) {
             Entry::Occupied(_) => return false,
             Entry::Vacant(slot) => {
-                slot.insert(value);
+                slot.insert(n);
             }
         }
         // The new key is not the oldest, so evicting after the insert
         // removes what evicting before it would have.
-        if self.fifo.len() == self.capacity {
-            if let Some(old) = self.fifo.pop_front() {
-                self.by_key.remove(&old);
+        if self.ring.len() == self.capacity {
+            if let Some((old, _)) = self.ring.pop_front() {
+                self.index.remove(&self.digest(&old));
+                self.evicted += 1;
             }
         }
-        self.fifo.push_back(key);
+        self.ring.push_back((key, value));
         true
     }
 }
@@ -374,6 +425,34 @@ mod tests {
             }
             assert!(model.map.len() <= capacity);
         }
+    }
+
+    /// Keys 1 and 2 share a digest; every other key has its own.
+    fn one_and_two_collide(key: &CacheKey) -> u64 {
+        if key.ligand <= 2 {
+            0
+        } else {
+            key.ligand
+        }
+    }
+
+    #[test]
+    fn a_digest_collision_costs_a_recompute_and_never_a_wrong_value() {
+        let value = |s: f64| CachedResult { compute_s: s, ready_vt: 0.0 };
+        let mut c = ResultsCache::with_digest(2, one_and_two_collide);
+        assert!(c.publish(key(1), value(1.0)));
+        assert!(!c.publish(key(2), value(2.0)), "the second key on a digest is not cached");
+        assert_eq!(c.lookup(&key(2), 1.0), None, "so a lookup of it misses");
+        assert_eq!(c.lookup(&key(1), 1.0), Some(value(1.0)), "the first key still hits");
+        // Key 4 evicts key 1, the oldest; then key 2 has the digest to itself.
+        assert!(c.publish(key(3), value(3.0)));
+        assert!(c.publish(key(4), value(4.0)));
+        assert_eq!(c.lookup(&key(1), 1.0), None, "key 1 evicted");
+        assert!(c.publish(key(2), value(2.0)), "once key 1 is gone, key 2 is published");
+        assert_eq!(c.lookup(&key(2), 1.0), Some(value(2.0)));
+        assert_eq!(c.lookup(&key(1), 1.0), None, "key 1 never reads key 2's value");
+        assert_eq!(c.lookup(&key(3), 1.0), None, "key 3 went to make room for key 2");
+        assert_eq!(c.lookup(&key(4), 1.0), Some(value(4.0)));
     }
 
     #[test]

@@ -367,9 +367,11 @@ impl CampaignReport {
 /// job is written once at expansion and never moved.
 #[derive(Debug, Clone, Copy)]
 struct Job {
-    key: CacheKey,
-    /// Original admission time (latency accounting).
-    submitted: f64,
+    /// [`CacheKey::receptor`]; the key's seed and strategy words are its
+    /// campaign's ([`CampaignState::key`]).
+    receptor_key: u64,
+    /// [`CacheKey::ligand`].
+    ligand_key: u64,
     /// Earliest dispatchable time (moves forward on requeue).
     arrival_eff: f64,
     /// Scatter payload of the ligand.
@@ -404,13 +406,14 @@ impl Job {
     }
 }
 
+/// One job booked on a node. Its communication time is not kept: it is
+/// a pure function of the job's bytes ([`comm_s`]).
 #[derive(Debug)]
 struct Dispatch {
     /// Global id of the dispatched job.
     job: u32,
     start: f64,
     end: f64,
-    comm: f64,
     compute: f64,
 }
 
@@ -452,6 +455,11 @@ impl NodeState {
 
 struct CampaignState {
     campaign: Campaign,
+    /// [`CacheKey::kernel`]: the campaign's strategy fingerprint.
+    kernel: u64,
+    /// Virtual time the campaign was admitted, its jobs' submission time
+    /// for latency accounting.
+    admitted_vt: f64,
     stats: CampaignStats,
     last_completion: f64,
     rejected: Option<(usize, usize)>,
@@ -460,6 +468,19 @@ struct CampaignState {
     planned: Vec<usize>,
     /// Actual completing node per expansion slot (`usize::MAX` = cache).
     actual: Vec<usize>,
+}
+
+impl CampaignState {
+    /// Job `jb`'s cache key: its own receptor and ligand words, the
+    /// campaign's seed and strategy.
+    fn key(&self, jb: &Job) -> CacheKey {
+        CacheKey {
+            receptor: jb.receptor_key,
+            ligand: jb.ligand_key,
+            seed: self.campaign.seed,
+            kernel: self.kernel,
+        }
+    }
 }
 
 /// The campaign service: bounded admission, weighted-fair virtual-time
@@ -582,6 +603,8 @@ impl Service {
         let handle = self.campaigns.len();
         let jobs = campaign.job_count();
         self.campaigns.push(CampaignState {
+            kernel: campaign.strategy.fingerprint(),
+            admitted_vt: 0.0,
             campaign,
             stats: CampaignStats {
                 turnaround_s: 0.0,
@@ -658,17 +681,29 @@ impl Service {
                 n.alive_from = t0;
             }
         }
-        // Size the job table, the completion board and the results cache
-        // for everything that can possibly run, so none of them regrows.
+        // Size the job table, the completion board, the results cache, the
+        // unpinned queues and the latency samples for everything that can
+        // possibly run, so none of them regrows. A class queue never holds
+        // more than its class's jobs; a job samples its latency once, and
+        // the bulk vector later takes in the interactive samples too.
         let pending: Vec<usize> = std::mem::take(&mut self.pending);
         let total_possible: usize = pending.iter().map(|&h| self.campaigns[h].stats.jobs).sum();
+        let interactive_possible: usize = pending
+            .iter()
+            .map(|&h| &self.campaigns[h])
+            .filter(|state| state.campaign.priority == Priority::Interactive)
+            .map(|state| state.stats.jobs)
+            .sum();
         assert!(u32::try_from(total_possible).is_ok(), "a drain's jobs are counted in u32 ids");
         self.jobs = Vec::with_capacity(total_possible);
         self.cache.reserve(total_possible);
+        self.queues[0].unpinned.reserve(interactive_possible);
+        self.queues[1].unpinned.reserve(total_possible - interactive_possible);
         let mut agg = DrainAgg {
             board: CompletionBoard::new(total_possible),
             assignment: Vec::with_capacity(total_possible),
             t_end: t0,
+            latency: [Vec::with_capacity(interactive_possible), Vec::with_capacity(total_possible)],
             ..DrainAgg::default()
         };
 
@@ -806,8 +841,9 @@ impl Service {
         // A job whose result the cache holds ready is a hit: it completes
         // now and never takes a queue slot.
         let mut cold = 0;
+        let state = &self.campaigns[h];
         for jb in &mut self.jobs[first..] {
-            jb.counted_in_gate = self.cache.lookup(&jb.key, vt).is_none();
+            jb.counted_in_gate = self.cache.lookup(&state.key(jb), vt).is_none();
             cold += usize::from(jb.counted_in_gate);
         }
 
@@ -843,6 +879,7 @@ impl Service {
             }
         }
         agg.admitted += 1;
+        self.campaigns[h].admitted_vt = vt;
         agg.total_jobs += total;
         agg.assignment.resize(agg.assignment.len() + total, usize::MAX);
 
@@ -886,8 +923,9 @@ impl Service {
 
     /// Expand a campaign into per-ligand jobs appended to `jobs`,
     /// LPT-ordered by workload volume (so the earliest-free dispatch
-    /// reproduces the old longest-first assignment), with cache keys
-    /// assigned; a job's index in `jobs` is its global id.
+    /// reproduces the old longest-first assignment), with the receptor
+    /// and ligand words of their cache keys; a job's index in `jobs` is
+    /// its global id.
     fn expand<'c>(
         costs: &mut Costs,
         h: usize,
@@ -896,7 +934,6 @@ impl Service {
         jobs: &mut Vec<Job>,
     ) {
         let interactive = campaign.priority == Priority::Interactive;
-        let kernel = campaign.strategy.fingerprint();
         let words = |ws: &[u64]| fnv1a(ws.iter().flat_map(|w| w.to_le_bytes()));
         // A job whose params equal the previous job's reuses their shape
         // id, fingerprint and evaluations per spot without computing them
@@ -931,8 +968,8 @@ impl Service {
                 order.push(u128::from(!(shape.items * shape.pairs)) << 32 | raw.len() as u128);
                 let ligand = words(&[job.id as u64, job.ligand_atoms as u64, job.bytes, fp, evals]);
                 raw.push(Job {
-                    key: CacheKey { receptor, ligand, seed: campaign.seed, kernel },
-                    submitted: vt,
+                    receptor_key: receptor,
+                    ligand_key: ligand,
                     arrival_eff: vt,
                     bytes: job.bytes,
                     seq: 0,
@@ -1069,8 +1106,9 @@ impl Service {
     fn dispatch(&mut self, ni: usize, class: usize, g: u32, agg: &mut DrainAgg) {
         let jb = &mut self.jobs[g as usize];
         let start = self.clocks.values()[ni].max(jb.arrival_eff);
-        let comm = self.net.transfer_time(jb.bytes) + self.net.transfer_time(RESULT_BYTES);
-        let (factor, victim) = match &self.campaigns[jb.campaign as usize].campaign.kind {
+        let comm = comm_s(&self.net, jb.bytes);
+        let state = &self.campaigns[jb.campaign as usize];
+        let (factor, victim) = match &state.campaign.kind {
             // Fault plans index the initial fleet; joined nodes are
             // healthy by construction.
             CampaignKind::Faulty { faults, gpu_victim, .. } => {
@@ -1083,7 +1121,7 @@ impl Service {
         let compute = self.costs.cost(Some(ni), jb.shape, run);
         let end = start + comm + compute;
         if !jb.latency_sampled {
-            agg.latency[class].push(start - jb.submitted);
+            agg.latency[class].push(start - state.admitted_vt);
             jb.latency_sampled = true;
         }
         if jb.counted_in_gate {
@@ -1092,7 +1130,7 @@ impl Service {
         }
         self.served[class] += comm + compute;
         self.clocks.set(ni, end);
-        self.nodes[ni].sched.push(Dispatch { job: g, start, end, comm, compute });
+        self.nodes[ni].sched.push(Dispatch { job: g, start, end, compute });
     }
 
     /// Commit dispatches finished by `vt`: exactly-once completion, cache
@@ -1117,14 +1155,15 @@ impl Service {
                 let jb = &self.jobs[g];
                 let items = self.costs.job_shape(jb.shape).items;
                 self.nodes[ni].busy_s += d.end - d.start;
-                agg.comm_time += d.comm;
+                agg.comm_time += comm_s(&self.net, jb.bytes);
                 agg.completed_jobs += 1;
                 agg.device_evals += items;
                 agg.t_end = agg.t_end.max(d.end);
                 agg.assignment[g] = ni;
-                self.cache.publish(jb.key, CachedResult { compute_s: d.compute, ready_vt: d.end });
-                agg.single_node_time += self.costs.cost(None, jb.shape, Run::Plan);
                 let state = &mut self.campaigns[jb.campaign as usize];
+                let key = state.key(jb);
+                self.cache.publish(key, CachedResult { compute_s: d.compute, ready_vt: d.end });
+                agg.single_node_time += self.costs.cost(None, jb.shape, Run::Plan);
                 state.stats.completed += 1;
                 state.stats.device_evals += items;
                 state.last_completion = state.last_completion.max(d.end);
@@ -1181,6 +1220,11 @@ impl Service {
         agg.node_leaves += 1;
         self.trace.emit(Event::NodeLeft { node: id as u32, vt, requeued: requeued as u32 });
     }
+}
+
+/// Time to move a job's `bytes` of payload out and its result back.
+fn comm_s(net: &NetModel, bytes: u64) -> f64 {
+    net.transfer_time(bytes) + net.transfer_time(RESULT_BYTES)
 }
 
 /// Per-drain aggregation scratchpad.
@@ -1243,6 +1287,15 @@ mod tests {
         let mut svc = service(n_nodes);
         svc.submit(Campaign::library(3264, 16, jobs(n_jobs), Strategy::HomogeneousSplit));
         svc.drain()
+    }
+
+    #[test]
+    fn job_and_dispatch_records_stay_slim() {
+        // A drained job is one `Job` in the table and, per dispatch, one
+        // `Dispatch` in a node's schedule.
+        let (job, dispatch) = (std::mem::size_of::<Job>(), std::mem::size_of::<Dispatch>());
+        assert!(job <= 64, "Job is {job} bytes");
+        assert!(dispatch <= 32, "Dispatch is {dispatch} bytes");
     }
 
     #[test]

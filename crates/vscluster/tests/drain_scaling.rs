@@ -44,9 +44,9 @@ fn pinned(c: Campaign) -> Campaign {
     }
 }
 
-/// Best of three drain times, in seconds, of `traffic` on `nodes` Hertz
-/// nodes scaled by `plan`, each campaign submitted through `map`.
-fn best_drain_s(
+/// One drain's time, in seconds, of `traffic` on `nodes` Hertz nodes
+/// scaled by `plan`, each campaign submitted through `map`.
+fn drain_s(
     nodes: usize,
     traffic: &TrafficConfig,
     plan: &ScalePlan,
@@ -55,27 +55,31 @@ fn best_drain_s(
     let t = traffic;
     let capacity =
         2 * (t.bulk_campaigns * t.bulk_jobs + t.bursts * t.burst_size * t.interactive_jobs);
-    (0..3)
-        .map(|_| {
-            let cluster = SimCluster::uniform(nodes, NetModel::infiniband(), platform::hertz);
-            let config = ServiceConfig {
-                queue_capacity: capacity,
-                cache_capacity: capacity,
-                ..ServiceConfig::default()
-            };
-            let mut svc = Service::new(cluster, config);
-            svc.scale(plan.clone());
-            for c in bursty_traffic(traffic, 2016) {
-                svc.submit(map(c));
-            }
-            let t0 = Instant::now();
-            let report = svc.drain();
-            let s = t0.elapsed().as_secs_f64();
-            assert_eq!(report.campaigns_rejected, 0);
-            assert_eq!(report.completed_jobs, report.total_jobs);
-            s
-        })
-        .fold(f64::INFINITY, f64::min)
+    let cluster = SimCluster::uniform(nodes, NetModel::infiniband(), platform::hertz);
+    let config =
+        ServiceConfig { queue_capacity: capacity, cache_capacity: capacity, ..Default::default() };
+    let mut svc = Service::new(cluster, config);
+    svc.scale(plan.clone());
+    for c in bursty_traffic(traffic, 2016) {
+        svc.submit(map(c));
+    }
+    let t0 = Instant::now();
+    let report = svc.drain();
+    let s = t0.elapsed().as_secs_f64();
+    assert_eq!(report.campaigns_rejected, 0);
+    assert_eq!(report.completed_jobs, report.total_jobs);
+    s
+}
+
+/// Best of five times of a `small` and a `large` drain. Each is drained
+/// once untimed first, so every timed drain reuses the heap an earlier
+/// drain left: a size's first drain would otherwise be the only one that
+/// faults in fresh pages for its tables. The timed drains alternate, so a
+/// slow spell of the host falls on both sizes.
+fn best_of_five(small: impl Fn() -> f64, large: impl Fn() -> f64) -> (f64, f64) {
+    small();
+    large();
+    (0..5).fold((f64::INFINITY, f64::INFINITY), |(s, l), _| (s.min(small()), l.min(large())))
 }
 
 /// The bursty mix with `sweeps` bulk sweeps of `jobs` jobs and `bursts`
@@ -99,10 +103,9 @@ fn assert_linear(what: &str, pin: bool) {
     let n = 25_000;
     let map = if pin { pinned } else { std::convert::identity };
     let drain = |bulk_jobs: usize| {
-        best_drain_s(NODES, &traffic(SWEEPS, bulk_jobs / SWEEPS, 25), &ScalePlan::new(), map)
+        drain_s(NODES, &traffic(SWEEPS, bulk_jobs / SWEEPS, 25), &ScalePlan::new(), map)
     };
-    let small = drain(n);
-    let large = drain(4 * n);
+    let (small, large) = best_of_five(|| drain(n), || drain(4 * n));
     let ratio = large / small;
     let bound = 4f64.powf(1.3);
     eprintln!(
@@ -132,9 +135,8 @@ fn drain_scales_with_the_fleet() {
     // `campaign_burst`: 30 sweeps of 600 jobs, 60 bursts, a join and a
     // leave.
     let plan = ScalePlan::new().join_at(0.05, platform::hertz()).leave_at(0.18, 1);
-    let drain = |nodes| best_drain_s(nodes, &traffic(30, 600, 60), &plan, std::convert::identity);
-    let small = drain(32);
-    let large = drain(512);
+    let drain = |nodes| drain_s(nodes, &traffic(30, 600, 60), &plan, std::convert::identity);
+    let (small, large) = best_of_five(|| drain(32), || drain(512));
     let ratio = large / small;
     eprintln!("fleet drain: {small:.4} s on 32 nodes, {large:.4} s on 512: ratio {ratio:.2}");
     assert!(ratio <= 2.0, "drain time grew {ratio:.2}x for 16x the nodes (bound 2)");

@@ -128,7 +128,10 @@ cargo test --release -q -p vsscore --lib -- --ignored table5_
 echo "==> slab memory guard (release mode, a test binary of its own: a cold 16-spot reach build on 2BXG at the default 0.75 A grows resident memory by at most 75% of its slab bytes and takes at most 0.8 minor faults per slab page; skipped off Linux and under transparent huge pages [always])"
 cargo test --release -q -p vsscore --test slab_memory -- --ignored
 
-echo "==> drain scaling guards (release mode, one test at a time, best of 3 each; the filter matches all three tests: Service::drain over bursty_traffic at 25,000 and 100,000 bulk jobs, unpinned and with every bulk sweep a static faulty screen, must stay under 4^1.3 times, where a drain that moves its backlog on every dispatch takes about 4^2.3; and campaign_burst's traffic on 512 nodes must stay under 2 times its drain on 32, where a drain that scans every node clock per dispatch takes about 3)"
+echo "==> drain memory guard (release mode, a test binary of its own: submitting and draining campaign_burst's traffic on 32 Hertz nodes, with its join and leave, takes at most 64 minor faults per 1000 jobs and grows resident memory by at most 255 bytes a job; skipped off Linux and under transparent huge pages [always])"
+cargo test --release -q -p vscluster --test drain_memory -- --ignored
+
+echo "==> drain scaling guards (release mode, one test at a time, each size drained once untimed, then the two sizes timed in alternation, best of 5 each; the filter matches all three tests: Service::drain over bursty_traffic at 25,000 and 100,000 bulk jobs, unpinned and with every bulk sweep a static faulty screen, must stay under 4^1.3 times, where a drain that moves its backlog on every dispatch takes about 4^2.3; and campaign_burst's traffic on 512 nodes must stay under 2 times its drain on 32, where a drain that scans every node clock per dispatch takes about 3)"
 cargo test --release -q -p vscluster --test drain_scaling -- --ignored --test-threads=1 drain_scales
 
 echo "==> split scoring on dock_grid's configuration (release mode: 2BXG, grid kernel, learned oracle, ring at depth 4, 16 spots, M4 at 0.1; VirtualScreen::run, whose engine scores each spot's batch in its host job, against the same evaluator scoring whole batches: best bits, evaluations, virtual time, batch trace and trace payloads equal)"
