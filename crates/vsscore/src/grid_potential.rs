@@ -46,8 +46,10 @@
 //!   stores back the cell it loaded, and every lane operation is correctly
 //!   rounded, so a slab holds the same bits whichever lanes the host has.
 //!   [`GridBuildStats::terms`] counts the kept lanes.
-//! - [`GridScorer`] scores a pose 8 ligand atoms per step, in one body
-//!   compiled under the widest lanes the host has. Four atoms per step
+//! - [`GridScorer`] scores a whole batch of poses 8 ligand atoms per step,
+//!   in one body compiled under the widest lanes the host has (picked once
+//!   per batch), from 8-atom chunks of the ligand laid out when the scorer
+//!   is built. Four atoms per step
 //!   through the same lane types, it places the atoms — the pose applied
 //!   to the ligand's coordinate columns with [`RigidTransform::apply`]'s
 //!   operations in its order — and finds their lattice cells and fractions
@@ -66,12 +68,13 @@ use crate::hbond::{hbond_at, hbond_pair, is_hbond_capable_idx};
 use crate::lanes::{widest, F32x8, Lane, Wide, WideFn, LANES};
 use crate::lj::{clamped, lj_at, Frame, PairTable};
 use crate::pool::{host_threads, shared_pool};
+use crate::scorer::ScoreBatch;
 use std::collections::BTreeMap;
 use std::ops::Range;
 // DETERMINISM: raw std mutex — the grid cache is process-global memoization that outlives any vscheck exploration, like `shared_pool`'s registry.
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use vsmath::{fnv1a, Aabb, RigidTransform, SpatialGrid, Vec3};
-use vsmol::{Element, LjTable, Molecule, Spot};
+use vsmol::{Conformation, Element, LjTable, Molecule, Spot};
 
 /// Grid build options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1221,7 +1224,7 @@ impl GridField {
         self.slabs().count() as u32
     }
 
-    /// The LJ slabs' nodes by slab index, for one pose's chunks: a lane's
+    /// The LJ slabs' nodes by slab index, for one batch's chunks: a lane's
     /// slice is then one load away, where a [`Slab`] reaches its nodes
     /// through two (its `Arc`, then its `Box`), a second load per atom that
     /// showed in `dock_grid`'s host time.
@@ -1234,17 +1237,28 @@ impl GridField {
     }
 }
 
-/// Per-chunk interpolation inputs for up to 8 ligand atoms: base node
-/// index, the atom's LJ slab, fractional weights, charge, and a 0/1 lane
-/// mask (trailing lanes of a short final chunk score 0).
-struct Chunk<'a> {
+/// One 8-atom chunk of the centred ligand, as every pose reads it, built
+/// once with the scorer: the atoms' coordinates in the ligand's frame, x
+/// then y then z, and per lane the index of its LJ slab in
+/// [`GridField::lj`], its charge and its mask. The lanes past the last atom
+/// hold NaN coordinates, slab 0, charge 0 and mask 0: any pose places them
+/// at NaN, which the lattice clamp sends to node 0 (a ligand has at least
+/// one atom, so slab 0 exists), and `0 · 0` adds nothing there.
+#[derive(Debug, Clone, Copy)]
+struct LigandChunk {
+    at: [[f64; 8]; 3],
+    slab: [u8; 8],
+    q: [f32; 8],
+    mask: [f32; 8],
+}
+
+/// One chunk's lattice cells under one pose: each lane's base node and its
+/// fractional weights along x, y and z.
+struct Cells {
     base: [usize; 8],
-    lj: [&'a [f32]; 8],
     fx: [f32; 8],
     fy: [f32; 8],
     fz: [f32; 8],
-    q: [f32; 8],
-    mask: [f32; 8],
 }
 
 /// Wide trilinear interpolation: the 8 corners of each lane's cell,
@@ -1328,17 +1342,85 @@ impl<W: Wide> LanePose<W> {
     }
 }
 
-/// One pose's interpolation, for [`widest`] to pick the lanes of.
-struct Interpolation<'a> {
-    scorer: &'a GridScorer,
-    pose: &'a RigidTransform,
+/// The lattice as the cell setup reads it, broadcast to every lane once
+/// per batch: per axis the origin, the clamp's upper end `dims − 1.000001`
+/// and the node count, then the pitch.
+#[derive(Clone, Copy)]
+struct LaneLattice<W> {
+    origin: [W; 3],
+    hi: [W; 3],
+    dims: [W; 3],
+    spacing: W,
 }
 
-impl WideFn for Interpolation<'_> {
-    type Output = f64;
+impl<W: Wide> LaneLattice<W> {
     #[inline(always)]
-    fn call<W: Wide>(self) -> f64 {
-        self.scorer.interpolate::<W>(self.pose)
+    fn new(g: &Geometry) -> LaneLattice<W> {
+        let o = g.origin;
+        let [nx, ny, nz] = [g.dims[0] as f64, g.dims[1] as f64, g.dims[2] as f64];
+        LaneLattice {
+            origin: [W::splat(o.x), W::splat(o.y), W::splat(o.z)],
+            hi: [W::splat(nx - 1.000001), W::splat(ny - 1.000001), W::splat(nz - 1.000001)],
+            dims: [W::splat(nx), W::splat(ny), W::splat(nz)],
+            spacing: W::splat(g.spacing),
+        }
+    }
+
+    /// The cells of `chunk`'s atoms placed by `pose`: [`LANES`] atoms per
+    /// step, each placed, then its lattice cell and fractions found. Per
+    /// axis, `g = (p − origin) / spacing` is clamped into `[0, dims −
+    /// 1.000001]` — a position outside the grid to its boundary (far from
+    /// the receptor the potential is ~0 anyway, given the build cutoff), a
+    /// NaN to 0 — then `cell = trunc(g)` and `frac = (g − cell) as f32`.
+    /// The clamp is `f64::max(g, 0.0)` then `f64::min(g, hi)` as
+    /// compare-selects, which agree with them on NaN, ±∞ and `−0.0` (to
+    /// `+0.0`); the division is the one the scalar setup made, not a
+    /// product with a reciprocal, which would round differently.
+    ///
+    /// The base node `(z · dims[1] + y) · dims[0] + x` is summed in the
+    /// lanes too and converted once per atom: every term is an integer no
+    /// larger than the node count, which is below 2⁵³ for any lattice whose
+    /// slabs fit in memory, so the `f64` sums are exact. Three saturating
+    /// `f64 → usize` conversions per atom cost more than the rest of the
+    /// setup; the one left goes through `i64`, which x86-64 converts to in
+    /// one instruction where `u64` takes two and a branch.
+    #[inline(always)]
+    fn cells(&self, pose: &LanePose<W>, chunk: &LigandChunk) -> Cells {
+        let zero = W::splat(0.0);
+        let (mut base, mut fracs) = ([zero; 2], [[0f32; 8]; 3]);
+        for (step, base) in base.iter_mut().enumerate() {
+            let at = |col: &[f64; 8]| W::from_array(col.as_chunks::<LANES>().0[step]);
+            let p = pose.apply([at(&chunk.at[0]), at(&chunk.at[1]), at(&chunk.at[2])]);
+            for axis in (0..3).rev() {
+                let v = (p[axis] - self.origin[axis]) / self.spacing;
+                let v = zero.select_lt(v, v, zero);
+                let v = v.select_lt(self.hi[axis], v, self.hi[axis]);
+                let cell = v.trunc();
+                *base = *base * self.dims[axis] + cell;
+                fracs[axis].as_chunks_mut::<LANES>().0[step] = (v - cell).to_f32_array();
+            }
+        }
+        let [fx, fy, fz] = fracs;
+        let mut cells = Cells { base: [0; 8], fx, fy, fz };
+        for (lanes, base) in cells.base.as_chunks_mut::<LANES>().0.iter_mut().zip(base) {
+            *lanes = base.to_array().map(|b| b as i64 as usize);
+        }
+        cells
+    }
+}
+
+/// A batch's interpolation, for [`widest`] to pick the lanes of once: each
+/// pose with the place its score goes.
+struct Interpolation<'a, I> {
+    scorer: &'a GridScorer,
+    batch: I,
+}
+
+impl<'p, I: Iterator<Item = (&'p RigidTransform, &'p mut f64)>> WideFn for Interpolation<'_, I> {
+    type Output = ();
+    #[inline(always)]
+    fn call<W: Wide>(self) {
+        self.scorer.interpolate::<W>(self.batch)
     }
 }
 
@@ -1347,14 +1429,9 @@ impl WideFn for Interpolation<'_> {
 #[derive(Debug, Clone)]
 pub struct GridScorer {
     field: GridField,
-    /// The centred ligand's x, y and z columns, padded with NaN to whole
-    /// 8-atom chunks, so that a chunk loads its lanes directly. A padding
-    /// lane is placed at NaN by any pose, which the lattice clamp sends to
-    /// node 0.
-    lig: [Vec<f64>; 3],
-    /// Index into `field.lj` per ligand atom.
-    lig_slab: Vec<usize>,
-    lig_charge: Vec<f32>,
+    /// The centred ligand in 8-atom chunks, the last one padded.
+    chunks: Vec<LigandChunk>,
+    atoms: usize,
     stats: GridBuildStats,
 }
 
@@ -1433,18 +1510,19 @@ impl GridScorer {
             terms,
             cached: built == 0,
         };
-        let chunks = lig.len().next_multiple_of(F32x8::LANES);
-        let column = |axis: usize| -> Vec<f64> {
-            let coords = lig.positions().iter().map(|p| p[axis]);
-            coords.chain(std::iter::repeat(f64::NAN)).take(chunks).collect()
-        };
-        GridScorer {
-            field,
-            lig: [column(0), column(1), column(2)],
-            lig_slab: lig.elements().iter().map(|e| slot[e.index()]).collect(),
-            lig_charge: lig.charges().iter().map(|&q| q as f32).collect(),
-            stats,
+        let padding =
+            LigandChunk { at: [[f64::NAN; 8]; 3], slab: [0; 8], q: [0.0; 8], mask: [0.0; 8] };
+        let mut chunks = vec![padding; lig.len().div_ceil(F32x8::LANES)];
+        let atoms = lig.positions().iter().zip(lig.elements()).zip(lig.charges());
+        for (i, ((p, e), q)) in atoms.enumerate() {
+            let (chunk, l) = (&mut chunks[i / F32x8::LANES], i % F32x8::LANES);
+            [chunk.at[0][l], chunk.at[1][l], chunk.at[2][l]] = [p.x, p.y, p.z];
+            // Below `Element::COUNT`, which fits a `u8`.
+            chunk.slab[l] = slot[e.index()] as u8;
+            chunk.q[l] = q as f32;
+            chunk.mask[l] = 1.0;
         }
+        GridScorer { field, chunks, atoms: lig.len(), stats }
     }
 
     /// [`GridScorer::new`] plus a [`vstrace::Event::GridBuilt`] record of
@@ -1484,7 +1562,7 @@ impl GridScorer {
     }
 
     pub fn ligand_atoms(&self) -> usize {
-        self.lig_slab.len()
+        self.atoms
     }
 
     /// Memory allocated for this scorer's slabs in bytes
@@ -1505,136 +1583,92 @@ impl GridScorer {
             && self.field.slabs().zip(other.field.slabs()).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
-    /// Chunk `a0`'s atoms without their lattice cells: each atom's LJ slab
-    /// from `lj` ([`GridField::lj_nodes`]), charge and mask 1.0. The lanes
-    /// past the last atom keep mask 0.0 and node 0 of the first slab, which
-    /// exists: a ligand has at least one atom.
+    /// The score of every pose of `batch`, written where the batch keeps
+    /// it: 8 atoms per step, placed and their cells set up over `W`, their
+    /// corners blended through [`F32x8`]. What no pose changes — the slabs,
+    /// the strides and the lattice's broadcasts — is set up once per batch.
     #[inline(always)]
-    fn chunk_atoms<'a>(&self, lj: &[&'a [f32]; Element::COUNT], a0: usize) -> Chunk<'a> {
-        let mut c = Chunk {
-            base: [0; 8],
-            lj: [lj[0]; 8],
-            fx: [0.0; 8],
-            fy: [0.0; 8],
-            fz: [0.0; 8],
-            q: [0.0; 8],
-            mask: [0.0; 8],
-        };
-        for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
-            c.mask[l] = 1.0;
-            c.lj[l] = lj[self.lig_slab[a0 + l]];
-            c.q[l] = self.lig_charge[a0 + l];
-        }
-        c
-    }
-
-    /// Fill the interpolation inputs of chunk `a0`, whose atoms sit at
-    /// `local` in the ligand's frame: [`LANES`] atoms per step over `W`,
-    /// each placed by `pose`, then its lattice cell and fractions found.
-    /// Per axis, `g = (p − origin) / spacing` is clamped into `[0, dims −
-    /// 1.000001]` — a position outside the grid to its boundary (far from
-    /// the receptor the potential is ~0 anyway, given the build cutoff), a
-    /// NaN to 0 — then `cell = trunc(g)` and `frac = (g − cell) as f32`.
-    /// The clamp is `f64::max(g, 0.0)` then `f64::min(g, hi)` as
-    /// compare-selects, which agree with them on NaN, ±∞ and `−0.0` (to
-    /// `+0.0`); the division is the one the scalar setup made, not a
-    /// product with a reciprocal, which would round differently. Lanes past
-    /// the last atom are placed at NaN (the padding of the columns), so
-    /// they sit at the origin: cell 0, fraction 0.
-    ///
-    /// The base node `(z · dims[1] + y) · dims[0] + x` is summed in the
-    /// lanes too and converted once per atom: every term is an integer no
-    /// larger than the node count, which is below 2⁵³ for any lattice whose
-    /// slabs fit in memory, so the `f64` sums are exact. Three saturating
-    /// `f64 → usize` conversions per atom cost more than the rest of the
-    /// setup; the one left goes through `i64`, which x86-64 converts to in
-    /// one instruction where `u64` takes two and a branch.
-    #[inline(always)]
-    fn prep_chunk<'a, W: Wide>(
+    fn interpolate<'p, W: Wide>(
         &self,
-        pose: &LanePose<W>,
-        lj: &[&'a [f32]; Element::COUNT],
-        local: [&[f64; 8]; 3],
-        a0: usize,
-    ) -> Chunk<'a> {
-        let g = &self.field.geom;
-        let mut c = self.chunk_atoms(lj, a0);
-        let (mut base, mut fracs) = ([W::splat(0.0); 2], [[0f32; 8]; 3]);
-        for (step, base) in base.iter_mut().enumerate() {
-            let at = |col: &[f64; 8]| W::from_array(col.as_chunks::<LANES>().0[step]);
-            let p = pose.apply([at(local[0]), at(local[1]), at(local[2])]);
-            for axis in (0..3).rev() {
-                let (origin, spacing) = (W::splat(g.origin[axis]), W::splat(g.spacing));
-                let (zero, hi) = (W::splat(0.0), W::splat(g.dims[axis] as f64 - 1.000001));
-                let v = (p[axis] - origin) / spacing;
-                let v = zero.select_lt(v, v, zero);
-                let v = v.select_lt(hi, v, hi);
-                let cell = v.trunc();
-                *base = *base * W::splat(g.dims[axis] as f64) + cell;
-                fracs[axis].as_chunks_mut::<LANES>().0[step] = (v - cell).to_f32_array();
-            }
-        }
-        [c.fx, c.fy, c.fz] = fracs;
-        for (lanes, base) in c.base.as_chunks_mut::<LANES>().0.iter_mut().zip(base) {
-            *lanes = base.to_array().map(|b| b as i64 as usize);
-        }
-        c
-    }
-
-    /// The score of `pose`: 8 atoms per step, placed and their cells set up
-    /// over `W`, their corners blended through [`F32x8`].
-    #[inline(always)]
-    fn interpolate<W: Wide>(&self, pose: &RigidTransform) -> f64 {
+        batch: impl Iterator<Item = (&'p RigidTransform, &'p mut f64)>,
+    ) {
         let f = &self.field;
         debug_assert!(f.nodes() < 1 << 53, "node indices must be exact in f64");
         let strides = f.geom.strides();
-        let pose = LanePose::<W>::new(pose);
+        let lattice = LaneLattice::<W>::new(&f.geom);
         let one = F32x8::splat(1.0);
         let (lj, elec) = (f.lj_nodes(), f.elec.as_ref().map(|slab| &slab[..]));
-        let mut total = 0.0f64;
-        let [x, y, z] = &self.lig;
-        let chunks = x.as_chunks().0.iter().zip(y.as_chunks().0).zip(z.as_chunks().0);
-        for (k, ((x, y), z)) in chunks.enumerate() {
-            let c = self.prep_chunk(&pose, &lj, [x, y, z], k * F32x8::LANES);
-            debug_assert!(self.reads_built(&c), "a pose read lattice nodes its slabs do not hold");
-            let (fx, fy, fz) =
-                (F32x8::from_array(c.fx), F32x8::from_array(c.fy), F32x8::from_array(c.fz));
-            let (wx0, wy0, wz0) = (one - fx, one - fy, one - fz);
-            let w = [
-                (wx0 * wy0) * wz0,
-                (fx * wy0) * wz0,
-                (wx0 * fy) * wz0,
-                (fx * fy) * wz0,
-                (wx0 * wy0) * fz,
-                (fx * wy0) * fz,
-                (wx0 * fy) * fz,
-                (fx * fy) * fz,
-            ];
-            let mut contrib = trilerp_wide(|l| c.lj[l], &c.base, strides, &w);
-            if let Some(elec) = elec {
-                let e = trilerp_wide(|_| elec, &c.base, strides, &w);
-                contrib = contrib + F32x8::from_array(c.q) * e;
+        for (pose, score) in batch {
+            let pose = LanePose::<W>::new(pose);
+            let mut total = 0.0f64;
+            for chunk in &self.chunks {
+                let c = lattice.cells(&pose, chunk);
+                debug_assert!(
+                    self.reads_built(chunk, &c),
+                    "a pose read lattice nodes its slabs do not hold"
+                );
+                let (fx, fy, fz) =
+                    (F32x8::from_array(c.fx), F32x8::from_array(c.fy), F32x8::from_array(c.fz));
+                let (wx0, wy0, wz0) = (one - fx, one - fy, one - fz);
+                let w = [
+                    (wx0 * wy0) * wz0,
+                    (fx * wy0) * wz0,
+                    (wx0 * fy) * wz0,
+                    (fx * fy) * wz0,
+                    (wx0 * wy0) * fz,
+                    (fx * wy0) * fz,
+                    (wx0 * fy) * fz,
+                    (fx * fy) * fz,
+                ];
+                let mut contrib =
+                    trilerp_wide(|l| lj[usize::from(chunk.slab[l])], &c.base, strides, &w);
+                if let Some(elec) = elec {
+                    let e = trilerp_wide(|_| elec, &c.base, strides, &w);
+                    contrib = contrib + F32x8::from_array(chunk.q) * e;
+                }
+                total += (contrib * F32x8::from_array(chunk.mask)).horizontal_sum() as f64;
             }
-            total += (contrib * F32x8::from_array(c.mask)).horizontal_sum() as f64;
+            *score = total;
         }
-        total
     }
 
-    /// Whether every corner a lane of `c` under mask 1 reads is a node the
-    /// slabs hold. A lane under mask 0 reads node 0's cell, which may be
-    /// unbuilt: it holds `+0.0`, and `0 · 0` adds nothing.
-    fn reads_built(&self, c: &Chunk<'_>) -> bool {
+    /// Whether every corner a lane of `chunk` under mask 1 reads at `c` is
+    /// a node the slabs hold. A lane under mask 0 reads node 0's cell,
+    /// which may be unbuilt: it holds `+0.0`, and `0 · 0` adds nothing.
+    fn reads_built(&self, chunk: &LigandChunk, c: &Cells) -> bool {
         let Cover::Part(region) = &self.field.cover else { return true };
         let g = &self.field.geom;
         let [oy, oz] = g.strides().map(|s| s as usize);
         let offsets = [0, 1, oy, 1 + oy, oz, 1 + oz, oy + oz, 1 + oy + oz];
-        let live = (0..F32x8::LANES).filter(|&l| c.mask[l] != 0.0);
+        let live = (0..F32x8::LANES).filter(|&l| chunk.mask[l] != 0.0);
         live.flat_map(|l| offsets.map(|o| c.base[l] + o)).all(|node| region.contains(g, node))
     }
 
-    /// Score a pose by interpolation: `O(ligand_atoms)`.
+    /// Score every pose of `input` by interpolation, `O(ligand_atoms)`
+    /// each: the one entry of the grid kernel, which picks the lanes
+    /// ([`widest`]) once for the whole batch.
+    pub(crate) fn score_batch(&self, input: ScoreBatch<'_>) {
+        input.assert_valid();
+        match input {
+            ScoreBatch::Poses { poses, out } => {
+                widest(Interpolation { scorer: self, batch: poses.iter().zip(out) })
+            }
+            ScoreBatch::Confs(confs) => {
+                let batch = confs.iter_mut().map(|c| {
+                    let Conformation { pose, score, .. } = c;
+                    (&*pose, score)
+                });
+                widest(Interpolation { scorer: self, batch })
+            }
+        }
+    }
+
+    /// Score a pose by interpolation: `O(ligand_atoms)`, a batch of one.
     pub fn score(&self, pose: &RigidTransform) -> f64 {
-        widest(Interpolation { scorer: self, pose })
+        let mut score = 0.0;
+        let out = std::slice::from_mut(&mut score);
+        self.score_batch(ScoreBatch::Poses { poses: std::slice::from_ref(pose), out });
+        score
     }
 }
 
@@ -1680,7 +1714,7 @@ pub fn exact_cutoff_score(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::F64x4;
+    use crate::lanes::every_path;
     use crate::lj::{lj_pair, MIN_DIST_SQ};
     use vsmath::{Quat, RngStream};
     use vsmol::synth;
@@ -1864,7 +1898,7 @@ mod tests {
 
     /// The frame the other kernels score, written by `apply_all_soa`, holds
     /// the numbers the grid's lanes place the same atoms at, to the bit (NaN
-    /// as one): on the portable lanes and on the detected ones, for every
+    /// as one): on the portable lanes and on every entry the host has, for every
     /// pose of [`odd_poses`] and 200 seeded ones, over atoms at zero, `−0.0`,
     /// NaN, ±∞, 1e300 and random places.
     #[test]
@@ -1889,8 +1923,9 @@ mod tests {
                 let frame =
                     [&x, &y, &z].map(|c| [0, 1, 2, 3].map(|l| nan_as_one(c[step * LANES + l])));
                 let placement = || Placement { pose: *pose, local };
-                assert_eq!(placement().call::<F64x4>(), frame, "pose {k} {pose:?}, portable lanes");
-                assert_eq!(widest(placement()), frame, "pose {k} {pose:?}, detected lanes");
+                for (path, placed) in every_path(placement) {
+                    assert_eq!(placed, frame, "pose {k} {pose:?}, {path} lanes");
+                }
             }
         }
     }
@@ -1899,7 +1934,8 @@ mod tests {
     fn batch_matches_singles() {
         let (_, _, grid) = setup(1.0);
         let poses = surface_poses(6, 11);
-        let batch = grid.score_batch(&poses);
+        let mut batch = vec![0.0; poses.len()];
+        grid.score_batch(ScoreBatch::Poses { poses: &poses, out: &mut batch });
         for (p, &b) in poses.iter().zip(&batch) {
             assert_eq!(grid.score(p), b);
         }
@@ -2001,7 +2037,8 @@ mod tests {
     impl GridScorer {
         /// Ligand atom `i` in the ligand's own frame.
         fn local(&self, i: usize) -> Vec3 {
-            Vec3::new(self.lig[0][i], self.lig[1][i], self.lig[2][i])
+            let (chunk, l) = (&self.chunks[i / F32x8::LANES], i % F32x8::LANES);
+            Vec3::new(chunk.at[0][l], chunk.at[1][l], chunk.at[2][l])
         }
 
         /// This scorer with its ligand's atoms moved to `at`, one place per
@@ -2009,16 +2046,20 @@ mod tests {
         fn with_local(&self, at: &[Vec3]) -> GridScorer {
             assert_eq!(at.len(), self.ligand_atoms());
             let mut moved = self.clone();
-            for (axis, col) in moved.lig.iter_mut().enumerate() {
-                col.iter_mut().zip(at).for_each(|(c, p)| *c = p[axis]);
+            for (i, p) in at.iter().enumerate() {
+                let (chunk, l) = (&mut moved.chunks[i / F32x8::LANES], i % F32x8::LANES);
+                [chunk.at[0][l], chunk.at[1][l], chunk.at[2][l]] = [p.x, p.y, p.z];
             }
             moved
         }
 
-        fn prep_chunk_scalar(&self, pose: &RigidTransform, a0: usize) -> Chunk<'_> {
+        /// The cells of chunk `k`'s atoms placed by `pose`, one atom at a
+        /// time; the lanes past the last atom keep cell 0, fraction 0.
+        fn cells_scalar(&self, pose: &RigidTransform, k: usize) -> Cells {
             let g = &self.field.geom;
             let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
-            let mut c = self.chunk_atoms(&self.field.lj_nodes(), a0);
+            let mut c = Cells { base: [0; 8], fx: [0.0; 8], fy: [0.0; 8], fz: [0.0; 8] };
+            let a0 = k * F32x8::LANES;
             for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
                 let p = (pose.apply(self.local(a0 + l)) - g.origin) / g.spacing;
                 let gx = clampf(p.x, g.dims[0]);
@@ -2037,9 +2078,10 @@ mod tests {
         fn score_scalar(&self, pose: &RigidTransform) -> f64 {
             let f = &self.field;
             let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
+            let lj = f.lj_nodes();
             let mut total = 0.0f64;
-            for a0 in (0..self.ligand_atoms()).step_by(F32x8::LANES) {
-                let c = self.prep_chunk_scalar(pose, a0);
+            for (k, chunk) in self.chunks.iter().enumerate() {
+                let c = self.cells_scalar(pose, k);
                 let mut lanes = [0f32; 8];
                 for (l, lane) in lanes.iter_mut().enumerate() {
                     let (fx, fy, fz) = (c.fx[l], c.fy[l], c.fz[l]);
@@ -2054,19 +2096,33 @@ mod tests {
                         (wx0 * fy) * fz,
                         (fx * fy) * fz,
                     ];
-                    let mut contrib = trilerp_lane(c.lj[l], c.base[l], ox, oy, oz, &w);
+                    let slab = lj[usize::from(chunk.slab[l])];
+                    let mut contrib = trilerp_lane(slab, c.base[l], ox, oy, oz, &w);
                     if let Some(elec) = &f.elec {
-                        contrib += c.q[l] * trilerp_lane(elec, c.base[l], ox, oy, oz, &w);
+                        contrib += chunk.q[l] * trilerp_lane(elec, c.base[l], ox, oy, oz, &w);
                     }
-                    *lane = contrib * c.mask[l];
+                    *lane = contrib * chunk.mask[l];
                 }
                 total += F32x8::from_array(lanes).horizontal_sum() as f64;
             }
             total
         }
+    }
 
-        fn score_batch(&self, poses: &[RigidTransform]) -> Vec<f64> {
-            poses.iter().map(|p| self.score(p)).collect()
+    /// A batch of one pose through [`GridScorer::interpolate`] over the
+    /// lanes `W`.
+    struct OnePose<'a> {
+        grid: &'a GridScorer,
+        pose: &'a RigidTransform,
+    }
+
+    impl WideFn for OnePose<'_> {
+        type Output = f64;
+        #[inline(always)]
+        fn call<W: Wide>(self) -> f64 {
+            let mut score = f64::NAN;
+            self.grid.interpolate::<W>(std::iter::once((self.pose, &mut score)));
+            score
         }
     }
 
@@ -2084,13 +2140,15 @@ mod tests {
         v
     }
 
-    /// A pose's score on the reference, on the portable lanes instantiated
-    /// here (so that they run on every host) and on whatever lanes this
-    /// host has: the same bits on all three. Returns it.
+    /// A pose's score on the reference, on every lane path of the host
+    /// (`lanes::every_path`: the portable lanes, so that they run on every
+    /// host, and each x86-64 entry the CPU has) and through
+    /// [`GridScorer::score`]: the same bits on all. Returns it.
     fn assert_pose_paths_agree(grid: &GridScorer, pose: &RigidTransform, what: &str) -> f64 {
         let want = grid.score_scalar(pose);
-        let portable = Interpolation { scorer: grid, pose }.call::<F64x4>();
-        for (path, got) in [("portable", portable), ("detected", grid.score(pose))] {
+        let mut seen = every_path(|| OnePose { grid, pose });
+        seen.push(("GridScorer::score", grid.score(pose)));
+        for (path, got) in seen {
             assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} lanes: {got} != {want}");
         }
         want
@@ -2303,12 +2361,91 @@ mod tests {
         }
     }
 
+    /// The `Kernel::Grid` scorer options whose grid options are `opts`.
+    fn scorer_options(opts: GridOptions) -> crate::scorer::ScorerOptions {
+        use crate::scorer::{Kernel, ScorerOptions, ScoringModel};
+        let model = match (opts.dielectric, opts.hbond_epsilon) {
+            (None, _) => ScoringModel::LennardJones,
+            (Some(dielectric), None) => ScoringModel::LennardJonesCoulomb { dielectric },
+            (Some(dielectric), Some(hbond_epsilon)) => {
+                ScoringModel::Full { dielectric, hbond_epsilon }
+            }
+        };
+        ScorerOptions { model, kernel: Kernel::Grid { spacing: opts.spacing } }
+    }
+
+    /// `scorer`'s batch entry gives every pose of `poses` the bits of its
+    /// grid's `GridScorer::score` and of the scalar reference, through
+    /// both `ScoreBatch` shapes, serially and on two threads.
+    fn assert_batches_score_like_the_reference(
+        scorer: &crate::scorer::Scorer,
+        poses: &[RigidTransform],
+        what: &str,
+    ) {
+        use crate::scorer::{Exec, PoseScratch};
+        let grid = scorer.grid().expect("a grid scorer");
+        let want: Vec<u64> = poses
+            .iter()
+            .enumerate()
+            .map(|(k, pose)| {
+                let (single, reference) = (grid.score(pose), grid.score_scalar(pose));
+                let what = format!("{what}, pose {k}: {pose:?}");
+                assert_eq!(single.to_bits(), reference.to_bits(), "{what}: score vs reference");
+                reference.to_bits()
+            })
+            .collect();
+        for exec in [Exec::Serial, Exec::Pool(2)] {
+            let mut out = vec![f64::NAN; poses.len()];
+            let batch = ScoreBatch::Poses { poses, out: &mut out };
+            scorer.score_batch(batch, &mut PoseScratch::new(), exec);
+            let mut confs: Vec<Conformation> =
+                poses.iter().map(|&p| Conformation::new(p, 0)).collect();
+            scorer.score_batch(ScoreBatch::Confs(&mut confs), &mut PoseScratch::new(), exec);
+            let confs = confs.iter().map(|c| c.score);
+            for (k, ((got, conf), want)) in out.iter().zip(confs).zip(&want).enumerate() {
+                assert_eq!(got.to_bits(), *want, "{what}, pose {k}, {exec:?}: poses");
+                assert_eq!(conf.to_bits(), *want, "{what}, pose {k}, {exec:?}: conformations");
+            }
+        }
+    }
+
+    /// The batch entry is the per-pose path: on ligands whose last chunk
+    /// is one atom, nearly full, full or one atom past a full one, over a
+    /// whole lattice (every pose of `odd_poses` too: non-finite and
+    /// unnormalised ones) and over a spots' reach (their rim poses), under
+    /// the three models.
+    #[test]
+    fn the_batch_entry_scores_each_pose_as_the_reference_does() {
+        use crate::scorer::Scorer;
+        let whole_rec = synth::synth_receptor("r", 150, 15);
+        let base = GridOptions { spacing: 0.9, ..Default::default() };
+        for atoms in [1, 7, 8, 9, 31, 32, 33] {
+            let lig = synth::synth_ligand("l", atoms, 0xBA + atoms as u64);
+            // A receptor of its own per ligand, so that each model's first
+            // request of it is cold and builds only the spots' reach.
+            let reach_rec = synth::synth_receptor("batch-entry", 150, 0xBA7C + atoms as u64);
+            let spots = spots_on(&reach_rec, 3);
+            for (opts, _) in model_variants(base, &[]) {
+                let what = format!("{atoms} atoms, {opts:?}");
+                let whole = Scorer::new(&whole_rec, &lig, scorer_options(opts));
+                let mut poses = odd_poses();
+                poses.extend(surface_poses(24, atoms as u64));
+                poses.push(RigidTransform::from_translation(Vec3::new(-300.0, 12.0, 0.5)));
+                assert_batches_score_like_the_reference(&whole, &poses, &format!("whole, {what}"));
+                let reach = Scorer::for_spots(&reach_rec, &lig, scorer_options(opts), &spots);
+                let grid = reach.grid().expect("a grid scorer");
+                assert!(matches!(grid.field.cover, Cover::Part(_)), "{what}: no reach was built");
+                let poses = rim_poses(&lig, &spots, 2);
+                assert!(poses.iter().all(|p| grid.reads_only_built(p)), "{what}: off the reach");
+                assert_batches_score_like_the_reference(&reach, &poses, &format!("reach, {what}"));
+            }
+        }
+    }
+
     #[test]
     #[ignore = "run in release mode: scores both Table 5 complexes under three models on three lane paths and through Scorer::score_batch"]
     fn table5_receptors_interpolate_the_same_bits_on_every_lane_path() {
-        use crate::scorer::{
-            Exec, Kernel, PoseScratch, ScoreBatch, Scorer, ScorerOptions, ScoringModel,
-        };
+        use crate::scorer::{Exec, PoseScratch, Scorer};
         let base = GridOptions::default();
         for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
             let (rec, lig) = (dataset.receptor(), dataset.ligand());
@@ -2334,15 +2471,7 @@ mod tests {
                     .map(|(k, pose)| assert_pose_paths_agree(&grid, pose, &what(k)).to_bits())
                     .collect();
                 // And the production entry: a `Kernel::Grid` scorer's batches.
-                let model = match (opts.dielectric, opts.hbond_epsilon) {
-                    (None, _) => ScoringModel::LennardJones,
-                    (Some(dielectric), None) => ScoringModel::LennardJonesCoulomb { dielectric },
-                    (Some(dielectric), Some(hbond_epsilon)) => {
-                        ScoringModel::Full { dielectric, hbond_epsilon }
-                    }
-                };
-                let kernel = Kernel::Grid { spacing: opts.spacing };
-                let scorer = Scorer::new(&rec, &lig, ScorerOptions { model, kernel });
+                let scorer = Scorer::new(&rec, &lig, scorer_options(opts));
                 for exec in [Exec::Serial, Exec::Pool(2)] {
                     let mut out = vec![0.0; poses.len()];
                     let batch = ScoreBatch::Poses { poses: &poses, out: &mut out };
@@ -2638,9 +2767,6 @@ mod tests {
 
     // -- lane paths ----------------------------------------------------------
 
-    /// One way of adding a build's atoms into a range's planes.
-    type Fill = fn(&Scatter, &mut Planes<'_>);
-
     /// The fill this module shipped before the lanes, and their reference:
     /// a row's nodes one at a time through the scalar pair functions, a node
     /// outside the cutoff skipped, every slab with divisions of its own.
@@ -2696,42 +2822,58 @@ mod tests {
         }
     }
 
-    /// The reference first; then the portable lanes, instantiated here so
-    /// that they run on every host, and whatever lanes this host has.
-    const LANE_PATHS: [(&str, Fill); 3] = [
-        ("node by node", fill_node_by_node),
-        ("portable lanes", |scatter, part| scatter.fill_in::<F64x4>(part)),
-        ("detected lanes", |scatter, part| scatter.fill(part)),
-    ];
+    /// The planes of the whole lattice of `scatter`, over `slabs`.
+    fn whole_planes<'s>(scatter: &Scatter, slabs: &'s mut [Vec<f32>]) -> Planes<'s> {
+        let slabs = slabs.iter_mut().map(Vec::as_mut_slice).collect();
+        Planes { z: 0..scatter.geom.dims[2], slabs, terms: 0 }
+    }
 
-    /// `fill` over the whole lattice of `scatter`, into `slabs` slabs whose
-    /// every cell starts out as `seed`; the slabs and the terms counted.
-    fn filled(scatter: &Scatter, slabs: usize, seed: f32, fill: Fill) -> (Vec<Vec<f32>>, u64) {
+    /// [`fill_node_by_node`] over the whole lattice of `scatter`, into
+    /// `slabs` slabs whose every cell starts out as `seed`; the slabs and
+    /// the terms counted.
+    fn filled(scatter: &Scatter, slabs: usize, seed: f32) -> (Vec<Vec<f32>>, u64) {
         let mut slabs = vec![vec![seed; scatter.geom.nodes()]; slabs];
-        let mut part = Planes {
-            z: 0..scatter.geom.dims[2],
-            slabs: slabs.iter_mut().map(Vec::as_mut_slice).collect(),
-            terms: 0,
-        };
-        fill(scatter, &mut part);
+        let mut part = whole_planes(scatter, &mut slabs);
+        fill_node_by_node(scatter, &mut part);
         let terms = part.terms;
         (slabs, terms)
     }
 
-    /// Every lane path over `scatter` ends with the reference's bits in
-    /// every cell and counts the reference's terms; returns those.
+    /// [`filled`] by [`Scatter::fill_in`] over the lanes `W`, for
+    /// `lanes::every_path` to run on each lane path: the fill is compiled
+    /// in the path's own body, as [`Scatter::fill`] compiles it.
+    struct FilledOver<'a, 'r> {
+        scatter: &'a Scatter<'r>,
+        slabs: usize,
+        seed: f32,
+    }
+
+    impl WideFn for FilledOver<'_, '_> {
+        type Output = (Vec<Vec<f32>>, u64);
+        #[inline(always)]
+        fn call<W: Wide>(self) -> (Vec<Vec<f32>>, u64) {
+            let mut slabs = vec![vec![self.seed; self.scatter.geom.nodes()]; self.slabs];
+            let mut part = whole_planes(self.scatter, &mut slabs);
+            self.scatter.fill_in::<W>(&mut part);
+            let terms = part.terms;
+            (slabs, terms)
+        }
+    }
+
+    /// Every lane path over `scatter` — the portable lanes, so that they
+    /// run on every host, and each x86-64 entry the CPU has — ends with
+    /// the node-by-node reference's bits in every cell and counts the
+    /// reference's terms; returns those.
     fn assert_lane_paths_agree(
         scatter: &Scatter,
         slabs: usize,
         seed: f32,
         what: &str,
     ) -> (Vec<Vec<f32>>, u64) {
-        let [(_, reference), lanes @ ..] = LANE_PATHS;
-        let want = filled(scatter, slabs, seed, reference);
-        for (path, fill) in lanes {
-            let (got, terms) = filled(scatter, slabs, seed, fill);
-            assert_same_bits(&got, &want.0, &format!("{what}: {path}"));
-            assert_eq!(terms, want.1, "{what}: {path}: terms");
+        let want = filled(scatter, slabs, seed);
+        for (path, (got, terms)) in every_path(|| FilledOver { scatter, slabs, seed }) {
+            assert_same_bits(&got, &want.0, &format!("{what}: {path} lanes"));
+            assert_eq!(terms, want.1, "{what}: {path} lanes: terms");
         }
         want
     }
@@ -2849,14 +2991,14 @@ mod tests {
         // far with one: the atoms are spoiled after the layout.
         let whole = Region::whole(geom);
         let scatter = || Scatter::new(&rec, geom, opts, &channels, &whole);
-        let (clean, _) = filled(&scatter(), n, 0.0, fill_node_by_node);
+        let (clean, _) = filled(&scatter(), n, 0.0);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for k in [0, 7, 29] {
                 // An atom that is nowhere reaches no node, on any path: the
                 // build without it.
                 let mut without = scatter();
                 without.atoms.remove(k);
-                let (want, want_terms) = filled(&without, n, 0.0, fill_node_by_node);
+                let (want, want_terms) = filled(&without, n, 0.0);
                 for axis in 0..3 {
                     let mut spoiled = scatter();
                     let p = &mut spoiled.atoms[k].p;
@@ -3175,9 +3317,8 @@ mod tests {
         /// Whether scoring `pose` reads only nodes this scorer's slabs
         /// hold: the debug assertion of `interpolate`, in any build.
         fn reads_only_built(&self, pose: &RigidTransform) -> bool {
-            (0..self.ligand_atoms())
-                .step_by(F32x8::LANES)
-                .all(|a0| self.reads_built(&self.prep_chunk_scalar(pose, a0)))
+            let mut chunks = self.chunks.iter().enumerate();
+            chunks.all(|(k, chunk)| self.reads_built(chunk, &self.cells_scalar(pose, k)))
         }
     }
 
@@ -3335,13 +3476,19 @@ mod tests {
         let opts = GridOptions::default();
         let geom = Geometry::of(&rec, opts);
         // One small spot at a corner of the lattice; the pose sits at the
-        // opposite one.
+        // opposite one, in the middle of a batch of conformations (the
+        // shape the engine's host job scores) whose other poses sit on the
+        // spot.
         let corner =
             Spot { id: 0, center: geom.origin, normal: Vec3::X, radius: 1.0, anchor_atom: 0 };
         let g = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[corner], NO_CLOCK);
         let far = (0..3).map(|a| geom.node(a, geom.dims[a] - 1));
         let far: Vec<f64> = far.collect();
-        g.score(&RigidTransform::from_translation(Vec3::new(far[0], far[1], far[2])));
+        let on_spot = Conformation::new(RigidTransform::from_translation(geom.origin), 0);
+        let far = RigidTransform::from_translation(Vec3::new(far[0], far[1], far[2]));
+        let mut batch = [on_spot, Conformation::new(far, 0), on_spot];
+        g.score_batch(ScoreBatch::Confs(&mut batch[..1]));
+        g.score_batch(ScoreBatch::Confs(&mut batch));
     }
 
     /// The grid options of [`table5_whole`]'s scorer.

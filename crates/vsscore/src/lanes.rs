@@ -17,7 +17,8 @@
 //!   `_mm256_{add,sub,mul,div}_pd` / `cmp` + `blendv` / `round_pd` /
 //!   `cvtpd_ps` intrinsics. It exists only on x86-64 and is private to this
 //!   module: the one way to run a kernel over it is [`widest`], which asks
-//!   the CPU for `avx2` first.
+//!   the CPU for `avx2` first, and for `avx512f` and `avx512vl`, which
+//!   compile the same body with 32 vector registers.
 //!
 //! Every lane operation in all three is a correctly rounded IEEE-754 add,
 //! subtract, multiply, divide or `f64 → f32` conversion, an exact
@@ -197,6 +198,8 @@ impl Wide for F64x4 {
 /// loop over the array, which LLVM turns into `vaddps`/`vmulps` where the
 /// target has them and into scalar code elsewhere, with the same bits
 /// either way (plain IEEE-754 per lane, no contraction, no reassociation).
+/// Every operation is `#[inline(always)]`, so that it is compiled inside
+/// the kernel body that blends, with that body's target features.
 #[derive(Clone, Copy)]
 pub(crate) struct F32x8([f32; 8]);
 
@@ -205,13 +208,13 @@ impl F32x8 {
     pub const LANES: usize = 8;
 
     /// All lanes set to `v`.
-    #[inline]
+    #[inline(always)]
     pub fn splat(v: f32) -> F32x8 {
         F32x8([v; 8])
     }
 
     /// Lanes from an array.
-    #[inline]
+    #[inline(always)]
     pub fn from_array(a: [f32; 8]) -> F32x8 {
         F32x8(a)
     }
@@ -219,7 +222,7 @@ impl F32x8 {
     /// Horizontal sum over the fixed pairwise tree
     /// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — the reduction order every
     /// caller (wide or scalar reference) must share for bit-identity.
-    #[inline]
+    #[inline(always)]
     pub fn horizontal_sum(self) -> f32 {
         let l = self.0;
         ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
@@ -230,7 +233,7 @@ macro_rules! lanewise_f32 {
     ($($op:ident $method:ident $sign:tt),*) => {$(
         impl $op for F32x8 {
             type Output = F32x8;
-            #[inline]
+            #[inline(always)]
             fn $method(self, rhs: F32x8) -> F32x8 {
                 let mut out = [0f32; 8];
                 for (l, o) in out.iter_mut().enumerate() {
@@ -253,16 +256,35 @@ pub(crate) trait WideFn {
 
 /// `kernel` over the widest lanes the host has: 256-bit ones when the
 /// running x86-64 CPU reports `avx2` (asked once per call), the portable
-/// [`F64x4`] otherwise and on every other architecture. The answer picks
-/// the instructions, never a bit of the result (module docs).
+/// [`F64x4`] otherwise and on every other architecture. Where the CPU also
+/// reports `avx512f` and `avx512vl`, the same 256-bit body is compiled
+/// with them enabled, which gives it 32 vector registers instead of 16 and
+/// adds no lane type and no operation. The answer picks the instructions,
+/// never a bit of the result (module docs).
 pub(crate) fn widest<F: WideFn>(kernel: F) -> F::Output {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `avx2`, the one feature the callee is compiled with, was
-        // just detected on the running CPU.
-        return unsafe { avx2::call(kernel) };
-    }
+    let kernel = match avx2::Entry::Avx512vl.run(kernel).or_else(|k| avx2::Entry::Avx2.run(k)) {
+        Ok(out) => return out,
+        Err(kernel) => kernel,
+    };
     kernel.call::<F64x4>()
+}
+
+/// `kernel` on every lane path this host can run, by name: the portable
+/// [`F64x4`], then each x86-64 entry whose features the CPU reports — the
+/// one [`widest`] picks and the one it passes over — so that a host with
+/// AVX-512 still runs the body that AVX2-only CPUs take. `kernel` makes a
+/// fresh kernel for each path.
+#[cfg(test)]
+pub(crate) fn every_path<F: WideFn>(kernel: impl Fn() -> F) -> Vec<(&'static str, F::Output)> {
+    let mut seen = vec![("portable", kernel().call::<F64x4>())];
+    #[cfg(target_arch = "x86_64")]
+    for (path, entry) in [("avx2", avx2::Entry::Avx2), ("avx512vl", avx2::Entry::Avx512vl)] {
+        if let Ok(out) = entry.run(kernel()) {
+            seen.push((path, out));
+        }
+    }
+    seen
 }
 
 /// The 256-bit [`Wide`] and the door to it — the only architecture-specific
@@ -274,25 +296,25 @@ mod avx2 {
     use std::ops::{Add, Div, Mul, Sub};
 
     /// One `ymm` register of four `f64` lanes. Private to this module, so
-    /// the only code that can name it is [`call`]: its methods run under
-    /// [`call`] or not at all.
+    /// the only code that can name it is [`call`] and [`call_avx512vl`]:
+    /// its methods run under one of them or not at all.
     #[derive(Clone, Copy)]
     struct Avx(__m256d);
 
     /// Rust refuses `#[target_feature]` on a safe trait method, so the
     /// lane operations below cannot carry the attribute that would make
     /// their intrinsics safe to call; each forwards through here instead.
-    /// What they need is the CPU feature: `Avx` is private to this module
-    /// and [`call`] is its only user, and [`call`] is compiled with `avx2`
-    /// — which implies `avx` — so reaching it at all was the caller's
-    /// promise that the CPU has the feature.
+    /// What they need is the CPU feature: `Avx` is private to this module,
+    /// [`call`] and [`call_avx512vl`] are its only users, and both are
+    /// compiled with `avx2` — which implies `avx` — so reaching either at
+    /// all was the caller's promise that the CPU has the feature.
     macro_rules! avx {
         ($intrinsic:expr) => {
-            // SAFETY: AVX/SSE2 intrinsics under `call`, which has the CPU
-            // feature (above). All work on registers but `_mm_loadu_ps` /
-            // `_mm_storeu_ps`, unaligned, which get the pointer of a slice
-            // or an array of `LANES` cells: sixteen bytes valid to read and
-            // to write.
+            // SAFETY: AVX/SSE2 intrinsics under `call` or `call_avx512vl`,
+            // which have the CPU feature (above). All work on registers but
+            // `_mm_loadu_ps` / `_mm_storeu_ps`, unaligned, which get the
+            // pointer of a slice or an array of `LANES` cells: sixteen
+            // bytes valid to read and to write.
             unsafe { $intrinsic }
         };
     }
@@ -389,10 +411,54 @@ mod avx2 {
         }
     }
 
+    /// A door to [`Avx`]: the CPU features its body is compiled with.
+    #[derive(Clone, Copy)]
+    pub(super) enum Entry {
+        /// `avx2`, through [`call`].
+        Avx2,
+        /// `avx2`, `avx512f` and `avx512vl`, through [`call_avx512vl`].
+        Avx512vl,
+    }
+
+    impl Entry {
+        /// `kernel` over [`Avx`] through this entry, or `kernel` back when
+        /// the running CPU lacks one of the entry's features.
+        pub(super) fn run<F: WideFn>(self, kernel: F) -> Result<F::Output, F> {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            let has = match self {
+                Entry::Avx2 => avx2,
+                Entry::Avx512vl => {
+                    avx2 && std::arch::is_x86_feature_detected!("avx512f")
+                        && std::arch::is_x86_feature_detected!("avx512vl")
+                }
+            };
+            if !has {
+                return Err(kernel);
+            }
+            // SAFETY: the running CPU was just found to have every feature
+            // the entry's function is compiled with.
+            Ok(unsafe {
+                match self {
+                    Entry::Avx2 => call(kernel),
+                    Entry::Avx512vl => call_avx512vl(kernel),
+                }
+            })
+        }
+    }
+
     /// `kernel` over [`Avx`]: its `#[inline(always)]` body is built here
     /// with 256-bit vectors enabled.
     #[target_feature(enable = "avx2")]
-    pub(super) fn call<F: WideFn>(kernel: F) -> F::Output {
+    fn call<F: WideFn>(kernel: F) -> F::Output {
+        kernel.call::<Avx>()
+    }
+
+    /// [`call`]'s body, compiled with AVX-512's 32 vector registers and
+    /// masks as well: the same lanes and the same IEEE operations, only
+    /// fewer values spilled to the stack. Nothing enables `fma` contraction
+    /// (Rust never contracts `a * b + c`), so every bit is [`call`]'s.
+    #[target_feature(enable = "avx2,avx512f,avx512vl")]
+    fn call_avx512vl<F: WideFn>(kernel: F) -> F::Output {
         kernel.call::<Avx>()
     }
 }
@@ -507,15 +573,38 @@ mod tests {
                 let cells = [0, 1, 2, 3].map(|l| pick(cell_shift + shift + l) as f32);
                 let probe = || Probe { a, b, cells };
                 let want = probe().scalar();
-                assert_eq!(probe().call::<F64x4>(), want, "portable lanes: {a:?} vs {b:?}");
+                for (path, seen) in every_path(probe) {
+                    assert_eq!(seen, want, "{path} lanes: {a:?} vs {b:?}");
+                }
                 assert_eq!(widest(probe()), want, "detected lanes: {a:?} vs {b:?}");
             }
         }
         // A lane that is not kept leaves its cell's bits alone.
         let cells = [-0.0f32; LANES];
-        let probe = Probe { a: [2.0, 0.0, 2.0, 0.0], b: [1.0; LANES], cells };
-        let (_, kept, after, _, _) = widest(probe);
-        assert_eq!(kept, 2);
-        assert_eq!(after, [(-0.0f32).to_bits(), 0, (-0.0f32).to_bits(), 0]);
+        let probe = || Probe { a: [2.0, 0.0, 2.0, 0.0], b: [1.0; LANES], cells };
+        for (path, (_, kept, after, _, _)) in every_path(probe) {
+            assert_eq!(kept, 2, "{path} lanes");
+            assert_eq!(after, [(-0.0f32).to_bits(), 0, (-0.0f32).to_bits(), 0], "{path} lanes");
+        }
+    }
+
+    /// The portable lanes run everywhere, and an x86-64 host that has a
+    /// feature runs the entry compiled with it: a host with AVX-512 covers
+    /// the AVX2-only path too.
+    #[test]
+    fn every_path_offers_each_entry_the_cpu_has() {
+        let probe = || Probe { a: [1.0; LANES], b: [2.0; LANES], cells: [0.0; LANES] };
+        let paths: Vec<&str> = every_path(probe).into_iter().map(|(path, _)| path).collect();
+        let mut want = vec!["portable"];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                want.push("avx2");
+            }
+            if std::arch::is_x86_feature_detected!("avx512vl") {
+                want.push("avx512vl");
+            }
+        }
+        assert_eq!(paths, want);
     }
 }

@@ -320,7 +320,7 @@ mod tests {
     use super::*;
     use crate::coulomb::coulomb_naive;
     use crate::hbond::hbond_naive;
-    use crate::lanes::F64x4;
+    use crate::lanes::every_path;
     use crate::lj::lj_naive;
     use vsmath::{RngStream, Vec3};
     use vsmol::{synth, LjTable};
@@ -434,19 +434,19 @@ mod tests {
         total
     }
 
-    /// Scalar lanes, the portable [`F64x4`] (instantiated here, so it is
-    /// exercised on every host) and whatever [`widest`] picks on
-    /// this one must agree to the bit, for every model. Returns the four
-    /// scores.
+    /// Scalar lanes and every lane path of the host (`lanes::every_path`:
+    /// the portable `F64x4`, so that it is exercised on every host, and
+    /// each x86-64 entry the CPU has) must agree to the bit, for every
+    /// model. Returns the four scores.
     fn assert_lane_paths_agree(lig: &Frame, rec: &RunFrame, what: &str) -> [f64; 4] {
         let t = table();
         MODELS.map(|model| {
             let want = scalar_lanes(model, lig, rec, &t);
             let (dielectric, hbond_eps) = model;
-            let pose = PoseSweep { dielectric, hbond_eps, lig, rec, table: &t };
-            let (portable, detected) = (pose.call::<F64x4>(), widest(pose));
-            assert_eq!(portable.to_bits(), want.to_bits(), "{what}, {model:?}: portable lanes");
-            assert_eq!(detected.to_bits(), want.to_bits(), "{what}, {model:?}: detected lanes");
+            let pose = || PoseSweep { dielectric, hbond_eps, lig, rec, table: &t };
+            for (path, got) in every_path(pose) {
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}, {model:?}: {path} lanes");
+            }
             want
         })
     }

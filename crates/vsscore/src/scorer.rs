@@ -486,6 +486,11 @@ impl Scorer {
         if input.is_empty() {
             return;
         }
+        if let KernelData::Grid(grid) = &self.kernel {
+            // The grid kernel places the atoms in its own lanes: it takes
+            // the whole batch, and no frame.
+            return grid.score_batch(input);
+        }
         self.bind_scratch(scratch);
         match input {
             ScoreBatch::Poses { poses, out } => {
@@ -498,6 +503,18 @@ impl Scorer {
                     c.score = self.score_bound(&c.pose, scratch);
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Scorer {
+    /// The grid kernel's interpolator, for the tests that hold it to its
+    /// reference.
+    pub(crate) fn grid(&self) -> Option<&crate::grid_potential::GridScorer> {
+        match &self.kernel {
+            KernelData::Grid(grid) => Some(grid),
+            _ => None,
         }
     }
 }
