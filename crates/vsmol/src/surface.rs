@@ -65,25 +65,28 @@ impl Default for SurfaceOptions {
     }
 }
 
-/// Burial count (neighbors within `neighbor_radius`) for every atom.
+/// Burial count (neighbors within `neighbor_radius`) for every atom: one
+/// pass over the receptor's cell grid that tests each atom pair once
+/// ([`SpatialGrid::neighbour_counts`]).
 pub fn burial_counts(mol: &Molecule, neighbor_radius: f64) -> Vec<usize> {
-    let grid = SpatialGrid::build(mol.positions(), neighbor_radius.max(1.0));
-    mol.positions()
-        .iter()
-        .map(|&p| grid.count_within(p, neighbor_radius).saturating_sub(1))
-        .collect()
+    SpatialGrid::build(mol.positions(), neighbor_radius.max(1.0)).neighbour_counts(neighbor_radius)
+}
+
+/// The burial count below which an atom counts as surface-exposed:
+/// `burial_fraction × max_burial`.
+fn exposure_cutoff(counts: &[usize], burial_fraction: f64) -> f64 {
+    burial_fraction * counts.iter().copied().max().unwrap_or(0) as f64
 }
 
 /// Indices of surface-exposed atoms: burial below
 /// `burial_fraction × max_burial`.
 pub fn surface_atoms(mol: &Molecule, opts: &SurfaceOptions) -> Vec<usize> {
-    if mol.is_empty() {
-        return Vec::new();
-    }
-    let counts = burial_counts(mol, opts.neighbor_radius);
-    // PANICS: the empty-molecule case returned early above.
-    let max = *counts.iter().max().expect("non-empty") as f64;
-    let cutoff = opts.burial_fraction * max;
+    surface_from_counts(&burial_counts(mol, opts.neighbor_radius), opts)
+}
+
+/// [`surface_atoms`] given every atom's burial count.
+fn surface_from_counts(counts: &[usize], opts: &SurfaceOptions) -> Vec<usize> {
+    let cutoff = exposure_cutoff(counts, opts.burial_fraction);
     counts.iter().enumerate().filter(|(_, &c)| (c as f64) < cutoff).map(|(i, _)| i).collect()
 }
 
@@ -161,13 +164,15 @@ pub fn surface_atoms_sas(
 /// (optionally restricted to N/O/S), processed most-exposed-first; an anchor
 /// is accepted if no already-accepted anchor lies within `spot_separation`.
 pub fn detect_spots(mol: &Molecule, opts: &SurfaceOptions) -> Vec<Spot> {
+    spots_from_counts(mol, opts, &burial_counts(mol, opts.neighbor_radius))
+}
+
+/// [`detect_spots`] given every atom's burial count.
+fn spots_from_counts(mol: &Molecule, opts: &SurfaceOptions, counts: &[usize]) -> Vec<Spot> {
     if mol.is_empty() {
         return Vec::new();
     }
-    let counts = burial_counts(mol, opts.neighbor_radius);
-    // PANICS: the empty-molecule case returned early above.
-    let max = *counts.iter().max().expect("non-empty") as f64;
-    let cutoff = opts.burial_fraction * max;
+    let cutoff = exposure_cutoff(counts, opts.burial_fraction);
     let centroid = mol.centroid();
 
     // Candidates: (burial, atom index), most exposed (lowest burial) first.
@@ -212,6 +217,65 @@ mod tests {
 
     fn small_receptor() -> Molecule {
         synth_receptor("test-receptor", 600, 42)
+    }
+
+    /// The per-atom burial count the one-pass count replaced: one
+    /// `count_within` query per atom.
+    fn per_atom_counts(mol: &Molecule, r: f64) -> Vec<usize> {
+        let grid = SpatialGrid::build(mol.positions(), r.max(1.0));
+        mol.positions().iter().map(|&p| grid.count_within(p, r).saturating_sub(1)).collect()
+    }
+
+    /// The two Table 5 receptors, and the 300- and 600-atom synthetic ones
+    /// (`library_grid`'s and this module's).
+    fn receptors() -> Vec<Molecule> {
+        vec![
+            Dataset::TwoBsm.receptor(),
+            Dataset::TwoBxg.receptor(),
+            synth_receptor("library-receptor", 300, 0x5E0C),
+            small_receptor(),
+        ]
+    }
+
+    #[test]
+    fn one_pass_spots_equal_per_atom_queries() {
+        for m in receptors() {
+            let opts = SurfaceOptions::default();
+            let counts = per_atom_counts(&m, opts.neighbor_radius);
+            assert_eq!(burial_counts(&m, opts.neighbor_radius), counts, "{}", m.name);
+            assert_eq!(surface_atoms(&m, &opts), surface_from_counts(&counts, &opts));
+            for max_spots in [0, 8, 16] {
+                let opts = SurfaceOptions { max_spots, ..opts.clone() };
+                let (got, want) = (detect_spots(&m, &opts), spots_from_counts(&m, &opts, &counts));
+                assert_eq!(got.len(), want.len(), "{} at max_spots {max_spots}", m.name);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.id, g.anchor_atom), (w.id, w.anchor_atom));
+                    let bits = |s: &Spot| {
+                        [s.center.x, s.center.y, s.center.z, s.normal.x, s.normal.y, s.normal.z]
+                            .map(f64::to_bits)
+                    };
+                    assert_eq!(bits(g), bits(w), "{} spot {}", m.name, g.id);
+                    assert_eq!(g.radius.to_bits(), w.radius.to_bits());
+                }
+            }
+        }
+    }
+
+    /// The count gate on the Table 5 receptors: the exact number of pair
+    /// tests the burial pass makes, at most half of the candidates the
+    /// per-atom queries scanned.
+    #[test]
+    fn burial_pass_tests_half_the_per_atom_candidates() {
+        let r = SurfaceOptions::default().neighbor_radius;
+        for (dataset, tests, scans) in
+            [(Dataset::TwoBsm, 297_105, 597_474), (Dataset::TwoBxg, 911_921, 1_832_451)]
+        {
+            let m = dataset.receptor();
+            let grid = SpatialGrid::build(m.positions(), r.max(1.0));
+            let scanned: usize = m.positions().iter().map(|&p| grid.candidates_within(p, r)).sum();
+            assert_eq!((grid.neighbour_pair_tests(r), scanned), (tests, scans), "{}", m.name);
+            assert!(2 * tests <= scans as u64);
+        }
     }
 
     #[test]
