@@ -21,13 +21,18 @@
 //!   channel) under a byte budget, so a library whose ligands draw on five
 //!   elements builds five slabs however the elements combine. A request
 //!   builds every slab it is missing in one pass over the receptor.
-//! - A scorer made for poses clamped to surface spots
-//!   ([`crate::Scorer::for_spots`]) reads only the nodes within their
-//!   `Reach`. A **cold** request — nothing of its receptor and options
-//!   resident — builds only those; each slab records that `Cover`, and
-//!   every later request gets whole slabs, completing a partial one by
-//!   building the rest of the lattice into a copy. Unbuilt nodes hold
-//!   `+0.0`, and a debug build asserts that interpolation never reads one.
+//! - A slab holds the lattice as dense **boxes** of nodes (`Layout`);
+//!   a whole slab is one box, the lattice. A scorer made for poses clamped
+//!   to surface spots ([`crate::Scorer::for_spots`]) reads only the nodes
+//!   within their `Reach`, a ball per spot. A **cold** request — nothing
+//!   of its receptor and options resident — stores each slab as one box
+//!   per spot, the bounding box of its ball, and builds only the balls'
+//!   nodes, when the boxes hold at most half the lattice; every later
+//!   request gets whole slabs, rebuilding a boxed one whole. A pose reads
+//!   the box of a spot whose ball holds it; the other nodes of a box, and
+//!   the cell that a pose no box holds reads, hold `+0.0`, and a debug
+//!   build asserts that interpolation never reads a node that was not
+//!   built.
 //! - The build is atom-major: every receptor atom, taken in the cell order
 //!   of a [`vsmath::SpatialGrid`], adds its term into the lattice nodes of
 //!   its cutoff sphere, in every slab being built. A slab's sums never read
@@ -54,7 +59,8 @@
 //!   to the ligand's coordinate columns with [`RigidTransform::apply`]'s
 //!   operations in its order — and finds their lattice cells and fractions
 //!   — the clamp to the lattice as two compare-selects, the cell by
-//!   truncation. Each lane's cell is then read through one checked slice,
+//!   truncation, its place in the pose's box by two more per axis. Each
+//!   lane's cell is then read through one checked slice,
 //!   and the corners are blended with explicit `F32x8` lanes (`lanes`).
 //!   The tests keep the per-atom scalar placement, setup and blend it
 //!   replaced as the reference and hold every lane path to its bits, so
@@ -132,10 +138,9 @@ pub struct GridBuildStats {
     /// This scorer's slabs: one per ligand element type present, plus the
     /// electrostatic slab when enabled.
     pub grids: u32,
-    /// Memory allocated for this scorer's slabs, bytes (slabs are shared,
-    /// so scorers' figures do not add up to the cache's). A slab built
-    /// over a reach is resident only where the build wrote (DESIGN §11),
-    /// so this counts allocated bytes, not resident ones.
+    /// Memory of this scorer's slabs, bytes (slabs are shared, so
+    /// scorers' figures do not add up to the cache's). A build writes every
+    /// node of a slab, so these bytes are resident too (DESIGN §11).
     pub bytes: u64,
     /// Seconds this request spent building on the caller-supplied clock —
     /// the trace epoch for [`GridScorer::new_traced`], a constant `0.0`
@@ -164,10 +169,10 @@ enum Channel {
     Elec,
 }
 
-/// One channel's node values, `dims[0] * dims[1] * dims[2]` of them, x
-/// fastest. Immutable once built; alive as long as any scorer or the cache
-/// holds it. Boxed apart from the count, so that the nodes stay in the
-/// zeroed allocation [`zero_slab`] made (an `Arc<[f32]>` copies them in).
+/// One channel's node values, laid out as its [`Layout`] says. Immutable
+/// once built; alive as long as any scorer or the cache holds it. Boxed
+/// apart from the count, so that the nodes stay in the allocation
+/// [`zero_slab`] made (an `Arc<[f32]>` copies them in).
 type Slab = Arc<Box<[f32]>>;
 
 /// The node lattice of one (receptor, options) pair: every channel over
@@ -202,21 +207,6 @@ impl Geometry {
         self.dims[0] * self.dims[1] * self.dims[2]
     }
 
-    /// The node-index steps to the next row and to the next plane. A plane
-    /// is far below 2³² nodes (a slab of it alone would take 16 GiB), so
-    /// both fit a `u32`, and no sum of them wraps a `usize`.
-    fn strides(&self) -> [u32; 2] {
-        let [row, plane] = [self.dims[0], self.dims[0] * self.dims[1]];
-        assert!(plane <= u32::MAX as usize, "a lattice plane of {plane} nodes");
-        [row as u32, plane as u32]
-    }
-
-    /// Rows of `dims[0]` nodes: row `z · dims[1] + y` is line `y` of plane
-    /// `z`.
-    fn rows(&self) -> usize {
-        self.dims[1] * self.dims[2]
-    }
-
     /// Coordinate of node `i` along `axis`: `origin + i · spacing`.
     fn node(&self, axis: usize, i: usize) -> f64 {
         self.origin[axis] + i as f64 * self.spacing
@@ -249,7 +239,7 @@ impl Geometry {
 }
 
 // ---------------------------------------------------------------------------
-// Reach.
+// Reach and boxes.
 // ---------------------------------------------------------------------------
 
 /// Slack on a reach radius, Å. An atom lands within `spot.radius + r_lig`
@@ -275,175 +265,196 @@ struct Reach<'a> {
 }
 
 impl Reach<'_> {
-    /// The lattice nodes interpolation can read for these poses, or `None`
-    /// when that is every node (or a spot or the ligand is not finite, so
-    /// nothing can be bounded).
+    /// One box per spot around the lattice nodes interpolation can read
+    /// for these poses, or `None` when that cannot be bounded (no spots, or
+    /// a spot or the ligand is not finite).
     ///
     /// Interpolation clamps an atom into the lattice box, then reads the
     /// eight corners of its cell, each within one cell diagonal of the
     /// clamped atom. The clamp is a projection onto a box, which never
     /// lengthens a distance, so the clamped atom lies within `spot.radius +
     /// r_lig` of the spot centre clamped the same way — also for a spot
-    /// outside the box. The ball around each clamped centre takes the
-    /// nodes within that distance plus the diagonal and [`REACH_SLACK`],
-    /// by an exact distance test per node.
-    fn region(&self, geom: Geometry) -> Option<Region> {
+    /// outside the box. Each spot's [`Ball`] takes the nodes within that
+    /// distance plus the diagonal and [`REACH_SLACK`] of its clamped
+    /// centre. The boxes share the most nodes any ball spans along each
+    /// axis, and each is placed inside the lattice over its ball.
+    fn boxes(&self, geom: Geometry) -> Option<Layout> {
         let finite = |s: &Spot| s.center.is_finite() && s.radius.is_finite();
         if self.spots.is_empty() || !self.r_lig.is_finite() || !self.spots.iter().all(finite) {
             return None;
         }
-        let ny = geom.dims[1];
         let diag = geom.spacing * 3f64.sqrt();
-        let mut runs = Vec::new();
-        for spot in self.spots {
-            let c = geom.clamp(spot.center);
-            let r = spot.radius.max(0.0) + self.r_lig + diag + REACH_SLACK;
-            let r2 = r * r;
-            for iz in geom.span(2, c.z - r, c.z + r) {
-                let dz = c.z - geom.node(2, iz);
-                for iy in geom.span(1, c.y - r, c.y + r) {
-                    let dy = c.y - geom.node(1, iy);
-                    let dyz = dy * dy + dz * dz;
-                    if dyz > r2 {
-                        continue;
-                    }
-                    let half = (r2 - dyz).sqrt();
-                    let mut xs = geom.span(0, c.x - half, c.x + half);
-                    let out = |ix: usize| {
-                        let dx = c.x - geom.node(0, ix);
-                        dx * dx + dyz > r2
-                    };
-                    while !xs.is_empty() && out(xs.start) {
-                        xs.start += 1;
-                    }
-                    while !xs.is_empty() && out(xs.end - 1) {
-                        xs.end -= 1;
-                    }
-                    if !xs.is_empty() {
-                        runs.push((iz * ny + iy, xs));
-                    }
-                }
-            }
-        }
-        let region = Region::from_runs(geom, runs);
-        (region.nodes < geom.nodes() as u64).then_some(region)
-    }
-}
-
-/// A set of lattice nodes, row by row ([`Geometry::rows`]): the nodes a
-/// build adds terms into, and the nodes a slab holds. A row's nodes in the
-/// set are sorted, disjoint runs of x with a gap between any two.
-#[derive(Debug, Clone, PartialEq)]
-struct Region {
-    /// Row `r`'s runs are `runs[rows[r]..rows[r + 1]]`.
-    rows: Vec<usize>,
-    runs: Vec<Range<usize>>,
-    /// The line `y` of each run.
-    line: Vec<usize>,
-    /// Per plane, the smallest ranges of x and of lines `y` that hold its
-    /// runs (both empty if none).
-    extent: Vec<[Range<usize>; 2]>,
-    /// Nodes in the set.
-    nodes: u64,
-}
-
-impl Region {
-    /// Every node of the lattice.
-    fn whole(geom: Geometry) -> Region {
-        let rows = (0..geom.rows()).map(|r| (r, 0..geom.dims[0])).collect();
-        Region::from_runs(geom, rows)
-    }
-
-    /// The nodes of `runs`, `(row, x range)` pairs in any order; they may
-    /// overlap.
-    fn from_runs(geom: Geometry, mut runs: Vec<(usize, Range<usize>)>) -> Region {
-        runs.sort_unstable_by_key(|(row, xs)| (*row, xs.start));
-        let mut rows = Vec::with_capacity(geom.rows() + 1);
-        let mut merged: Vec<Range<usize>> = Vec::with_capacity(runs.len());
-        let mut line = Vec::with_capacity(runs.len());
-        let mut next = runs.into_iter().peekable();
-        rows.push(0);
-        for r in 0..geom.rows() {
-            let first = merged.len();
-            while let Some((_, xs)) = next.next_if(|(row, _)| *row == r) {
-                match merged[first..].last_mut() {
-                    Some(last) if xs.start <= last.end => last.end = last.end.max(xs.end),
-                    _ => {
-                        merged.push(xs);
-                        line.push(r % geom.dims[1]);
-                    }
-                }
-            }
-            rows.push(merged.len());
-        }
-        let [ny, nz] = [geom.dims[1], geom.dims[2]];
-        let extent = (0..nz)
-            .map(|z| {
-                let held = |y: &usize| rows[z * ny + y] < rows[z * ny + y + 1];
-                let first = (0..ny).find(held).unwrap_or(0);
-                let end = (0..ny).rev().find(held).map_or(0, |y| y + 1);
-                let runs = &merged[rows[z * ny]..rows[(z + 1) * ny]];
-                let x0 = runs.iter().map(|xs| xs.start).min().unwrap_or(0);
-                let x1 = runs.iter().map(|xs| xs.end).max().unwrap_or(0);
-                [x0..x1, first..end]
+        let balls: Vec<Ball> = (self.spots.iter())
+            .map(|spot| {
+                let pose = spot.radius.max(0.0) + REACH_SLACK;
+                let reach = pose + self.r_lig + diag;
+                let center = geom.clamp(spot.center);
+                Ball { spot: spot.id, center, pose: pose * pose, reach, r2: reach * reach }
             })
             .collect();
-        let nodes = merged.iter().map(|xs| xs.len() as u64).sum();
-        Region { rows, runs: merged, line, extent, nodes }
-    }
-
-    /// The runs of row `r`.
-    #[inline(always)]
-    fn row(&self, r: usize) -> &[Range<usize>] {
-        let [first, end] = [self.rows[r], self.rows[r + 1]];
-        &self.runs[first..end]
-    }
-
-    /// Every node of the lattice that is not in this set.
-    fn complement(&self, geom: Geometry) -> Region {
-        let mut gaps = Vec::new();
-        for r in 0..geom.rows() {
-            let mut x = 0;
-            for run in self.row(r) {
-                if x < run.start {
-                    gaps.push((r, x..run.start));
-                }
-                x = run.end;
-            }
-            if x < geom.dims[0] {
-                gaps.push((r, x..geom.dims[0]));
-            }
+        let spans: Vec<[Range<usize>; 3]> =
+            balls.iter().map(|b| [b.span(&geom, 0), b.span(&geom, 1), b.span(&geom, 2)]).collect();
+        let mut dims = [2; 3];
+        for (a, n) in dims.iter_mut().enumerate() {
+            let widest = spans.iter().map(|s| s[a].len()).max().unwrap_or(0);
+            *n = widest.max(2).min(geom.dims[a]);
         }
-        Region::from_runs(geom, gaps)
-    }
-
-    /// Whether node `node` (`(z · dims[1] + y) · dims[0] + x`) is in the
-    /// set.
-    fn contains(&self, geom: &Geometry, node: usize) -> bool {
-        let (r, x) = (node / geom.dims[0], node % geom.dims[0]);
-        r < geom.rows() && self.row(r).iter().any(|run| run.contains(&x))
-    }
-
-    /// Nodes of plane `z` in the set.
-    fn plane_nodes(&self, geom: &Geometry, z: usize) -> u64 {
-        let rows = z * geom.dims[1]..(z + 1) * geom.dims[1];
-        let runs = &self.runs[self.rows[rows.start]..self.rows[rows.end]];
-        runs.iter().map(|xs| xs.len() as u64).sum()
+        let place = |s: &[Range<usize>; 3], a: usize| s[a].start.min(geom.dims[a] - dims[a]);
+        let at = spans.iter().map(|s| [place(s, 0), place(s, 1), place(s, 2)]).collect();
+        Some(Layout { dims, at, balls })
     }
 }
+
+/// One spot's reach: the lattice nodes within `reach` of its centre
+/// clamped into the lattice box ([`Geometry::clamp`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Ball {
+    /// The spot's id, which its conformations carry.
+    spot: usize,
+    center: Vec3,
+    /// `(spot.radius + REACH_SLACK)²`: a pose whose clamped translation
+    /// lies this close to `center` reads only nodes of the ball.
+    pose: f64,
+    /// The reach radius and its square.
+    reach: f64,
+    r2: f64,
+}
+
+impl Ball {
+    /// Whether node `[x, y, z]` lies in the ball: the one exact distance
+    /// test that decides what a build writes and what a read may touch.
+    fn holds(&self, geom: &Geometry, [x, y, z]: [usize; 3]) -> bool {
+        let c = self.center;
+        let (dx, dy, dz) = (c.x - geom.node(0, x), c.y - geom.node(1, y), c.z - geom.node(2, z));
+        dx * dx + (dy * dy + dz * dz) <= self.r2
+    }
+
+    /// Every node index along `axis` that a node of the ball has (a
+    /// rounded square only grows when another square is added to it).
+    fn span(&self, geom: &Geometry, axis: usize) -> Range<usize> {
+        let c = self.center[axis];
+        let span = geom.span(axis, c - self.reach, c + self.reach);
+        trim(span, |i| {
+            let d = c - geom.node(axis, i);
+            d * d > self.r2
+        })
+    }
+
+    /// The nodes of line `y` of plane `z` that the ball holds: one run of
+    /// x, since the distance only grows away from the centre.
+    fn run(&self, geom: &Geometry, y: usize, z: usize) -> Range<usize> {
+        let c = self.center;
+        let (dy, dz) = (c.y - geom.node(1, y), c.z - geom.node(2, z));
+        let dyz = dy * dy + dz * dz;
+        if dyz > self.r2 {
+            return 0..0;
+        }
+        let half = (self.r2 - dyz).sqrt();
+        let xs = geom.span(0, c.x - half, c.x + half);
+        trim(xs, |x| {
+            let dx = c.x - geom.node(0, x);
+            dx * dx + dyz > self.r2
+        })
+    }
+}
+
+/// `r` without the indices at either end that are `out`.
+fn trim(mut r: Range<usize>, out: impl Fn(usize) -> bool) -> Range<usize> {
+    while !r.is_empty() && out(r.start) {
+        r.start += 1;
+    }
+    while !r.is_empty() && out(r.end - 1) {
+        r.end -= 1;
+    }
+    r
+}
+
+/// How a slab holds the lattice: boxes of `dims` nodes, each x fastest,
+/// one after another. The whole lattice is one box at node 0, every node
+/// of it built. A cold reach build ([`Reach::boxes`]) has one box per
+/// spot, inside the lattice around the spot's [`Ball`]; only the ball's
+/// nodes are built and the rest hold `+0.0`, and after the boxes comes
+/// one more cell of `+0.0` ([`Layout::zeros`]) for the poses that no box
+/// holds ([`Layout::box_of`]).
+#[derive(Debug, Clone, PartialEq)]
+struct Layout {
+    dims: [usize; 3],
+    /// Each box's lowest lattice node.
+    at: Vec<[usize; 3]>,
+    /// Each box's ball; none for the whole lattice.
+    balls: Vec<Ball>,
+}
+
+impl Layout {
+    fn whole(geom: Geometry) -> Layout {
+        Layout { dims: geom.dims, at: vec![[0; 3]], balls: Vec::new() }
+    }
+
+    fn is_whole(&self) -> bool {
+        self.balls.is_empty()
+    }
+
+    fn box_nodes(&self) -> usize {
+        self.dims[0] * self.dims[1] * self.dims[2]
+    }
+
+    /// Where the boxes end: the `+0.0` cell that every lane of a pose no
+    /// box holds reads (the whole lattice holds every pose, and has none).
+    fn zeros(&self) -> usize {
+        self.at.len() * self.box_nodes()
+    }
+
+    /// Nodes of a slab: the boxes, then for spots' boxes the cell at
+    /// [`Layout::zeros`], its far corner `1 + dims[0] + dims[0] · dims[1]`
+    /// nodes on.
+    fn len(&self) -> usize {
+        let cell = 2 + self.dims[0] + self.dims[0] * self.dims[1];
+        self.zeros() + if self.is_whole() { 0 } else { cell }
+    }
+
+    /// The node-index steps to the next row and to the next plane of a
+    /// box. A plane is far below 2³² nodes (a slab of it alone would take
+    /// 16 GiB), so both fit a `u32`, and no sum of them wraps a `usize`.
+    fn strides(&self) -> [u32; 2] {
+        let [row, plane] = [self.dims[0], self.dims[0] * self.dims[1]];
+        assert!(plane <= u32::MAX as usize, "a lattice plane of {plane} nodes");
+        [row as u32, plane as u32]
+    }
+
+    /// The box `pose` reads, for a conformation of spot `spot` if it is
+    /// one: that spot's box when the pose's clamped translation lies in its
+    /// ball, else the first box whose ball holds it; in a box chosen so,
+    /// every node a ligand atom reads is a node of the ball
+    /// ([`Reach::boxes`]). `None` when no ball holds it, or when its
+    /// rotation is not a unit quaternion within [`UNIT_ROTATION`] (one that
+    /// stretches the ligand can read past the ball). The whole lattice has
+    /// every node a pose reads.
+    fn box_of(&self, geom: &Geometry, pose: &RigidTransform, spot: Option<usize>) -> Option<usize> {
+        if self.is_whole() {
+            return Some(0);
+        }
+        let q = pose.rotation;
+        let unit = ((q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z) - 1.0).abs() <= UNIT_ROTATION;
+        let t = geom.clamp(pose.translation);
+        let holds = |b: &Ball| unit && t.dist_sq(b.center) <= b.pose;
+        match spot.and_then(|id| self.balls.iter().position(|b| b.spot == id)) {
+            Some(own) if holds(&self.balls[own]) => Some(own),
+            _ => self.balls.iter().position(holds),
+        }
+    }
+}
+
+/// How far from 1 a rotation's squared norm may be for a pose to read a
+/// box: [`RigidTransform::apply`] then stretches an atom's offset by about
+/// as much, under 1e-7 Å for any ligand below 100 Å — far inside
+/// [`REACH_SLACK`]. The engine's rotations are `renormalize`d, within a few
+/// ulps of 1.
+const UNIT_ROTATION: f64 = 1e-9;
 
 /// Whether two ranges share an index.
 #[inline(always)]
 fn overlap(a: &Range<usize>, b: &Range<usize>) -> bool {
     a.start < b.end && b.start < a.end
-}
-
-/// The nodes a slab holds: all of them, or only those of a region (the
-/// rest hold `+0.0`).
-#[derive(Debug, Clone)]
-enum Cover {
-    Whole,
-    Part(Arc<Region>),
 }
 
 // ---------------------------------------------------------------------------
@@ -455,106 +466,90 @@ enum Cover {
 /// the atoms once per range stays cheap.
 const RANGES_PER_THREAD: usize = 4;
 
-/// A slab of `+0.0`, about to be built over the nodes of `region`: `+0.0`
-/// is the value of a node no build has reached, which a lane past the
-/// last ligand atom may read under mask 0 (a NaN there would poison the
-/// sum).
+/// A slab of `len` nodes of `+0.0`, about to be built: `+0.0` is the value
+/// of a node no build reaches, which a lane past the last ligand atom may
+/// read under mask 0 (a NaN there would poison the sum).
 ///
 /// The nodes are a zeroed allocation, which the allocator maps fresh for
-/// a slab this large, so a page that no node of `region` lies on is never
-/// written and never made resident. The nodes of `region` are written
-/// with `+0.0` once here, before the build, so that each of their pages
-/// takes one write fault: the build loads a node before it stores it,
-/// and a page whose first touch is that load takes a read fault and then
-/// a copy-on-write fault. The build itself must not write them, as it
-/// keeps the bits of every node outside its region. The zero is opaque
-/// to the optimiser, which could otherwise drop stores of a zero into
-/// memory it knows to be zeroed.
-fn zero_slab(geom: Geometry, region: &Region) -> Slab {
-    let mut nodes = vec![0f32; geom.nodes()].into_boxed_slice();
-    let zero = std::hint::black_box(0f32);
-    for (r, row) in nodes.chunks_exact_mut(geom.dims[0]).enumerate() {
-        for run in region.row(r) {
-            row[run.clone()].fill(zero);
-        }
-    }
-    Arc::new(nodes)
+/// a slab this large, written with `+0.0` once here, before the build, so
+/// that each page takes one write fault: the build loads a node before it
+/// stores it, and a page whose first touch is that load takes a read fault
+/// and then a copy-on-write fault. The zero is opaque to the optimiser,
+/// which could otherwise drop stores of a zero into memory it knows to be
+/// zeroed.
+fn zero_slab(len: usize) -> Box<[f32]> {
+    let mut nodes = vec![0f32; len].into_boxed_slice();
+    nodes.fill(std::hint::black_box(0f32));
+    nodes
 }
 
-/// Add every receptor atom's terms into the nodes of `region` of `slabs`
-/// (one per channel, each unique, its nodes in `region` all `+0.0`), then
-/// clamp those nodes: a node of `region` ends with the bits a whole build
-/// gives it, and a node outside keeps its value. Cost: `atoms × nodes of
-/// region within the cutoff × channels`. A slab's node sums read nothing
-/// of the other slabs, so it comes out the same bits whichever channels
-/// are built beside it.
+/// Build `channels` (sorted) as `layout` lays them out: every receptor
+/// atom's terms added into the built nodes of fresh slabs of `+0.0`, then
+/// the LJ ones clamped, so that a built node holds the bits a whole build
+/// gives it and every other node `+0.0`. Cost: `atoms × built nodes within
+/// the cutoff × channels`. A slab's node sums read nothing of the other
+/// slabs, so it comes out the same bits whichever channels are built
+/// beside it.
 ///
-/// The planes that hold nodes of `region` are cut into `ranges` (at least
-/// one) contiguous ranges holding about as many of them each, or fewer if
-/// the planes run out; each range is one item of a
-/// [`crate::pool::CpuPool::for_each_mut`] job on the shared pool of
-/// [`host_threads`]: the calling thread and the workers claim ranges until
-/// none is left. Returns the slabs and the pair terms added to them.
-fn fill_region(
+/// Each box's planes are cut into contiguous ranges, about `ranges` of
+/// them in all (at least one per box, at most one per plane); each range is
+/// one item of a [`crate::pool::CpuPool::for_each_mut`] job on the shared
+/// pool of [`host_threads`]: the calling thread and the workers claim
+/// items until none is left. Returns the slabs and the pair terms added to
+/// them.
+fn build_slabs_in(
     receptor: &Molecule,
     geom: Geometry,
     opts: GridOptions,
     channels: &[Channel],
-    region: &Region,
-    mut slabs: Vec<Slab>,
+    layout: &Layout,
     ranges: usize,
 ) -> (Vec<Slab>, u64) {
     debug_assert!(channels.is_sorted(), "channels out of order: {channels:?}");
-    let scatter = Scatter::new(receptor, geom, opts, channels, region);
-
-    // Cut at the planes where the running count of the region's nodes
-    // passes each k/ranges of the total; drop the ranges with none.
-    let weights: Vec<u64> = (0..geom.dims[2]).map(|z| region.plane_nodes(&geom, z)).collect();
-    let total = region.nodes.max(1);
-    let ranges = ranges.max(1) as u64;
-    let (mut parts, mut start, mut seen) = (Vec::new(), 0, 0);
-    for (z, w) in weights.iter().enumerate() {
-        let before = seen * ranges / total;
-        seen += w;
-        if seen * ranges / total > before || z + 1 == weights.len() {
-            if weights[start..=z].iter().any(|&w| w > 0) {
-                parts.push(Planes { z: start..z + 1, slabs: Vec::new(), terms: 0 });
-            }
-            start = z + 1;
+    let scatter = Scatter::new(receptor, geom, opts, channels, layout);
+    let mut slabs: Vec<Box<[f32]>> = channels.iter().map(|_| zero_slab(layout.len())).collect();
+    let (dims, boxes) = (layout.dims, layout.at.len());
+    let per_box = ranges.max(1).div_ceil(boxes).min(dims[2]);
+    let planes = dims[2].div_ceil(per_box);
+    let mut parts = Vec::with_capacity(boxes * per_box);
+    for (b, at) in layout.at.iter().enumerate() {
+        for z in (0..dims[2]).step_by(planes) {
+            let z = at[2] + z..at[2] + (z + planes).min(dims[2]);
+            parts.push(Planes { b, z, slabs: Vec::new(), terms: 0 });
         }
     }
-    // Every slab is cut at the same planes; range k gets piece k of each.
-    let plane = geom.dims[0] * geom.dims[1];
+    // The parts hold the boxes' planes in slab order: each slab is cut
+    // into one piece per part, front to back.
+    let plane = dims[0] * dims[1];
     for slab in &mut slabs {
-        // Unique, as the caller made it: this never copies.
-        let mut rest = &mut Arc::make_mut(slab)[..];
-        let mut at = 0;
+        let mut rest = &mut slab[..];
         for part in &mut parts {
-            let skipped = std::mem::take(&mut rest).split_at_mut((part.z.start - at) * plane).1;
-            let (piece, tail) = skipped.split_at_mut(part.z.len() * plane);
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(part.z.len() * plane);
             part.slabs.push(piece);
-            (rest, at) = (tail, part.z.end);
+            rest = tail;
         }
     }
     shared_pool(host_threads()).for_each_mut(&mut parts, |part| scatter.fill(part));
     let terms = parts.iter().map(|part| part.terms).sum();
-    (slabs, terms)
+    (slabs.into_iter().map(Arc::new).collect(), terms)
 }
 
-/// One range's share of a build: planes `z` of every slab being built.
+/// One range's share of a build: lattice planes `z` of box `b` of every
+/// slab being built.
 struct Planes<'a> {
+    b: usize,
     z: Range<usize>,
-    /// Planes `z` of each slab, in channel order.
+    /// Those planes of each slab, in channel order.
     slabs: Vec<&'a mut [f32]>,
     /// Pair terms [`Scatter::fill`] added to them.
     terms: u64,
 }
 
-/// What every range of one build reads: the lattice, the nodes being
-/// built, and the receptor laid out for the walk.
-struct Scatter<'r> {
+/// What every range of one build reads: the lattice, its layout, and the
+/// receptor laid out for the walk.
+struct Scatter<'l> {
     geom: Geometry,
-    region: &'r Region,
+    layout: &'l Layout,
     cutoff: f64,
     /// Node coordinates along each axis, `origin + i · spacing`.
     axes: [Vec<f64>; 3],
@@ -574,14 +569,14 @@ struct ScatterAtom {
     kq: f64,
 }
 
-impl<'r> Scatter<'r> {
+impl<'l> Scatter<'l> {
     fn new(
         receptor: &Molecule,
         geom: Geometry,
         opts: GridOptions,
         channels: &[Channel],
-        region: &'r Region,
-    ) -> Scatter<'r> {
+        layout: &'l Layout,
+    ) -> Scatter<'l> {
         let lj_elems = channels.iter().filter_map(|c| match c {
             Channel::Lj(e) => Some(*e),
             Channel::Elec => None,
@@ -615,7 +610,7 @@ impl<'r> Scatter<'r> {
         let axis = |a: usize| -> Vec<f64> { (0..geom.dims[a]).map(|i| geom.node(a, i)).collect() };
         Scatter {
             geom,
-            region,
+            layout,
             cutoff: opts.cutoff,
             axes: [axis(0), axis(1), axis(2)],
             atoms,
@@ -625,53 +620,68 @@ impl<'r> Scatter<'r> {
         }
     }
 
-    /// Add every atom's terms into the nodes of the region in `part`'s
-    /// planes, then clamp them, over the widest lanes the host has (asked
-    /// once per call).
+    /// Add every atom's terms into the built nodes of `part`'s planes,
+    /// then clamp them, over the widest lanes the host has (asked once per
+    /// call).
     fn fill(&self, part: &mut Planes<'_>) {
         widest(RangeFill { scatter: self, part })
     }
 
     /// [`Scatter::fill`] over the lanes `W`: [`Scatter::fill_over`] of
-    /// the whole lattice or of a part of it, compiled apart (the walk of a
-    /// part ran 5–10% slower as one body with a flag).
+    /// the whole lattice or of a ball's box, compiled apart (the walk of a
+    /// part of the lattice ran 5–10% slower as one body with a flag).
     #[inline(always)]
     fn fill_in<W: Wide>(&self, part: &mut Planes<'_>) {
-        if self.region.nodes == self.geom.nodes() as u64 {
+        if self.layout.is_whole() {
             self.fill_over::<W, false>(part)
         } else {
             self.fill_over::<W, true>(part)
         }
     }
 
-    /// [`Scatter::fill`] over the lanes `W`; `PART` says whether the region
-    /// leaves nodes out.
+    /// [`Scatter::fill`] over the lanes `W`; `BALL` says whether the box
+    /// builds only its ball's nodes.
     ///
     /// A node's `f32` sums must not depend on how the lattice was cut, on
-    /// the region or on the lane type, and must equal what a node-major
+    /// the layout or on the lane type, and must equal what a node-major
     /// gather through the same `SpatialGrid` would add up (the tests keep
     /// one to compare with). All of it holds because a node takes its
     /// terms in cell order here and there: a query reports its neighbours
     /// in the relative order of `cell_order`, and here every range walks
-    /// all of `cell_order`, a run of a row of nodes at a time, in whatever
-    /// steps. The terms themselves are the same numbers
-    /// ([`Scatter::step`]).
+    /// `cell_order`, leaving out only atoms beyond the cutoff of every
+    /// node it builds (in a box, those farther than its ball's reach plus
+    /// the cutoff and [`REACH_SLACK`] from the ball's centre), a piece of a
+    /// row of nodes at a time, in whatever steps; the nodes' coordinates
+    /// are the lattice's, wherever the box lies. The terms themselves are
+    /// the same numbers ([`Scatter::step`]).
     ///
     /// An atom visits the lines of a plane within its cutoff circle there.
-    /// In a part it visits only the runs of those lines within the
-    /// circle's x-extent, so that rows outside the part cost nothing; in
-    /// the whole lattice every line is one run.
+    /// In a ball's box it finds the chord only of the lines whose run
+    /// meets the circle's x-extent, and adds only to the chord's nodes in
+    /// the run; in the whole lattice every line is one run.
     #[inline(always)]
-    fn fill_over<W: Wide, const PART: bool>(&self, part: &mut Planes<'_>) {
+    fn fill_over<W: Wide, const BALL: bool>(&self, part: &mut Planes<'_>) {
         let [nx, ny, nz] = &self.axes;
-        let dims = self.geom.dims;
+        let (dims, at) = (self.layout.dims, self.layout.at[part.b]);
         let r2 = self.cutoff * self.cutoff;
         let mut nodes = 0;
-        // One plane's pieces of rows: where its cells start, dy², and the
+        // One plane's pieces of rows: where their cells start, dy², and the
         // nodes' x indices.
         let mut pieces: Vec<(usize, f64, Range<usize>)> = Vec::with_capacity(dims[1]);
+        // In a ball's box, the run of x the ball holds on each line of the
+        // part's planes, and how far from its centre an atom can reach it.
+        let ball = self.layout.balls.get(part.b).filter(|_| BALL);
+        let part_lines = part.z.clone().flat_map(|z| (at[1]..at[1] + dims[1]).map(move |y| (y, z)));
+        let runs: Vec<Range<usize>> = match ball {
+            Some(b) => part_lines.map(|(y, z)| b.run(&self.geom, y, z)).collect(),
+            None => Vec::new(),
+        };
+        let near = ball.map_or(0.0, |b| b.reach + self.cutoff + REACH_SLACK);
         for atom in &self.atoms {
             let p = atom.p;
+            if ball.is_some_and(|b| p.dist_sq(b.center) > near * near) {
+                continue;
+            }
             let hbond = self.pair_params[atom.elem as usize].iter().any(|&(_, _, hb)| hb);
             let zs = self.geom.span(2, p.z - self.cutoff, p.z + self.cutoff);
             let zs = zs.start.max(part.z.start)..zs.end.min(part.z.end);
@@ -687,63 +697,43 @@ impl<'r> Scatter<'r> {
                 }
                 let rc = circle.sqrt();
                 let ys = self.geom.span(1, p.y - rc, p.y + rc);
+                let ys = ys.start.max(at[1])..ys.end.min(at[1] + dims[1]);
                 let plane = (iz - part.z.start) * dims[1];
+                let lines = match BALL {
+                    true => &runs[plane..plane + dims[1]],
+                    false => &[],
+                };
+                let wide = self.geom.span(0, p.x - rc, p.x + rc);
                 // The plane's pieces first, then their terms: finding a
                 // chord is a chain of dependent operations, which runs
                 // ahead of the steps this way instead of after each row.
                 pieces.clear();
-                if PART {
-                    // Only the runs of these lines that meet the circle's
-                    // x-extent, each line's chord found once.
-                    let wide = self.geom.span(0, p.x - rc, p.x + rc);
-                    let [xs, lines] = &self.region.extent[iz];
-                    let ys = ys.start.max(lines.start)..ys.end.min(lines.end);
-                    if !overlap(xs, &wide) || ys.is_empty() {
+                for iy in ys {
+                    let run = match BALL {
+                        true => lines[iy - at[1]].clone(),
+                        false => 0..dims[0],
+                    };
+                    if BALL && !overlap(&run, &wide) {
                         continue;
                     }
-                    let rows = &self.region.rows[iz * dims[1]..][ys.start..=ys.end];
-                    let runs = rows[0]..rows[ys.len()];
-                    let lines = &self.region.line[runs.clone()];
-                    let (mut at_line, mut dy2, mut xs) = (usize::MAX, 0.0, 0..0);
-                    for (run, &iy) in self.region.runs[runs].iter().zip(lines) {
-                        if !overlap(run, &wide) {
-                            continue;
-                        }
-                        if iy != at_line {
-                            (at_line, (dy2, xs)) = (iy, self.chord(p, ny[iy], dz2));
-                        }
-                        let (lo, hi) = (xs.start.max(run.start), xs.end.min(run.end));
-                        if lo < hi {
-                            pieces.push(((plane + iy) * dims[0], dy2, lo..hi));
-                        }
-                    }
-                } else {
-                    for iy in ys {
-                        let (dy2, xs) = self.chord(p, ny[iy], dz2);
-                        if !xs.is_empty() {
-                            pieces.push(((plane + iy) * dims[0], dy2, xs));
-                        }
+                    let (dy2, xs) = self.chord(p, ny[iy], dz2);
+                    let xs = xs.start.max(run.start)..xs.end.min(run.end);
+                    if !xs.is_empty() {
+                        let row = (plane + iy - at[1]) * dims[0];
+                        pieces.push((row + xs.start - at[0], dy2, xs));
                     }
                 }
-                for (row_at, dy2, xs) in pieces.drain(..) {
-                    let at = row_at + xs.start;
+                for (at, dy2, xs) in pieces.drain(..) {
                     let row = Row { atom, dy2, dz2, r2, nodes: &nx[xs] };
                     nodes += self.add_row::<W>(row, hbond, &mut part.slabs, at);
                 }
             }
         }
         part.terms = nodes * part.slabs.len() as u64;
+        // Nodes not built hold `+0.0`, which the clamp keeps.
         let lj = self.pair_params[0].len();
-        for iz in part.z.clone() {
-            for iy in self.region.extent[iz][1].clone() {
-                let row = ((iz - part.z.start) * dims[1] + iy) * dims[0];
-                for run in self.region.row(iz * dims[1] + iy) {
-                    for slab in &mut part.slabs[..lj] {
-                        let nodes = &mut slab[row + run.start..row + run.end];
-                        nodes.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
-                    }
-                }
-            }
+        for slab in &mut part.slabs[..lj] {
+            slab.iter_mut().for_each(|v| *v = v.min(MAX_NODE_POTENTIAL));
         }
     }
 
@@ -872,7 +862,6 @@ impl WideFn for RangeFill<'_, '_> {
         self.scatter.fill_in::<W>(self.part)
     }
 }
-
 // ---------------------------------------------------------------------------
 // Cache.
 // ---------------------------------------------------------------------------
@@ -916,9 +905,7 @@ impl FieldKey {
 pub struct GridCacheStats {
     /// Slabs resident.
     pub entries: usize,
-    /// Memory allocated for them, bytes: allocated, not resident, as a
-    /// slab built over a reach holds pages never written
-    /// ([`GridBuildStats::bytes`]).
+    /// Their memory, bytes, all of it resident ([`GridBuildStats::bytes`]).
     pub bytes: u64,
     /// Requests (one per scorer built) that found every slab resident.
     pub hits: u64,
@@ -930,9 +917,8 @@ pub struct GridCacheStats {
     pub channels_built: u64,
 }
 
-/// Resident slabs may total this many allocated bytes (not resident ones,
-/// [`GridCacheStats::bytes`]) before the least recently used receptor's
-/// are dropped: room for one AutoDock-pitch (0.375 Å) field
+/// Resident slabs may total this many bytes before the least recently
+/// used receptor's are dropped: room for one AutoDock-pitch (0.375 Å) field
 /// over the larger Table 5 receptor (2BXG: four slabs of 47 MB) beside a
 /// library's worth of coarse ones.
 const GRID_CACHE_BUDGET_BYTES: u64 = 256 << 20;
@@ -941,11 +927,11 @@ fn slab_bytes(slab: &Slab) -> u64 {
     std::mem::size_of_val::<[f32]>(&slab[..]) as u64
 }
 
-/// A slab and the nodes it holds.
+/// A slab and how it holds the lattice.
 #[derive(Debug, Clone)]
 struct Stored {
     slab: Slab,
-    cover: Cover,
+    layout: Arc<Layout>,
 }
 
 /// The slabs of one (receptor, options) pair.
@@ -967,36 +953,26 @@ struct CacheState {
 /// used first. Slabs a scorer holds stay alive through their `Arc` after
 /// eviction. The lock is held for map operations only, never across a
 /// build: two requests for one cold slab both build it and the later
-/// publisher adopts the earlier one's copy if it holds at least the nodes
-/// the later one built. The process has one ([`grid_cache`]); tests make
-/// their own.
+/// publisher adopts the earlier one's copy if it has the same layout. The
+/// process has one ([`grid_cache`]); tests make their own.
 ///
-/// A slab records its [`Cover`]. Only a **cold** request — one that finds
-/// no slab of its receptor and options resident — builds just the nodes
-/// its poses can reach ([`Reach`]); every later request gets whole slabs,
-/// and one that finds a partial slab completes it by building the rest of
-/// the lattice into a copy, which then replaces it.
+/// A slab records its [`Layout`]. Only a **cold** request — one that finds
+/// no slab of its receptor and options resident — builds boxes around the
+/// balls its poses can reach ([`Reach`]); every later request gets whole
+/// slabs, and one that finds a boxed slab rebuilds it whole, beside the
+/// slabs it misses, and the whole one replaces it.
 struct SlabCache {
     budget: u64,
     state: Mutex<CacheState>,
-}
-
-/// One build of a request: the channels at `slots`, from `slabs`, over
-/// the nodes of `region`, after which they hold `made`.
-struct Pass {
-    region: Arc<Region>,
-    made: Cover,
-    slots: Vec<usize>,
-    slabs: Vec<Slab>,
 }
 
 /// What one request got: the slab of every channel, in channel order, and
 /// what getting them cost.
 struct Fetched {
     slabs: Vec<Slab>,
-    /// The nodes every one of `slabs` holds at least.
-    cover: Cover,
-    /// Slabs built or completed.
+    /// How every one of `slabs` holds the lattice.
+    layout: Arc<Layout>,
+    /// Slabs built.
     built: usize,
     seconds: f64,
     terms: u64,
@@ -1026,7 +1002,7 @@ impl SlabCache {
             }
             None => (vec![None; channels.len()], true),
         };
-        if found.iter().all(|s| matches!(s, Some(Stored { cover: Cover::Whole, .. }))) {
+        if found.iter().all(|s| s.as_ref().is_some_and(|s| s.layout.is_whole())) {
             st.stats.hits += 1;
         } else {
             st.stats.misses += 1;
@@ -1034,13 +1010,13 @@ impl SlabCache {
         (found, cold)
     }
 
-    /// Make freshly built slabs resident and hand back, in order, the
-    /// resident slab of each of their channels: a resident whole slab, or
-    /// one over the same region as the fresh one, is adopted (a racing
-    /// request published it first); a resident partial slab is replaced by
-    /// a fresh whole one; a resident partial slab over another region stays
-    /// and the fresh one is handed back. Then evict other receptors, least
-    /// recently used first, until the budget holds (`key`'s own slabs
+    /// Make freshly built slabs resident and hand back, in order, the slab
+    /// of each of their channels the request is to use: a resident slab of
+    /// the same layout as the fresh one is adopted (a racing request
+    /// published it first); a fresh whole slab replaces a resident boxed
+    /// one; a fresh boxed slab leaves a resident slab of another layout
+    /// where it is and is handed back itself. Then evict other receptors,
+    /// least recently used first, until the budget holds (`key`'s own slabs
     /// always stay).
     fn publish(&self, key: FieldKey, built: Vec<(Channel, Stored)>) -> Vec<Stored> {
         let mut st = self.state();
@@ -1049,7 +1025,7 @@ impl SlabCache {
         st.stats.channels_built += built.len() as u64;
         let resident = st.fields.entry(key).or_default();
         resident.last_used = tick;
-        let (mut added, mut bytes) = (0, 0);
+        let (mut added, mut bytes, mut freed) = (0, 0, 0);
         let mut kept = Vec::with_capacity(built.len());
         for (channel, fresh) in built {
             let Some(slot) = resident.slabs.get_mut(&channel) else {
@@ -1059,18 +1035,18 @@ impl SlabCache {
                 kept.push(fresh);
                 continue;
             };
-            match (&slot.cover, &fresh.cover) {
-                (Cover::Whole, _) => kept.push(slot.clone()),
-                (Cover::Part(_), Cover::Whole) => {
-                    *slot = fresh.clone();
-                    kept.push(fresh);
-                }
-                (Cover::Part(a), Cover::Part(b)) if a == b => kept.push(slot.clone()),
-                (Cover::Part(_), Cover::Part(_)) => kept.push(fresh),
+            if slot.layout == fresh.layout {
+                kept.push(slot.clone());
+            } else if fresh.layout.is_whole() {
+                (bytes, freed) = (bytes + slab_bytes(&fresh.slab), freed + slab_bytes(&slot.slab));
+                *slot = fresh.clone();
+                kept.push(fresh);
+            } else {
+                kept.push(fresh);
             }
         }
         st.stats.entries += added;
-        st.stats.bytes += bytes;
+        st.stats.bytes = st.stats.bytes + bytes - freed;
         while st.stats.bytes > self.budget {
             let others = st.fields.iter().filter(|(k, _)| **k != key);
             let Some((&victim, _)) = others.min_by_key(|(_, r)| r.last_used) else { break };
@@ -1083,10 +1059,10 @@ impl SlabCache {
     }
 
     /// One request: the slab of every channel, in `channels` order. The
-    /// missing ones are built in one pass — over the nodes `reach` can read
-    /// if the request is cold, else over the whole lattice — and each
-    /// resident partial slab is completed, one pass per region, by building
-    /// the rest of the lattice into a copy. `clock` times the passes.
+    /// missing ones, and the resident ones of another layout, are built in
+    /// one pass: as boxes around `reach`'s balls ([`Reach::boxes`]) if the
+    /// request is cold and the boxes hold at most half the lattice's nodes,
+    /// else whole, which then costs less. `clock` times the pass.
     fn slabs(
         &self,
         receptor: &Molecule,
@@ -1098,59 +1074,28 @@ impl SlabCache {
         let key = FieldKey::of(receptor, opts);
         let (mut found, cold) = self.lookup(&key, channels);
         let geom = Geometry::of(receptor, opts);
-        let cover = match reach.filter(|_| cold).and_then(|r| r.region(geom)) {
-            Some(region) => Cover::Part(Arc::new(region)),
-            None => Cover::Whole,
-        };
-        // The passes: the missing slabs from zeros over `cover`, then every
-        // resident region's complement into copies of its slabs.
-        let mut passes = Vec::new();
-        let missing: Vec<usize> = (0..channels.len()).filter(|&i| found[i].is_none()).collect();
-        if !missing.is_empty() {
-            let region = match &cover {
-                Cover::Whole => Arc::new(Region::whole(geom)),
-                Cover::Part(region) => Arc::clone(region),
-            };
-            let slabs = missing.iter().map(|_| zero_slab(geom, &region)).collect();
-            passes.push(Pass { region, made: cover.clone(), slots: missing, slabs });
-        }
-        let mut partial: Vec<(Arc<Region>, Vec<usize>)> = Vec::new();
-        for (i, stored) in found.iter().enumerate() {
-            let Some(Stored { cover: Cover::Part(region), .. }) = stored else { continue };
-            match partial.iter_mut().find(|(r, _)| Arc::ptr_eq(r, region)) {
-                Some((_, slots)) => slots.push(i),
-                None => partial.push((Arc::clone(region), vec![i])),
-            }
-        }
-        for (part, slots) in partial {
-            let region = Arc::new(part.complement(geom));
-            let slabs = slots
-                .iter()
-                .filter_map(|&i| found[i].as_ref().map(|s| Arc::new(Box::from(&s.slab[..]))))
-                .collect();
-            passes.push(Pass { region, made: Cover::Whole, slots, slabs });
-        }
-
-        let (mut built, mut seconds, mut terms) = (Vec::new(), 0.0, 0);
-        if !passes.is_empty() {
+        let boxed = reach.filter(|_| cold).and_then(|r| r.boxes(geom));
+        let boxed = boxed.filter(|boxes| 2 * boxes.zeros() <= geom.nodes());
+        let layout = Arc::new(boxed.unwrap_or_else(|| Layout::whole(geom)));
+        let slots: Vec<usize> = (0..channels.len())
+            .filter(|&i| found[i].as_ref().is_none_or(|s| s.layout != layout))
+            .collect();
+        let (mut seconds, mut terms) = (0.0, 0);
+        if !slots.is_empty() {
             let t0 = clock();
-            for Pass { region, made, slots, slabs } in passes {
-                let these: Vec<Channel> = slots.iter().map(|&i| channels[i]).collect();
-                let ranges = RANGES_PER_THREAD * host_threads();
-                let (slabs, added) =
-                    fill_region(receptor, geom, opts, &these, &region, slabs, ranges);
-                terms += added;
-                let stored = slabs.into_iter().map(|slab| Stored { slab, cover: made.clone() });
-                built.extend(slots.into_iter().zip(stored));
-            }
-            seconds = clock() - t0;
-            let publish = built.iter().map(|(i, s)| (channels[*i], s.clone())).collect();
-            for ((i, _), stored) in built.iter().zip(self.publish(key, publish)) {
-                found[*i] = Some(stored);
+            let these: Vec<Channel> = slots.iter().map(|&i| channels[i]).collect();
+            let ranges = RANGES_PER_THREAD * host_threads();
+            let (slabs, added) = build_slabs_in(receptor, geom, opts, &these, &layout, ranges);
+            (seconds, terms) = (clock() - t0, added);
+            let stored = slabs.into_iter().map(|slab| Stored { slab, layout: Arc::clone(&layout) });
+            for (&i, stored) in
+                slots.iter().zip(self.publish(key, these.into_iter().zip(stored).collect()))
+            {
+                found[i] = Some(stored);
             }
         }
         let slabs = found.into_iter().flatten().map(|s| s.slab).collect();
-        Fetched { slabs, cover, built: built.len(), seconds, terms }
+        Fetched { slabs, layout, built: slots.len(), seconds, terms }
     }
 
     fn stats(&self) -> GridCacheStats {
@@ -1198,9 +1143,9 @@ pub struct GridField {
     lj: Vec<Slab>,
     /// Electrostatic potential per unit charge.
     elec: Option<Slab>,
-    /// The nodes every slab holds at least: the whole lattice, or the
+    /// How every slab holds the lattice: whole, or in boxes around the
     /// reach of a cold request's spots ([`SlabCache`]).
-    cover: Cover,
+    layout: Arc<Layout>,
 }
 
 impl GridField {
@@ -1208,8 +1153,8 @@ impl GridField {
         self.lj.iter().chain(&self.elec)
     }
 
-    /// Memory allocated for this field's slabs in bytes, not how much of
-    /// it is resident ([`GridBuildStats::bytes`]).
+    /// Memory of this field's slabs in bytes, all of it resident
+    /// ([`GridBuildStats::bytes`]).
     pub fn footprint_bytes(&self) -> usize {
         self.slabs().map(slab_bytes).sum::<u64>() as usize
     }
@@ -1241,9 +1186,11 @@ impl GridField {
 /// once with the scorer: the atoms' coordinates in the ligand's frame, x
 /// then y then z, and per lane the index of its LJ slab in
 /// [`GridField::lj`], its charge and its mask. The lanes past the last atom
-/// hold NaN coordinates, slab 0, charge 0 and mask 0: any pose places them
-/// at NaN, which the lattice clamp sends to node 0 (a ligand has at least
-/// one atom, so slab 0 exists), and `0 · 0` adds nothing there.
+/// sit at the ligand's centre, with slab 0, charge 0 and mask 0: a pose
+/// places them at its translation, whose cell is in the pose's box like
+/// every atom's (a ligand has at least one atom, so slab 0 exists), and
+/// `0 · 0` adds nothing there. The nodes are finite, so a lane under mask
+/// 0 adds `±0`, which leaves the chunk's sum as it is wherever it reads.
 #[derive(Debug, Clone, Copy)]
 struct LigandChunk {
     at: [[f64; 8]; 3],
@@ -1252,8 +1199,8 @@ struct LigandChunk {
     mask: [f32; 8],
 }
 
-/// One chunk's lattice cells under one pose: each lane's base node and its
-/// fractional weights along x, y and z.
+/// One chunk's lattice cells under one pose: each lane's base node, as an
+/// index into the slabs, and its fractional weights along x, y and z.
 struct Cells {
     base: [usize; 8],
     fx: [f32; 8],
@@ -1343,27 +1290,52 @@ impl<W: Wide> LanePose<W> {
 }
 
 /// The lattice as the cell setup reads it, broadcast to every lane once
-/// per batch: per axis the origin, the clamp's upper end `dims − 1.000001`
-/// and the node count, then the pitch.
+/// per batch: per axis the origin and the clamp's upper end `dims −
+/// 1.000001`, then the pitch, then per axis the node count of a box.
 #[derive(Clone, Copy)]
 struct LaneLattice<W> {
     origin: [W; 3],
     hi: [W; 3],
-    dims: [W; 3],
     spacing: W,
+    dims: [W; 3],
+}
+
+/// A pose's box, broadcast to every lane: the node `(z · dims[1] + y) ·
+/// dims[0] + x` of the lattice, counted in the box's dims, is node `scale ·
+/// that + shift` of the slabs — `1` and where the box starts less its
+/// corner's count, or `0` and the `+0.0` cell for a pose no box holds.
+#[derive(Clone, Copy)]
+struct LaneBox<W> {
+    scale: W,
+    shift: W,
 }
 
 impl<W: Wide> LaneLattice<W> {
     #[inline(always)]
-    fn new(g: &Geometry) -> LaneLattice<W> {
+    fn new(g: &Geometry, layout: &Layout) -> LaneLattice<W> {
         let o = g.origin;
-        let [nx, ny, nz] = [g.dims[0] as f64, g.dims[1] as f64, g.dims[2] as f64];
+        let hi = |a: usize| W::splat(g.dims[a] as f64 - 1.000001);
+        let dims = |a: usize| W::splat(layout.dims[a] as f64);
         LaneLattice {
             origin: [W::splat(o.x), W::splat(o.y), W::splat(o.z)],
-            hi: [W::splat(nx - 1.000001), W::splat(ny - 1.000001), W::splat(nz - 1.000001)],
-            dims: [W::splat(nx), W::splat(ny), W::splat(nz)],
+            hi: [hi(0), hi(1), hi(2)],
             spacing: W::splat(g.spacing),
+            dims: [dims(0), dims(1), dims(2)],
         }
+    }
+
+    /// Box `b` of `layout` ([`Layout::box_of`]), broadcast.
+    #[inline(always)]
+    fn box_at(layout: &Layout, b: Option<usize>) -> LaneBox<W> {
+        let (scale, shift) = match b {
+            Some(b) => {
+                let ([x, y, z], [nx, ny, _]) = (layout.at[b], layout.dims);
+                let corner = (z * ny + y) * nx + x;
+                (1.0, (b * layout.box_nodes()) as f64 - corner as f64)
+            }
+            None => (0.0, layout.zeros() as f64),
+        };
+        LaneBox { scale: W::splat(scale), shift: W::splat(shift) }
     }
 
     /// The cells of `chunk`'s atoms placed by `pose`: [`LANES`] atoms per
@@ -1377,15 +1349,16 @@ impl<W: Wide> LaneLattice<W> {
     /// `+0.0`); the division is the one the scalar setup made, not a
     /// product with a reciprocal, which would round differently.
     ///
-    /// The base node `(z · dims[1] + y) · dims[0] + x` is summed in the
-    /// lanes too and converted once per atom: every term is an integer no
-    /// larger than the node count, which is below 2⁵³ for any lattice whose
-    /// slabs fit in memory, so the `f64` sums are exact. Three saturating
-    /// `f64 → usize` conversions per atom cost more than the rest of the
-    /// setup; the one left goes through `i64`, which x86-64 converts to in
-    /// one instruction where `u64` takes two and a branch.
+    /// The base node `(z · dims[1] + y) · dims[0] + x`, in a box's dims,
+    /// is then placed in the pose's box `bx` ([`LaneBox`]); for the whole
+    /// lattice that is the identity. It is summed in the lanes and
+    /// converted once per atom: every term is an integer far below 2⁵³ for
+    /// any slab that fits in memory, so the `f64` sums are exact. Three
+    /// saturating `f64 → usize` conversions per atom cost more than the
+    /// rest of the setup; the one left goes through `i64`, which x86-64
+    /// converts to in one instruction where `u64` takes two and a branch.
     #[inline(always)]
-    fn cells(&self, pose: &LanePose<W>, chunk: &LigandChunk) -> Cells {
+    fn cells(&self, pose: &LanePose<W>, bx: &LaneBox<W>, chunk: &LigandChunk) -> Cells {
         let zero = W::splat(0.0);
         let (mut base, mut fracs) = ([zero; 2], [[0f32; 8]; 3]);
         for (step, base) in base.iter_mut().enumerate() {
@@ -1399,6 +1372,7 @@ impl<W: Wide> LaneLattice<W> {
                 *base = *base * self.dims[axis] + cell;
                 fracs[axis].as_chunks_mut::<LANES>().0[step] = (v - cell).to_f32_array();
             }
+            *base = *base * bx.scale + bx.shift;
         }
         let [fx, fy, fz] = fracs;
         let mut cells = Cells { base: [0; 8], fx, fy, fz };
@@ -1410,13 +1384,16 @@ impl<W: Wide> LaneLattice<W> {
 }
 
 /// A batch's interpolation, for [`widest`] to pick the lanes of once: each
-/// pose with the place its score goes.
+/// pose with its spot, if any, and the place its score goes.
 struct Interpolation<'a, I> {
     scorer: &'a GridScorer,
     batch: I,
 }
 
-impl<'p, I: Iterator<Item = (&'p RigidTransform, &'p mut f64)>> WideFn for Interpolation<'_, I> {
+impl<'p, I> WideFn for Interpolation<'_, I>
+where
+    I: Iterator<Item = (&'p RigidTransform, Option<usize>, &'p mut f64)>,
+{
     type Output = ();
     #[inline(always)]
     fn call<W: Wide>(self) {
@@ -1447,9 +1424,10 @@ impl GridScorer {
     }
 
     /// [`GridScorer::new`] for poses that are each `clamped_to` one of
-    /// `spots`: a cold request builds only the nodes those poses can read
-    /// ([`Reach`]), and scoring a pose farther out reads `+0.0` for the
-    /// nodes it was not built (a debug build asserts it reads none).
+    /// `spots`: a cold request stores one box per spot and builds only the
+    /// nodes those poses can read ([`Reach`]), and scoring a pose farther
+    /// out reads `+0.0` for the nodes it was not built (a debug build
+    /// asserts it reads none).
     pub(crate) fn for_spots(
         receptor: &Molecule,
         ligand: &Molecule,
@@ -1497,10 +1475,10 @@ impl GridScorer {
         if opts.dielectric.is_some() {
             channels.push(Channel::Elec);
         }
-        let Fetched { slabs: mut lj, cover, built, seconds, terms } =
+        let Fetched { slabs: mut lj, layout, built, seconds, terms } =
             cache.slabs(receptor, opts, &channels, reach, clock);
         let elec = if opts.dielectric.is_some() { lj.pop() } else { None };
-        let field = GridField { geom: Geometry::of(receptor, opts), opts, lj, elec, cover };
+        let field = GridField { geom: Geometry::of(receptor, opts), opts, lj, elec, layout };
         let stats = GridBuildStats {
             nodes: field.nodes() as u64,
             grids: field.grid_count(),
@@ -1510,8 +1488,7 @@ impl GridScorer {
             terms,
             cached: built == 0,
         };
-        let padding =
-            LigandChunk { at: [[f64::NAN; 8]; 3], slab: [0; 8], q: [0.0; 8], mask: [0.0; 8] };
+        let padding = LigandChunk { at: [[0.0; 8]; 3], slab: [0; 8], q: [0.0; 8], mask: [0.0; 8] };
         let mut chunks = vec![padding; lig.len().div_ceil(F32x8::LANES)];
         let atoms = lig.positions().iter().zip(lig.elements()).zip(lig.charges());
         for (i, ((p, e), q)) in atoms.enumerate() {
@@ -1565,44 +1542,50 @@ impl GridScorer {
         self.atoms
     }
 
-    /// Memory allocated for this scorer's slabs in bytes
+    /// Memory of this scorer's slabs in bytes
     /// ([`GridField::footprint_bytes`]).
     pub fn footprint_bytes(&self) -> usize {
         self.field.footprint_bytes()
     }
 
     /// What this scorer's grids are and what its request cost.
-    pub fn build_stats(&self) -> GridBuildStats {
+    #[cfg(test)]
+    pub(crate) fn build_stats(&self) -> GridBuildStats {
         self.stats
     }
 
     /// Whether every slab the two scorers have in common by position is one
     /// shared allocation (same receptor, options and element set).
-    pub fn shares_slabs_with(&self, other: &GridScorer) -> bool {
+    #[cfg(test)]
+    pub(crate) fn shares_slabs_with(&self, other: &GridScorer) -> bool {
         self.field.grid_count() == other.field.grid_count()
             && self.field.slabs().zip(other.field.slabs()).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
-    /// The score of every pose of `batch`, written where the batch keeps
-    /// it: 8 atoms per step, placed and their cells set up over `W`, their
-    /// corners blended through [`F32x8`]. What no pose changes — the slabs,
-    /// the strides and the lattice's broadcasts — is set up once per batch.
+    /// The score of every pose of `batch` — a pose, the spot of its
+    /// conformation if it is one, and where its score goes — written where
+    /// the batch keeps it: 8 atoms per step, placed and their cells set up
+    /// over `W` in the pose's box ([`Layout::box_of`]), their corners
+    /// blended through [`F32x8`]. What no pose changes — the slabs, the
+    /// strides and the lattice's broadcasts — is set up once per batch.
     #[inline(always)]
     fn interpolate<'p, W: Wide>(
         &self,
-        batch: impl Iterator<Item = (&'p RigidTransform, &'p mut f64)>,
+        batch: impl Iterator<Item = (&'p RigidTransform, Option<usize>, &'p mut f64)>,
     ) {
         let f = &self.field;
-        debug_assert!(f.nodes() < 1 << 53, "node indices must be exact in f64");
-        let strides = f.geom.strides();
-        let lattice = LaneLattice::<W>::new(&f.geom);
+        let layout = &*f.layout;
+        debug_assert!(layout.len() < 1 << 53, "node indices must be exact in f64");
+        let strides = layout.strides();
+        let lattice = LaneLattice::<W>::new(&f.geom, layout);
         let one = F32x8::splat(1.0);
         let (lj, elec) = (f.lj_nodes(), f.elec.as_ref().map(|slab| &slab[..]));
-        for (pose, score) in batch {
+        for (pose, spot, score) in batch {
+            let bx = LaneLattice::box_at(layout, layout.box_of(&f.geom, pose, spot));
             let pose = LanePose::<W>::new(pose);
             let mut total = 0.0f64;
             for chunk in &self.chunks {
-                let c = lattice.cells(&pose, chunk);
+                let c = lattice.cells(&pose, &bx, chunk);
                 debug_assert!(
                     self.reads_built(chunk, &c),
                     "a pose read lattice nodes its slabs do not hold"
@@ -1633,15 +1616,21 @@ impl GridScorer {
     }
 
     /// Whether every corner a lane of `chunk` under mask 1 reads at `c` is
-    /// a node the slabs hold. A lane under mask 0 reads node 0's cell,
-    /// which may be unbuilt: it holds `+0.0`, and `0 · 0` adds nothing.
+    /// a node its box's ball holds, so that it was built.
     fn reads_built(&self, chunk: &LigandChunk, c: &Cells) -> bool {
-        let Cover::Part(region) = &self.field.cover else { return true };
-        let g = &self.field.geom;
-        let [oy, oz] = g.strides().map(|s| s as usize);
-        let offsets = [0, 1, oy, 1 + oy, oz, 1 + oz, oy + oz, 1 + oy + oz];
+        let layout = &self.field.layout;
+        let (g, n, [nx, ny, _]) = (&self.field.geom, layout.box_nodes(), layout.dims);
         let live = (0..F32x8::LANES).filter(|&l| chunk.mask[l] != 0.0);
-        live.flat_map(|l| offsets.map(|o| c.base[l] + o)).all(|node| region.contains(g, node))
+        layout.is_whole()
+            || live.map(|l| (c.base[l] / n, c.base[l] % n)).all(|(b, i)| {
+                let (Some(ball), Some(at)) = (layout.balls.get(b), layout.at.get(b)) else {
+                    return false;
+                };
+                let cell = [at[0] + i % nx, at[1] + i / nx % ny, at[2] + i / (nx * ny)];
+                (0..8).all(|k| {
+                    ball.holds(g, [cell[0] + (k & 1), cell[1] + (k >> 1 & 1), cell[2] + (k >> 2)])
+                })
+            })
     }
 
     /// Score every pose of `input` by interpolation, `O(ligand_atoms)`
@@ -1651,12 +1640,13 @@ impl GridScorer {
         input.assert_valid();
         match input {
             ScoreBatch::Poses { poses, out } => {
-                widest(Interpolation { scorer: self, batch: poses.iter().zip(out) })
+                let batch = poses.iter().zip(out).map(|(pose, score)| (pose, None, score));
+                widest(Interpolation { scorer: self, batch })
             }
             ScoreBatch::Confs(confs) => {
                 let batch = confs.iter_mut().map(|c| {
-                    let Conformation { pose, score, .. } = c;
-                    (&*pose, score)
+                    let Conformation { pose, spot_id, score } = c;
+                    (&*pose, Some(*spot_id), score)
                 });
                 widest(Interpolation { scorer: self, batch })
             }
@@ -2035,7 +2025,8 @@ mod tests {
     /// cell — and every lane's corners blended on their own by
     /// [`trilerp_lane`], in the wide blend's order.
     impl GridScorer {
-        /// Ligand atom `i` in the ligand's own frame.
+        /// Ligand atom `i` in the ligand's own frame (the centre past the
+        /// last).
         fn local(&self, i: usize) -> Vec3 {
             let (chunk, l) = (&self.chunks[i / F32x8::LANES], i % F32x8::LANES);
             Vec3::new(chunk.at[0][l], chunk.at[1][l], chunk.at[2][l])
@@ -2054,14 +2045,14 @@ mod tests {
         }
 
         /// The cells of chunk `k`'s atoms placed by `pose`, one atom at a
-        /// time; the lanes past the last atom keep cell 0, fraction 0.
-        fn cells_scalar(&self, pose: &RigidTransform, k: usize) -> Cells {
-            let g = &self.field.geom;
+        /// time, in box `b` (`None`: the `+0.0` cell).
+        fn cells_scalar(&self, pose: &RigidTransform, b: Option<usize>, k: usize) -> Cells {
+            let (g, layout) = (&self.field.geom, &self.field.layout);
             let clampf = |v: f64, hi: usize| -> f64 { v.max(0.0).min(hi as f64 - 1.000001) };
             let mut c = Cells { base: [0; 8], fx: [0.0; 8], fy: [0.0; 8], fz: [0.0; 8] };
-            let a0 = k * F32x8::LANES;
-            for l in 0..F32x8::LANES.min(self.ligand_atoms() - a0) {
-                let p = (pose.apply(self.local(a0 + l)) - g.origin) / g.spacing;
+            let [nx, ny, _] = layout.dims;
+            for l in 0..F32x8::LANES {
+                let p = (pose.apply(self.local(k * F32x8::LANES + l)) - g.origin) / g.spacing;
                 let gx = clampf(p.x, g.dims[0]);
                 let gy = clampf(p.y, g.dims[1]);
                 let gz = clampf(p.z, g.dims[2]);
@@ -2069,19 +2060,36 @@ mod tests {
                 c.fx[l] = (gx - x0 as f64) as f32;
                 c.fy[l] = (gy - y0 as f64) as f32;
                 c.fz[l] = (gz - z0 as f64) as f32;
-                c.base[l] = (z0 * g.dims[1] + y0) * g.dims[0] + x0;
+                c.base[l] = match b {
+                    Some(b) => {
+                        let [ax, ay, az] = layout.at[b];
+                        let (node, corner) = ((z0 * ny + y0) * nx + x0, (az * ny + ay) * nx + ax);
+                        (node + b * layout.box_nodes()).checked_sub(corner).expect("in the box")
+                    }
+                    None => layout.zeros(),
+                };
             }
             c
         }
 
+        /// The box a pose of the `ScoreBatch::Poses` shape reads.
+        fn box_of(&self, pose: &RigidTransform) -> Option<usize> {
+            self.field.layout.box_of(&self.field.geom, pose, None)
+        }
+
         /// The reference twin of [`GridScorer::score`].
         fn score_scalar(&self, pose: &RigidTransform) -> f64 {
+            self.score_scalar_in(pose, self.box_of(pose))
+        }
+
+        /// The reference's score of `pose` read in box `b`.
+        fn score_scalar_in(&self, pose: &RigidTransform, b: Option<usize>) -> f64 {
             let f = &self.field;
-            let (ox, oy, oz) = (1usize, f.geom.dims[0], f.geom.dims[0] * f.geom.dims[1]);
+            let (ox, oy, oz) = (1usize, f.layout.dims[0], f.layout.dims[0] * f.layout.dims[1]);
             let lj = f.lj_nodes();
             let mut total = 0.0f64;
             for (k, chunk) in self.chunks.iter().enumerate() {
-                let c = self.cells_scalar(pose, k);
+                let c = self.cells_scalar(pose, b, k);
                 let mut lanes = [0f32; 8];
                 for (l, lane) in lanes.iter_mut().enumerate() {
                     let (fx, fy, fz) = (c.fx[l], c.fy[l], c.fz[l]);
@@ -2109,11 +2117,12 @@ mod tests {
         }
     }
 
-    /// A batch of one pose through [`GridScorer::interpolate`] over the
-    /// lanes `W`.
+    /// A batch of one pose, of a conformation of `spot` if that is set,
+    /// through [`GridScorer::interpolate`] over the lanes `W`.
     struct OnePose<'a> {
         grid: &'a GridScorer,
         pose: &'a RigidTransform,
+        spot: Option<usize>,
     }
 
     impl WideFn for OnePose<'_> {
@@ -2121,7 +2130,7 @@ mod tests {
         #[inline(always)]
         fn call<W: Wide>(self) -> f64 {
             let mut score = f64::NAN;
-            self.grid.interpolate::<W>(std::iter::once((self.pose, &mut score)));
+            self.grid.interpolate::<W>(std::iter::once((self.pose, self.spot, &mut score)));
             score
         }
     }
@@ -2145,9 +2154,30 @@ mod tests {
     /// host, and each x86-64 entry the CPU has) and through
     /// [`GridScorer::score`]: the same bits on all. Returns it.
     fn assert_pose_paths_agree(grid: &GridScorer, pose: &RigidTransform, what: &str) -> f64 {
-        let want = grid.score_scalar(pose);
-        let mut seen = every_path(|| OnePose { grid, pose });
-        seen.push(("GridScorer::score", grid.score(pose)));
+        assert_paths_agree(grid, pose, None, what)
+    }
+
+    /// [`assert_pose_paths_agree`] for the pose of a conformation of
+    /// `spot`, if that is set: the reference reads the box the
+    /// conformation's spot picks, and the batch entry takes the
+    /// conformation.
+    fn assert_paths_agree(
+        grid: &GridScorer,
+        pose: &RigidTransform,
+        spot: Option<usize>,
+        what: &str,
+    ) -> f64 {
+        let (layout, geom) = (&grid.field.layout, &grid.field.geom);
+        let want = grid.score_scalar_in(pose, layout.box_of(geom, pose, spot));
+        let mut seen = every_path(|| OnePose { grid, pose, spot });
+        match spot {
+            None => seen.push(("GridScorer::score", grid.score(pose))),
+            Some(id) => {
+                let mut conf = [Conformation::new(*pose, id)];
+                grid.score_batch(ScoreBatch::Confs(&mut conf));
+                seen.push(("GridScorer::score_batch", conf[0].score));
+            }
+        }
         for (path, got) in seen {
             assert_eq!(got.to_bits(), want.to_bits(), "{what}: {path} lanes: {got} != {want}");
         }
@@ -2246,6 +2276,7 @@ mod tests {
             grid.field.lj = grid.field.lj.iter().map(|_| seeded()).collect();
             grid.field.elec = Some(seeded());
             grid.field.geom = geom;
+            grid.field.layout = Arc::new(Layout::whole(geom));
             // Per axis, in lattice units (`origin + u · spacing`): nodes,
             // the two ends, the upper clamp and its neighbours, cell
             // interiors and beyond both faces; then raw coordinates.
@@ -2424,7 +2455,7 @@ mod tests {
             // A receptor of its own per ligand, so that each model's first
             // request of it is cold and builds only the spots' reach.
             let reach_rec = synth::synth_receptor("batch-entry", 150, 0xBA7C + atoms as u64);
-            let spots = spots_on(&reach_rec, 3);
+            let spots = spots_on(&reach_rec, 2);
             for (opts, _) in model_variants(base, &[]) {
                 let what = format!("{atoms} atoms, {opts:?}");
                 let whole = Scorer::new(&whole_rec, &lig, scorer_options(opts));
@@ -2434,7 +2465,7 @@ mod tests {
                 assert_batches_score_like_the_reference(&whole, &poses, &format!("whole, {what}"));
                 let reach = Scorer::for_spots(&reach_rec, &lig, scorer_options(opts), &spots);
                 let grid = reach.grid().expect("a grid scorer");
-                assert!(matches!(grid.field.cover, Cover::Part(_)), "{what}: no reach was built");
+                assert!(!grid.field.layout.is_whole(), "{what}: no boxes were built");
                 let poses = rim_poses(&lig, &spots, 2);
                 assert!(poses.iter().all(|p| grid.reads_only_built(p)), "{what}: off the reach");
                 assert_batches_score_like_the_reference(&reach, &poses, &format!("reach, {what}"));
@@ -2495,20 +2526,18 @@ mod tests {
         opts: GridOptions,
         channels: &[Channel],
     ) -> (Vec<Slab>, u64) {
-        build_slabs_in(receptor, geom, opts, channels, RANGES_PER_THREAD * host_threads())
+        build_whole_in(receptor, geom, opts, channels, RANGES_PER_THREAD * host_threads())
     }
 
-    /// [`build_slabs`] cut into `ranges` ranges of z-planes ([`fill_region`]).
-    fn build_slabs_in(
+    /// [`build_slabs`] cut into `ranges` ranges of z-planes.
+    fn build_whole_in(
         receptor: &Molecule,
         geom: Geometry,
         opts: GridOptions,
         channels: &[Channel],
         ranges: usize,
     ) -> (Vec<Slab>, u64) {
-        let whole = Region::whole(geom);
-        let zeros = channels.iter().map(|_| zero_slab(geom, &whole)).collect();
-        fill_region(receptor, geom, opts, channels, &whole, zeros, ranges)
+        build_slabs_in(receptor, geom, opts, channels, &Layout::whole(geom), ranges)
     }
 
     /// The same slabs by an independent, node-major route, and the build
@@ -2615,7 +2644,7 @@ mod tests {
             let (got, terms) = build_slabs(receptor, geom, opts, &channels);
             assert_same_bits(&got, &want, &what);
             for ranges in RANGES {
-                let (got, cut) = build_slabs_in(receptor, geom, opts, &channels, ranges);
+                let (got, cut) = build_whole_in(receptor, geom, opts, &channels, ranges);
                 assert_same_bits(&got, &want, &format!("{what}, {ranges} ranges"));
                 assert_eq!(cut, terms, "{what}, {ranges} ranges: terms");
             }
@@ -2719,7 +2748,7 @@ mod tests {
         let channels = [Channel::Lj(Element::C.index() as u8), Channel::Elec];
         let want = gather_slabs(&flat, geom, thin, &channels);
         for ranges in RANGES {
-            let (got, _) = build_slabs_in(&flat, geom, thin, &channels, ranges);
+            let (got, _) = build_whole_in(&flat, geom, thin, &channels, ranges);
             assert_same_bits(&got, &want, &format!("thin plane, {ranges} ranges"));
         }
         let g = GridScorer::new_in(&SlabCache::new(ROOMY), &flat, &lig, thin, &[], NO_CLOCK);
@@ -2756,9 +2785,9 @@ mod tests {
     fn table5_receptors_build_the_same_bits_on_any_worker_count() {
         for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
-            let (want, terms) = build_slabs_in(&rec, geom, opts, &channels, 1);
+            let (want, terms) = build_whole_in(&rec, geom, opts, &channels, 1);
             for ranges in &RANGES[1..] {
-                let (got, cut) = build_slabs_in(&rec, geom, opts, &channels, *ranges);
+                let (got, cut) = build_whole_in(&rec, geom, opts, &channels, *ranges);
                 assert_same_bits(&got, &want, &format!("{what}, {ranges} ranges"));
                 assert_eq!(cut, terms, "{what}, {ranges} ranges: terms");
             }
@@ -2825,7 +2854,7 @@ mod tests {
     /// The planes of the whole lattice of `scatter`, over `slabs`.
     fn whole_planes<'s>(scatter: &Scatter, slabs: &'s mut [Vec<f32>]) -> Planes<'s> {
         let slabs = slabs.iter_mut().map(Vec::as_mut_slice).collect();
-        Planes { z: 0..scatter.geom.dims[2], slabs, terms: 0 }
+        Planes { b: 0, z: 0..scatter.geom.dims[2], slabs, terms: 0 }
     }
 
     /// [`fill_node_by_node`] over the whole lattice of `scatter`, into
@@ -2900,7 +2929,7 @@ mod tests {
             for cutoff in [2.5, 40.0] {
                 let base = GridOptions { spacing: 1.0, cutoff, ..Default::default() };
                 for (opts, channels) in model_variants(base, &[C, N, O]) {
-                    let whole = Region::whole(geom);
+                    let whole = Layout::whole(geom);
                     let scatter = Scatter::new(&rec, geom, opts, &channels, &whole);
                     let what = format!("len {len}, {opts:?}");
                     let (_, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
@@ -2928,7 +2957,7 @@ mod tests {
         let channels = [Channel::Lj(c), Channel::Lj(o), Channel::Elec];
         let kq = COULOMB_K * 0.5;
         let untouched = (-0.0f32).to_bits();
-        let whole = Region::whole(geom);
+        let whole = Layout::whole(geom);
         let build = |x: f64| {
             let atom = vsmol::Atom::with_charge(Vec3::new(x, 0.0, 0.0), Element::O, 0.5);
             let one = Molecule::new("one", vec![atom]);
@@ -2989,7 +3018,7 @@ mod tests {
         let n = channels.len();
         // `SpatialGrid` refuses a non-finite point, so no receptor gets this
         // far with one: the atoms are spoiled after the layout.
-        let whole = Region::whole(geom);
+        let whole = Layout::whole(geom);
         let scatter = || Scatter::new(&rec, geom, opts, &channels, &whole);
         let (clean, _) = filled(&scatter(), n, 0.0);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -3034,12 +3063,12 @@ mod tests {
             };
             let (opts, channels) = model_variants(base, &[C, N, O, S]).swap_remove(case % 3);
             let geom = Geometry::of(&rec, opts);
-            let whole = Region::whole(geom);
+            let whole = Layout::whole(geom);
             let scatter = Scatter::new(&rec, geom, opts, &channels, &whole);
             let what = format!("case {case}: {} atoms, {opts:?}", rec.len());
             let (want, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
             // The build proper, cut in three, is the same slabs and terms.
-            let (built, cut) = build_slabs_in(&rec, geom, opts, &channels, 3);
+            let (built, cut) = build_whole_in(&rec, geom, opts, &channels, 3);
             assert_same_bits(&built, &want, &what);
             assert_eq!(cut, terms, "{what}");
         }
@@ -3050,7 +3079,7 @@ mod tests {
     fn table5_receptors_build_the_same_bits_on_every_lane_path() {
         for (what, rec, opts, channels) in table5_builds() {
             let geom = Geometry::of(&rec, opts);
-            let whole = Region::whole(geom);
+            let whole = Layout::whole(geom);
             let scatter = Scatter::new(&rec, geom, opts, &channels, &whole);
             let (want, terms) = assert_lane_paths_agree(&scatter, channels.len(), 0.0, &what);
             let (built, pooled) = build_slabs(&rec, geom, opts, &channels);
@@ -3246,6 +3275,11 @@ mod tests {
         vsmol::surface::detect_spots(rec, &opts)
     }
 
+    /// The largest distance of an atom of `lig` from its centroid.
+    fn r_lig(lig: &Molecule) -> f64 {
+        lig.centered().positions().iter().map(|p| p.norm()).fold(0.0, f64::max)
+    }
+
     /// The rotation taking the direction of `from` onto `to`.
     fn turning(from: Vec3, to: Vec3) -> Quat {
         let (Some(a), Some(b)) = (from.normalized(), to.normalized()) else {
@@ -3271,6 +3305,11 @@ mod tests {
     /// directions, the ligand's farthest atom turned outward along it — and
     /// as many with a seeded rotation.
     fn rim_poses(ligand: &Molecule, spots: &[Spot], random: usize) -> Vec<RigidTransform> {
+        rim_confs(ligand, spots, random).iter().map(|c| c.pose).collect()
+    }
+
+    /// [`rim_poses`] as the conformations of their spots.
+    fn rim_confs(ligand: &Molecule, spots: &[Spot], random: usize) -> Vec<Conformation> {
         let lig = ligand.centered();
         let far = lig.positions().iter().copied().fold(Vec3::ZERO, |f, p| {
             if p.norm() > f.norm() {
@@ -3280,7 +3319,7 @@ mod tests {
             }
         });
         let mut rng = RngStream::from_seed(0x5107);
-        let mut poses = Vec::new();
+        let mut confs = Vec::new();
         for spot in spots {
             let mut dirs = vec![Vec3::X, -Vec3::X, Vec3::Y, -Vec3::Y, Vec3::Z, -Vec3::Z];
             dirs.extend([spot.normal, -spot.normal]);
@@ -3288,24 +3327,48 @@ mod tests {
             for u in dirs {
                 let t = spot.center + u * spot.radius;
                 for rotation in [turning(far, u), rng.rotation()] {
-                    let conf = vsmol::Conformation::new(RigidTransform::new(rotation, t), spot.id);
-                    poses.push(conf.clamped_to(spot).pose);
+                    let conf = Conformation::new(RigidTransform::new(rotation, t), spot.id);
+                    confs.push(conf.clamped_to(spot));
                 }
             }
         }
-        poses
+        confs
+    }
+
+    /// A scorer of `lig` over boxes around the balls of `spots`, built
+    /// whatever share of the lattice they hold (a cold request builds them
+    /// only up to half of it).
+    fn boxed_scorer(
+        rec: &Molecule,
+        lig: &Molecule,
+        opts: GridOptions,
+        spots: &[Spot],
+    ) -> GridScorer {
+        let mut grid = GridScorer::new_in(&SlabCache::new(ROOMY), rec, lig, opts, &[], NO_CLOCK);
+        let geom = grid.field.geom;
+        let layout = Reach { spots, r_lig: r_lig(lig) }.boxes(geom).expect("a bounded reach");
+        let mut elements = lig.elements().to_vec();
+        elements.sort_by_key(|e| e.index());
+        elements.dedup();
+        let mut channels = lj_channels(&elements);
+        channels.extend(opts.dielectric.map(|_| Channel::Elec));
+        let (mut slabs, _) = build_slabs_in(rec, geom, opts, &channels, &layout, 8);
+        grid.field.elec = opts.dielectric.and_then(|_| slabs.pop());
+        grid.field.lj = slabs;
+        grid.field.layout = Arc::new(layout);
+        grid
     }
 
     /// `reach` scores every pose with the bits of `whole`, a scorer over
     /// the whole lattice, and reads only nodes its slabs hold, which are
-    /// not all of them.
+    /// boxes, not the whole lattice.
     fn assert_reach_scores_like_whole(
         reach: &GridScorer,
         whole: impl Fn(&RigidTransform) -> f64,
         poses: &[RigidTransform],
         what: &str,
     ) {
-        assert!(matches!(reach.field.cover, Cover::Part(_)), "{what}: a whole lattice was built");
+        assert!(!reach.field.layout.is_whole(), "{what}: a whole lattice was built");
         for (k, pose) in poses.iter().enumerate() {
             assert!(reach.reads_only_built(pose), "{what}, pose {k}: read an unbuilt node");
             let (got, want) = (reach.score(pose), whole(pose));
@@ -3318,7 +3381,9 @@ mod tests {
         /// hold: the debug assertion of `interpolate`, in any build.
         fn reads_only_built(&self, pose: &RigidTransform) -> bool {
             let mut chunks = self.chunks.iter().enumerate();
-            chunks.all(|(k, chunk)| self.reads_built(chunk, &self.cells_scalar(pose, k)))
+            chunks.all(|(k, chunk)| {
+                self.reads_built(chunk, &self.cells_scalar(pose, self.box_of(pose), k))
+            })
         }
     }
 
@@ -3329,11 +3394,10 @@ mod tests {
             for (atoms, spots) in [(13, 8), (1, 3), (9, 0)] {
                 let lig = synth::synth_ligand("l", atoms, 80 + atoms as u64);
                 let spots = spots_on(&rec, spots);
-                let reach =
-                    GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &spots, NO_CLOCK);
+                let reach = boxed_scorer(&rec, &lig, opts, &spots);
                 let whole =
                     GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[], NO_CLOCK);
-                assert!(matches!(whole.field.cover, Cover::Whole));
+                assert!(whole.field.layout.is_whole());
                 let what = format!("{atoms} atoms, {} spots, {opts:?}", spots.len());
                 let poses = rim_poses(&lig, &spots, 4);
                 assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, &what);
@@ -3341,39 +3405,84 @@ mod tests {
         }
     }
 
+    /// Every node of box `b` of `layout`, as a lattice node and its index
+    /// in a slab.
+    fn box_nodes(layout: &Layout, b: usize) -> impl Iterator<Item = ([usize; 3], usize)> + '_ {
+        let ([nx, ny, nz], at) = (layout.dims, layout.at[b]);
+        let lattice = move |i: usize| [at[0] + i % nx, at[1] + i / nx % ny, at[2] + i / (nx * ny)];
+        (0..nx * ny * nz).map(move |i| (lattice(i), b * layout.box_nodes() + i))
+    }
+
     #[test]
     fn a_partial_build_holds_the_whole_bits_in_its_region_and_zero_elsewhere() {
         let rec = synth::synth_receptor("partial", 200, 95);
         let lig = synth::synth_ligand("l", 11, 96);
         let base = GridOptions { spacing: 1.1, ..Default::default() };
-        let r_lig = lig.centered().positions().iter().map(|p| p.norm()).fold(0.0, f64::max);
         let spots = spots_on(&rec, 5);
         for (opts, channels) in model_variants(base, &[Element::C, Element::N, Element::O]) {
             let geom = Geometry::of(&rec, opts);
             let what = format!("{opts:?}");
-            let region = Reach { spots: &spots, r_lig }.region(geom).expect("a part");
-            let rest = region.complement(geom);
-            assert_eq!(region.nodes + rest.nodes, geom.nodes() as u64, "{what}");
-            assert_eq!(rest.complement(geom), region, "{what}");
-            let (want, whole_terms) = build_slabs(&rec, geom, opts, &channels);
+            let layout = Reach { spots: &spots, r_lig: r_lig(&lig) }.boxes(geom).expect("boxes");
+            assert_eq!(layout.at.len(), spots.len(), "{what}");
+            let (want, _) = build_slabs(&rec, geom, opts, &channels);
+            let node = |[x, y, z]: [usize; 3]| (z * geom.dims[1] + y) * geom.dims[0] + x;
+            let mut first = None;
             for ranges in RANGES {
-                let zeros = channels.iter().map(|_| zero_slab(geom, &region)).collect();
-                let (part, terms) =
-                    fill_region(&rec, geom, opts, &channels, &region, zeros, ranges);
-                for (slab, whole) in part.iter().zip(&want) {
-                    for node in 0..geom.nodes() {
-                        let expect = if region.contains(&geom, node) { whole[node] } else { 0.0 };
-                        assert_eq!(slab[node].to_bits(), expect.to_bits(), "{what}: node {node}");
+                let (boxes, terms) = build_slabs_in(&rec, geom, opts, &channels, &layout, ranges);
+                assert_eq!(*first.get_or_insert(terms), terms, "{what}, {ranges} ranges: terms");
+                for (slab, whole) in boxes.iter().zip(&want) {
+                    assert_eq!(slab.len(), layout.len(), "{what}");
+                    for (b, ball) in layout.balls.iter().enumerate() {
+                        for (at, i) in box_nodes(&layout, b) {
+                            let expect = if ball.holds(&geom, at) { whole[node(at)] } else { 0.0 };
+                            let got = slab[i];
+                            assert_eq!(
+                                got.to_bits(),
+                                expect.to_bits(),
+                                "{what}: box {b} node {at:?}"
+                            );
+                        }
                     }
+                    let after = &slab[layout.zeros()..];
+                    assert!(after.iter().all(|v| v.to_bits() == 0), "{what}: the +0.0 cell");
                 }
-                let copies = part.iter().map(|s| Arc::new(Box::from(&s[..]))).collect();
-                let (done, rest_terms) =
-                    fill_region(&rec, geom, opts, &channels, &rest, copies, ranges);
-                assert_same_bits(&done, &want, &format!("{what}, completed, {ranges} ranges"));
-                assert!(terms < whole_terms, "{what}");
-                assert_eq!(terms + rest_terms, whole_terms, "{what}, {ranges} ranges: terms");
             }
         }
+    }
+
+    /// The exact count of a box build, held in a debug build: the boxes,
+    /// their dims, the nodes of their balls and the pair terms, pinned and
+    /// equal to a count of every ball node against every atom within the
+    /// cutoff. An atom culled too early, or a ball node skipped or built
+    /// twice in one box, moves the terms.
+    #[test]
+    fn a_box_build_adds_exactly_the_terms_of_its_balls() {
+        let rec = synth::synth_receptor("count", 600, 0xC0);
+        let lig = synth::synth_ligand("l", 9, 0xC1);
+        let opts = GridOptions { dielectric: Some(4.0), ..Default::default() };
+        let channels = [Channel::Lj(Element::C.index() as u8), Channel::Elec];
+        let spots = spots_on(&rec, 3);
+        let geom = Geometry::of(&rec, opts);
+        let layout = Reach { spots: &spots, r_lig: r_lig(&lig) }.boxes(geom).expect("boxes");
+        let c2 = opts.cutoff * opts.cutoff;
+        let (mut ball_nodes, mut pairs) = (0u64, 0u64);
+        for (b, ball) in layout.balls.iter().enumerate() {
+            for (at, _) in box_nodes(&layout, b).filter(|(at, _)| ball.holds(&geom, *at)) {
+                ball_nodes += 1;
+                let [x, y, z] = [0, 1, 2].map(|a| geom.node(a, at[a]));
+                let within = |p: &&Vec3| {
+                    let (dx, dy, dz) = (p.x - x, p.y - y, p.z - z);
+                    (dx * dx + dy * dy) + dz * dz <= c2
+                };
+                pairs += rec.positions().iter().filter(within).count() as u64;
+            }
+        }
+        let t0 = std::time::Instant::now();
+        let (_, terms) = build_slabs_in(&rec, geom, opts, &channels, &layout, 4);
+        eprintln!("box build: {terms} terms in {:?}", t0.elapsed());
+        assert_eq!(terms, pairs * channels.len() as u64, "terms against the count");
+        let count = (layout.at.len(), layout.dims, ball_nodes, terms);
+        assert_eq!(count, (3, [24, 23, 23], 18_794, 2_655_010), "boxes, dims, ball nodes, terms");
     }
 
     #[test]
@@ -3382,51 +3491,68 @@ mod tests {
         let rec = synth::synth_receptor("sequence", 250, 97);
         let opts = GridOptions { spacing: 1.0, ..Default::default() };
         let geom = Geometry::of(&rec, opts);
-        let spots = spots_on(&rec, 4);
+        let spots = spots_on(&rec, 2);
         let cache = SlabCache::new(ROOMY);
         let slab = 4 * geom.nodes() as u64;
         let whole = |e: Element| build_slabs(&rec, geom, opts, &lj_channels(&[e]));
         let (whole_c, terms_c) = whole(C);
-        let stats = |misses, built, entries| {
+        let stats = |misses, built, entries, bytes| {
             let st = cache.stats();
             assert_eq!((st.misses, st.hits, st.channels_built), (misses, 0, built), "{st:?}");
-            assert_eq!((st.entries, st.bytes), (entries, entries as u64 * slab), "{st:?}");
+            assert_eq!((st.entries, st.bytes), (entries, bytes), "{st:?}");
         };
 
-        // A small carbon ligand, cold: a part of the carbon slab.
+        // A small carbon ligand, cold: the carbon slab as boxes.
         let small = ligand_of(&[C], 4, 98);
         let a = GridScorer::new_in(&cache, &rec, &small, opts, &spots, NO_CLOCK);
         let s = a.build_stats();
-        assert!(matches!(a.field.cover, Cover::Part(_)));
+        assert!(!a.field.layout.is_whole());
+        assert_eq!(a.field.layout.at.len(), spots.len());
+        let boxed = 4 * a.field.layout.len() as u64;
         assert!(s.built == 1 && s.terms > 0 && s.terms < terms_c, "{s:?}");
-        stats(1, 1, 1);
+        assert_eq!(s.bytes, boxed);
+        assert!(2 * a.field.layout.zeros() <= geom.nodes(), "boxes over half the lattice");
+        stats(1, 1, 1, boxed);
 
-        // A larger one: not cold, so it completes the slab, into a copy
-        // that replaces the part and equals a cold whole build.
+        // A larger one: not cold, so it rebuilds the slab whole, in a fresh
+        // slab that replaces the boxes and equals a cold whole build.
         let large = ligand_of(&[C], 24, 99);
         let b = GridScorer::new_in(&cache, &rec, &large, opts, &spots, NO_CLOCK);
-        assert!(matches!(b.field.cover, Cover::Whole));
-        assert_same_bits(&b.field.lj, &whole_c, "completed carbon slab");
-        assert_eq!(b.build_stats().built, 1);
-        assert_eq!(s.terms + b.build_stats().terms, terms_c, "the part and the rest add up");
-        assert!(!Arc::ptr_eq(&a.field.lj[0], &b.field.lj[0]), "the part was copied");
-        stats(2, 2, 1);
-        // The first scorer keeps its part and still scores its poses.
+        assert!(b.field.layout.is_whole());
+        assert_same_bits(&b.field.lj, &whole_c, "rebuilt carbon slab");
+        assert_eq!((b.build_stats().built, b.build_stats().terms), (1, terms_c));
+        assert!(!Arc::ptr_eq(&a.field.lj[0], &b.field.lj[0]));
+        stats(2, 2, 1, slab);
+        // The first scorer keeps its boxes and still scores its poses.
         let whole_scorer =
             GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &small, opts, &[], NO_CLOCK);
         let poses = rim_poses(&small, &spots, 2);
-        assert_reach_scores_like_whole(&a, |p| whole_scorer.score(p), &poses, "part");
+        assert_reach_scores_like_whole(&a, |p| whole_scorer.score(p), &poses, "boxes");
 
         // Carbon and nitrogen: the whole carbon slab, and nitrogen built
         // whole.
         let both = ligand_of(&[C, N], 9, 100);
         let c = GridScorer::new_in(&cache, &rec, &both, opts, &spots, NO_CLOCK);
-        assert!(matches!(c.field.cover, Cover::Whole));
+        assert!(c.field.layout.is_whole());
         assert!(Arc::ptr_eq(&c.field.lj[0], &b.field.lj[0]), "carbon from the cache");
         let (whole_n, terms_n) = whole(N);
         assert_same_bits(&c.field.lj[1..], &whole_n, "nitrogen slab");
         assert_eq!((c.build_stats().built, c.build_stats().terms), (1, terms_n));
-        stats(3, 3, 2);
+        stats(3, 3, 2, 2 * slab);
+
+        // Boxes and a missing slab of another receptor: both built whole in
+        // one pass, whose terms are two whole slabs'.
+        let other = synth::synth_receptor("sequence-2", 250, 197);
+        let cache = SlabCache::new(ROOMY);
+        let other_spots = spots_on(&other, 2);
+        let d = GridScorer::new_in(&cache, &other, &small, opts, &other_spots, NO_CLOCK);
+        assert!(!d.field.layout.is_whole());
+        let e = GridScorer::new_in(&cache, &other, &both, opts, &other_spots, NO_CLOCK);
+        assert!(e.field.layout.is_whole());
+        let geom = Geometry::of(&other, opts);
+        let (want, terms) = build_slabs(&other, geom, opts, &lj_channels(&[C, N]));
+        assert_same_bits(&e.field.lj, &want, "both whole");
+        assert_eq!((e.build_stats().built, e.build_stats().terms), (2, terms));
     }
 
     #[test]
@@ -3435,36 +3561,76 @@ mod tests {
         let opts = GridOptions { spacing: 1.5, ..Default::default() };
         let (geom, key) = (Geometry::of(&rec, opts), FieldKey::of(&rec, opts));
         let spots = spots_on(&rec, 2);
-        let part = |r_lig: f64| {
-            let region = Reach { spots: &spots, r_lig }.region(geom).expect("a part");
-            Stored { slab: zero_slab(geom, &region), cover: Cover::Part(Arc::new(region)) }
+        let stored = |layout: Layout| Stored {
+            slab: Arc::new(zero_slab(layout.len())),
+            layout: Arc::new(layout),
         };
+        let part = |r_lig: f64| stored(Reach { spots: &spots, r_lig }.boxes(geom).expect("boxes"));
         let carbon = Channel::Lj(Element::C.index() as u8);
         let cache = SlabCache::new(ROOMY);
         let publish = |s: &Stored| cache.publish(key, vec![(carbon, s.clone())]).remove(0).slab;
         let (a, b, a_again) = (part(1.0), part(2.0), part(1.0));
-        let whole = Stored { slab: zero_slab(geom, &Region::whole(geom)), cover: Cover::Whole };
+        let whole = stored(Layout::whole(geom));
         assert!(Arc::ptr_eq(&publish(&a), &a.slab), "the first is resident");
-        assert!(Arc::ptr_eq(&publish(&a_again), &a.slab), "the same region is adopted");
-        assert!(Arc::ptr_eq(&publish(&b), &b.slab), "another region keeps its own");
-        assert!(Arc::ptr_eq(&publish(&whole), &whole.slab), "a whole slab replaces a part");
-        assert!(Arc::ptr_eq(&publish(&b), &whole.slab), "and is adopted from then on");
-        assert_eq!(cache.stats().entries, 1);
+        assert!(Arc::ptr_eq(&publish(&a_again), &a.slab), "the same layout is adopted");
+        assert!(Arc::ptr_eq(&publish(&b), &b.slab), "another layout keeps its own");
+        assert_eq!(cache.stats().bytes, slab_bytes(&a.slab));
+        assert!(Arc::ptr_eq(&publish(&whole), &whole.slab), "a whole slab replaces boxes");
+        assert!(Arc::ptr_eq(&publish(&b), &b.slab), "boxes do not replace it");
+        assert_eq!((cache.stats().entries, cache.stats().bytes), (1, slab_bytes(&whole.slab)));
     }
 
     #[test]
     fn a_reach_that_cannot_be_bounded_or_leaves_nothing_out_is_the_whole_lattice() {
         let rec = synth::synth_receptor("unbounded", 60, 102);
+        let lig = synth::synth_ligand("l", 6, 103);
         let opts = GridOptions { spacing: 1.5, ..Default::default() };
         let geom = Geometry::of(&rec, opts);
         let spots = spots_on(&rec, 2);
-        let reach = |spots: &[Spot], r_lig: f64| Reach { spots, r_lig }.region(geom);
+        let reach = |spots: &[Spot], r_lig: f64| Reach { spots, r_lig }.boxes(geom);
         assert!(reach(&spots, 1.0).is_some());
         assert!(reach(&[], 1.0).is_none(), "no spots");
         assert!(reach(&spots, f64::NAN).is_none(), "a ligand atom at NaN");
         let nowhere = Spot { center: Vec3::new(f64::NAN, 0.0, 0.0), ..spots[0] };
         assert!(reach(&[spots[0], nowhere], 1.0).is_none(), "a spot at NaN");
-        assert!(reach(&spots, 1e3).is_none(), "a reach over every node");
+        // A reach over every node is boxes of the whole lattice's dims; a
+        // cold request builds it whole.
+        let everywhere = reach(&spots, 1e3).expect("bounded");
+        assert_eq!((everywhere.dims, everywhere.at.len()), (geom.dims, 2));
+        let wide = Spot { radius: 1e3, ..spots[0] };
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[wide], NO_CLOCK);
+        assert!(g.field.layout.is_whole());
+        let g = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &spots, NO_CLOCK);
+        assert!(!g.field.layout.is_whole(), "two small spots take boxes");
+    }
+
+    /// On the spots' own rim poses, a box scorer picks a box that holds
+    /// every node the pose reads, whichever spot its conformation names —
+    /// its own, another whose ball does not hold it, or one with no box —
+    /// and scores it as the whole lattice does on every lane path.
+    #[test]
+    fn a_conformation_of_any_spot_reads_a_box_that_holds_its_pose() {
+        let rec = synth::synth_receptor("any-spot", 300, 0xA5);
+        let lig = synth::synth_ligand("l", 9, 0xA6);
+        let opts = GridOptions { dielectric: Some(4.0), ..Default::default() };
+        let spots = spots_on(&rec, 3);
+        let grid = boxed_scorer(&rec, &lig, opts, &spots);
+        let whole = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[], NO_CLOCK);
+        let (layout, geom) = (&grid.field.layout, &grid.field.geom);
+        for (k, conf) in rim_confs(&lig, &spots, 2).iter().enumerate() {
+            let want = whole.score(&conf.pose);
+            for spot in [conf.spot_id, (conf.spot_id + 1) % spots.len(), 999] {
+                let what = format!("conformation {k} of spot {}, as spot {spot}", conf.spot_id);
+                let b = layout.box_of(geom, &conf.pose, Some(spot));
+                let own = layout.balls.iter().position(|ball| ball.spot == conf.spot_id);
+                assert!(b.is_some(), "{what}: no box");
+                if spot == conf.spot_id {
+                    assert_eq!(b, own, "{what}: its own box");
+                }
+                let got = assert_paths_agree(&grid, &conf.pose, Some(spot), &what);
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+            }
+        }
     }
 
     #[cfg(debug_assertions)]
@@ -3482,6 +3648,7 @@ mod tests {
         let corner =
             Spot { id: 0, center: geom.origin, normal: Vec3::X, radius: 1.0, anchor_atom: 0 };
         let g = GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &[corner], NO_CLOCK);
+        assert!(!g.field.layout.is_whole());
         let far = (0..3).map(|a| geom.node(a, geom.dims[a] - 1));
         let far: Vec<f64> = far.collect();
         let on_spot = Conformation::new(RigidTransform::from_translation(geom.origin), 0);
@@ -3505,7 +3672,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "run in release mode: builds both Table 5 receptors' reach for 16 spots and for all"]
+    #[ignore = "run in release mode: builds both Table 5 receptors' boxes for 16 spots and for all"]
     fn table5_reach_scores_rim_poses_like_the_whole_lattice() {
         let opts = table5_opts();
         for dataset in [vsmol::Dataset::TwoBsm, vsmol::Dataset::TwoBxg] {
@@ -3513,8 +3680,7 @@ mod tests {
             let whole = table5_whole(&rec, &lig);
             for max in [16, 0] {
                 let spots = spots_on(&rec, max);
-                let cache = SlabCache::new(ROOMY);
-                let reach = GridScorer::new_in(&cache, &rec, &lig, opts, &spots, NO_CLOCK);
+                let reach = boxed_scorer(&rec, &lig, opts, &spots);
                 let what = format!("{dataset:?}, {} spots", spots.len());
                 let poses = rim_poses(&lig, &spots, 4);
                 assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, &what);
@@ -3523,7 +3689,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "run in release mode: builds 2BSM's reach for a spot 20 Å outside its lattice"]
+    #[ignore = "run in release mode: builds 2BSM's box for a spot 20 Å outside its lattice"]
     fn table5_reach_serves_a_spot_outside_the_lattice() {
         let opts = table5_opts();
         let (rec, lig) = (vsmol::Dataset::TwoBsm.receptor(), vsmol::Dataset::TwoBsm.ligand());
@@ -3538,7 +3704,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "run in release mode: builds 2BSM's reach for a one-atom and a nine-atom ligand"]
+    #[ignore = "run in release mode: builds 2BSM's boxes for a one-atom and a nine-atom ligand"]
     fn table5_reach_serves_one_atom_and_nine_atom_ligands() {
         let opts = table5_opts();
         let rec = vsmol::Dataset::TwoBsm.receptor();
@@ -3547,12 +3713,50 @@ mod tests {
         // seven padding lanes.
         for atoms in [1, 9] {
             let lig = synth::synth_ligand("l", atoms, 105);
-            let reach =
-                GridScorer::new_in(&SlabCache::new(ROOMY), &rec, &lig, opts, &spots, NO_CLOCK);
+            let reach = boxed_scorer(&rec, &lig, opts, &spots);
             let whole = table5_whole(&rec, &lig);
             let what = format!("{atoms} atoms");
             let poses = rim_poses(&lig, &spots, 4);
             assert_reach_scores_like_whole(&reach, |p| whole.score(p), &poses, &what);
+        }
+    }
+
+    /// Poses off every spot's reach give a box scorer defined results: no
+    /// read out of bounds, through either batch shape, and the reference's
+    /// bits on every lane path. A debug build asserts that no pose reads a
+    /// node that was not built, so this runs in release only.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    #[ignore = "run in release mode: scores 2BSM's 16-spot boxes off their reach on every lane path"]
+    fn table5_boxes_score_poses_off_the_reach_on_every_lane_path() {
+        let opts = table5_opts();
+        let (rec, lig) = (vsmol::Dataset::TwoBsm.receptor(), vsmol::Dataset::TwoBsm.ligand());
+        let spots = spots_on(&rec, 16);
+        let grid = boxed_scorer(&rec, &lig, opts, &spots);
+        // NaN, ±∞ and unnormalised poses; 20 Å past each spot's rim along
+        // its normal and out along each axis; each spot's centre.
+        let mut poses = odd_poses();
+        for spot in &spots {
+            let off = spot.radius + 20.0;
+            let dirs = [spot.normal, Vec3::X, -Vec3::X, Vec3::Y, -Vec3::Y, Vec3::Z, -Vec3::Z];
+            poses.extend(dirs.map(|u| RigidTransform::from_translation(spot.center + u * off)));
+            poses.push(RigidTransform::from_translation(spot.center));
+        }
+        let far = (0..poses.len()).filter(|&k| !grid.reads_only_built(&poses[k])).count();
+        assert!(far > poses.len() / 2, "only {far} of {} poses leave the reach", poses.len());
+        let mut out = vec![f64::NAN; poses.len()];
+        grid.score_batch(ScoreBatch::Poses { poses: &poses, out: &mut out });
+        for spot in [0, 7, 999] {
+            let mut confs: Vec<Conformation> =
+                poses.iter().map(|&p| Conformation::new(p, spot)).collect();
+            grid.score_batch(ScoreBatch::Confs(&mut confs));
+            for (k, (pose, conf)) in poses.iter().zip(&confs).enumerate() {
+                let what = format!("pose {k} as spot {spot}: {pose:?}");
+                let want = assert_paths_agree(&grid, pose, Some(spot), &what);
+                assert_eq!(conf.score.to_bits(), want.to_bits(), "{what}: the batch");
+                let want = assert_pose_paths_agree(&grid, pose, &what);
+                assert_eq!(out[k].to_bits(), want.to_bits(), "{what}: the poses' batch");
+            }
         }
     }
 }

@@ -193,9 +193,10 @@ impl Scorer {
     /// [`Scorer::new`] for a screen whose every pose is
     /// [`Conformation::clamped_to`] one of `spots`, as the engine keeps
     /// them. A [`Kernel::Grid`] scorer that finds no slab of this receptor
-    /// resident builds only the lattice nodes such poses can read (DESIGN
-    /// §11), with the bits a whole build gives them; a pose farther out
-    /// reads `+0.0` where a node was not built, which a debug build
+    /// resident stores each slab as one dense box per spot and builds only
+    /// the lattice nodes such poses can read (DESIGN §11), with the bits a
+    /// whole build gives them, when the boxes hold at most half the
+    /// lattice; a pose farther out reads `+0.0`, which a debug build
     /// asserts never happens. The other kernels ignore `spots`.
     pub fn for_spots(
         receptor: &Molecule,

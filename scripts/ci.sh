@@ -122,10 +122,10 @@ pin BENCH_campaign.json campaign_snapshot
 # grid speedup. The grids must not move when their construction does.
 pin scripts/grid_accuracy.expected grid_accuracy 's/, "grid_poses_per_sec": .* \}/ }/'
 
-echo "==> bit-equivalence on the Table 5 complexes (release mode; every lane path is portable [f64; 4], the avx2 entry and the avx512vl entry, each where the CPU has it; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs every lane path with equal term counts; grid interpolation: the scalar reference, every lane path, GridScorer::score and the batch entry through Scorer::score_batch serial and on two threads over 256 poses, three models; grid reach: a lattice built only within the spots' reach against a whole Scorer::new on rim poses of 16 and of all spots, a spot 20 A outside the lattice, one- and nine-atom ligands; pair kernels: scalar lanes and every lane path over 64 poses, every model)"
+echo "==> bit-equivalence on the Table 5 complexes (release mode; every lane path is portable [f64; 4], the avx2 entry and the avx512vl entry, each where the CPU has it; grid build: 2BSM and 2BXG against the node-major gather, on 1, 2, 3, 7 and 64 z-ranges, and node by node vs every lane path with equal term counts; grid interpolation: the scalar reference, every lane path, GridScorer::score and the batch entry through Scorer::score_batch serial and on two threads over 256 poses, three models; grid reach: one box per spot, built only within each spot's reach ball, against a whole Scorer::new on rim poses of 16 and of all spots, a spot 20 A outside the lattice, one- and nine-atom ligands, and NaN, infinite, unnormalised and 20-A-off poses scored on every lane path through both batch shapes; pair kernels: scalar lanes and every lane path over 64 poses, every model)"
 cargo test --release -q -p vsscore --lib -- --ignored table5_
 
-echo "==> slab memory guard (release mode, a test binary of its own: a cold 16-spot reach build on 2BXG at the default 0.75 A grows resident memory by at most 75% of its slab bytes and takes at most 0.8 minor faults per slab page; skipped off Linux and under transparent huge pages [always])"
+echo "==> slab memory guard (release mode, a test binary of its own: a cold 16-spot reach build on 2BXG at the default 0.75 A, one box per spot, grows resident memory by at most 40% of the whole lattice's slab bytes and 1.1 times the box bytes it allocates, and takes at most 1.1 minor faults per box page; skipped off Linux and under transparent huge pages [always])"
 cargo test --release -q -p vsscore --test slab_memory -- --ignored
 
 echo "==> drain memory guard (release mode, a test binary of its own: submitting and draining campaign_burst's traffic on 32 Hertz nodes, with its join and leave, takes at most 64 minor faults per 1000 jobs and grows resident memory by at most 255 bytes a job; skipped off Linux and under transparent huge pages [always])"
